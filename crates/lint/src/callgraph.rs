@@ -68,12 +68,10 @@ pub struct GraphFile<'a> {
 /// Global function id: (file index, def index within that file).
 pub type DefId = (usize, usize);
 
-/// Extract every function's callee list: one `Vec<DefId>` per definition,
-/// parallel to each file's `symbols.defs`. This is the materialized call
-/// graph — reachability is a BFS over it, and the effect analysis
-/// ([`crate::effects`]) propagates read/write footprints along the same
-/// edges, so both views can never disagree about what calls what.
-pub fn def_edges(files: &[GraphFile<'_>]) -> Vec<Vec<Vec<DefId>>> {
+/// Compute, for every file, which function definitions are reachable
+/// from [`ROOTS`]. Returns one `Vec<bool>` per file, parallel to that
+/// file's `symbols.defs`.
+pub fn reachable_defs(files: &[GraphFile<'_>]) -> Vec<Vec<bool>> {
     // Name indexes over non-test definitions.
     let mut by_name: BTreeMap<&str, Vec<DefId>> = BTreeMap::new();
     let mut by_qual: BTreeMap<(&str, &str), Vec<DefId>> = BTreeMap::new();
@@ -88,75 +86,37 @@ pub fn def_edges(files: &[GraphFile<'_>]) -> Vec<Vec<Vec<DefId>>> {
             }
         }
     }
-    files
-        .iter()
-        .map(|f| {
-            f.symbols
-                .defs
-                .iter()
-                .map(|d| body_edges(f, d.body, d.self_ty.as_deref(), &by_name, &by_qual))
-                .collect()
-        })
-        .collect()
-}
 
-/// BFS over precomputed [`def_edges`] from the given root set, without
-/// expanding through `stop` functions (by `(self type, name)`): a stop
-/// function is neither marked nor descended into. The effect analysis
-/// uses this with its commit-point list; plain reachability passes an
-/// empty stop set.
-pub fn reachable_over(
-    files: &[GraphFile<'_>],
-    edges: &[Vec<Vec<DefId>>],
-    roots: &[(Option<&str>, &str)],
-    stop: &[(&str, &str)],
-) -> Vec<Vec<bool>> {
-    let stopped = |id: DefId| -> bool {
-        let d = &files[id.0].symbols.defs[id.1];
-        stop.iter()
-            .any(|&(ty, name)| d.name == name && d.self_ty.as_deref() == Some(ty))
-    };
     let mut reach: Vec<Vec<bool>> = files
         .iter()
         .map(|f| vec![false; f.symbols.defs.len()])
         .collect();
     let mut work: Vec<DefId> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
-        for (di, d) in f.symbols.defs.iter().enumerate() {
-            if d.is_test {
-                continue;
-            }
-            let is_root = roots.iter().any(|&(ty, name)| {
-                d.name == name
-                    && match ty {
-                        Some(ty) => d.self_ty.as_deref() == Some(ty),
-                        None => true,
-                    }
-            });
-            if is_root && !stopped((fi, di)) && !reach[fi][di] {
+    for &(ty, name) in ROOTS {
+        let ids: &[DefId] = match ty {
+            Some(ty) => by_qual.get(&(ty, name)).map(Vec::as_slice).unwrap_or(&[]),
+            None => by_name.get(name).map(Vec::as_slice).unwrap_or(&[]),
+        };
+        for &(fi, di) in ids {
+            if !reach[fi][di] {
                 reach[fi][di] = true;
                 work.push((fi, di));
             }
         }
     }
+
     while let Some((fi, di)) = work.pop() {
-        for &callee in &edges[fi][di] {
+        let f = &files[fi];
+        let def = &f.symbols.defs[di];
+        for callee in body_edges(f, def.body, def.self_ty.as_deref(), &by_name, &by_qual) {
             let (cf, cd) = callee;
-            if !reach[cf][cd] && !stopped(callee) {
+            if !reach[cf][cd] {
                 reach[cf][cd] = true;
                 work.push(callee);
             }
         }
     }
     reach
-}
-
-/// Compute, for every file, which function definitions are reachable
-/// from [`ROOTS`]. Returns one `Vec<bool>` per file, parallel to that
-/// file's `symbols.defs`.
-pub fn reachable_defs(files: &[GraphFile<'_>]) -> Vec<Vec<bool>> {
-    let edges = def_edges(files);
-    reachable_over(files, &edges, ROOTS, &[])
 }
 
 /// Extract the callee set of one function body.
@@ -478,40 +438,5 @@ impl View {
         for want in ["Table::snapshot", "View::normalize", "View::total"] {
             assert!(r.contains(&want.to_string()), "missing {want}: {r:?}");
         }
-    }
-
-    #[test]
-    fn reachable_over_stops_at_but_does_not_mark_stop_fns() {
-        let src = "\
-impl Simulator {
-    pub fn run(&mut self) { self.step(); self.finish(); }
-    fn step(&mut self) { helper(); }
-    fn finish(&mut self) { behind_barrier(); }
-}
-fn helper() {}
-fn behind_barrier() {}
-";
-        let toks = lex(src);
-        let mask = test_region_mask(&toks, "crates/netsim/src/sim.rs");
-        let syms = parse_file(&toks, &mask);
-        let gfiles = [GraphFile {
-            toks: &toks,
-            symbols: &syms,
-        }];
-        let edges = def_edges(&gfiles);
-        let r = reachable_over(
-            &gfiles,
-            &edges,
-            &[(Some("Simulator"), "run")],
-            &[("Simulator", "finish")],
-        );
-        let names: Vec<&str> = syms
-            .defs
-            .iter()
-            .zip(&r[0])
-            .filter(|&(_, &on)| on)
-            .map(|(d, _)| d.name.as_str())
-            .collect();
-        assert_eq!(names, vec!["run", "step", "helper"]);
     }
 }

@@ -15,7 +15,7 @@
 //! | `d2-wallclock-rng` | no `Instant`/`SystemTime`/`thread_rng`/raw `rand` in library code — all time comes from the event loop, all randomness from `SimRng::split_seed` |
 //! | `d3-float-partial-sort` | no `.partial_cmp` on the result path — NaN makes `sort_by(partial_cmp)` panic or reorder; use `f64::total_cmp` |
 //! | `d4-unsafe-safety-comment` | every `unsafe` must be preceded by a `// SAFETY:` comment |
-//! | `d5-shared-state-sim-path` | no `Mutex`/`RwLock`/atomics in per-event sim code — the PDES design wants message passing at zone boundaries, not shared locks |
+//! | `d5-shared-state-sim-path` | no `Mutex`/`RwLock`/atomics in per-event sim code — rayon `--jobs` workers share one process, so a lock or atomic a simulation touches couples runs that must stay independent |
 //! | `d6-wallclock-serialization` | no date/timestamp-like field names in serialized results — goldens must be byte-stable across runs |
 //!
 //! A justified escape hatch exists per finding:
@@ -35,7 +35,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod callgraph;
-pub mod effects;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -116,10 +115,6 @@ pub struct Analysis {
     /// Parallel to `files`/`symbols.defs`: which definitions are
     /// reachable from [`callgraph::ROOTS`].
     pub reachable: Vec<Vec<bool>>,
-    /// Field-level effect state (per-definition accesses, the
-    /// materialized call graph, and handler-scope reachability) — the E
-    /// rule family and the `--effects` report read from here.
-    pub effects: effects::Effects,
 }
 
 impl Analysis {
@@ -150,14 +145,11 @@ impl Analysis {
                 symbols: s,
             })
             .collect();
-        let edges = callgraph::def_edges(&gfiles);
-        let reachable = callgraph::reachable_over(&gfiles, &edges, callgraph::ROOTS, &[]);
-        let effects = effects::compute(&files, &symbols, edges, &reachable);
+        let reachable = callgraph::reachable_defs(&gfiles);
         Analysis {
             files,
             symbols,
             reachable,
-            effects,
         }
     }
 
@@ -389,7 +381,7 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
     s
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -427,8 +419,8 @@ pub fn render_human(diags: &[Diagnostic]) -> String {
 // ---------------------------------------------------------------------------
 
 /// One `lint:allow` directive found in the tree, for the
-/// `--allow-report` inventory. Every S-family allow in this list is an
-/// entry on the PDES-migration worklist.
+/// `--allow-report` inventory: the reviewable list of every panic site,
+/// seed derivation and piece of shared state the tree has signed off on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowEntry {
     /// The rule id the directive names.

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! remy-lint [--json] [--root <dir>] [--scope-as <prefix>] [--list-rules]
-//!           [--allow-report] [--reachable] [--effects [--baseline <file>]
-//!           [--write-baseline <file>]] [--pdes-report] [paths...]
+//!           [--allow-report] [--reachable] [paths...]
 //! ```
 //!
 //! With no paths, walks the workspace (found by ascending from `--root`
@@ -15,23 +14,10 @@
 //! gate proves the seeded-bad fixtures still fail).
 //!
 //! `--allow-report` inventories every `lint:allow` in the workspace with
-//! its rule id and justification (the S-family entries are the PDES
-//! migration worklist); it exits non-zero if any allow is unjustified or
-//! names a rule that no longer exists. `--reachable` lists every
-//! function the call graph considers reachable from the simulation entry
-//! points, as `file:line: name`.
-//!
-//! `--effects` emits the field-level effect report (per-root read/write
-//! sets over the state model, the handler commutativity matrix, and the
-//! global-write worklist); with `--json` it prints the
-//! `target/lint_effects.json` document. `--baseline <file>` compares the
-//! global-write edge set against a committed baseline and fails on any
-//! *new* edge (the ratchet); `--write-baseline <file>` regenerates the
-//! committed document after a deliberate change. `--pdes-report` renders
-//! the human worklist
-//! burn-down: remaining S-family allows annotated with their state-model
-//! buckets plus the computed global-write edges. Both fail when the
-//! state model has unmodeled sim-scope mutable fields.
+//! its rule id and justification; it exits non-zero if any allow is
+//! unjustified or names a rule that no longer exists. `--reachable` lists
+//! every function the call graph considers reachable from the simulation
+//! entry points, as `file:line: name`.
 //!
 //! Exit status: `0` clean, `1` diagnostics found, `2` usage/IO error.
 
@@ -46,10 +32,6 @@ fn main() -> ExitCode {
     let mut list_rules = false;
     let mut allow_report = false;
     let mut reachable = false;
-    let mut effects = false;
-    let mut pdes_report = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut scope_as: Option<String> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
@@ -61,16 +43,6 @@ fn main() -> ExitCode {
             "--list-rules" => list_rules = true,
             "--allow-report" => allow_report = true,
             "--reachable" => reachable = true,
-            "--effects" => effects = true,
-            "--pdes-report" => pdes_report = true,
-            "--baseline" => match args.next() {
-                Some(f) => baseline = Some(PathBuf::from(f)),
-                None => return usage("--baseline needs a file"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(f) => write_baseline = Some(PathBuf::from(f)),
-                None => return usage("--write-baseline needs a file"),
-            },
             "--root" => match args.next() {
                 Some(d) => root = Some(PathBuf::from(d)),
                 None => return usage("--root needs a directory"),
@@ -82,9 +54,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: remy-lint [--json] [--root <dir>] [--scope-as <prefix>] \
-                     [--list-rules] [--allow-report] [--reachable] \
-                     [--effects [--baseline <file>] [--write-baseline <file>]] \
-                     [--pdes-report] [paths...]"
+                     [--list-rules] [--allow-report] [--reachable] [paths...]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -105,7 +75,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if allow_report || reachable || effects || pdes_report {
+    if allow_report || reachable {
         let start = root.unwrap_or_else(|| PathBuf::from("."));
         let Some(ws) = find_workspace_root(&start) else {
             return usage(&format!(
@@ -113,16 +83,6 @@ fn main() -> ExitCode {
                 start.display()
             ));
         };
-        if effects || pdes_report {
-            return run_effects(
-                &ws,
-                effects,
-                pdes_report,
-                json,
-                baseline.as_deref(),
-                write_baseline.as_deref(),
-            );
-        }
         if reachable {
             let analysis = match remy_lint::analyze_workspace(&ws) {
                 Ok(a) => a,
@@ -184,94 +144,6 @@ fn main() -> ExitCode {
 fn usage(msg: &str) -> ExitCode {
     eprintln!("remy-lint: {msg}");
     ExitCode::from(2)
-}
-
-/// The `--effects` / `--pdes-report` modes: build the effect report,
-/// print the requested rendering, then enforce model completeness and —
-/// when a baseline is given — the global-write ratchet. Gate messages go
-/// to stderr so `--json` output stays a valid document.
-fn run_effects(
-    ws: &Path,
-    effects: bool,
-    pdes: bool,
-    json: bool,
-    baseline: Option<&Path>,
-    write_baseline: Option<&Path>,
-) -> ExitCode {
-    let analysis = match remy_lint::analyze_workspace(ws) {
-        Ok(a) => a,
-        Err(e) => return usage(&e),
-    };
-    let report = remy_lint::effects::report(&analysis);
-    if let Some(path) = write_baseline {
-        let doc = remy_lint::effects::baseline_json(&report);
-        if let Err(e) = std::fs::write(path, doc) {
-            return usage(&format!("writing {}: {e}", path.display()));
-        }
-        eprintln!("remy-lint: wrote {}", path.display());
-    }
-    if effects {
-        if json {
-            print!("{}", remy_lint::effects::report_json(&report));
-        } else {
-            for e in report.roots.iter().chain(&report.handlers) {
-                println!("{}", e.name);
-                println!("  reads:  {}", e.reads.join(", "));
-                println!("  writes: {}", e.writes.join(", "));
-            }
-        }
-    }
-    if pdes {
-        let entries = match remy_lint::allow_report(ws) {
-            Ok(e) => e,
-            Err(e) => return usage(&e),
-        };
-        print!(
-            "{}",
-            remy_lint::effects::render_pdes(&analysis, &report, &entries)
-        );
-    }
-
-    let mut failed = false;
-    for u in &report.unmodeled {
-        eprintln!(
-            "remy-lint: unmodeled sim-scope field {}.{} ({}:{}) — add it to \
-             effects::STATE_MODEL",
-            u.ty, u.field, u.decl_file, u.decl_line
-        );
-        failed = true;
-    }
-    for s in &report.stale {
-        eprintln!("remy-lint: stale state-model entry {s} — the field no longer exists");
-        failed = true;
-    }
-    if let Some(path) = baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return usage(&format!("reading {}: {e}", path.display())),
-        };
-        let keys = remy_lint::effects::parse_baseline(&text);
-        let (new, removed) = remy_lint::effects::ratchet_diff(&report, &keys);
-        for k in &new {
-            eprintln!(
-                "remy-lint: NEW global-write edge {k} — a handler now reaches \
-                 global-bucket state; move it behind a commit point or justify \
-                 and re-baseline lint/effects_baseline.json"
-            );
-            failed = true;
-        }
-        for k in &removed {
-            eprintln!(
-                "remy-lint: global-write edge {k} burned down — tighten the \
-                 baseline (remove it from lint/effects_baseline.json)"
-            );
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 /// Ascend from `start` to the first directory whose `Cargo.toml` declares

@@ -35,17 +35,9 @@ pub struct FnDef {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Token-index range (half-open) of the signature, from the `fn`
-    /// keyword to (not including) the body's opening brace — the effect
-    /// analysis reads parameter types out of this span.
-    pub sig: (usize, usize),
     /// Token-index range (half-open, into the file's token stream) of
     /// the body, *including* the delimiting braces.
     pub body: (usize, usize),
-    /// True when the receiver is `&mut self` / `mut self` /
-    /// `self: &mut Self` — a call through `.name(` may mutate the
-    /// receiver. The effect analysis classifies such calls as writes.
-    pub self_mut: bool,
     /// True when the definition sits inside a `#[cfg(test)]` region or a
     /// whole-file test path (per the file's test mask).
     pub is_test: bool,
@@ -61,41 +53,11 @@ impl FnDef {
     }
 }
 
-/// One named field of a `struct` item.
-#[derive(Clone, Debug)]
-pub struct StructField {
-    /// The field's name.
-    pub name: String,
-    /// The field's type, as source text with single spaces between
-    /// tokens (`Vec < FlowHot >`). Heuristic material only — the effect
-    /// analysis greps it for `f64` and the like; it is not a parsed type.
-    pub ty: String,
-    /// 1-based line of the field name.
-    pub line: u32,
-}
-
-/// One `struct` item with named fields, recovered for the effect
-/// analysis's state model (tuple and unit structs are not recorded:
-/// they have no named fields to classify).
-#[derive(Clone, Debug)]
-pub struct StructDef {
-    /// The struct's name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// Named fields, in declaration order.
-    pub fields: Vec<StructField>,
-    /// True inside a `#[cfg(test)]` region or whole-file test path.
-    pub is_test: bool,
-}
-
 /// Parse result for one file: the definitions plus a token→definition
 /// owner map.
 pub struct FileSymbols {
     /// All function definitions, in source order.
     pub defs: Vec<FnDef>,
-    /// All named-field struct definitions, in source order.
-    pub structs: Vec<StructDef>,
     /// `owner[i]` is the index (into `defs`) of the innermost function
     /// whose body contains token `i`, if any.
     pub owner: Vec<Option<usize>>,
@@ -125,7 +87,6 @@ pub fn parse_file(toks: &[Tok], test_mask: &[bool]) -> FileSymbols {
         .map(|(i, _)| i)
         .collect();
     let mut defs: Vec<FnDef> = Vec::new();
-    let mut structs: Vec<StructDef> = Vec::new();
     let mut owner: Vec<Option<usize>> = vec![None; toks.len()];
     let mut stack: Vec<Scope> = Vec::new();
     // The impl/trait self type and fn-body owner currently in effect.
@@ -142,16 +103,6 @@ pub fn parse_file(toks: &[Tok], test_mask: &[bool]) -> FileSymbols {
             // `macro_rules! name { ... }` — skip the whole definition;
             // its fragment syntax is not Rust code.
             k = skip_to_group_end(toks, &code, k, '{', '}');
-            continue;
-        }
-        if t.is_ident("struct") {
-            // Record the struct's named fields (lookahead only — the
-            // main loop keeps walking the body as ordinary brace groups,
-            // so owner assignment and scope tracking are untouched).
-            if let Some(s) = parse_struct(toks, &code, k, test_mask) {
-                structs.push(s);
-            }
-            k += 1;
             continue;
         }
         if t.is_ident("impl") || t.is_ident("trait") {
@@ -208,9 +159,7 @@ pub fn parse_file(toks: &[Tok], test_mask: &[bool]) -> FileSymbols {
                         self_ty: cur_ty.clone(),
                         name: name_tok.text.clone(),
                         line: t.line,
-                        sig: (code[k], code[open]),
                         body: (code[open], code[open]), // end patched at pop
-                        self_mut: receiver_is_mut(toks, &code, name_k + 1, open),
                         is_test: test_mask.get(code[k]).copied().unwrap_or(false),
                     };
                     defs.push(def);
@@ -249,156 +198,7 @@ pub fn parse_file(toks: &[Tok], test_mask: &[bool]) -> FileSymbols {
             defs[idx].body.1 = toks.len();
         }
     }
-    FileSymbols {
-        defs,
-        structs,
-        owner,
-    }
-}
-
-/// Does the signature segment `code[from..sig_end]` declare a mutable
-/// receiver? The receiver is everything from the parameter list's `(` to
-/// the first `,` at depth 1; `&mut self`, `mut self`, and
-/// `self: &mut Self` all qualify.
-fn receiver_is_mut(toks: &[Tok], code: &[usize], from: usize, sig_end: usize) -> bool {
-    let mut j = from;
-    // Find the parameter list's opening paren (past any generics).
-    let mut angle = 0i32;
-    while j < sig_end {
-        let t = &toks[code[j]];
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle = (angle - 1).max(0);
-        } else if angle == 0 && t.is_punct('(') {
-            break;
-        }
-        j += 1;
-    }
-    if j >= sig_end {
-        return false;
-    }
-    let mut depth = 0i32;
-    let (mut saw_self, mut saw_mut) = (false, false);
-    while j < sig_end {
-        let t = &toks[code[j]];
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if depth == 1 && t.is_punct(',') {
-            break; // end of the receiver parameter
-        } else if t.is_ident("self") {
-            saw_self = true;
-        } else if t.is_ident("mut") {
-            saw_mut = true;
-        }
-        j += 1;
-    }
-    saw_self && saw_mut
-}
-
-/// Parse the `struct` item starting at `code[k]` (the keyword) into a
-/// [`StructDef`], if it has named fields. Tuple structs, unit structs,
-/// and malformed headers return `None`.
-fn parse_struct(toks: &[Tok], code: &[usize], k: usize, test_mask: &[bool]) -> Option<StructDef> {
-    let name_tok = code.get(k + 1).map(|&i| &toks[i])?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    // Scan the header (generics, where clause) for the body's `{`. A `;`
-    // (unit struct) or `(` at angle depth 0 (tuple struct) ends it.
-    let mut j = k + 2;
-    let mut angle = 0i32;
-    let open = loop {
-        let t = &toks[*code.get(j)?];
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle = (angle - 1).max(0);
-        } else if angle == 0 && t.is_punct('{') {
-            break j;
-        } else if angle == 0 && (t.is_punct(';') || t.is_punct('(')) {
-            return None;
-        }
-        j += 1;
-    };
-    let mut fields = Vec::new();
-    let mut depth = 1i32; // inside the struct braces
-    let mut j = open + 1;
-    while j < code.len() && depth > 0 {
-        let t = &toks[code[j]];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-            j += 1;
-            continue;
-        }
-        if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-            j += 1;
-            continue;
-        }
-        if depth != 1 {
-            j += 1;
-            continue;
-        }
-        // At field position: skip attributes and visibility.
-        if t.is_punct('#') {
-            j = crate::skip_attr(toks, code, j);
-            continue;
-        }
-        if t.is_ident("pub") {
-            j += 1;
-            continue;
-        }
-        // `name :` opens a field; collect its type up to the `,` that
-        // closes it (at angle depth 0 and delimiter depth 1).
-        if t.kind == TokKind::Ident && code.get(j + 1).is_some_and(|&i| toks[i].is_punct(':')) {
-            let name = t.text.clone();
-            let line = t.line;
-            let mut ty = String::new();
-            let mut ty_angle = 0i32;
-            let mut m = j + 2;
-            while m < code.len() {
-                let s = &toks[code[m]];
-                if s.is_punct('<') {
-                    ty_angle += 1;
-                } else if s.is_punct('>') {
-                    // `->` in fn-pointer types must not close a generic.
-                    if !toks[code[m - 1]].is_punct('-') {
-                        ty_angle = (ty_angle - 1).max(0);
-                    }
-                } else if s.is_punct('(') || s.is_punct('[') {
-                    depth += 1;
-                } else if s.is_punct(')') || s.is_punct(']') || s.is_punct('}') {
-                    if s.is_punct('}') || depth == 1 {
-                        break; // struct body (or a malformed field) ends
-                    }
-                    depth -= 1;
-                } else if ty_angle == 0 && depth == 1 && s.is_punct(',') {
-                    break;
-                }
-                if !ty.is_empty() {
-                    ty.push(' ');
-                }
-                ty.push_str(&s.text);
-                m += 1;
-            }
-            fields.push(StructField { name, ty, line });
-            j = m;
-            continue;
-        }
-        j += 1;
-    }
-    Some(StructDef {
-        name: name_tok.text.clone(),
-        line: toks[code[k]].line,
-        fields,
-        is_test: test_mask.get(code[k]).copied().unwrap_or(false),
-    })
+    FileSymbols { defs, owner }
 }
 
 /// Parse an `impl`/`trait` header starting at `code[k]` (the keyword).
@@ -627,87 +427,5 @@ mod tests {
         ] {
             let _ = parse(src);
         }
-    }
-
-    #[test]
-    fn struct_fields_record_names_types_and_lines() {
-        let src = "\
-pub struct Hop {
-    #[allow(dead_code)]
-    pub queue: Vec<Packet>,
-    rate_bps: f64,
-    on_drop: fn(u32) -> bool,
-}
-struct Unit;
-struct Tuple(u32, f64);
-";
-        let sym = parse(src);
-        assert_eq!(sym.structs.len(), 1, "tuple/unit structs are skipped");
-        let s = &sym.structs[0];
-        assert_eq!(s.name, "Hop");
-        assert_eq!(s.line, 1);
-        let got: Vec<(&str, u32)> = s.fields.iter().map(|f| (f.name.as_str(), f.line)).collect();
-        assert_eq!(got, vec![("queue", 3), ("rate_bps", 4), ("on_drop", 5)]);
-        assert_eq!(s.fields[0].ty, "Vec < Packet >");
-        assert!(s.fields[1].ty.contains("f64"));
-        // The `->` in the fn-pointer type must not eat the next field.
-        assert_eq!(s.fields[2].ty, "fn ( u32 ) - > bool");
-    }
-
-    #[test]
-    fn struct_with_generics_and_where_clause_parses() {
-        let src = "\
-pub struct Table<K: Ord, V>
-where
-    V: Clone,
-{
-    slots: Vec<(K, V)>,
-}
-";
-        let sym = parse(src);
-        assert_eq!(sym.structs.len(), 1);
-        assert_eq!(sym.structs[0].name, "Table");
-        assert_eq!(sym.structs[0].fields.len(), 1);
-        assert_eq!(sym.structs[0].fields[0].name, "slots");
-    }
-
-    #[test]
-    fn self_mut_reflects_the_receiver_mode() {
-        let src = "\
-impl Wheel {
-    fn tick(&mut self) {}
-    fn peek(&self) -> u64 { 0 }
-    fn consume(mut self) {}
-    fn explicit(self: &mut Self) {}
-    fn assoc(mut spec: Spec) {}
-}
-";
-        let sym = parse(src);
-        let by_name = |n: &str| sym.defs.iter().find(|d| d.name == n).expect(n);
-        assert!(by_name("tick").self_mut);
-        assert!(!by_name("peek").self_mut);
-        assert!(by_name("consume").self_mut);
-        assert!(by_name("explicit").self_mut);
-        assert!(
-            !by_name("assoc").self_mut,
-            "`mut` on a non-self first parameter is not a mutable receiver"
-        );
-    }
-
-    #[test]
-    fn sig_span_covers_keyword_to_body_brace() {
-        let src = "impl S { fn go<T: Ord>(&mut self, n: Vec<T>) -> u64 { 0 } }";
-        let sym = parse(src);
-        let d = &sym.defs[0];
-        let toks = lex(src);
-        assert!(toks[d.sig.0].is_ident("fn"));
-        assert!(toks[d.sig.1].is_punct('{'));
-        assert_eq!(d.body.0, d.sig.1, "body starts where the signature ends");
-        let sig_text: Vec<&str> = toks[d.sig.0..d.sig.1]
-            .iter()
-            .map(|t| t.text.as_str())
-            .collect();
-        assert!(sig_text.contains(&"go"));
-        assert!(sig_text.contains(&"Vec"));
     }
 }

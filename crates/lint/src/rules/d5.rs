@@ -1,9 +1,9 @@
 //! **d5-shared-state-sim-path** — no locks or atomics in per-event sim
 //! code.
 //!
-//! The zone-partitioned PDES design on the roadmap synchronizes workers
-//! by *message passing* with propagation-delay lookahead; results must
-//! stay bit-identical at any worker count. A `Mutex` or atomic counter
+//! Simulations run side by side on rayon `--jobs` workers that share one
+//! process, and results must stay bit-identical at any worker count. A
+//! `Mutex` or atomic counter
 //! inside the per-event path is how nondeterminism (and lock contention)
 //! creeps in: acquisition order becomes a scheduler artifact, and an
 //! unordered reduction through shared state can differ run to run. This
@@ -35,8 +35,8 @@ const BANNED: [&str; 12] = [
 pub(crate) fn rule() -> Rule {
     Rule {
         id: "d5-shared-state-sim-path",
-        summary: "Mutex/RwLock/atomics in per-event sim code — the PDES design wants \
-                  message passing at zone boundaries, not shared locks",
+        summary: "Mutex/RwLock/atomics in per-event sim code — `--jobs` workers share \
+                  one process; runs must not meet through shared state",
         applies: |p| {
             !crate::is_test_path(p)
                 && [
@@ -59,8 +59,8 @@ fn check(ctx: &FileCtx) -> Vec<(u32, String)> {
                 t.line,
                 format!(
                     "`{}` introduces shared mutable state into the sim path; \
-                     per-event code must stay single-owner (zone workers exchange \
-                     messages, not locks)",
+                     per-event code must stay single-owner (`--jobs` workers share \
+                     one process; runs must not meet through a lock)",
                     t.text
                 ),
             )

@@ -17,7 +17,6 @@ pub mod d3;
 pub mod d4;
 pub mod d5;
 pub mod d6;
-pub mod e;
 pub mod p;
 pub mod r;
 pub mod s;
@@ -36,12 +35,11 @@ pub fn all() -> Vec<Rule> {
     ]
 }
 
-/// Every call-graph-aware (P/R/S/E-family) rule, in id order.
+/// Every call-graph-aware (P/R/S-family) rule, in id order.
 pub fn graph_rules() -> Vec<GraphRule> {
     let mut out = p::rules();
     out.extend(r::rules());
     out.extend(s::rules());
-    out.extend(e::rules());
     out
 }
 
@@ -115,7 +113,7 @@ mod tests {
             }
         }
         assert_eq!(super::all().len(), 6);
-        assert_eq!(super::graph_rules().len(), 11);
+        assert_eq!(super::graph_rules().len(), 8);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! **P-family** — panic-safety in sim-reachable code.
 //!
-//! The zone-partitioned PDES design (ROADMAP item 1) will run event
-//! handlers on worker threads; a panic there is no longer a clean crash
-//! with a backtrace but a poisoned worker and a hung or torn simulation.
+//! Simulations run on rayon `--jobs` worker threads inside one process,
+//! many per experiment or training step; a panic in one of them takes the
+//! whole batch down instead of failing that run cleanly.
 //! These rules flag the panic *sources* in any function reachable from
 //! the simulation entry points ([`crate::callgraph::ROOTS`]):
 //!
@@ -33,8 +33,8 @@ pub(crate) fn rules() -> Vec<GraphRule> {
     vec![
         GraphRule {
             id: "p1-sim-unwrap",
-            summary: "`.unwrap()`/`.expect()` in a sim-reachable function — a future \
-                      PDES worker panics instead of failing the run cleanly",
+            summary: "`.unwrap()`/`.expect()` in a sim-reachable function — a `--jobs` \
+                      worker panics instead of failing the run cleanly",
             applies: prs_scope,
             check: check_p1,
         },
@@ -111,7 +111,7 @@ fn check_p2(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
         out.push((
             t.line,
             format!(
-                "`{}!` in sim-reachable `{}` — a PDES worker must not panic; \
+                "`{}!` in sim-reachable `{}` — a `--jobs` worker must not panic; \
                  return an error, skip the event, or justify with lint:allow",
                 t.text, owner
             ),
@@ -181,7 +181,7 @@ fn check_p3(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
                 t.line,
                 format!(
                     "subscript arithmetic (`{op}`) in an index expression in \
-                     sim-reachable `{owner}` — off-by-one here panics a PDES \
+                     sim-reachable `{owner}` — off-by-one here panics a `--jobs` \
                      worker; use checked arithmetic + `.get(..)` or justify \
                      with lint:allow",
                 ),

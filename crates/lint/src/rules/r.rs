@@ -2,8 +2,8 @@
 //!
 //! Determinism here means more than "seeded": every consumer must draw
 //! from its *own* derived stream (`SimRng::fork` / `SimRng::split_seed`)
-//! so that adding a flow, reordering initialization, or sharding work
-//! across PDES zones never shifts anyone else's random sequence. Two
+//! so that adding a flow, reordering initialization, or sharding runs
+//! across `--jobs` workers never shifts anyone else's random sequence. Two
 //! failure shapes have bitten before (PR 3 fixed a hand-found stream
 //! collision):
 //!

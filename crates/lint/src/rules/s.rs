@@ -1,24 +1,22 @@
-//! **S-family** — shared-state audit for PDES readiness.
+//! **S-family** — shared-state audit of sim-reachable code.
 //!
-//! ROADMAP item 1 (zone-partitioned conservative PDES) moves event
-//! handlers onto worker threads. Any state that is not owned by exactly
-//! one zone at a time becomes, in that world, a data race, a lock, or a
-//! source of run-to-run divergence. These rules inventory that state
-//! *now*, while the code is still single-threaded, so the migration
-//! starts from a complete worklist instead of a crash log:
+//! Simulations run side by side on rayon `--jobs` workers inside one
+//! process. Any state that is not owned by exactly one simulation is
+//! there a data race, a lock, or a source of divergence between
+//! `--jobs 1` and `--jobs N`. These rules inventory that state:
 //!
 //! - `s1-sim-static-mut` — `static mut` items,
-//! - `s2-sim-thread-local` — `thread_local!` blocks (per-thread state is
-//!   per-*zone* state after the split: a silent semantics change),
+//! - `s2-sim-thread-local` — `thread_local!` blocks (which runs share the
+//!   state depends on how runs land on workers, i.e. on `--jobs`),
 //! - `s3-sim-interior-mutability` — `RefCell`/`Cell`/`UnsafeCell`/
 //!   `OnceLock`/`OnceCell`/`LazyLock` in sim scope (`use` imports are
 //!   not flagged — the state is where the cell lives, not the import).
 //!
 //! Unlike P/R, a finding here is not necessarily a bug today. The point
 //! of deny-by-default is the *justified allow*: each `lint:allow(s…)`
-//! must say why the state stays sound when handlers run concurrently
-//! (write-once cache, zone-local by construction, …). The
-//! `--allow-report` artifact then *is* the PDES worklist.
+//! must say why the state stays sound when simulations run concurrently
+//! (write-once cache, owned by one run by construction, …). The
+//! `--allow-report` artifact lists them for review.
 //!
 //! Scoping: tokens inside a function body count when that function is
 //! sim-reachable; item-level tokens (statics, struct fields) count when
@@ -31,15 +29,15 @@ pub(crate) fn rules() -> Vec<GraphRule> {
     vec![
         GraphRule {
             id: "s1-sim-static-mut",
-            summary: "`static mut` in sim scope — unsynchronized global state; a \
-                      PDES worker split makes every access a data race",
+            summary: "`static mut` in sim scope — unsynchronized global state; every \
+                      access races between `--jobs` workers",
             applies: prs_scope,
             check: check_s1,
         },
         GraphRule {
             id: "s2-sim-thread-local",
-            summary: "`thread_local!` in sim scope — per-thread becomes per-zone \
-                      after the PDES split, silently changing semantics",
+            summary: "`thread_local!` in sim scope — which runs share it depends on \
+                      `--jobs`, so results would too",
             applies: prs_scope,
             check: check_s2,
         },
@@ -73,8 +71,8 @@ fn check_s1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
         }
         out.push((
             t.line,
-            "`static mut` in sim scope — unsynchronized global state cannot \
-             survive the PDES worker split; move it into owned zone state or \
+            "`static mut` in sim scope — unsynchronized global state races \
+             between `--jobs` workers; move it into state one run owns or \
              justify with lint:allow"
                 .to_string(),
         ));
@@ -99,9 +97,9 @@ fn check_s2(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
         }
         out.push((
             t.line,
-            "`thread_local!` in sim scope — per-thread state becomes per-zone \
-             state after the PDES split (a silent semantics change); make the \
-             state zone-owned or justify with lint:allow"
+            "`thread_local!` in sim scope — which runs share per-thread state \
+             depends on `--jobs` (results would follow the worker count); make \
+             the state run-owned or justify with lint:allow"
                 .to_string(),
         ));
     }
@@ -151,10 +149,9 @@ fn check_s3(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
         out.push((
             t.line,
             format!(
-                "interior-mutability cell `{}` {site} — shared mutation must be \
-                 re-examined for the PDES worker split; each cell needs a \
-                 justified lint:allow stating why it stays sound (this is the \
-                 migration worklist)",
+                "interior-mutability cell `{}` {site} — shared mutation must \
+                 stay sound when `--jobs` workers run simulations concurrently; \
+                 each cell needs a justified lint:allow stating why it does",
                 t.text
             ),
         ));
@@ -220,7 +217,7 @@ fn never_called() { let c = RefCell::new(1); let _ = c; }
     fn s3_justified_allow_is_honoured() {
         let src = format!(
             "{ROOT}// lint:allow(s3-sim-interior-mutability): write-once cache of a\n\
-             // pure function of the tree; any zone computing it gets the same value.\n\
+             // pure function of the tree; any worker computing it gets the same value.\n\
              struct S {{ cache: OnceLock<u64> }}\n\
              fn touch() {{}}\n"
         );

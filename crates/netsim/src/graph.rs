@@ -364,9 +364,6 @@ impl Network {
                 return Err(format!("link event references unknown link {}", ev.link));
             }
         }
-        // lint:allow(e1-global-write-in-handler): construction-time write —
-        // `into_topology` consumes the builder before the event loop exists;
-        // the graph is frozen (read-only) once any zone starts executing.
         self.graph.flows = flows.iter().map(|&(s, d)| (s.0, d.0)).collect();
         self.graph.events = events;
         self.graph.policy = policy;

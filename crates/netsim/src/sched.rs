@@ -17,8 +17,9 @@
 //! Both produce bit-identical pop sequences for any insert/pop interleaving
 //! that never schedules into the past (the simulator's invariant; pinned by
 //! the property suite in `tests/` and the dual-scheduler equivalence
-//! suite). The wheel is the default; set `NETSIM_SCHEDULER=heap` to fall
-//! back, or pick explicitly at [`crate::sim::Simulator`] construction.
+//! suite). The wheel is what simulators run on; the heap is the reference
+//! those suites compare it against, picked explicitly with
+//! [`crate::sim::Simulator::with_scheduler`].
 
 use crate::time::Ns;
 use std::cmp::Ordering;
@@ -35,17 +36,6 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// The scheduler picked by the environment: `NETSIM_SCHEDULER=heap`
-    /// or `=wheel` (anything else, or unset, is the wheel default). This
-    /// is what [`crate::sim::Simulator::new`] consults, so benches and
-    /// experiments can be flipped without recompiling.
-    pub fn from_env() -> SchedulerKind {
-        match std::env::var("NETSIM_SCHEDULER") {
-            Ok(v) if v.eq_ignore_ascii_case("heap") => SchedulerKind::Heap,
-            _ => SchedulerKind::Wheel,
-        }
-    }
-
     /// Lower-case label for reports and logs.
     pub fn label(self) -> &'static str {
         match self {

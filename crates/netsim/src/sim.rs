@@ -216,10 +216,7 @@ impl Simulator {
     /// (must match `scenario.n()`), plus an optional router hook (XCP)
     /// attached to hop 0 — the bottleneck of the legacy dumbbell. Use
     /// [`Simulator::with_routers`] to attach hooks to other hops of a
-    /// multi-hop topology. The event scheduler is the timing wheel unless
-    /// `NETSIM_SCHEDULER=heap` is set (see
-    /// [`crate::sched::SchedulerKind::from_env`]); results are identical
-    /// either way.
+    /// multi-hop topology. The event scheduler is the timing wheel.
     pub fn new(
         scenario: &Scenario,
         ccs: Vec<Box<dyn CongestionControl>>,
@@ -240,14 +237,14 @@ impl Simulator {
 
     /// Build a simulator with an explicit per-hop router-hook list
     /// (`routers.len()` must equal the hop count; the legacy dumbbell has
-    /// exactly one hop). The scheduler comes from the environment, as in
+    /// exactly one hop). The scheduler is the timing wheel, as in
     /// [`Simulator::new`].
     pub fn with_routers(
         scenario: &Scenario,
         ccs: Vec<Box<dyn CongestionControl>>,
         routers: Vec<Option<Box<dyn RouterHook>>>,
     ) -> Simulator {
-        Simulator::with_scheduler(scenario, ccs, routers, SchedulerKind::from_env())
+        Simulator::with_scheduler(scenario, ccs, routers, SchedulerKind::Wheel)
     }
 
     /// Build a simulator with an explicit event scheduler (the equivalence
@@ -438,9 +435,6 @@ impl Simulator {
     /// every previously freed slot — steady-state arrivals reuse the CC
     /// box already sitting in a recycled slot.
     pub fn with_churn_cc(mut self, factory: ChurnCcFactory) -> Simulator {
-        // lint:allow(e1-global-write-in-handler): builder-time write — the
-        // churn factory is installed before run() schedules the first event,
-        // so no zone can observe the mutation mid-loop.
         let churn = self
             .churn
             .as_mut()
@@ -930,11 +924,6 @@ impl Simulator {
             None => {
                 // Stranded: no alive on-path link leaves this router.
                 self.arena.free(id);
-                // lint:allow(e1-global-write-in-handler): PDES worklist — a
-                // monotone u64 drop counter; integer += commutes, so a
-                // zone-parallel loop keeps per-zone deltas and folds them at
-                // the next commit point. Tracked on the effects baseline
-                // (lint/effects_baseline.json).
                 if let Some(net) = self.net.as_mut() {
                     net.failover_drops += 1;
                 }
@@ -1131,11 +1120,6 @@ impl Simulator {
                 let cold = self.flows.cold_mut(i);
                 let bytes = cold.metrics.bytes() as f64;
                 cold.metrics.end_interval(now);
-                // lint:allow(e1-global-write-in-handler): PDES worklist — the
-                // churn completion stats (count, FCT/bytes summaries) are a
-                // cross-zone fold; the plan is per-zone StreamingSummary
-                // shards merged at commit points. Tracked on the effects
-                // baseline (lint/effects_baseline.json).
                 let Some(c) = self.churn.as_mut() else {
                     // Invariant: churn flows only exist with churn state.
                     // Tolerate: retire the flow, skip the stats update.
@@ -1267,11 +1251,6 @@ impl Simulator {
     fn on_spawn(&mut self) {
         let now = self.now;
         let (gap, bytes, rtt, spawn_seq) = {
-            // lint:allow(e1-global-write-in-handler): PDES worklist — the
-            // Poisson arrival process is a single global RNG stream; the
-            // plan is per-zone arrival streams with split seeds so spawns
-            // need no cross-zone order. Tracked on the effects baseline
-            // (lint/effects_baseline.json).
             let Some(c) = self.churn.as_mut() else {
                 // Tolerate a stray Spawn event: drop it (churn stops).
                 debug_assert!(false, "Spawn event without churn state");

@@ -223,11 +223,6 @@ impl P2Quantile {
                     } else {
                         self.linear(i, s)
                     };
-                // lint:allow(e2-order-sensitive-float-accumulation): exact steps
-                // — P2 marker positions move by exactly ±1.0 per adjustment,
-                // small-integer-valued f64 arithmetic, exact in IEEE-754 —
-                // and each observation stream is consumed in event order by
-                // its single owner, so the fold has a total order.
                 self.npos[i] += s;
             }
         }

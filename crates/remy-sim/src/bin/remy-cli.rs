@@ -45,6 +45,16 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// Parse a count or duration given on the command line. Zero is refused
+/// by name: a zero budget simulates nothing and would still print numbers.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(name: &str, v: &str) -> T {
+    match v.parse::<T>() {
+        Ok(n) if n > T::default() => n,
+        Ok(_) => die(&format!("{name} must be positive, got {v}")),
+        Err(_) => die(&format!("{name} needs a number, got '{v}'")),
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  remy-cli run <name|spec.json> [--runs N] [--secs S] [--out csv]\n  \
@@ -361,9 +371,9 @@ fn main() {
             let n = v.parse().unwrap_or_else(|_| die("--jobs needs a number"));
             remy::evaluator::set_jobs(n);
         } else if let Some(v) = flag("--runs") {
-            runs = Some(v.parse().unwrap_or_else(|_| die("--runs needs a number")));
+            runs = Some(positive("--runs", &v));
         } else if let Some(v) = flag("--secs") {
-            secs = Some(v.parse().unwrap_or_else(|_| die("--secs needs a number")));
+            secs = Some(positive("--secs", &v));
         } else if let Some(v) = flag("--out") {
             match v.as_str() {
                 "csv" => out_csv = true,
@@ -402,15 +412,15 @@ fn main() {
         Some("eval") => {
             let t = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
             let delta = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(1.0);
-            let specimens = args.get(3).and_then(|v| v.parse().ok()).unwrap_or(8);
-            let secs = args.get(4).and_then(|v| v.parse().ok()).unwrap_or(15.0);
+            let specimens = args.get(3).map_or(8, |v| positive("specimens", v));
+            let secs = args.get(4).map_or(15.0, |v| positive("secs", v));
             cmd_eval(t, delta, specimens, secs);
         }
         Some("compare") => {
             let a = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
             let b = args.get(2).map(String::as_str).unwrap_or_else(|| usage());
-            let runs = args.get(3).and_then(|v| v.parse().ok()).unwrap_or(8);
-            let secs = args.get(4).and_then(|v| v.parse().ok()).unwrap_or(20);
+            let runs = args.get(3).map_or(8, |v| positive("runs", v));
+            let secs = args.get(4).map_or(20, |v| positive("secs", v));
             cmd_compare(a, b, runs, secs);
         }
         _ => usage(),

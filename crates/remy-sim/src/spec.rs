@@ -84,12 +84,21 @@ impl Budget {
         ])
     }
 
-    /// Deserialize a value written by [`Budget::to_json_value`].
+    /// Deserialize a value written by [`Budget::to_json_value`]. A zero
+    /// in either field is rejected: the experiment would simulate nothing
+    /// and still report numbers.
     pub fn from_json_value(v: &Value) -> Result<Budget, String> {
-        Ok(Budget {
+        let budget = Budget {
             runs: v.field("runs")?.as_usize()?,
             sim_secs: v.field("sim_secs")?.as_u64()?,
-        })
+        };
+        if budget.runs == 0 {
+            return Err("budget runs must be positive".to_string());
+        }
+        if budget.sim_secs == 0 {
+            return Err("budget sim_secs must be positive".to_string());
+        }
+        Ok(budget)
     }
 }
 

@@ -26,11 +26,6 @@ if [ ! -f "$BASELINE" ]; then
     exit 2
 fi
 
-# The simulator benches honor NETSIM_SCHEDULER (wheel is the default,
-# `heap` selects the binary-heap event queue); print which one this run
-# used so saved numbers are attributable.
-echo "bench_gate: event scheduler = ${NETSIM_SCHEDULER:-wheel (default)}"
-
 if [ "${BENCH_GATE_SKIP_RUN:-0}" != "1" ]; then
     rm -f "$CURRENT"
     # Absolute path: cargo runs bench executables with CWD set to the

@@ -293,3 +293,47 @@ fn remy_cli_runs_a_spec_file() {
     );
     assert_eq!(stdout.lines().count(), 3, "header + 2 contender rows");
 }
+
+#[test]
+fn zero_budgets_are_rejected_by_name_before_anything_runs() {
+    // A zero in the budget simulates nothing; it must not reach a report.
+    for (field, doc) in [
+        ("runs", r#"{"runs": 0, "sim_secs": 4}"#),
+        ("sim_secs", r#"{"runs": 2, "sim_secs": 0}"#),
+    ] {
+        let v = netsim::json::parse(doc).expect("valid JSON");
+        let err = Budget::from_json_value(&v).expect_err("zero budget rejected");
+        assert!(err.contains(field), "names {field}: {err}");
+    }
+
+    let dir = std::env::temp_dir().join("remy_spec_zero_budget_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("zero_runs.json");
+    let text = FIG4_GOLDEN.replacen("\"runs\": 16", "\"runs\": 0", 1);
+    assert_ne!(text, FIG4_GOLDEN, "the golden's budget was rewritten");
+    std::fs::write(&path, text).unwrap();
+
+    let cases: [(&[&str], &str); 4] = [
+        (&["run", "fig4", "--runs", "0"], "--runs"),
+        (&["run", "fig4", "--secs", "0"], "--secs"),
+        (&["run", path.to_str().unwrap(), "--out", "csv"], "runs"),
+        (&["eval", "delta1", "1", "0", "5"], "specimens"),
+    ];
+    for (args, field) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+            .args(args)
+            .output()
+            .expect("spawn remy-cli");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} exits as a usage error"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(field), "{args:?} names {field}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: no report, score or CSV line is printed"
+        );
+    }
+}

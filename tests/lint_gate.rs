@@ -45,7 +45,7 @@ fn every_allow_directive_in_tree_is_justified() {
 
 #[test]
 fn allow_report_lists_every_directive_with_justification() {
-    // The `--allow-report` CI artifact is the PDES migration worklist:
+    // The `--allow-report` CI artifact is the reviewable sign-off list:
     // every directive must carry a justification and name a rule that
     // still exists. An empty report would mean the collector broke —
     // the tree carries justified allows by design.
@@ -69,65 +69,13 @@ fn allow_report_lists_every_directive_with_justification() {
     }
     // The report must cover every rule family we rely on allows for.
     // (The s3 inventory was burned down when `WhiskerTree` dropped its
-    // `OnceLock` cache for an eager flat handle; the E family took over
-    // as the machine-checked PDES worklist.)
-    for family in ["p1-", "p2-", "r2-", "e1-", "e2-"] {
+    // `OnceLock` cache for an eager flat handle.)
+    for family in ["p1-", "p2-", "r2-"] {
         assert!(
             entries.iter().any(|e| e.rule.starts_with(family)),
             "no {family}* allows in the report — collector lost a family"
         );
     }
-}
-
-#[test]
-fn effects_model_covers_every_sim_scope_mutable_field() {
-    // The e3 acceptance bar, asserted in-process: every netsim struct
-    // field mutated by sim-reachable code is classified in
-    // `effects::STATE_MODEL`, and no model entry points at a field that
-    // no longer exists.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves");
-    let analysis = remy_lint::analyze_workspace(&root).expect("analysis builds");
-    let report = remy_lint::effects::report(&analysis);
-    assert!(
-        report.unmodeled.is_empty(),
-        "unmodeled sim-scope fields: {:?}",
-        report
-            .unmodeled
-            .iter()
-            .map(|u| format!("{}.{} ({}:{})", u.ty, u.field, u.decl_file, u.decl_line))
-            .collect::<Vec<_>>()
-    );
-    assert!(report.stale.is_empty(), "stale entries: {:?}", report.stale);
-    // The effect extraction itself must keep covering the full root set.
-    assert_eq!(report.roots.len(), 13, "a sim root fell out of the report");
-    assert_eq!(report.handlers.len(), 9, "a handler fell out of the report");
-}
-
-#[test]
-fn global_write_edges_match_the_committed_baseline() {
-    // The ratchet, asserted in-process and bidirectionally: a NEW edge
-    // means a handler now reaches global state (fix it or justify and
-    // re-baseline with `remy-lint --effects --write-baseline`); a
-    // REMOVED edge means the worklist shrank and the committed baseline
-    // must be tightened to lock in the progress.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves");
-    let analysis = remy_lint::analyze_workspace(&root).expect("analysis builds");
-    let report = remy_lint::effects::report(&analysis);
-    let committed = std::fs::read_to_string(root.join("lint/effects_baseline.json"))
-        .expect("lint/effects_baseline.json is committed");
-    let baseline = remy_lint::effects::parse_baseline(&committed);
-    let (new, removed) = remy_lint::effects::ratchet_diff(&report, &baseline);
-    assert!(new.is_empty(), "NEW global-write edges: {new:#?}");
-    assert!(
-        removed.is_empty(),
-        "edges burned down — tighten lint/effects_baseline.json: {removed:#?}"
-    );
 }
 
 #[test]

@@ -137,22 +137,34 @@ fn wheel_and_heap_schedulers_agree_across_the_full_matrix() {
     // assigns tie-break ids in insertion order identically under both
     // schedulers (pinned directly by the scheduler property suite in
     // `crates/netsim/tests/props.rs`); identical delivery logs here are
-    // the end-to-end corollary.
-    for (qi, (queue, name)) in matrix().into_iter().enumerate() {
+    // the end-to-end corollary. The last two rows swap the constant link
+    // for a trace-driven one, so `Ev::TraceSlot` is in the comparison too.
+    let mut cells: Vec<(Scenario, &str)> = matrix()
+        .into_iter()
+        .enumerate()
+        .map(|(qi, (queue, name))| (legacy_scenario(queue, 9_100 + qi as u64), name))
+        .collect();
+    for (i, name) in ["cubic", "remy:delta1"].into_iter().enumerate() {
+        let mut scenario =
+            legacy_scenario(QueueSpec::DropTail { capacity: 1000 }, 9_200 + i as u64);
+        scenario.link = LinkSpec::trace("v", verizon_schedule());
+        cells.push((scenario, name));
+    }
+    for (mut scenario, name) in cells {
         let contender = ContenderSpec::new(name).build().expect("contender");
-        let mut scenario = legacy_scenario(queue.clone(), 9_100 + qi as u64);
         scenario.record_deliveries = true;
+        let what = format!(
+            "{name} over {:?} on {}",
+            scenario.queue,
+            scenario.link.label()
+        );
         let heap = run_with(&contender, &scenario, SchedulerKind::Heap);
         let wheel = run_with(&contender, &scenario, SchedulerKind::Wheel);
         assert!(
             !wheel.deliveries.is_empty(),
-            "{name}/{queue:?}: the comparison must see deliveries"
+            "{what}: the comparison must see deliveries"
         );
-        assert_results_identical(
-            &heap,
-            &wheel,
-            &format!("heap vs wheel: {name} over {queue:?}"),
-        );
+        assert_results_identical(&heap, &wheel, &format!("heap vs wheel: {what}"));
     }
 }
 
