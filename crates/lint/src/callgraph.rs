@@ -41,8 +41,8 @@ use std::collections::BTreeMap;
 ///   score_overlays}` (training's scoring surface,
 ///   `crates/core/src/evaluator.rs`),
 /// - `Remy::{design, design_from}` (the optimizer driver),
-/// - `Experiment::run`, `NamedExperiment::run`, `evaluate_scenarios`,
-///   `run_main` (the experiment harness, `crates/remy-sim`).
+/// - `Experiment::run`, `NamedExperiment::run` (the experiment harness,
+///   `crates/remy-sim`).
 pub const ROOTS: &[(Option<&str>, &str)] = &[
     (Some("Simulator"), "run"),
     (Some("Simulator"), "run_returning_ccs"),
@@ -55,8 +55,6 @@ pub const ROOTS: &[(Option<&str>, &str)] = &[
     (Some("Remy"), "design_from"),
     (Some("Experiment"), "run"),
     (Some("NamedExperiment"), "run"),
-    (None, "evaluate_scenarios"),
-    (None, "run_main"),
 ];
 
 /// One file's inputs to the graph.

@@ -737,7 +737,7 @@ mod tests {
         assert!(is_test_path("crates/netsim/tests/props.rs"));
         assert!(is_test_path("tests/lint_gate.rs"));
         assert!(is_test_path("examples/quickstart.rs"));
-        assert!(is_test_path("crates/bench/benches/queues.rs"));
+        assert!(is_test_path("crates/netsim/benches/queues.rs"));
         assert!(!is_test_path("crates/netsim/src/sim.rs"));
     }
 
@@ -841,6 +841,6 @@ use std::collections::HashMap;
     #[test]
     fn out_of_scope_paths_are_clean() {
         let src = "use std::collections::HashMap;\n";
-        assert!(scan_source("crates/bench/src/lib.rs", src).is_empty());
+        assert!(scan_source("crates/shims/rayon/src/lib.rs", src).is_empty());
     }
 }

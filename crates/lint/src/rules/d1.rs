@@ -91,7 +91,6 @@ mod tests {
     fn out_of_scope_crates_are_clean() {
         let src = "use std::collections::HashMap;\n";
         assert!(crate::scan_source("crates/shims/rayon/src/lib.rs", src).is_empty());
-        assert!(crate::scan_source("crates/bench/src/lib.rs", src).is_empty());
         assert!(crate::scan_source("crates/netsim/tests/props.rs", src).is_empty());
     }
 

@@ -9,9 +9,9 @@
 //! results to the host — the defect class that makes CC comparisons
 //! irreproducible.
 //!
-//! `crates/bench` and the criterion shim are out of scope (measuring
-//! wall-clock is their job), as are examples/tests (CLI wall budgets are
-//! fine there). The optimizer's wall-clock *training budget* is the one
+//! The shims and examples/tests are out of scope (CLI wall budgets are
+//! fine there); wall-clock measurement lives outside the workspace, in
+//! `benchmark/`. The optimizer's wall-clock *training budget* is the one
 //! legitimate library use and carries a justified `lint:allow`.
 
 use crate::{FileCtx, Rule};
@@ -105,10 +105,9 @@ fn f(seed: u64) -> f64 {
     }
 
     #[test]
-    fn bench_and_criterion_shim_are_out_of_scope() {
+    fn shims_and_examples_are_out_of_scope() {
         let src = "use std::time::Instant;\nfn f() { let _ = Instant::now(); }\n";
-        assert!(crate::scan_source("crates/bench/src/lib.rs", src).is_empty());
-        assert!(crate::scan_source("crates/shims/criterion/src/lib.rs", src).is_empty());
+        assert!(crate::scan_source("crates/shims/rayon/src/lib.rs", src).is_empty());
         assert!(crate::scan_source("examples/train_remycc.rs", src).is_empty());
     }
 

@@ -3,8 +3,8 @@
 //! Each rule declares a path scope (`applies`) over workspace-relative
 //! paths and a token-level check. Scopes are deliberately conservative:
 //! deny-by-default inside the crates where determinism is load-bearing,
-//! silent elsewhere (`crates/bench` measures wall-clock on purpose; the
-//! shims reimplement threaded libraries and own their synchronization).
+//! silent elsewhere (the shims reimplement threaded libraries and own
+//! their synchronization).
 //!
 //! All rules except [`d4`] skip test code — `#[cfg(test)]` items and
 //! anything under a `tests/`, `benches/`, or `examples/` directory —
@@ -60,9 +60,9 @@ pub fn sim_crate_src(rel_path: &str) -> bool {
 
 /// Path pre-filter for the call-graph (P/R/S) families: any crate
 /// library source except the shims (reimplement threaded libraries on
-/// purpose), the lint crate itself, the bench harness, and CLI `bin/`
-/// entry shims (startup code — argument parsing may panic freely; it
-/// runs before any simulation). The *fine* filter is reachability.
+/// purpose), the lint crate itself, and CLI `bin/` entry shims (startup
+/// code — argument parsing may panic freely; it runs before any
+/// simulation). The *fine* filter is reachability.
 pub fn prs_scope(rel_path: &str) -> bool {
     !crate::is_test_path(rel_path)
         && rel_path.starts_with("crates/")
@@ -70,7 +70,6 @@ pub fn prs_scope(rel_path: &str) -> bool {
         && !rel_path.contains("/src/bin/")
         && !rel_path.starts_with("crates/shims/")
         && !rel_path.starts_with("crates/lint/")
-        && !rel_path.starts_with("crates/bench/")
 }
 
 #[cfg(test)]
@@ -123,7 +122,6 @@ mod tests {
         assert!(super::prs_scope("crates/remy-sim/src/harness.rs"));
         assert!(!super::prs_scope("crates/shims/rayon/src/lib.rs"));
         assert!(!super::prs_scope("crates/lint/src/lib.rs"));
-        assert!(!super::prs_scope("crates/bench/src/lib.rs"));
         assert!(!super::prs_scope("crates/remy-sim/src/bin/remy_cli.rs"));
         assert!(!super::prs_scope("crates/netsim/tests/equivalence.rs"));
     }

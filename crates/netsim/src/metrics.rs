@@ -207,9 +207,9 @@ pub struct DeliveryRecord {
 ///
 /// Individual churn flows do not get a [`FlowSummary`] each — at 100k
 /// flows per run that would be the dominant allocation — they stream into
-/// fixed-size aggregates ([`crate::stats::P2Quantile`] markers inside
-/// [`crate::stats::StreamingSummary`], plus one bounded reservoir of
-/// flow-completion times for exact-quantile reporting).
+/// fixed-size aggregates (two [`crate::stats::StreamingSummary`]s, plus
+/// one bounded reservoir of flow-completion times, which is where
+/// quantiles are read from).
 #[derive(Clone, Debug)]
 pub struct PopulationSummary {
     /// Flows that arrived during the run.

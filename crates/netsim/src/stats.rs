@@ -115,160 +115,18 @@ pub fn ellipse(xs: &[f64], ys: &[f64]) -> Ellipse {
     }
 }
 
-/// Streaming quantile estimator — Jain & Chlamtáč's P² algorithm.
-///
-/// Tracks one quantile of an unbounded stream in O(1) memory with five
-/// markers whose heights follow the empirical CDF via piecewise-parabolic
-/// interpolation. Below five observations the estimate is exact (sorted).
-/// Deterministic: the estimate depends only on the observation sequence.
-///
-/// Churn populations (100k+ flow-completion times) use this instead of a
-/// per-flow `Vec<f64>`, which is exactly the per-flow-vector scaling the
-/// massive-flow engine removes.
-#[derive(Clone, Debug)]
-pub struct P2Quantile {
-    q: f64,
-    count: u64,
-    /// Marker heights; the first `min(count, 5)` entries are meaningful.
-    heights: [f64; 5],
-    /// Actual marker positions (1-based observation ranks).
-    npos: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Per-observation increments of the desired positions.
-    dn: [f64; 5],
-}
-
-impl P2Quantile {
-    /// Estimator for quantile `q` in (0, 1), e.g. 0.5 for the median.
-    pub fn new(q: f64) -> P2Quantile {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        P2Quantile {
-            q,
-            count: 0,
-            heights: [0.0; 5],
-            npos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            dn: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-        }
-    }
-
-    /// The quantile this estimator tracks.
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Feed one observation. Non-finite samples are ignored, consistent
-    /// with [`quantile`]'s sanitization.
-    pub fn observe(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        if self.count < 5 {
-            // Insertion-sort the bootstrap samples as they arrive.
-            let mut i = self.count as usize;
-            self.heights[i] = x;
-            while i > 0 {
-                let prev = i - 1;
-                if self.heights[prev] <= self.heights[i] {
-                    break;
-                }
-                self.heights.swap(prev, i);
-                i = prev;
-            }
-            self.count += 1;
-            return;
-        }
-        // Locate the cell containing x and clamp the extreme markers.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            while k < 3 {
-                let next = k + 1;
-                if x < self.heights[next] {
-                    break;
-                }
-                k = next;
-            }
-            k
-        };
-        for pos in self.npos.iter_mut().skip(k + 1) {
-            *pos += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.dn) {
-            *d += inc;
-        }
-        // Adjust the three interior markers toward their desired ranks.
-        for i in 1..4 {
-            let (below, above) = (i - 1, i + 1);
-            let d = self.desired[i] - self.npos[i];
-            let step_up = self.npos[above] - self.npos[i] > 1.0;
-            let step_down = self.npos[below] - self.npos[i] < -1.0;
-            if (d >= 1.0 && step_up) || (d <= -1.0 && step_down) {
-                let s = d.signum();
-                let candidate = self.parabolic(i, s);
-                self.heights[i] =
-                    if self.heights[below] < candidate && candidate < self.heights[above] {
-                        candidate
-                    } else {
-                        self.linear(i, s)
-                    };
-                self.npos[i] += s;
-            }
-        }
-        self.count += 1;
-    }
-
-    fn parabolic(&self, i: usize, s: f64) -> f64 {
-        let (h, n) = (&self.heights, &self.npos);
-        let (lo, hi) = (i - 1, i + 1);
-        h[i] + s / (n[hi] - n[lo])
-            * ((n[i] - n[lo] + s) * (h[hi] - h[i]) / (n[hi] - n[i])
-                + (n[hi] - n[i] - s) * (h[i] - h[lo]) / (n[i] - n[lo]))
-    }
-
-    fn linear(&self, i: usize, s: f64) -> f64 {
-        let j = if s > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i] + s * (self.heights[j] - self.heights[i]) / (self.npos[j] - self.npos[i])
-    }
-
-    /// Current estimate (exact for fewer than five observations; 0.0 with
-    /// no observations, matching [`quantile`] on an empty slice).
-    pub fn value(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.count < 5 {
-            return quantile(&self.heights[..self.count as usize], self.q);
-        }
-        self.heights[2]
-    }
-}
-
 /// Streaming one-pass summary of an unbounded sample population: count,
-/// sum, min/max, and P² estimates of the median, p90, and p99.
+/// sum, mean, min and max.
 ///
 /// This is the population-level replacement for keeping one record per
 /// departed flow — memory is O(1) no matter how many flows churn through.
+/// Quantiles come from a [`Reservoir`] kept beside it.
 #[derive(Clone, Debug)]
 pub struct StreamingSummary {
     count: u64,
     sum: f64,
     min: f64,
     max: f64,
-    p50: P2Quantile,
-    p90: P2Quantile,
-    p99: P2Quantile,
 }
 
 impl Default for StreamingSummary {
@@ -285,9 +143,6 @@ impl StreamingSummary {
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            p50: P2Quantile::new(0.5),
-            p90: P2Quantile::new(0.9),
-            p99: P2Quantile::new(0.99),
         }
     }
 
@@ -300,9 +155,6 @@ impl StreamingSummary {
         self.sum += x;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-        self.p50.observe(x);
-        self.p90.observe(x);
-        self.p99.observe(x);
     }
 
     /// Number of (finite) observations.
@@ -341,30 +193,15 @@ impl StreamingSummary {
             self.max
         }
     }
-
-    /// Estimated median.
-    pub fn p50(&self) -> f64 {
-        self.p50.value()
-    }
-
-    /// Estimated 90th percentile.
-    pub fn p90(&self) -> f64 {
-        self.p90.value()
-    }
-
-    /// Estimated 99th percentile.
-    pub fn p99(&self) -> f64 {
-        self.p99.value()
-    }
 }
 
 /// Fixed-capacity uniform reservoir sample (Vitter's algorithm R), driven
 /// by an explicit [`SimRng`] so results are deterministic and independent
 /// of every other random stream in a simulation.
 ///
-/// Where [`StreamingSummary`] gives pinned quantiles, the reservoir keeps
-/// an unbiased subsample of the raw values — for exact post-hoc quantiles,
-/// distribution plots, or cross-checking the P² estimates.
+/// Where [`StreamingSummary`] gives exact moments and extremes, the
+/// reservoir keeps an unbiased subsample of the raw values — for post-hoc
+/// quantiles and distribution plots.
 #[derive(Clone, Debug)]
 pub struct Reservoir {
     cap: usize,
@@ -498,56 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn p2_is_exact_below_five_samples() {
-        let mut p = P2Quantile::new(0.5);
-        assert_eq!(p.value(), 0.0, "empty estimator");
-        for x in [30.0, 10.0, 20.0] {
-            p.observe(x);
-        }
-        assert_eq!(p.value(), median(&[30.0, 10.0, 20.0]));
-        assert_eq!(p.count(), 3);
-    }
-
-    #[test]
-    fn p2_tracks_quantiles_of_a_skewed_stream() {
-        // Heavy-tailed input (the churn FCT shape): the estimate must stay
-        // within a few percent of the exact sorted quantile.
-        let mut rng = SimRng::new(2013);
-        let samples: Vec<f64> = (0..50_000).map(|_| rng.pareto(1.0, 1.5)).collect();
-        // The far tail of a heavy-tailed distribution is where P² is
-        // weakest; allow it a wider band than the body.
-        for (q, tol) in [(0.5, 0.05), (0.9, 0.05), (0.99, 0.10)] {
-            let mut p = P2Quantile::new(q);
-            for &x in &samples {
-                p.observe(x);
-            }
-            let exact = quantile(&samples, q);
-            let err = (p.value() - exact).abs() / exact;
-            assert!(
-                err < tol,
-                "P2 q={q}: got {} want {exact} (err {err})",
-                p.value()
-            );
-        }
-    }
-
-    #[test]
-    fn p2_is_deterministic_and_ignores_non_finite() {
-        let mut a = P2Quantile::new(0.9);
-        let mut b = P2Quantile::new(0.9);
-        let mut rng = SimRng::new(5);
-        for _ in 0..1000 {
-            let x = rng.exponential(2.0);
-            a.observe(x);
-            b.observe(f64::NAN);
-            b.observe(x);
-            b.observe(f64::INFINITY);
-        }
-        assert_eq!(a.value().to_bits(), b.value().to_bits());
-        assert_eq!(a.count(), b.count());
-    }
-
-    #[test]
     fn streaming_summary_matches_exact_stats() {
         let mut rng = SimRng::new(99);
         let samples: Vec<f64> = (0..20_000).map(|_| rng.exponential(3.0)).collect();
@@ -561,13 +348,6 @@ mod tests {
         let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(s.min(), lo);
         assert_eq!(s.max(), hi);
-        for (got, q) in [(s.p50(), 0.5), (s.p90(), 0.9), (s.p99(), 0.99)] {
-            let exact = quantile(&samples, q);
-            assert!(
-                (got - exact).abs() / exact < 0.05,
-                "q={q}: got {got} want {exact}"
-            );
-        }
     }
 
     #[test]
@@ -577,7 +357,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
-        assert_eq!(s.p50(), 0.0);
     }
 
     #[test]

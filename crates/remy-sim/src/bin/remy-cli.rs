@@ -16,12 +16,13 @@
 //! `delta10`, `onex`, `tenx`, `datacenter`, `coexist`) or a path to a
 //! JSON rule table produced by `Remy::design` / `train_remycc`.
 //!
-//! `run` accepts a registry name (`remy-cli list-experiments`) or a path
-//! to a user-authored `ExperimentSpec` JSON file; `--runs`/`--secs`
-//! override the budget (default: `REMY_RUNS`/`REMY_SIM_SECS`, then the
-//! experiment's own default), and `--out csv` prints the CSV to stdout
-//! instead of the report + CSV file. `spec` prints at the fixed default
-//! budget (16 runs × 30 s) so its output is stable for golden diffs.
+//! `run` is the one way an experiment is started: it accepts a registry
+//! name (`remy-cli list-experiments`) or a path to a user-authored
+//! `ExperimentSpec` JSON file; `--runs`/`--secs` override the budget
+//! (default: the experiment's own, or the file's), and `--out csv` prints
+//! the CSV to stdout instead of the report + CSV file. `spec` prints at
+//! the default budget (16 runs × 30 s) unless told otherwise, which is
+//! what the golden diffs compare.
 
 use remy_sim::experiment::Experiment;
 use remy_sim::experiments;
@@ -111,19 +112,21 @@ fn cmd_compare(a_spec: &str, b_spec: &str, runs: usize, secs: u64) {
         "compare",
         "Fig. 4 dumbbell head-to-head",
         experiments::dumbbell_workload(8),
-        vec![],
+        [a_spec, b_spec]
+            .map(|table| ContenderSpec::labeled(format!("remy:{table}"), table))
+            .to_vec(),
         Budget {
             runs,
             sim_secs: secs,
         },
         12,
     );
+    let results = Experiment::new(spec)
+        .run()
+        .unwrap_or_else(|e| die(&format!("compare: {e}")));
     println!("Fig. 4 dumbbell (15 Mbps, 150 ms, n=8), {runs} runs x {secs} s:");
-    let point = &spec.points()[0];
-    for table in [a_spec, b_spec] {
-        let c = Contender::remy(table.to_string(), load(table));
-        let scenarios = spec.scenarios_at(0, point, &c).unwrap_or_else(|e| die(&e));
-        println!("{}", evaluate_scenarios(&c, &scenarios).row());
+    for cell in &results.cells {
+        println!("{}", cell.outcome.row());
     }
 }
 
@@ -411,7 +414,10 @@ fn main() {
         }
         Some("eval") => {
             let t = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            let delta = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(1.0);
+            let delta: f64 = args.get(2).map_or(1.0, |v| positive("delta", v));
+            if !delta.is_finite() {
+                die(&format!("delta must be finite, got {delta}"));
+            }
             let specimens = args.get(3).map_or(8, |v| positive("specimens", v));
             let secs = args.get(4).map_or(15.0, |v| positive("secs", v));
             cmd_eval(t, delta, specimens, secs);

@@ -13,10 +13,8 @@ use crate::report::{
     outcome_csv_row, outcomes_table, speedup_table, ExperimentReport, OUTCOMES_CSV_HEADER,
 };
 use crate::spec::{ExperimentSpec, SweepPoint};
-use netsim::cc::CongestionControl;
 use netsim::metrics::{FlowSummary, PopulationSummary, SimResults};
 use netsim::scenario::Scenario;
-use netsim::sim::Simulator;
 use rayon::prelude::*;
 
 /// One expanded unit of work: a contender at a sweep point, with its
@@ -122,19 +120,7 @@ impl Experiment {
             .collect();
         let per_run: Vec<SimResults> = jobs
             .par_iter()
-            .map(|&(ci, si)| {
-                let cell = &cells[ci];
-                let sc = &cell.scenarios[si];
-                let ccs: Vec<Box<dyn CongestionControl>> =
-                    (0..sc.n()).map(|_| cell.contender.build_cc()).collect();
-                let router = cell.contender.router(&sc.link, sc.mss);
-                let mut sim = Simulator::new(sc, ccs, router);
-                if sc.churn.is_some() {
-                    let contender = cell.contender.clone();
-                    sim = sim.with_churn_cc(Box::new(move |_| contender.build_cc()));
-                }
-                sim.run()
-            })
+            .map(|&(ci, si)| cells[ci].contender.simulate(&cells[ci].scenarios[si]))
             .collect();
         // Regroup positionally into cells.
         let mut results = Vec::with_capacity(cells.len());

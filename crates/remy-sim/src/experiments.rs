@@ -3,13 +3,12 @@
 //! the paper's presentation needs it) a custom report renderer.
 //!
 //! `by_name("fig4")` returns the entry; [`run_named`] expands and executes
-//! it; `remy-cli run <name>` and the 3-line `bench` binaries both go
-//! through exactly this path, so their output is byte-identical. See
+//! it; `remy-cli run <name|spec.json>` is the one entry point over it. See
 //! EXPERIMENTS.md for the catalogue and the budgets used for checked-in
 //! numbers.
 
-use crate::experiment::Experiment;
-use crate::harness::{runs_from_env, sim_secs_from_env, Contender};
+use crate::experiment::{CellResult, Experiment};
+use crate::harness::Contender;
 use crate::report::ExperimentReport;
 use crate::spec::{
     Budget, ContenderSpec, ExperimentSpec, GraphGenerator, GraphLinkRef, GraphSpec, HopRef,
@@ -18,7 +17,6 @@ use crate::spec::{
 use netsim::graph::FailoverPolicy;
 use netsim::rng::SimRng;
 use netsim::scenario::ChurnSpec;
-use netsim::scenario::SenderConfig;
 use netsim::sim::Simulator;
 use netsim::stats::{mean, median, quantile, std_dev, std_err};
 use netsim::time::Ns;
@@ -31,45 +29,35 @@ use std::fmt::Write as _;
 // Contender line-ups and workload templates
 // ---------------------------------------------------------------------------
 
-/// The three general-purpose RemyCCs of the evaluation, as specs.
-pub fn remy_contender_specs() -> Vec<ContenderSpec> {
-    vec![
-        ContenderSpec::new("remy:delta01"),
-        ContenderSpec::new("remy:delta1"),
-        ContenderSpec::new("remy:delta10"),
-    ]
+/// A line-up of contenders by scheme name, default labels.
+fn lineup(schemes: &[&str]) -> Vec<ContenderSpec> {
+    schemes.iter().map(|&s| ContenderSpec::new(s)).collect()
 }
 
-/// The full Figs. 4–9 line-up: three RemyCCs plus every baseline.
+/// The full Figs. 4–9 line-up: the three general-purpose RemyCCs plus
+/// every baseline.
 pub fn standard_contender_specs() -> Vec<ContenderSpec> {
-    let mut v = remy_contender_specs();
-    for name in [
+    lineup(&[
+        "remy:delta01",
+        "remy:delta1",
+        "remy:delta10",
         "newreno",
         "vegas",
         "cubic",
         "compound",
         "cubic+sfqcodel",
         "xcp",
-    ] {
-        v.push(ContenderSpec::new(name));
+    ])
+}
+
+/// The Fig. 5 traffic model: ICSI-trace flow lengths (Fig. 3) separated
+/// by exponential pauses of mean `off_ms`.
+fn empirical_traffic(off_ms: u64) -> TrafficSpec {
+    TrafficSpec {
+        on: OnSpec::empirical(),
+        off_mean: Ns::from_millis(off_ms),
+        start_on: false,
     }
-    v
-}
-
-/// The three general-purpose RemyCCs, built (legacy helper).
-pub fn remy_contenders() -> Vec<Contender> {
-    remy_contender_specs()
-        .iter()
-        .map(|c| c.build().expect("shipped tables"))
-        .collect()
-}
-
-/// The full Figs. 4–9 line-up, built (legacy helper).
-pub fn standard_contenders() -> Vec<Contender> {
-    standard_contender_specs()
-        .iter()
-        .map(|c| c.build().expect("shipped tables"))
-        .collect()
 }
 
 /// The Fig. 4 dumbbell workload (15 Mbps, 150 ms, exp(100 kB)/exp(0.5 s)),
@@ -180,32 +168,29 @@ pub fn reverse_path_workload() -> WorkloadSpec {
 // Registry plumbing
 // ---------------------------------------------------------------------------
 
-enum Runner {
-    /// Run the spec through [`Experiment`] and render the generic report.
-    Generic,
-    /// Bespoke presentation (sequence plots, RTT profiles, score sweeps).
-    Custom(fn(&ExperimentSpec) -> Result<ExperimentReport, String>),
-}
+/// A bespoke presentation (sequence plots, RTT profiles, score sweeps) in
+/// place of the generic report.
+type CustomRunner = fn(&ExperimentSpec) -> Result<ExperimentReport, String>;
 
 /// One registered figure/table reproduction.
 pub struct NamedExperiment {
     /// Registry key (`remy-cli run <name>`).
     pub name: &'static str,
-    /// CSV file stem under `target/experiments/` (kept from the original
-    /// standalone binaries, so plotting scripts keep working).
+    /// CSV file stem under `target/experiments/` (the names plotting
+    /// scripts already read).
     pub csv: &'static str,
     /// One-line description for `remy-cli list-experiments`.
     pub about: &'static str,
     default_budget: fn() -> Budget,
     spec_fn: fn(Budget) -> ExperimentSpec,
-    runner: Runner,
+    /// `None`: run the spec through [`Experiment`], render the generic report.
+    runner: Option<CustomRunner>,
 }
 
 impl NamedExperiment {
-    /// The budget this experiment runs at when none is given: the
-    /// `REMY_RUNS`/`REMY_SIM_SECS` environment plus per-experiment
-    /// adjustments (the datacenter scales down, Fig. 6 needs ≥ 20 s,
-    /// Fig. 3 samples 200 000 flows).
+    /// The budget this experiment runs at when `--runs` / `--secs` are
+    /// not given: the repository default plus per-experiment adjustments
+    /// (the datacenter scales down, Fig. 3 samples 200 000 flows).
     pub fn default_budget(&self) -> Budget {
         (self.default_budget)()
     }
@@ -219,8 +204,8 @@ impl NamedExperiment {
     /// possibly with an adjusted budget) and render the report.
     pub fn run(&self, spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         let mut rep = match self.runner {
-            Runner::Generic => Experiment::new(spec.clone()).run()?.report(),
-            Runner::Custom(f) => f(spec)?,
+            None => Experiment::new(spec.clone()).run()?.report(),
+            Some(custom) => custom(spec)?,
         };
         rep.csv_name = self.csv.to_string();
         Ok(rep)
@@ -244,27 +229,14 @@ pub fn run_named(name: &str, budget: Budget) -> Result<ExperimentReport, String>
     entry.run(&entry.spec(budget))
 }
 
-/// Entry point for the 3-line figure binaries: resolve the budget from the
-/// environment, run, print the report, write the CSV.
-pub fn run_main(name: &str) {
-    let entry = by_name(name).unwrap_or_else(|| {
-        eprintln!("unknown experiment '{name}'");
-        std::process::exit(2);
-    });
-    match entry.run(&entry.spec(entry.default_budget())) {
-        Ok(rep) => {
-            rep.print();
-            rep.write_csv();
-        }
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            std::process::exit(1);
-        }
+/// Default budget of the saturating-sender experiments: their senders
+/// draw no randomness, so extra seeded runs repeat the same trajectory;
+/// two runs double-check that.
+fn two_runs() -> Budget {
+    Budget {
+        runs: 2,
+        sim_secs: DEFAULT_SIM_SECS,
     }
-}
-
-fn env_budget() -> Budget {
-    Budget::from_env()
 }
 
 // ---------------------------------------------------------------------------
@@ -277,207 +249,171 @@ static REGISTRY: [NamedExperiment; 21] = [
         csv: "fig3_flowcdf",
         about: "empirical flow-length CDF vs the shifted-Pareto fit",
         default_budget: || Budget {
-            runs: runs_from_env(200_000),
-            sim_secs: sim_secs_from_env(DEFAULT_SIM_SECS),
+            runs: 200_000,
+            sim_secs: DEFAULT_SIM_SECS,
         },
         spec_fn: spec_fig3,
-        runner: Runner::Custom(run_fig3),
+        runner: Some(run_fig3),
     },
     NamedExperiment {
         name: "fig4",
         csv: "fig4_dumbbell8",
         about: "throughput-delay, dumbbell 15 Mbps / 150 ms / n=8",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_fig4,
-        runner: Runner::Generic,
+        runner: None,
     },
     NamedExperiment {
         name: "fig5",
         csv: "fig5_dumbbell12",
         about: "dumbbell n=12 with ICSI heavy-tailed flow lengths",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_fig5,
-        runner: Runner::Generic,
+        runner: None,
     },
     NamedExperiment {
         name: "fig6",
         csv: "fig6_dynamics",
         about: "sequence plot: RemyCC reacting to a departing competitor (single run)",
-        default_budget: || {
-            let b = Budget::from_env();
-            // One scenario is the whole experiment; the default duration
-            // leaves room for the half-time departure and the reaction
-            // windows. An explicit --secs is honored as-is.
-            Budget {
-                runs: 1,
-                sim_secs: b.sim_secs.max(20),
-            }
-        },
+        default_budget: Budget::default_fixed,
         spec_fn: spec_fig6,
-        runner: Runner::Custom(run_fig6),
+        runner: Some(run_fig6),
     },
     NamedExperiment {
         name: "fig7",
         csv: "fig7_lte4",
         about: "Verizon-like LTE downlink, n=4",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_fig7,
-        runner: Runner::Custom(run_lte_trace),
+        runner: Some(run_lte_trace),
     },
     NamedExperiment {
         name: "fig8",
         csv: "fig8_lte8",
         about: "Verizon-like LTE downlink, n=8",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_fig8,
-        runner: Runner::Custom(run_lte_trace),
+        runner: Some(run_lte_trace),
     },
     NamedExperiment {
         name: "fig9",
         csv: "fig9_att4",
         about: "AT&T-like LTE downlink, n=4",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_fig9,
-        runner: Runner::Custom(run_lte_trace),
+        runner: Some(run_lte_trace),
     },
     NamedExperiment {
         name: "fig10",
         csv: "fig10_rtt_fairness",
         about: "RTT fairness: normalized share at 50/100/150/200 ms",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_fig10,
-        runner: Runner::Custom(run_fig10),
+        runner: Some(run_fig10),
     },
     NamedExperiment {
         name: "fig11",
         csv: "fig11_prior",
         about: "value of prior knowledge: 1x/10x RemyCCs across link speeds",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_fig11,
-        runner: Runner::Custom(run_fig11),
+        runner: Some(run_fig11),
     },
     NamedExperiment {
         name: "table1_dumbbell",
         csv: "table1_dumbbell",
         about: "§1 headline speedups on the dumbbell",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_table1_dumbbell,
-        runner: Runner::Generic,
+        runner: None,
     },
     NamedExperiment {
         name: "table1_cellular",
         csv: "table1_cellular",
         about: "§1 headline speedups on the Verizon-like LTE link",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_table1_cellular,
-        runner: Runner::Custom(run_lte_trace),
+        runner: Some(run_lte_trace),
     },
     NamedExperiment {
         name: "table_competing",
         csv: "table_competing",
         about: "§5.6 incremental deployment: RemyCC vs Compound/Cubic head-to-head",
-        default_budget: || {
-            let b = Budget::from_env();
-            Budget {
-                runs: b.runs,
-                sim_secs: b.sim_secs.max(30),
-            }
-        },
+        default_budget: Budget::default_fixed,
         spec_fn: spec_table_competing,
-        runner: Runner::Custom(run_table_competing),
+        runner: Some(run_table_competing),
     },
     NamedExperiment {
         name: "table_datacenter",
         csv: "table_datacenter",
         about: "§5.5 datacenter: DCTCP+ECN vs RemyCC over DropTail",
-        default_budget: || Budget::from_env().scaled(2, 2),
+        default_budget: || Budget::default_fixed().scaled(2, 2),
         spec_fn: spec_table_datacenter,
-        runner: Runner::Custom(run_table_datacenter),
+        runner: Some(run_table_datacenter),
     },
     NamedExperiment {
         name: "ablation_signals",
         csv: "ablation_signals",
         about: "mask each RemyCC congestion signal and measure the cost",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_ablation_signals,
-        runner: Runner::Custom(run_ablation_signals),
+        runner: Some(run_ablation_signals),
     },
     NamedExperiment {
         name: "ablation_loss",
         csv: "ablation_loss",
         about: "robustness to stochastic non-congestive loss",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_ablation_loss,
-        runner: Runner::Custom(run_ablation_loss),
+        runner: Some(run_ablation_loss),
     },
     NamedExperiment {
         name: "parking_lot3",
         csv: "parking_lot3",
         about: "3-hop parking lot: end-to-end flows vs per-hop cross traffic",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_parking_lot3,
-        runner: Runner::Custom(run_parking_lot3),
+        runner: Some(run_parking_lot3),
     },
     NamedExperiment {
         name: "incast16",
         csv: "incast16",
         about: "16-to-1 datacenter incast through a shallow aggregation buffer",
-        default_budget: || Budget::from_env().scaled(2, 2),
+        default_budget: || Budget::default_fixed().scaled(2, 2),
         spec_fn: spec_incast16,
-        runner: Runner::Custom(run_incast16),
+        runner: Some(run_incast16),
     },
     NamedExperiment {
         name: "reverse_path",
         csv: "reverse_path",
         about: "data and ACKs contending on opposite directions of one link",
-        default_budget: || {
-            let b = Budget::from_env();
-            // Saturating senders draw no randomness, so extra seeded runs
-            // repeat the same trajectory; two runs double-check that.
-            Budget {
-                runs: b.runs.min(2),
-                sim_secs: b.sim_secs,
-            }
-        },
+        default_budget: two_runs,
         spec_fn: spec_reverse_path,
-        runner: Runner::Custom(run_reverse_path),
+        runner: Some(run_reverse_path),
     },
     NamedExperiment {
         name: "web_churn",
         csv: "web_churn",
         about: "Poisson arrivals of heavy-tailed web transfers under two persistent senders",
-        default_budget: env_budget,
+        default_budget: Budget::default_fixed,
         spec_fn: spec_web_churn,
-        runner: Runner::Custom(run_web_churn),
+        runner: Some(run_web_churn),
     },
     NamedExperiment {
         name: "failover_chain",
         csv: "failover_chain",
         about: "link failure mid-run: shortest-path reroute onto a slower backup path",
-        default_budget: || {
-            let b = Budget::from_env();
-            // Saturating senders draw no randomness; two runs double-check.
-            Budget {
-                runs: b.runs.min(2),
-                sim_secs: b.sim_secs,
-            }
-        },
+        default_budget: two_runs,
         spec_fn: spec_failover_chain,
-        runner: Runner::Custom(run_failover_chain),
+        runner: Some(run_failover_chain),
     },
     NamedExperiment {
         name: "fattree_k4_crosstraffic",
         csv: "fattree_k4_crosstraffic",
         about: "fat-tree k=4 with cross-pod and intra-pod edge-to-edge flows",
-        default_budget: || {
-            let b = Budget::from_env();
-            Budget {
-                runs: b.runs.min(2),
-                sim_secs: b.sim_secs,
-            }
-        },
+        default_budget: two_runs,
         spec_fn: spec_fattree_k4_crosstraffic,
-        runner: Runner::Generic,
+        runner: None,
     },
 ];
 
@@ -497,13 +433,9 @@ fn spec_fig3(budget: Budget) -> ExperimentSpec {
             1000,
             1,
             Ns::from_millis(150),
-            TrafficSpec {
-                on: OnSpec::empirical(),
-                off_mean: Ns::from_millis(200),
-                start_on: false,
-            },
+            empirical_traffic(200),
         ),
-        vec![ContenderSpec::new("newreno")],
+        lineup(&["newreno"]),
         budget,
         333,
     )
@@ -523,11 +455,7 @@ fn spec_fig4(budget: Budget) -> ExperimentSpec {
 fn spec_fig5(budget: Budget) -> ExperimentSpec {
     let mut wl = dumbbell_workload(12);
     for s in &mut wl.senders {
-        s.traffic = TrafficSpec {
-            on: OnSpec::empirical(),
-            off_mean: Ns::from_millis(200),
-            start_on: false,
-        };
+        s.traffic = empirical_traffic(200);
     }
     ExperimentSpec::new(
         "fig5",
@@ -540,8 +468,7 @@ fn spec_fig5(budget: Budget) -> ExperimentSpec {
 }
 
 fn spec_fig6(budget: Budget) -> ExperimentSpec {
-    let secs = budget.sim_secs;
-    let depart_at = Ns::from_secs(secs / 2);
+    let depart_at = Ns::from_secs(budget.sim_secs / 2);
     let mut wl = WorkloadSpec::uniform(
         LinkRef::constant(15.0),
         1000,
@@ -562,11 +489,9 @@ fn spec_fig6(budget: Budget) -> ExperimentSpec {
         "fig6",
         "Fig. 6 — sequence plot data (flow 0)",
         wl,
-        vec![ContenderSpec::new("remy:delta1")],
-        Budget {
-            runs: 1,
-            sim_secs: secs,
-        },
+        lineup(&["remy:delta1"]),
+        // One scenario is the whole experiment.
+        Budget { runs: 1, ..budget },
         6,
     )
 }
@@ -608,34 +533,26 @@ fn spec_fig9(budget: Budget) -> ExperimentSpec {
 const FIG10_RTTS_MS: [u64; 4] = [50, 100, 150, 200];
 
 fn spec_fig10(budget: Budget) -> ExperimentSpec {
-    let wl = WorkloadSpec {
-        link: LinkRef::constant(10.0),
-        queue_capacity: 1000,
-        senders: FIG10_RTTS_MS
-            .iter()
-            .map(|&ms| SenderConfig {
-                rtt: Ns::from_millis(ms),
-                traffic: TrafficSpec {
-                    on: OnSpec::empirical(),
-                    off_mean: Ns::from_millis(200),
-                    start_on: false,
-                },
-            })
-            .collect(),
-        record_deliveries: false,
-        topology: None,
-        churn: None,
-    };
+    let mut wl = WorkloadSpec::uniform(
+        LinkRef::constant(10.0),
+        1000,
+        FIG10_RTTS_MS.len(),
+        Ns::ZERO,
+        empirical_traffic(200),
+    );
+    for (s, &ms) in wl.senders.iter_mut().zip(&FIG10_RTTS_MS) {
+        s.rtt = Ns::from_millis(ms);
+    }
     ExperimentSpec::new(
         "fig10",
         "Fig. 10 — normalized throughput share vs RTT",
         wl,
-        vec![
-            ContenderSpec::new("cubic+sfqcodel"),
-            ContenderSpec::new("remy:delta01"),
-            ContenderSpec::new("remy:delta1"),
-            ContenderSpec::new("remy:delta10"),
-        ],
+        lineup(&[
+            "cubic+sfqcodel",
+            "remy:delta01",
+            "remy:delta1",
+            "remy:delta10",
+        ]),
         budget,
         10_101,
     )
@@ -655,11 +572,7 @@ fn spec_fig11(budget: Budget) -> ExperimentSpec {
             Ns::from_millis(150),
             TrafficSpec::design_default(),
         ),
-        vec![
-            ContenderSpec::new("remy:onex"),
-            ContenderSpec::new("remy:tenx"),
-            ContenderSpec::new("cubic+sfqcodel"),
-        ],
+        lineup(&["remy:onex", "remy:tenx", "cubic+sfqcodel"]),
         budget,
         11_000,
     )
@@ -694,17 +607,9 @@ fn spec_table_competing(budget: Budget) -> ExperimentSpec {
             1000,
             2,
             Ns::from_millis(150),
-            TrafficSpec {
-                on: OnSpec::empirical(),
-                off_mean: Ns::from_millis(200),
-                start_on: false,
-            },
+            empirical_traffic(200),
         ),
-        vec![
-            ContenderSpec::new("remy:coexist"),
-            ContenderSpec::new("compound"),
-            ContenderSpec::new("cubic"),
-        ],
+        lineup(&["remy:coexist", "compound", "cubic"]),
         budget,
         56_100,
     )
@@ -712,10 +617,9 @@ fn spec_table_competing(budget: Budget) -> ExperimentSpec {
 }
 
 fn spec_table_datacenter(budget: Budget) -> ExperimentSpec {
-    let mbps: f64 = std::env::var("REMY_DC_MBPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500.0);
+    // The paper's 10 Gbps fabric, scaled down with its transfer sizes and
+    // its DCTCP marking threshold so the default budget runs in minutes.
+    let mbps: f64 = 500.0;
     let scale = mbps / 10_000.0;
     let n = 32;
     let k = ((65.0 * scale).round() as usize).max(4);
@@ -772,11 +676,7 @@ fn spec_ablation_loss(budget: Budget) -> ExperimentSpec {
         "ablation_loss",
         "Ablation — median per-sender tput (Mbps) vs stochastic loss, dumbbell n=8",
         dumbbell_workload(8),
-        vec![
-            ContenderSpec::new("remy:delta01"),
-            ContenderSpec::new("newreno"),
-            ContenderSpec::new("cubic"),
-        ],
+        lineup(&["remy:delta01", "newreno", "cubic"]),
         budget,
         77_000,
     )
@@ -788,11 +688,7 @@ fn spec_parking_lot3(budget: Budget) -> ExperimentSpec {
         "parking_lot3",
         "Parking lot — 3 x 10 Mbps hops, 2 end-to-end flows + 1 cross flow per hop",
         parking_lot_workload(3),
-        vec![
-            ContenderSpec::new("remy:delta1"),
-            ContenderSpec::new("newreno"),
-            ContenderSpec::new("cubic"),
-        ],
+        lineup(&["remy:delta1", "newreno", "cubic"]),
         budget,
         31_001,
     )
@@ -818,11 +714,7 @@ fn spec_reverse_path(budget: Budget) -> ExperimentSpec {
         "reverse_path",
         "Reverse path — data and ACKs contending on opposite directions of a 10 Mbps link",
         reverse_path_workload(),
-        vec![
-            ContenderSpec::new("remy:delta1"),
-            ContenderSpec::new("newreno"),
-            ContenderSpec::new("cubic"),
-        ],
+        lineup(&["remy:delta1", "newreno", "cubic"]),
         budget,
         27_001,
     )
@@ -856,11 +748,7 @@ fn spec_web_churn(budget: Budget) -> ExperimentSpec {
         "web_churn",
         "Web churn — Poisson(2000/s) bounded-Pareto transfers vs two persistent senders, 1 Gbps",
         web_churn_workload(),
-        vec![
-            ContenderSpec::new("newreno"),
-            ContenderSpec::new("cubic"),
-            ContenderSpec::new("remy:delta1"),
-        ],
+        lineup(&["newreno", "cubic", "remy:delta1"]),
         budget,
         70_001,
     )
@@ -933,10 +821,7 @@ fn spec_failover_chain(budget: Budget) -> ExperimentSpec {
              reroute onto the 40 ms backup path"
         ),
         failover_chain_workload(Ns::from_secs(fail_secs)),
-        vec![
-            ContenderSpec::new("remy:delta1"),
-            ContenderSpec::new("cubic"),
-        ],
+        lineup(&["remy:delta1", "cubic"]),
         budget,
         91_001,
     )
@@ -995,8 +880,113 @@ fn spec_fattree_k4_crosstraffic(budget: Budget) -> ExperimentSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Custom runners
+// Custom runners, and the table they declare once and render twice
 // ---------------------------------------------------------------------------
+
+/// One column of a custom table.
+struct Col {
+    /// Text header.
+    head: String,
+    /// CSV column name — or comma-separated names, when one text cell
+    /// carries several CSV fields.
+    csv: String,
+    /// Text width.
+    width: usize,
+    /// Decimals shown in text; the CSV always carries full precision.
+    prec: usize,
+}
+
+/// A column whose header is right-aligned, as numbers are.
+fn col(head: impl Into<String>, csv: impl Into<String>, width: usize, prec: usize) -> Col {
+    Col {
+        head: head.into(),
+        csv: csv.into(),
+        width,
+        prec,
+    }
+}
+
+/// The contender-label column: header and cells left-aligned (a header
+/// already as wide as its column is emitted as is).
+fn label_col(name: &str, width: usize) -> Col {
+    col(format!("{name:<width$}"), name, width, 0)
+}
+
+/// One value of a table row, under the column at the same index.
+enum Field {
+    /// A contender label: left-aligned in text, verbatim in CSV.
+    Label(String),
+    /// A number (counts included): right-aligned at the column's width
+    /// and precision in text, `Display` precision in CSV.
+    Num(f64),
+    /// Text the runner laid out itself (`m±se`, `mean (sd)`, unit
+    /// suffixes), emitted as is, and its CSV field(s).
+    Pre(String, String),
+}
+
+/// A custom report under construction.
+struct Table {
+    cols: Vec<Col>,
+    text: String,
+    csv_rows: Vec<String>,
+}
+
+/// The title every budgeted table carries.
+fn budget_title(spec: &ExperimentSpec) -> String {
+    format!(
+        "{} ({} runs x {} s)",
+        spec.title, spec.budget.runs, spec.budget.sim_secs
+    )
+}
+
+impl Table {
+    /// Start a table: the `== title ==` line and the column headers.
+    fn new(title: &str, cols: Vec<Col>) -> Table {
+        let heads: Vec<String> = cols
+            .iter()
+            .map(|c| format!("{:>w$}", c.head, w = c.width))
+            .collect();
+        Table {
+            text: format!("== {title} ==\n{}\n", heads.join(" ")),
+            cols,
+            csv_rows: Vec::new(),
+        }
+    }
+
+    /// Append one row to the text table and to the CSV.
+    fn row(&mut self, fields: Vec<Field>) {
+        let (text, csv): (Vec<String>, Vec<String>) = self
+            .cols
+            .iter()
+            .zip(fields)
+            .map(|(c, field)| match field {
+                Field::Label(s) => (format!("{s:<w$}", w = c.width), s),
+                Field::Num(v) => (
+                    format!("{v:>w$.p$}", w = c.width, p = c.prec),
+                    format!("{v}"),
+                ),
+                Field::Pre(text, csv) => (text, csv),
+            })
+            .unzip();
+        self.note(&text.join(" "));
+        self.csv_rows.push(csv.join(","));
+    }
+
+    /// Append a free-text line (findings, paper quotes) to the report.
+    fn note(&mut self, line: &str) {
+        let _ = writeln!(self.text, "{line}");
+    }
+
+    fn finish(self, spec: &ExperimentSpec) -> ExperimentReport {
+        let names: Vec<&str> = self.cols.iter().map(|c| c.csv.as_str()).collect();
+        ExperimentReport {
+            csv_name: spec.name.clone(),
+            csv_header: names.join(","),
+            csv_rows: self.csv_rows,
+            text: self.text,
+        }
+    }
+}
 
 fn run_fig3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let n = spec.budget.runs;
@@ -1007,14 +997,14 @@ fn run_fig3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         .collect();
     raw.sort_by(f64::total_cmp);
 
-    let mut text = String::new();
-    let _ = writeln!(text, "== {} ==", spec.title);
-    let _ = writeln!(
-        text,
-        "{:>12} {:>12} {:>12}",
-        "bytes", "empirical", "closed form"
+    let mut table = Table::new(
+        &spec.title,
+        vec![
+            col("bytes", "bytes", 12, 0),
+            col("empirical", "empirical_cdf", 12, 4),
+            col("closed form", "closed_form_cdf", 12, 4),
+        ],
     );
-    let mut rows = Vec::new();
     for exp in 0..=7 {
         for mant in [1.0, 3.0] {
             let x = mant * 10f64.powi(exp);
@@ -1029,8 +1019,7 @@ fn run_fig3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
             } else {
                 1.0 - (PARETO_XM / (x + PARETO_SHIFT)).powf(PARETO_ALPHA)
             };
-            let _ = writeln!(text, "{x:>12.0} {emp:>12.4} {cf:>12.4}");
-            rows.push(format!("{x},{emp},{cf}"));
+            table.row(vec![Field::Num(x), Field::Num(emp), Field::Num(cf)]);
         }
     }
     // Sanity: with the evaluation's +16 kB loading term, flows are at
@@ -1039,30 +1028,20 @@ fn run_fig3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         .map(|_| empirical_flow_bytes(&mut rng, u64::MAX))
         .min()
         .unwrap();
-    let _ = writeln!(
-        text,
+    table.note(&format!(
         "\nminimum loaded flow (with +16 kB term): {min_loaded} bytes"
+    ));
+    table.note(
+        "paper: distribution \"suggest[s] that the underlying distribution does not have finite mean\"",
     );
-    let _ = writeln!(
-        text,
-        "paper: distribution \"suggest[s] that the underlying distribution does not have finite mean\""
-    );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: "bytes,empirical_cdf,closed_form_cdf".to_string(),
-        csv_rows: rows,
-        text,
-    })
+    Ok(table.finish(spec))
 }
 
 fn run_fig6(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let cells = spec.expand()?;
     let cell = &cells[0];
     let scenario = &cell.scenarios[0];
-    let ccs: Vec<Box<dyn netsim::cc::CongestionControl>> = (0..scenario.n())
-        .map(|_| cell.contender.build_cc())
-        .collect();
-    let results = Simulator::new(scenario, ccs, None).run();
+    let results = cell.contender.simulate(scenario);
 
     // Find the instant flow 1's deliveries stop (its actual departure).
     let flow1_last = results
@@ -1074,14 +1053,13 @@ fn run_fig6(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         .unwrap_or(Ns::ZERO);
 
     // Delivered-sequence series for flow 0, sampled every 250 ms.
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {}, competitor departs ~{flow1_last} ==",
-        spec.title
+    let mut table = Table::new(
+        &format!("{}, competitor departs ~{flow1_last}", spec.title),
+        vec![
+            col("t (s)", "t_secs", 8, 2),
+            col("seq", "delivered_seq", 10, 0),
+        ],
     );
-    let _ = writeln!(text, "{:>8} {:>10}", "t (s)", "seq");
-    let mut rows = Vec::new();
     let step = Ns::from_millis(250);
     let mut t = Ns::ZERO;
     let mut idx = 0;
@@ -1091,8 +1069,7 @@ fn run_fig6(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
             idx += 1;
         }
         let seq = if idx == 0 { 0 } else { flow0[idx - 1].seq };
-        let _ = writeln!(text, "{:>8.2} {:>10}", t.as_secs_f64(), seq);
-        rows.push(format!("{},{}", t.as_secs_f64(), seq));
+        table.row(vec![Field::Num(t.as_secs_f64()), Field::Num(seq as f64)]);
         t += step;
     }
 
@@ -1106,21 +1083,14 @@ fn run_fig6(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let before = rate_in(flow1_last.saturating_sub(win), flow1_last);
     let react = flow1_last + Ns::from_millis(300);
     let after = rate_in(react, react + win);
-    let _ = writeln!(
-        text,
+    table.note(&format!(
         "\nflow 0 delivery rate: {before:.0} pkt/s before departure, {after:.0} pkt/s after"
-    );
-    let _ = writeln!(
-        text,
+    ));
+    table.note(&format!(
         "ratio: {:.2}x (paper: ~2x within about one RTT)",
         after / before.max(1.0)
-    );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: "t_secs,delivered_seq".to_string(),
-        csv_rows: rows,
-        text,
-    })
+    ));
+    Ok(table.finish(spec))
 }
 
 /// Generic engine run plus a trace-utilization column for the cellular
@@ -1136,17 +1106,17 @@ fn run_lte_trace(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let link = spec.workload.link.resolve()?;
     // Take the MSS from an actually-expanded scenario rather than
     // duplicating the spec layer's default here.
+    let window = spec.budget.duration();
     let mss = spec
         .workload
         .scenario(
             netsim::queue::QueueSpec::DropTail {
                 capacity: spec.workload.queue_capacity,
             },
-            Ns::from_secs(spec.budget.sim_secs),
+            window,
             spec.seed,
         )?
         .mss;
-    let window = Ns::from_secs(spec.budget.sim_secs);
     let utils: Vec<f64> = results
         .cells
         .iter()
@@ -1190,18 +1160,13 @@ fn run_fig10(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         .iter()
         .map(|s| s.rtt.0 / 1_000_000)
         .collect();
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {} ({} runs x {} s) ==",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
+    let mut cols = vec![label_col("scheme", 16)];
+    cols.extend(
+        rtt_ms
+            .iter()
+            .map(|ms| col(format!("{ms} ms"), format!("share{ms},se{ms}"), 14, 3)),
     );
-    let _ = write!(text, "{:<16}", "scheme");
-    for ms in &rtt_ms {
-        let _ = write!(text, " {:>14}", format!("{ms} ms"));
-    }
-    let _ = writeln!(text);
-    let mut rows = Vec::new();
+    let mut table = Table::new(&budget_title(spec), cols);
     for cell in &results.cells {
         // Per-sender (= per-RTT) mean throughput and standard error.
         let prof: Vec<(f64, f64)> = (0..rtt_ms.len())
@@ -1220,74 +1185,65 @@ fn run_fig10(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
             .map(|&(m, _)| m)
             .fold(f64::MIN, f64::max)
             .max(1e-9);
-        let _ = write!(text, "{:<16}", cell.label);
-        for &(m, se) in &prof {
-            let _ = write!(text, " {:>14}", format!("{:.3}±{:.3}", m / best, se / best));
-        }
-        let _ = writeln!(text);
+        let mut row = vec![Field::Label(cell.label.clone())];
+        row.extend(prof.iter().map(|&(m, se)| {
+            let (m, se) = (m / best, se / best);
+            Field::Pre(
+                format!("{:>14}", format!("{m:.3}±{se:.3}")),
+                format!("{m},{se}"),
+            )
+        }));
+        table.row(row);
         let worst_share = prof[rtt_ms.len() - 1].0 / best;
-        let _ = writeln!(
-            text,
+        table.note(&format!(
             "  -> {} ms flow keeps {worst_share:.2} of the best share",
             rtt_ms[rtt_ms.len() - 1]
-        );
-        rows.push(format!(
-            "{},{}",
-            cell.label,
-            prof.iter()
-                .map(|&(m, se)| format!("{},{}", m / best, se / best))
-                .collect::<Vec<_>>()
-                .join(",")
         ));
     }
-    let header = format!(
-        "scheme,{}",
-        rtt_ms
-            .iter()
-            .map(|ms| format!("share{ms},se{ms}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: header,
-        csv_rows: rows,
-        text,
-    })
+    Ok(table.finish(spec))
+}
+
+/// The contender × sweep-point pivot Fig. 11 and the loss ablation share:
+/// one row per contender, one `point_col` column per sweep value, each
+/// cell `value(cell, sweep value)`; `head_note` trails the header line.
+fn pivot_report(
+    spec: &ExperimentSpec,
+    points: &[f64],
+    point_col: impl Fn(f64) -> Col,
+    head_note: &str,
+    value: impl Fn(&CellResult, f64) -> f64,
+) -> Result<ExperimentReport, String> {
+    let results = Experiment::new(spec.clone()).run()?;
+    let mut cols = vec![label_col("scheme", 16)];
+    cols.extend(points.iter().map(|&p| point_col(p)));
+    if let Some(last) = cols.last_mut() {
+        last.head = format!("{:>w$}{head_note}", last.head, w = last.width);
+    }
+    let mut table = Table::new(&budget_title(spec), cols);
+    // Contender labels in spec order, from the already-run cells.
+    for first in results.cells.iter().filter(|c| c.point_index == 0) {
+        let mut row = vec![Field::Label(first.label.clone())];
+        for (pi, &p) in points.iter().enumerate() {
+            let cell = results
+                .cell(pi, &first.label)
+                .ok_or_else(|| format!("missing cell {}@{p}", first.label))?;
+            row.push(Field::Num(value(cell, p)));
+        }
+        table.row(row);
+    }
+    Ok(table.finish(spec))
 }
 
 fn run_fig11(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
-    let results = Experiment::new(spec.clone()).run()?;
-    let speeds: Vec<f64> = match spec.sweeps.first() {
-        Some(SweepAxis::LinkMbps(v)) => v.clone(),
-        _ => return Err("fig11 spec needs a link_mbps sweep".to_string()),
+    let Some(SweepAxis::LinkMbps(speeds)) = spec.sweeps.first() else {
+        return Err("fig11 spec needs a link_mbps sweep".to_string());
     };
-    // Contender labels in spec order, from the already-run cells.
-    let labels: Vec<String> = results
-        .cells
-        .iter()
-        .filter(|c| c.point_index == 0)
-        .map(|c| c.label.clone())
-        .collect();
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {} ({} runs x {} s) ==",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
-    );
-    let _ = write!(text, "{:<16}", "scheme");
-    for s in &speeds {
-        let _ = write!(text, " {s:>7}");
-    }
-    let _ = writeln!(text, "  (Mbps; 10x design range is 4.7-47)");
-    let mut rows = Vec::new();
-    for label in &labels {
-        let _ = write!(text, "{label:<16}");
-        let mut cells_csv = Vec::new();
-        for (pi, &mbps) in speeds.iter().enumerate() {
-            let cell = results
-                .cell(pi, label)
-                .ok_or_else(|| format!("missing cell {label}@{mbps}"))?;
+    pivot_report(
+        spec,
+        speeds,
+        |s| col(format!("{s}"), format!("mbps_{s}"), 7, 2),
+        "  (Mbps; 10x design range is 4.7-47)",
+        |cell, mbps| {
             // Per-sender mean of log(norm tput) − log(norm delay), with
             // normalized throughput = share of the fair rate (link/2) and
             // delay = mean RTT over the 150 ms propagation floor.
@@ -1299,45 +1255,21 @@ fn run_fig11(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
                 total += (t / fair).max(1e-6).ln() - (r / 150.0).max(1e-6).ln();
                 count += 1;
             }
-            let v = total / count.max(1) as f64;
-            let _ = write!(text, " {v:>7.2}");
-            cells_csv.push(format!("{v}"));
-        }
-        let _ = writeln!(text);
-        rows.push(format!("{},{}", label, cells_csv.join(",")));
-    }
-    let header = format!(
-        "scheme,{}",
-        speeds
-            .iter()
-            .map(|s| format!("mbps_{s}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: header,
-        csv_rows: rows,
-        text,
-    })
-}
-
-struct HeadToHead {
-    remy_mean: f64,
-    remy_sd: f64,
-    rival_mean: f64,
-    rival_sd: f64,
+            total / count.max(1) as f64
+        },
+    )
 }
 
 /// One §5.6 head-to-head: the coexistence RemyCC and a rival scheme share
 /// one dumbbell. `point_stream` seeds the run set (common random numbers
-/// across rivals at the same stream).
+/// across rivals at the same stream). Returns the table cells `RemyCC
+/// mean (sd)` and `rival mean (sd)`.
 fn head_to_head(
     spec: &ExperimentSpec,
     rival: &Contender,
     traffic: &TrafficSpec,
     point_stream: u64,
-) -> Result<HeadToHead, String> {
+) -> Result<[Field; 2], String> {
     let remy = spec.contenders[0].build()?;
     let mut wl = spec.workload.clone();
     for s in &mut wl.senders {
@@ -1355,6 +1287,8 @@ fn head_to_head(
             spec.budget.duration(),
             run_seed,
         )?;
+        // Two schemes in one simulation: the one run no single
+        // contender's `simulate` covers.
         let ccs = vec![remy.build_cc(), rival.build_cc()];
         let r = Simulator::new(&scenario, ccs, None).run();
         if r.flows[0].was_active() {
@@ -1364,60 +1298,45 @@ fn head_to_head(
             rival_t.push(r.flows[1].throughput_mbps);
         }
     }
-    Ok(HeadToHead {
-        remy_mean: mean(&remy_t),
-        remy_sd: std_dev(&remy_t),
-        rival_mean: mean(&rival_t),
-        rival_sd: std_dev(&rival_t),
-    })
+    Ok([&remy_t, &rival_t].map(|t| {
+        let (m, sd) = (mean(t), std_dev(t));
+        Field::Pre(format!("{m:>13.2} ({sd:.2})"), format!("{m},{sd}"))
+    }))
 }
 
 fn run_table_competing(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let compound = spec.contenders[1].build()?;
     let cubic = spec.contenders[2].build()?;
     let (runs, secs) = (spec.budget.runs, spec.budget.sim_secs);
-    let mut text = String::new();
-    let mut rows = Vec::new();
-
-    let off_sweep: Vec<u64> = match spec.sweeps.first() {
-        Some(SweepAxis::OffMeanMs(v)) => v.clone(),
-        _ => return Err("table_competing spec needs an off_mean_ms sweep".to_string()),
+    let Some(SweepAxis::OffMeanMs(off_sweep)) = spec.sweeps.first() else {
+        return Err("table_competing spec needs an off_mean_ms sweep".to_string());
     };
-    let _ = writeln!(
-        text,
-        "== §5.6-a — RemyCC vs Compound, empirical flows, off-time sweep ({runs} runs x {secs} s) =="
-    );
-    let _ = writeln!(
-        text,
-        "{:>12} {:>20} {:>20}",
-        "off time", "RemyCC tput (sd)", "Compound tput (sd)"
+    let cols = |param: &str, rival: &str| {
+        vec![
+            col(param, "rival,param", 12, 0),
+            col("RemyCC tput (sd)", "remy_mean,remy_sd", 20, 2),
+            col(format!("{rival} tput (sd)"), "rival_mean,rival_sd", 20, 2),
+        ]
+    };
+
+    let mut table = Table::new(
+        &format!(
+            "§5.6-a — RemyCC vs Compound, empirical flows, off-time sweep ({runs} runs x {secs} s)"
+        ),
+        cols("off time", "Compound"),
     );
     for (pi, &off_ms) in off_sweep.iter().enumerate() {
-        let traffic = TrafficSpec {
-            on: OnSpec::empirical(),
-            off_mean: Ns::from_millis(off_ms),
-            start_on: false,
-        };
-        let c = head_to_head(spec, &compound, &traffic, pi as u64)?;
-        let _ = writeln!(
-            text,
-            "{:>9} ms {:>13.2} ({:.2}) {:>13.2} ({:.2})",
-            off_ms, c.remy_mean, c.remy_sd, c.rival_mean, c.rival_sd
-        );
-        rows.push(format!(
-            "compound,{off_ms},{},{},{},{}",
-            c.remy_mean, c.remy_sd, c.rival_mean, c.rival_sd
-        ));
+        let traffic = empirical_traffic(off_ms);
+        let [remy, rival] = head_to_head(spec, &compound, &traffic, pi as u64)?;
+        let param = Field::Pre(format!("{off_ms:>9} ms"), format!("compound,{off_ms}"));
+        table.row(vec![param, remy, rival]);
     }
 
-    let _ = writeln!(
-        text,
-        "\n== §5.6-b — RemyCC vs Cubic, exponential flows, size sweep ({runs} runs x {secs} s) =="
-    );
-    let _ = writeln!(
-        text,
-        "{:>12} {:>20} {:>20}",
-        "mean size", "RemyCC tput (sd)", "Cubic tput (sd)"
+    let mut part_b = Table::new(
+        &format!(
+            "§5.6-b — RemyCC vs Cubic, exponential flows, size sweep ({runs} runs x {secs} s)"
+        ),
+        cols("mean size", "Cubic"),
     );
     for (j, mean_kb) in [100u64, 1000].into_iter().enumerate() {
         let traffic = TrafficSpec {
@@ -1428,162 +1347,95 @@ fn run_table_competing(spec: &ExperimentSpec) -> Result<ExperimentReport, String
             start_on: false,
         };
         // Streams beyond the off-time grid keep part b independent.
-        let c = head_to_head(spec, &cubic, &traffic, 1000 + j as u64)?;
-        let _ = writeln!(
-            text,
-            "{:>9} kB {:>13.2} ({:.2}) {:>13.2} ({:.2})",
-            mean_kb, c.remy_mean, c.remy_sd, c.rival_mean, c.rival_sd
-        );
-        rows.push(format!(
-            "cubic,{mean_kb},{},{},{},{}",
-            c.remy_mean, c.remy_sd, c.rival_mean, c.rival_sd
-        ));
+        let [remy, rival] = head_to_head(spec, &cubic, &traffic, 1000 + j as u64)?;
+        let param = Field::Pre(format!("{mean_kb:>9} kB"), format!("cubic,{mean_kb}"));
+        part_b.row(vec![param, remy, rival]);
     }
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: "rival,param,remy_mean,remy_sd,rival_mean,rival_sd".to_string(),
-        csv_rows: rows,
-        text,
-    })
+    // One report: part b's text follows part a's, its rows join the CSV.
+    table.text.push('\n');
+    table.text.push_str(&part_b.text);
+    table.csv_rows.extend(part_b.csv_rows);
+    Ok(table.finish(spec))
 }
 
 fn run_table_datacenter(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {} ({} runs x {} s) ==",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
+    let mut table = Table::new(
+        &budget_title(spec),
+        vec![
+            label_col("scheme", 20),
+            col("tput mean", "tput_mean_mbps", 12, 1),
+            col("tput median", "tput_median_mbps", 12, 1),
+            col("tput sd", "tput_sd", 10, 1),
+            col("rtt mean", "rtt_mean_ms", 10, 2),
+            col("rtt med", "rtt_median_ms", 10, 2),
+        ],
     );
-    let _ = writeln!(
-        text,
-        "{:<20} {:>12} {:>12} {:>10} {:>10} {:>10}",
-        "scheme", "tput mean", "tput median", "tput sd", "rtt mean", "rtt med"
-    );
-    let mut rows = Vec::new();
+    let mbps = |v: f64| Field::Pre(format!("{v:>9.1} M"), format!("{v}"));
+    let ms = |v: f64| Field::Pre(format!("{v:>8.2}ms"), format!("{v}"));
     for cell in &results.cells {
         let o = &cell.outcome;
-        let mean_t = mean(&o.throughput_samples);
-        let sd_t = std_dev(&o.throughput_samples);
-        let mean_r = mean(&o.rtt_samples);
-        let _ = writeln!(
-            text,
-            "{:<20} {:>9.1} M {:>9.1} M {:>10.1} {:>8.2}ms {:>8.2}ms",
-            o.label, mean_t, o.median_throughput_mbps, sd_t, mean_r, o.median_rtt_ms
-        );
-        rows.push(format!(
-            "{},{},{},{},{},{}",
-            o.label, mean_t, o.median_throughput_mbps, sd_t, mean_r, o.median_rtt_ms
-        ));
+        table.row(vec![
+            Field::Label(o.label.clone()),
+            mbps(mean(&o.throughput_samples)),
+            mbps(o.median_throughput_mbps),
+            Field::Num(std_dev(&o.throughput_samples)),
+            ms(mean(&o.rtt_samples)),
+            ms(o.median_rtt_ms),
+        ]);
     }
-    let _ = writeln!(
-        text,
-        "\npaper shape: comparable throughput, RemyCC lower variance, higher RTT."
-    );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: "scheme,tput_mean_mbps,tput_median_mbps,tput_sd,rtt_mean_ms,rtt_median_ms"
-            .to_string(),
-        csv_rows: rows,
-        text,
-    })
+    table.note("\npaper shape: comparable throughput, RemyCC lower variance, higher RTT.");
+    Ok(table.finish(spec))
 }
 
 fn run_ablation_signals(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {} ({} runs x {} s) ==",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
+    let mut table = Table::new(
+        &budget_title(spec),
+        vec![
+            label_col("variant", 14),
+            col("tput Mbps", "median_tput", 12, 3),
+            col("qdelay ms", "median_qdelay", 12, 2),
+        ],
     );
-    let _ = writeln!(
-        text,
-        "{:<14} {:>12} {:>12}",
-        "variant", "tput Mbps", "qdelay ms"
-    );
-    let mut rows = Vec::new();
     for cell in &results.cells {
-        let t = cell.outcome.median_throughput_mbps;
-        let d = cell.outcome.median_queue_delay_ms;
-        let _ = writeln!(text, "{:<14} {t:>12.3} {d:>12.2}", cell.label);
-        rows.push(format!("{},{t},{d}", cell.label));
+        table.row(vec![
+            Field::Label(cell.label.clone()),
+            Field::Num(cell.outcome.median_throughput_mbps),
+            Field::Num(cell.outcome.median_queue_delay_ms),
+        ]);
     }
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: "variant,median_tput,median_qdelay".to_string(),
-        csv_rows: rows,
-        text,
-    })
+    Ok(table.finish(spec))
 }
 
 fn run_ablation_loss(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
-    let results = Experiment::new(spec.clone()).run()?;
-    let loss_rates: Vec<f64> = match spec.sweeps.first() {
-        Some(SweepAxis::LossRate(v)) => v.clone(),
-        _ => return Err("ablation_loss spec needs a loss_rate sweep".to_string()),
+    let Some(SweepAxis::LossRate(loss_rates)) = spec.sweeps.first() else {
+        return Err("ablation_loss spec needs a loss_rate sweep".to_string());
     };
-    // Contender labels in spec order, from the already-run cells.
-    let labels: Vec<String> = results
-        .cells
-        .iter()
-        .filter(|c| c.point_index == 0)
-        .map(|c| c.label.clone())
-        .collect();
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {} ({} runs x {} s) ==",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
-    );
-    let _ = write!(text, "{:<16}", "scheme");
-    for p in &loss_rates {
-        let _ = write!(text, " {:>9}", format!("{:.1}%", p * 100.0));
-    }
-    let _ = writeln!(text);
-    let mut rows = Vec::new();
-    for label in &labels {
-        let _ = write!(text, "{label:<16}");
-        let mut cells_csv = Vec::new();
-        for pi in 0..loss_rates.len() {
-            let cell = results
-                .cell(pi, label)
-                .ok_or_else(|| format!("missing cell {label}@{pi}"))?;
-            let v = cell.outcome.median_throughput_mbps;
-            let _ = write!(text, " {v:>9.3}");
-            cells_csv.push(format!("{v}"));
-        }
-        let _ = writeln!(text);
-        rows.push(format!("{},{}", label, cells_csv.join(",")));
-    }
-    let header = format!(
-        "scheme,{}",
-        loss_rates
-            .iter()
-            .map(|p| format!("loss_{p}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: header,
-        csv_rows: rows,
-        text,
-    })
+    pivot_report(
+        spec,
+        loss_rates,
+        |p| col(format!("{:.1}%", p * 100.0), format!("loss_{p}"), 9, 3),
+        "",
+        |cell, _| cell.outcome.median_throughput_mbps,
+    )
 }
 
-/// Pool one statistic over a subset of senders across all of a cell's
-/// runs (active senders only, as in the paper's per-sender statistics).
-fn pooled(
+/// Median of one statistic pooled over a subset of senders across all of
+/// a cell's runs (active senders only, as in the paper's per-sender
+/// statistics).
+fn pooled_median(
     runs: &[Vec<netsim::metrics::FlowSummary>],
     senders: std::ops::Range<usize>,
     stat: impl Fn(&netsim::metrics::FlowSummary) -> f64,
-) -> Vec<f64> {
-    runs.iter()
+) -> f64 {
+    let pool: Vec<f64> = runs
+        .iter()
         .flat_map(|run| run[senders.clone()].iter())
         .filter(|f| f.was_active())
         .map(stat)
-        .collect()
+        .collect();
+    median(&pool)
 }
 
 fn run_parking_lot3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
@@ -1594,69 +1446,50 @@ fn run_parking_lot3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         .as_ref()
         .and_then(|t| t.n_flow_hops())
         .ok_or("parking_lot3 spec needs a hop-list topology")?;
-    let n_long = spec.workload.n() - n_hops;
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {} ({} runs x {} s) ==",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
+    let n = spec.workload.n();
+    let n_long = n - n_hops;
+    let mut table = Table::new(
+        &budget_title(spec),
+        vec![
+            label_col("scheme", 16),
+            col("e2e tput Mbps", "e2e_median_tput_mbps", 14, 3),
+            col("cross tput", "cross_median_tput_mbps", 14, 3),
+            col("e2e qdelay ms", "e2e_median_qdelay_ms", 14, 2),
+            col("cross qdelay", "cross_median_qdelay_ms", 14, 2),
+        ],
     );
-    let _ = writeln!(
-        text,
-        "{:<16} {:>14} {:>14} {:>14} {:>14}",
-        "scheme", "e2e tput Mbps", "cross tput", "e2e qdelay ms", "cross qdelay"
-    );
-    let mut rows = Vec::new();
     for cell in &results.cells {
-        let long_t = pooled(&cell.runs, 0..n_long, |f| f.throughput_mbps);
-        let cross_t = pooled(&cell.runs, n_long..spec.workload.n(), |f| f.throughput_mbps);
-        let long_d = pooled(&cell.runs, 0..n_long, |f| f.mean_queue_delay_ms);
-        let cross_d = pooled(&cell.runs, n_long..spec.workload.n(), |f| {
-            f.mean_queue_delay_ms
-        });
-        let (lt, ct, ld, cd) = (
-            median(&long_t),
-            median(&cross_t),
-            median(&long_d),
-            median(&cross_d),
-        );
-        let _ = writeln!(
-            text,
-            "{:<16} {lt:>14.3} {ct:>14.3} {ld:>14.2} {cd:>14.2}",
-            cell.label
-        );
-        rows.push(format!("{},{lt},{ct},{ld},{cd}", cell.label));
+        table.row(vec![
+            Field::Label(cell.label.clone()),
+            Field::Num(pooled_median(&cell.runs, 0..n_long, |f| f.throughput_mbps)),
+            Field::Num(pooled_median(&cell.runs, n_long..n, |f| f.throughput_mbps)),
+            Field::Num(pooled_median(&cell.runs, 0..n_long, |f| {
+                f.mean_queue_delay_ms
+            })),
+            Field::Num(pooled_median(&cell.runs, n_long..n, |f| {
+                f.mean_queue_delay_ms
+            })),
+        ]);
     }
-    let _ = writeln!(
-        text,
+    table.note(&format!(
         "\nend-to-end flows cross {n_hops} queues and pay queueing at each; \
          proportionally-fair schemes still grant them a non-zero share"
-    );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: "scheme,e2e_median_tput_mbps,cross_median_tput_mbps,\
-                     e2e_median_qdelay_ms,cross_median_qdelay_ms"
-            .to_string(),
-        csv_rows: rows,
-        text,
-    })
+    ));
+    Ok(table.finish(spec))
 }
 
 fn run_incast16(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
     let n = spec.workload.n();
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {} ({} runs x {} s) ==",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
+    let mut table = Table::new(
+        &budget_title(spec),
+        vec![
+            label_col("scheme", 18),
+            col("agg tput Mbps", "agg_mean_tput_mbps", 14, 2),
+            col("per-flow med", "per_flow_median_tput_mbps", 14, 3),
+            col("rtt med ms", "median_rtt_ms", 12, 2),
+        ],
     );
-    let _ = writeln!(
-        text,
-        "{:<18} {:>14} {:>14} {:>12}",
-        "scheme", "agg tput Mbps", "per-flow med", "rtt med ms"
-    );
-    let mut rows = Vec::new();
     let wall_secs = spec.budget.sim_secs as f64;
     for cell in &results.cells {
         // Aggregate goodput over the wall clock (per-flow `throughput_mbps`
@@ -1667,84 +1500,64 @@ fn run_incast16(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
             .iter()
             .map(|run| run.iter().map(|f| f.bytes as f64 * 8.0).sum::<f64>() / wall_secs / 1e6)
             .collect();
-        let per_flow = pooled(&cell.runs, 0..n, |f| f.throughput_mbps);
-        let rtts = pooled(&cell.runs, 0..n, |f| f.mean_rtt_ms);
-        let (a, p, r) = (mean(&agg), median(&per_flow), median(&rtts));
-        let _ = writeln!(text, "{:<18} {a:>14.2} {p:>14.3} {r:>12.2}", cell.label);
-        rows.push(format!("{},{a},{p},{r}", cell.label));
+        table.row(vec![
+            Field::Label(cell.label.clone()),
+            Field::Num(mean(&agg)),
+            Field::Num(pooled_median(&cell.runs, 0..n, |f| f.throughput_mbps)),
+            Field::Num(pooled_median(&cell.runs, 0..n, |f| f.mean_rtt_ms)),
+        ]);
     }
-    let _ = writeln!(
-        text,
+    table.note(
         "\nthe shallow 64-packet aggregation buffer punishes synchronized \
-         window bursts; ECN (DCTCP) and delay-aware control avoid collapse"
+         window bursts; ECN (DCTCP) and delay-aware control avoid collapse",
     );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: "scheme,agg_mean_tput_mbps,per_flow_median_tput_mbps,median_rtt_ms".to_string(),
-        csv_rows: rows,
-        text,
-    })
+    Ok(table.finish(spec))
 }
 
 fn run_reverse_path(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {} ({} runs x {} s) ==",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
+    let mut table = Table::new(
+        &budget_title(spec),
+        vec![
+            label_col("scheme", 16),
+            col("east tput", "east_median_tput_mbps", 12, 3),
+            col("west tput", "west_median_tput_mbps", 12, 3),
+            col("east rtt ms", "east_median_rtt_ms", 12, 1),
+            col("west rtt ms", "west_median_rtt_ms", 12, 1),
+        ],
     );
-    let _ = writeln!(
-        text,
-        "{:<16} {:>12} {:>12} {:>12} {:>12}",
-        "scheme", "east tput", "west tput", "east rtt ms", "west rtt ms"
-    );
-    let mut rows = Vec::new();
     for cell in &results.cells {
-        let east_t = median(&pooled(&cell.runs, 0..1, |f| f.throughput_mbps));
-        let west_t = median(&pooled(&cell.runs, 1..2, |f| f.throughput_mbps));
-        let east_r = median(&pooled(&cell.runs, 0..1, |f| f.mean_rtt_ms));
-        let west_r = median(&pooled(&cell.runs, 1..2, |f| f.mean_rtt_ms));
-        let _ = writeln!(
-            text,
-            "{:<16} {east_t:>12.3} {west_t:>12.3} {east_r:>12.1} {west_r:>12.1}",
-            cell.label
-        );
-        rows.push(format!(
-            "{},{east_t},{west_t},{east_r},{west_r}",
-            cell.label
-        ));
+        table.row(vec![
+            Field::Label(cell.label.clone()),
+            Field::Num(pooled_median(&cell.runs, 0..1, |f| f.throughput_mbps)),
+            Field::Num(pooled_median(&cell.runs, 1..2, |f| f.throughput_mbps)),
+            Field::Num(pooled_median(&cell.runs, 0..1, |f| f.mean_rtt_ms)),
+            Field::Num(pooled_median(&cell.runs, 1..2, |f| f.mean_rtt_ms)),
+        ]);
     }
-    let _ = writeln!(
-        text,
+    table.note(
         "\nRTTs include ACK queueing behind the opposing direction's data — \
-         the reverse-path congestion the paper's dumbbell rules out"
+         the reverse-path congestion the paper's dumbbell rules out",
     );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: "scheme,east_median_tput_mbps,west_median_tput_mbps,\
-                     east_median_rtt_ms,west_median_rtt_ms"
-            .to_string(),
-        csv_rows: rows,
-        text,
-    })
+    Ok(table.finish(spec))
 }
 
 fn run_web_churn(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
     let n = spec.workload.n();
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {} ({} runs x {} s) ==",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
+    let mut table = Table::new(
+        &budget_title(spec),
+        vec![
+            label_col("scheme", 16),
+            col("spawned", "spawned", 9, 0),
+            col("done", "completed", 9, 0),
+            col("done%", "completed_pct", 7, 1),
+            col("fct p50 ms", "fct_p50_ms", 10, 2),
+            col("fct p90 ms", "fct_p90_ms", 10, 2),
+            col("fct p99 ms", "fct_p99_ms", 10, 2),
+            col("pers tput", "persistent_median_tput_mbps", 12, 3),
+        ],
     );
-    let _ = writeln!(
-        text,
-        "{:<16} {:>9} {:>9} {:>7} {:>10} {:>10} {:>10} {:>12}",
-        "scheme", "spawned", "done", "done%", "fct p50 ms", "fct p90 ms", "fct p99 ms", "pers tput"
-    );
-    let mut rows = Vec::new();
     for cell in &results.cells {
         let mut spawned = 0u64;
         let mut completed = 0u64;
@@ -1760,38 +1573,23 @@ fn run_web_churn(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
             return Err(format!("'{}': churn run spawned no flows", spec.name));
         }
         fct_ms.sort_by(f64::total_cmp);
-        let done_pct = 100.0 * completed as f64 / spawned as f64;
-        let (p50, p90, p99) = (
-            quantile(&fct_ms, 0.5),
-            quantile(&fct_ms, 0.9),
-            quantile(&fct_ms, 0.99),
-        );
-        let pers = median(&pooled(&cell.runs, 0..n, |f| f.throughput_mbps));
-        let _ = writeln!(
-            text,
-            "{:<16} {spawned:>9} {completed:>9} {done_pct:>7.1} {p50:>10.2} {p90:>10.2} \
-             {p99:>10.2} {pers:>12.3}",
-            cell.label
-        );
-        rows.push(format!(
-            "{},{spawned},{completed},{done_pct},{p50},{p90},{p99},{pers}",
-            cell.label
-        ));
+        table.row(vec![
+            Field::Label(cell.label.clone()),
+            Field::Num(spawned as f64),
+            Field::Num(completed as f64),
+            Field::Num(100.0 * completed as f64 / spawned as f64),
+            Field::Num(quantile(&fct_ms, 0.5)),
+            Field::Num(quantile(&fct_ms, 0.9)),
+            Field::Num(quantile(&fct_ms, 0.99)),
+            Field::Num(pooled_median(&cell.runs, 0..n, |f| f.throughput_mbps)),
+        ]);
     }
-    let _ = writeln!(
-        text,
+    table.note(
         "\nshort transfers finish inside slow-start, so their completion times \
          ride on the queue the persistent senders build; delay-minimizing \
-         schemes shorten the tail"
+         schemes shorten the tail",
     );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: "scheme,spawned,completed,completed_pct,fct_p50_ms,fct_p90_ms,\
-                     fct_p99_ms,persistent_median_tput_mbps"
-            .to_string(),
-        csv_rows: rows,
-        text,
-    })
+    Ok(table.finish(spec))
 }
 
 fn run_failover_chain(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
@@ -1804,18 +1602,15 @@ fn run_failover_chain(spec: &ExperimentSpec) -> Result<ExperimentReport, String>
     let mut prefix_spec = spec.clone();
     prefix_spec.budget.sim_secs = (spec.budget.sim_secs / 2).max(1);
     let prefix = Experiment::new(prefix_spec).run()?;
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "== {} ({} runs x {} s) ==",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
+    let mut table = Table::new(
+        &budget_title(spec),
+        vec![
+            label_col("scheme", 16),
+            col("pre-fail rtt ms", "pre_fail_rtt_ms", 16, 2),
+            col("post-fail rtt ms", "post_fail_rtt_ms", 16, 2),
+            col("median tput Mbps", "median_tput_mbps", 16, 3),
+        ],
     );
-    let _ = writeln!(
-        text,
-        "{:<16} {:>16} {:>16} {:>16}",
-        "scheme", "pre-fail rtt ms", "post-fail rtt ms", "median tput Mbps"
-    );
-    let mut rows = Vec::new();
     for (cell, pre_cell) in full.cells.iter().zip(&prefix.cells) {
         let mut pre_sum = 0.0;
         let mut pre_n = 0u64;
@@ -1836,29 +1631,20 @@ fn run_failover_chain(spec: &ExperimentSpec) -> Result<ExperimentReport, String>
                 cell.label
             ));
         }
-        let pre_rtt = pre_sum / pre_n as f64;
-        let post_rtt = (full_sum - pre_sum) / (full_n - pre_n) as f64;
-        let tput = median(&pooled(&cell.runs, 0..spec.workload.n(), |f| {
-            f.throughput_mbps
-        }));
-        let _ = writeln!(
-            text,
-            "{:<16} {pre_rtt:>16.2} {post_rtt:>16.2} {tput:>16.3}",
-            cell.label
-        );
-        rows.push(format!("{},{pre_rtt},{post_rtt},{tput}", cell.label));
+        table.row(vec![
+            Field::Label(cell.label.clone()),
+            Field::Num(pre_sum / pre_n as f64),
+            Field::Num((full_sum - pre_sum) / (full_n - pre_n) as f64),
+            Field::Num(pooled_median(&cell.runs, 0..spec.workload.n(), |f| {
+                f.throughput_mbps
+            })),
+        ]);
     }
-    let _ = writeln!(
-        text,
+    table.note(
         "\nthe backup path raises the propagation floor by 20 ms of RTT \
-         (60 ms vs 40), so the post-failure RTT must step up if the reroute worked"
+         (60 ms vs 40), so the post-failure RTT must step up if the reroute worked",
     );
-    Ok(ExperimentReport {
-        csv_name: spec.name.clone(),
-        csv_header: "scheme,pre_fail_rtt_ms,post_fail_rtt_ms,median_tput_mbps".to_string(),
-        csv_rows: rows,
-        text,
-    })
+    Ok(table.finish(spec))
 }
 
 #[cfg(test)]
@@ -2000,8 +1786,8 @@ mod tests {
             .iter()
             .find(|c| c.label == "NewReno")
             .expect("newreno cell");
-        let e2e = median(&pooled(&reno.runs, 0..2, |f| f.throughput_mbps));
-        let cross = median(&pooled(&reno.runs, 2..5, |f| f.throughput_mbps));
+        let e2e = pooled_median(&reno.runs, 0..2, |f| f.throughput_mbps);
+        let cross = pooled_median(&reno.runs, 2..5, |f| f.throughput_mbps);
         assert!(e2e > 0.0 && cross > 0.0);
         assert!(
             cross > e2e,
@@ -2052,7 +1838,7 @@ mod tests {
         });
         let results = Experiment::new(spec).run().expect("runs");
         for cell in &results.cells {
-            let rtt = median(&pooled(&cell.runs, 0..1, |f| f.mean_rtt_ms));
+            let rtt = pooled_median(&cell.runs, 0..1, |f| f.mean_rtt_ms);
             assert!(
                 rtt > 100.0,
                 "{}: ACK queueing keeps RTT above the 100 ms floor, got {rtt}",
@@ -2094,10 +1880,12 @@ mod tests {
 
     #[test]
     fn contender_lineups() {
-        assert_eq!(remy_contenders().len(), 3);
-        let all_c = standard_contenders();
+        let all_c = standard_contender_specs();
         assert_eq!(all_c.len(), 9);
-        let labels: Vec<String> = all_c.iter().map(|c| c.label()).collect();
+        let labels: Vec<String> = all_c
+            .iter()
+            .map(|c| c.build().expect("shipped tables").label())
+            .collect();
         assert!(labels.iter().any(|l| l.contains("Cubic/sfqCoDel")));
         assert!(labels.iter().any(|l| l.contains("RemyCC")));
     }

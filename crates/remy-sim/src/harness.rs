@@ -3,15 +3,17 @@
 //! The paper's evaluation methodology (§5.1): run each scenario for 100
 //! simulated seconds, at least 128 times with different random draws,
 //! measure each sender's throughput (`Σsi/Σti`) and average queueing
-//! delay, and report per-scheme medians plus 1-σ ellipses.
-//! [`evaluate_scenarios`] implements exactly that loop for one
-//! [`Contender`] over explicit scenarios; experiment *descriptions* live
-//! one layer up, in [`crate::spec::ExperimentSpec`], and are fanned
-//! through the parallel engine by [`crate::experiment::Experiment`].
+//! delay, and report per-scheme medians plus 1-σ ellipses. A
+//! [`Contender`] runs one scenario ([`Contender::simulate`]) and an
+//! [`Outcome`] pools the per-sender samples; experiment *descriptions*
+//! live one layer up, in [`crate::spec::ExperimentSpec`], and
+//! [`crate::experiment::Experiment`] is the one loop that fans their
+//! runs through the parallel engine.
 
 use congestion::Scheme;
 use netsim::cc::CongestionControl;
 use netsim::link::LinkSpec;
+use netsim::metrics::SimResults;
 use netsim::queue::QueueSpec;
 use netsim::scenario::Scenario;
 use netsim::sim::Simulator;
@@ -103,6 +105,18 @@ impl Contender {
             Contender::Remy { .. } => None,
         }
     }
+
+    /// Simulate one scenario with every sender — and, on a churn
+    /// workload, every arriving flow — under this contender.
+    pub fn simulate(&self, sc: &Scenario) -> SimResults {
+        let ccs = (0..sc.n()).map(|_| self.build_cc()).collect();
+        let mut sim = Simulator::new(sc, ccs, self.router(&sc.link, sc.mss));
+        if sc.churn.is_some() {
+            let contender = self.clone();
+            sim = sim.with_churn_cc(Box::new(move |_| contender.build_cc()));
+        }
+        sim.run()
+    }
 }
 
 /// Pooled per-sender results of one contender across all runs.
@@ -156,69 +170,17 @@ impl Outcome {
     }
 }
 
-/// Run a contender over explicit scenarios and pool per-sender samples,
-/// per the paper's methodology.
-///
-/// Runs execute in parallel (see `remy::evaluator::set_jobs` /
-/// `REMY_JOBS`), but samples are pooled in run order from positionally
-/// collected results, so outcomes are identical at any thread count.
-pub fn evaluate_scenarios(contender: &Contender, scenarios: &[Scenario]) -> Outcome {
-    use rayon::prelude::*;
-    let per_run: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = scenarios
-        .par_iter()
-        .map(|sc| {
-            let ccs: Vec<Box<dyn CongestionControl>> =
-                (0..sc.n()).map(|_| contender.build_cc()).collect();
-            let router = contender.router(&sc.link, sc.mss);
-            let results = Simulator::new(sc, ccs, router).run();
-            let mut tput = Vec::new();
-            let mut delay = Vec::new();
-            let mut rtt = Vec::new();
-            for f in results.active_flows() {
-                tput.push(f.throughput_mbps);
-                delay.push(f.mean_queue_delay_ms);
-                rtt.push(f.mean_rtt_ms);
-            }
-            (tput, delay, rtt)
-        })
-        .collect();
-    let mut tput = Vec::new();
-    let mut delay = Vec::new();
-    let mut rtt = Vec::new();
-    for (t, d, r) in per_run {
-        tput.extend(t);
-        delay.extend(d);
-        rtt.extend(r);
-    }
-    Outcome::from_samples(contender.label(), tput, delay, rtt)
-}
-
-/// Environment-variable override helpers so `cargo bench` and CI can scale
-/// experiment budgets: `REMY_RUNS` (runs per scheme) and `REMY_SIM_SECS`.
-pub fn runs_from_env(default: usize) -> usize {
-    std::env::var("REMY_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// See [`runs_from_env`].
-pub fn sim_secs_from_env(default: u64) -> u64 {
-    std::env::var("REMY_SIM_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
     use crate::spec::{Budget, ContenderSpec, ExperimentSpec, LinkRef, WorkloadSpec};
     use netsim::time::Ns;
     use netsim::traffic::TrafficSpec;
 
-    fn small_spec() -> ExperimentSpec {
-        ExperimentSpec::new(
+    /// One contender on a small dumbbell through the one run path.
+    fn outcome_of(contender: ContenderSpec) -> Outcome {
+        let spec = ExperimentSpec::new(
             "small",
             "small dumbbell",
             WorkloadSpec::uniform(
@@ -228,25 +190,20 @@ mod tests {
                 Ns::from_millis(150),
                 TrafficSpec::fig4(),
             ),
-            vec![ContenderSpec::new("newreno")],
+            vec![contender],
             Budget {
                 runs: 2,
                 sim_secs: 10,
             },
             11,
-        )
-    }
-
-    fn scenarios_for(c: &Contender) -> Vec<Scenario> {
-        let spec = small_spec();
-        let point = &spec.points()[0];
-        spec.scenarios_at(0, point, c).expect("expand")
+        );
+        let mut results = Experiment::new(spec).run().expect("runs");
+        results.cells.remove(0).outcome
     }
 
     #[test]
     fn baseline_outcome_has_samples() {
-        let c = Contender::baseline(Scheme::NewReno);
-        let out = evaluate_scenarios(&c, &scenarios_for(&c));
+        let out = outcome_of(ContenderSpec::new("newreno"));
         assert_eq!(out.label, "NewReno");
         assert!(!out.throughput_samples.is_empty());
         assert_eq!(out.throughput_samples.len(), out.delay_samples.len());
@@ -256,9 +213,7 @@ mod tests {
 
     #[test]
     fn remy_contender_runs_end_to_end() {
-        let table = Arc::new(WhiskerTree::single_rule());
-        let c = Contender::remy("RemyCC test", table);
-        let out = evaluate_scenarios(&c, &scenarios_for(&c));
+        let out = outcome_of(ContenderSpec::labeled("remy:delta1", "RemyCC test"));
         assert_eq!(out.label, "RemyCC test");
         assert!(out.median_throughput_mbps > 0.0);
     }
@@ -290,23 +245,16 @@ mod tests {
             [false, false, false],
         );
         assert_eq!(c.label(), "blind");
-        let out = evaluate_scenarios(&c, &scenarios_for(&c));
+        let out = outcome_of(ContenderSpec::labeled("remy:delta1:mask=000", "blind"));
+        assert_eq!(out.label, "blind");
         assert!(out.median_throughput_mbps > 0.0, "blind RemyCC still runs");
     }
 
     #[test]
     fn deterministic_across_calls() {
-        let c = Contender::baseline(Scheme::Vegas);
-        let scenarios = scenarios_for(&c);
-        let a = evaluate_scenarios(&c, &scenarios);
-        let b = evaluate_scenarios(&c, &scenarios);
+        let a = outcome_of(ContenderSpec::new("vegas"));
+        let b = outcome_of(ContenderSpec::new("vegas"));
         assert_eq!(a.median_throughput_mbps, b.median_throughput_mbps);
         assert_eq!(a.delay_samples, b.delay_samples);
-    }
-
-    #[test]
-    fn env_overrides_parse() {
-        assert_eq!(runs_from_env(128), 128);
-        assert_eq!(sim_secs_from_env(100), 100);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Re-exports the simulator substrate (`netsim`), the baseline schemes
 //! (`congestion`), the synthetic cellular traces (`traces`), and Remy
-//! itself (`remy`), plus the declarative experiment layer every binary,
-//! example, and integration test in this repository runs on:
+//! itself (`remy`), plus the declarative experiment layer the CLI, every
+//! example, and every integration test in this repository run on:
 //!
 //! * [`spec`] — serializable [`spec::ExperimentSpec`] descriptions
 //!   (workload, contenders by name, sweep grids, budget);
@@ -11,8 +11,8 @@
 //!   a spec through the deterministic parallel engine;
 //! * [`experiments`] — the named registry of every figure/table
 //!   reproduction (`experiments::by_name("fig4")`);
-//! * [`harness`] — contenders, outcomes, and the scenario-level
-//!   evaluation loop;
+//! * [`harness`] — contenders (one scenario simulated under one scheme)
+//!   and pooled outcomes;
 //! * [`report`] — tables and CSV output.
 //!
 //! ```
@@ -55,10 +55,8 @@ pub mod spec;
 /// The most commonly used items across all four crates.
 pub mod prelude {
     pub use crate::experiment::{CellResult, Experiment, ExperimentCell, ExperimentResults};
-    pub use crate::harness::{evaluate_scenarios, Contender, Outcome};
-    pub use crate::report::{
-        print_outcomes, print_speedup_table, write_outcomes_csv, write_rows_csv, ExperimentReport,
-    };
+    pub use crate::harness::{Contender, Outcome};
+    pub use crate::report::{write_rows_csv, ExperimentReport};
     pub use crate::spec::{
         Budget, ContenderSpec, ExperimentSpec, GraphGenerator, GraphLinkRef, GraphSpec, HopRef,
         LinkEventSpec, LinkRef, SweepAxis, SweepPoint, TopologySpec, WorkloadSpec,

@@ -1,6 +1,6 @@
-//! Result rendering shared by the experiment engine, the registry, and
-//! the figure binaries: throughput/delay tables, §1-style speedup tables,
-//! and the CSV files written under `target/experiments/`.
+//! Result rendering shared by the experiment engine and the registry:
+//! throughput/delay tables, §1-style speedup tables, and the CSV files
+//! written under `target/experiments/`.
 
 use crate::harness::Outcome;
 use std::io::Write as _;
@@ -71,16 +71,6 @@ pub fn speedup_table(reference: &Outcome, others: &[Outcome]) -> String {
     out
 }
 
-/// Print [`outcomes_table`] to stdout.
-pub fn print_outcomes(title: &str, outcomes: &[Outcome]) {
-    print!("{}", outcomes_table(title, outcomes));
-}
-
-/// Print [`speedup_table`] to stdout.
-pub fn print_speedup_table(reference: &Outcome, others: &[Outcome]) {
-    print!("{}", speedup_table(reference, others));
-}
-
 /// Where experiment CSVs land.
 pub fn experiments_dir() -> PathBuf {
     let dir = PathBuf::from("target/experiments");
@@ -105,17 +95,9 @@ pub fn write_rows_csv(name: &str, header: &str, rows: &[String]) {
     println!("(csv: {})", path.display());
 }
 
-/// Write a CSV of outcome rows for plotting.
-pub fn write_outcomes_csv(name: &str, outcomes: &[Outcome]) {
-    let rows: Vec<String> = outcomes.iter().map(outcome_csv_row).collect();
-    write_rows_csv(name, OUTCOMES_CSV_HEADER, &rows);
-}
-
-/// A rendered experiment: the printable report plus its CSV. This is what
-/// [`crate::experiments::run_named`] and every figure binary produce —
-/// one value, printed and written the same way by every entry point, so
-/// `remy-cli run fig4` and the `fig4_dumbbell8` binary emit byte-identical
-/// output.
+/// A rendered experiment: the printable report plus its CSV — what
+/// [`crate::experiments::run_named`] produces and `remy-cli run` prints
+/// and writes.
 #[derive(Clone, Debug)]
 pub struct ExperimentReport {
     /// CSV file stem under `target/experiments/`.

@@ -15,7 +15,7 @@
 //! randomness, and the same point seed is reused across contenders
 //! (common random numbers, as in the paper's methodology).
 
-use crate::harness::{runs_from_env, sim_secs_from_env, Contender};
+use crate::harness::Contender;
 use congestion::Scheme;
 use netsim::json::{self, Value};
 use netsim::link::LinkSpec;
@@ -28,9 +28,9 @@ use netsim::traffic::TrafficSpec;
 use remy::whisker::WhiskerTree;
 use std::sync::Arc;
 
-/// Default per-scheme run count (`REMY_RUNS` overrides).
+/// Default per-scheme run count (`--runs` overrides).
 pub const DEFAULT_RUNS: usize = 16;
-/// Default simulated seconds per run (`REMY_SIM_SECS` overrides).
+/// Default simulated seconds per run (`--secs` overrides).
 pub const DEFAULT_SIM_SECS: u64 = 30;
 
 /// Experiment budget: how many seeded runs, how long each simulates.
@@ -45,17 +45,7 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// Resolve from `REMY_RUNS` / `REMY_SIM_SECS`, falling back to the
-    /// repository defaults.
-    pub fn from_env() -> Budget {
-        Budget {
-            runs: runs_from_env(DEFAULT_RUNS),
-            sim_secs: sim_secs_from_env(DEFAULT_SIM_SECS),
-        }
-    }
-
-    /// The repository defaults, ignoring the environment (stable golden
-    /// spec output).
+    /// The repository defaults (also the budget of every golden spec).
     pub fn default_fixed() -> Budget {
         Budget {
             runs: DEFAULT_RUNS,

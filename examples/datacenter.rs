@@ -3,7 +3,7 @@
 //!
 //! The paper's fabric is 10 Gbps / 4 ms / 64 senders; DESIGN.md documents
 //! the 500 Mbps scaling used here (same queue-vs-BDP geometry, laptop-
-//! scale runtime). Use `REMY_DC_MBPS=10000` to run at paper scale.
+//! scale runtime); set `MBPS` below to 10 000 to run at paper scale.
 //!
 //! ```text
 //! cargo run --release -p remy-sim --example datacenter
@@ -11,11 +11,11 @@
 
 use remy_sim::prelude::*;
 
+/// Fabric speed, Mbps; transfer sizes and the marking threshold scale with it.
+const MBPS: f64 = 500.0;
+
 fn main() {
-    let mbps: f64 = std::env::var("REMY_DC_MBPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500.0);
+    let mbps = MBPS;
     let scale = mbps / 10_000.0;
     let n = 32;
     let transfer_bytes = 20e6 * scale; // paper: exp(20 MB) at 10 Gbps

@@ -133,8 +133,6 @@ fn remy_cli_lists_experiments_and_dumps_specs() {
 
     let spec = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
         .args(["spec", "fig4"])
-        .env_remove("REMY_RUNS")
-        .env_remove("REMY_SIM_SECS")
         .output()
         .expect("spawn");
     assert!(spec.status.success());
@@ -313,11 +311,16 @@ fn zero_budgets_are_rejected_by_name_before_anything_runs() {
     assert_ne!(text, FIG4_GOLDEN, "the golden's budget was rewritten");
     std::fs::write(&path, text).unwrap();
 
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["run", "fig4", "--runs", "0"], "--runs"),
         (&["run", "fig4", "--secs", "0"], "--secs"),
         (&["run", path.to_str().unwrap(), "--out", "csv"], "runs"),
         (&["eval", "delta1", "1", "0", "5"], "specimens"),
+        // δ weighs delay in the objective: an unparsable, NaN or negative
+        // one must not be scored as if it were the default.
+        (&["eval", "delta1", "abc", "2", "2"], "delta"),
+        (&["eval", "delta1", "nan", "2", "2"], "delta"),
+        (&["eval", "delta1", "-3", "2", "2"], "delta"),
     ];
     for (args, field) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
@@ -336,4 +339,44 @@ fn zero_budgets_are_rejected_by_name_before_anything_runs() {
             "{args:?}: no report, score or CSV line is printed"
         );
     }
+}
+
+/// One line per registry entry: `name fnv1a64(text, csv_header, csv_rows)`
+/// at `Budget { runs: 2, sim_secs: 3 }`, generated at the commit before the
+/// table renderer in `experiments.rs` was introduced.
+const REPORT_DIGESTS: &str = include_str!("report_digests.txt");
+
+#[test]
+fn every_registry_report_is_byte_identical_to_its_committed_digest() {
+    // The other report tests check `contains("==")` and row counts; this
+    // one pins every byte of every entry's text and CSV, so a change to a
+    // column width, a precision or a header shows up as a named entry.
+    fn fnv1a64(parts: &[&str]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for part in parts {
+            // The 0xff terminator keeps ("ab", "c") apart from ("a", "bc").
+            for &b in part.as_bytes().iter().chain(&[0xff]) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+    let tiny = Budget {
+        runs: 2,
+        sim_secs: 3,
+    };
+    let fresh: String = experiments::all()
+        .iter()
+        .map(|entry| {
+            let rep = experiments::run_named(entry.name, tiny)
+                .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+            let mut parts = vec![rep.text.as_str(), rep.csv_header.as_str()];
+            parts.extend(rep.csv_rows.iter().map(String::as_str));
+            format!("{} {:016x}\n", entry.name, fnv1a64(&parts))
+        })
+        .collect();
+    for (got, want) in fresh.lines().zip(REPORT_DIGESTS.lines()) {
+        assert_eq!(got, want, "report bytes changed");
+    }
+    assert_eq!(fresh, REPORT_DIGESTS, "one digest per registry entry");
 }

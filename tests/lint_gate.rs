@@ -135,7 +135,7 @@ fn hot_path_functions_stay_sim_reachable() {
         ("crates/netsim/src/sim.rs", "Simulator::on_ack_arrive"),
         ("crates/netsim/src/sched.rs", "TimingWheel::pop"),
         ("crates/netsim/src/transport.rs", "Transport::update_rtt"),
-        ("crates/netsim/src/stats.rs", "P2Quantile::observe"),
+        ("crates/netsim/src/stats.rs", "StreamingSummary::observe"),
         ("crates/netsim/src/flow.rs", "FlowTable::respawn"),
         ("crates/netsim/src/rng.rs", "SimRng::fork"),
         ("crates/core/src/remycc.rs", "RemyCc::on_ack"),
