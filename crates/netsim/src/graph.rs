@@ -20,7 +20,6 @@
 //! fat-tree *k*=4, and seeded Waxman random graphs — live here too, so
 //! spec files can name a topology class instead of enumerating links.
 
-use crate::json::{self, Value};
 use crate::link::LinkSpec;
 use crate::queue::QueueSpec;
 use crate::rng::SimRng;
@@ -546,133 +545,6 @@ impl NetGraph {
     pub fn route(&self, src: u32, dst: u32, down: &[bool]) -> Result<Vec<usize>, String> {
         self.route_via(&self.forwarding(down), src, dst)
     }
-
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        let mut fields = vec![
-            (
-                "routers",
-                Value::Arr(self.routers.iter().map(Value::str).collect()),
-            ),
-            (
-                "links",
-                Value::Arr(
-                    self.links
-                        .iter()
-                        .map(|l| {
-                            Value::obj(vec![
-                                ("src", json::u64_value(l.src as u64)),
-                                ("dst", json::u64_value(l.dst as u64)),
-                                ("weight", json::u64_value(l.weight)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "flows",
-                Value::Arr(
-                    self.flows
-                        .iter()
-                        .map(|&(s, d)| {
-                            Value::Arr(vec![json::u64_value(s as u64), json::u64_value(d as u64)])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if !self.events.is_empty() {
-            fields.push((
-                "events",
-                Value::Arr(
-                    self.events
-                        .iter()
-                        .map(|e| {
-                            Value::obj(vec![
-                                ("at_ns", json::ns_value(e.at)),
-                                ("link", json::u64_value(e.link as u64)),
-                                ("up", Value::Bool(e.up)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        fields.push(("policy", Value::str(self.policy.name())));
-        Value::obj(fields)
-    }
-
-    /// Deserialize a value written by [`NetGraph::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<NetGraph, String> {
-        let routers = v
-            .field("routers")?
-            .as_arr()?
-            .iter()
-            .map(|r| r.as_str().map(str::to_string))
-            .collect::<Result<Vec<String>, String>>()?;
-        let links = v
-            .field("links")?
-            .as_arr()?
-            .iter()
-            .map(|l| {
-                Ok(GraphLink {
-                    src: l.field("src")?.as_u64()? as u32,
-                    dst: l.field("dst")?.as_u64()? as u32,
-                    weight: l.field("weight")?.as_u64()?,
-                })
-            })
-            .collect::<Result<Vec<GraphLink>, String>>()?;
-        let flows = v
-            .field("flows")?
-            .as_arr()?
-            .iter()
-            .map(|f| {
-                let pair = f.as_arr()?;
-                if pair.len() != 2 {
-                    return Err("flow endpoints must be a [src, dst] pair".to_string());
-                }
-                Ok((pair[0].as_u64()? as u32, pair[1].as_u64()? as u32))
-            })
-            .collect::<Result<Vec<(u32, u32)>, String>>()?;
-        let events = match v.get("events") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(e) => e
-                .as_arr()?
-                .iter()
-                .map(|e| {
-                    Ok(LinkEvent {
-                        at: json::ns_from(e.field("at_ns")?)?,
-                        link: e.field("link")?.as_u64()? as u32,
-                        up: e.field("up")?.as_bool()?,
-                    })
-                })
-                .collect::<Result<Vec<LinkEvent>, String>>()?,
-        };
-        let policy = FailoverPolicy::from_name(v.field("policy")?.as_str()?)?;
-        let n = routers.len() as u32;
-        for l in &links {
-            if l.src >= n || l.dst >= n {
-                return Err("graph link endpoint out of range".to_string());
-            }
-        }
-        for &(s, d) in &flows {
-            if s >= n || d >= n {
-                return Err("graph flow endpoint out of range".to_string());
-            }
-        }
-        for e in &events {
-            if e.link as usize >= links.len() {
-                return Err(format!("link event references unknown link {}", e.link));
-            }
-        }
-        Ok(NetGraph {
-            routers,
-            links,
-            flows,
-            events,
-            policy,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -895,41 +767,9 @@ mod tests {
         assert_eq!(topo.hops.len(), 10);
         assert_eq!(topo.paths[0].fwd, vec![0, 2, 4]);
         assert_eq!(topo.paths[0].ack, vec![5, 3, 1]);
-        let g = topo.graph.as_ref().expect("graph embedded");
+        let g = topo.graph().expect("graph embedded");
         assert_eq!(g.flows, vec![(0, 3), (0, 3)]);
         assert_eq!(g.events, events);
         topo.validate(2).expect("valid topology");
-    }
-
-    #[test]
-    fn netgraph_round_trips_through_json() {
-        let topo = chain_with_backup()
-            .into_topology(
-                &[(RouterId(0), RouterId(3))],
-                vec![LinkEvent {
-                    at: Ns::from_secs(3),
-                    link: 2,
-                    up: false,
-                }],
-                FailoverPolicy::Drop,
-            )
-            .expect("routable");
-        let g = topo.graph.expect("graph embedded");
-        let text = g.to_json_value().pretty();
-        let back = NetGraph::from_json_value(&crate::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(g, back);
-        // Corrupt documents are rejected, not mis-parsed.
-        assert!(NetGraph::from_json_value(
-            &crate::json::parse(&text.replace("reroute", "drop")).unwrap()
-        )
-        .is_ok());
-        assert!(NetGraph::from_json_value(
-            &crate::json::parse(&text.replace("\"drop\"", "\"nonsense\"")).unwrap()
-        )
-        .is_err());
-        assert!(NetGraph::from_json_value(
-            &crate::json::parse(&text.replace("\"link\": 2", "\"link\": 99")).unwrap()
-        )
-        .is_err());
     }
 }

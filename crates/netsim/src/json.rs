@@ -7,11 +7,13 @@
 //! shortest-round-trip `Display`, so `f64` values survive a round trip
 //! bit-for-bit.
 //!
-//! The module also serves the declarative experiment layer: scenarios
-//! ([`crate::scenario::Scenario`]) and experiment specifications
-//! (`remy_sim::spec::ExperimentSpec`) serialize through the same value
-//! tree, using the [`u64_value`]/[`ns_value`] helpers for fields — seeds,
-//! nanosecond clocks — whose full integer range a JSON `f64` cannot carry.
+//! The module also serves the declarative experiment layer: experiment
+//! specifications (`remy_sim::spec::ExperimentSpec`, the one serialized
+//! description of a simulated world) go through the same value tree,
+//! using the [`u64_value`]/[`ns_value`] helpers for fields — seeds,
+//! nanosecond clocks — whose full integer range a JSON `f64` cannot carry,
+//! and [`Value::only_keys`] so a misspelled key is an error, not a
+//! default.
 
 use crate::time::Ns;
 use std::fmt::Write as _;
@@ -46,6 +48,20 @@ impl Value {
     pub fn field(&self, key: &str) -> Result<&Value, String> {
         self.get(key)
             .ok_or_else(|| format!("missing field '{key}'"))
+    }
+
+    /// Reject object keys outside `known`, naming the key and the object
+    /// it sits in (`unknown key 'sweep' in experiment spec`): a misspelled
+    /// optional key must fail the parse, not be silently ignored. Every
+    /// `from_json_value` calls this first with the keys it reads.
+    pub fn only_keys(&self, what: &str, known: &[&str]) -> Result<(), String> {
+        let Value::Obj(fields) = self else {
+            return Ok(()); // the field reads that follow report the type
+        };
+        match fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            Some((k, _)) => Err(format!("unknown key '{k}' in {what}")),
+            None => Ok(()),
+        }
     }
 
     /// This value as f64.
@@ -603,5 +619,17 @@ mod tests {
         assert!(v.field("missing").is_err());
         assert!(v.field("s").unwrap().as_u64().is_err());
         assert!(parse("1.5").unwrap().as_u64().is_err());
+    }
+
+    #[test]
+    fn only_keys_names_the_stray_key_and_its_object() {
+        let v = parse(r#"{"n": 3, "sweep": []}"#).unwrap();
+        assert!(v.only_keys("thing", &["n", "sweep"]).is_ok());
+        assert_eq!(
+            v.only_keys("thing", &["n", "sweeps"]).unwrap_err(),
+            "unknown key 'sweep' in thing"
+        );
+        // Non-objects pass: the field reads that follow name the type.
+        assert!(parse("[1]").unwrap().only_keys("thing", &[]).is_ok());
     }
 }

@@ -11,7 +11,6 @@
 //!   released to the receiver at the same time they were released in the
 //!   trace", §5.1). The schedule loops when the simulation outlasts it.
 
-use crate::json::Value;
 use crate::time::{service_time, Ns};
 use std::sync::Arc;
 
@@ -91,72 +90,6 @@ impl LinkSpec {
             LinkSpec::Trace { name, .. } => name.clone(),
         }
     }
-
-    /// Serialize to a JSON value. Trace links carry their full delivery
-    /// schedule inline, so a serialized scenario pins the experiment
-    /// byte-for-byte with no external trace files.
-    pub fn to_json_value(&self) -> Value {
-        match self {
-            LinkSpec::Constant { rate_mbps } => Value::obj(vec![
-                ("kind", Value::str("constant")),
-                ("rate_mbps", Value::num(*rate_mbps)),
-            ]),
-            LinkSpec::Trace { schedule, name } => Value::obj(vec![
-                ("kind", Value::str("trace")),
-                ("name", Value::str(name.clone())),
-                (
-                    "instants_ns",
-                    Value::Arr(
-                        schedule
-                            .instants()
-                            .iter()
-                            .map(|t| crate::json::ns_value(*t))
-                            .collect(),
-                    ),
-                ),
-                ("tail_gap_ns", crate::json::ns_value(schedule.tail_gap())),
-            ]),
-        }
-    }
-
-    /// Deserialize a value written by [`LinkSpec::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<LinkSpec, String> {
-        match v.field("kind")?.as_str()? {
-            "constant" => {
-                let rate = v.field("rate_mbps")?.as_f64()?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err(format!("link rate must be positive, got {rate}"));
-                }
-                Ok(LinkSpec::Constant { rate_mbps: rate })
-            }
-            "trace" => {
-                let name = v.field("name")?.as_str()?.to_string();
-                let instants = v
-                    .field("instants_ns")?
-                    .as_arr()?
-                    .iter()
-                    .map(crate::json::ns_from)
-                    .collect::<Result<Vec<Ns>, String>>()?;
-                let tail_gap = crate::json::ns_from(v.field("tail_gap_ns")?)?;
-                if instants.is_empty() {
-                    return Err("trace link needs at least one instant".to_string());
-                }
-                if instants[0] == Ns::ZERO {
-                    return Err("trace instants must be strictly positive".to_string());
-                }
-                for w in instants.windows(2) {
-                    if w[0] >= w[1] {
-                        return Err("trace instants must strictly increase".to_string());
-                    }
-                }
-                Ok(LinkSpec::Trace {
-                    schedule: Arc::new(DeliverySchedule::new(instants, tail_gap)),
-                    name,
-                })
-            }
-            other => Err(format!("unknown link kind '{other}'")),
-        }
-    }
 }
 
 /// A strictly-increasing list of packet-delivery instants.
@@ -192,16 +125,6 @@ impl DeliverySchedule {
         // lint:allow(p1-sim-unwrap): the constructor asserts a non-empty
         // instants list, and the schedule is immutable after that.
         *self.instants.last().expect("non-empty") + self.tail_gap
-    }
-
-    /// The delivery instants of one period.
-    pub fn instants(&self) -> &[Ns] {
-        &self.instants
-    }
-
-    /// The idle gap appended after the final instant.
-    pub fn tail_gap(&self) -> Ns {
-        self.tail_gap
     }
 
     /// Number of delivery opportunities per period.

@@ -170,7 +170,7 @@ pub struct FlowSummary {
     pub duplicate_deliveries: u64,
     /// Mean per-packet queueing delay, milliseconds: each data packet's
     /// waits are summed over every queue on its forward path (the single
-    /// bottleneck queue on the legacy dumbbell) and recorded once, at its
+    /// bottleneck queue on the dumbbell) and recorded once, at its
     /// final hop. ACK queueing on a congested return path is not included
     /// here — it shows up in `mean_rtt_ms`.
     pub mean_queue_delay_ms: f64,
@@ -234,7 +234,7 @@ pub struct SimResults {
     pub flows: Vec<FlowSummary>,
     /// Packets dropped by queues, summed across every hop. On a topology
     /// with queued ACK paths this includes dropped ACK packets (queues do
-    /// not distinguish them); the legacy dumbbell has one hop and
+    /// not distinguish them); the dumbbell has one hop and
     /// delay-only ACKs, so there it is exactly data lost at the
     /// bottleneck.
     pub queue_drops: u64,

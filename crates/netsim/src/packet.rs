@@ -55,7 +55,7 @@ pub struct Packet {
     pub queue_wait: Ns,
     /// Position along the owning flow's path (index into
     /// [`crate::topology::FlowPath::fwd`], or `ack` for ACK packets).
-    /// Maintained by the engine; always 0 on the legacy dumbbell.
+    /// Maintained by the engine; always 0 on the dumbbell.
     pub path_pos: usize,
     /// Routing epoch this packet was last routed under (graph
     /// topologies only; the engine bumps its epoch on every link

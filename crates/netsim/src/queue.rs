@@ -23,7 +23,6 @@
 //! slot back to the arena; a handle returned by `dequeue` transfers
 //! ownership to the caller.
 
-use crate::json::Value;
 use crate::packet::{PacketArena, PacketId};
 use crate::time::Ns;
 use std::collections::VecDeque;
@@ -947,100 +946,6 @@ impl QueueSpec {
                 drop_probability,
                 seed,
             },
-        }
-    }
-
-    /// Serialize to a JSON value (kind tag plus the variant's fields).
-    pub fn to_json_value(&self) -> Value {
-        use crate::json::u64_value;
-        let cap = |c: usize| u64_value(c as u64);
-        match *self {
-            QueueSpec::DropTail { capacity } => Value::obj(vec![
-                ("kind", Value::str("drop_tail")),
-                ("capacity", cap(capacity)),
-            ]),
-            QueueSpec::Unlimited => Value::obj(vec![("kind", Value::str("unlimited"))]),
-            QueueSpec::Ecn {
-                capacity,
-                mark_threshold,
-            } => Value::obj(vec![
-                ("kind", Value::str("ecn")),
-                ("capacity", cap(capacity)),
-                ("mark_threshold", cap(mark_threshold)),
-            ]),
-            QueueSpec::Codel { capacity } => Value::obj(vec![
-                ("kind", Value::str("codel")),
-                ("capacity", cap(capacity)),
-            ]),
-            QueueSpec::SfqCodel { capacity, buckets } => Value::obj(vec![
-                ("kind", Value::str("sfq_codel")),
-                ("capacity", cap(capacity)),
-                ("buckets", cap(buckets)),
-            ]),
-            QueueSpec::Red {
-                capacity,
-                min_th,
-                max_th,
-            } => Value::obj(vec![
-                ("kind", Value::str("red")),
-                ("capacity", cap(capacity)),
-                ("min_th", cap(min_th)),
-                ("max_th", cap(max_th)),
-            ]),
-            QueueSpec::RedEcn {
-                capacity,
-                min_th,
-                max_th,
-            } => Value::obj(vec![
-                ("kind", Value::str("red_ecn")),
-                ("capacity", cap(capacity)),
-                ("min_th", cap(min_th)),
-                ("max_th", cap(max_th)),
-            ]),
-            QueueSpec::LossyDropTail {
-                capacity,
-                drop_probability,
-                seed,
-            } => Value::obj(vec![
-                ("kind", Value::str("lossy_drop_tail")),
-                ("capacity", cap(capacity)),
-                ("drop_probability", Value::num(drop_probability)),
-                ("seed", u64_value(seed)),
-            ]),
-        }
-    }
-
-    /// Deserialize a value written by [`QueueSpec::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<QueueSpec, String> {
-        let cap = || v.field("capacity")?.as_usize();
-        match v.field("kind")?.as_str()? {
-            "drop_tail" => Ok(QueueSpec::DropTail { capacity: cap()? }),
-            "unlimited" => Ok(QueueSpec::Unlimited),
-            "ecn" => Ok(QueueSpec::Ecn {
-                capacity: cap()?,
-                mark_threshold: v.field("mark_threshold")?.as_usize()?,
-            }),
-            "codel" => Ok(QueueSpec::Codel { capacity: cap()? }),
-            "sfq_codel" => Ok(QueueSpec::SfqCodel {
-                capacity: cap()?,
-                buckets: v.field("buckets")?.as_usize()?,
-            }),
-            "red" => Ok(QueueSpec::Red {
-                capacity: cap()?,
-                min_th: v.field("min_th")?.as_usize()?,
-                max_th: v.field("max_th")?.as_usize()?,
-            }),
-            "red_ecn" => Ok(QueueSpec::RedEcn {
-                capacity: cap()?,
-                min_th: v.field("min_th")?.as_usize()?,
-                max_th: v.field("max_th")?.as_usize()?,
-            }),
-            "lossy_drop_tail" => Ok(QueueSpec::LossyDropTail {
-                capacity: cap()?,
-                drop_probability: v.field("drop_probability")?.as_f64()?,
-                seed: v.field("seed")?.as_u64()?,
-            }),
-            other => Err(format!("unknown queue kind '{other}'")),
         }
     }
 

@@ -5,6 +5,11 @@
 //! and traffic processes, a duration, and a seed. Experiment harnesses
 //! construct scenarios, attach congestion-control factories, and run them
 //! through [`crate::sim::Simulator`].
+//!
+//! A scenario is a resolved value with no wire format of its own: the one
+//! serialized description of a run is the experiment spec
+//! (`remy_sim::spec`), which embeds the leaf types here ([`SenderConfig`],
+//! [`ChurnSpec`]) verbatim.
 
 use crate::json::{self, Value};
 use crate::link::LinkSpec;
@@ -33,6 +38,7 @@ impl SenderConfig {
 
     /// Deserialize a value written by [`SenderConfig::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<SenderConfig, String> {
+        v.only_keys("sender", &["rtt_ns", "traffic"])?;
         Ok(SenderConfig {
             rtt: json::ns_from(v.field("rtt_ns")?)?,
             traffic: TrafficSpec::from_json_value(v.field("traffic")?)?,
@@ -45,7 +51,8 @@ impl SenderConfig {
 ///
 /// Churn rides alongside the scenario's persistent `senders` — the paper's
 /// Fig. 2 world plus a population of short web-style transfers contending
-/// for the same queue. Requires the legacy dumbbell (no `topology`).
+/// for the same queue. Requires the dumbbell (no `topology`): an arrival
+/// carries no path description.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChurnSpec {
     /// Poisson arrival rate, flows per second (λ).
@@ -69,6 +76,7 @@ impl ChurnSpec {
 
     /// Deserialize a value written by [`ChurnSpec::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<ChurnSpec, String> {
+        v.only_keys("churn", &["arrivals_per_sec", "size", "rtt_ns"])?;
         let spec = ChurnSpec {
             arrivals_per_sec: v.field("arrivals_per_sec")?.as_f64()?,
             size: OnSpec::from_json_value(v.field("size")?)?,
@@ -122,9 +130,9 @@ pub struct Scenario {
     pub record_deliveries: bool,
     /// Multi-hop topology (parking-lot chains, incast fan-in, congested
     /// ACK paths). `None` — the default, and the paper's world — is the
-    /// single-bottleneck dumbbell built from `link` + `queue`; when `Some`,
-    /// `link`/`queue` mirror hop 0 and the engine routes every flow along
-    /// its [`crate::topology::FlowPath`].
+    /// dumbbell, which the engine builds as the 1-hop topology over `link`
+    /// and `queue`; when `Some`, `link`/`queue` mirror hop 0 and every flow
+    /// follows its [`crate::topology::FlowPath`].
     pub topology: Option<Topology>,
     /// Dynamic flow churn riding alongside the persistent senders. `None`
     /// — the default, and the paper's world — runs only the configured
@@ -194,8 +202,7 @@ impl Scenario {
     }
 
     /// Builder-style: add dynamic flow churn. Panics on an invalid spec or
-    /// if a multi-hop topology is attached (churn runs on the legacy
-    /// dumbbell only).
+    /// if a topology is attached (churn runs on the dumbbell only).
     pub fn with_churn(mut self, churn: ChurnSpec) -> Scenario {
         churn.validate().expect("valid churn spec");
         assert!(
@@ -204,89 +211,6 @@ impl Scenario {
         );
         self.churn = Some(churn);
         self
-    }
-
-    /// Serialize to a JSON value. Everything that affects the simulation —
-    /// including the seed and any trace link's full delivery schedule — is
-    /// captured, so a serialized scenario pins a reproducible run.
-    pub fn to_json_value(&self) -> Value {
-        let mut fields = vec![
-            ("link", self.link.to_json_value()),
-            ("queue", self.queue.to_json_value()),
-            (
-                "senders",
-                Value::Arr(
-                    self.senders
-                        .iter()
-                        .map(SenderConfig::to_json_value)
-                        .collect(),
-                ),
-            ),
-            ("mss", Value::num(self.mss as f64)),
-            ("duration_ns", json::ns_value(self.duration)),
-            ("seed", json::u64_value(self.seed)),
-            ("record_deliveries", Value::Bool(self.record_deliveries)),
-        ];
-        // Omitted entirely for the legacy dumbbell, so pre-topology
-        // scenario documents stay byte-identical.
-        if let Some(t) = &self.topology {
-            fields.push(("topology", t.to_json_value()));
-        }
-        // Same omission rule: churn-free scenarios stay byte-identical to
-        // documents written before the field existed.
-        if let Some(c) = &self.churn {
-            fields.push(("churn", c.to_json_value()));
-        }
-        Value::obj(fields)
-    }
-
-    /// Deserialize a value written by [`Scenario::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<Scenario, String> {
-        let senders = v
-            .field("senders")?
-            .as_arr()?
-            .iter()
-            .map(SenderConfig::from_json_value)
-            .collect::<Result<Vec<SenderConfig>, String>>()?;
-        if senders.is_empty() {
-            return Err("scenario needs at least one sender".to_string());
-        }
-        let topology = match v.get("topology") {
-            None | Some(Value::Null) => None,
-            Some(t) => {
-                let topo = Topology::from_json_value(t)?;
-                topo.validate(senders.len())?;
-                Some(topo)
-            }
-        };
-        let churn = match v.get("churn") {
-            None | Some(Value::Null) => None,
-            Some(c) => Some(ChurnSpec::from_json_value(c)?),
-        };
-        if churn.is_some() && topology.is_some() {
-            return Err("churn is not supported on a topology scenario".to_string());
-        }
-        Ok(Scenario {
-            link: LinkSpec::from_json_value(v.field("link")?)?,
-            queue: QueueSpec::from_json_value(v.field("queue")?)?,
-            senders,
-            mss: v.field("mss")?.as_u64()? as u32,
-            duration: json::ns_from(v.field("duration_ns")?)?,
-            seed: v.field("seed")?.as_u64()?,
-            record_deliveries: v.field("record_deliveries")?.as_bool()?,
-            topology,
-            churn,
-        })
-    }
-
-    /// Serialize to pretty-printed JSON text.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().pretty()
-    }
-
-    /// Parse a scenario from JSON text.
-    pub fn from_json(text: &str) -> Result<Scenario, String> {
-        Scenario::from_json_value(&json::parse(text)?)
     }
 }
 
@@ -313,40 +237,6 @@ mod tests {
         assert!(s2.record_deliveries);
     }
 
-    use crate::link::DeliverySchedule;
-    use crate::traffic::OnSpec;
-
-    fn every_queue_spec() -> Vec<QueueSpec> {
-        vec![
-            QueueSpec::DropTail { capacity: 1000 },
-            QueueSpec::Unlimited,
-            QueueSpec::Ecn {
-                capacity: 500,
-                mark_threshold: 20,
-            },
-            QueueSpec::Codel { capacity: 300 },
-            QueueSpec::SfqCodel {
-                capacity: 1000,
-                buckets: 64,
-            },
-            QueueSpec::Red {
-                capacity: 1000,
-                min_th: 5,
-                max_th: 15,
-            },
-            QueueSpec::RedEcn {
-                capacity: 1000,
-                min_th: 5,
-                max_th: 15,
-            },
-            QueueSpec::LossyDropTail {
-                capacity: 1000,
-                drop_probability: 0.013,
-                seed: u64::MAX - 3,
-            },
-        ]
-    }
-
     fn every_traffic_spec() -> Vec<TrafficSpec> {
         vec![
             TrafficSpec::design_default(),
@@ -368,16 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn every_queue_spec_round_trips() {
-        for q in every_queue_spec() {
-            let v = q.to_json_value();
-            let back =
-                QueueSpec::from_json_value(&crate::json::parse(&v.pretty()).unwrap()).unwrap();
-            assert_eq!(q, back, "{q:?}");
-        }
-    }
-
-    #[test]
     fn every_traffic_spec_round_trips() {
         for t in every_traffic_spec() {
             let v = t.to_json_value();
@@ -387,69 +267,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn trace_link_round_trips_schedule_exactly() {
-        let l = LinkSpec::trace(
-            "verizon-like",
-            DeliverySchedule::new(vec![Ns(400_000), Ns(900_000), Ns(1_400_000)], Ns(100_000)),
-        );
-        let v = l.to_json_value();
-        let back = LinkSpec::from_json_value(&crate::json::parse(&v.pretty()).unwrap()).unwrap();
-        match (&l, &back) {
-            (
-                LinkSpec::Trace {
-                    schedule: a,
-                    name: an,
-                },
-                LinkSpec::Trace {
-                    schedule: b,
-                    name: bn,
-                },
-            ) => {
-                assert_eq!(an, bn);
-                assert_eq!(a.instants(), b.instants());
-                assert_eq!(a.tail_gap(), b.tail_gap());
-            }
-            _ => panic!("trace expected"),
-        }
-    }
-
-    #[test]
-    fn scenario_round_trips_through_text_json() {
-        for (qi, q) in every_queue_spec().into_iter().enumerate() {
-            let t = every_traffic_spec()[qi % 5].clone();
-            let mut s = Scenario::dumbbell(
-                LinkSpec::constant(15.0),
-                q,
-                3,
-                Ns::from_millis(150),
-                t,
-                Ns::from_secs(30),
-                // Full-range seeds must survive (split-derived seeds use
-                // all 64 bits).
-                u64::MAX - qi as u64,
-            );
-            s.senders[1].rtt = Ns::from_millis(50); // heterogeneous RTTs
-            if qi == 0 {
-                s = s.with_delivery_log();
-            }
-            let text = s.to_json();
-            let back = Scenario::from_json(&text).expect("parse");
-            assert_eq!(back.to_json(), text, "second round trip is identity");
-            assert_eq!(s.seed, back.seed);
-            assert_eq!(s.queue, back.queue);
-            assert_eq!(s.senders.len(), back.senders.len());
-            assert_eq!(s.senders[1].rtt, back.senders[1].rtt);
-            assert_eq!(s.senders[0].traffic, back.senders[0].traffic);
-            assert_eq!(s.duration, back.duration);
-            assert_eq!(s.record_deliveries, back.record_deliveries);
-        }
-    }
-
-    #[test]
-    fn topology_scenarios_round_trip_and_validate() {
-        use crate::topology::{FlowPath, HopSpec, Topology};
-        let base = Scenario::dumbbell(
+    fn two_sender_base() -> Scenario {
+        Scenario::dumbbell(
             LinkSpec::constant(15.0),
             QueueSpec::DropTail { capacity: 1000 },
             2,
@@ -457,59 +276,37 @@ mod tests {
             TrafficSpec::saturating(),
             Ns::from_secs(10),
             5,
-        );
+        )
+    }
+
+    #[test]
+    fn with_topology_mirrors_hop_zero_and_checks_the_path_count() {
+        use crate::topology::{FlowPath, HopSpec, Topology};
+        let hop = |mbps| {
+            HopSpec::new(
+                LinkSpec::constant(mbps),
+                QueueSpec::DropTail { capacity: 500 },
+            )
+        };
         let topo = Topology::from_flow_hops(
-            vec![
-                HopSpec::new(
-                    LinkSpec::constant(10.0),
-                    QueueSpec::DropTail { capacity: 500 },
-                )
-                .with_prop_delay(Ns::from_millis(5)),
-                HopSpec::new(
-                    LinkSpec::constant(10.0),
-                    QueueSpec::DropTail { capacity: 500 },
-                ),
-            ],
+            vec![hop(10.0), hop(20.0)],
             vec![
                 FlowPath::through(vec![0, 1]),
                 FlowPath::through(vec![1]).with_ack_path(vec![0]),
             ],
         );
-        let s = base.clone().with_topology(topo.clone());
+        let s = two_sender_base().with_topology(topo.clone());
         // link/queue mirror hop 0.
         assert!(matches!(s.link, LinkSpec::Constant { rate_mbps } if rate_mbps == 10.0));
         assert_eq!(s.queue, QueueSpec::DropTail { capacity: 500 });
-        let text = s.to_json();
-        assert!(text.contains("\"topology\""));
-        let back = Scenario::from_json(&text).expect("parse");
-        assert_eq!(back.to_json(), text, "round trip is identity");
-        assert_eq!(back.topology.as_ref().unwrap().paths, topo.paths);
-        // Legacy scenarios serialize with no topology key at all.
-        assert!(!base.to_json().contains("topology"));
+        assert_eq!(s.topology.as_ref().unwrap().paths, topo.paths);
         // A path set sized for the wrong sender count is rejected.
         let wrong = Topology::single_bottleneck(LinkSpec::constant(1.0), QueueSpec::Unlimited, 3);
-        let mut v = crate::json::parse(&base.to_json()).unwrap();
-        if let Value::Obj(fields) = &mut v {
-            fields.push(("topology".to_string(), wrong.to_json_value()));
-        }
-        assert!(Scenario::from_json_value(&v).is_err());
+        assert!(wrong.validate(s.n()).unwrap_err().contains("3 paths"));
     }
 
-    #[test]
-    fn churn_scenarios_round_trip_and_validate() {
-        let base = Scenario::dumbbell(
-            LinkSpec::constant(100.0),
-            QueueSpec::DropTail { capacity: 1000 },
-            2,
-            Ns::from_millis(100),
-            TrafficSpec::saturating(),
-            Ns::from_secs(10),
-            5,
-        );
-        // Churn-free scenarios serialize with no churn key at all, so
-        // pre-churn documents (and goldens) stay byte-identical.
-        assert!(!base.to_json().contains("churn"));
-        let churn = ChurnSpec {
+    fn web_churn() -> ChurnSpec {
+        ChurnSpec {
             arrivals_per_sec: 2000.0,
             size: OnSpec::BoundedPareto {
                 xm: 4500.0,
@@ -517,13 +314,19 @@ mod tests {
                 cap_bytes: 1_500_000.0,
             },
             rtt: Ns::from_millis(20),
-        };
-        let s = base.clone().with_churn(churn.clone());
-        let text = s.to_json();
-        assert!(text.contains("\"churn\""));
-        let back = Scenario::from_json(&text).expect("parse");
-        assert_eq!(back.to_json(), text, "round trip is identity");
-        assert_eq!(back.churn, Some(churn.clone()));
+        }
+    }
+
+    #[test]
+    fn churn_specs_round_trip_and_validate() {
+        let churn = web_churn();
+        let s = two_sender_base().with_churn(churn.clone());
+        assert_eq!(s.churn, Some(churn.clone()));
+        let text = churn.to_json_value().pretty();
+        assert_eq!(
+            ChurnSpec::from_json_value(&crate::json::parse(&text).unwrap()).unwrap(),
+            churn
+        );
         // Time-based churn sizes are rejected: an arriving flow is one
         // transfer, not a timed on-period.
         let bad = ChurnSpec {
@@ -539,68 +342,34 @@ mod tests {
         .is_err());
         assert!(ChurnSpec {
             rtt: Ns::ZERO,
-            ..churn.clone()
+            ..churn
         }
         .validate()
         .is_err());
-        // Churn + topology is rejected at parse time.
-        let mut v = crate::json::parse(&text).unwrap();
-        if let Value::Obj(fields) = &mut v {
-            let topo = Topology::single_bottleneck(
-                LinkSpec::constant(100.0),
-                QueueSpec::DropTail { capacity: 1000 },
-                2,
-            );
-            fields.push(("topology".to_string(), topo.to_json_value()));
-        }
-        assert!(Scenario::from_json_value(&v).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "churn is not supported on a topology scenario")]
+    fn with_churn_rejects_a_topology_scenario() {
+        let topo = Topology::single_bottleneck(
+            LinkSpec::constant(15.0),
+            QueueSpec::DropTail { capacity: 1000 },
+            2,
+        );
+        let _ = two_sender_base()
+            .with_topology(topo)
+            .with_churn(web_churn());
     }
 
     #[test]
     #[should_panic(expected = "byte-based")]
     fn with_churn_rejects_time_based_sizes() {
-        let base = Scenario::dumbbell(
-            LinkSpec::constant(100.0),
-            QueueSpec::DropTail { capacity: 1000 },
-            1,
-            Ns::from_millis(100),
-            TrafficSpec::saturating(),
-            Ns::from_secs(10),
-            5,
-        );
-        let _ = base.with_churn(ChurnSpec {
+        let _ = two_sender_base().with_churn(ChurnSpec {
             arrivals_per_sec: 10.0,
             size: OnSpec::ByTimeFixed {
                 duration: Ns::SECOND,
             },
             rtt: Ns::from_millis(20),
         });
-    }
-
-    #[test]
-    fn scenario_json_rejects_corruption() {
-        let s = Scenario::dumbbell(
-            LinkSpec::constant(15.0),
-            QueueSpec::DropTail { capacity: 10 },
-            1,
-            Ns::from_millis(150),
-            TrafficSpec::fig4(),
-            Ns::from_secs(1),
-            1,
-        );
-        let text = s.to_json();
-        assert!(Scenario::from_json(&text.replace("drop_tail", "nonsense")).is_err());
-        assert!(Scenario::from_json(&text.replace("\"seed\"", "\"sead\"")).is_err());
-        assert!(Scenario::from_json("{}").is_err());
-        // Empty sender lists are rejected, not silently accepted.
-        let mut v = crate::json::parse(&text).unwrap();
-        if let Value::Obj(fields) = &mut v {
-            for (k, val) in fields.iter_mut() {
-                if k == "senders" {
-                    *val = Value::Arr(vec![]);
-                }
-            }
-        }
-        assert!(Scenario::from_json_value(&v).is_err());
     }
 }

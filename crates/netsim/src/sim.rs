@@ -1,21 +1,20 @@
 //! The discrete-event simulation engine.
 //!
-//! One [`Simulator`] runs one scenario. The default world is the paper's
-//! dumbbell: `n` senders share a bottleneck queue and link; data packets
-//! experience queueing plus a per-flow forward propagation delay;
-//! receivers acknowledge every packet and ACKs return after the flow's
-//! reverse propagation delay, uncongested (the paper's dumbbell has no
-//! reverse-path bottleneck).
+//! One [`Simulator`] runs one scenario, and every scenario is a list of
+//! hops plus one [`crate::topology::FlowPath`] per sender. Each packet
+//! walks its flow's path hop by hop (queue → link service → propagation
+//! to the next hop), then reaches its receiver after the flow's forward
+//! propagation delay; receivers acknowledge every packet, and ACKs return
+//! after the reverse propagation delay — uncongested, unless the path
+//! declares ACK hops, which queue them too. Parking-lot chains, incast
+//! fan-in, reverse-path congestion and routed graphs all run through this
+//! one event loop.
 //!
-//! Scenarios with a [`crate::topology::Topology`] generalize that world to
-//! a chain/graph of hops: each packet walks its flow's
-//! [`crate::topology::FlowPath`] hop by hop (queue → link service →
-//! propagation to the next hop), and flows whose path declares ACK hops
-//! send their acknowledgments through queues too — parking-lot chains,
-//! incast fan-in, and reverse-path congestion all run through this one
-//! event loop. A 1-hop topology is byte-identical to the legacy dumbbell
-//! engine: the event sequence (times *and* tie-breaking insertion ids) is
-//! the same.
+//! The paper's dumbbell is the 1-hop topology: `n` senders forward
+//! through one queue and link, ACKs ride the pure-delay return path. A
+//! scenario that names no topology is built as exactly that
+//! ([`crate::topology::Topology::single_bottleneck`] over its `link` and
+//! `queue`), so there is one construction path and one event order.
 //!
 //! ## Hot-path layout
 //!
@@ -46,8 +45,10 @@ use crate::scenario::{ChurnSpec, Scenario};
 use crate::sched::{EventQueue, SchedulerKind};
 use crate::stats::{Reservoir, StreamingSummary};
 use crate::time::{service_time, Ns};
+use crate::topology::Topology;
 use crate::traffic::TrafficProcess;
 use crate::transport::{SendPoll, Transport};
+use std::borrow::Cow;
 
 /// Events the engine processes. Packet-carrying events hold arena handles,
 /// not packets, and flow-timer events hold generational [`FlowId`]s, so
@@ -201,7 +202,7 @@ pub struct Simulator {
     n_persistent: usize,
     churn: Option<ChurnState>,
     /// Graph-topology failure dynamics (None for hand-listed topologies
-    /// and the legacy dumbbell — zero overhead on those paths).
+    /// and the dumbbell — zero overhead on those paths).
     net: Option<NetState>,
     mss: u32,
     packets_forwarded: u64,
@@ -214,73 +215,60 @@ pub struct Simulator {
 impl Simulator {
     /// Build a simulator: one congestion-control instance per sender
     /// (must match `scenario.n()`), plus an optional router hook (XCP)
-    /// attached to hop 0 — the bottleneck of the legacy dumbbell. Use
-    /// [`Simulator::with_routers`] to attach hooks to other hops of a
-    /// multi-hop topology. The event scheduler is the timing wheel.
+    /// attached to hop 0 — the dumbbell's bottleneck. The event scheduler
+    /// is the timing wheel.
     pub fn new(
         scenario: &Scenario,
         ccs: Vec<Box<dyn CongestionControl>>,
         router: Option<Box<dyn RouterHook>>,
     ) -> Simulator {
-        // Validate before indexing routers[0]: a hop-less topology must
-        // fail with its diagnostic, not an index panic.
-        if let Some(t) = &scenario.topology {
-            // lint:allow(p1-sim-unwrap): construction-time validation — a
-            // malformed scenario must abort setup before any event runs.
-            t.validate(scenario.n()).expect("topology matches scenario");
-        }
-        let n_hops = scenario.topology.as_ref().map_or(1, |t| t.n_hops());
-        let mut routers: Vec<Option<Box<dyn RouterHook>>> = (0..n_hops).map(|_| None).collect();
-        routers[0] = router;
-        Simulator::with_routers(scenario, ccs, routers)
+        Simulator::with_scheduler(scenario, ccs, vec![router], SchedulerKind::Wheel)
     }
 
-    /// Build a simulator with an explicit per-hop router-hook list
-    /// (`routers.len()` must equal the hop count; the legacy dumbbell has
-    /// exactly one hop). The scheduler is the timing wheel, as in
-    /// [`Simulator::new`].
-    pub fn with_routers(
-        scenario: &Scenario,
-        ccs: Vec<Box<dyn CongestionControl>>,
-        routers: Vec<Option<Box<dyn RouterHook>>>,
-    ) -> Simulator {
-        Simulator::with_scheduler(scenario, ccs, routers, SchedulerKind::Wheel)
-    }
-
-    /// Build a simulator with an explicit event scheduler (the equivalence
-    /// suite runs every scenario under both kinds and asserts bit-for-bit
-    /// identical results).
+    /// Build a simulator with per-hop router hooks and an explicit event
+    /// scheduler: `routers[h]` attaches to hop `h`, hops past the end of
+    /// the list get none. (The equivalence suite runs every scenario
+    /// under both scheduler kinds and asserts bit-for-bit identical
+    /// results.)
     pub fn with_scheduler(
         scenario: &Scenario,
         ccs: Vec<Box<dyn CongestionControl>>,
         routers: Vec<Option<Box<dyn RouterHook>>>,
         scheduler: SchedulerKind,
     ) -> Simulator {
+        let n = scenario.n();
         assert_eq!(
             ccs.len(),
-            scenario.n(),
+            n,
             "need exactly one congestion controller per sender"
         );
-        if let Some(t) = &scenario.topology {
-            // lint:allow(p1-sim-unwrap): construction-time validation — a
-            // malformed scenario must abort setup before any event runs.
-            t.validate(scenario.n()).expect("topology matches scenario");
-        }
+        // Resolve the world once: the explicit topology, or the dumbbell
+        // as the 1-hop topology over the scenario's link and queue.
+        let dumbbell =
+            || Topology::single_bottleneck(scenario.link.clone(), scenario.queue.clone(), n);
+        let world = scenario
+            .topology
+            .as_ref()
+            .map_or_else(|| Cow::Owned(dumbbell()), Cow::Borrowed);
+        // lint:allow(p1-sim-unwrap): construction-time validation — a
+        // malformed scenario must abort setup before any event runs.
+        world.validate(n).expect("topology matches scenario");
+        assert!(
+            routers.len() <= world.n_hops(),
+            "more router slots than hops"
+        );
         let mut root = SimRng::new(scenario.seed);
-        let mut flows = FlowTable::with_capacity(scenario.n());
+        let mut flows = FlowTable::with_capacity(n);
         for (i, (cfg, cc)) in scenario.senders.iter().zip(ccs).enumerate() {
+            let path = &world.paths[i];
             let rng = root.fork(i as u64 + 1);
             let half = Ns(cfg.rtt.0 / 2);
-            let (fwd_hops, ack_hops) = match &scenario.topology {
-                None => (vec![0], Vec::new()),
-                Some(t) => (t.paths[i].fwd.clone(), t.paths[i].ack.clone()),
-            };
             let hot = FlowHot {
                 fwd_delay: half,
                 back_delay: cfg.rtt - half,
-                entry_hop: fwd_hops[0] as u32,
-                fwd_len: fwd_hops.len() as u32,
-                ack_len: ack_hops.len() as u32,
+                entry_hop: path.fwd[0] as u32,
+                fwd_len: path.fwd.len() as u32,
+                ack_len: path.ack.len() as u32,
                 ..FlowHot::default()
             };
             flows.insert(
@@ -290,8 +278,8 @@ impl Simulator {
                     traffic: TrafficProcess::new(cfg.traffic.clone(), scenario.mss, rng),
                     receiver: Receiver::default(),
                     metrics: FlowMetrics::default(),
-                    fwd_hops,
-                    ack_hops,
+                    fwd_hops: path.fwd.clone(),
+                    ack_hops: path.ack.clone(),
                 },
             );
         }
@@ -302,14 +290,16 @@ impl Simulator {
             // lint:allow(p1-sim-unwrap): construction-time validation — a
             // malformed churn spec must abort setup before any event runs.
             spec.validate().expect("valid churn spec");
+            // An arrival has no path description (`on_spawn` enters every
+            // churn flow at hop 0), so churn runs on the dumbbell only.
             assert!(
                 scenario.topology.is_none(),
                 "churn is not supported on a topology scenario"
             );
             ChurnState {
                 spec: spec.clone(),
-                arrivals: root.fork(scenario.n() as u64 + 1),
-                reservoir_rng: root.fork(scenario.n() as u64 + 2),
+                arrivals: root.fork(n as u64 + 1),
+                reservoir_rng: root.fork(n as u64 + 2),
                 factory: None,
                 spawned: 0,
                 completed: 0,
@@ -318,53 +308,28 @@ impl Simulator {
                 fct_reservoir: Reservoir::new(FCT_RESERVOIR_CAP),
             }
         });
-        let mut router_slots = routers;
-        let hops: Vec<Hop> = match &scenario.topology {
-            None => {
-                assert_eq!(router_slots.len(), 1, "legacy dumbbell has one hop");
-                vec![Hop::new(
-                    LinkState::from_spec(&scenario.link),
-                    scenario.queue.build(),
-                    // lint:allow(p1-sim-unwrap): guarded by the assert_eq
-                    // on router_slots.len() immediately above (setup path).
-                    router_slots.pop().expect("one slot"),
-                    Ns::ZERO,
+        let mut routers = routers.into_iter();
+        let hops: Vec<Hop> = world
+            .hops
+            .iter()
+            .map(|h| {
+                Hop::new(
+                    LinkState::from_spec(&h.link),
+                    h.queue.build(),
+                    routers.next().flatten(),
+                    h.prop_delay_out,
                     scenario.mss,
-                )]
-            }
-            Some(t) => {
-                assert_eq!(
-                    router_slots.len(),
-                    t.n_hops(),
-                    "need one router slot per hop"
-                );
-                t.hops
-                    .iter()
-                    .zip(router_slots.drain(..))
-                    .map(|(h, router)| {
-                        Hop::new(
-                            LinkState::from_spec(&h.link),
-                            h.queue.build(),
-                            router,
-                            h.prop_delay_out,
-                            scenario.mss,
-                        )
-                    })
-                    .collect()
-            }
-        };
-        let net = scenario
-            .topology
-            .as_ref()
-            .and_then(|t| t.graph.as_ref())
-            .map(|g| NetState {
-                down: vec![false; g.links.len()],
-                epoch: 0,
-                link_events: 0,
-                failover_drops: 0,
-                reroutes: 0,
-                graph: g.clone(),
-            });
+                )
+            })
+            .collect();
+        let net = world.graph().map(|g| NetState {
+            down: vec![false; g.links.len()],
+            epoch: 0,
+            link_events: 0,
+            failover_drops: 0,
+            reroutes: 0,
+            graph: g.clone(),
+        });
         let n_persistent = flows.live();
         let mut sim = Simulator {
             now: Ns::ZERO,
@@ -709,7 +674,7 @@ impl Simulator {
     /// Shared metrics/router bookkeeping when a packet leaves a hop's
     /// queue: accumulate its queueing wait (data packets record the
     /// end-to-end sum once, at the final hop of their forward path — on
-    /// the legacy dumbbell that is the only hop, so the sample is exactly
+    /// the dumbbell that is the only hop, so the sample is exactly
     /// the bottleneck wait), run the router's departure hook, and count
     /// it as forwarded when it is data completing its queue path. ACKs on
     /// a queued return path are not data: their waits surface in the RTT
@@ -1488,8 +1453,7 @@ mod tests {
             let ccs: Vec<Box<dyn CongestionControl>> = (0..s.n())
                 .map(|_| Box::new(FixedWindow::new(60.0)) as _)
                 .collect();
-            let routers = vec![None];
-            let sim = Simulator::with_scheduler(&s, ccs, routers, kind);
+            let sim = Simulator::with_scheduler(&s, ccs, Vec::new(), kind);
             assert_eq!(sim.scheduler(), kind);
             sim.run()
         };
@@ -1575,7 +1539,7 @@ mod tests {
         // total packet count.
         let s = saturating_scenario(1, 10.0, 100);
         let ccs: Vec<Box<dyn CongestionControl>> = vec![Box::new(FixedWindow::new(200.0))];
-        let mut sim = Simulator::with_scheduler(&s, ccs, vec![None], SchedulerKind::Wheel);
+        let mut sim = Simulator::new(&s, ccs, None);
         sim.drive();
         let live = sim.arena.live();
         let capacity = sim.arena.capacity();
@@ -1624,7 +1588,7 @@ mod tests {
         let ccs: Vec<Box<dyn CongestionControl>> = (0..s.n())
             .map(|_| Box::new(FixedWindow::new(60.0)) as _)
             .collect();
-        Simulator::with_scheduler(s, ccs, vec![None], kind)
+        Simulator::with_scheduler(s, ccs, Vec::new(), kind)
             .with_churn_cc(Box::new(|_| Box::new(FixedWindow::new(10.0))))
     }
 
@@ -1737,7 +1701,7 @@ mod tests {
         let ccs: Vec<Box<dyn CongestionControl>> = (0..s.n())
             .map(|_| Box::new(FixedWindow::new(60.0)) as _)
             .collect();
-        let _ = Simulator::with_scheduler(&s, ccs, vec![None], SchedulerKind::Wheel).run();
+        let _ = Simulator::new(&s, ccs, None).run();
     }
 
     #[test]
@@ -1750,7 +1714,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no hops")]
     fn hopless_topology_panics_with_a_diagnostic() {
-        use crate::topology::Topology;
         let mut s = saturating_scenario(1, 10.0, 100);
         s.topology = Some(Topology::from_flow_hops(vec![], vec![]));
         let _ = Simulator::new(&s, vec![Box::new(FixedWindow::new(1.0))], None);
@@ -1758,7 +1721,7 @@ mod tests {
 
     // --- multi-hop topologies ------------------------------------------
 
-    use crate::topology::{FlowPath, HopSpec, Topology};
+    use crate::topology::{FlowPath, HopSpec};
 
     fn droptail_hop(rate_mbps: f64, capacity: usize) -> HopSpec {
         HopSpec::new(
@@ -1822,6 +1785,50 @@ mod tests {
         // diluted by the two idle hops would report a third of that.
         let qd = r.flows[0].mean_queue_delay_ms;
         assert!(qd > 800.0, "end-to-end queueing, undiluted: {qd} ms");
+    }
+
+    /// Counts the packets a hop shows its router hook.
+    struct CountingRouter(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+    impl RouterHook for CountingRouter {
+        fn on_arrival(&mut self, _now: Ns, _p: &mut Packet, _queue_pkts: usize) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        fn on_departure(&mut self, _now: Ns, _p: &mut Packet, _queue_pkts: usize) {}
+    }
+
+    #[test]
+    fn new_attaches_the_router_hook_to_hop_zero_only() {
+        // Flow 0 crosses hops 0 → 1; flow 1 enters at hop 1, so a hook that
+        // leaked onto hop 1 would count flow 1's packets too.
+        let topo = Topology::from_flow_hops(
+            vec![droptail_hop(10.0, 1000), droptail_hop(10.0, 1000)],
+            vec![FlowPath::through(vec![0, 1]), FlowPath::through(vec![1])],
+        );
+        let s = saturating_scenario(2, 10.0, 100).with_topology(topo);
+        let seen = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let ccs: Vec<Box<dyn CongestionControl>> = (0..2)
+            .map(|_| Box::new(FixedWindow::new(20.0)) as _)
+            .collect();
+        let sim = Simulator::new(&s, ccs, Some(Box::new(CountingRouter(seen.clone()))));
+        let hooked: Vec<bool> = sim.hops.iter().map(|h| h.router.is_some()).collect();
+        assert_eq!(hooked, vec![true, false]);
+        let r = sim.run();
+        let arrivals = seen.load(std::sync::atomic::Ordering::Relaxed);
+        let (f0, f1) = (r.flows[0].packets_delivered, r.flows[1].packets_delivered);
+        assert!(f0 > 0 && f1 > 0, "both flows deliver");
+        assert!(
+            f0 <= arrivals && arrivals < f0 + f1,
+            "hop 0 saw flow 0 only"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "more router slots than hops")]
+    fn a_router_slot_past_the_last_hop_panics() {
+        let s = saturating_scenario(1, 10.0, 100);
+        let ccs: Vec<Box<dyn CongestionControl>> = vec![Box::new(FixedWindow::new(1.0))];
+        let _ = Simulator::with_scheduler(&s, ccs, vec![None, None], SchedulerKind::Wheel);
     }
 
     #[test]
@@ -2044,10 +2051,7 @@ mod tests {
         s.record_deliveries = true;
         let run = |kind: SchedulerKind| {
             let ccs: Vec<Box<dyn CongestionControl>> = vec![Box::new(FixedWindow::new(100.0)) as _];
-            let routers = (0..s.topology.as_ref().map_or(1, |t| t.n_hops()))
-                .map(|_| None)
-                .collect();
-            Simulator::with_scheduler(&s, ccs, routers, kind).run()
+            Simulator::with_scheduler(&s, ccs, Vec::new(), kind).run()
         };
         let a = run(SchedulerKind::Heap);
         let b = run(SchedulerKind::Wheel);

@@ -13,11 +13,15 @@
 //! * **reverse-path congestion** — the two directions of a link are two
 //!   hops, and one flow's ACKs queue behind another flow's data.
 //!
-//! A scenario without a topology (the default) is the legacy dumbbell: one
-//! hop built from [`crate::scenario::Scenario::link`]/`queue`, every flow's
-//! data crossing it, ACKs returning on a pure-delay path. A 1-hop topology
-//! whose paths all read `fwd: [0], ack: []` is byte-identical to that
-//! legacy engine (the equivalence suite in `tests/` pins this).
+//! The paper's dumbbell is the 1-hop topology
+//! ([`Topology::single_bottleneck`]): every flow's data crosses the one
+//! hop, ACKs return on a pure-delay path. A scenario that names no
+//! topology is built as exactly that from
+//! [`crate::scenario::Scenario::link`]/`queue`, so spelling it out changes
+//! no event and no byte (the equivalence suite in `tests/` pins this).
+//!
+//! A topology is a resolved value, not a document: the one serialized
+//! description of a world is the experiment spec (`remy_sim::spec`).
 
 use crate::graph::NetGraph;
 use crate::json::{self, Value};
@@ -35,8 +39,7 @@ pub struct HopSpec {
     /// The queue discipline feeding the link.
     pub queue: QueueSpec,
     /// Propagation delay from this hop to the *next* hop on a path.
-    /// (The delay after a path's final hop is the flow's own half-RTT,
-    /// exactly as in the legacy dumbbell.)
+    /// (The delay after a path's final hop is the flow's own half-RTT.)
     pub prop_delay_out: Ns,
 }
 
@@ -55,24 +58,6 @@ impl HopSpec {
         self.prop_delay_out = delay;
         self
     }
-
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("link", self.link.to_json_value()),
-            ("queue", self.queue.to_json_value()),
-            ("prop_delay_out_ns", json::ns_value(self.prop_delay_out)),
-        ])
-    }
-
-    /// Deserialize a value written by [`HopSpec::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<HopSpec, String> {
-        Ok(HopSpec {
-            link: LinkSpec::from_json_value(v.field("link")?)?,
-            queue: QueueSpec::from_json_value(v.field("queue")?)?,
-            prop_delay_out: json::ns_from(v.field("prop_delay_out_ns")?)?,
-        })
-    }
 }
 
 /// The hops one flow's packets traverse, in order.
@@ -82,7 +67,7 @@ pub struct FlowPath {
     /// non-empty.
     pub fwd: Vec<usize>,
     /// Hops the flow's ACKs cross, receiver → sender. Empty means the
-    /// legacy pure-delay return path (ACKs are never queued or dropped).
+    /// dumbbell's pure-delay return path (ACKs are never queued or dropped).
     pub ack: Vec<usize>,
 }
 
@@ -109,6 +94,7 @@ impl FlowPath {
 
     /// Deserialize a value written by [`FlowPath::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<FlowPath, String> {
+        v.only_keys("flow path", &["fwd", "ack"])?;
         let hops = |v: &Value| -> Result<Vec<usize>, String> {
             v.as_arr()?.iter().map(Value::as_usize).collect()
         };
@@ -122,30 +108,33 @@ impl FlowPath {
 /// A complete multi-hop topology: the hop set plus one [`FlowPath`] per
 /// sender (index-aligned with [`crate::scenario::Scenario::senders`]).
 ///
-/// Construct topologies through [`Topology::from_flow_hops`],
-/// [`Topology::single_bottleneck`], or — for routed networks — a
-/// [`crate::graph::NetworkBuilder`]. Raw struct-literal construction is
-/// not a public path: it bypasses the constructors that keep the
-/// `graph` carrier and the hop/path invariants in sync, and new call
-/// sites are flagged in review (see CONTRIBUTING.md).
+/// There are three ways to get one, and no fourth: hand-list it with
+/// [`Topology::from_flow_hops`] or [`Topology::single_bottleneck`], or —
+/// for a routed network — derive it with
+/// [`crate::graph::Network::into_topology`], the only source of a
+/// topology that carries a routing graph. The graph is a private field,
+/// so a struct literal outside this crate does not build:
+///
+/// ```compile_fail
+/// use netsim::topology::Topology;
+/// let t = Topology { hops: vec![], paths: vec![], graph: None };
+/// ```
 #[derive(Clone, Debug)]
 pub struct Topology {
     /// Every hop in the network, indexed by position.
     pub hops: Vec<HopSpec>,
     /// `paths[i]` is sender `i`'s route.
     pub paths: Vec<FlowPath>,
-    /// The routing graph this topology was derived from, when it was
-    /// built by [`crate::graph::NetworkBuilder`] rather than hand-listed.
-    /// Carries link failure events and the failover policy; `None` for
-    /// hand-wired hop-list topologies.
-    pub graph: Option<NetGraph>,
+    /// The routing graph this topology was derived from (link failure
+    /// events and the failover policy ride in it); `None` when the hops
+    /// were hand-listed.
+    pub(crate) graph: Option<NetGraph>,
 }
 
 impl Topology {
-    /// The compatibility constructor for hand-listed topologies: an
-    /// explicit hop set plus one per-flow path each. This is the funnel
-    /// every per-flow-hop call site goes through; it attaches no routing
-    /// graph, so the topology is static for the whole run.
+    /// A hand-listed topology: an explicit hop set plus one path per
+    /// flow. It carries no routing graph, so it is static for the whole
+    /// run.
     pub fn from_flow_hops(hops: Vec<HopSpec>, paths: Vec<FlowPath>) -> Topology {
         Topology {
             hops,
@@ -154,8 +143,8 @@ impl Topology {
         }
     }
 
-    /// The 1-hop topology equivalent to the legacy dumbbell: every one of
-    /// `n` flows forwards through the single hop, ACKs return un-queued.
+    /// The paper's dumbbell as a 1-hop topology: every one of `n` flows
+    /// forwards through the single hop, ACKs return un-queued.
     pub fn single_bottleneck(link: LinkSpec, queue: QueueSpec, n: usize) -> Topology {
         Topology::from_flow_hops(
             vec![HopSpec::new(link, queue)],
@@ -166,6 +155,11 @@ impl Topology {
     /// Number of hops.
     pub fn n_hops(&self) -> usize {
         self.hops.len()
+    }
+
+    /// The routing graph, when the topology was derived from one.
+    pub fn graph(&self) -> Option<&NetGraph> {
+        self.graph.as_ref()
     }
 
     /// Check structural invariants against a sender count: at least one
@@ -183,12 +177,13 @@ impl Topology {
                 n_flows
             ));
         }
+        let mut seen = vec![false; self.hops.len()];
         for (i, p) in self.paths.iter().enumerate() {
             if p.fwd.is_empty() {
                 return Err(format!("flow {i} has an empty forward path"));
             }
             for (what, path) in [("fwd", &p.fwd), ("ack", &p.ack)] {
-                let mut seen = vec![false; self.hops.len()];
+                seen.fill(false);
                 for &h in path {
                     if h >= self.hops.len() {
                         return Err(format!(
@@ -220,51 +215,6 @@ impl Topology {
             }
         }
         Ok(())
-    }
-
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        let mut fields = vec![
-            (
-                "hops",
-                Value::Arr(self.hops.iter().map(HopSpec::to_json_value).collect()),
-            ),
-            (
-                "paths",
-                Value::Arr(self.paths.iter().map(FlowPath::to_json_value).collect()),
-            ),
-        ];
-        // Omitted for hand-listed topologies, so pre-graph documents
-        // (and the golden specs) stay byte-identical.
-        if let Some(g) = &self.graph {
-            fields.push(("graph", g.to_json_value()));
-        }
-        Value::obj(fields)
-    }
-
-    /// Deserialize a value written by [`Topology::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<Topology, String> {
-        let graph = match v.get("graph") {
-            None | Some(Value::Null) => None,
-            Some(g) => Some(NetGraph::from_json_value(g)?),
-        };
-        let topo = Topology {
-            hops: v
-                .field("hops")?
-                .as_arr()?
-                .iter()
-                .map(HopSpec::from_json_value)
-                .collect::<Result<Vec<HopSpec>, String>>()?,
-            paths: v
-                .field("paths")?
-                .as_arr()?
-                .iter()
-                .map(FlowPath::from_json_value)
-                .collect::<Result<Vec<FlowPath>, String>>()?,
-            graph,
-        };
-        topo.validate(topo.paths.len())?;
-        Ok(topo)
     }
 }
 
@@ -325,25 +275,8 @@ mod tests {
     }
 
     #[test]
-    fn topology_round_trips_through_json() {
-        let mut t = three_hop_chain();
-        t.paths[0].ack = vec![2, 0];
-        let text = t.to_json_value().pretty();
-        let back = Topology::from_json_value(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.to_json_value().pretty(), text);
-        assert_eq!(back.paths, t.paths);
-        assert_eq!(back.hops.len(), 3);
-        assert_eq!(back.hops[1].prop_delay_out, Ns::from_millis(10));
-        assert_eq!(back.hops[2].queue, t.hops[2].queue);
-    }
-
-    #[test]
-    fn graph_topologies_round_trip_and_hand_listed_docs_stay_graph_free() {
-        // Hand-listed topologies never emit a graph key, so pre-graph
-        // documents (and goldens) stay byte-identical.
-        let hand = three_hop_chain();
-        assert!(!hand.to_json_value().pretty().contains("\"graph\""));
-        // Graph-built topologies carry the graph through JSON.
+    fn a_graph_that_disagrees_with_the_hop_list_is_rejected() {
+        assert!(three_hop_chain().graph().is_none(), "hand-listed: no graph");
         use crate::graph::{FailoverPolicy, LinkEvent, NetworkBuilder};
         let mut b = NetworkBuilder::new();
         let a = b.add_router("a");
@@ -368,33 +301,14 @@ mod tests {
                 FailoverPolicy::Reroute,
             )
             .unwrap();
-        let text = topo.to_json_value().pretty();
-        assert!(text.contains("\"graph\""));
-        let back = Topology::from_json_value(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.to_json_value().pretty(), text);
-        assert_eq!(back.graph, topo.graph);
-        // A graph whose link count disagrees with the hop list is
-        // rejected at parse time.
+        assert_eq!(topo.graph().map(|g| g.links.len()), Some(2));
+        topo.validate(1).expect("derived topologies validate");
+        // Links are 1:1 with hops and graph flows with paths.
         let mut bad = topo.clone();
         bad.hops.push(bad.hops[0].clone());
-        let v = json::parse(&bad.to_json_value().pretty()).unwrap();
-        assert!(Topology::from_json_value(&v)
-            .unwrap_err()
-            .contains("links but"));
-    }
-
-    #[test]
-    fn corrupt_topology_json_is_rejected() {
-        let t = three_hop_chain();
-        let text = t.to_json_value().pretty();
-        assert!(Topology::from_json_value(
-            &json::parse(&text.replace("\"fwd\"", "\"fwdd\"")).unwrap()
-        )
-        .is_err());
-        // Out-of-range hop indices fail at parse time, not at run time.
-        let mut bad = t.clone();
-        bad.paths[1].fwd = vec![9];
-        let v = json::parse(&bad.to_json_value().pretty()).unwrap();
-        assert!(Topology::from_json_value(&v).unwrap_err().contains("hop 9"));
+        assert!(bad.validate(1).unwrap_err().contains("links but"));
+        let mut bad = topo;
+        bad.paths.push(bad.paths[0].clone());
+        assert!(bad.validate(2).unwrap_err().contains("flows but"));
     }
 }

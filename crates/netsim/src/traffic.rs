@@ -103,24 +103,40 @@ impl OnSpec {
     /// Deserialize a value written by [`OnSpec::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<OnSpec, String> {
         use crate::json::ns_from;
+        let only = |keys: &[&str]| v.only_keys("on-period", keys);
         match v.field("kind")?.as_str()? {
-            "by_time" => Ok(OnSpec::ByTime {
-                mean: ns_from(v.field("mean_ns")?)?,
-            }),
-            "by_time_fixed" => Ok(OnSpec::ByTimeFixed {
-                duration: ns_from(v.field("duration_ns")?)?,
-            }),
-            "by_bytes" => Ok(OnSpec::ByBytes {
-                mean_bytes: v.field("mean_bytes")?.as_f64()?,
-            }),
-            "empirical" => Ok(OnSpec::Empirical {
-                cap_bytes: v.field("cap_bytes")?.as_u64()?,
-            }),
-            "bounded_pareto" => Ok(OnSpec::BoundedPareto {
-                xm: v.field("xm")?.as_f64()?,
-                alpha: v.field("alpha")?.as_f64()?,
-                cap_bytes: v.field("cap_bytes")?.as_f64()?,
-            }),
+            "by_time" => {
+                only(&["kind", "mean_ns"])?;
+                Ok(OnSpec::ByTime {
+                    mean: ns_from(v.field("mean_ns")?)?,
+                })
+            }
+            "by_time_fixed" => {
+                only(&["kind", "duration_ns"])?;
+                Ok(OnSpec::ByTimeFixed {
+                    duration: ns_from(v.field("duration_ns")?)?,
+                })
+            }
+            "by_bytes" => {
+                only(&["kind", "mean_bytes"])?;
+                Ok(OnSpec::ByBytes {
+                    mean_bytes: v.field("mean_bytes")?.as_f64()?,
+                })
+            }
+            "empirical" => {
+                only(&["kind", "cap_bytes"])?;
+                Ok(OnSpec::Empirical {
+                    cap_bytes: v.field("cap_bytes")?.as_u64()?,
+                })
+            }
+            "bounded_pareto" => {
+                only(&["kind", "xm", "alpha", "cap_bytes"])?;
+                Ok(OnSpec::BoundedPareto {
+                    xm: v.field("xm")?.as_f64()?,
+                    alpha: v.field("alpha")?.as_f64()?,
+                    cap_bytes: v.field("cap_bytes")?.as_f64()?,
+                })
+            }
             other => Err(format!("unknown on-period kind '{other}'")),
         }
     }
@@ -222,6 +238,7 @@ impl TrafficSpec {
 
     /// Deserialize a value written by [`TrafficSpec::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<TrafficSpec, String> {
+        v.only_keys("traffic", &["on", "off_mean_ns", "start_on"])?;
         Ok(TrafficSpec {
             on: OnSpec::from_json_value(v.field("on")?)?,
             off_mean: crate::json::ns_from(v.field("off_mean_ns")?)?,

@@ -27,19 +27,7 @@
 use remy_sim::experiment::Experiment;
 use remy_sim::experiments;
 use remy_sim::prelude::*;
-use std::sync::Arc;
-
-fn load(spec: &str) -> Arc<WhiskerTree> {
-    if let Some(t) = remy::assets::by_name(spec) {
-        return t;
-    }
-    let text = std::fs::read_to_string(spec)
-        .unwrap_or_else(|e| die(&format!("cannot read '{spec}': {e}")));
-    Arc::new(
-        WhiskerTree::from_json(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse '{spec}': {e}"))),
-    )
-}
+use remy_sim::spec::load_table;
 
 fn die(msg: &str) -> ! {
     eprintln!("remy-cli: {msg}");
@@ -72,7 +60,7 @@ fn usage() -> ! {
 }
 
 fn cmd_inspect(table_spec: &str) {
-    let table = load(table_spec);
+    let table = load_table(table_spec).unwrap_or_else(|e| die(&e));
     // Annotate with usage from a quick design-range evaluation so the
     // dump shows which rules actually fire.
     let evaluator = Evaluator::new(
@@ -89,7 +77,7 @@ fn cmd_inspect(table_spec: &str) {
 }
 
 fn cmd_eval(table_spec: &str, delta: f64, specimens: usize, secs: f64) {
-    let table = load(table_spec);
+    let table = load_table(table_spec).unwrap_or_else(|e| die(&e));
     let evaluator = Evaluator::new(
         NetworkModel::general(),
         Objective::proportional(delta),
@@ -187,7 +175,7 @@ fn cmd_topo(target: &str) {
         .unwrap_or_else(|e| die(&e));
     let path_value =
         |hops: &[usize]| Value::Arr(hops.iter().map(|&h| u64_value(h as u64)).collect());
-    let doc = match &topo.graph {
+    let doc = match topo.graph() {
         Some(g) => {
             let routers = Value::Arr(g.routers.iter().map(Value::str).collect());
             let links = Value::Arr(

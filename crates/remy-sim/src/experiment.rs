@@ -56,7 +56,7 @@ impl ExperimentSpec {
                     // The harness attaches a contender's router hook to hop
                     // 0 only; on a multi-hop topology XCP would silently run
                     // at the wrong hop with the wrong rate. Refuse instead
-                    // (per-hop hooks exist via `Simulator::with_routers` for
+                    // (per-hop hooks exist via `Simulator::with_scheduler` for
                     // hand-built scenarios).
                     return Err(format!(
                         "spec '{}': contender 'xcp' is not supported on a \

@@ -78,6 +78,7 @@ impl Budget {
     /// in either field is rejected: the experiment would simulate nothing
     /// and still report numbers.
     pub fn from_json_value(v: &Value) -> Result<Budget, String> {
+        v.only_keys("budget", &["runs", "sim_secs"])?;
         let budget = Budget {
             runs: v.field("runs")?.as_usize()?,
             sim_secs: v.field("sim_secs")?.as_u64()?,
@@ -169,12 +170,18 @@ impl LinkRef {
     /// Deserialize a value written by [`LinkRef::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<LinkRef, String> {
         match v.field("kind")?.as_str()? {
-            "constant" => Ok(LinkRef::Constant {
-                rate_mbps: v.field("rate_mbps")?.as_f64()?,
-            }),
-            "named_trace" => Ok(LinkRef::NamedTrace {
-                name: v.field("name")?.as_str()?.to_string(),
-            }),
+            "constant" => {
+                v.only_keys("constant link", &["kind", "rate_mbps"])?;
+                Ok(LinkRef::Constant {
+                    rate_mbps: v.field("rate_mbps")?.as_f64()?,
+                })
+            }
+            "named_trace" => {
+                v.only_keys("named_trace link", &["kind", "name"])?;
+                Ok(LinkRef::NamedTrace {
+                    name: v.field("name")?.as_str()?.to_string(),
+                })
+            }
             other => Err(format!("unknown link kind '{other}'")),
         }
     }
@@ -224,6 +231,7 @@ impl HopRef {
 
     /// Deserialize a value written by [`HopRef::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<HopRef, String> {
+        v.only_keys("topology hop", &["link", "queue_capacity", "prop_delay_ns"])?;
         Ok(HopRef {
             link: LinkRef::from_json_value(v.field("link")?)?,
             queue_capacity: v.field("queue_capacity")?.as_usize()?,
@@ -266,6 +274,17 @@ impl GraphLinkRef {
     }
 
     fn from_json_value(v: &Value) -> Result<GraphLinkRef, String> {
+        v.only_keys(
+            "graph link",
+            &[
+                "from",
+                "to",
+                "link",
+                "queue_capacity",
+                "prop_delay_ns",
+                "weight",
+            ],
+        )?;
         Ok(GraphLinkRef {
             from: v.field("from")?.as_str()?.to_string(),
             to: v.field("to")?.as_str()?.to_string(),
@@ -464,41 +483,66 @@ impl GraphGenerator {
     }
 
     fn from_json_value(v: &Value) -> Result<GraphGenerator, String> {
+        // Every generated shape wires identical links.
+        const WIRE: [&str; 4] = ["kind", "link", "queue_capacity", "prop_delay_ns"];
+        let only = |extra: &[&str]| v.only_keys("graph generator", &[&WIRE[..], extra].concat());
+        let wire = || -> Result<(LinkRef, usize, Ns), String> {
+            Ok((
+                LinkRef::from_json_value(v.field("link")?)?,
+                v.field("queue_capacity")?.as_usize()?,
+                json::ns_from(v.field("prop_delay_ns")?)?,
+            ))
+        };
         match v.field("kind")?.as_str()? {
-            "explicit" => Ok(GraphGenerator::Explicit {
-                routers: v
-                    .field("routers")?
-                    .as_arr()?
-                    .iter()
-                    .map(|r| r.as_str().map(str::to_string))
-                    .collect::<Result<Vec<String>, String>>()?,
-                links: v
-                    .field("links")?
-                    .as_arr()?
-                    .iter()
-                    .map(GraphLinkRef::from_json_value)
-                    .collect::<Result<Vec<GraphLinkRef>, String>>()?,
-            }),
-            "chain" => Ok(GraphGenerator::Chain {
-                n_links: v.field("n_links")?.as_usize()?,
-                link: LinkRef::from_json_value(v.field("link")?)?,
-                queue_capacity: v.field("queue_capacity")?.as_usize()?,
-                prop_delay: json::ns_from(v.field("prop_delay_ns")?)?,
-            }),
-            "fat_tree_k4" => Ok(GraphGenerator::FatTreeK4 {
-                link: LinkRef::from_json_value(v.field("link")?)?,
-                queue_capacity: v.field("queue_capacity")?.as_usize()?,
-                prop_delay: json::ns_from(v.field("prop_delay_ns")?)?,
-            }),
-            "waxman" => Ok(GraphGenerator::Waxman {
-                n: v.field("n")?.as_usize()?,
-                alpha: v.field("alpha")?.as_f64()?,
-                beta: v.field("beta")?.as_f64()?,
-                seed: v.field("seed")?.as_u64()?,
-                link: LinkRef::from_json_value(v.field("link")?)?,
-                queue_capacity: v.field("queue_capacity")?.as_usize()?,
-                prop_delay: json::ns_from(v.field("prop_delay_ns")?)?,
-            }),
+            "explicit" => {
+                v.only_keys("explicit graph generator", &["kind", "routers", "links"])?;
+                Ok(GraphGenerator::Explicit {
+                    routers: v
+                        .field("routers")?
+                        .as_arr()?
+                        .iter()
+                        .map(|r| r.as_str().map(str::to_string))
+                        .collect::<Result<Vec<String>, String>>()?,
+                    links: v
+                        .field("links")?
+                        .as_arr()?
+                        .iter()
+                        .map(GraphLinkRef::from_json_value)
+                        .collect::<Result<Vec<GraphLinkRef>, String>>()?,
+                })
+            }
+            "chain" => {
+                only(&["n_links"])?;
+                let (link, queue_capacity, prop_delay) = wire()?;
+                Ok(GraphGenerator::Chain {
+                    n_links: v.field("n_links")?.as_usize()?,
+                    link,
+                    queue_capacity,
+                    prop_delay,
+                })
+            }
+            "fat_tree_k4" => {
+                only(&[])?;
+                let (link, queue_capacity, prop_delay) = wire()?;
+                Ok(GraphGenerator::FatTreeK4 {
+                    link,
+                    queue_capacity,
+                    prop_delay,
+                })
+            }
+            "waxman" => {
+                only(&["n", "alpha", "beta", "seed"])?;
+                let (link, queue_capacity, prop_delay) = wire()?;
+                Ok(GraphGenerator::Waxman {
+                    n: v.field("n")?.as_usize()?,
+                    alpha: v.field("alpha")?.as_f64()?,
+                    beta: v.field("beta")?.as_f64()?,
+                    seed: v.field("seed")?.as_u64()?,
+                    link,
+                    queue_capacity,
+                    prop_delay,
+                })
+            }
             other => Err(format!("unknown graph generator '{other}'")),
         }
     }
@@ -528,6 +572,7 @@ impl LinkEventSpec {
     }
 
     fn from_json_value(v: &Value) -> Result<LinkEventSpec, String> {
+        v.only_keys("link event", &["at_ns", "from", "to", "up"])?;
         Ok(LinkEventSpec {
             at: json::ns_from(v.field("at_ns")?)?,
             from: v.field("from")?.as_str()?.to_string(),
@@ -587,6 +632,10 @@ impl GraphSpec {
     }
 
     fn from_json_value(v: &Value) -> Result<GraphSpec, String> {
+        v.only_keys(
+            "graph topology",
+            &["kind", "generator", "flows", "events", "policy"],
+        )?;
         let flows = v
             .field("flows")?
             .as_arr()?
@@ -639,8 +688,8 @@ pub enum TopologySpec {
 }
 
 /// Per-hop seed fork for stochastic-loss disciplines. Hop 0 keeps the
-/// caller's stream (1-hop topologies stay byte-identical to the legacy
-/// engine); every later hop forks its own — otherwise all hops would
+/// caller's stream (a 1-hop topology stays byte-identical to the plain
+/// dumbbell); every later hop forks its own — otherwise all hops would
 /// replay the identical drop stream and the "independent" loss
 /// processes would be perfectly correlated.
 fn fork_lossy_hop_seeds(hops: &mut [netsim::topology::HopSpec]) {
@@ -765,6 +814,7 @@ impl TopologySpec {
                 other => Err(format!("unknown topology kind '{other}'")),
             };
         }
+        v.only_keys("topology", &["hops", "paths"])?;
         Ok(TopologySpec::FlowHops {
             hops: v
                 .field("hops")?
@@ -938,6 +988,17 @@ impl WorkloadSpec {
 
     /// Deserialize a value written by [`WorkloadSpec::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<WorkloadSpec, String> {
+        v.only_keys(
+            "workload",
+            &[
+                "link",
+                "queue_capacity",
+                "senders",
+                "record_deliveries",
+                "topology",
+                "churn",
+            ],
+        )?;
         let senders_v = v.field("senders")?;
         let senders = match senders_v {
             Value::Arr(items) => items
@@ -945,6 +1006,7 @@ impl WorkloadSpec {
                 .map(SenderConfig::from_json_value)
                 .collect::<Result<Vec<SenderConfig>, String>>()?,
             obj @ Value::Obj(_) => {
+                obj.only_keys("uniform senders", &["n", "rtt_ns", "traffic"])?;
                 let n = obj.field("n")?.as_usize()?;
                 let rtt = json::ns_from(obj.field("rtt_ns")?)?;
                 let traffic = TrafficSpec::from_json_value(obj.field("traffic")?)?;
@@ -1082,13 +1144,16 @@ impl ContenderSpec {
     pub fn from_json_value(v: &Value) -> Result<ContenderSpec, String> {
         match v {
             Value::Str(s) => Ok(ContenderSpec::new(s.clone())),
-            obj @ Value::Obj(_) => Ok(ContenderSpec {
-                scheme: obj.field("scheme")?.as_str()?.to_string(),
-                label: match obj.get("label") {
-                    None | Some(Value::Null) => None,
-                    Some(l) => Some(l.as_str()?.to_string()),
-                },
-            }),
+            obj @ Value::Obj(_) => {
+                obj.only_keys("contender", &["scheme", "label"])?;
+                Ok(ContenderSpec {
+                    scheme: obj.field("scheme")?.as_str()?.to_string(),
+                    label: match obj.get("label") {
+                        None | Some(Value::Null) => None,
+                        Some(l) => Some(l.as_str()?.to_string()),
+                    },
+                })
+            }
             other => Err(format!(
                 "contender must be a string or object: {}",
                 other.pretty()
@@ -1110,7 +1175,9 @@ fn parse_mask(m: &str) -> Result<[bool; 3], String> {
         .map_err(|_| format!("mask needs exactly 3 digits, found '{m}'"))
 }
 
-fn load_table(name: &str) -> Result<Arc<WhiskerTree>, String> {
+/// Load a rule table: a shipped asset by name, else a JSON file by path.
+/// Errors name the path that could not be read or parsed.
+pub fn load_table(name: &str) -> Result<Arc<WhiskerTree>, String> {
     if let Some(t) = remy::assets::by_name(name) {
         return Ok(t);
     }
@@ -1215,6 +1282,7 @@ impl SweepAxis {
 
     /// Deserialize a value written by [`SweepAxis::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<SweepAxis, String> {
+        v.only_keys("sweep axis", &["axis", "values"])?;
         let values = v.field("values")?.as_arr()?;
         let f64s = || -> Result<Vec<f64>, String> { values.iter().map(Value::as_f64).collect() };
         let u64s = || -> Result<Vec<u64>, String> { values.iter().map(Value::as_u64).collect() };
@@ -1447,6 +1515,19 @@ impl ExperimentSpec {
     /// `sweeps` and `speedup_reference` may be omitted in hand-written
     /// specs.
     pub fn from_json_value(v: &Value) -> Result<ExperimentSpec, String> {
+        v.only_keys(
+            "experiment spec",
+            &[
+                "name",
+                "title",
+                "seed",
+                "budget",
+                "workload",
+                "contenders",
+                "sweeps",
+                "speedup_reference",
+            ],
+        )?;
         let sweeps = match v.get("sweeps") {
             None | Some(Value::Null) => Vec::new(),
             Some(s) => s
@@ -1621,6 +1702,18 @@ mod tests {
         assert!(spec.sweeps.is_empty());
         assert!(spec.speedup_reference.is_none());
         assert_eq!(spec.points().len(), 1);
+    }
+
+    #[test]
+    fn empty_sender_lists_are_rejected_at_parse_and_at_resolve() {
+        // An empty population simulates nothing; nothing may report on it.
+        let text = fig4ish_spec().to_json().replacen("\"n\": 8", "\"n\": 0", 1);
+        let err = ExperimentSpec::from_json(&text).unwrap_err();
+        assert_eq!(err, "workload needs at least one sender");
+        let mut wl = fig4ish_spec().workload;
+        wl.senders.clear();
+        let err = wl.scenario(QueueSpec::Unlimited, Ns::SECOND, 1);
+        assert_eq!(err.unwrap_err(), "workload has no senders");
     }
 
     #[test]
@@ -1821,6 +1914,26 @@ mod tests {
             .resolve(&QueueSpec::DropTail { capacity: 100 })
             .unwrap_err();
         assert!(err.contains("'nowhere'"), "{err}");
+    }
+
+    #[test]
+    fn generated_graph_shapes_reject_stray_keys() {
+        // The two generators no golden spec uses (the goldens cover every
+        // other object of the format, see `tests/experiment_spec.rs`).
+        for (kind, own) in [
+            ("chain", r#""n_links": 3"#),
+            ("waxman", r#""n": 8, "alpha": 0.9, "beta": 0.5, "seed": 7"#),
+        ] {
+            let parse = |stray: &str| {
+                let wire = r#""link": {"kind": "constant", "rate_mbps": 10}, "queue_capacity": 9"#;
+                let text =
+                    format!(r#"{{"kind": "{kind}", {own}, {wire}, "prop_delay_ns": 5{stray}}}"#);
+                GraphGenerator::from_json_value(&json::parse(&text).expect("JSON"))
+            };
+            assert_eq!(parse("").expect("parses").name(), kind);
+            let err = parse(r#", "zz": 1"#).unwrap_err();
+            assert_eq!(err, "unknown key 'zz' in graph generator");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@ use std::process::Command;
 
 /// The checked-in golden spec for Fig. 4. `remy-cli spec fig4` must keep
 /// producing exactly this document — spec-format drift fails the build
-/// (CI additionally diffs the regenerated file against the repo copy).
+/// (`every_registry_entry_has_a_committed_golden_spec` holds all 21
+/// goldens to the same bytes).
 const FIG4_GOLDEN: &str = include_str!("../specs/fig4.json");
 
 #[test]
@@ -44,27 +45,6 @@ fn every_registered_spec_round_trips_through_json() {
             ExperimentSpec::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         assert_eq!(back, spec, "{} round trip", entry.name);
         assert_eq!(back.to_json(), text, "{} stable serialization", entry.name);
-    }
-}
-
-#[test]
-fn scenario_round_trips_every_queue_and_traffic_variant() {
-    // Scenario-level serialization is covered variant-by-variant in
-    // netsim's unit tests; here, cross-crate: a scenario produced by an
-    // expanded spec (trace link included) survives text JSON.
-    let spec = experiments::by_name("fig7")
-        .expect("fig7 registered")
-        .spec(Budget {
-            runs: 1,
-            sim_secs: 3,
-        });
-    let cells = spec.expand().expect("expand");
-    for cell in &cells {
-        let sc = &cell.scenarios[0];
-        let back = Scenario::from_json(&sc.to_json()).expect("parse");
-        assert_eq!(back.to_json(), sc.to_json());
-        assert_eq!(back.seed, sc.seed);
-        assert_eq!(back.queue, sc.queue);
     }
 }
 
@@ -216,25 +196,24 @@ fn remy_cli_lists_bare_names_for_scripts() {
     }
 }
 
+/// The committed golden spec of a registry entry (`specs/<name>.json`).
+fn golden(name: &str) -> String {
+    let path = format!("{}/../../specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 #[test]
 fn every_registry_entry_has_a_committed_golden_spec() {
-    // The CI spec gate regenerates and diffs these; here we pin that the
-    // files exist and parse back to the registry's own spec.
-    let repo_specs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    // The one golden gate: every file exists, parses back to the
+    // registry's own spec, and is byte-for-byte what `remy-cli spec <name>`
+    // prints (`ExperimentSpec::to_json` at the default budget).
     for entry in experiments::all() {
-        let path = repo_specs.join(format!("{}.json", entry.name));
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "{} has no committed golden spec ({}): {e}",
-                entry.name,
-                path.display()
-            )
-        });
-        let golden = ExperimentSpec::from_json(&text)
+        let text = golden(entry.name);
+        let parsed = ExperimentSpec::from_json(&text)
             .unwrap_or_else(|e| panic!("{}: golden does not parse: {e}", entry.name));
         let fresh = entry.spec(Budget::default_fixed());
         assert_eq!(
-            golden, fresh,
+            parsed, fresh,
             "{}: golden spec drifted — regenerate with `remy-cli spec {}`",
             entry.name, entry.name
         );
@@ -338,6 +317,73 @@ fn zero_budgets_are_rejected_by_name_before_anything_runs() {
             out.stdout.is_empty(),
             "{args:?}: no report, score or CSV line is printed"
         );
+    }
+}
+
+/// Push a stray key into the `nth` object of `v` (depth-first); `false`
+/// once `v` has fewer objects than that.
+fn add_stray_key(v: &mut netsim::json::Value, nth: &mut usize) -> bool {
+    use netsim::json::Value;
+    match v {
+        Value::Obj(fields) if *nth == 0 => {
+            fields.push(("zz".to_string(), Value::Null));
+            true
+        }
+        Value::Obj(fields) => {
+            *nth -= 1;
+            fields
+                .iter_mut()
+                .any(|(_, child)| add_stray_key(child, nth))
+        }
+        Value::Arr(items) => items.iter_mut().any(|child| add_stray_key(child, nth)),
+        _ => false,
+    }
+}
+
+#[test]
+fn unknown_spec_keys_are_rejected_by_name_before_anything_runs() {
+    // A misspelled optional key must not fall back to its default and
+    // still print numbers. Exhaustively: a stray key in any one object of
+    // any golden fails the parse, naming the key and the object. (Every
+    // object of the format occurs in the goldens except the chain and
+    // Waxman generators, which `spec.rs` tests beside their parser.)
+    for entry in experiments::all() {
+        let doc = netsim::json::parse(&golden(entry.name)).expect("golden is JSON");
+        for nth in 0.. {
+            let mut bad = doc.clone();
+            if !add_stray_key(&mut bad, &mut { nth }) {
+                assert!(nth > 5, "{}: walked every object", entry.name);
+                break;
+            }
+            let err = ExperimentSpec::from_json_value(&bad)
+                .expect_err(&format!("{}: object {nth} accepts a stray key", entry.name));
+            assert!(err.starts_with("unknown key 'zz' in "), "{err}");
+        }
+    }
+
+    // End to end, at the top, workload and topology levels: `remy-cli run`
+    // exits 2 naming the key (`sweep` for `sweeps` used to drop the whole
+    // loss grid and print a three-row table).
+    let dir = std::env::temp_dir().join("remy_spec_unknown_key_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, key, typo, object) in [
+        ("ablation_loss", "sweeps", "sweep", "experiment spec"),
+        ("fig4", "senders", "sender", "workload"),
+        ("parking_lot3", "paths", "path", "topology"),
+        ("failover_chain", "policy", "polcy", "graph topology"),
+    ] {
+        let text = golden(name).replacen(&format!("\"{key}\""), &format!("\"{typo}\""), 1);
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, text).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+            .args(["run", path.to_str().unwrap(), "--runs", "1", "--secs", "2"])
+            .output()
+            .expect("spawn remy-cli");
+        assert_eq!(out.status.code(), Some(2), "{name}: exits as a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let message = format!("unknown key '{typo}' in {object}");
+        assert!(stderr.contains(&message), "{name}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: no report is printed");
     }
 }
 

@@ -1,11 +1,13 @@
 //! Equivalence suite, pinning two engine contracts bit-for-bit:
 //!
-//! 1. **Topology**: a 1-hop `Topology` must reproduce the legacy
-//!    single-bottleneck engine *byte-identically* — same seeds in, same
-//!    `SimResults` out, bit-for-bit on every float — across queue
-//!    disciplines and congestion-control schemes. This pins the topology
-//!    engine's single-hop fast path to the behavior every figure of the
-//!    paper was validated against.
+//! 1. **Topology**: a scenario that spells the dumbbell out as a 1-hop
+//!    `Topology` must produce *byte-identical* results to the same
+//!    scenario naming no topology — same seeds in, same `SimResults` out,
+//!    bit-for-bit on every float — across queue disciplines and
+//!    congestion-control schemes. Both are built through the one
+//!    construction path; this pins that the implicit form resolves to
+//!    exactly the behavior every figure of the paper was validated
+//!    against.
 //! 2. **Scheduler**: the timing-wheel and binary-heap event queues must
 //!    produce identical `SimResults` *and identical per-event delivery
 //!    logs* (event times) for every cell of the same suite and for the
@@ -82,11 +84,7 @@ fn run_with(contender: &Contender, scenario: &Scenario, kind: SchedulerKind) -> 
     let ccs: Vec<Box<dyn CongestionControl>> =
         (0..scenario.n()).map(|_| contender.build_cc()).collect();
     let router = contender.router(&scenario.link, scenario.mss);
-    let n_hops = scenario.topology.as_ref().map_or(1, |t| t.n_hops());
-    let mut routers: Vec<Option<Box<dyn netsim::router::RouterHook>>> =
-        (0..n_hops).map(|_| None).collect();
-    routers[0] = router;
-    Simulator::with_scheduler(scenario, ccs, routers, kind).run()
+    Simulator::with_scheduler(scenario, ccs, vec![router], kind).run()
 }
 
 /// The paper's discipline × scheme matrix, as (queue, contender) cells.
@@ -204,23 +202,6 @@ fn wheel_and_heap_schedulers_agree_on_topology_experiments() {
 }
 
 #[test]
-fn one_hop_topology_survives_json_and_still_matches() {
-    // Serialize the topology scenario to JSON, parse it back, and the
-    // parsed copy must still match the legacy engine exactly.
-    let contender = ContenderSpec::new("newreno").build().unwrap();
-    let legacy = legacy_scenario(QueueSpec::DropTail { capacity: 1000 }, 99);
-    let topo = legacy.clone().with_topology(Topology::single_bottleneck(
-        legacy.link.clone(),
-        legacy.queue.clone(),
-        legacy.n(),
-    ));
-    let reparsed = Scenario::from_json(&topo.to_json()).expect("parse");
-    let a = run_with(&contender, &legacy, SchedulerKind::Wheel);
-    let b = run_with(&contender, &reparsed, SchedulerKind::Wheel);
-    assert_results_identical(&a, &b, "newreno via JSON round trip");
-}
-
-#[test]
 fn one_hop_topology_through_the_spec_layer_matches_legacy_cells() {
     // The same equivalence, end to end through ExperimentSpec: a workload
     // with an explicit 1-hop TopologySpec produces the same outcomes as
@@ -264,7 +245,7 @@ fn one_hop_topology_through_the_spec_layer_matches_legacy_cells() {
 
 #[test]
 fn multi_hop_results_are_deterministic_across_runs() {
-    // The topology engine keeps the engine-wide determinism contract.
+    // Multi-hop runs keep the engine-wide determinism contract.
     let spec = remy_sim::experiments::by_name("parking_lot3")
         .expect("registered")
         .spec(Budget {
