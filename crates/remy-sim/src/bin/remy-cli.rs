@@ -4,7 +4,7 @@
 //! ```text
 //! remy-cli run <name|spec.json> [--runs N] [--secs S] [--out csv]
 //! remy-cli list-experiments [--names]     # the named experiment registry
-//! remy-cli spec <name> [--runs N] [--secs S]   # dump an experiment's JSON spec
+//! remy-cli spec <name|spec.json> [--runs N] [--secs S]  # print the canonical JSON spec
 //! remy-cli topo <name|spec.json>          # dump a resolved topology graph
 //! remy-cli inspect <table>                # annotated rule dump
 //! remy-cli eval <table> [delta] [specimens] [secs]  # score on the general model
@@ -16,16 +16,16 @@
 //! `delta10`, `onex`, `tenx`, `datacenter`, `coexist`) or a path to a
 //! JSON rule table produced by `Remy::design` / `train_remycc`.
 //!
-//! `run` is the one way an experiment is started: it accepts a registry
-//! name (`remy-cli list-experiments`) or a path to a user-authored
-//! `ExperimentSpec` JSON file; `--runs`/`--secs` override the budget
-//! (default: the experiment's own, or the file's), and `--out csv` prints
-//! the CSV to stdout instead of the report + CSV file. `spec` prints at
-//! the default budget (16 runs × 30 s) unless told otherwise, which is
-//! what the golden diffs compare.
+//! `run` is the one way an experiment is started. It, `spec` and `topo`
+//! accept a registry name (`remy-cli list-experiments`), which stands for
+//! the committed `specs/<name>.json`, or a path to an `ExperimentSpec`
+//! JSON file — the two run the same thing. `--runs`/`--secs` override the
+//! file's `budget`, and `--out csv` prints the CSV to stdout instead of
+//! the report + CSV file. `spec <name>` prints `specs/<name>.json` byte
+//! for byte.
 
 use remy_sim::experiment::Experiment;
-use remy_sim::experiments;
+use remy_sim::experiments::{self, NamedExperiment};
 use remy_sim::prelude::*;
 use remy_sim::spec::load_table;
 
@@ -48,7 +48,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  remy-cli run <name|spec.json> [--runs N] [--secs S] [--out csv]\n  \
          remy-cli list-experiments [--names]\n  \
-         remy-cli spec <name> [--runs N] [--secs S]\n  \
+         remy-cli spec <name|spec.json> [--runs N] [--secs S]\n  \
          remy-cli topo <name|spec.json>\n  \
          remy-cli list\n  remy-cli inspect <table>\n  \
          remy-cli eval <table> [delta=1] [specimens=8] [secs=15]\n  \
@@ -96,10 +96,11 @@ fn cmd_eval(table_spec: &str, delta: f64, specimens: usize, secs: f64) {
 }
 
 fn cmd_compare(a_spec: &str, b_spec: &str, runs: usize, secs: u64) {
+    let fig4 = experiments::by_name("fig4").expect("fig4 is registered");
     let spec = ExperimentSpec::new(
         "compare",
         "Fig. 4 dumbbell head-to-head",
-        experiments::dumbbell_workload(8),
+        fig4.committed_spec().workload,
         [a_spec, b_spec]
             .map(|table| ContenderSpec::labeled(format!("remy:{table}"), table))
             .to_vec(),
@@ -120,8 +121,7 @@ fn cmd_compare(a_spec: &str, b_spec: &str, runs: usize, secs: u64) {
 
 fn cmd_list_experiments(names_only: bool) {
     if names_only {
-        // Machine-readable: one registry name per line (CI loops over
-        // this to regenerate and diff every golden spec).
+        // Machine-readable: one registry name per line, for scripts.
         for e in experiments::all() {
             println!("{}", e.name);
         }
@@ -133,7 +133,7 @@ fn cmd_list_experiments(names_only: bool) {
     );
     for e in experiments::all() {
         let class = e
-            .spec(Budget::default_fixed())
+            .committed_spec()
             .workload
             .topology
             .map(|t| t.class())
@@ -145,23 +145,54 @@ fn cmd_list_experiments(names_only: bool) {
     println!("its topology:   remy-cli topo <name>");
 }
 
-/// `topo`: dump the resolved network of a topology experiment — routers,
-/// links, and the per-flow routes the engine computed — as stable JSON,
-/// for eyeballing a generated graph and for golden diffs in scripts.
-fn cmd_topo(target: &str) {
-    use netsim::json::{ns_value, u64_value, Value};
-    let spec = if let Some(entry) = experiments::by_name(target) {
-        entry.spec(Budget::default_fixed())
+/// The experiment a `run` / `spec` / `topo` target names — a registry
+/// name (its committed spec) or a spec file — with any `--runs` / `--secs`
+/// applied, plus the registry entry it is presented by. A file whose
+/// `name` is registered keeps that entry's presentation (Fig. 3's CDF,
+/// Fig. 6's sequence plot, …) and its mid-run rule; any other name runs
+/// the generic engine.
+fn resolve_target(
+    target: &str,
+    runs: Option<usize>,
+    secs: Option<u64>,
+) -> (ExperimentSpec, Option<&'static NamedExperiment>) {
+    let (mut spec, entry) = if let Some(entry) = experiments::by_name(target) {
+        (entry.committed_spec(), Some(entry))
     } else if std::path::Path::new(target).exists() {
         let text = std::fs::read_to_string(target)
             .unwrap_or_else(|e| die(&format!("cannot read '{target}': {e}")));
-        ExperimentSpec::from_json(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse '{target}': {e}")))
+        let spec = ExperimentSpec::from_json(&text)
+            .unwrap_or_else(|e| die(&format!("cannot parse '{target}': {e}")));
+        let entry = experiments::by_name(&spec.name);
+        (spec, entry)
     } else {
-        die(&format!(
-            "'{target}' is neither a registered experiment nor a spec file"
-        ))
+        // An unknown name must fail loudly and helpfully: nonzero exit,
+        // candidate list on stderr (scripts rely on the exit code).
+        eprintln!("remy-cli: '{target}' is neither a registered experiment nor a spec file");
+        eprintln!("known experiments:");
+        for e in experiments::all() {
+            eprintln!("  {}", e.name);
+        }
+        std::process::exit(2);
     };
+    if runs.is_some() || secs.is_some() {
+        let budget = Budget {
+            runs: runs.unwrap_or(spec.budget.runs),
+            sim_secs: secs.unwrap_or(spec.budget.sim_secs),
+        };
+        match entry {
+            Some(entry) => entry.rebudget(&mut spec, budget),
+            None => spec.budget = budget,
+        }
+    }
+    (spec, entry)
+}
+
+/// `topo`: dump the resolved network of a topology experiment — routers,
+/// links, and the per-flow routes the engine computed — as stable JSON,
+/// for eyeballing a generated graph and for golden diffs in scripts.
+fn cmd_topo(spec: &ExperimentSpec) {
+    use netsim::json::{ns_value, u64_value, Value};
     let topo_spec = spec.workload.topology.as_ref().unwrap_or_else(|| {
         die(&format!(
             "'{}' runs on the plain dumbbell; no topology to dump",
@@ -275,64 +306,13 @@ fn cmd_topo(target: &str) {
     println!("{}", doc.pretty());
 }
 
-fn cmd_spec(name: &str, runs: Option<usize>, secs: Option<u64>) {
-    let entry =
-        experiments::by_name(name).unwrap_or_else(|| die(&format!("unknown experiment '{name}'")));
-    let mut budget = Budget::default_fixed();
-    if let Some(r) = runs {
-        budget.runs = r;
+fn cmd_run(spec: ExperimentSpec, entry: Option<&NamedExperiment>, out_csv: bool) {
+    let name = spec.name.clone();
+    let report = match entry {
+        Some(entry) => entry.run(&spec),
+        None => Experiment::new(spec).run().map(|results| results.report()),
     }
-    if let Some(s) = secs {
-        budget.sim_secs = s;
-    }
-    print!("{}", entry.spec(budget).to_json());
-}
-
-fn cmd_run(target: &str, runs: Option<usize>, secs: Option<u64>, out_csv: bool) {
-    let report = if let Some(entry) = experiments::by_name(target) {
-        let mut budget = entry.default_budget();
-        if let Some(r) = runs {
-            budget.runs = r;
-        }
-        if let Some(s) = secs {
-            budget.sim_secs = s;
-        }
-        entry
-            .run(&entry.spec(budget))
-            .unwrap_or_else(|e| die(&format!("{target}: {e}")))
-    } else if std::path::Path::new(target).exists() {
-        let text = std::fs::read_to_string(target)
-            .unwrap_or_else(|e| die(&format!("cannot read '{target}': {e}")));
-        let mut spec = ExperimentSpec::from_json(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse '{target}': {e}")));
-        if let Some(r) = runs {
-            spec.budget.runs = r;
-        }
-        if let Some(s) = secs {
-            spec.budget.sim_secs = s;
-        }
-        // A spec dumped from the registry keeps its custom presentation
-        // (Fig. 3's CDF, Fig. 6's sequence plot, …) by dispatching through
-        // its registry entry; unknown names run the generic engine.
-        match experiments::by_name(&spec.name) {
-            Some(entry) => entry
-                .run(&spec)
-                .unwrap_or_else(|e| die(&format!("{target}: {e}"))),
-            None => Experiment::new(spec)
-                .run()
-                .unwrap_or_else(|e| die(&format!("{target}: {e}")))
-                .report(),
-        }
-    } else {
-        // An unknown name must fail loudly and helpfully: nonzero exit,
-        // candidate list on stderr (scripts rely on the exit code).
-        eprintln!("remy-cli: '{target}' is neither a registered experiment nor a spec file");
-        eprintln!("known experiments:");
-        for e in experiments::all() {
-            eprintln!("  {}", e.name);
-        }
-        std::process::exit(2);
-    };
+    .unwrap_or_else(|e| die(&format!("{name}: {e}")));
     if out_csv {
         report.print_csv();
     } else {
@@ -384,17 +364,14 @@ fn main() {
         Some("list-experiments") => {
             cmd_list_experiments(args.get(1).map(String::as_str) == Some("--names"))
         }
-        Some("spec") => {
-            let n = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            cmd_spec(n, runs, secs);
-        }
-        Some("topo") => {
+        Some(cmd @ ("spec" | "topo" | "run")) => {
             let t = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            cmd_topo(t);
-        }
-        Some("run") => {
-            let t = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            cmd_run(t, runs, secs, out_csv);
+            let (spec, entry) = resolve_target(t, runs, secs);
+            match cmd {
+                "spec" => print!("{}", spec.to_json()),
+                "topo" => cmd_topo(&spec),
+                _ => cmd_run(spec, entry, out_csv),
+            }
         }
         Some("inspect") => {
             let t = args.get(1).map(String::as_str).unwrap_or_else(|| usage());

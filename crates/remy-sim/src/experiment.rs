@@ -312,7 +312,8 @@ mod tests {
 
     #[test]
     fn sweeps_expand_and_report_with_point_column() {
-        let spec = tiny_spec().with_sweep(SweepAxis::Senders(vec![1, 3]));
+        let mut spec = tiny_spec();
+        spec.sweeps = vec![SweepAxis::Senders(vec![1, 3])];
         let r = Experiment::new(spec).run().expect("run");
         assert_eq!(r.n_points(), 2);
         assert_eq!(r.cells.len(), 4);
@@ -427,10 +428,14 @@ mod tests {
         use crate::spec::{HopRef, TopologySpec};
         use netsim::topology::FlowPath;
         let mut spec = tiny_spec();
-        spec.workload = spec.workload.clone().with_topology(TopologySpec::flow_hops(
-            vec![HopRef::new(LinkRef::constant(15.0), 1000)],
-            (0..2).map(|_| FlowPath::through(vec![0])).collect(),
-        ));
+        spec.workload = spec.workload.clone().with_topology(TopologySpec::FlowHops {
+            hops: vec![HopRef {
+                link: LinkRef::constant(15.0),
+                queue_capacity: 1000,
+                prop_delay: Ns::ZERO,
+            }],
+            paths: (0..2).map(|_| FlowPath::through(vec![0])).collect(),
+        });
         spec.contenders.push(ContenderSpec::new("xcp"));
         let err = match spec.expand() {
             Ok(_) => panic!("xcp on a topology must be rejected"),

@@ -1,168 +1,24 @@
 //! The named experiment registry: every figure and table reproduction of
-//! the paper's evaluation as a declarative [`ExperimentSpec`] plus (where
-//! the paper's presentation needs it) a custom report renderer.
+//! the paper's evaluation. An entry is a name, the committed
+//! `specs/<name>.json` (embedded at build time — the file is the only
+//! description of the experiment, its `budget` the entry's default budget)
+//! and, where the paper's presentation needs it, a custom report renderer.
 //!
-//! `by_name("fig4")` returns the entry; [`run_named`] expands and executes
-//! it; `remy-cli run <name|spec.json>` is the one entry point over it. See
-//! EXPERIMENTS.md for the catalogue and the budgets used for checked-in
-//! numbers.
+//! `by_name("fig4")` returns the entry; [`run_named`] executes it at a
+//! budget; `remy-cli run <name|spec.json>` is the one entry point over it.
+//! See EXPERIMENTS.md for the catalogue and "Adding an experiment".
 
 use crate::experiment::{CellResult, Experiment};
 use crate::harness::Contender;
 use crate::report::ExperimentReport;
-use crate::spec::{
-    Budget, ContenderSpec, ExperimentSpec, GraphGenerator, GraphLinkRef, GraphSpec, HopRef,
-    LinkEventSpec, LinkRef, SweepAxis, TopologySpec, WorkloadSpec, DEFAULT_SIM_SECS,
-};
-use netsim::graph::FailoverPolicy;
+use crate::spec::{Budget, ExperimentSpec, LinkEventSpec, SweepAxis, TopologySpec};
 use netsim::rng::SimRng;
-use netsim::scenario::ChurnSpec;
 use netsim::sim::Simulator;
 use netsim::stats::{mean, median, quantile, std_dev, std_err};
 use netsim::time::Ns;
-use netsim::topology::FlowPath;
 use netsim::traffic::{empirical_flow_bytes, OnSpec, TrafficSpec};
 use netsim::traffic::{PARETO_ALPHA, PARETO_SHIFT, PARETO_XM};
 use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// Contender line-ups and workload templates
-// ---------------------------------------------------------------------------
-
-/// A line-up of contenders by scheme name, default labels.
-fn lineup(schemes: &[&str]) -> Vec<ContenderSpec> {
-    schemes.iter().map(|&s| ContenderSpec::new(s)).collect()
-}
-
-/// The full Figs. 4–9 line-up: the three general-purpose RemyCCs plus
-/// every baseline.
-pub fn standard_contender_specs() -> Vec<ContenderSpec> {
-    lineup(&[
-        "remy:delta01",
-        "remy:delta1",
-        "remy:delta10",
-        "newreno",
-        "vegas",
-        "cubic",
-        "compound",
-        "cubic+sfqcodel",
-        "xcp",
-    ])
-}
-
-/// The Fig. 5 traffic model: ICSI-trace flow lengths (Fig. 3) separated
-/// by exponential pauses of mean `off_ms`.
-fn empirical_traffic(off_ms: u64) -> TrafficSpec {
-    TrafficSpec {
-        on: OnSpec::empirical(),
-        off_mean: Ns::from_millis(off_ms),
-        start_on: false,
-    }
-}
-
-/// The Fig. 4 dumbbell workload (15 Mbps, 150 ms, exp(100 kB)/exp(0.5 s)),
-/// parameterized by the sender count.
-pub fn dumbbell_workload(n: usize) -> WorkloadSpec {
-    WorkloadSpec::uniform(
-        LinkRef::constant(15.0),
-        1000,
-        n,
-        Ns::from_millis(150),
-        TrafficSpec::fig4(),
-    )
-}
-
-/// A cellular workload over a named trace (§5.3: RTT 50 ms, same on/off
-/// traffic as Fig. 4).
-pub fn cellular_workload(trace: &str, n: usize) -> WorkloadSpec {
-    WorkloadSpec::uniform(
-        LinkRef::named_trace(trace),
-        1000,
-        n,
-        Ns::from_millis(50),
-        TrafficSpec::fig4(),
-    )
-}
-
-/// The parking-lot chain (§ open problems): `hops` 10 Mbps hops in
-/// series, 10 ms apart. Senders 0 and 1 cross the whole chain; one cross
-/// sender loads each hop individually.
-pub fn parking_lot_workload(hops: usize) -> WorkloadSpec {
-    let n_long = 2;
-    let topo = TopologySpec::flow_hops(
-        (0..hops)
-            .map(|_| {
-                HopRef::new(LinkRef::constant(10.0), 1000).with_prop_delay(Ns::from_millis(10))
-            })
-            .collect(),
-        (0..n_long)
-            .map(|_| FlowPath::through((0..hops).collect()))
-            .chain((0..hops).map(|h| FlowPath::through(vec![h])))
-            .collect(),
-    );
-    let mut wl = WorkloadSpec::uniform(
-        LinkRef::constant(10.0),
-        1000,
-        n_long + hops,
-        Ns::from_millis(150),
-        TrafficSpec::fig4(),
-    );
-    for s in &mut wl.senders[n_long..] {
-        s.rtt = Ns::from_millis(100);
-    }
-    wl.with_topology(topo)
-}
-
-/// The `n`-to-1 incast fan-in: per-sender 1 Gbps access hops feed one
-/// 100 Mbps aggregation hop with a shallow (64-packet) buffer; senders
-/// push 1 MB transfers with short pauses, datacenter-style 4 ms RTTs.
-pub fn incast_workload(n: usize) -> WorkloadSpec {
-    let mut hops: Vec<HopRef> = (0..n)
-        .map(|_| HopRef::new(LinkRef::constant(1000.0), 1000))
-        .collect();
-    hops.push(HopRef::new(LinkRef::constant(100.0), 64));
-    let topo = TopologySpec::flow_hops(
-        hops,
-        (0..n).map(|i| FlowPath::through(vec![i, n])).collect(),
-    );
-    WorkloadSpec::uniform(
-        LinkRef::constant(100.0),
-        64,
-        n,
-        Ns::from_millis(4),
-        TrafficSpec {
-            on: OnSpec::ByBytes { mean_bytes: 1e6 },
-            off_mean: Ns::from_millis(100),
-            start_on: false,
-        },
-    )
-    .with_topology(topo)
-}
-
-/// Reverse-path congestion: the two directions of one 10 Mbps link are
-/// two hops. Flow 0 sends data east (hop 0) with ACKs returning west
-/// (hop 1); flow 1 sends data west with ACKs returning east — each flow's
-/// ACKs queue behind the other's data.
-pub fn reverse_path_workload() -> WorkloadSpec {
-    let topo = TopologySpec::flow_hops(
-        vec![
-            HopRef::new(LinkRef::constant(10.0), 1000),
-            HopRef::new(LinkRef::constant(10.0), 1000),
-        ],
-        vec![
-            FlowPath::through(vec![0]).with_ack_path(vec![1]),
-            FlowPath::through(vec![1]).with_ack_path(vec![0]),
-        ],
-    );
-    WorkloadSpec::uniform(
-        LinkRef::constant(10.0),
-        1000,
-        2,
-        Ns::from_millis(100),
-        TrafficSpec::saturating(),
-    )
-    .with_topology(topo)
-}
 
 // ---------------------------------------------------------------------------
 // Registry plumbing
@@ -174,30 +30,79 @@ type CustomRunner = fn(&ExperimentSpec) -> Result<ExperimentReport, String>;
 
 /// One registered figure/table reproduction.
 pub struct NamedExperiment {
-    /// Registry key (`remy-cli run <name>`).
+    /// Registry key (`remy-cli run <name>`) and stem of its spec file.
     pub name: &'static str,
     /// CSV file stem under `target/experiments/` (the names plotting
     /// scripts already read).
     pub csv: &'static str,
     /// One-line description for `remy-cli list-experiments`.
     pub about: &'static str,
-    default_budget: fn() -> Budget,
-    spec_fn: fn(Budget) -> ExperimentSpec,
+    /// The text of `specs/<name>.json`.
+    spec_json: &'static str,
     /// `None`: run the spec through [`Experiment`], render the generic report.
     runner: Option<CustomRunner>,
 }
 
+/// One registry line: the name picks the spec file, so the two cannot
+/// disagree.
+macro_rules! entry {
+    ($name:literal, $csv:literal, $about:literal, $runner:expr) => {
+        NamedExperiment {
+            name: $name,
+            csv: $csv,
+            about: $about,
+            spec_json: include_str!(concat!("../../../specs/", $name, ".json")),
+            runner: $runner,
+        }
+    };
+}
+
 impl NamedExperiment {
-    /// The budget this experiment runs at when `--runs` / `--secs` are
-    /// not given: the repository default plus per-experiment adjustments
-    /// (the datacenter scales down, Fig. 3 samples 200 000 flows).
-    pub fn default_budget(&self) -> Budget {
-        (self.default_budget)()
+    /// The experiment as committed: `specs/<name>.json`, parsed. This is
+    /// what a flagless `remy-cli run <name>` executes.
+    pub fn committed_spec(&self) -> ExperimentSpec {
+        ExperimentSpec::from_json(self.spec_json)
+            .unwrap_or_else(|e| panic!("specs/{}.json: {e}", self.name))
     }
 
-    /// The experiment's declarative spec at a given budget.
+    /// The committed spec at another budget (see [`NamedExperiment::rebudget`]).
     pub fn spec(&self, budget: Budget) -> ExperimentSpec {
-        (self.spec_fn)(budget)
+        let mut spec = self.committed_spec();
+        self.rebudget(&mut spec, budget);
+        spec
+    }
+
+    /// Apply a budget override to this entry's spec — the committed one or
+    /// a user's edited copy. Every `--runs` / `--secs` goes through here.
+    ///
+    /// A spec file states instants in absolute time, so the two entries
+    /// whose event is "mid-run" (`fig6`'s departing competitor,
+    /// `failover_chain`'s link failure, with the `t=…s` of its title) have
+    /// it re-placed at `⌊sim_secs / 2⌋` seconds, at least 1, of the new
+    /// budget.
+    pub fn rebudget(&self, spec: &mut ExperimentSpec, budget: Budget) {
+        spec.budget = budget;
+        let mid_run = Ns::from_secs((budget.sim_secs / 2).max(1));
+        match (self.name, &mut spec.workload.topology) {
+            ("fig6", _) => {
+                for s in &mut spec.workload.senders {
+                    if let OnSpec::ByTimeFixed { duration } = &mut s.traffic.on {
+                        *duration = mid_run;
+                    }
+                }
+            }
+            ("failover_chain", Some(TopologySpec::Graph(g))) => {
+                let Some(old) = earliest_failure(&g.events).map(|e| e.at) else {
+                    return;
+                };
+                let label = |at: Ns| format!("t={}s", at.0 / Ns::SECOND.0);
+                spec.title = spec.title.replace(&label(old), &label(mid_run));
+                for e in g.events.iter_mut().filter(|e| !e.up && e.at == old) {
+                    e.at = mid_run;
+                }
+            }
+            _ => {}
+        }
     }
 
     /// Execute a spec (normally one produced by [`NamedExperiment::spec`],
@@ -222,21 +127,11 @@ pub fn by_name(name: &str) -> Option<&'static NamedExperiment> {
     REGISTRY.iter().find(|e| e.name == name)
 }
 
-/// Expand and run a named experiment at the given budget.
+/// Run a named experiment at the given budget.
 pub fn run_named(name: &str, budget: Budget) -> Result<ExperimentReport, String> {
     let entry = by_name(name)
         .ok_or_else(|| format!("unknown experiment '{name}' (see `remy-cli list-experiments`)"))?;
     entry.run(&entry.spec(budget))
-}
-
-/// Default budget of the saturating-sender experiments: their senders
-/// draw no randomness, so extra seeded runs repeat the same trajectory;
-/// two runs double-check that.
-fn two_runs() -> Budget {
-    Budget {
-        runs: 2,
-        sim_secs: DEFAULT_SIM_SECS,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -244,640 +139,133 @@ fn two_runs() -> Budget {
 // ---------------------------------------------------------------------------
 
 static REGISTRY: [NamedExperiment; 21] = [
-    NamedExperiment {
-        name: "fig3",
-        csv: "fig3_flowcdf",
-        about: "empirical flow-length CDF vs the shifted-Pareto fit",
-        default_budget: || Budget {
-            runs: 200_000,
-            sim_secs: DEFAULT_SIM_SECS,
-        },
-        spec_fn: spec_fig3,
-        runner: Some(run_fig3),
-    },
-    NamedExperiment {
-        name: "fig4",
-        csv: "fig4_dumbbell8",
-        about: "throughput-delay, dumbbell 15 Mbps / 150 ms / n=8",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_fig4,
-        runner: None,
-    },
-    NamedExperiment {
-        name: "fig5",
-        csv: "fig5_dumbbell12",
-        about: "dumbbell n=12 with ICSI heavy-tailed flow lengths",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_fig5,
-        runner: None,
-    },
-    NamedExperiment {
-        name: "fig6",
-        csv: "fig6_dynamics",
-        about: "sequence plot: RemyCC reacting to a departing competitor (single run)",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_fig6,
-        runner: Some(run_fig6),
-    },
-    NamedExperiment {
-        name: "fig7",
-        csv: "fig7_lte4",
-        about: "Verizon-like LTE downlink, n=4",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_fig7,
-        runner: Some(run_lte_trace),
-    },
-    NamedExperiment {
-        name: "fig8",
-        csv: "fig8_lte8",
-        about: "Verizon-like LTE downlink, n=8",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_fig8,
-        runner: Some(run_lte_trace),
-    },
-    NamedExperiment {
-        name: "fig9",
-        csv: "fig9_att4",
-        about: "AT&T-like LTE downlink, n=4",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_fig9,
-        runner: Some(run_lte_trace),
-    },
-    NamedExperiment {
-        name: "fig10",
-        csv: "fig10_rtt_fairness",
-        about: "RTT fairness: normalized share at 50/100/150/200 ms",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_fig10,
-        runner: Some(run_fig10),
-    },
-    NamedExperiment {
-        name: "fig11",
-        csv: "fig11_prior",
-        about: "value of prior knowledge: 1x/10x RemyCCs across link speeds",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_fig11,
-        runner: Some(run_fig11),
-    },
-    NamedExperiment {
-        name: "table1_dumbbell",
-        csv: "table1_dumbbell",
-        about: "§1 headline speedups on the dumbbell",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_table1_dumbbell,
-        runner: None,
-    },
-    NamedExperiment {
-        name: "table1_cellular",
-        csv: "table1_cellular",
-        about: "§1 headline speedups on the Verizon-like LTE link",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_table1_cellular,
-        runner: Some(run_lte_trace),
-    },
-    NamedExperiment {
-        name: "table_competing",
-        csv: "table_competing",
-        about: "§5.6 incremental deployment: RemyCC vs Compound/Cubic head-to-head",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_table_competing,
-        runner: Some(run_table_competing),
-    },
-    NamedExperiment {
-        name: "table_datacenter",
-        csv: "table_datacenter",
-        about: "§5.5 datacenter: DCTCP+ECN vs RemyCC over DropTail",
-        default_budget: || Budget::default_fixed().scaled(2, 2),
-        spec_fn: spec_table_datacenter,
-        runner: Some(run_table_datacenter),
-    },
-    NamedExperiment {
-        name: "ablation_signals",
-        csv: "ablation_signals",
-        about: "mask each RemyCC congestion signal and measure the cost",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_ablation_signals,
-        runner: Some(run_ablation_signals),
-    },
-    NamedExperiment {
-        name: "ablation_loss",
-        csv: "ablation_loss",
-        about: "robustness to stochastic non-congestive loss",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_ablation_loss,
-        runner: Some(run_ablation_loss),
-    },
-    NamedExperiment {
-        name: "parking_lot3",
-        csv: "parking_lot3",
-        about: "3-hop parking lot: end-to-end flows vs per-hop cross traffic",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_parking_lot3,
-        runner: Some(run_parking_lot3),
-    },
-    NamedExperiment {
-        name: "incast16",
-        csv: "incast16",
-        about: "16-to-1 datacenter incast through a shallow aggregation buffer",
-        default_budget: || Budget::default_fixed().scaled(2, 2),
-        spec_fn: spec_incast16,
-        runner: Some(run_incast16),
-    },
-    NamedExperiment {
-        name: "reverse_path",
-        csv: "reverse_path",
-        about: "data and ACKs contending on opposite directions of one link",
-        default_budget: two_runs,
-        spec_fn: spec_reverse_path,
-        runner: Some(run_reverse_path),
-    },
-    NamedExperiment {
-        name: "web_churn",
-        csv: "web_churn",
-        about: "Poisson arrivals of heavy-tailed web transfers under two persistent senders",
-        default_budget: Budget::default_fixed,
-        spec_fn: spec_web_churn,
-        runner: Some(run_web_churn),
-    },
-    NamedExperiment {
-        name: "failover_chain",
-        csv: "failover_chain",
-        about: "link failure mid-run: shortest-path reroute onto a slower backup path",
-        default_budget: two_runs,
-        spec_fn: spec_failover_chain,
-        runner: Some(run_failover_chain),
-    },
-    NamedExperiment {
-        name: "fattree_k4_crosstraffic",
-        csv: "fattree_k4_crosstraffic",
-        about: "fat-tree k=4 with cross-pod and intra-pod edge-to-edge flows",
-        default_budget: two_runs,
-        spec_fn: spec_fattree_k4_crosstraffic,
-        runner: None,
-    },
-];
-
-// ---------------------------------------------------------------------------
-// Specs
-// ---------------------------------------------------------------------------
-
-fn spec_fig3(budget: Budget) -> ExperimentSpec {
-    // The spec's workload documents the traffic model whose flow-length
-    // distribution Fig. 3 samples (the Fig. 5 senders); the budget's
-    // `runs` is the sample count.
-    ExperimentSpec::new(
+    entry!(
         "fig3",
-        "Fig. 3 — flow length CDF vs Pareto(Xm=147, alpha=0.5) fit",
-        WorkloadSpec::uniform(
-            LinkRef::constant(15.0),
-            1000,
-            1,
-            Ns::from_millis(150),
-            empirical_traffic(200),
-        ),
-        lineup(&["newreno"]),
-        budget,
-        333,
-    )
-}
-
-fn spec_fig4(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "fig3_flowcdf",
+        "empirical flow-length CDF vs the shifted-Pareto fit",
+        Some(run_fig3)
+    ),
+    entry!(
         "fig4",
-        "Fig. 4 — dumbbell 15 Mbps, RTT 150 ms, n=8",
-        dumbbell_workload(8),
-        standard_contender_specs(),
-        budget,
-        4001,
-    )
-}
-
-fn spec_fig5(budget: Budget) -> ExperimentSpec {
-    let mut wl = dumbbell_workload(12);
-    for s in &mut wl.senders {
-        s.traffic = empirical_traffic(200);
-    }
-    ExperimentSpec::new(
+        "fig4_dumbbell8",
+        "throughput-delay, dumbbell 15 Mbps / 150 ms / n=8",
+        None
+    ),
+    entry!(
         "fig5",
-        "Fig. 5 — dumbbell 15 Mbps, n=12, ICSI flow lengths",
-        wl,
-        standard_contender_specs(),
-        budget,
-        5001,
-    )
-}
-
-fn spec_fig6(budget: Budget) -> ExperimentSpec {
-    let depart_at = Ns::from_secs(budget.sim_secs / 2);
-    let mut wl = WorkloadSpec::uniform(
-        LinkRef::constant(15.0),
-        1000,
-        2,
-        Ns::from_millis(150),
-        TrafficSpec::saturating(),
-    );
-    // Flow 1 is on for exactly the first half of the run, then leaves.
-    wl.senders[1].traffic = TrafficSpec {
-        on: OnSpec::ByTimeFixed {
-            duration: depart_at,
-        },
-        off_mean: Ns::from_secs(10_000), // never comes back
-        start_on: true,
-    };
-    wl.record_deliveries = true;
-    ExperimentSpec::new(
+        "fig5_dumbbell12",
+        "dumbbell n=12 with ICSI heavy-tailed flow lengths",
+        None
+    ),
+    entry!(
         "fig6",
-        "Fig. 6 — sequence plot data (flow 0)",
-        wl,
-        lineup(&["remy:delta1"]),
-        // One scenario is the whole experiment.
-        Budget { runs: 1, ..budget },
-        6,
-    )
-}
-
-fn spec_fig7(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "fig6_dynamics",
+        "sequence plot: RemyCC reacting to a departing competitor (single run)",
+        Some(run_fig6)
+    ),
+    entry!(
         "fig7",
-        "Fig. 7 — Verizon-like LTE, n=4",
-        cellular_workload("verizon-like", 4),
-        standard_contender_specs(),
-        budget,
-        7001,
-    )
-}
-
-fn spec_fig8(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "fig7_lte4",
+        "Verizon-like LTE downlink, n=4",
+        Some(run_lte_trace)
+    ),
+    entry!(
         "fig8",
-        "Fig. 8 — Verizon-like LTE, n=8",
-        cellular_workload("verizon-like", 8),
-        standard_contender_specs(),
-        budget,
-        8001,
-    )
-}
-
-fn spec_fig9(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "fig8_lte8",
+        "Verizon-like LTE downlink, n=8",
+        Some(run_lte_trace)
+    ),
+    entry!(
         "fig9",
-        "Fig. 9 — AT&T-like LTE, n=4",
-        cellular_workload("att-like", 4),
-        standard_contender_specs(),
-        budget,
-        9001,
-    )
-}
-
-/// The four propagation RTTs of the Fig. 10 grid, milliseconds.
-const FIG10_RTTS_MS: [u64; 4] = [50, 100, 150, 200];
-
-fn spec_fig10(budget: Budget) -> ExperimentSpec {
-    let mut wl = WorkloadSpec::uniform(
-        LinkRef::constant(10.0),
-        1000,
-        FIG10_RTTS_MS.len(),
-        Ns::ZERO,
-        empirical_traffic(200),
-    );
-    for (s, &ms) in wl.senders.iter_mut().zip(&FIG10_RTTS_MS) {
-        s.rtt = Ns::from_millis(ms);
-    }
-    ExperimentSpec::new(
+        "fig9_att4",
+        "AT&T-like LTE downlink, n=4",
+        Some(run_lte_trace)
+    ),
+    entry!(
         "fig10",
-        "Fig. 10 — normalized throughput share vs RTT",
-        wl,
-        lineup(&[
-            "cubic+sfqcodel",
-            "remy:delta01",
-            "remy:delta1",
-            "remy:delta10",
-        ]),
-        budget,
-        10_101,
-    )
-}
-
-/// The Fig. 11 link-speed grid, Mbps (10× design range is 4.7–47).
-const FIG11_SPEEDS: [f64; 9] = [2.5, 4.7, 7.0, 10.0, 15.0, 22.0, 33.0, 47.0, 70.0];
-
-fn spec_fig11(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "fig10_rtt_fairness",
+        "RTT fairness: normalized share at 50/100/150/200 ms",
+        Some(run_fig10)
+    ),
+    entry!(
         "fig11",
-        "Fig. 11 — log(norm tput) - log(norm delay) vs link speed",
-        WorkloadSpec::uniform(
-            LinkRef::constant(15.0),
-            1000,
-            2,
-            Ns::from_millis(150),
-            TrafficSpec::design_default(),
-        ),
-        lineup(&["remy:onex", "remy:tenx", "cubic+sfqcodel"]),
-        budget,
-        11_000,
-    )
-    .with_sweep(SweepAxis::LinkMbps(FIG11_SPEEDS.to_vec()))
-}
-
-fn spec_table1_dumbbell(budget: Budget) -> ExperimentSpec {
-    let mut spec = spec_fig4(budget);
-    spec.name = "table1_dumbbell".to_string();
-    spec.title = "Table §1-a — dumbbell 15 Mbps, RTT 150 ms, n=8".to_string();
-    spec.with_speedup_reference("RemyCC d=0.1")
-}
-
-fn spec_table1_cellular(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "fig11_prior",
+        "value of prior knowledge: 1x/10x RemyCCs across link speeds",
+        Some(run_fig11)
+    ),
+    entry!(
+        "table1_dumbbell",
+        "table1_dumbbell",
+        "§1 headline speedups on the dumbbell",
+        None
+    ),
+    entry!(
         "table1_cellular",
-        "Table §1-b — Verizon-like LTE, n=4",
-        cellular_workload("verizon-like", 4),
-        standard_contender_specs(),
-        budget,
-        4242,
-    )
-    .with_speedup_reference("RemyCC d=0.1")
-}
-
-fn spec_table_competing(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "table1_cellular",
+        "§1 headline speedups on the Verizon-like LTE link",
+        Some(run_lte_trace)
+    ),
+    entry!(
         "table_competing",
-        "§5.6 — RemyCC head-to-head against buffer-filling schemes",
-        WorkloadSpec::uniform(
-            LinkRef::constant(15.0),
-            1000,
-            2,
-            Ns::from_millis(150),
-            empirical_traffic(200),
-        ),
-        lineup(&["remy:coexist", "compound", "cubic"]),
-        budget,
-        56_100,
-    )
-    .with_sweep(SweepAxis::OffMeanMs(vec![200, 100, 10]))
-}
-
-fn spec_table_datacenter(budget: Budget) -> ExperimentSpec {
-    // The paper's 10 Gbps fabric, scaled down with its transfer sizes and
-    // its DCTCP marking threshold so the default budget runs in minutes.
-    let mbps: f64 = 500.0;
-    let scale = mbps / 10_000.0;
-    let n = 32;
-    let k = ((65.0 * scale).round() as usize).max(4);
-    ExperimentSpec::new(
+        "table_competing",
+        "§5.6 incremental deployment: RemyCC vs Compound/Cubic head-to-head",
+        Some(run_table_competing)
+    ),
+    entry!(
         "table_datacenter",
-        format!(
-            "§5.5 — datacenter, {mbps} Mbps, RTT 4 ms, n={n}, exp({:.1} MB) transfers",
-            20.0 * scale
-        ),
-        WorkloadSpec::uniform(
-            LinkRef::constant(mbps),
-            1000,
-            n,
-            Ns::from_millis(4),
-            TrafficSpec {
-                on: OnSpec::ByBytes {
-                    mean_bytes: 20e6 * scale,
-                },
-                off_mean: Ns::from_millis(100),
-                start_on: false,
-            },
-        ),
-        vec![
-            ContenderSpec::new(format!("dctcp:{k}")),
-            ContenderSpec::labeled("remy:datacenter", "RemyCC (DropTail)"),
-        ],
-        budget,
-        5500,
-    )
-}
-
-fn spec_ablation_signals(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "table_datacenter",
+        "§5.5 datacenter: DCTCP+ECN vs RemyCC over DropTail",
+        Some(run_table_datacenter)
+    ),
+    entry!(
         "ablation_signals",
-        "Ablation — RemyCC d=1 memory signals, dumbbell n=8",
-        dumbbell_workload(8),
-        vec![
-            ContenderSpec::labeled("remy:delta1:mask=111", "all signals"),
-            ContenderSpec::labeled("remy:delta1:mask=011", "no ack_ewma"),
-            ContenderSpec::labeled("remy:delta1:mask=101", "no send_ewma"),
-            ContenderSpec::labeled("remy:delta1:mask=110", "no rtt_ratio"),
-            ContenderSpec::labeled("remy:delta1:mask=000", "blind"),
-        ],
-        budget,
-        88_000,
-    )
-}
-
-/// The stochastic-loss grid of the loss ablation.
-const LOSS_RATES: [f64; 5] = [0.0, 0.001, 0.005, 0.01, 0.03];
-
-fn spec_ablation_loss(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "ablation_signals",
+        "mask each RemyCC congestion signal and measure the cost",
+        Some(run_ablation_signals)
+    ),
+    entry!(
         "ablation_loss",
-        "Ablation — median per-sender tput (Mbps) vs stochastic loss, dumbbell n=8",
-        dumbbell_workload(8),
-        lineup(&["remy:delta01", "newreno", "cubic"]),
-        budget,
-        77_000,
-    )
-    .with_sweep(SweepAxis::LossRate(LOSS_RATES.to_vec()))
-}
-
-fn spec_parking_lot3(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "ablation_loss",
+        "robustness to stochastic non-congestive loss",
+        Some(run_ablation_loss)
+    ),
+    entry!(
         "parking_lot3",
-        "Parking lot — 3 x 10 Mbps hops, 2 end-to-end flows + 1 cross flow per hop",
-        parking_lot_workload(3),
-        lineup(&["remy:delta1", "newreno", "cubic"]),
-        budget,
-        31_001,
-    )
-}
-
-fn spec_incast16(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "parking_lot3",
+        "3-hop parking lot: end-to-end flows vs per-hop cross traffic",
+        Some(run_parking_lot3)
+    ),
+    entry!(
         "incast16",
-        "Incast — 16-to-1 fan-in, 100 Mbps aggregation, 64-packet buffer, RTT 4 ms",
-        incast_workload(16),
-        vec![
-            ContenderSpec::labeled("remy:datacenter", "RemyCC (DropTail)"),
-            ContenderSpec::new("dctcp:8"),
-            ContenderSpec::new("newreno"),
-        ],
-        budget,
-        16_001,
-    )
-}
-
-fn spec_reverse_path(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "incast16",
+        "16-to-1 datacenter incast through a shallow aggregation buffer",
+        Some(run_incast16)
+    ),
+    entry!(
         "reverse_path",
-        "Reverse path — data and ACKs contending on opposite directions of a 10 Mbps link",
-        reverse_path_workload(),
-        lineup(&["remy:delta1", "newreno", "cubic"]),
-        budget,
-        27_001,
-    )
-}
-
-/// The web-churn workload: a fast shared bottleneck with two persistent
-/// buffer-filling senders, plus Poisson arrivals (λ = 2000 flows/s) of
-/// bounded-Pareto web transfers — ≥ 10 000 dynamic flows per run even at
-/// the CI smoke budget (2 runs × 5 s), ~60 000 at the default budget.
-pub fn web_churn_workload() -> WorkloadSpec {
-    WorkloadSpec::uniform(
-        LinkRef::constant(1000.0),
-        1000,
-        2,
-        Ns::from_millis(50),
-        TrafficSpec::saturating(),
-    )
-    .with_churn(ChurnSpec {
-        arrivals_per_sec: 2000.0,
-        size: OnSpec::BoundedPareto {
-            xm: 4500.0,
-            alpha: 1.2,
-            cap_bytes: 1_500_000.0,
-        },
-        rtt: Ns::from_millis(20),
-    })
-}
-
-fn spec_web_churn(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "reverse_path",
+        "data and ACKs contending on opposite directions of one link",
+        Some(run_reverse_path)
+    ),
+    entry!(
         "web_churn",
-        "Web churn — Poisson(2000/s) bounded-Pareto transfers vs two persistent senders, 1 Gbps",
-        web_churn_workload(),
-        lineup(&["newreno", "cubic", "remy:delta1"]),
-        budget,
-        70_001,
-    )
-}
-
-/// The failover-chain workload: a 3-segment primary chain a—b—c—d
-/// (5 ms per segment, weight 1) and a slower 2-segment detour a—e—d
-/// (20 ms per segment, weight 2), all duplex 10 Mbps links. Two
-/// saturating flows a→d ride the primary until the b↔c segment fails
-/// at `fail_at`; shortest-path recomputation then shifts both flows —
-/// and their ACKs — onto the detour, and the RTT steps up by the extra
-/// propagation. The buffers are kept shallow (6 packets ≈ 7 ms at
-/// 10 Mbps) so the 20 ms propagation step dominates the RTT and stays
-/// visible under any contender's queue occupancy.
-pub fn failover_chain_workload(fail_at: Ns) -> WorkloadSpec {
-    let wire = |from: &str, to: &str, ms: u64, weight: u64| GraphLinkRef {
-        from: from.to_string(),
-        to: to.to_string(),
-        link: LinkRef::constant(10.0),
-        queue_capacity: 6,
-        prop_delay: Ns::from_millis(ms),
-        weight,
-    };
-    let duplex = |a: &str, b: &str, ms: u64, w: u64| vec![wire(a, b, ms, w), wire(b, a, ms, w)];
-    let mut links = Vec::new();
-    links.extend(duplex("a", "b", 5, 1));
-    links.extend(duplex("b", "c", 5, 1));
-    links.extend(duplex("c", "d", 5, 1));
-    links.extend(duplex("a", "e", 20, 2));
-    links.extend(duplex("e", "d", 20, 2));
-    let down = |from: &str, to: &str| LinkEventSpec {
-        at: fail_at,
-        from: from.to_string(),
-        to: to.to_string(),
-        up: false,
-    };
-    let graph = GraphSpec {
-        generator: GraphGenerator::Explicit {
-            routers: ["a", "b", "c", "d", "e"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            links,
-        },
-        flows: vec![("a".into(), "d".into()), ("a".into(), "d".into())],
-        // Both directions of the b↔c segment fail together, so the
-        // forward path and the ACK path reroute at the same instant.
-        events: vec![down("b", "c"), down("c", "b")],
-        policy: FailoverPolicy::Reroute,
-    };
-    WorkloadSpec::uniform(
-        LinkRef::constant(10.0),
-        6,
-        2,
-        Ns::from_millis(20),
-        TrafficSpec::saturating(),
-    )
-    .with_topology(TopologySpec::Graph(graph))
-}
-
-fn spec_failover_chain(budget: Budget) -> ExperimentSpec {
-    // The failure lands mid-run at every budget (same derivation as
-    // Fig. 6's departure time), so pre- and post-failure windows both
-    // carry traffic.
-    let fail_secs = (budget.sim_secs / 2).max(1);
-    ExperimentSpec::new(
+        "web_churn",
+        "Poisson arrivals of heavy-tailed web transfers under two persistent senders",
+        Some(run_web_churn)
+    ),
+    entry!(
         "failover_chain",
-        format!(
-            "Failover — 3-hop chain, primary b-c segment fails at t={fail_secs}s, \
-             reroute onto the 40 ms backup path"
-        ),
-        failover_chain_workload(Ns::from_secs(fail_secs)),
-        lineup(&["remy:delta1", "cubic"]),
-        budget,
-        91_001,
-    )
-}
-
-/// The fat-tree cross-traffic workload: the canonical k=4 switch-level
-/// fabric (20 routers, 64 directed 50 Mbps links) carrying six
-/// saturating edge-to-edge flows — four cross-pod (two hops up to the
-/// core and two back down) and two intra-pod (via the shared
-/// aggregation layer), so core and aggregation links see overlapping
-/// traffic from different pods.
-pub fn fattree_crosstraffic_workload() -> WorkloadSpec {
-    let graph = GraphSpec {
-        generator: GraphGenerator::FatTreeK4 {
-            link: LinkRef::constant(50.0),
-            queue_capacity: 64,
-            prop_delay: Ns::from_micros(100),
-        },
-        flows: [
-            ("pod0_edge0", "pod1_edge0"),
-            ("pod1_edge1", "pod2_edge1"),
-            ("pod2_edge0", "pod3_edge0"),
-            ("pod0_edge1", "pod3_edge1"),
-            ("pod0_edge0", "pod0_edge1"),
-            ("pod2_edge1", "pod2_edge0"),
-        ]
-        .iter()
-        .map(|(s, d)| (s.to_string(), d.to_string()))
-        .collect(),
-        events: vec![],
-        policy: FailoverPolicy::Reroute,
-    };
-    WorkloadSpec::uniform(
-        LinkRef::constant(50.0),
-        64,
-        6,
-        Ns::from_millis(1),
-        TrafficSpec::saturating(),
-    )
-    .with_topology(TopologySpec::Graph(graph))
-}
-
-fn spec_fattree_k4_crosstraffic(budget: Budget) -> ExperimentSpec {
-    ExperimentSpec::new(
+        "failover_chain",
+        "link failure mid-run: shortest-path reroute onto a slower backup path",
+        Some(run_failover_chain)
+    ),
+    entry!(
         "fattree_k4_crosstraffic",
-        "Fat-tree k=4 — six edge-to-edge flows, cross-pod and intra-pod, 50 Mbps fabric",
-        fattree_crosstraffic_workload(),
-        vec![
-            ContenderSpec::labeled("remy:datacenter", "RemyCC (DropTail)"),
-            ContenderSpec::new("dctcp:8"),
-            ContenderSpec::new("cubic"),
-        ],
-        budget,
-        84_001,
-    )
-}
+        "fattree_k4_crosstraffic",
+        "fat-tree k=4 with cross-pod and intra-pod edge-to-edge flows",
+        None
+    ),
+];
 
 // ---------------------------------------------------------------------------
 // Custom runners, and the table they declare once and render twice
@@ -1326,7 +714,9 @@ fn run_table_competing(spec: &ExperimentSpec) -> Result<ExperimentReport, String
         cols("off time", "Compound"),
     );
     for (pi, &off_ms) in off_sweep.iter().enumerate() {
-        let traffic = empirical_traffic(off_ms);
+        // The spec's own (empirical flow-length) senders, at this off time.
+        let mut traffic = spec.workload.senders[0].traffic.clone();
+        traffic.off_mean = Ns::from_millis(off_ms);
         let [remy, rival] = head_to_head(spec, &compound, &traffic, pi as u64)?;
         let param = Field::Pre(format!("{off_ms:>9} ms"), format!("compound,{off_ms}"));
         table.row(vec![param, remy, rival]);
@@ -1592,15 +982,69 @@ fn run_web_churn(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     Ok(table.finish(spec))
 }
 
+/// The earliest scheduled link failure (the first listed, among equals).
+fn earliest_failure(events: &[LinkEventSpec]) -> Option<&LinkEventSpec> {
+    events.iter().filter(|e| !e.up).min_by_key(|e| e.at)
+}
+
+/// Why a spec's link failure cannot split its run into a pre-failure
+/// prefix and a post-failure remainder.
+#[derive(Debug, PartialEq)]
+enum FailureInstantError {
+    /// The spec schedules no `up: false` event on a graph topology.
+    NoFailure,
+    /// The earliest failure is not a whole second strictly inside the run
+    /// (`Budget::sim_secs`, the prefix run's length, is whole seconds).
+    NotInsideRun {
+        /// The offending event.
+        event: LinkEventSpec,
+        /// The run it should fall inside.
+        sim_secs: u64,
+    },
+}
+
+impl std::fmt::Display for FailureInstantError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FailureInstantError::NoFailure => {
+                write!(f, "spec schedules no link failure (an `up: false` event)")
+            }
+            FailureInstantError::NotInsideRun { event, sim_secs } => write!(
+                f,
+                "failure of link '{}' -> '{}' at_ns {} is not a whole number of seconds \
+                 strictly inside the {sim_secs} s run",
+                event.from, event.to, event.at.0
+            ),
+        }
+    }
+}
+
+/// The second at which `spec`'s earliest link failure fires.
+fn failure_secs(spec: &ExperimentSpec) -> Result<u64, FailureInstantError> {
+    let event = match &spec.workload.topology {
+        Some(TopologySpec::Graph(g)) => earliest_failure(&g.events),
+        _ => None,
+    }
+    .ok_or(FailureInstantError::NoFailure)?;
+    let secs = event.at.0 / Ns::SECOND.0;
+    if event.at != Ns::from_secs(secs) || secs == 0 || secs >= spec.budget.sim_secs {
+        return Err(FailureInstantError::NotInsideRun {
+            event: event.clone(),
+            sim_secs: spec.budget.sim_secs,
+        });
+    }
+    Ok(secs)
+}
+
 fn run_failover_chain(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
-    let full = Experiment::new(spec.clone()).run()?;
     // A second run truncated at the failure instant isolates the
     // pre-failure RTTs: the engine is deterministic and the workload
     // identical, so the truncated run is an exact event-prefix of the
     // full one. Subtracting its RTT sums from the full-run sums leaves
     // exactly the post-failure samples.
     let mut prefix_spec = spec.clone();
-    prefix_spec.budget.sim_secs = (spec.budget.sim_secs / 2).max(1);
+    prefix_spec.budget.sim_secs = failure_secs(spec).map_err(|e| e.to_string())?;
+    let full = Experiment::new(spec.clone()).run()?;
     let prefix = Experiment::new(prefix_spec).run()?;
     let mut table = Table::new(
         &budget_title(spec),
@@ -1654,36 +1098,23 @@ mod tests {
     #[test]
     fn registry_has_all_twenty_one_experiments() {
         assert_eq!(all().len(), 21);
-        let mut names: Vec<&str> = all().iter().map(|e| e.name).collect();
-        names.sort_unstable();
-        let mut expected = vec![
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "table1_dumbbell",
-            "table1_cellular",
-            "table_competing",
-            "table_datacenter",
-            "ablation_signals",
-            "ablation_loss",
-            "parking_lot3",
-            "incast16",
-            "reverse_path",
-            "web_churn",
-            "failover_chain",
-            "fattree_k4_crosstraffic",
-        ];
-        expected.sort_unstable();
-        assert_eq!(names, expected);
         assert!(by_name("fig4").is_some());
         assert!(by_name("parking_lot3").is_some());
         assert!(by_name("fig99").is_none());
+        // The spec files are the registry: an unregistered file or a
+        // registered name without its file fails by name. (`entry!` embeds
+        // `specs/<name>.json`, so only the first can happen silently.)
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .expect("specs/ exists")
+            .map(|f| f.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        files.sort_unstable();
+        let mut names: Vec<&str> = all().iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        assert_eq!(files, names, "specs/*.json stems vs registry names");
     }
 
     #[test]
@@ -1716,10 +1147,13 @@ mod tests {
         // RTT must sit a clear step above the pre-failure RTT (the backup
         // path costs 20 ms more of round-trip propagation), for every
         // contender, and the flows must keep delivering after the switch.
-        let rep = run_failover_chain(&spec_failover_chain(Budget {
-            runs: 1,
-            sim_secs: 8,
-        }))
+        let rep = run_named(
+            "failover_chain",
+            Budget {
+                runs: 1,
+                sim_secs: 8,
+            },
+        )
         .expect("failover_chain runs");
         assert_eq!(rep.csv_rows.len(), 2, "one row per contender");
         for row in &rep.csv_rows {
@@ -1776,7 +1210,7 @@ mod tests {
     fn parking_lot_cross_traffic_outpaces_end_to_end_flows() {
         // End-to-end flows pay three queues; per-hop cross traffic pays
         // one. Any loss-based scheme should show the gap.
-        let spec = spec_parking_lot3(Budget {
+        let spec = by_name("parking_lot3").unwrap().spec(Budget {
             runs: 2,
             sim_secs: 10,
         });
@@ -1798,7 +1232,7 @@ mod tests {
     #[test]
     fn web_churn_smoke_reaches_ten_thousand_flows() {
         // The CI smoke budget: each run must still see ≥ 10k arrivals.
-        let spec = spec_web_churn(Budget {
+        let spec = by_name("web_churn").unwrap().spec(Budget {
             runs: 2,
             sim_secs: 5,
         });
@@ -1821,10 +1255,13 @@ mod tests {
                 );
             }
         }
-        let rep = run_web_churn(&spec_web_churn(Budget {
-            runs: 1,
-            sim_secs: 3,
-        }))
+        let rep = run_named(
+            "web_churn",
+            Budget {
+                runs: 1,
+                sim_secs: 3,
+            },
+        )
         .expect("report");
         assert_eq!(rep.csv_rows.len(), 3, "one row per contender");
         assert!(rep.csv_header.contains("fct_p99_ms"));
@@ -1832,7 +1269,7 @@ mod tests {
 
     #[test]
     fn reverse_path_rtt_exceeds_propagation_floor() {
-        let spec = spec_reverse_path(Budget {
+        let spec = by_name("reverse_path").unwrap().spec(Budget {
             runs: 1,
             sim_secs: 10,
         });
@@ -1880,7 +1317,9 @@ mod tests {
 
     #[test]
     fn contender_lineups() {
-        let all_c = standard_contender_specs();
+        // The Figs. 4–9 line-up: the three general-purpose RemyCCs plus
+        // every baseline, each buildable from the shipped tables.
+        let all_c = by_name("fig4").unwrap().committed_spec().contenders;
         assert_eq!(all_c.len(), 9);
         let labels: Vec<String> = all_c
             .iter()
@@ -1888,15 +1327,6 @@ mod tests {
             .collect();
         assert!(labels.iter().any(|l| l.contains("Cubic/sfqCoDel")));
         assert!(labels.iter().any(|l| l.contains("RemyCC")));
-    }
-
-    #[test]
-    fn workload_builders() {
-        let w = dumbbell_workload(8);
-        assert_eq!(w.n(), 8);
-        let c = cellular_workload("verizon-like", 4);
-        assert_eq!(c.n(), 4);
-        assert_eq!(c.senders[0].rtt, Ns::from_millis(50));
     }
 
     #[test]
@@ -1912,5 +1342,49 @@ mod tests {
         assert_eq!(rep.csv_name, "fig6_dynamics");
         assert!(rep.text.contains("flow 0 delivery rate"));
         assert!(!rep.csv_rows.is_empty());
+    }
+
+    /// The committed `failover_chain` spec with its failure moved to `at`.
+    fn failover_spec_failing_at(at: Ns) -> ExperimentSpec {
+        let mut spec = by_name("failover_chain").unwrap().committed_spec();
+        let Some(TopologySpec::Graph(g)) = &mut spec.workload.topology else {
+            panic!("failover_chain runs on a graph topology");
+        };
+        for e in &mut g.events {
+            e.at = at;
+        }
+        spec
+    }
+
+    #[test]
+    fn failover_prefix_run_ends_at_the_specs_own_failure_instant() {
+        // A copy of the golden with an edited `events[].at_ns` and no
+        // `--secs`: the pre-failure window is the spec's 10 s, not a
+        // re-derived 30 / 2 that would straddle the failure.
+        assert_eq!(
+            failure_secs(&failover_spec_failing_at(Ns::from_secs(10))),
+            Ok(10)
+        );
+    }
+
+    #[test]
+    fn failover_instant_outside_the_run_is_an_error_naming_the_event() {
+        for at in [Ns::from_millis(10_500), Ns::ZERO, Ns::from_secs(30)] {
+            let spec = failover_spec_failing_at(at);
+            let Err(FailureInstantError::NotInsideRun { event, sim_secs }) = failure_secs(&spec)
+            else {
+                panic!("{at}: accepted");
+            };
+            assert_eq!((event.from.as_str(), event.to.as_str()), ("b", "c"));
+            assert_eq!((event.at, sim_secs), (at, 30));
+            let err = run_failover_chain(&spec).expect_err("no numbers are printed");
+            assert!(
+                err.contains("'b' -> 'c'") && err.contains(&at.0.to_string()),
+                "{err}"
+            );
+        }
+        let mut spec = failover_spec_failing_at(Ns::from_secs(10));
+        spec.workload.topology = None;
+        assert_eq!(failure_secs(&spec), Err(FailureInstantError::NoFailure));
     }
 }

@@ -28,14 +28,9 @@ use netsim::traffic::TrafficSpec;
 use remy::whisker::WhiskerTree;
 use std::sync::Arc;
 
-/// Default per-scheme run count (`--runs` overrides).
-pub const DEFAULT_RUNS: usize = 16;
-/// Default simulated seconds per run (`--secs` overrides).
-pub const DEFAULT_SIM_SECS: u64 = 30;
-
 /// Experiment budget: how many seeded runs, how long each simulates.
-/// The paper uses ≥128 runs of 100 s; the defaults here complete the full
-/// suite in minutes on one core.
+/// The paper uses ≥128 runs of 100 s; the budgets in `specs/*.json`
+/// complete the full suite in minutes on one core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Budget {
     /// Independent seeded runs per (sweep point, contender).
@@ -45,22 +40,6 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// The repository defaults (also the budget of every golden spec).
-    pub fn default_fixed() -> Budget {
-        Budget {
-            runs: DEFAULT_RUNS,
-            sim_secs: DEFAULT_SIM_SECS,
-        }
-    }
-
-    /// Scale down (used by heavyweight experiments like the datacenter).
-    pub fn scaled(self, runs_div: usize, secs_div: u64) -> Budget {
-        Budget {
-            runs: (self.runs / runs_div).max(2),
-            sim_secs: (self.sim_secs / secs_div).max(3),
-        }
-    }
-
     /// Per-run simulated duration.
     pub fn duration(&self) -> Ns {
         Ns::from_secs(self.sim_secs)
@@ -117,11 +96,6 @@ impl LinkRef {
     /// A fixed-rate link reference.
     pub fn constant(rate_mbps: f64) -> LinkRef {
         LinkRef::Constant { rate_mbps }
-    }
-
-    /// A named-trace link reference.
-    pub fn named_trace(name: impl Into<String>) -> LinkRef {
-        LinkRef::NamedTrace { name: name.into() }
     }
 
     /// Materialize the link model.
@@ -202,21 +176,6 @@ pub struct HopRef {
 }
 
 impl HopRef {
-    /// A hop with no outbound propagation delay.
-    pub fn new(link: LinkRef, queue_capacity: usize) -> HopRef {
-        HopRef {
-            link,
-            queue_capacity,
-            prop_delay: Ns::ZERO,
-        }
-    }
-
-    /// Builder-style: set the outbound propagation delay.
-    pub fn with_prop_delay(mut self, delay: Ns) -> HopRef {
-        self.prop_delay = delay;
-        self
-    }
-
     /// Serialize to a JSON value.
     pub fn to_json_value(&self) -> Value {
         Value::obj(vec![
@@ -701,11 +660,6 @@ fn fork_lossy_hop_seeds(hops: &mut [netsim::topology::HopSpec]) {
 }
 
 impl TopologySpec {
-    /// The hand-listed form (the pre-graph constructor).
-    pub fn flow_hops(hops: Vec<HopRef>, paths: Vec<FlowPath>) -> TopologySpec {
-        TopologySpec::FlowHops { hops, paths }
-    }
-
     /// Number of hops of a hand-listed topology; `None` for graph form
     /// (its hop count is the built graph's link count).
     pub fn n_flow_hops(&self) -> Option<usize> {
@@ -1369,18 +1323,6 @@ impl ExperimentSpec {
         }
     }
 
-    /// Builder-style: add a sweep axis.
-    pub fn with_sweep(mut self, axis: SweepAxis) -> ExperimentSpec {
-        self.sweeps.push(axis);
-        self
-    }
-
-    /// Builder-style: request the speedup table against this label.
-    pub fn with_speedup_reference(mut self, label: impl Into<String>) -> ExperimentSpec {
-        self.speedup_reference = Some(label.into());
-        self
-    }
-
     /// The Cartesian sweep grid, in axis order (last axis fastest).
     /// Always at least one point when there are no sweep axes.
     pub fn points(&self) -> Vec<SweepPoint> {
@@ -1575,6 +1517,23 @@ impl ExperimentSpec {
 mod tests {
     use super::*;
 
+    /// `fig4ish_spec` swept over `axes`.
+    fn swept(axes: Vec<SweepAxis>) -> ExperimentSpec {
+        ExperimentSpec {
+            sweeps: axes,
+            ..fig4ish_spec()
+        }
+    }
+
+    /// A hop of the hand-listed topology form.
+    fn hop(rate_mbps: f64, queue_capacity: usize, prop_delay: Ns) -> HopRef {
+        HopRef {
+            link: LinkRef::constant(rate_mbps),
+            queue_capacity,
+            prop_delay,
+        }
+    }
+
     fn fig4ish_spec() -> ExperimentSpec {
         ExperimentSpec::new(
             "test4",
@@ -1600,10 +1559,11 @@ mod tests {
 
     #[test]
     fn spec_round_trips_losslessly() {
-        let mut spec = fig4ish_spec()
-            .with_sweep(SweepAxis::LinkMbps(vec![4.7, 15.0, 47.0]))
-            .with_sweep(SweepAxis::RttMs(vec![50, 150]))
-            .with_speedup_reference("RemyCC d=1");
+        let mut spec = swept(vec![
+            SweepAxis::LinkMbps(vec![4.7, 15.0, 47.0]),
+            SweepAxis::RttMs(vec![50, 150]),
+        ]);
+        spec.speedup_reference = Some("RemyCC d=1".to_string());
         spec.seed = u64::MAX - 17; // full-range seeds survive
         let text = spec.to_json();
         let back = ExperimentSpec::from_json(&text).expect("parse");
@@ -1718,9 +1678,10 @@ mod tests {
 
     #[test]
     fn cartesian_expansion_orders_last_axis_fastest() {
-        let spec = fig4ish_spec()
-            .with_sweep(SweepAxis::LinkMbps(vec![10.0, 20.0]))
-            .with_sweep(SweepAxis::Senders(vec![2, 4, 8]));
+        let spec = swept(vec![
+            SweepAxis::LinkMbps(vec![10.0, 20.0]),
+            SweepAxis::Senders(vec![2, 4, 8]),
+        ]);
         let points = spec.points();
         assert_eq!(points.len(), 6);
         assert_eq!(points[0].get("link_mbps"), Some(10.0));
@@ -1732,11 +1693,12 @@ mod tests {
 
     #[test]
     fn sweep_coordinates_reshape_the_workload() {
-        let spec = fig4ish_spec()
-            .with_sweep(SweepAxis::Senders(vec![12]))
-            .with_sweep(SweepAxis::RttMs(vec![50]))
-            .with_sweep(SweepAxis::OffMeanMs(vec![10]))
-            .with_sweep(SweepAxis::LossRate(vec![0.01]));
+        let spec = swept(vec![
+            SweepAxis::Senders(vec![12]),
+            SweepAxis::RttMs(vec![50]),
+            SweepAxis::OffMeanMs(vec![10]),
+            SweepAxis::LossRate(vec![0.01]),
+        ]);
         let points = spec.points();
         let (wl, loss) = spec.workload_at(&points[0]).unwrap();
         assert_eq!(wl.n(), 12);
@@ -1814,9 +1776,12 @@ mod tests {
 
     #[test]
     fn named_traces_resolve() {
-        assert!(LinkRef::named_trace("verizon-like").resolve().is_ok());
-        assert!(LinkRef::named_trace("att-like").resolve().is_ok());
-        assert!(LinkRef::named_trace("tmobile").resolve().is_err());
+        let trace = |name: &str| LinkRef::NamedTrace {
+            name: name.to_string(),
+        };
+        assert!(trace("verizon-like").resolve().is_ok());
+        assert!(trace("att-like").resolve().is_ok());
+        assert!(trace("tmobile").resolve().is_err());
         assert!(LinkRef::constant(0.0).resolve().is_err());
     }
 
@@ -1837,16 +1802,13 @@ mod tests {
     }"#;
 
     fn two_hop_topology() -> TopologySpec {
-        TopologySpec::flow_hops(
-            vec![
-                HopRef::new(LinkRef::constant(10.0), 1000).with_prop_delay(Ns::from_millis(10)),
-                HopRef::new(LinkRef::constant(5.0), 64),
-            ],
-            vec![
+        TopologySpec::FlowHops {
+            hops: vec![hop(10.0, 1000, Ns::from_millis(10)), hop(5.0, 64, Ns::ZERO)],
+            paths: vec![
                 FlowPath::through(vec![0, 1]),
                 FlowPath::through(vec![1]).with_ack_path(vec![0]),
             ],
-        )
+        }
     }
 
     #[test]
@@ -1998,17 +1960,17 @@ mod tests {
 
     #[test]
     fn lossy_disciplines_get_independent_streams_per_hop() {
-        let topo = TopologySpec::flow_hops(
-            vec![
-                HopRef::new(LinkRef::constant(10.0), 1000).with_prop_delay(Ns::from_millis(10)),
-                HopRef::new(LinkRef::constant(5.0), 64),
-                HopRef::new(LinkRef::constant(5.0), 64),
+        let topo = TopologySpec::FlowHops {
+            hops: vec![
+                hop(10.0, 1000, Ns::from_millis(10)),
+                hop(5.0, 64, Ns::ZERO),
+                hop(5.0, 64, Ns::ZERO),
             ],
-            vec![
+            paths: vec![
                 FlowPath::through(vec![0, 1, 2]),
                 FlowPath::through(vec![1]).with_ack_path(vec![0]),
             ],
-        );
+        };
         let resolved = topo
             .resolve(&QueueSpec::LossyDropTail {
                 capacity: 1000,
@@ -2064,27 +2026,13 @@ mod tests {
         spec.workload.senders.truncate(2);
         spec.workload = spec.workload.clone().with_topology(two_hop_topology());
         for axis in [SweepAxis::LinkMbps(vec![5.0]), SweepAxis::Senders(vec![4])] {
-            let swept = spec.clone().with_sweep(axis);
-            let err = swept.workload_at(&swept.points()[0]).unwrap_err();
+            spec.sweeps = vec![axis];
+            let err = spec.workload_at(&spec.points()[0]).unwrap_err();
             assert!(err.contains("not supported"), "{err}");
         }
         // Per-sender axes remain legal.
-        let swept = spec.clone().with_sweep(SweepAxis::RttMs(vec![50]));
-        let (wl, _) = swept.workload_at(&swept.points()[0]).expect("rtt sweep ok");
+        spec.sweeps = vec![SweepAxis::RttMs(vec![50])];
+        let (wl, _) = spec.workload_at(&spec.points()[0]).expect("rtt sweep ok");
         assert!(wl.senders.iter().all(|s| s.rtt == Ns::from_millis(50)));
-    }
-
-    #[test]
-    fn budget_scales_with_floors() {
-        let b = Budget {
-            runs: 16,
-            sim_secs: 30,
-        };
-        let s = b.scaled(4, 3);
-        assert_eq!(s.runs, 4);
-        assert_eq!(s.sim_secs, 10);
-        let tiny = b.scaled(100, 100);
-        assert_eq!(tiny.runs, 2);
-        assert_eq!(tiny.sim_secs, 3);
     }
 }

@@ -1,26 +1,97 @@
-//! Integration: the declarative experiment layer — golden JSON round
-//! trips, the named registry, and the `remy-cli run` entry point.
+//! Integration: the declarative experiment layer — the committed spec
+//! files that are the registry, and the `remy-cli run` entry point.
 
 use remy_sim::experiments;
 use remy_sim::prelude::*;
 use std::process::Command;
 
-/// The checked-in golden spec for Fig. 4. `remy-cli spec fig4` must keep
-/// producing exactly this document — spec-format drift fails the build
-/// (`every_registry_entry_has_a_committed_golden_spec` holds all 21
-/// goldens to the same bytes).
+/// The committed spec for Fig. 4 (`every_embedded_spec_is_canonical_and_named_for_its_entry`
+/// holds all 21 files to the canonical form).
 const FIG4_GOLDEN: &str = include_str!("../specs/fig4.json");
 
+/// The committed spec of a registry entry (`specs/<name>.json`).
+fn golden(name: &str) -> String {
+    let path = format!("{}/../../specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 #[test]
-fn fig4_spec_matches_checked_in_golden() {
-    let spec = experiments::by_name("fig4")
-        .expect("fig4 registered")
-        .spec(Budget::default_fixed());
-    assert_eq!(
-        spec.to_json(),
-        FIG4_GOLDEN,
-        "specs/fig4.json is stale — regenerate with `remy-cli spec fig4`"
+fn every_embedded_spec_is_canonical_and_named_for_its_entry() {
+    // Each file parses under the strict format, names the entry that
+    // embeds it, and is exactly what `to_json` prints — so `remy-cli spec
+    // <name|file>` output diffs cleanly against the committed files. (That
+    // the files and the registry names are the same set is
+    // `experiments::tests::registry_has_all_twenty_one_experiments`.)
+    for entry in experiments::all() {
+        let text = golden(entry.name);
+        let spec = ExperimentSpec::from_json(&text)
+            .unwrap_or_else(|e| panic!("specs/{}.json does not parse: {e}", entry.name));
+        assert_eq!(spec.name, entry.name, "specs/{}.json", entry.name);
+        assert_eq!(spec, entry.committed_spec(), "{}: embedded", entry.name);
+        assert_eq!(spec.to_json(), text, "specs/{}.json: canonical", entry.name);
+    }
+}
+
+/// `remy-cli <args>`, which must succeed; its stdout.
+fn cli_stdout(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+        .args(args)
+        .output()
+        .expect("spawn remy-cli");
+    assert!(
+        out.status.success(),
+        "remy-cli {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    String::from_utf8(out.stdout).expect("UTF-8 output")
+}
+
+#[test]
+fn a_registry_name_and_its_spec_file_run_the_same_bytes() {
+    // Before the spec files became the registry, a name ran Rust builders
+    // that knew what its file did not. On that build:
+    //   run failover_chain --runs 1 --secs 6 --out csv        post-fail RTT 62.8 / 64.0 ms
+    //   run specs/failover_chain.json --runs 1 --secs 6 ...   50.2 / 45.2 ms (the file's
+    //     failure stayed at t = 15 s and never fired; a post-fail column was printed anyway)
+    //   run fig6 --secs 6                    "ratio: 1.40x"
+    //   run specs/fig6.json --secs 6         "0 pkt/s after ... ratio: 0.00x" (departure at 15 s)
+    //   run fig3                             200 000 sampled flows
+    //   run specs/fig3.json                  16
+    let tiny = Budget {
+        runs: 2,
+        sim_secs: 3,
+    };
+    for entry in experiments::all() {
+        assert_eq!(
+            cli_stdout(&["spec", entry.name]),
+            golden(entry.name),
+            "`remy-cli spec {}` prints its file",
+            entry.name
+        );
+        let mut from_file = ExperimentSpec::from_json(&golden(entry.name)).expect("parses");
+        entry.rebudget(&mut from_file, tiny);
+        let by_file = entry.run(&from_file).expect("runs from its file");
+        let by_name = experiments::run_named(entry.name, tiny).expect("runs by name");
+        assert_eq!(by_file.text, by_name.text, "{}", entry.name);
+        assert_eq!(by_file.csv_name, by_name.csv_name, "{}", entry.name);
+        assert_eq!(by_file.csv_header, by_name.csv_header, "{}", entry.name);
+        assert_eq!(by_file.csv_rows, by_name.csv_rows, "{}", entry.name);
+    }
+
+    // The real CLI, on the three entries that diverged.
+    let specs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+    let smoke = ["--runs", "1", "--secs", "6", "--out", "csv"];
+    for (name, flags) in [
+        ("fig6", &smoke[..]),
+        ("failover_chain", &smoke[..]),
+        ("fig3", &["--out", "csv"][..]),
+    ] {
+        let file = format!("{specs}/{name}.json");
+        let by_name = cli_stdout(&[&["run", name], flags].concat());
+        let by_file = cli_stdout(&[&["run", &file], flags].concat());
+        assert!(by_name.lines().count() > 2, "{name}: printed rows");
+        assert_eq!(by_name, by_file, "run {name} vs run specs/{name}.json");
+    }
 }
 
 #[test]
@@ -154,31 +225,33 @@ fn spec_file_run_keeps_custom_presentation() {
 
 #[test]
 fn remy_cli_rejects_unknown_experiment_with_candidates_on_stderr() {
-    let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
-        .args(["run", "no_such_experiment_xyz"])
-        .output()
-        .expect("spawn remy-cli");
-    assert!(
-        !out.status.success(),
-        "unknown experiment names must exit nonzero"
-    );
-    assert_eq!(out.status.code(), Some(2), "conventional usage-error code");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("no_such_experiment_xyz"),
-        "names the offender: {stderr}"
-    );
-    assert!(
-        stderr.contains("known experiments"),
-        "offers candidates: {stderr}"
-    );
-    for name in ["fig4", "parking_lot3", "incast16", "reverse_path"] {
-        assert!(stderr.contains(name), "candidate list has {name}: {stderr}");
+    // One resolver behind every subcommand that takes a name or a file.
+    for cmd in ["run", "topo", "spec"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+            .args([cmd, "no_such_experiment_xyz"])
+            .output()
+            .expect("spawn remy-cli");
+        assert_eq!(out.status.code(), Some(2), "{cmd}: usage-error exit code");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("no_such_experiment_xyz"),
+            "{cmd} names the offender: {stderr}"
+        );
+        assert!(
+            stderr.contains("known experiments"),
+            "{cmd} offers candidates: {stderr}"
+        );
+        for name in ["fig4", "parking_lot3", "incast16", "reverse_path"] {
+            assert!(
+                stderr.contains(name),
+                "{cmd}: candidates list {name}: {stderr}"
+            );
+        }
+        assert!(
+            out.stdout.is_empty(),
+            "{cmd}: the candidate list belongs on stderr, not stdout"
+        );
     }
-    assert!(
-        out.stdout.is_empty(),
-        "the candidate list belongs on stderr, not stdout"
-    );
 }
 
 #[test]
@@ -193,31 +266,6 @@ fn remy_cli_lists_bare_names_for_scripts() {
     assert_eq!(names.len(), experiments::all().len());
     for (line, entry) in names.iter().zip(experiments::all()) {
         assert_eq!(*line, entry.name, "bare names, registry order");
-    }
-}
-
-/// The committed golden spec of a registry entry (`specs/<name>.json`).
-fn golden(name: &str) -> String {
-    let path = format!("{}/../../specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-#[test]
-fn every_registry_entry_has_a_committed_golden_spec() {
-    // The one golden gate: every file exists, parses back to the
-    // registry's own spec, and is byte-for-byte what `remy-cli spec <name>`
-    // prints (`ExperimentSpec::to_json` at the default budget).
-    for entry in experiments::all() {
-        let text = golden(entry.name);
-        let parsed = ExperimentSpec::from_json(&text)
-            .unwrap_or_else(|e| panic!("{}: golden does not parse: {e}", entry.name));
-        let fresh = entry.spec(Budget::default_fixed());
-        assert_eq!(
-            parsed, fresh,
-            "{}: golden spec drifted — regenerate with `remy-cli spec {}`",
-            entry.name, entry.name
-        );
-        assert_eq!(fresh.to_json(), text, "{}: byte-stable golden", entry.name);
     }
 }
 

@@ -196,6 +196,14 @@ fn wheel_and_heap_schedulers_agree_on_topology_experiments() {
                     &wheel,
                     &format!("{exp}: {} run {si}", cell.contender.label()),
                 );
+                // `spec(budget)` re-places the failure at mid-run; were
+                // it left at the file's 15 s, this 4 s run would compare
+                // two failure-free trajectories.
+                assert_eq!(
+                    wheel.reroutes > 0,
+                    exp == "failover_chain",
+                    "{exp}: only the failover experiment reroutes"
+                );
             }
         }
     }
@@ -224,10 +232,14 @@ fn one_hop_topology_through_the_spec_layer_matches_legacy_cells() {
         4141,
     );
     let mut topo = plain.clone();
-    topo.workload = topo.workload.clone().with_topology(TopologySpec::flow_hops(
-        vec![HopRef::new(LinkRef::constant(15.0), 1000)],
-        (0..3).map(|_| FlowPath::through(vec![0])).collect(),
-    ));
+    topo.workload = topo.workload.clone().with_topology(TopologySpec::FlowHops {
+        hops: vec![HopRef {
+            link: LinkRef::constant(15.0),
+            queue_capacity: 1000,
+            prop_delay: Ns::ZERO,
+        }],
+        paths: (0..3).map(|_| FlowPath::through(vec![0])).collect(),
+    });
     let a = Experiment::new(plain).run().expect("plain runs");
     let b = Experiment::new(topo).run().expect("topology runs");
     assert_eq!(a.cells.len(), b.cells.len());

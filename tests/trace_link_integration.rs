@@ -53,7 +53,9 @@ fn all_schemes_survive_the_cellular_link() {
         "cellular_survival",
         "Verizon-like LTE survival",
         WorkloadSpec::uniform(
-            LinkRef::named_trace("verizon-like"),
+            LinkRef::NamedTrace {
+                name: "verizon-like".to_string(),
+            },
             1000,
             4,
             Ns::from_millis(50),
