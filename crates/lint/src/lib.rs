@@ -7,16 +7,25 @@
 //! *sources* of nondeterminism at commit time, as deny-by-default
 //! diagnostics with `file:line` spans.
 //!
-//! The rule set (one module per rule, see [`rules`]):
+//! The rule set (one module per rule or family, see [`rules`]; the
+//! full list is `remy-lint --list-rules`):
 //!
 //! | id | rule |
 //! |----|------|
-//! | `d1-unordered-collections` | no `HashMap`/`HashSet` in sim/training library code (iteration order is nondeterministic — use `BTreeMap`/`BTreeSet` or a sorted drain) |
-//! | `d2-wallclock-rng` | no `Instant`/`SystemTime`/`thread_rng`/raw `rand` in library code — all time comes from the event loop, all randomness from `SimRng::split_seed` |
+//! | `d1-unordered-collections` | no `HashMap`/`HashSet` (iteration order is nondeterministic — use `BTreeMap`/`BTreeSet` or a sorted drain) |
+//! | `d2-wallclock-rng` | no `Instant`/`SystemTime`/`thread_rng`/raw `rand` — all time comes from the event loop, all randomness from `SimRng::split_seed` |
 //! | `d3-float-partial-sort` | no `.partial_cmp` on the result path — NaN makes `sort_by(partial_cmp)` panic or reorder; use `f64::total_cmp` |
 //! | `d4-unsafe-safety-comment` | every `unsafe` must be preceded by a `// SAFETY:` comment |
-//! | `d5-shared-state-sim-path` | no `Mutex`/`RwLock`/atomics in per-event sim code — rayon `--jobs` workers share one process, so a lock or atomic a simulation touches couples runs that must stay independent |
+//! | `d5-shared-state-sim-path` | no `Mutex`/`RwLock`/atomics — rayon `--jobs` workers share one process, so a lock or atomic a simulation touches couples runs that must stay independent |
 //! | `d6-wallclock-serialization` | no date/timestamp-like field names in serialized results — goldens must be byte-stable across runs |
+//! | `p1`–`p3` | no `.unwrap()`/`.expect()`, panic-family macros, or subscript arithmetic — a `--jobs` worker must fail its run cleanly, not panic the batch ([`rules::p`]) |
+//! | `r1`, `r2` | every RNG consumer draws from its own derived stream ([`rules::r`]) |
+//! | `s1`–`s3` | `static mut`, `thread_local!` and interior-mutability cells each need a written concurrency justification ([`rules::s`]) |
+//!
+//! Every rule is a token-level check over one file, and every rule but
+//! `d4` has the same scope, [`rules::sim_crate_src`]: non-test source of
+//! the five sim crates. `d4` applies everywhere, tests included (unsafe
+//! needs a SAFETY comment even in tests).
 //!
 //! A justified escape hatch exists per finding:
 //!
@@ -28,13 +37,11 @@
 //!
 //! The justification after `):` is mandatory; a bare `lint:allow` is
 //! itself a diagnostic. The scanner is a hand-rolled lexer
-//! ([`lexer`]) — no `syn`, no crates.io — that skips `#[cfg(test)]`
-//! items and `tests/`/`benches/`/`examples/` trees for all rules except
-//! `d4` (unsafe needs a SAFETY comment even in tests).
+//! ([`lexer`]) — no `syn`, no crates.io — plus a `fn`-and-braces item
+//! scan ([`parser`]) that says which function a token sits in.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod callgraph;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -65,9 +72,32 @@ pub struct FileCtx {
     /// `test_mask[i]` is true when `toks[i]` sits inside a
     /// `#[cfg(test)]` item (or the whole file is test code).
     pub test_mask: Vec<bool>,
+    /// Which `fn` encloses each token (what `r1` groups by, and the
+    /// name the P/R/S messages print).
+    pub fns: parser::FileFns,
 }
 
 impl FileCtx {
+    /// Lex and scan `text` as the file at workspace-relative `path`.
+    pub fn new(path: &str, text: &str) -> FileCtx {
+        let toks = lex(text);
+        FileCtx {
+            path: path.to_string(),
+            test_mask: test_region_mask(&toks, path),
+            fns: parser::parse_file(&toks),
+            toks,
+        }
+    }
+
+    /// Where token `ti` sits, for messages: "in `name`" inside a
+    /// function body, "at item level" outside any.
+    pub fn site(&self, ti: usize) -> String {
+        match self.fns.owner_name(ti) {
+            Some(name) => format!("in `{name}`"),
+            None => "at item level".to_string(),
+        }
+    }
+
     /// Code tokens (not comments) outside test regions, with indices.
     pub fn code_tokens(&self) -> impl Iterator<Item = (usize, &Tok)> {
         self.toks
@@ -77,7 +107,7 @@ impl FileCtx {
     }
 }
 
-/// A single token-level lint rule (the D family).
+/// A lint rule: a path scope and a check over one file's tokens.
 pub struct Rule {
     /// Stable id, used in reports and `lint:allow(<id>)`.
     pub id: &'static str,
@@ -89,215 +119,71 @@ pub struct Rule {
     pub check: fn(&FileCtx) -> Vec<(u32, String)>,
 }
 
-/// A call-graph-aware lint rule (the P/R/S families): scoped by
-/// *reachability from the simulation entry points* rather than by path
-/// glob alone. The check sees the whole-workspace [`Analysis`] and
-/// reports findings for one file at a time.
-pub struct GraphRule {
-    /// Stable id, used in reports and `lint:allow(<id>)`.
-    pub id: &'static str,
-    /// One-line summary for `--list-rules` and docs.
-    pub summary: &'static str,
-    /// Path-scoping predicate (coarse pre-filter; the fine filter is
-    /// reachability, applied inside `check`).
-    pub applies: fn(&str) -> bool,
-    /// The check: (line, message) findings for `analysis.files[file]`.
-    pub check: fn(&Analysis, usize) -> Vec<(u32, String)>,
-}
-
-/// Whole-workspace analysis state: lexed files, per-file symbol tables,
-/// and the sim-reachability verdict for every function definition.
-pub struct Analysis {
-    /// One [`FileCtx`] per input file, in input order.
-    pub files: Vec<FileCtx>,
-    /// Parallel to `files`: the parsed function symbol tables.
-    pub symbols: Vec<parser::FileSymbols>,
-    /// Parallel to `files`/`symbols.defs`: which definitions are
-    /// reachable from [`callgraph::ROOTS`].
-    pub reachable: Vec<Vec<bool>>,
-}
-
-impl Analysis {
-    /// Lex, parse, and compute reachability over a set of
-    /// `(workspace-relative path, source text)` inputs.
-    pub fn build(inputs: Vec<(String, String)>) -> Analysis {
-        let files: Vec<FileCtx> = inputs
-            .into_iter()
-            .map(|(path, text)| {
-                let toks = lex(&text);
-                let test_mask = test_region_mask(&toks, &path);
-                FileCtx {
-                    path,
-                    toks,
-                    test_mask,
-                }
-            })
-            .collect();
-        let symbols: Vec<parser::FileSymbols> = files
-            .iter()
-            .map(|f| parser::parse_file(&f.toks, &f.test_mask))
-            .collect();
-        let gfiles: Vec<callgraph::GraphFile<'_>> = files
-            .iter()
-            .zip(&symbols)
-            .map(|(f, s)| callgraph::GraphFile {
-                toks: &f.toks,
-                symbols: s,
-            })
-            .collect();
-        let reachable = callgraph::reachable_defs(&gfiles);
-        Analysis {
-            files,
-            symbols,
-            reachable,
-        }
-    }
-
-    /// The function definition whose body holds token `ti` of file `fi`.
-    pub fn owner_def(&self, fi: usize, ti: usize) -> Option<&parser::FnDef> {
-        let di = self.symbols[fi].owner.get(ti).copied().flatten()?;
-        Some(&self.symbols[fi].defs[di])
-    }
-
-    /// Is token `ti` of file `fi` inside a sim-reachable function body?
-    pub fn token_in_reachable_fn(&self, fi: usize, ti: usize) -> bool {
-        self.symbols[fi]
-            .owner
-            .get(ti)
-            .copied()
-            .flatten()
-            .map(|di| self.reachable[fi][di])
-            .unwrap_or(false)
-    }
-
-    /// Item-level scoping for state declared *outside* any function
-    /// (statics, struct fields, `thread_local!` blocks): such state is
-    /// sim-relevant when the file defines at least one sim-reachable
-    /// function. Body tokens defer to their owner's reachability.
-    pub fn token_in_sim_scope(&self, fi: usize, ti: usize) -> bool {
-        match self.symbols[fi].owner.get(ti).copied().flatten() {
-            Some(di) => self.reachable[fi][di],
-            None => self.file_has_reachable_fn(fi),
-        }
-    }
-
-    /// Does file `fi` define any sim-reachable function?
-    pub fn file_has_reachable_fn(&self, fi: usize) -> bool {
-        self.reachable[fi].iter().any(|&b| b)
-    }
-
-    /// Every sim-reachable function as `(file, qualified name, line)`,
-    /// sorted — the `--reachable` listing and the superset-pinning test.
-    pub fn reachable_fns(&self) -> Vec<(String, String, u32)> {
-        let mut out: Vec<(String, String, u32)> = Vec::new();
-        for (fi, flags) in self.reachable.iter().enumerate() {
-            for (di, &on) in flags.iter().enumerate() {
-                if on {
-                    let d = &self.symbols[fi].defs[di];
-                    out.push((self.files[fi].path.clone(), d.qual_name(), d.line));
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-}
-
-/// Scan a set of `(workspace-relative path, source text)` files as one
-/// unit: the call graph spans all of them, so cross-file reachability is
-/// visible to the P/R/S families. This is the engine under the binary,
-/// `scan_source`, `scan_workspace`, and the fixture tests.
+/// Scan one file's text as if it lived at workspace-relative `rel_path`.
+/// Every rule reads one file at a time, so this is the whole engine:
+/// the binary, `scan_workspace` and the fixture tests all come here.
 ///
 /// Diagnostics are filtered through justified `lint:allow` directives
-/// and sorted by `(file, line, rule)`. An allow naming a rule id that no
+/// and sorted by `(line, rule)`. An allow naming a rule id that no
 /// longer exists is itself a diagnostic (stale-allow detection).
-pub fn scan_files(inputs: Vec<(String, String)>) -> Vec<Diagnostic> {
-    let analysis = Analysis::build(inputs);
-    let known: Vec<&'static str> = rules::all()
-        .iter()
-        .map(|r| r.id)
-        .chain(rules::graph_rules().iter().map(|r| r.id))
-        .collect();
+pub fn scan_source(rel_path: &str, text: &str) -> Vec<Diagnostic> {
+    let ctx = FileCtx::new(rel_path, text);
+    let rules = rules::all();
+    let allows = parse_allows(&ctx.toks);
     let mut out: Vec<Diagnostic> = Vec::new();
+    let mut push = |rule: &'static str, line: u32, message: String| {
+        out.push(Diagnostic {
+            rule,
+            file: ctx.path.clone(),
+            line,
+            message,
+        })
+    };
 
-    for (fi, ctx) in analysis.files.iter().enumerate() {
-        let allows = parse_allows(ctx);
+    // Malformed allow directives are diagnostics in their own right: an
+    // unjustified suppression is exactly what the gate must not accept —
+    // and a stale one (naming a rule id that no longer exists) is a
+    // suppression of nothing, hiding a dead comment.
+    for a in &allows {
+        if !a.justified {
+            push(
+                "lint-allow",
+                a.line,
+                format!(
+                    "lint:allow({}) without a justification — write \
+                     `// lint:allow({}): <why this is sound>`",
+                    a.rule, a.rule
+                ),
+            );
+        } else if !rules.iter().any(|r| r.id == a.rule) {
+            push(
+                "lint-allow",
+                a.line,
+                format!(
+                    "stale lint:allow({}): no such rule — remove the \
+                     directive or update the rule id (see --list-rules)",
+                    a.rule
+                ),
+            );
+        }
+    }
 
-        // Malformed allow directives are diagnostics in their own right:
-        // an unjustified suppression is exactly what the gate must not
-        // accept — and a stale one (naming a rule id that no longer
-        // exists) is a suppression of nothing, hiding a dead comment.
-        for a in &allows {
-            if !a.justified {
-                out.push(Diagnostic {
-                    rule: "lint-allow",
-                    file: ctx.path.clone(),
-                    line: a.line,
-                    message: format!(
-                        "lint:allow({}) without a justification — write \
-                         `// lint:allow({}): <why this is sound>`",
-                        a.rule, a.rule
-                    ),
-                });
-            } else if !known.contains(&a.rule.as_str()) {
-                out.push(Diagnostic {
-                    rule: "lint-allow",
-                    file: ctx.path.clone(),
-                    line: a.line,
-                    message: format!(
-                        "stale lint:allow({}): no such rule — remove the \
-                         directive or update the rule id (see --list-rules)",
-                        a.rule
-                    ),
-                });
-            }
-        }
-
-        let mut raw: Vec<(&'static str, u32, String)> = Vec::new();
-        for rule in rules::all() {
-            if (rule.applies)(&ctx.path) {
-                for (line, message) in (rule.check)(ctx) {
-                    raw.push((rule.id, line, message));
-                }
-            }
-        }
-        for rule in rules::graph_rules() {
-            if (rule.applies)(&ctx.path) {
-                for (line, message) in (rule.check)(&analysis, fi) {
-                    raw.push((rule.id, line, message));
-                }
-            }
-        }
-        for (rule_id, line, message) in raw {
+    for rule in rules.iter().filter(|r| (r.applies)(&ctx.path)) {
+        for (line, message) in (rule.check)(&ctx) {
             let allowed = allows
                 .iter()
-                .any(|a| a.justified && a.rule == rule_id && a.covers.contains(&line));
+                .any(|a| a.justified && a.rule == rule.id && a.covers.contains(&line));
             if !allowed {
-                out.push(Diagnostic {
-                    rule: rule_id,
-                    file: ctx.path.clone(),
-                    line,
-                    message,
-                });
+                push(rule.id, line, message);
             }
         }
     }
-    out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
 
-/// Scan one file's text as if it lived at workspace-relative `rel_path`.
-///
-/// Single-file view of [`scan_files`]: reachability is computed within
-/// the file alone, so sources scanned this way must carry their own
-/// entry point (the P/R/S fixtures embed an `impl Simulator { fn run }`
-/// root for exactly this reason).
-pub fn scan_source(rel_path: &str, text: &str) -> Vec<Diagnostic> {
-    scan_files(vec![(rel_path.to_string(), text.to_string())])
-}
-
-/// Read every workspace `.rs` file for [`Analysis`] — shared by
-/// `scan_workspace` and the `--reachable` listing.
+/// Read every workspace `.rs` file as `(workspace-relative path, text)`,
+/// sorted by path.
 ///
 /// Skips `target/`, `.git/`, and `fixtures/` directories (the seeded-bad
 /// lint fixtures must not fail the gate for the tree that tests them).
@@ -314,18 +200,14 @@ pub fn read_workspace_files(root: &Path) -> Result<Vec<(String, String)>, String
     Ok(out)
 }
 
-/// Walk the workspace at `root` and scan every Rust source file as one
-/// analysis unit (cross-crate call graph included). Diagnostics come
-/// back sorted by `(file, line, rule)` so output — and the `--json`
-/// document — is deterministic.
+/// Walk the workspace at `root` and scan every Rust source file.
+/// Diagnostics come back sorted by `(file, line, rule)` so output — and
+/// the `--json` document — is deterministic.
 pub fn scan_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    Ok(scan_files(read_workspace_files(root)?))
-}
-
-/// Build the whole-workspace [`Analysis`] without running any rules —
-/// the `--reachable` listing and the scope tests use this directly.
-pub fn analyze_workspace(root: &Path) -> Result<Analysis, String> {
-    Ok(Analysis::build(read_workspace_files(root)?))
+    Ok(read_workspace_files(root)?
+        .iter()
+        .flat_map(|(path, text)| scan_source(path, text))
+        .collect())
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
@@ -440,25 +322,14 @@ pub struct AllowEntry {
 /// Inventory every `lint:allow` directive in the given files, sorted by
 /// `(file, line)`.
 pub fn collect_allows(inputs: &[(String, String)]) -> Vec<AllowEntry> {
-    let known: Vec<&'static str> = rules::all()
-        .iter()
-        .map(|r| r.id)
-        .chain(rules::graph_rules().iter().map(|r| r.id))
-        .collect();
+    let rules = rules::all();
     let mut out: Vec<AllowEntry> = Vec::new();
     for (path, text) in inputs {
-        let toks = lex(text);
-        let test_mask = test_region_mask(&toks, path);
-        let ctx = FileCtx {
-            path: path.clone(),
-            toks,
-            test_mask,
-        };
-        for a in parse_allows(&ctx) {
+        for a in parse_allows(&lex(text)) {
             out.push(AllowEntry {
-                known_rule: known.contains(&a.rule.as_str()),
+                known_rule: rules.iter().any(|r| r.id == a.rule),
                 rule: a.rule,
-                file: ctx.path.clone(),
+                file: path.clone(),
                 line: a.line,
                 justification: a.justification,
                 justified: a.justified,
@@ -667,9 +538,9 @@ struct Allow {
 /// comment block — the justification may continue across further comment
 /// lines in between. What is mandatory is non-empty text (≥ 8 chars)
 /// after the `):` on the directive line itself.
-fn parse_allows(ctx: &FileCtx) -> Vec<Allow> {
+fn parse_allows(toks: &[Tok]) -> Vec<Allow> {
     let mut out = Vec::new();
-    for (i, t) in ctx.toks.iter().enumerate() {
+    for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Comment {
             continue;
         }
@@ -703,7 +574,7 @@ fn parse_allows(ctx: &FileCtx) -> Vec<Allow> {
         let mut covers = vec![t.line];
         // Continuation comment lines extend the justification; the first
         // code token after the block is the guarded line.
-        for n in &ctx.toks[i + 1..] {
+        for n in &toks[i + 1..] {
             if n.kind == TokKind::Comment {
                 let cont = n.text.trim_start_matches(['/', '!', '*', ' ', '\t']).trim();
                 if !cont.is_empty() && !cont.starts_with("lint:allow(") {

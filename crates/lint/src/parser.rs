@@ -1,122 +1,70 @@
-//! A lightweight recursive-descent *item* parser over the lexer's token
-//! stream.
+//! A lightweight *item* scan over the lexer's token stream: which `fn`
+//! encloses each token.
 //!
-//! `remy-lint` v1 scoped its rules by file path; the P/R/S rule families
-//! scope by *reachability from the simulation entry points*, which needs
-//! to know where functions are defined and what their bodies span. This
-//! module recovers exactly that — no more: for every `.rs` file it
-//! produces a symbol table of [`FnDef`]s (free functions, inherent and
-//! trait-impl methods, trait default methods), each with
-//!
-//! - its name and, for methods, the self type recovered from the
-//!   enclosing `impl`/`trait` header (`impl<T> Foo<T>` → `Foo`,
-//!   `impl Display for Bar` → `Bar`),
-//! - the token range of its body, and
-//! - an owner map assigning every body token to its *innermost*
-//!   enclosing function (nested `fn`s own their tokens, closures belong
-//!   to the function holding them).
+//! Two things read it. `r1-rng-stream-collision` groups stream
+//! derivations by function ("the same stream id twice in one
+//! function"), and the P/R/S messages name the function a finding sits
+//! in. So for every `.rs` file this module recovers the bare names of
+//! the functions that have bodies (free functions, methods, trait
+//! default methods) and an owner map assigning every body token to its
+//! *innermost* enclosing function — nested `fn`s own their tokens,
+//! closures belong to the function holding them.
 //!
 //! In the spirit of the workspace's zero-dependency constraint this is
-//! not `syn`: no expression grammar, no types, no generics resolution —
-//! just enough item structure for an over-approximate call graph
-//! ([`crate::callgraph`]). `macro_rules!` bodies are skipped wholesale
-//! (fragment pseudo-syntax would desynchronize the brace tracking).
+//! not `syn`: no expression grammar, no types, no `impl` headers — just
+//! `fn` keywords and brace nesting. `macro_rules!` bodies are skipped
+//! wholesale (fragment pseudo-syntax would desynchronize the brace
+//! tracking).
 
 use crate::lexer::{Tok, TokKind};
 
-/// One function definition recovered from a file's token stream.
-#[derive(Clone, Debug)]
-pub struct FnDef {
-    /// Self type for inherent/trait-impl methods and trait default
-    /// methods (`impl Foo` / `impl Trait for Foo` / `trait Foo`); `None`
-    /// for free functions.
-    pub self_ty: Option<String>,
-    /// The function's bare name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Token-index range (half-open, into the file's token stream) of
-    /// the body, *including* the delimiting braces.
-    pub body: (usize, usize),
-    /// True when the definition sits inside a `#[cfg(test)]` region or a
-    /// whole-file test path (per the file's test mask).
-    pub is_test: bool,
-}
-
-impl FnDef {
-    /// `Type::name` for methods, `name` for free functions.
-    pub fn qual_name(&self) -> String {
-        match &self.self_ty {
-            Some(t) => format!("{t}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
-}
-
-/// Parse result for one file: the definitions plus a token→definition
+/// Scan result for one file: the function names plus a token→function
 /// owner map.
-pub struct FileSymbols {
-    /// All function definitions, in source order.
-    pub defs: Vec<FnDef>,
-    /// `owner[i]` is the index (into `defs`) of the innermost function
+pub struct FileFns {
+    /// Bare name of every function with a body, in source order.
+    pub names: Vec<String>,
+    /// `owner[i]` is the index (into `names`) of the innermost function
     /// whose body contains token `i`, if any.
     pub owner: Vec<Option<usize>>,
 }
 
+impl FileFns {
+    /// Bare name of the function whose body holds token `ti`, if any.
+    pub fn owner_name(&self, ti: usize) -> Option<&str> {
+        let fi = self.owner.get(ti).copied().flatten()?;
+        Some(&self.names[fi])
+    }
+}
+
 /// What an open brace belongs to, on the nesting stack.
 enum Scope {
-    /// An `impl`/`trait` body with the recovered self type.
-    TypeBody(Option<String>),
-    /// A function body: index into `defs`, plus the owner index that was
-    /// active outside it.
-    FnBody(usize, Option<usize>),
-    /// Any other brace group (blocks, match arms, struct literals…).
+    /// A function body: the owner index that was active outside it.
+    FnBody(Option<usize>),
+    /// Any other brace group (impl bodies, blocks, match arms…).
     Other,
 }
 
-/// Parse one file's token stream into its function symbol table.
-///
-/// `test_mask` is the per-token `#[cfg(test)]` mask produced by
-/// [`crate::test_region_mask`]; definitions inherit it so the call graph
-/// can ignore test-only code.
-pub fn parse_file(toks: &[Tok], test_mask: &[bool]) -> FileSymbols {
+/// Scan one file's token stream for its functions.
+pub fn parse_file(toks: &[Tok]) -> FileFns {
     let code: Vec<usize> = toks
         .iter()
         .enumerate()
         .filter(|(_, t)| t.kind != TokKind::Comment)
         .map(|(i, _)| i)
         .collect();
-    let mut defs: Vec<FnDef> = Vec::new();
+    let mut names: Vec<String> = Vec::new();
     let mut owner: Vec<Option<usize>> = vec![None; toks.len()];
     let mut stack: Vec<Scope> = Vec::new();
-    // The impl/trait self type and fn-body owner currently in effect.
-    let mut cur_ty: Option<String> = None;
     let mut cur_owner: Option<usize> = None;
 
     let mut k = 0usize;
     while k < code.len() {
         let t = &toks[code[k]];
-        if let Some(o) = cur_owner {
-            owner[code[k]] = Some(o);
-        }
+        owner[code[k]] = cur_owner;
         if t.is_ident("macro_rules") {
             // `macro_rules! name { ... }` — skip the whole definition;
             // its fragment syntax is not Rust code.
-            k = skip_to_group_end(toks, &code, k, '{', '}');
-            continue;
-        }
-        if t.is_ident("impl") || t.is_ident("trait") {
-            let is_impl = t.is_ident("impl");
-            let (ty, body_open) = parse_type_header(toks, &code, k, is_impl);
-            match body_open {
-                // `impl Foo;`-like or unterminated: nothing to enter.
-                None => k += 1,
-                Some(open) => {
-                    stack.push(Scope::TypeBody(cur_ty.clone()));
-                    cur_ty = ty;
-                    k = open + 1;
-                }
-            }
+            k = skip_macro_rules(toks, &code, k);
             continue;
         }
         if t.is_ident("fn") {
@@ -149,24 +97,13 @@ pub fn parse_file(toks: &[Tok], test_mask: &[bool]) -> FileSymbols {
                 j += 1;
             }
             match open {
-                None => {
-                    // Declaration without body: record nothing (no body
-                    // tokens to analyze; calls resolve to the impls).
-                    k = j + 1;
-                }
+                // Declaration without body: no tokens to own.
+                None => k = j + 1,
                 Some(open) => {
-                    let def = FnDef {
-                        self_ty: cur_ty.clone(),
-                        name: name_tok.text.clone(),
-                        line: t.line,
-                        body: (code[open], code[open]), // end patched at pop
-                        is_test: test_mask.get(code[k]).copied().unwrap_or(false),
-                    };
-                    defs.push(def);
-                    let idx = defs.len() - 1;
-                    stack.push(Scope::FnBody(idx, cur_owner));
-                    cur_owner = Some(idx);
-                    owner[code[open]] = Some(idx);
+                    names.push(name_tok.text.clone());
+                    stack.push(Scope::FnBody(cur_owner));
+                    cur_owner = Some(names.len() - 1);
+                    owner[code[open]] = cur_owner;
                     k = open + 1;
                 }
             }
@@ -174,94 +111,28 @@ pub fn parse_file(toks: &[Tok], test_mask: &[bool]) -> FileSymbols {
         }
         if t.is_punct('{') {
             stack.push(Scope::Other);
-            k += 1;
-            continue;
-        }
-        if t.is_punct('}') {
-            match stack.pop() {
-                Some(Scope::TypeBody(prev)) => cur_ty = prev,
-                Some(Scope::FnBody(idx, prev)) => {
-                    defs[idx].body.1 = code[k] + 1;
-                    owner[code[k]] = Some(idx);
-                    cur_owner = prev;
-                }
-                Some(Scope::Other) | None => {}
+        } else if t.is_punct('}') {
+            if let Some(Scope::FnBody(prev)) = stack.pop() {
+                cur_owner = prev;
             }
-            k += 1;
-            continue;
         }
         k += 1;
     }
-    // Unterminated bodies (malformed source): close them at EOF.
-    for s in stack {
-        if let Scope::FnBody(idx, _) = s {
-            defs[idx].body.1 = toks.len();
-        }
-    }
-    FileSymbols { defs, owner }
+    FileFns { names, owner }
 }
 
-/// Parse an `impl`/`trait` header starting at `code[k]` (the keyword).
-/// Returns the recovered self-type name and the code index of the body's
-/// opening `{`, if any.
-///
-/// The self type is the last path identifier at angle-depth 0 of the
-/// header segment — after `for` when present (`impl Trait for Type`),
-/// otherwise after the keyword and its generic parameters. `&`, `dyn`,
-/// `mut` and path prefixes (`crate::x::Type`) fall out naturally:
-/// the *last* identifier of the segment is the type name.
-fn parse_type_header(
-    toks: &[Tok],
-    code: &[usize],
-    k: usize,
-    is_impl: bool,
-) -> (Option<String>, Option<usize>) {
-    let mut angle = 0i32;
-    let mut j = k + 1;
-    let mut last_ident: Option<String> = None;
-    let mut after_for: Option<String> = None;
-    while j < code.len() {
-        let t = &toks[code[j]];
-        if angle == 0 && t.is_punct('{') {
-            let ty = after_for.or(last_ident);
-            return (ty, Some(j));
-        }
-        if angle == 0 && t.is_punct(';') {
-            return (None, None);
-        }
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle = (angle - 1).max(0); // `->` in assoc-fn bounds etc.
-        } else if angle == 0 && t.kind == TokKind::Ident {
-            if is_impl && t.text == "for" {
-                // The target type follows; reset collection.
-                last_ident = None;
-                after_for = None;
-            } else if t.text != "dyn" && t.text != "mut" && t.text != "where" {
-                last_ident = Some(t.text.clone());
-                if is_impl {
-                    after_for = last_ident.clone();
-                }
-            }
-        }
-        j += 1;
-    }
-    (None, None)
-}
-
-/// From `code[k]`, advance to just past the end of the next balanced
-/// `open`…`close` group (used to skip `macro_rules!` bodies).
-fn skip_to_group_end(toks: &[Tok], code: &[usize], k: usize, open: char, close: char) -> usize {
+/// From `code[k]` (the `macro_rules` ident), advance to just past the
+/// end of the definition's balanced `{`…`}` group.
+fn skip_macro_rules(toks: &[Tok], code: &[usize], k: usize) -> usize {
     let mut j = k;
     let mut depth = 0i32;
     let mut entered = false;
     while j < code.len() {
         let t = &toks[code[j]];
-        if t.is_punct(open) {
+        if t.is_punct('{') {
             depth += 1;
             entered = true;
-        } else if t.is_punct(close) {
+        } else if t.is_punct('}') {
             depth -= 1;
             if entered && depth == 0 {
                 return j + 1;
@@ -279,14 +150,8 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn parse(src: &str) -> FileSymbols {
-        let toks = lex(src);
-        let mask = vec![false; toks.len()];
-        parse_file(&toks, &mask)
-    }
-
-    fn quals(sym: &FileSymbols) -> Vec<String> {
-        sym.defs.iter().map(|d| d.qual_name()).collect()
+    fn names(src: &str) -> Vec<String> {
+        parse_file(&lex(src)).names
     }
 
     #[test]
@@ -297,35 +162,11 @@ impl Foo {
     pub fn method(&self) -> u32 { 1 }
     fn helper() {}
 }
-impl Display for Bar {
-    fn fmt(&self) {}
-}
-";
-        let sym = parse(src);
-        assert_eq!(
-            quals(&sym),
-            vec!["free", "Foo::method", "Foo::helper", "Bar::fmt"]
-        );
-    }
-
-    #[test]
-    fn generic_impl_headers_resolve_the_target_type() {
-        let src = "\
-impl<T: Clone> Wrapper<T> {
-    fn get(&self) -> &T { &self.0 }
-}
 impl<'a, Q> From<&'a Q> for Holder<Q> {
     fn from(q: &'a Q) -> Self { Holder(q.clone()) }
 }
-impl crate::deep::path::Thing {
-    fn act(&self) {}
-}
 ";
-        let sym = parse(src);
-        assert_eq!(
-            quals(&sym),
-            vec!["Wrapper::get", "Holder::from", "Thing::act"]
-        );
+        assert_eq!(names(src), vec!["free", "method", "helper", "from"]);
     }
 
     #[test]
@@ -338,8 +179,7 @@ trait Queue {
     }
 }
 ";
-        let sym = parse(src);
-        assert_eq!(quals(&sym), vec!["Queue::enqueue_all"]);
+        assert_eq!(names(src), vec!["enqueue_all"]);
     }
 
     #[test]
@@ -350,28 +190,28 @@ fn outer() {
     fn inner() { let b = within(); }
     let c = after();
 }
+static AT_ITEM_LEVEL: u32 = outside();
 ";
         let toks = lex(src);
-        let mask = vec![false; toks.len()];
-        let sym = parse_file(&toks, &mask);
-        assert_eq!(quals(&sym), vec!["outer", "inner"]);
+        let fns = parse_file(&toks);
+        assert_eq!(fns.names, vec!["outer", "inner"]);
         let owner_of = |name: &str| {
             let i = toks.iter().position(|t| t.is_ident(name)).unwrap();
-            sym.owner[i].map(|d| sym.defs[d].name.clone())
+            fns.owner_name(i)
         };
-        assert_eq!(owner_of("before").as_deref(), Some("outer"));
-        assert_eq!(owner_of("within").as_deref(), Some("inner"));
-        assert_eq!(owner_of("after").as_deref(), Some("outer"));
+        assert_eq!(owner_of("before"), Some("outer"));
+        assert_eq!(owner_of("within"), Some("inner"));
+        assert_eq!(owner_of("after"), Some("outer"));
+        assert_eq!(owner_of("outside"), None);
     }
 
     #[test]
     fn closures_belong_to_the_enclosing_fn() {
         let src = "fn f() { let g = |x: u32| helper(x); g(1); }";
         let toks = lex(src);
-        let mask = vec![false; toks.len()];
-        let sym = parse_file(&toks, &mask);
+        let fns = parse_file(&toks);
         let i = toks.iter().position(|t| t.is_ident("helper")).unwrap();
-        assert_eq!(sym.owner[i], Some(0));
+        assert_eq!(fns.owner[i], Some(0));
     }
 
     #[test]
@@ -382,8 +222,7 @@ macro_rules! make {
 }
 fn real() {}
 ";
-        let sym = parse(src);
-        assert_eq!(quals(&sym), vec!["real"]);
+        assert_eq!(names(src), vec!["real"]);
     }
 
     #[test]
@@ -394,25 +233,7 @@ fn factory() -> Box<dyn Fn(u64) -> Box<dyn CongestionControl>> {
 }
 fn next_one() {}
 ";
-        let sym = parse(src);
-        assert_eq!(quals(&sym), vec!["factory", "next_one"]);
-    }
-
-    #[test]
-    fn test_mask_marks_defs() {
-        let src = "\
-fn live() {}
-#[cfg(test)]
-mod tests {
-    fn helper() {}
-}
-";
-        let toks = lex(src);
-        let mask = crate::test_region_mask(&toks, "crates/netsim/src/x.rs");
-        let sym = parse_file(&toks, &mask);
-        assert_eq!(quals(&sym), vec!["live", "helper"]);
-        assert!(!sym.defs[0].is_test);
-        assert!(sym.defs[1].is_test);
+        assert_eq!(names(src), vec!["factory", "next_one"]);
     }
 
     #[test]
@@ -425,7 +246,7 @@ mod tests {
             "fn",
             "trait T { fn a(); ",
         ] {
-            let _ = parse(src);
+            let _ = names(src);
         }
     }
 }

@@ -7,10 +7,9 @@
 //! inside the per-event path is how nondeterminism (and lock contention)
 //! creeps in: acquisition order becomes a scheduler artifact, and an
 //! unordered reduction through shared state can differ run to run. This
-//! rule flags shared-state primitives in `netsim`, `congestion`, and
-//! `remy` library code **for review** — if one is genuinely needed (a
-//! read-only `OnceLock` cache is the classic case), say why with a
-//! justified `lint:allow`.
+//! rule flags shared-state primitives in sim-crate source **for
+//! review** — if one is genuinely needed (a read-only `OnceLock` cache
+//! is the classic case), say why with a justified `lint:allow`.
 //!
 //! `std::sync::mpsc` channels are deliberately *not* flagged: message
 //! passing is the sanctioned mechanism.
@@ -37,16 +36,7 @@ pub(crate) fn rule() -> Rule {
         id: "d5-shared-state-sim-path",
         summary: "Mutex/RwLock/atomics in per-event sim code — `--jobs` workers share \
                   one process; runs must not meet through shared state",
-        applies: |p| {
-            !crate::is_test_path(p)
-                && [
-                    "crates/netsim/src/",
-                    "crates/congestion/src/",
-                    "crates/core/src/",
-                ]
-                .iter()
-                .any(|d| p.starts_with(d))
-        },
+        applies: super::sim_crate_src,
         check,
     }
 }
@@ -96,13 +86,6 @@ fn f() {
 }
 ";
         assert!(scan(src).is_empty());
-    }
-
-    #[test]
-    fn remy_sim_harness_is_out_of_scope() {
-        let src = "use std::sync::Mutex;\n";
-        assert!(crate::scan_source("crates/remy-sim/src/harness.rs", src).is_empty());
-        assert!(crate::scan_source("crates/shims/rayon/src/lib.rs", src).is_empty());
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! `"generated_at": <now>` field in a serializer and every golden churns
 //! on every run — the classic way reproducibility checks rot into
 //! `--force` updates. This rule bans date/timestamp-like **field names**
-//! in string literals of serialization-bearing library code (`netsim`,
-//! `remy-sim`, `remy`): if a document needs provenance, record inputs
-//! (seeds, budgets, rule counts — as `WhiskerTree::provenance` does),
-//! never the time the run happened.
+//! in string literals of sim-crate source: if a document needs
+//! provenance, record inputs (seeds, budgets, rule counts — as
+//! `WhiskerTree::provenance` does), never the time the run happened.
 
 use crate::lexer::TokKind;
 use crate::{FileCtx, Rule};
@@ -33,16 +32,7 @@ pub(crate) fn rule() -> Rule {
         id: "d6-wallclock-serialization",
         summary: "date/timestamp-like field name in a serialized document — results \
                   must be byte-stable across runs; record seeds and budgets instead",
-        applies: |p| {
-            !crate::is_test_path(p)
-                && [
-                    "crates/netsim/src/",
-                    "crates/remy-sim/src/",
-                    "crates/core/src/",
-                ]
-                .iter()
-                .any(|d| p.starts_with(d))
-        },
+        applies: super::sim_crate_src,
         check,
     }
 }
@@ -147,11 +137,5 @@ fn to_json() -> String {
     fn prose_mentioning_dates_is_clean() {
         let src = "// the date of the paper is 2013; timestamp discussion in prose\nfn f() {}\n";
         assert!(scan(src).is_empty());
-    }
-
-    #[test]
-    fn congestion_crate_is_out_of_scope() {
-        let src = "fn f() -> &'static str { \"timestamp\" }\n";
-        assert!(crate::scan_source("crates/congestion/src/cubic.rs", src).is_empty());
     }
 }

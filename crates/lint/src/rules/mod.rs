@@ -1,15 +1,14 @@
-//! The rule set, one module per rule.
+//! The rule set, one module per rule (or rule family).
 //!
-//! Each rule declares a path scope (`applies`) over workspace-relative
-//! paths and a token-level check. Scopes are deliberately conservative:
-//! deny-by-default inside the crates where determinism is load-bearing,
-//! silent elsewhere (the shims reimplement threaded libraries and own
-//! their synchronization).
-//!
-//! All rules except [`d4`] skip test code — `#[cfg(test)]` items and
-//! anything under a `tests/`, `benches/`, or `examples/` directory —
-//! because tests legitimately use wall-clock-free shortcuts the library
-//! must not.
+//! Every rule is a token-level check over one file. All but [`d4`]
+//! share one scope, [`sim_crate_src`]: non-test source of the five
+//! crates where determinism is load-bearing. Everything else is silent
+//! (the shims reimplement threaded libraries and own their
+//! synchronization; `benchmark/` is a timing harness). Test code —
+//! `#[cfg(test)]` items and anything under a `tests/`, `benches/`, or
+//! `examples/` directory — is skipped because tests legitimately use
+//! shortcuts the library must not. `d4` applies everywhere, tests
+//! included: `unsafe` needs its SAFETY comment wherever it is.
 
 pub mod d1;
 pub mod d2;
@@ -21,30 +20,26 @@ pub mod p;
 pub mod r;
 pub mod s;
 
-use crate::{GraphRule, Rule};
+use crate::Rule;
 
-/// Every token-level (D-family) rule, in id order.
+/// Every rule, in id order.
 pub fn all() -> Vec<Rule> {
-    vec![
+    let mut out = vec![
         d1::rule(),
         d2::rule(),
         d3::rule(),
         d4::rule(),
         d5::rule(),
         d6::rule(),
-    ]
-}
-
-/// Every call-graph-aware (P/R/S-family) rule, in id order.
-pub fn graph_rules() -> Vec<GraphRule> {
-    let mut out = p::rules();
+    ];
+    out.extend(p::rules());
     out.extend(r::rules());
     out.extend(s::rules());
     out
 }
 
-/// True when `rel_path` is library/binary source of one of the crates
-/// where simulation determinism is load-bearing.
+/// The one path scope: true when `rel_path` is library/binary source of
+/// one of the crates where simulation determinism is load-bearing.
 pub fn sim_crate_src(rel_path: &str) -> bool {
     !crate::is_test_path(rel_path)
         && [
@@ -56,20 +51,6 @@ pub fn sim_crate_src(rel_path: &str) -> bool {
         ]
         .iter()
         .any(|p| rel_path.starts_with(p))
-}
-
-/// Path pre-filter for the call-graph (P/R/S) families: any crate
-/// library source except the shims (reimplement threaded libraries on
-/// purpose), the lint crate itself, and CLI `bin/` entry shims (startup
-/// code — argument parsing may panic freely; it runs before any
-/// simulation). The *fine* filter is reachability.
-pub fn prs_scope(rel_path: &str) -> bool {
-    !crate::is_test_path(rel_path)
-        && rel_path.starts_with("crates/")
-        && rel_path.contains("/src/")
-        && !rel_path.contains("/src/bin/")
-        && !rel_path.starts_with("crates/shims/")
-        && !rel_path.starts_with("crates/lint/")
 }
 
 #[cfg(test)]
@@ -95,34 +76,37 @@ pub(crate) mod testutil {
 mod tests {
     #[test]
     fn rule_ids_are_unique_and_kebab() {
-        let ids: Vec<(&str, &str)> = super::all()
-            .iter()
-            .map(|r| (r.id, r.summary))
-            .chain(super::graph_rules().iter().map(|r| (r.id, r.summary)))
-            .collect();
-        for (i, (id, summary)) in ids.iter().enumerate() {
+        let rules = super::all();
+        for (i, r) in rules.iter().enumerate() {
             assert!(
-                id.chars()
+                r.id.chars()
                     .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'),
-                "{id} not kebab-case"
+                "{} not kebab-case",
+                r.id
             );
-            assert!(!summary.is_empty());
-            for (other, _) in &ids[i + 1..] {
-                assert_ne!(id, other);
+            assert!(!r.summary.is_empty());
+            for other in &rules[i + 1..] {
+                assert_ne!(r.id, other.id);
             }
         }
-        assert_eq!(super::all().len(), 6);
-        assert_eq!(super::graph_rules().len(), 8);
+        assert_eq!(rules.len(), 14);
     }
 
     #[test]
-    fn prs_scope_covers_sim_crates_not_harness_infra() {
-        assert!(super::prs_scope("crates/netsim/src/sim.rs"));
-        assert!(super::prs_scope("crates/core/src/evaluator.rs"));
-        assert!(super::prs_scope("crates/remy-sim/src/harness.rs"));
-        assert!(!super::prs_scope("crates/shims/rayon/src/lib.rs"));
-        assert!(!super::prs_scope("crates/lint/src/lib.rs"));
-        assert!(!super::prs_scope("crates/remy-sim/src/bin/remy_cli.rs"));
-        assert!(!super::prs_scope("crates/netsim/tests/equivalence.rs"));
+    fn one_scope_for_every_rule_but_d4() {
+        let src = "crates/remy-sim/src/bin/remy-cli.rs";
+        let test = "crates/netsim/tests/props.rs";
+        assert!(super::sim_crate_src(src));
+        assert!(!super::sim_crate_src(test));
+        for r in super::all() {
+            assert!((r.applies)(src), "{}", r.id);
+            assert_eq!((r.applies)(test), r.id.starts_with("d4-"), "{}", r.id);
+            assert_eq!(
+                (r.applies)("crates/shims/rayon/src/lib.rs"),
+                r.id.starts_with("d4-"),
+                "{}",
+                r.id
+            );
+        }
     }
 }

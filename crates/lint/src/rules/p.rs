@@ -1,10 +1,10 @@
-//! **P-family** — panic-safety in sim-reachable code.
+//! **P-family** — panic-safety in sim-crate source.
 //!
 //! Simulations run on rayon `--jobs` worker threads inside one process,
 //! many per experiment or training step; a panic in one of them takes the
 //! whole batch down instead of failing that run cleanly.
-//! These rules flag the panic *sources* in any function reachable from
-//! the simulation entry points ([`crate::callgraph::ROOTS`]):
+//! These rules flag the panic *sources* anywhere in non-test source of
+//! the sim crates ([`crate::rules::sim_crate_src`]):
 //!
 //! - `p1-sim-unwrap` — `.unwrap()` / `.expect(..)`,
 //! - `p2-sim-panic` — `panic!` / `unreachable!` / `todo!` /
@@ -26,37 +26,36 @@
 //! a panic genuinely is the right response to a corrupted simulation.
 
 use crate::lexer::TokKind;
-use crate::rules::prs_scope;
-use crate::{Analysis, GraphRule};
+use crate::rules::sim_crate_src;
+use crate::{FileCtx, Rule};
 
-pub(crate) fn rules() -> Vec<GraphRule> {
+pub(crate) fn rules() -> Vec<Rule> {
     vec![
-        GraphRule {
+        Rule {
             id: "p1-sim-unwrap",
-            summary: "`.unwrap()`/`.expect()` in a sim-reachable function — a `--jobs` \
+            summary: "`.unwrap()`/`.expect()` in sim-crate source — a `--jobs` \
                       worker panics instead of failing the run cleanly",
-            applies: prs_scope,
+            applies: sim_crate_src,
             check: check_p1,
         },
-        GraphRule {
+        Rule {
             id: "p2-sim-panic",
-            summary: "`panic!`/`unreachable!`/`todo!`/`unimplemented!` in a \
-                      sim-reachable function",
-            applies: prs_scope,
+            summary: "`panic!`/`unreachable!`/`todo!`/`unimplemented!` in \
+                      sim-crate source",
+            applies: sim_crate_src,
             check: check_p2,
         },
-        GraphRule {
+        Rule {
             id: "p3-sim-index-arith",
-            summary: "indexing with arithmetic in the subscript in a sim-reachable \
-                      function — the off-by-one panic class; use checked math or `.get`",
-            applies: prs_scope,
+            summary: "indexing with arithmetic in the subscript in sim-crate \
+                      source — the off-by-one panic class; use checked math or `.get`",
+            applies: sim_crate_src,
             check: check_p3,
         },
     ]
 }
 
-fn check_p1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
-    let ctx = &an.files[fi];
+fn check_p1(ctx: &FileCtx) -> Vec<(u32, String)> {
     let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
     let mut out = Vec::new();
     for (k, &i) in code.iter().enumerate() {
@@ -67,20 +66,16 @@ fn check_p1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
         let is_method_call = k >= 1
             && ctx.toks[code[k - 1]].is_punct('.')
             && code.get(k + 1).is_some_and(|&j| ctx.toks[j].is_punct('('));
-        if !is_method_call || !an.token_in_reachable_fn(fi, i) {
+        if !is_method_call {
             continue;
         }
-        let owner = an
-            .owner_def(fi, i)
-            .map(|d| d.qual_name())
-            .unwrap_or_default();
         out.push((
             t.line,
             format!(
-                "`.{}()` in `{}`, which is reachable from the simulation \
-                 entry points — convert to a typed error or `debug_assert!`+skip, \
-                 or justify with lint:allow",
-                t.text, owner
+                "`.{}()` {} — a `--jobs` worker must not panic; convert to a \
+                 typed error or `debug_assert!`+skip, or justify with lint:allow",
+                t.text,
+                ctx.site(i)
             ),
         ));
     }
@@ -89,8 +84,7 @@ fn check_p1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
-fn check_p2(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
-    let ctx = &an.files[fi];
+fn check_p2(ctx: &FileCtx) -> Vec<(u32, String)> {
     let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
     let mut out = Vec::new();
     for (k, &i) in code.iter().enumerate() {
@@ -101,27 +95,20 @@ fn check_p2(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
         if !code.get(k + 1).is_some_and(|&j| ctx.toks[j].is_punct('!')) {
             continue;
         }
-        if !an.token_in_reachable_fn(fi, i) {
-            continue;
-        }
-        let owner = an
-            .owner_def(fi, i)
-            .map(|d| d.qual_name())
-            .unwrap_or_default();
         out.push((
             t.line,
             format!(
-                "`{}!` in sim-reachable `{}` — a `--jobs` worker must not panic; \
-                 return an error, skip the event, or justify with lint:allow",
-                t.text, owner
+                "`{}!` {} — a `--jobs` worker must not panic; return an error, \
+                 skip the event, or justify with lint:allow",
+                t.text,
+                ctx.site(i)
             ),
         ));
     }
     out
 }
 
-fn check_p3(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
-    let ctx = &an.files[fi];
+fn check_p3(ctx: &FileCtx) -> Vec<(u32, String)> {
     let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
     let mut out = Vec::new();
     for (k, &i) in code.iter().enumerate() {
@@ -138,7 +125,7 @@ fn check_p3(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
                 || p.is_punct(']')
                 || p.is_punct(')')
         };
-        if !is_index || !an.token_in_reachable_fn(fi, i) {
+        if !is_index {
             continue;
         }
         // Scan the balanced subscript for a binary arithmetic operator.
@@ -173,17 +160,13 @@ fn check_p3(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
             j += 1;
         }
         if let Some(op) = arith {
-            let owner = an
-                .owner_def(fi, i)
-                .map(|d| d.qual_name())
-                .unwrap_or_default();
             out.push((
                 t.line,
                 format!(
-                    "subscript arithmetic (`{op}`) in an index expression in \
-                     sim-reachable `{owner}` — off-by-one here panics a `--jobs` \
-                     worker; use checked arithmetic + `.get(..)` or justify \
-                     with lint:allow",
+                    "subscript arithmetic (`{op}`) in an index expression {} — \
+                     off-by-one here panics a `--jobs` worker; use checked \
+                     arithmetic + `.get(..)` or justify with lint:allow",
+                    ctx.site(i)
                 ),
             ));
         }
@@ -196,28 +179,27 @@ mod tests {
     use crate::rules::testutil::{lines_of, scan};
 
     #[test]
-    fn p1_fires_only_in_reachable_fns() {
+    fn p1_fires_in_every_fn_however_it_is_called() {
+        // `runner` is held only by a fn pointer in a `static` — how the
+        // experiment registry holds its `run_*` entries.
         let src = "\
-impl Simulator {
-    pub fn run(self) { self.step(); }
-    fn step(&self) { let x = self.q.pop().unwrap(); }
-}
-fn dead() { let y = maybe().expect(\"fine, unreachable\"); }
+fn step(q: &mut Q) { let x = q.pop().unwrap(); }
+fn runner() { let y = maybe().expect(\"no caller names me\"); }
+static RUNNER: fn() = runner;
 ";
         let d = scan(src);
-        assert_eq!(lines_of(&d, "p1-sim-unwrap"), vec![3], "{d:#?}");
+        assert_eq!(lines_of(&d, "p1-sim-unwrap"), vec![1, 2], "{d:#?}");
+        assert!(d[1].message.contains("in `runner`"), "{d:#?}");
     }
 
     #[test]
     fn p1_ignores_unwrap_or_family_and_bare_idents() {
         let src = "\
-impl Simulator {
-    pub fn run(self) {
-        let a = self.q.pop().unwrap_or(0);
-        let b = self.q.pop().unwrap_or_else(|| 0);
-        let unwrap = 3;
-        let _ = (a, b, unwrap);
-    }
+fn step(q: &mut Q) {
+    let a = q.pop().unwrap_or(0);
+    let b = q.pop().unwrap_or_else(|| 0);
+    let unwrap = 3;
+    let _ = (a, b, unwrap);
 }
 ";
         assert!(scan(src).is_empty());
@@ -226,56 +208,53 @@ impl Simulator {
     #[test]
     fn p2_fires_on_panic_macros_not_asserts() {
         let src = "\
-impl Simulator {
-    pub fn run(self) {
-        assert!(self.ok());
-        debug_assert!(self.ok());
-        if self.bad() { panic!(\"corrupt\"); }
-        match self.kind { 0 => {} _ => unreachable!() }
-    }
+fn step(s: &S) {
+    assert!(s.ok());
+    debug_assert!(s.ok());
+    if s.bad() { panic!(\"corrupt\"); }
+    match s.kind { 0 => {} _ => unreachable!() }
 }
 ";
         let d = scan(src);
-        assert_eq!(lines_of(&d, "p2-sim-panic"), vec![5, 6], "{d:#?}");
+        assert_eq!(lines_of(&d, "p2-sim-panic"), vec![4, 5], "{d:#?}");
     }
 
     #[test]
     fn p3_fires_on_subscript_arithmetic_only() {
         let src = "\
-impl Simulator {
-    pub fn run(self) {
-        let a = self.buf[self.head];
-        let b = self.buf[self.head - 1];
-        let c = self.ring[(self.head + n) % len];
-        let d = self.arena[*idx];
-        let e = [0u8; 4];
-        let f = &self.buf[..n];
-        let _ = (a, b, c, d, e, f);
-    }
+fn step(s: &S) {
+    let a = s.buf[s.head];
+    let b = s.buf[s.head - 1];
+    let c = s.ring[(s.head + n) % len];
+    let d = s.arena[*idx];
+    let e = [0u8; 4];
+    let f = &s.buf[..n];
+    let _ = (a, b, c, d, e, f);
 }
 ";
         let d = scan(src);
-        assert_eq!(lines_of(&d, "p3-sim-index-arith"), vec![4, 5], "{d:#?}");
+        assert_eq!(lines_of(&d, "p3-sim-index-arith"), vec![3, 4], "{d:#?}");
     }
 
     #[test]
     fn justified_allow_suppresses_p_rules() {
         let src = "\
-impl Simulator {
-    pub fn run(self) {
-        // lint:allow(p1-sim-unwrap): validated at construction; absence here
-        // is a corrupted-simulation invariant violation, panic is correct.
-        let x = self.q.pop().unwrap();
-        let _ = x;
-    }
+fn step(q: &mut Q) {
+    // lint:allow(p1-sim-unwrap): validated at construction; absence here
+    // is a corrupted-simulation invariant violation, panic is correct.
+    let x = q.pop().unwrap();
+    let _ = x;
 }
 ";
         assert!(scan(src).is_empty());
     }
 
     #[test]
-    fn unreachable_file_is_clean() {
+    fn test_code_and_other_crates_are_clean() {
         let src = "fn helper() { let x = maybe().unwrap(); panic!(\"x\"); }";
-        assert!(scan(src).is_empty());
+        assert!(crate::scan_source("crates/netsim/tests/props.rs", src).is_empty());
+        assert!(crate::scan_source("crates/lint/src/lexer.rs", src).is_empty());
+        let masked = format!("#[cfg(test)]\nmod tests {{ {src} }}\n");
+        assert!(scan(&masked).is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! **R-family** — RNG-stream hygiene in sim-reachable code.
+//! **R-family** — RNG-stream hygiene in sim-crate source.
 //!
 //! Determinism here means more than "seeded": every consumer must draw
 //! from its *own* derived stream (`SimRng::fork` / `SimRng::split_seed`)
@@ -22,24 +22,24 @@
 //! practice (copy-pasted derivations).
 
 use crate::lexer::TokKind;
-use crate::rules::prs_scope;
-use crate::{Analysis, GraphRule};
+use crate::rules::sim_crate_src;
+use crate::{FileCtx, Rule};
 use std::collections::BTreeMap;
 
-pub(crate) fn rules() -> Vec<GraphRule> {
+pub(crate) fn rules() -> Vec<Rule> {
     vec![
-        GraphRule {
+        Rule {
             id: "r1-rng-stream-collision",
-            summary: "same (rng, stream id) derived twice in one sim-reachable \
-                      function — both consumers draw the same sequence",
-            applies: prs_scope,
+            summary: "same (rng, stream id) derived twice in one function of \
+                      sim-crate source — both consumers draw the same sequence",
+            applies: sim_crate_src,
             check: check_r1,
         },
-        GraphRule {
+        Rule {
             id: "r2-rng-underived-seed",
             summary: "SimRng::new over ad-hoc seed arithmetic/literals in \
-                      sim-reachable code — derive streams via fork/split_seed",
-            applies: prs_scope,
+                      sim-crate source — derive streams via fork/split_seed",
+            applies: sim_crate_src,
             check: check_r2,
         },
     ]
@@ -47,7 +47,7 @@ pub(crate) fn rules() -> Vec<GraphRule> {
 
 /// Token texts of one top-level argument list, split at top-level
 /// commas. `code[k]` must be the opening `(`. Returns (args, end index).
-fn split_args(ctx: &crate::FileCtx, code: &[usize], k: usize) -> (Vec<String>, usize) {
+fn split_args(ctx: &FileCtx, code: &[usize], k: usize) -> (Vec<String>, usize) {
     let mut args: Vec<String> = Vec::new();
     let mut cur = String::new();
     let mut depth = 0i32;
@@ -87,7 +87,7 @@ fn push_tok(s: &mut String, text: &str) {
 
 /// The receiver chain before a `.method(` call: walk back over
 /// `ident`/`.` tokens (`self.rng.fork(..)` → `self . rng`).
-fn receiver_chain(ctx: &crate::FileCtx, code: &[usize], dot_k: usize) -> String {
+fn receiver_chain(ctx: &FileCtx, code: &[usize], dot_k: usize) -> String {
     let mut parts: Vec<&str> = Vec::new();
     let mut j = dot_k; // index of the `.` before the method name
     loop {
@@ -110,11 +110,10 @@ fn receiver_chain(ctx: &crate::FileCtx, code: &[usize], dot_k: usize) -> String 
     parts.join(" . ")
 }
 
-fn check_r1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
-    let ctx = &an.files[fi];
+fn check_r1(ctx: &FileCtx) -> Vec<(u32, String)> {
     let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
     let mut out = Vec::new();
-    // (owner def, kind, receiver/base, stream) → first line seen.
+    // (owner fn, kind, receiver/base, stream) → first line seen.
     let mut seen: BTreeMap<(usize, &'static str, String, String), u32> = BTreeMap::new();
     for (k, &i) in code.iter().enumerate() {
         let t = &ctx.toks[i];
@@ -126,12 +125,9 @@ fn check_r1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
         if !code.get(k + 1).is_some_and(|&j| ctx.toks[j].is_punct('(')) {
             continue;
         }
-        let Some(owner) = an.symbols[fi].owner.get(i).copied().flatten() else {
+        let Some(owner) = ctx.fns.owner.get(i).copied().flatten() else {
             continue;
         };
-        if !an.reachable[fi][owner] {
-            continue;
-        }
         let (args, _) = split_args(ctx, &code, k + 1);
         let key = if is_fork {
             if k == 0 || !ctx.toks[code[k - 1]].is_punct('.') {
@@ -152,14 +148,13 @@ fn check_r1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
                 seen.insert(key, t.line);
             }
             Some(first) => {
-                let qual = an.symbols[fi].defs[owner].qual_name();
                 out.push((
                     t.line,
                     format!(
                         "stream id `{}` derived from `{}` twice in `{}` (first at \
                          line {first}) — both consumers draw the identical sequence; \
                          give each consumer its own stream id",
-                        key.3, key.2, qual
+                        key.3, key.2, ctx.fns.names[owner]
                     ),
                 ));
             }
@@ -168,8 +163,7 @@ fn check_r1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
     out
 }
 
-fn check_r2(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
-    let ctx = &an.files[fi];
+fn check_r2(ctx: &FileCtx) -> Vec<(u32, String)> {
     let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
     let mut out = Vec::new();
     for (k, &i) in code.iter().enumerate() {
@@ -183,7 +177,7 @@ fn check_r2(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
                 .get(k + 3)
                 .is_some_and(|&j| ctx.toks[j].is_ident("new"))
             && code.get(k + 4).is_some_and(|&j| ctx.toks[j].is_punct('('));
-        if !is_new_call || !an.token_in_reachable_fn(fi, i) {
+        if !is_new_call {
             continue;
         }
         let (args, _) = split_args(ctx, &code, k + 4);
@@ -200,10 +194,6 @@ fn check_r2(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
         if !has_arith && !is_literal {
             continue;
         }
-        let owner = an
-            .owner_def(fi, i)
-            .map(|d| d.qual_name())
-            .unwrap_or_default();
         let what = if is_literal {
             "a literal seed"
         } else {
@@ -212,10 +202,11 @@ fn check_r2(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
         out.push((
             ctx.toks[i].line,
             format!(
-                "`SimRng::new` over {what} in sim-reachable `{owner}` — this \
-                 creates a stream the fork/split_seed collision audit cannot \
-                 see; derive it (`rng.fork(STREAM)` / `SimRng::split_seed`) or \
-                 justify with lint:allow",
+                "`SimRng::new` over {what} {} — this creates a stream the \
+                 fork/split_seed collision audit cannot see; derive it \
+                 (`rng.fork(STREAM)` / `SimRng::split_seed`) or justify with \
+                 lint:allow",
+                ctx.site(i)
             ),
         ));
     }
@@ -229,33 +220,29 @@ mod tests {
     #[test]
     fn r1_flags_duplicate_fork_streams_same_receiver() {
         let src = "\
-impl Simulator {
-    pub fn run(mut self) {
-        let a = self.rng.fork(3);
-        let b = self.rng.fork(4);
-        let c = self.rng.fork(3);
-        let _ = (a, b, c);
-    }
+fn setup(s: &mut S) {
+    let a = s.rng.fork(3);
+    let b = s.rng.fork(4);
+    let c = s.rng.fork(3);
+    let _ = (a, b, c);
 }
 ";
         let d = scan(src);
-        assert_eq!(lines_of(&d, "r1-rng-stream-collision"), vec![5], "{d:#?}");
+        assert_eq!(lines_of(&d, "r1-rng-stream-collision"), vec![4], "{d:#?}");
     }
 
     #[test]
     fn r1_different_receivers_or_fns_are_clean() {
         let src = "\
-impl Simulator {
-    pub fn run(mut self) {
-        let a = self.rng.fork(3);
-        let b = self.aux.fork(3);
-        let _ = (a, b);
-        self.helper();
-    }
-    fn helper(&mut self) {
-        let c = self.rng.fork(3);
-        let _ = c;
-    }
+fn setup(s: &mut S) {
+    let a = s.rng.fork(3);
+    let b = s.aux.fork(3);
+    let _ = (a, b);
+    helper(s);
+}
+fn helper(s: &mut S) {
+    let c = s.rng.fork(3);
+    let _ = c;
 }
 ";
         assert!(scan(src).is_empty());
@@ -264,58 +251,40 @@ impl Simulator {
     #[test]
     fn r1_flags_duplicate_split_seed_pairs() {
         let src = "\
-impl Simulator {
-    pub fn run(mut self) {
-        let a = SimRng::split_seed(self.seed, 7);
-        let b = SimRng::split_seed(self.seed, 7);
-        let c = SimRng::split_seed(self.seed, 8);
-        let _ = (a, b, c);
-    }
+fn setup(s: &S) {
+    let a = SimRng::split_seed(s.seed, 7);
+    let b = SimRng::split_seed(s.seed, 7);
+    let c = SimRng::split_seed(s.seed, 8);
+    let _ = (a, b, c);
 }
 ";
         let d = scan(src);
-        assert_eq!(lines_of(&d, "r1-rng-stream-collision"), vec![4], "{d:#?}");
-    }
-
-    #[test]
-    fn r1_unreachable_fn_is_clean() {
-        let src = "\
-fn dead(rng: &mut SimRng) {
-    let a = rng.fork(1);
-    let b = rng.fork(1);
-    let _ = (a, b);
-}
-";
-        assert!(scan(src).is_empty());
+        assert_eq!(lines_of(&d, "r1-rng-stream-collision"), vec![3], "{d:#?}");
     }
 
     #[test]
     fn r2_flags_xor_mixing_and_literals() {
         let src = "\
-impl Simulator {
-    pub fn run(self, seed: u64) {
-        let a = SimRng::new(seed ^ 0x5EED);
-        let b = SimRng::new(0x12ED_D00D);
-        let c = SimRng::new(seed);
-        let d = SimRng::new(derive(seed, 3));
-        let _ = (a, b, c, d);
-    }
+fn setup(seed: u64) {
+    let a = SimRng::new(seed ^ 0x5EED);
+    let b = SimRng::new(0x12ED_D00D);
+    let c = SimRng::new(seed);
+    let d = SimRng::new(derive(seed, 3));
+    let _ = (a, b, c, d);
 }
 ";
         let d = scan(src);
-        assert_eq!(lines_of(&d, "r2-rng-underived-seed"), vec![3, 4], "{d:#?}");
+        assert_eq!(lines_of(&d, "r2-rng-underived-seed"), vec![2, 3], "{d:#?}");
     }
 
     #[test]
     fn r2_justified_allow_is_honoured() {
         let src = "\
-impl Simulator {
-    pub fn run(self, seed: u64) {
-        // lint:allow(r2-rng-underived-seed): this call site is itself the
-        // derivation primitive the audit trusts; streams register here.
-        let a = SimRng::new(seed ^ 0x9E37_79B9);
-        let _ = a;
-    }
+fn setup(seed: u64) {
+    // lint:allow(r2-rng-underived-seed): this call site is itself the
+    // derivation primitive the audit trusts; streams register here.
+    let a = SimRng::new(seed ^ 0x9E37_79B9);
+    let _ = a;
 }
 ";
         assert!(scan(src).is_empty());

@@ -1,4 +1,4 @@
-//! **S-family** — shared-state audit of sim-reachable code.
+//! **S-family** — shared-state audit of sim-crate source.
 //!
 //! Simulations run side by side on rayon `--jobs` workers inside one
 //! process. Any state that is not owned by exactly one simulation is
@@ -10,49 +10,46 @@
 //!   state depends on how runs land on workers, i.e. on `--jobs`),
 //! - `s3-sim-interior-mutability` — `RefCell`/`Cell`/`UnsafeCell`/
 //!   `OnceLock`/`OnceCell`/`LazyLock` in sim scope (`use` imports are
-//!   not flagged — the state is where the cell lives, not the import).
+//!   not flagged — the state is where the cell lives, not the import —
+//!   and neither is a type of that name the file declares itself: a
+//!   table's `enum Cell` is not `std::cell::Cell`).
 //!
 //! Unlike P/R, a finding here is not necessarily a bug today. The point
 //! of deny-by-default is the *justified allow*: each `lint:allow(s…)`
 //! must say why the state stays sound when simulations run concurrently
 //! (write-once cache, owned by one run by construction, …). The
 //! `--allow-report` artifact lists them for review.
-//!
-//! Scoping: tokens inside a function body count when that function is
-//! sim-reachable; item-level tokens (statics, struct fields) count when
-//! the file defines at least one sim-reachable function.
 
-use crate::rules::prs_scope;
-use crate::{Analysis, GraphRule};
+use crate::rules::sim_crate_src;
+use crate::{FileCtx, Rule};
 
-pub(crate) fn rules() -> Vec<GraphRule> {
+pub(crate) fn rules() -> Vec<Rule> {
     vec![
-        GraphRule {
+        Rule {
             id: "s1-sim-static-mut",
             summary: "`static mut` in sim scope — unsynchronized global state; every \
                       access races between `--jobs` workers",
-            applies: prs_scope,
+            applies: sim_crate_src,
             check: check_s1,
         },
-        GraphRule {
+        Rule {
             id: "s2-sim-thread-local",
             summary: "`thread_local!` in sim scope — which runs share it depends on \
                       `--jobs`, so results would too",
-            applies: prs_scope,
+            applies: sim_crate_src,
             check: check_s2,
         },
-        GraphRule {
+        Rule {
             id: "s3-sim-interior-mutability",
             summary: "interior-mutability cell (RefCell/Cell/OnceLock/…) in sim \
                       scope — each needs a concurrency-soundness justification",
-            applies: prs_scope,
+            applies: sim_crate_src,
             check: check_s3,
         },
     ]
 }
 
-fn check_s1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
-    let ctx = &an.files[fi];
+fn check_s1(ctx: &FileCtx) -> Vec<(u32, String)> {
     let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
     let mut out = Vec::new();
     for (k, &i) in code.iter().enumerate() {
@@ -66,9 +63,6 @@ fn check_s1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
         {
             continue;
         }
-        if !an.token_in_sim_scope(fi, i) {
-            continue;
-        }
         out.push((
             t.line,
             "`static mut` in sim scope — unsynchronized global state races \
@@ -80,8 +74,7 @@ fn check_s1(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
     out
 }
 
-fn check_s2(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
-    let ctx = &an.files[fi];
+fn check_s2(ctx: &FileCtx) -> Vec<(u32, String)> {
     let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
     let mut out = Vec::new();
     for (k, &i) in code.iter().enumerate() {
@@ -90,9 +83,6 @@ fn check_s2(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
             continue;
         }
         if !code.get(k + 1).is_some_and(|&j| ctx.toks[j].is_punct('!')) {
-            continue;
-        }
-        if !an.token_in_sim_scope(fi, i) {
             continue;
         }
         out.push((
@@ -115,9 +105,20 @@ const CELLS: [&str; 6] = [
     "LazyLock",
 ];
 
-fn check_s3(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
-    let ctx = &an.files[fi];
+fn check_s3(ctx: &FileCtx) -> Vec<(u32, String)> {
     let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
+    // Names this file declares itself (`struct|enum|type|trait <Name>`)
+    // are its own types, not the std cells they happen to share a name
+    // with.
+    let declared_here = |name: &str| {
+        code.windows(2).any(|w| {
+            let kw = &ctx.toks[w[0]];
+            ["struct", "enum", "type", "trait"]
+                .iter()
+                .any(|k| kw.is_ident(k))
+                && ctx.toks[w[1]].is_ident(name)
+        })
+    };
     let mut out = Vec::new();
     let mut in_use = false;
     for &i in &code {
@@ -136,23 +137,17 @@ fn check_s3(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
             }
             continue;
         }
-        if !CELLS.iter().any(|c| t.is_ident(c)) {
+        if !CELLS.iter().any(|c| t.is_ident(c)) || declared_here(&t.text) {
             continue;
         }
-        if !an.token_in_sim_scope(fi, i) {
-            continue;
-        }
-        let site = match an.owner_def(fi, i) {
-            Some(d) => format!("in sim-reachable `{}`", d.qual_name()),
-            None => "at item level in a file with sim-reachable functions".to_string(),
-        };
         out.push((
             t.line,
             format!(
-                "interior-mutability cell `{}` {site} — shared mutation must \
+                "interior-mutability cell `{}` {} — shared mutation must \
                  stay sound when `--jobs` workers run simulations concurrently; \
                  each cell needs a justified lint:allow stating why it does",
-                t.text
+                t.text,
+                ctx.site(i)
             ),
         ));
     }
@@ -163,64 +158,69 @@ fn check_s3(an: &Analysis, fi: usize) -> Vec<(u32, String)> {
 mod tests {
     use crate::rules::testutil::{lines_of, scan};
 
-    const ROOT: &str = "impl Simulator { pub fn run(self) { touch(); } }\n";
-
     #[test]
-    fn s1_flags_static_mut_when_file_has_reachable_fns() {
-        let src = format!("{ROOT}static mut COUNTER: u64 = 0;\nfn touch() {{}}\n");
-        let d = scan(&src);
-        assert_eq!(lines_of(&d, "s1-sim-static-mut"), vec![2], "{d:#?}");
+    fn s1_flags_static_mut_at_item_level_and_in_bodies() {
+        let src = "static mut COUNTER: u64 = 0;\nfn touch() { static mut SEEN: bool = false; }\n";
+        let d = scan(src);
+        assert_eq!(lines_of(&d, "s1-sim-static-mut"), vec![1, 2], "{d:#?}");
     }
 
     #[test]
     fn s1_plain_static_is_clean() {
-        let src = format!("{ROOT}static TABLE: [u8; 4] = [0; 4];\nfn touch() {{}}\n");
-        assert!(scan(&src).is_empty());
+        let src = "static TABLE: [u8; 4] = [0; 4];\nfn touch() {}\n";
+        assert!(scan(src).is_empty());
     }
 
     #[test]
     fn s2_flags_thread_local_blocks() {
-        let src = format!(
-            "{ROOT}thread_local! {{ static SCRATCH: Vec<u8> = Vec::new(); }}\nfn touch() {{}}\n"
-        );
-        let d = scan(&src);
-        assert_eq!(lines_of(&d, "s2-sim-thread-local"), vec![2], "{d:#?}");
+        let src = "thread_local! { static SCRATCH: Vec<u8> = Vec::new(); }\nfn touch() {}\n";
+        let d = scan(src);
+        assert_eq!(lines_of(&d, "s2-sim-thread-local"), vec![1], "{d:#?}");
     }
 
     #[test]
     fn s3_flags_cells_but_not_their_imports() {
-        let src = format!(
-            "{ROOT}use std::sync::OnceLock;\n\
-             struct S {{ cache: OnceLock<u64> }}\n\
-             fn touch() {{ let c = std::cell::RefCell::new(1); let _ = c; }}\n"
-        );
-        let d = scan(&src);
+        let src = "\
+use std::sync::OnceLock;
+struct S { cache: OnceLock<u64> }
+fn touch() { let c = std::cell::RefCell::new(1); let _ = c; }
+";
+        let d = scan(src);
         assert_eq!(
             lines_of(&d, "s3-sim-interior-mutability"),
-            vec![3, 4],
+            vec![2, 3],
             "{d:#?}"
         );
     }
 
     #[test]
-    fn s_rules_silent_without_any_reachable_fn() {
-        let src = "\
-static mut COUNTER: u64 = 0;
-thread_local! { static SCRATCH: u64 = 0; }
-struct S { cache: OnceLock<u64> }
-fn never_called() { let c = RefCell::new(1); let _ = c; }
+    fn s3_leaves_a_type_the_file_declares_itself_alone() {
+        // A table cell is not `std::cell::Cell`: the file that declares
+        // `enum Cell` may use the name freely...
+        let table = "\
+pub enum Cell { Num(f64), Text(String) }
+pub fn render(row: &[Cell]) -> usize { row.len() }
+fn num(x: f64) -> Cell { Cell::Num(x) }
 ";
-        assert!(scan(src).is_empty());
+        assert!(scan(table).is_empty(), "{:#?}", scan(table));
+        // ...while another file's std cell still fires.
+        let state = "pub struct State { flag: std::cell::Cell<bool> }\n";
+        let d = scan(state);
+        assert_eq!(
+            lines_of(&d, "s3-sim-interior-mutability"),
+            vec![1],
+            "{d:#?}"
+        );
     }
 
     #[test]
     fn s3_justified_allow_is_honoured() {
-        let src = format!(
-            "{ROOT}// lint:allow(s3-sim-interior-mutability): write-once cache of a\n\
-             // pure function of the tree; any worker computing it gets the same value.\n\
-             struct S {{ cache: OnceLock<u64> }}\n\
-             fn touch() {{}}\n"
-        );
-        assert!(scan(&src).is_empty());
+        let src = "\
+// lint:allow(s3-sim-interior-mutability): write-once cache of a
+// pure function of the tree; any worker computing it gets the same value.
+struct S { cache: OnceLock<u64> }
+fn touch() {}
+";
+        assert!(scan(src).is_empty());
     }
 }

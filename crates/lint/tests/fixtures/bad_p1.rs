@@ -1,7 +1,7 @@
-//! P1 seeded violations: unwrap/expect on the sim path.
-pub struct Simulator;
-impl Simulator {
-    pub fn run(&self) {
+//! P1 seeded violations: unwrap/expect in sim-crate source.
+pub struct Sender;
+impl Sender {
+    pub fn on_ack(&self) {
         let v: Option<u32> = None;
         let _ = v.unwrap();
         let _ = v.expect("boom");
@@ -9,7 +9,9 @@ impl Simulator {
         let _ = fine;
     }
 }
-fn cold_helper() {
+fn run_cold() {
     let v: Option<u32> = None;
     let _ = v.unwrap();
 }
+// Held only by a fn pointer, as the experiment registry holds its runners.
+static RUNNER: fn() = run_cold;

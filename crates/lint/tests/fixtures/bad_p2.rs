@@ -1,7 +1,7 @@
-//! P2 seeded violations: panic-family macros on the sim path.
-pub struct Simulator;
-impl Simulator {
-    pub fn run(&self, x: u32) {
+//! P2 seeded violations: panic-family macros in sim-crate source.
+pub struct Sender;
+impl Sender {
+    pub fn on_ack(&self, x: u32) {
         if x > 3 {
             panic!("x too big");
         }

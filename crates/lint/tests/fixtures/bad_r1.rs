@@ -1,7 +1,7 @@
 //! R1 seeded violations: colliding rng stream derivations.
-pub struct Simulator;
-impl Simulator {
-    pub fn run(&self, rng: &mut SimRng) {
+pub struct Sender;
+impl Sender {
+    pub fn on_ack(&self, rng: &mut SimRng) {
         let a = rng.fork(1);
         let b = rng.fork(1);
         let distinct = rng.fork(2);

@@ -1,7 +1,7 @@
-//! R2 seeded violations: ad-hoc seeds on the sim path.
-pub struct Simulator;
-impl Simulator {
-    pub fn run(&self, seed: u64) {
+//! R2 seeded violations: ad-hoc seeds in sim-crate source.
+pub struct Sender;
+impl Sender {
+    pub fn on_ack(&self, seed: u64) {
         let a = SimRng::new(seed ^ 0xDEAD_BEEF);
         let b = SimRng::new(42);
         let derived = SimRng::new(seed);

@@ -1,9 +1,5 @@
 //! S1 seeded violation: static mut global in sim scope.
 static mut COUNTER: u64 = 0;
-pub struct Simulator;
-impl Simulator {
-    pub fn run(&self) {}
-}
 #[cfg(test)]
 mod tests {
     static mut TEST_ONLY: u64 = 0;

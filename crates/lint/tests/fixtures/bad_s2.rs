@@ -2,7 +2,3 @@
 thread_local! {
     static SCRATCH: Vec<u64> = Vec::new();
 }
-pub struct Simulator;
-impl Simulator {
-    pub fn run(&self) {}
-}

@@ -4,7 +4,3 @@ pub struct State {
     cache: RefCell<u64>,
     flag: std::cell::Cell<bool>,
 }
-pub struct Simulator;
-impl Simulator {
-    pub fn run(&self) {}
-}

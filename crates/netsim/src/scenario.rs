@@ -194,6 +194,8 @@ impl Scenario {
     pub fn with_topology(mut self, topology: Topology) -> Scenario {
         topology
             .validate(self.senders.len())
+            // lint:allow(p1-sim-unwrap): construction-time validation — a
+            // malformed scenario must abort setup before any event runs.
             .expect("topology matches scenario");
         self.link = topology.hops[0].link.clone();
         self.queue = topology.hops[0].queue.clone();
@@ -204,6 +206,8 @@ impl Scenario {
     /// Builder-style: add dynamic flow churn. Panics on an invalid spec or
     /// if a topology is attached (churn runs on the dumbbell only).
     pub fn with_churn(mut self, churn: ChurnSpec) -> Scenario {
+        // lint:allow(p1-sim-unwrap): construction-time validation — a
+        // malformed churn spec must abort setup before any event runs.
         churn.validate().expect("valid churn spec");
         assert!(
             self.topology.is_none(),

@@ -96,7 +96,8 @@ fn cmd_eval(table_spec: &str, delta: f64, specimens: usize, secs: f64) {
 }
 
 fn cmd_compare(a_spec: &str, b_spec: &str, runs: usize, secs: u64) {
-    let fig4 = experiments::by_name("fig4").expect("fig4 is registered");
+    let fig4 =
+        experiments::by_name("fig4").unwrap_or_else(|| die("compare: fig4 is not registered"));
     let spec = ExperimentSpec::new(
         "compare",
         "Fig. 4 dumbbell head-to-head",
@@ -357,7 +358,8 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("list") => {
             for name in remy::assets::TABLE_NAMES {
-                let t = remy::assets::by_name(name).expect("shipped");
+                let t = remy::assets::by_name(name)
+                    .unwrap_or_else(|| die(&format!("list: no shipped table '{name}'")));
                 println!("{name:<12} {:>4} rules  {}", t.len(), t.provenance);
             }
         }

@@ -62,6 +62,9 @@ impl NamedExperiment {
     /// what a flagless `remy-cli run <name>` executes.
     pub fn committed_spec(&self) -> ExperimentSpec {
         ExperimentSpec::from_json(self.spec_json)
+            // lint:allow(p2-sim-panic): the spec is compiled into the binary
+            // and parsed by the tier-1 canonical-spec test; a parse failure
+            // means the build itself is corrupt.
             .unwrap_or_else(|e| panic!("specs/{}.json: {e}", self.name))
     }
 
@@ -414,8 +417,7 @@ fn run_fig3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     // least 16 kB.
     let min_loaded = (0..1000)
         .map(|_| empirical_flow_bytes(&mut rng, u64::MAX))
-        .min()
-        .unwrap();
+        .fold(u64::MAX, u64::min);
     table.note(&format!(
         "\nminimum loaded flow (with +16 kB term): {min_loaded} bytes"
     ));
@@ -450,13 +452,13 @@ fn run_fig6(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     );
     let step = Ns::from_millis(250);
     let mut t = Ns::ZERO;
-    let mut idx = 0;
+    let mut seq = 0;
     let flow0: Vec<_> = results.deliveries.iter().filter(|d| d.flow == 0).collect();
+    let mut pending = flow0.iter().peekable();
     while t <= scenario.duration {
-        while idx < flow0.len() && flow0[idx].at <= t {
-            idx += 1;
+        while let Some(d) = pending.next_if(|d| d.at <= t) {
+            seq = d.seq;
         }
-        let seq = if idx == 0 { 0 } else { flow0[idx - 1].seq };
         table.row(vec![Field::Num(t.as_secs_f64()), Field::Num(seq as f64)]);
         t += step;
     }
@@ -548,6 +550,9 @@ fn run_fig10(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         .iter()
         .map(|s| s.rtt.0 / 1_000_000)
         .collect();
+    let Some(&last_ms) = rtt_ms.last() else {
+        return Err(format!("{}: the RTT sweep has no senders", spec.name));
+    };
     let mut cols = vec![label_col("scheme", 16)];
     cols.extend(
         rtt_ms
@@ -582,11 +587,13 @@ fn run_fig10(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
             )
         }));
         table.row(row);
-        let worst_share = prof[rtt_ms.len() - 1].0 / best;
-        table.note(&format!(
-            "  -> {} ms flow keeps {worst_share:.2} of the best share",
-            rtt_ms[rtt_ms.len() - 1]
-        ));
+        // `prof` has one entry per sender, so it is as non-empty as `rtt_ms`.
+        if let Some(&(worst, _)) = prof.last() {
+            table.note(&format!(
+                "  -> {last_ms} ms flow keeps {:.2} of the best share",
+                worst / best
+            ));
+        }
     }
     Ok(table.finish(spec))
 }

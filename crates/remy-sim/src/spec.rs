@@ -844,6 +844,9 @@ impl WorkloadSpec {
     /// Builder-style: layer a dynamic flow-arrival process over the
     /// persistent senders.
     pub fn with_churn(mut self, churn: ChurnSpec) -> WorkloadSpec {
+        // lint:allow(p1-sim-unwrap): construction-time validation in a
+        // code-side builder; a parsed spec goes through `from_json`'s
+        // typed errors instead.
         churn.validate().expect("valid churn spec");
         assert!(
             self.topology.is_none(),

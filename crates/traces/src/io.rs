@@ -1,14 +1,13 @@
 //! Plain-text persistence for delivery schedules.
 //!
-//! Format: one integer nanosecond timestamp per line, optionally preceded
-//! by `#`-comment lines; a final `# tail_gap_ns: N` comment records the
-//! repetition gap. This mirrors the saturator-trace files the paper's
-//! cellular methodology is built on, so real recordings (e.g. from the
-//! Mahimahi project's public traces) can be dropped in.
+//! Format: one integer nanosecond delivery instant per line, optionally
+//! preceded by `#`-comment lines; a final `# tail_gap_ns: N` comment
+//! records the repetition gap. This mirrors the saturator-trace files
+//! the paper's cellular methodology is built on, so real recordings
+//! (e.g. from the Mahimahi project's public traces) can be dropped in.
 
 use netsim::link::DeliverySchedule;
 use netsim::time::Ns;
-use std::fmt::Write as _;
 
 /// Serialize a schedule to the text format.
 pub fn to_text(schedule: &DeliverySchedule) -> String {
@@ -18,11 +17,11 @@ pub fn to_text(schedule: &DeliverySchedule) -> String {
     let mut last = Ns::ZERO;
     for _ in 0..schedule.len() {
         t = schedule.next_after(t);
-        writeln!(out, "{}", t.0).expect("string write");
+        out.push_str(&format!("{}\n", t.0));
         last = t;
     }
     let tail = schedule.period() - last;
-    writeln!(out, "# tail_gap_ns: {}", tail.0).expect("string write");
+    out.push_str(&format!("# tail_gap_ns: {}\n", tail.0));
     out
 }
 
@@ -49,12 +48,12 @@ pub fn from_text(text: &str) -> Result<DeliverySchedule, String> {
         }
         let t: u64 = line
             .parse()
-            .map_err(|e| format!("line {}: bad timestamp: {e}", lineno + 1))?;
+            .map_err(|e| format!("line {}: bad delivery instant: {e}", lineno + 1))?;
         instants.push(Ns(t));
     }
-    if instants.is_empty() {
+    let Some(&Ns(span)) = instants.last() else {
         return Err("no delivery instants in trace".to_string());
-    }
+    };
     for (i, w) in instants.windows(2).enumerate() {
         if w[0] >= w[1] {
             return Err(format!(
@@ -63,11 +62,8 @@ pub fn from_text(text: &str) -> Result<DeliverySchedule, String> {
             ));
         }
     }
-    let tail = tail_gap.unwrap_or_else(|| {
-        // Default: mean inter-delivery gap.
-        let span = instants.last().expect("non-empty").0;
-        Ns((span / instants.len() as u64).max(1))
-    });
+    // Default: mean inter-delivery gap.
+    let tail = tail_gap.unwrap_or(Ns((span / instants.len() as u64).max(1)));
     Ok(DeliverySchedule::new(instants, tail.max(Ns(1))))
 }
 
