@@ -37,23 +37,14 @@ pub fn jobs() -> usize {
 }
 
 /// Evaluation budget knobs. The paper simulates ≥16 specimens for 100 s
-/// each on a 48-core server; the defaults here are laptop-scale and can be
-/// raised for sharper tables.
+/// each on a 48-core server; the budget each shipped table was trained at
+/// is on its [`crate::designs`] entry.
 #[derive(Clone, Copy, Debug)]
 pub struct EvalConfig {
     /// Specimen networks per evaluation.
     pub specimens: usize,
     /// Simulated seconds per specimen.
     pub sim_secs: f64,
-}
-
-impl Default for EvalConfig {
-    fn default() -> Self {
-        EvalConfig {
-            specimens: 16,
-            sim_secs: 100.0,
-        }
-    }
 }
 
 /// Evaluates rule tables against a network model and objective.

@@ -15,21 +15,19 @@
 //! * [`remycc`] — the runtime that executes a rule table inside a TCP-like
 //!   sender (implements `netsim::cc::CongestionControl`);
 //! * [`objective`] — alpha-fairness scoring, `U_α(tput) − δ·U_β(delay)`;
-//! * [`model`] — design-range network models (the paper's design tables);
+//! * [`model`] — design-range network models (the designer's prior);
 //! * [`evaluator`] — common-random-number evaluation of candidate tables;
 //! * [`optimizer`] — the greedy improve/subdivide design loop;
-//! * [`assets`] — pre-trained rule tables shipped with the crate.
+//! * [`designs`] — the registry of shipped RemyCCs: each one's prior,
+//!   objective, training budget, label and pre-trained rule table.
 //!
 //! ## Designing a RemyCC
 //!
 //! ```no_run
-//! use remy::prelude::*;
-//!
-//! let remy = Remy::new(
-//!     NetworkModel::general(),          // 10–20 Mbps, 100–200 ms, n ≤ 16
-//!     Objective::proportional(1.0),     // log tput − 1·log delay
-//!     TrainConfig::default(),
-//! );
+//! // The shipped δ = 1 design: 10–20 Mbps, 100–200 ms, n ≤ 16 under
+//! // log tput − 1·log delay, for five minutes of wall clock.
+//! let design = remy::designs::by_name("delta1").expect("registered");
+//! let remy = design.remy(300.0, usize::MAX);
 //! let table = remy.design(|event| println!("{event:?}"));
 //! std::fs::write("my_remycc.json", table.to_json()).unwrap();
 //! ```
@@ -59,7 +57,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod action;
-pub mod assets;
+pub mod designs;
 pub mod evaluator;
 pub mod inspect;
 pub mod memory;

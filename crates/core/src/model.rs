@@ -2,8 +2,9 @@
 //!
 //! Remy's input is a stochastic model of the networks the protocol should
 //! handle: ranges for the bottleneck rate, propagation RTT, and the degree
-//! of multiplexing, plus the on/off traffic process. Every preset below
-//! reproduces a design table from the paper.
+//! of multiplexing, plus the on/off traffic process. [`NetworkModel::general`]
+//! is the paper's general-purpose design table; the prior of each shipped
+//! RemyCC is stated on its [`crate::designs`] entry.
 
 use netsim::link::LinkSpec;
 use netsim::queue::QueueSpec;
@@ -13,7 +14,7 @@ use netsim::time::Ns;
 use netsim::traffic::{OnSpec, TrafficSpec};
 
 /// A stochastic generative model of networks (the "prior assumptions").
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkModel {
     /// Degree of multiplexing: `n` drawn uniformly in this inclusive range.
     pub n_senders: (usize, usize),
@@ -35,7 +36,7 @@ impl NetworkModel {
     /// 10–20 Mbps, RTT 100–200 ms, on/off by time with 5 s means,
     /// unlimited queue — "a 64-fold range of bandwidth-delay product
     /// per user".
-    pub fn general() -> NetworkModel {
+    pub const fn general() -> NetworkModel {
         NetworkModel {
             n_senders: (1, 16),
             link_mbps: (10.0, 20.0),
@@ -49,56 +50,6 @@ impl NetworkModel {
             },
             queue: QueueSpec::Unlimited,
             mss: 1500,
-        }
-    }
-
-    /// The "1×" model of §5.7: link speed known exactly (15 Mbps),
-    /// RTT 150 ms, n = 2.
-    pub fn exact_link() -> NetworkModel {
-        NetworkModel {
-            n_senders: (2, 2),
-            link_mbps: (15.0, 15.0),
-            rtt_ms: (150.0, 150.0),
-            ..NetworkModel::general()
-        }
-    }
-
-    /// The "10×" model of §5.7: link speed in a tenfold range
-    /// (4.7–47 Mbps), RTT 150 ms, n = 2.
-    pub fn tenx_link() -> NetworkModel {
-        NetworkModel {
-            n_senders: (2, 2),
-            link_mbps: (4.7, 47.0),
-            rtt_ms: (150.0, 150.0),
-            ..NetworkModel::general()
-        }
-    }
-
-    /// The datacenter model of §5.5: 10 Gbps, RTT 4 ms, up to 64 senders,
-    /// 20 MB mean transfers with 100 ms mean off time.
-    pub fn datacenter() -> NetworkModel {
-        NetworkModel {
-            n_senders: (1, 64),
-            link_mbps: (10_000.0, 10_000.0),
-            rtt_ms: (4.0, 4.0),
-            traffic: TrafficSpec {
-                on: OnSpec::ByBytes { mean_bytes: 20e6 },
-                off_mean: Ns::from_millis(100),
-                start_on: false,
-            },
-            queue: QueueSpec::DropTail { capacity: 1000 },
-            mss: 1500,
-        }
-    }
-
-    /// The coexistence model of §5.6: RTTs from 100 ms to 10 s "to
-    /// accommodate a buffer-filling competitor on the same bottleneck".
-    pub fn coexist() -> NetworkModel {
-        NetworkModel {
-            n_senders: (1, 2),
-            link_mbps: (10.0, 20.0),
-            rtt_ms: (100.0, 10_000.0),
-            ..NetworkModel::general()
         }
     }
 
@@ -184,7 +135,9 @@ mod tests {
 
     #[test]
     fn exact_model_is_degenerate() {
-        let m = NetworkModel::exact_link();
+        // Equal endpoints mean "known exactly": every specimen of the 1×
+        // design is the same network (only its traffic seed varies).
+        let m = &crate::designs::by_name("onex").expect("registered").model;
         let mut rng = SimRng::new(3);
         let s = m.sample(&mut rng, Ns::SECOND);
         assert_eq!(s.n(), 2);
@@ -193,14 +146,6 @@ mod tests {
         };
         assert_eq!(rate_mbps, 15.0);
         assert_eq!(s.senders[0].rtt, Ns::from_millis(150));
-    }
-
-    #[test]
-    fn datacenter_model_shape() {
-        let m = NetworkModel::datacenter();
-        assert_eq!(m.link_mbps.0, 10_000.0);
-        assert_eq!(m.rtt_ms, (4.0, 4.0));
-        assert!(matches!(m.traffic.on, OnSpec::ByBytes { mean_bytes } if mean_bytes == 20e6));
     }
 
     #[test]

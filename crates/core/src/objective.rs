@@ -54,7 +54,7 @@ pub struct Objective {
 
 impl Objective {
     /// `α = β = 1` with the given δ: `log(throughput) − δ·log(delay)`.
-    pub fn proportional(delta: f64) -> Objective {
+    pub const fn proportional(delta: f64) -> Objective {
         Objective {
             alpha: 1.0,
             beta: 1.0,
@@ -64,7 +64,7 @@ impl Objective {
 
     /// `α = 2, δ = 0`: maximize `−1/throughput` (minimum potential delay),
     /// the datacenter objective.
-    pub fn min_potential_delay() -> Objective {
+    pub const fn min_potential_delay() -> Objective {
         Objective {
             alpha: 2.0,
             beta: 1.0,

@@ -61,21 +61,6 @@ pub struct TrainConfig {
     pub seed: u64,
 }
 
-impl Default for TrainConfig {
-    fn default() -> Self {
-        TrainConfig {
-            eval: EvalConfig {
-                specimens: 8,
-                sim_secs: 12.0,
-            },
-            wall_secs: 300.0,
-            max_steps: usize::MAX,
-            max_rules: 256,
-            seed: 1,
-        }
-    }
-}
-
 /// Progress callback payloads (training logs).
 #[derive(Clone, Debug)]
 pub enum TrainEvent {

@@ -1,20 +1,32 @@
-//! `remy-cli` — run experiments and inspect, evaluate, and compare RemyCC
-//! rule tables.
+//! `remy-cli` — run experiments and train, inspect, evaluate, and compare
+//! RemyCC rule tables.
 //!
 //! ```text
 //! remy-cli run <name|spec.json> [--runs N] [--secs S] [--out csv]
 //! remy-cli list-experiments [--names]     # the named experiment registry
 //! remy-cli spec <name|spec.json> [--runs N] [--secs S]  # print the canonical JSON spec
 //! remy-cli topo <name|spec.json>          # dump a resolved topology graph
+//! remy-cli list                           # the registered RemyCC designs
+//! remy-cli train <name> [wall_secs] [out_dir] [--steps N] [--continue]
 //! remy-cli inspect <table>                # annotated rule dump
-//! remy-cli eval <table> [delta] [specimens] [secs]  # score on the general model
+//! remy-cli eval <table> [delta] [specimens] [secs]  # score on its design model
 //! remy-cli compare <tableA> <tableB> [runs] [secs]  # head-to-head on Fig. 4
-//! remy-cli list                           # shipped tables
 //! ```
 //!
-//! `<table>` is either a shipped asset name (`delta01`, `delta1`,
-//! `delta10`, `onex`, `tenx`, `datacenter`, `coexist`) or a path to a
-//! JSON rule table produced by `Remy::design` / `train_remycc`.
+//! `<table>` is either a registered design (`remy-cli list`, i.e.
+//! `remy::designs`) or a path to a JSON rule table written by `train` or
+//! `Remy::design`. `inspect` and `eval` judge a registered design by its
+//! own entry — specimens of its prior, scored under its objective — and a
+//! JSON path on the general model at δ = 1; an explicit `delta` always
+//! means `log(tput) − delta·log(delay)`.
+//!
+//! `train` runs the design procedure of §4.3 on a registered design and
+//! writes `<out_dir>/<name>.json` (default `crates/core/assets`, the
+//! shipped table itself; default budget eight minutes of wall clock, where
+//! the paper spent CPU-weeks). `--steps N` replaces the wall-clock budget
+//! with a fixed number of improvement steps, which makes the output fully
+//! deterministic; `--continue` resumes from the table at the destination
+//! instead of a single rule. Tables are byte-identical at any `--jobs`.
 //!
 //! `run` is the one way an experiment is started. It, `spec` and `topo`
 //! accept a registry name (`remy-cli list-experiments`), which stands for
@@ -28,6 +40,7 @@ use remy_sim::experiment::Experiment;
 use remy_sim::experiments::{self, NamedExperiment};
 use remy_sim::prelude::*;
 use remy_sim::spec::load_table;
+use std::sync::Arc;
 
 fn die(msg: &str) -> ! {
     eprintln!("remy-cli: {msg}");
@@ -50,49 +63,157 @@ fn usage() -> ! {
          remy-cli list-experiments [--names]\n  \
          remy-cli spec <name|spec.json> [--runs N] [--secs S]\n  \
          remy-cli topo <name|spec.json>\n  \
-         remy-cli list\n  remy-cli inspect <table>\n  \
-         remy-cli eval <table> [delta=1] [specimens=8] [secs=15]\n  \
+         remy-cli list\n  \
+         remy-cli train <name> [wall_secs=480] [out_dir=crates/core/assets] [--steps N] [--continue]\n  \
+         remy-cli inspect <table>\n  \
+         remy-cli eval <table> [delta] [specimens=8] [secs=15]\n  \
          remy-cli compare <tableA> <tableB> [runs=8] [secs=20]\n\n\
+         <table>: a registered design, judged by its own prior and objective, \
+         or a JSON path, judged on the general model at delta=1\n\n\
          options:\n  --jobs N   evaluation worker threads (default: REMY_JOBS or all cores);\n             \
          results are identical at any thread count"
     );
     std::process::exit(2)
 }
 
+/// The table an `inspect` / `eval` argument names and the evaluator that
+/// judges it: a registered design's own prior and objective, or — for a
+/// JSON path, which carries neither — the general model at δ = 1. An
+/// explicit `delta` replaces the objective.
+fn judge(
+    table_spec: &str,
+    delta: Option<f64>,
+    specimens: usize,
+    sim_secs: f64,
+) -> (Arc<WhiskerTree>, Evaluator) {
+    let (table, design) = load_table(table_spec).unwrap_or_else(|e| die(&e));
+    let (model, designed_for) = match design {
+        Some(d) => (d.model.clone(), d.objective),
+        None => (NetworkModel::general(), Objective::proportional(1.0)),
+    };
+    let objective = delta.map_or(designed_for, Objective::proportional);
+    let config = EvalConfig {
+        specimens,
+        sim_secs,
+    };
+    (table, Evaluator::new(model, objective, config))
+}
+
 fn cmd_inspect(table_spec: &str) {
-    let table = load_table(table_spec).unwrap_or_else(|e| die(&e));
     // Annotate with usage from a quick design-range evaluation so the
     // dump shows which rules actually fire.
-    let evaluator = Evaluator::new(
-        NetworkModel::general(),
-        Objective::proportional(1.0),
-        EvalConfig {
-            specimens: 4,
-            sim_secs: 10.0,
-        },
-    );
+    let (table, evaluator) = judge(table_spec, None, 4, 10.0);
     let specimens = evaluator.specimens(1);
     let (_, usage) = evaluator.evaluate(&table, &specimens);
     print!("{}", remy::inspect::report(&table, Some(&usage)));
 }
 
-fn cmd_eval(table_spec: &str, delta: f64, specimens: usize, secs: f64) {
-    let table = load_table(table_spec).unwrap_or_else(|e| die(&e));
-    let evaluator = Evaluator::new(
-        NetworkModel::general(),
-        Objective::proportional(delta),
-        EvalConfig {
-            specimens,
-            sim_secs: secs,
-        },
-    );
-    let sp = evaluator.specimens(7);
-    let score = evaluator.score(&table, &sp);
+fn cmd_eval(table_spec: &str, delta: Option<f64>, specimens: usize, secs: f64) {
+    let (table, evaluator) = judge(table_spec, delta, specimens, secs);
+    let score = evaluator.score(&table, &evaluator.specimens(7));
+    let objective = evaluator.objective;
+    let objective_text = if objective.alpha == 1.0 && objective.beta == 1.0 {
+        format!("log(tput) - {} log(delay)", objective.delta)
+    } else {
+        objective.label()
+    };
+    let prior = if evaluator.model == NetworkModel::general() {
+        "general"
+    } else {
+        table_spec
+    };
     println!(
-        "table {table_spec}: {} rules, objective log(tput) - {delta} log(delay)",
+        "table {table_spec}: {} rules, objective {objective_text}",
         table.len()
     );
-    println!("score over {specimens} general-model specimens x {secs:.0}s: {score:.3}");
+    println!("score over {specimens} {prior}-model specimens x {secs:.0}s: {score:.3}");
+}
+
+/// `train`: everything that can be wrong with the request is refused
+/// before the first simulation.
+fn cmd_train(
+    name: &str,
+    wall_secs: Option<f64>,
+    out_dir: &str,
+    steps: Option<usize>,
+    warm_start: bool,
+) {
+    let design = remy::designs::by_name(name).unwrap_or_else(|| {
+        die(&format!(
+            "train: no design '{name}'; registered: {}",
+            remy::designs::names()
+        ))
+    });
+    // With a fixed step budget the wall clock is only a safety net.
+    let wall_secs = wall_secs.unwrap_or(if steps.is_some() { 1e9 } else { 480.0 });
+    let path = format!("{out_dir}/{name}.json");
+    // `--continue` adds budget to the table at the destination; one that
+    // cannot be resumed from must not be trained over.
+    let initial = if warm_start {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| die(&format!("--continue: cannot read '{path}': {e}")));
+        WhiskerTree::from_json(&text)
+            .unwrap_or_else(|e| die(&format!("--continue: cannot parse '{path}': {e}")))
+    } else {
+        WhiskerTree::single_rule()
+    };
+    // Open the destination before the budget is spent: a missing or
+    // read-only out_dir fails here, not after hours of training.
+    let mut out = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&path)
+        .unwrap_or_else(|e| die(&format!("train: cannot write '{path}': {e}")));
+
+    println!("== Remy design phase ==");
+    println!("table     : {name}");
+    println!("model     : {}", design.model.describe());
+    println!("objective : {}", design.objective.label());
+    let budget = match steps {
+        Some(n) => format!("{n} improvement steps"),
+        None => format!("{wall_secs:.0} s wall clock"),
+    };
+    let eval = design.eval;
+    println!(
+        "budget    : {budget}, {} specimens x {} s sims",
+        eval.specimens, eval.sim_secs
+    );
+    println!("jobs      : {}", remy::evaluator::jobs());
+    if warm_start {
+        println!("continuing from {path} ({} rules)", initial.len());
+    }
+
+    // lint:allow(d2-wallclock-rng): the `[ 12.3s]` prefix of the progress
+    // log — decoration no byte of the trained table can observe, the same
+    // argument as the optimizer's stop clock.
+    let started = std::time::Instant::now();
+    let remy = design.remy(wall_secs, steps.unwrap_or(usize::MAX));
+    let table = remy.design_from(initial, |event| {
+        let line = match event {
+            TrainEvent::Epoch {
+                epoch,
+                rules,
+                score,
+            } => format!("epoch {epoch}: {rules} rules, score {score:.3}"),
+            TrainEvent::Improved { rule, from, to } => {
+                format!("  rule {rule}: {from:.3} -> {to:.3}")
+            }
+            TrainEvent::Split { rule, rules } => format!("  split rule {rule}: now {rules} rules"),
+            TrainEvent::Done {
+                rules,
+                score,
+                steps,
+            } => format!("done: {rules} rules, score {score:.3}, {steps} improvement steps"),
+        };
+        println!("[{:7.1}s] {line}", started.elapsed().as_secs_f64());
+    });
+
+    use std::io::Write;
+    out.set_len(0)
+        .and_then(|()| out.write_all(table.to_json().as_bytes()))
+        .unwrap_or_else(|e| die(&format!("train: cannot write '{path}': {e}")));
+    println!("wrote {path} ({} rules)", table.len());
 }
 
 fn cmd_compare(a_spec: &str, b_spec: &str, runs: usize, secs: u64) {
@@ -327,6 +448,8 @@ fn main() {
     let mut runs: Option<usize> = None;
     let mut secs: Option<u64> = None;
     let mut out_csv = false;
+    let mut steps: Option<usize> = None;
+    let mut warm_start = false;
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {
         let mut flag = |name: &str| -> Option<String> {
@@ -346,6 +469,10 @@ fn main() {
             runs = Some(positive("--runs", &v));
         } else if let Some(v) = flag("--secs") {
             secs = Some(positive("--secs", &v));
+        } else if let Some(v) = flag("--steps") {
+            steps = Some(positive("--steps", &v));
+        } else if a == "--continue" {
+            warm_start = true;
         } else if let Some(v) = flag("--out") {
             match v.as_str() {
                 "csv" => out_csv = true,
@@ -357,11 +484,16 @@ fn main() {
     }
     match args.first().map(String::as_str) {
         Some("list") => {
-            for name in remy::assets::TABLE_NAMES {
-                let t = remy::assets::by_name(name)
-                    .unwrap_or_else(|| die(&format!("list: no shipped table '{name}'")));
-                println!("{name:<12} {:>4} rules  {}", t.len(), t.provenance);
+            for d in remy::designs::all() {
+                let t = d.table();
+                println!("{:<12} {:>4} rules  {}", d.name, t.len(), t.provenance);
             }
+        }
+        Some("train") => {
+            let name = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
+            let wall_secs = args.get(2).map(|v| positive("wall_secs", v));
+            let out_dir = args.get(3).map_or("crates/core/assets", String::as_str);
+            cmd_train(name, wall_secs, out_dir, steps, warm_start);
         }
         Some("list-experiments") => {
             cmd_list_experiments(args.get(1).map(String::as_str) == Some("--names"))
@@ -381,10 +513,10 @@ fn main() {
         }
         Some("eval") => {
             let t = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            let delta: f64 = args.get(2).map_or(1.0, |v| positive("delta", v));
-            if !delta.is_finite() {
-                die(&format!("delta must be finite, got {delta}"));
-            }
+            let delta = args.get(2).map(|v| match positive::<f64>("delta", v) {
+                d if d.is_finite() => d,
+                d => die(&format!("delta must be finite, got {d}")),
+            });
             let specimens = args.get(3).map_or(8, |v| positive("specimens", v));
             let secs = args.get(4).map_or(15.0, |v| positive("secs", v));
             cmd_eval(t, delta, specimens, secs);

@@ -25,6 +25,7 @@ use netsim::scenario::{ChurnSpec, Scenario, SenderConfig};
 use netsim::time::Ns;
 use netsim::topology::{FlowPath, Topology};
 use netsim::traffic::TrafficSpec;
+use remy::designs::Design;
 use remy::whisker::WhiskerTree;
 use std::sync::Arc;
 
@@ -1010,9 +1011,10 @@ impl WorkloadSpec {
 ///
 /// Recognized names: `newreno`, `vegas`, `cubic`, `compound`,
 /// `cubic+sfqcodel`, `xcp`, `dctcp` / `dctcp:<K>` (ECN mark threshold in
-/// packets), and `remy:<table>` where `<table>` is a shipped asset name
-/// (`delta01`, `delta1`, `delta10`, `onex`, `tenx`, `datacenter`,
-/// `coexist`) or a path to a rule-table JSON file. A RemyCC name may
+/// packets), and `remy:<table>` where `<table>` is a registered design
+/// (`remy-cli list` prints them) or a path to a rule-table JSON file. A
+/// registered design is labelled by its registry entry, a file by its
+/// stem (`RemyCC <stem>`). A RemyCC name may
 /// carry a `:mask=XYZ` suffix (three `0`/`1` digits for ack_ewma,
 /// send_ewma, rtt_ratio) to blind the controller to signals — the
 /// ablation studies in spec form.
@@ -1072,11 +1074,11 @@ impl ContenderSpec {
                     Some((t, m)) => (t, Some(parse_mask(m)?)),
                     None => (rest, None),
                 };
-                let table = load_table(table_name)?;
-                let label = self
-                    .label
-                    .clone()
-                    .unwrap_or_else(|| default_remy_label(table_name));
+                let (table, design) = load_table(table_name)?;
+                let label = self.label.clone().unwrap_or_else(|| match design {
+                    Some(d) => d.label.to_string(),
+                    None => default_remy_label(table_name),
+                });
                 Ok(match mask {
                     Some(m) => Contender::remy_masked(label, table, m),
                     None => Contender::remy(label, table),
@@ -1132,36 +1134,31 @@ fn parse_mask(m: &str) -> Result<[bool; 3], String> {
         .map_err(|_| format!("mask needs exactly 3 digits, found '{m}'"))
 }
 
-/// Load a rule table: a shipped asset by name, else a JSON file by path.
-/// Errors name the path that could not be read or parsed.
-pub fn load_table(name: &str) -> Result<Arc<WhiskerTree>, String> {
-    if let Some(t) = remy::assets::by_name(name) {
-        return Ok(t);
+/// Load a rule table: a registered design by name (returned with its
+/// [`remy::designs`] entry), else a JSON file by path. Errors name the path
+/// that could not be read or parsed and the names that would have worked.
+pub fn load_table(name: &str) -> Result<(Arc<WhiskerTree>, Option<&'static Design>), String> {
+    if let Some(design) = remy::designs::by_name(name) {
+        return Ok((design.table(), Some(design)));
     }
-    let text = std::fs::read_to_string(name)
-        .map_err(|e| format!("cannot read rule table '{name}': {e}"))?;
+    let text = std::fs::read_to_string(name).map_err(|e| {
+        format!(
+            "'{name}' is neither a registered design ({}) nor a readable rule table: {e}",
+            remy::designs::names()
+        )
+    })?;
     WhiskerTree::from_json(&text)
-        .map(Arc::new)
+        .map(|t| (Arc::new(t), None))
         .map_err(|e| format!("cannot parse rule table '{name}': {e}"))
 }
 
-fn default_remy_label(table: &str) -> String {
-    match table {
-        "delta01" => "RemyCC d=0.1".to_string(),
-        "delta1" => "RemyCC d=1".to_string(),
-        "delta10" => "RemyCC d=10".to_string(),
-        "onex" => "RemyCC 1x".to_string(),
-        "tenx" => "RemyCC 10x".to_string(),
-        "datacenter" => "RemyCC datacenter".to_string(),
-        "coexist" => "RemyCC".to_string(),
-        path => {
-            let stem = std::path::Path::new(path)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or(path);
-            format!("RemyCC {stem}")
-        }
-    }
+/// The label of a RemyCC loaded from a file: `RemyCC <file stem>`.
+fn default_remy_label(path: &str) -> String {
+    let stem = std::path::Path::new(path)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or(path);
+    format!("RemyCC {stem}")
 }
 
 /// One sweep axis: a grid of values for one workload parameter. Multiple
@@ -1770,9 +1767,12 @@ mod tests {
             "RemyCC (DropTail)"
         );
         assert!(ContenderSpec::new("bbr").build().is_err());
-        assert!(ContenderSpec::new("remy:no_such_table_or_file")
+        // Neither a design nor a file: the error offers the names that exist.
+        let err = ContenderSpec::new("remy:no_such_table_or_file")
             .build()
-            .is_err());
+            .unwrap_err();
+        assert!(err.contains("'no_such_table_or_file'"), "{err}");
+        assert!(err.contains(&remy::designs::names()), "{err}");
         assert!(ContenderSpec::new("remy:delta1:mask=01").build().is_err());
         assert!(ContenderSpec::labeled("cubic", "nope").build().is_err());
     }

@@ -3,10 +3,9 @@
 //! The paper's §5.3 replays saturator recordings of Verizon and AT&T LTE
 //! downlinks through a trace-driven ns-2 link. Those recordings are
 //! proprietary, so this crate synthesizes delivery schedules with the same
-//! relevant statistics (see `DESIGN.md` for the substitution argument):
-//! a mean-reverting log-rate random walk with Poisson outages, exposed as
-//! `netsim::link::DeliverySchedule` values that plug straight into
-//! `LinkSpec::trace`.
+//! relevant statistics: a mean-reverting log-rate random walk with Poisson
+//! outages, exposed as `netsim::link::DeliverySchedule` values that plug
+//! straight into `LinkSpec::trace`.
 //!
 //! * [`lte::LteModel::verizon_like`] / [`lte::verizon_schedule`] — the
 //!   0–50 Mbps, high-variance downlink of Figs. 7–8;

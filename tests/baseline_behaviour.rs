@@ -122,7 +122,7 @@ fn stochastic_loss_hurts_loss_based_tcp_more_than_remycc() {
     // RemyCC doesn't. Here we approximate by comparing a trained RemyCC
     // and NewReno on a clean link (no drops): both must fill it, which
     // pins the baseline for the lossy comparison in the bench harness.
-    let table = remy::assets::delta01();
+    let table = remy::designs::by_name("delta01").unwrap().table();
     let scenario = Scenario::dumbbell(
         LinkSpec::constant(15.0),
         QueueSpec::DropTail { capacity: 1000 },

@@ -52,7 +52,7 @@ fn identical_runs_for_every_scheme() {
 
 #[test]
 fn identical_runs_for_remycc_on_trace_links() {
-    let table = remy::assets::delta1();
+    let table = remy::designs::by_name("delta1").unwrap().table();
     let scenario = Scenario::dumbbell(
         LinkSpec::Trace {
             schedule: Arc::new(verizon_schedule()),
@@ -123,19 +123,9 @@ fn training_with_step_budget_is_reproducible() {
         max_rules: 8,
         seed: 9,
     };
-    let t1 = Remy::new(
-        NetworkModel::exact_link(),
-        Objective::proportional(1.0),
-        cfg,
-    )
-    .design(|_| {});
-    let t2 = Remy::new(
-        NetworkModel::exact_link(),
-        Objective::proportional(1.0),
-        cfg,
-    )
-    .design(|_| {});
-    assert_eq!(t1.to_json(), t2.to_json());
+    let onex = remy::designs::by_name("onex").unwrap();
+    let train = || Remy::new(onex.model.clone(), onex.objective, cfg).design(|_| {});
+    assert_eq!(train().to_json(), train().to_json());
 }
 
 #[test]
@@ -186,7 +176,7 @@ fn evaluation_scores_are_thread_count_invariant() {
         },
     );
     let specimens = evaluator.specimens(3);
-    let table = remy::assets::delta1();
+    let table = remy::designs::by_name("delta1").unwrap().table();
     let mut scores = Vec::new();
     let mut usages = Vec::new();
     for jobs in [1usize, 2, 4] {
