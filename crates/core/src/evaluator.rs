@@ -80,37 +80,35 @@ impl Evaluator {
             .collect()
     }
 
-    /// One simulation cell: a table (optionally with a hill-climb overlay
-    /// on one rule) on one specimen. Returns the objective score and, if
-    /// requested, the whisker-usage statistics of that run.
-    fn simulate_cell(
+    /// One scoring cell: a table (optionally with a hill-climb overlay on
+    /// one rule) on one specimen, reduced to its objective score.
+    fn score_cell(
         &self,
         tree: &Arc<WhiskerTree>,
         overlay: Option<(usize, Action)>,
         sc: &Scenario,
-        want_usage: bool,
-    ) -> (f64, Option<Usage>) {
-        let ccs: Vec<Box<dyn CongestionControl>> = (0..sc.n())
-            .map(|_| {
-                let cc = RemyCc::new(Arc::clone(tree));
-                let cc = match overlay {
-                    Some((rule, action)) => cc.with_candidate(rule, action),
-                    None => cc,
-                };
-                Box::new(cc) as Box<dyn CongestionControl>
-            })
-            .collect();
-        let (results, mut ccs) = Simulator::new(sc, ccs, None).run_returning_ccs();
-        let usage = want_usage.then(|| {
-            // Merge sender usages in sender order: deterministic.
-            let mut usage = Usage::new(tree.id_bound());
-            for cc in ccs.iter_mut() {
-                if let Some(u) = cc.take_usage() {
-                    usage.merge(&u);
-                }
+    ) -> f64 {
+        let ccs = senders(sc, || {
+            let cc = RemyCc::new(Arc::clone(tree));
+            match overlay {
+                Some((rule, action)) => cc.with_candidate(rule, action),
+                None => cc,
             }
-            usage
         });
+        let results = Simulator::new(sc, ccs, None).run();
+        self.objective.score_results(&results)
+    }
+
+    /// One base-pass cell: the table on one specimen with every sender
+    /// recording, so the run also yields its whisker-usage statistics.
+    fn usage_cell(&self, tree: &Arc<WhiskerTree>, sc: &Scenario) -> (f64, Usage) {
+        let ccs = senders(sc, || RemyCc::recording(Arc::clone(tree)));
+        let (results, mut ccs) = Simulator::new(sc, ccs, None).run_returning_ccs();
+        // Merge sender usages in sender order: deterministic.
+        let mut usage = Usage::new(tree.id_bound());
+        for sender_usage in ccs.iter_mut().filter_map(|cc| cc.take_usage()) {
+            usage.merge(&sender_usage);
+        }
         (self.objective.score_results(&results), usage)
     }
 
@@ -123,17 +121,15 @@ impl Evaluator {
         tree: &Arc<WhiskerTree>,
         specimens: &[Scenario],
     ) -> (Vec<f64>, Usage) {
-        let cells: Vec<(f64, Option<Usage>)> = specimens
+        let cells: Vec<(f64, Usage)> = specimens
             .par_iter()
-            .map(|sc| self.simulate_cell(tree, None, sc, true))
+            .map(|sc| self.usage_cell(tree, sc))
             .collect();
         let mut usage = Usage::new(tree.id_bound());
         let mut scores = Vec::with_capacity(cells.len());
         for (score, cell_usage) in cells {
             scores.push(score);
-            // lint:allow(p1-sim-unwrap): simulate_cell was called with
-            // want_usage=true two lines up, so the usage is always Some.
-            usage.merge(&cell_usage.expect("usage requested"));
+            usage.merge(&cell_usage);
         }
         (scores, usage)
     }
@@ -145,12 +141,10 @@ impl Evaluator {
         (scores.iter().sum(), usage)
     }
 
-    /// Score only (skips usage plumbing where it isn't needed). Specimens
-    /// run in parallel; the total is summed in specimen order.
+    /// Score only (nothing records usage). Specimens run in parallel; the
+    /// total is summed in specimen order.
     pub fn score(&self, tree: &Arc<WhiskerTree>, specimens: &[Scenario]) -> f64 {
-        self.score_matrix(1, specimens, |_, sc| {
-            self.simulate_cell(tree, None, sc, false).0
-        })[0]
+        self.score_matrix(1, specimens, |_, sc| self.score_cell(tree, None, sc))[0]
     }
 
     /// The flattened (row × specimen) work matrix behind all candidate
@@ -191,7 +185,7 @@ impl Evaluator {
         specimens: &[Scenario],
     ) -> Vec<f64> {
         self.score_matrix(candidates.len(), specimens, |ci, sc| {
-            self.simulate_cell(&candidates[ci], None, sc, false).0
+            self.score_cell(&candidates[ci], None, sc)
         })
     }
 
@@ -207,10 +201,16 @@ impl Evaluator {
         specimens: &[Scenario],
     ) -> Vec<f64> {
         self.score_matrix(actions.len(), specimens, |ai, sc| {
-            self.simulate_cell(base, Some((rule, actions[ai])), sc, false)
-                .0
+            self.score_cell(base, Some((rule, actions[ai])), sc)
         })
     }
+}
+
+/// One RemyCC per sender of `sc`, each built by `make`.
+fn senders(sc: &Scenario, make: impl Fn() -> RemyCc) -> Vec<Box<dyn CongestionControl>> {
+    (0..sc.n())
+        .map(|_| Box::new(make()) as Box<dyn CongestionControl>)
+        .collect()
 }
 
 #[cfg(test)]

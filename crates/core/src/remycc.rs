@@ -37,9 +37,8 @@ pub struct RemyCc {
     memory: MemoryTracker,
     window: f64,
     intersend: Ns,
-    /// Per-sender usage accumulation; the evaluator collects it after a
-    /// run via [`CongestionControl::take_usage`].
-    local: Usage,
+    /// Per-rule usage, kept only by a [`RemyCc::recording`] instance.
+    usage: Option<Usage>,
     name: String,
     /// Ablation hook: axes set to `false` are zeroed before lookup,
     /// blinding the controller to that congestion signal (§4.1 discusses
@@ -51,7 +50,6 @@ pub struct RemyCc {
 impl RemyCc {
     /// Run the given rule table.
     pub fn new(tree: Arc<WhiskerTree>) -> RemyCc {
-        let local = Usage::new(tree.id_bound());
         let flat = tree.flat();
         RemyCc {
             tree,
@@ -61,9 +59,20 @@ impl RemyCc {
             memory: MemoryTracker::new(),
             window: INITIAL_WINDOW,
             intersend: Ns::ZERO,
-            local,
+            usage: None,
             name: "RemyCC".to_string(),
             signal_mask: [true; 3],
+        }
+    }
+
+    /// Run the given rule table and record which rule every ACK hit, at
+    /// which memory point, for [`CongestionControl::take_usage`] to hand
+    /// over (the optimizer's most-used / median-split statistics, §4.3).
+    pub fn recording(tree: Arc<WhiskerTree>) -> RemyCc {
+        let usage = Usage::new(tree.id_bound());
+        RemyCc {
+            usage: Some(usage),
+            ..RemyCc::new(tree)
         }
     }
 
@@ -120,7 +129,9 @@ impl CongestionControl for RemyCc {
         } else {
             &leaf.action
         };
-        self.local.record(leaf.id, mem);
+        if let Some(usage) = &mut self.usage {
+            usage.record(leaf.id, mem);
+        }
         self.window = action.apply(self.window);
         self.intersend = action.intersend();
     }
@@ -141,14 +152,10 @@ impl CongestionControl for RemyCc {
         &self.name
     }
 
-    /// Drain the whisker-usage statistics accumulated so far (the
-    /// evaluator's statistics channel; replaces the old shared-mutex sink
-    /// and the `as_any_mut` downcast hack before it).
+    /// Hand over what a [`RemyCc::recording`] instance gathered (which
+    /// ends the recording); `None` from every other instance.
     fn take_usage(&mut self) -> Option<Usage> {
-        Some(std::mem::replace(
-            &mut self.local,
-            Usage::new(self.tree.id_bound()),
-        ))
+        self.usage.take()
     }
 }
 
@@ -244,14 +251,30 @@ mod tests {
 
     #[test]
     fn usage_accumulates_and_drains() {
-        let mut cc = RemyCc::new(Arc::new(WhiskerTree::single_rule()));
+        let tree = Arc::new(WhiskerTree::single_rule());
+        let mut plain = RemyCc::new(Arc::clone(&tree));
+        plain.on_flow_start(Ns::ZERO);
+        for k in 0..3 {
+            plain.on_ack(&ack(100 + 10 * k, 100, 100));
+        }
+        assert!(plain.take_usage().is_none(), "only a recorder pays");
+
+        let mut cc = RemyCc::recording(tree);
         cc.on_flow_start(Ns::ZERO);
-        cc.on_ack(&ack(100, 100, 100));
-        cc.on_ack(&ack(110, 100, 100));
-        cc.on_ack(&ack(120, 100, 100));
-        let usage = cc.take_usage().expect("RemyCC reports usage");
-        assert_eq!(usage.count(0), 3);
-        assert_eq!(cc.take_usage().unwrap().total(), 0, "take drains");
+        // What the recorder must hold: the memory point of every ACK, in
+        // order, thinned past MAX_SAMPLES by `Usage::record`'s own law.
+        let mut tracker = MemoryTracker::new();
+        let mut want = Usage::new(1);
+        let n = 10 * crate::whisker::MAX_SAMPLES as u64;
+        for k in 0..n {
+            let a = ack(100 + 10 * k, 100 + k % 50, 100);
+            cc.on_ack(&a);
+            want.record(0, tracker.on_ack(a.now, a.echo_ts, a.rtt_sample, a.min_rtt));
+        }
+        let usage = cc.take_usage().expect("a recording RemyCC reports usage");
+        assert_eq!(usage.count(0), n);
+        assert_eq!(usage.median_memory(0), want.median_memory(0));
+        assert!(cc.take_usage().is_none(), "take drains");
     }
 
     #[test]
@@ -277,7 +300,7 @@ mod tests {
             window_increment: 0.0,
             intersend_ms: 5.0,
         };
-        let mut cc = RemyCc::new(Arc::clone(&shared)).with_candidate(rule, shrink);
+        let mut cc = RemyCc::recording(Arc::clone(&shared)).with_candidate(rule, shrink);
         cc.on_flow_start(Ns::ZERO);
         // High-ratio ACK hits the overridden rule: overlay action applies.
         cc.on_ack(&ack(400, 400, 100));

@@ -92,9 +92,9 @@ impl Memory {
 /// Maximum memory samples retained per rule for median estimation.
 pub const MAX_SAMPLES: usize = 128;
 
-/// Per-rule usage collected during evaluation simulations: hit counts
-/// (most-used selection) and memory samples (median split points). Drained
-/// from a scheme after a run via [`CongestionControl::take_usage`].
+/// Per-rule usage: hit counts (most-used selection) and memory samples
+/// (median split points). A scheme built to record it hands it over
+/// through [`CongestionControl::take_usage`].
 #[derive(Clone, Debug, Default)]
 pub struct Usage {
     counts: Vec<u64>,
@@ -226,9 +226,6 @@ pub trait CongestionControl: Send {
     /// The transport inferred a loss.
     fn on_loss(&mut self, now: Ns, event: LossEvent);
 
-    /// A data packet was handed to the network (new or retransmitted).
-    fn on_packet_sent(&mut self, _now: Ns, _seq: u64, _in_flight: u64) {}
-
     /// Current congestion window, in packets. May be fractional; the
     /// transport sends while `in_flight < floor-or-probe(cwnd)`.
     fn cwnd(&self) -> f64;
@@ -255,9 +252,9 @@ pub trait CongestionControl: Send {
     fn name(&self) -> &str;
 
     /// Drain the per-rule usage statistics accumulated during the run, if
-    /// this scheme collects any (Remy's evaluator reads whisker usage this
-    /// way after a simulation). Table-driven schemes return `Some` and
-    /// reset their accumulator; everything else keeps the default `None`.
+    /// this instance was built to record any (only Remy's evaluator builds
+    /// such RemyCCs, for the one pass that reads the result). Everything
+    /// else keeps the default `None`.
     fn take_usage(&mut self) -> Option<Usage> {
         None
     }

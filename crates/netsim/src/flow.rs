@@ -2,9 +2,10 @@
 //!
 //! This is the [`crate::packet::PacketArena`] pattern applied to flows.
 //! Per-flow state is split across three parallel arrays indexed by slot:
-//! a dense hot array ([`FlowHot`]: the fields the event loop touches on
-//! every timer/forwarding decision), a cold side slab ([`FlowCold`]: the
-//! boxed transport + congestion controller, traffic process, receiver,
+//! a dense hot array ([`FlowHot`]: what the engine itself owns — timer
+//! and pacer dedup guards, edge delays, the cached path shape), a cold
+//! side slab ([`FlowCold`]: the transport, sole owner of sender state,
+//! with its boxed congestion controller; traffic process, receiver,
 //! metrics, and path vectors), and a generation array that validates
 //! [`FlowId`] handles.
 //!
@@ -98,19 +99,12 @@ impl Receiver {
     }
 }
 
-/// The dense hot row of one flow: everything the event loop reads on
-/// timer, pacing, and forwarding decisions, plus mirrors of the
-/// transport's hot fields refreshed at each engine sync point.
+/// The dense hot row of one flow: what the engine itself owns and reads
+/// on timer, pacing, and forwarding decisions. Sender state (window,
+/// pipe, sequence space, RTO deadline) lives once, in the cold side's
+/// [`Transport`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlowHot {
-    /// Mirror of the congestion window, in packets.
-    pub cwnd_pkts: f64,
-    /// Mirror of the transport's pipe estimate.
-    pub inflight_pkts: u64,
-    /// Mirror of the next new sequence number.
-    pub next_seq: u64,
-    /// Mirror of the armed RTO deadline and its generation.
-    pub rto_deadline: Option<(Ns, u64)>,
     /// Earliest pending RTO *event* for this flow (dedup guard for the
     /// lazy timer pooled through the timing wheel).
     pub rto_event_at: Option<Ns>,

@@ -70,9 +70,6 @@ pub struct Packet {
     pub next_hop: u32,
     /// Size on the wire, in bytes.
     pub size: u32,
-    /// True if this is a retransmission (excluded from goodput accounting
-    /// only when the receiver has already seen the data).
-    pub retransmit: bool,
     /// True if the sender is ECN-capable (DCTCP).
     pub ecn_capable: bool,
     /// Set by an ECN-marking queue instead of dropping.
@@ -97,7 +94,6 @@ impl Packet {
             seq,
             size,
             sent_at,
-            retransmit: false,
             ecn_capable: false,
             ecn_marked: false,
             xcp: None,
@@ -118,7 +114,6 @@ impl Packet {
             seq: ack.seq,
             size: ACK_BYTES,
             sent_at,
-            retransmit: false,
             ecn_capable: false,
             ecn_marked: false,
             xcp: None,
@@ -336,7 +331,6 @@ mod tests {
         assert_eq!(p.seq, 17);
         assert_eq!(p.size, 1500);
         assert_eq!(p.sent_at, Ns::from_millis(5));
-        assert!(!p.retransmit);
         assert!(!p.ecn_capable && !p.ecn_marked);
         assert!(p.xcp.is_none());
         assert!(p.ack.is_none());

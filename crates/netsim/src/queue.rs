@@ -19,7 +19,7 @@
 //! Queues hold [`PacketId`] handles, not packets: the packets themselves
 //! live in the simulation's [`PacketArena`], which every `enqueue`/
 //! `dequeue` receives. A discipline that drops a packet — at the tail, by
-//! the CoDel law, by RED, or by the stochastic-loss wrapper — frees its
+//! the CoDel law, or by the stochastic-loss wrapper — frees its
 //! slot back to the arena; a handle returned by `dequeue` transfers
 //! ownership to the caller.
 
@@ -618,165 +618,6 @@ impl Queue for SfqCodel {
 }
 
 // ---------------------------------------------------------------------------
-// RED — Random Early Detection
-// ---------------------------------------------------------------------------
-
-/// RED gateway (Floyd & Jacobson 1993), in drop or ECN-mark mode.
-///
-/// Maintains an EWMA of the queue length; between `min_th` and `max_th`
-/// packets it drops/marks arrivals with probability rising linearly to
-/// `max_p` (with the standard `count` correction that spreads early drops
-/// uniformly), and above `max_th` it drops/marks everything. DCTCP's
-/// gateway is the degenerate "modified RED" with `min_th == max_th` and
-/// instantaneous averaging — provided directly by [`EcnThreshold`]; this
-/// full implementation covers classic AQM configurations.
-pub struct Red {
-    q: VecDeque<QEntry>,
-    capacity: usize,
-    bytes: u64,
-    drops: u64,
-    marks: u64,
-    /// EWMA weight for the average queue size.
-    w_q: f64,
-    avg: f64,
-    min_th: f64,
-    max_th: f64,
-    max_p: f64,
-    /// Packets since the last early drop/mark (the uniformization count).
-    count: i64,
-    /// Mark instead of dropping (for ECN-capable packets).
-    ecn_mode: bool,
-    rng: crate::rng::SimRng,
-}
-
-impl Red {
-    /// Classic RED in drop mode.
-    pub fn new(capacity: usize, min_th: usize, max_th: usize) -> Red {
-        Red::with_mode(capacity, min_th, max_th, false)
-    }
-
-    /// RED that CE-marks ECN-capable packets instead of dropping them.
-    pub fn ecn(capacity: usize, min_th: usize, max_th: usize) -> Red {
-        Red::with_mode(capacity, min_th, max_th, true)
-    }
-
-    fn with_mode(capacity: usize, min_th: usize, max_th: usize, ecn_mode: bool) -> Red {
-        assert!(min_th < max_th, "RED needs min_th < max_th");
-        Red {
-            q: VecDeque::new(),
-            capacity,
-            bytes: 0,
-            drops: 0,
-            marks: 0,
-            w_q: 0.002,
-            avg: 0.0,
-            min_th: min_th as f64,
-            max_th: max_th as f64,
-            max_p: 0.1,
-            count: -1,
-            ecn_mode,
-            // lint:allow(r2-rng-underived-seed): RED's fixed marking stream
-            // predates the stream registry; changing it re-randomizes every
-            // published drop sequence. Frozen for bit-exact goldens.
-            rng: crate::rng::SimRng::new(0x12ED_D00D),
-        }
-    }
-
-    /// CE marks applied so far (ECN mode).
-    pub fn marks(&self) -> u64 {
-        self.marks
-    }
-
-    /// Current average queue estimate (tests).
-    pub fn avg(&self) -> f64 {
-        self.avg
-    }
-
-    /// Whether the arriving packet should be dropped/marked early.
-    fn early_action(&mut self) -> bool {
-        if self.avg < self.min_th {
-            self.count = -1;
-            return false;
-        }
-        if self.avg >= self.max_th {
-            self.count = 0;
-            return true;
-        }
-        self.count += 1;
-        let p_b = self.max_p * (self.avg - self.min_th) / (self.max_th - self.min_th);
-        // Uniformize inter-drop gaps: p_a = p_b / (1 − count·p_b). Once
-        // count·p_b ≥ 1 the uniformized law says the packet is dropped
-        // with certainty — the raw quotient goes negative there, and
-        // clamping it to 0 would make RED stop dropping entirely on long
-        // runs without a drop.
-        let denom = 1.0 - self.count as f64 * p_b;
-        let p_a = if denom <= 0.0 {
-            1.0
-        } else {
-            (p_b / denom).min(1.0)
-        };
-        if p_b > 0.0 && self.rng.chance(p_a) {
-            self.count = 0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-impl Queue for Red {
-    #[inline]
-    fn enqueue(&mut self, now: Ns, id: PacketId, arena: &mut PacketArena) -> Enqueue {
-        // Update the average on every arrival (idle-time correction
-        // omitted: the simulator's bottleneck rarely idles under load,
-        // and the EWMA recovers in a few arrivals).
-        self.avg = (1.0 - self.w_q) * self.avg + self.w_q * self.q.len() as f64;
-        if self.q.len() >= self.capacity {
-            self.drops += 1;
-            arena.free(id);
-            return Enqueue::Dropped;
-        }
-        if self.early_action() {
-            let p = &mut arena[id];
-            if self.ecn_mode && p.ecn_capable {
-                p.ecn_marked = true;
-                self.marks += 1;
-            } else {
-                self.drops += 1;
-                arena.free(id);
-                return Enqueue::Dropped;
-            }
-        }
-        let e = QEntry::capture(now, id, arena);
-        self.bytes += e.size as u64;
-        self.q.push_back(e);
-        Enqueue::Queued
-    }
-
-    #[inline]
-    fn dequeue(&mut self, _now: Ns, arena: &mut PacketArena) -> Option<PacketId> {
-        let e = self.q.pop_front()?;
-        self.bytes -= e.size as u64;
-        Some(e.yield_entry(arena))
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    #[inline]
-    fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    #[inline]
-    fn drops(&self) -> u64 {
-        self.drops
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Stochastic (non-congestive) loss injection
 // ---------------------------------------------------------------------------
 
@@ -882,24 +723,6 @@ pub enum QueueSpec {
         /// Number of hash buckets.
         buckets: usize,
     },
-    /// Classic RED (drop mode).
-    Red {
-        /// Capacity in packets.
-        capacity: usize,
-        /// Lower average-queue threshold, packets.
-        min_th: usize,
-        /// Upper average-queue threshold, packets.
-        max_th: usize,
-    },
-    /// RED that CE-marks ECN-capable packets instead of dropping.
-    RedEcn {
-        /// Capacity in packets.
-        capacity: usize,
-        /// Lower average-queue threshold, packets.
-        min_th: usize,
-        /// Upper average-queue threshold, packets.
-        max_th: usize,
-    },
     /// Any other discipline plus random non-congestive loss (see
     /// [`Lossy`]).
     LossyDropTail {
@@ -927,16 +750,6 @@ impl QueueSpec {
             },
             QueueSpec::Codel { .. } => QueueSpec::Codel { capacity },
             QueueSpec::SfqCodel { buckets, .. } => QueueSpec::SfqCodel { capacity, buckets },
-            QueueSpec::Red { min_th, max_th, .. } => QueueSpec::Red {
-                capacity,
-                min_th,
-                max_th,
-            },
-            QueueSpec::RedEcn { min_th, max_th, .. } => QueueSpec::RedEcn {
-                capacity,
-                min_th,
-                max_th,
-            },
             QueueSpec::LossyDropTail {
                 drop_probability,
                 seed,
@@ -960,16 +773,6 @@ impl QueueSpec {
             } => Box::new(EcnThreshold::new(capacity, mark_threshold)),
             QueueSpec::Codel { capacity } => Box::new(Codel::new(capacity)),
             QueueSpec::SfqCodel { capacity, buckets } => Box::new(SfqCodel::new(capacity, buckets)),
-            QueueSpec::Red {
-                capacity,
-                min_th,
-                max_th,
-            } => Box::new(Red::new(capacity, min_th, max_th)),
-            QueueSpec::RedEcn {
-                capacity,
-                min_th,
-                max_th,
-            } => Box::new(Red::ecn(capacity, min_th, max_th)),
             QueueSpec::LossyDropTail {
                 capacity,
                 drop_probability,
@@ -1224,161 +1027,6 @@ mod tests {
     }
 
     #[test]
-    fn red_passes_everything_below_min_th() {
-        let mut a = PacketArena::new();
-        let mut q = Red::new(1000, 50, 150);
-        // Light load: queue never builds, avg stays ~0.
-        for i in 0..500 {
-            assert_eq!(push(&mut q, &mut a, Ns(i), pkt(0, i)), Enqueue::Queued);
-            assert!(pull(&mut q, &mut a, Ns(i + 1)).is_some());
-        }
-        assert_eq!(q.drops(), 0);
-    }
-
-    #[test]
-    fn red_drops_probabilistically_between_thresholds() {
-        let mut a = PacketArena::new();
-        let mut q = Red::new(10_000, 20, 100);
-        // Build a standing queue of ~60 so avg converges between the
-        // thresholds, then offer many more arrivals.
-        for i in 0..60 {
-            push(&mut q, &mut a, Ns(i), pkt(0, i));
-        }
-        let mut early_drops = 0;
-        for i in 0..5_000 {
-            // Keep occupancy steady: one out, one (maybe) in.
-            pull(&mut q, &mut a, Ns(1000 + i));
-            if push(&mut q, &mut a, Ns(1000 + i), pkt(0, 100 + i)) == Enqueue::Dropped {
-                early_drops += 1;
-            }
-        }
-        assert!(early_drops > 20, "expected early drops, got {early_drops}");
-        assert!(
-            (early_drops as f64) < 2_000.0,
-            "drop rate should be moderate, got {early_drops}/5000"
-        );
-    }
-
-    #[test]
-    fn red_uniformized_law_saturates_at_certain_drop() {
-        // Regression: when count·p_b ≥ 1 the uniformized probability
-        // p_b/(1 − count·p_b) goes negative; it used to be clamped to 0,
-        // so a long run without a drop made RED stop dropping entirely.
-        // The law says such a packet is dropped with probability 1.
-        let mut q = Red::new(10_000, 20, 100);
-        q.avg = 60.0; // p_b = 0.1·(60−20)/80 = 0.05
-        q.count = 25; // next arrival sees count = 26, count·p_b = 1.3 > 1
-        assert!(
-            q.early_action(),
-            "count·p_b ≥ 1 must drop with certainty, not probability 0"
-        );
-        assert_eq!(q.count, 0, "a forced drop restarts the inter-drop count");
-        // Exactly at the boundary (denominator 0) the same holds.
-        let mut q = Red::new(10_000, 20, 100);
-        q.avg = 60.0;
-        q.count = 19; // next arrival: count = 20, count·p_b = 1.0
-        assert!(q.early_action(), "denominator 0 is a certain drop");
-    }
-
-    #[test]
-    fn red_keeps_dropping_over_long_runs() {
-        // End-to-end version of the regression: hold the average between
-        // the thresholds for far longer than 1/p_b arrivals; a correct
-        // uniformized RED can never go quiet for a full 1/p_b + slack run.
-        let mut a = PacketArena::new();
-        let mut q = Red::new(10_000, 20, 100);
-        for i in 0..60 {
-            push(&mut q, &mut a, Ns(i), pkt(0, i));
-        }
-        let mut arrivals_since_drop = 0u64;
-        let mut max_gap = 0u64;
-        for i in 0..50_000u64 {
-            // Serve only above 60 packets so the standing queue (and the
-            // average) holds near 60 however many arrivals get dropped.
-            if q.len() > 60 {
-                pull(&mut q, &mut a, Ns(1000 + i));
-            }
-            if push(&mut q, &mut a, Ns(1000 + i), pkt(0, 100 + i)) == Enqueue::Dropped {
-                max_gap = max_gap.max(arrivals_since_drop);
-                arrivals_since_drop = 0;
-            } else {
-                arrivals_since_drop += 1;
-            }
-        }
-        max_gap = max_gap.max(arrivals_since_drop);
-        assert!(q.drops() > 100, "steady overload must keep dropping");
-        // With avg ≈ 40–60 between th 20/100, p_b ≥ ~0.02: the uniformized
-        // law guarantees a drop within 1/p_b ≈ 50 arrivals. Allow slack
-        // for the EWMA settling from below min_th.
-        assert!(
-            max_gap < 2_000,
-            "RED went quiet for {max_gap} arrivals — drop law collapsed"
-        );
-    }
-
-    #[test]
-    fn red_force_drops_above_max_th() {
-        let mut a = PacketArena::new();
-        let mut q = Red::new(10_000, 5, 20);
-        // Slam 2000 arrivals with no departures: avg climbs past max_th
-        // and RED begins dropping every arrival.
-        let mut admitted = 0;
-        for i in 0..2_000 {
-            if push(&mut q, &mut a, Ns(i), pkt(0, i)) == Enqueue::Queued {
-                admitted += 1;
-            }
-        }
-        assert!(admitted < 2_000, "forced region must drop");
-        assert!(q.avg() > 20.0, "avg {} should exceed max_th", q.avg());
-        assert_eq!(a.live(), admitted, "dropped arrivals were freed");
-    }
-
-    #[test]
-    fn red_ecn_marks_instead_of_dropping() {
-        let mut a = PacketArena::new();
-        let mut q = Red::ecn(10_000, 5, 50);
-        for i in 0..200 {
-            let mut p = pkt(0, i);
-            p.ecn_capable = true;
-            push(&mut q, &mut a, Ns(i), p);
-        }
-        // Standing queue of 200 → marking regime on further arrivals.
-        let mut marked = 0;
-        for i in 0..500 {
-            pull(&mut q, &mut a, Ns(1000 + i));
-            let mut p = pkt(0, 1000 + i);
-            p.ecn_capable = true;
-            if push(&mut q, &mut a, Ns(1000 + i), p) == Enqueue::Queued {
-                // fine either way; marks counted below
-            }
-        }
-        marked += q.marks();
-        assert!(marked > 50, "ECN mode should mark heavily, got {marked}");
-        assert_eq!(q.drops(), 0, "ECN-capable packets are marked, not dropped");
-    }
-
-    #[test]
-    fn red_specs_build() {
-        for spec in [
-            QueueSpec::Red {
-                capacity: 100,
-                min_th: 10,
-                max_th: 50,
-            },
-            QueueSpec::RedEcn {
-                capacity: 100,
-                min_th: 10,
-                max_th: 50,
-            },
-        ] {
-            let mut a = PacketArena::new();
-            let mut q = spec.build();
-            assert_eq!(push(&mut *q, &mut a, Ns::ZERO, pkt(0, 0)), Enqueue::Queued);
-            assert!(pull(&mut *q, &mut a, Ns(1)).is_some());
-        }
-    }
-
-    #[test]
     fn lossy_wrapper_drops_at_configured_rate() {
         let mut a = PacketArena::new();
         let mut q = Lossy::new(DropTail::new(usize::MAX), 0.3, 7);
@@ -1504,16 +1152,6 @@ mod tests {
                 capacity: 1000,
                 buckets: 64,
             },
-            QueueSpec::Red {
-                capacity: 1000,
-                min_th: 5,
-                max_th: 15,
-            },
-            QueueSpec::RedEcn {
-                capacity: 1000,
-                min_th: 5,
-                max_th: 15,
-            },
             QueueSpec::LossyDropTail {
                 capacity: 1000,
                 drop_probability: 0.013,
@@ -1528,8 +1166,6 @@ mod tests {
                 | QueueSpec::Ecn { capacity, .. }
                 | QueueSpec::Codel { capacity }
                 | QueueSpec::SfqCodel { capacity, .. }
-                | QueueSpec::Red { capacity, .. }
-                | QueueSpec::RedEcn { capacity, .. }
                 | QueueSpec::LossyDropTail { capacity, .. } => assert_eq!(capacity, 64),
             }
             // Non-capacity parameters survive the resize.

@@ -72,8 +72,7 @@ enum Ev {
     AckArrive(PacketId),
     /// The flow's retransmission timer. Lazily managed: at most one
     /// tracked event per flow; a fire before the live deadline re-arms
-    /// itself instead of the engine scheduling one event per RTO
-    /// generation (which used to keep hundreds of dead timers queued).
+    /// itself instead of the engine scheduling one event per re-arm.
     Rto(FlowId),
     /// Periodic router control computation (XCP) at a hop.
     RouterTick(usize),
@@ -168,13 +167,11 @@ impl Hop {
     }
 }
 
-/// Engine-side state of a graph topology's failure dynamics: the live
-/// up/down map, the routing epoch packets are stamped with, and the
-/// failover counters surfaced in [`SimResults`].
+/// Engine-side state of a graph topology's failure dynamics: the routing
+/// epoch packets are stamped with and the failover counters surfaced in
+/// [`SimResults`]. Which links are down is [`Hop::down`] (link = hop).
 struct NetState {
     graph: crate::graph::NetGraph,
-    /// `down[h]` mirrors `hops[h].down` (indexed by link = hop).
-    down: Vec<bool>,
     /// Bumped on every link event; packets stamped with an older epoch
     /// re-resolve their route at the router they currently occupy.
     epoch: u32,
@@ -209,7 +206,6 @@ pub struct Simulator {
     deliveries: Vec<DeliveryRecord>,
     deliveries_dropped: u64,
     record_deliveries: bool,
-    delivery_log_cap: usize,
 }
 
 impl Simulator {
@@ -260,6 +256,8 @@ impl Simulator {
         let mut root = SimRng::new(scenario.seed);
         let mut flows = FlowTable::with_capacity(n);
         for (i, (cfg, cc)) in scenario.senders.iter().zip(ccs).enumerate() {
+            let traffic_ok = cfg.traffic.validate();
+            assert!(traffic_ok.is_ok(), "sender {i}: {traffic_ok:?}");
             let path = &world.paths[i];
             let rng = root.fork(i as u64 + 1);
             let half = Ns(cfg.rtt.0 / 2);
@@ -323,7 +321,6 @@ impl Simulator {
             })
             .collect();
         let net = world.graph().map(|g| NetState {
-            down: vec![false; g.links.len()],
             epoch: 0,
             link_events: 0,
             failover_drops: 0,
@@ -346,7 +343,6 @@ impl Simulator {
             deliveries: Vec::new(),
             deliveries_dropped: 0,
             record_deliveries: scenario.record_deliveries,
-            delivery_log_cap: DELIVERY_LOG_CAP,
         };
         // Seed initial events: each flow's first traffic toggle…
         for i in 0..sim.n_persistent {
@@ -426,7 +422,8 @@ impl Simulator {
     }
 
     /// Run to completion, returning results *and* the congestion-control
-    /// objects (Remy's optimizer reads whisker-usage statistics off them).
+    /// objects (Remy's evaluator drains its recording RemyCCs' whisker
+    /// usage from them).
     pub fn run_returning_ccs(mut self) -> (SimResults, Vec<Box<dyn CongestionControl>>) {
         self.drive();
         self.finish()
@@ -544,7 +541,7 @@ impl Simulator {
                 // New connection begins.
                 cold.transport.start_connection(now);
                 cold.metrics.start_interval(now);
-                self.sync_flow(i);
+                self.cover_rto_deadline(i);
                 self.try_send(i);
             } else if !is_on && was_on {
                 // Timed on-period expired.
@@ -553,7 +550,7 @@ impl Simulator {
         }
         // Chain the next timer for this flow, if any.
         if let Some(at) = self.flows.cold(i).traffic.next_wakeup() {
-            if at > now {
+            if at >= now {
                 self.schedule(at, Ev::Toggle(f));
             }
         }
@@ -568,7 +565,6 @@ impl Simulator {
             match cold.transport.poll_send(now, may_new) {
                 SendPoll::Send { seq, retransmit } => {
                     let mut p = Packet::data(f, seq, self.mss, now);
-                    p.retransmit = retransmit;
                     {
                         let cc = cold.transport.cc();
                         p.ecn_capable = cc.ecn_capable();
@@ -592,7 +588,7 @@ impl Simulator {
                     if !retransmit {
                         cold.traffic.consume_packet();
                     }
-                    self.sync_flow(i);
+                    self.cover_rto_deadline(i);
                     if admitted {
                         self.start_service_if_possible(entry_hop);
                     }
@@ -874,7 +870,7 @@ impl Simulator {
         };
         let rejoin = path
             .iter()
-            .position(|&l| net.graph.links[l].src == r && !net.down[l]);
+            .position(|&l| net.graph.links[l].src == r && !self.hops[l].down);
         match rejoin {
             Some(j) => {
                 let epoch = net.epoch;
@@ -910,14 +906,15 @@ impl Simulator {
         };
         let ev = net.graph.events[idx];
         let h = ev.link as usize;
-        net.down[h] = !ev.up;
         net.link_events += 1;
         net.epoch = net.epoch.wrapping_add(1);
         self.hops[h].down = !ev.up;
         // Recompute all routes over the surviving topology, then apply:
-        // the borrow of `net` must end before we touch flows/hops.
-        let tables = net.graph.forwarding(&net.down);
+        // the borrow of `net` must end before we touch flows.
+        let down: Vec<bool> = self.hops.iter().map(|hop| hop.down).collect();
+        let tables = net.graph.forwarding(&down);
         let policy = net.graph.policy;
+        let src = net.graph.links[h].src;
         let mut new_paths: Vec<(usize, Vec<usize>, Vec<usize>)> = Vec::new();
         for fi in 0..net.graph.flows.len() {
             let (s, d) = net.graph.flows[fi];
@@ -976,13 +973,7 @@ impl Simulator {
                             self.arena.free(id);
                             continue;
                         };
-                        let r = {
-                            // lint:allow(p1-sim-unwrap): net is Some — this
-                            // handler is only reachable with graph state.
-                            let net = self.net.as_ref().expect("graph state");
-                            net.graph.links[h].src
-                        };
-                        self.reroute_at(id, fi, is_ack, r, now, Ns::ZERO);
+                        self.reroute_at(id, fi, is_ack, src, now, Ns::ZERO);
                     }
                 }
             }
@@ -1012,7 +1003,7 @@ impl Simulator {
             cold.metrics.packets_delivered += 1;
             cold.metrics.credit_bytes(size as u64);
             if self.record_deliveries {
-                if self.deliveries.len() < self.delivery_log_cap {
+                if self.deliveries.len() < DELIVERY_LOG_CAP {
                     self.deliveries.push(DeliveryRecord {
                         at: now,
                         flow: i,
@@ -1070,7 +1061,7 @@ impl Simulator {
         let cold = self.flows.cold_mut(i);
         let outcome = cold.transport.on_ack(now, &ack);
         cold.metrics.record_rtt(outcome.rtt_sample);
-        self.sync_flow(i);
+        self.cover_rto_deadline(i);
         // Transfer completion: fixed-size flow fully delivered.
         let cold = self.flows.cold_mut(i);
         if cold.traffic.draining() && cold.transport.all_acked() {
@@ -1116,33 +1107,19 @@ impl Simulator {
         };
         // Release the dedup guard only if *this* is the tracked timer; a
         // stale leftover (scheduled before the tracked one superseded it)
-        // must not clear the guard, or sync_flow would re-enqueue a
-        // duplicate for an event that is already pending.
+        // must not clear the guard, or cover_rto_deadline would re-enqueue
+        // a duplicate for an event that is already pending.
         let hot = self.flows.hot_mut(i);
         if hot.rto_event_at == Some(now) {
             hot.rto_event_at = None;
         }
-        match self.flows.cold(i).transport.rto_deadline() {
-            Some((deadline, generation)) if deadline <= now => {
-                // The live deadline has arrived: take the timeout.
-                if self
-                    .flows
-                    .cold_mut(i)
-                    .transport
-                    .on_rto_fire(now, generation)
-                {
-                    self.try_send(i);
-                }
-                self.sync_flow(i);
-            }
-            Some(_) => {
-                // The transport re-armed since this timer was scheduled
-                // (ACK progress pushed the deadline out): chain a timer at
-                // the live deadline instead.
-                self.sync_flow(i);
-            }
-            None => {} // disarmed: nothing outstanding
+        // The transport takes the timeout only at its live deadline; if
+        // ACK progress pushed the deadline out since this timer was
+        // scheduled, chain a timer there instead (nothing when disarmed).
+        if self.flows.cold_mut(i).transport.on_rto_fire(now) {
+            self.try_send(i);
         }
+        self.cover_rto_deadline(i);
     }
 
     fn on_router_tick(&mut self, h: usize) {
@@ -1163,20 +1140,15 @@ impl Simulator {
         }
     }
 
-    /// Refresh flow `i`'s hot mirrors from its cold state and make sure a
-    /// timer event covers the transport's current RTO deadline: one no
-    /// later than the deadline must be pending. A timer that fires before
-    /// the live deadline re-arms itself in [`Simulator::on_rto`], so ACK
-    /// progress (which re-arms the transport on every advance) does not
-    /// enqueue an event per generation.
-    fn sync_flow(&mut self, i: usize) {
+    /// Make sure one `Rto` event covers flow `i`'s live RTO deadline: one
+    /// no later than the deadline must be pending. A timer that fires
+    /// before the live deadline re-arms itself in [`Simulator::on_rto`],
+    /// so ACK progress (which re-arms the transport on every advance)
+    /// does not enqueue an event per re-arm. Called after every transport
+    /// step, so the strict lane checks the hot path cache here too.
+    fn cover_rto_deadline(&mut self, i: usize) {
         let id = self.flows.id_at(i);
         let (hot, cold) = self.flows.pair_mut(i);
-        hot.cwnd_pkts = cold.transport.cc().cwnd();
-        hot.inflight_pkts = cold.transport.in_flight();
-        hot.next_seq = cold.transport.next_seq();
-        let deadline = cold.transport.rto_deadline();
-        hot.rto_deadline = deadline;
         #[cfg(feature = "strict-invariants")]
         {
             assert_eq!(
@@ -1194,18 +1166,12 @@ impl Simulator {
                 "strict-invariants: hot entry hop diverged from cold"
             );
         }
-        let mut need = None;
-        if let Some((d, _)) = deadline {
-            match hot.rto_event_at {
-                Some(at) if at <= d => {}
-                _ => {
-                    hot.rto_event_at = Some(d);
-                    need = Some(d);
-                }
-            }
-        }
-        if let Some(at) = need {
-            self.schedule(at, Ev::Rto(id));
+        let Some(deadline) = cold.transport.rto_deadline() else {
+            return; // disarmed: nothing outstanding
+        };
+        if hot.rto_event_at.is_none_or(|at| at > deadline) {
+            hot.rto_event_at = Some(deadline);
+            self.schedule(deadline, Ev::Rto(id));
         }
     }
 
@@ -1280,7 +1246,7 @@ impl Simulator {
             debug_assert!(false, "freshly spawned flow has a live handle");
             return;
         };
-        self.sync_flow(i);
+        self.cover_rto_deadline(i);
         self.try_send(i);
     }
 
@@ -1514,6 +1480,40 @@ mod tests {
         assert!(f.bytes > 0);
         // Conservation: the receiver cannot get more than was forwarded.
         assert!(f.packets_delivered <= r.packets_forwarded);
+    }
+
+    #[test]
+    fn a_zero_off_time_keeps_a_timed_sender_cycling() {
+        // `off_mean` 0 draws `Off { until: now }`: the wakeup that ends
+        // the off-period is due at the instant that began it.
+        let s = Scenario::dumbbell(
+            LinkSpec::constant(15.0),
+            QueueSpec::DropTail { capacity: 1000 },
+            2,
+            Ns::from_millis(150),
+            TrafficSpec {
+                on: OnSpec::ByTime {
+                    mean: Ns::from_secs(1),
+                },
+                off_mean: Ns::ZERO,
+                start_on: true,
+            },
+            Ns::from_secs(30),
+            7,
+        );
+        let r = run_scenario(&s, &|_| Box::new(FixedWindow::new(20.0)));
+        for f in &r.flows {
+            assert!(f.n_intervals > 10, "{} on-intervals", f.n_intervals);
+            assert!(f.on_secs > 25.0, "on for {} of 30 s", f.on_secs);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a nonzero off_mean_ns")]
+    fn a_sender_that_would_spin_at_one_timestamp_panics_at_construction() {
+        let mut s = saturating_scenario(1, 10.0, 100);
+        s.senders[0].traffic.on = OnSpec::ByTimeFixed { duration: Ns::ZERO };
+        let _ = Simulator::new(&s, vec![Box::new(FixedWindow::new(1.0))], None);
     }
 
     #[test]

@@ -239,11 +239,30 @@ impl TrafficSpec {
     /// Deserialize a value written by [`TrafficSpec::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<TrafficSpec, String> {
         v.only_keys("traffic", &["on", "off_mean_ns", "start_on"])?;
-        Ok(TrafficSpec {
+        let spec = TrafficSpec {
             on: OnSpec::from_json_value(v.field("on")?)?,
             off_mean: crate::json::ns_from(v.field("off_mean_ns")?)?,
             start_on: v.field("start_on")?.as_bool()?,
-        })
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Check the spec is runnable: a timed on-period of length zero with
+    /// a zero off-period would toggle on and off forever at one timestamp.
+    pub fn validate(&self) -> Result<(), String> {
+        let timed_on = match self.on {
+            OnSpec::ByTime { mean } => Some(mean),
+            OnSpec::ByTimeFixed { duration } => Some(duration),
+            _ => None,
+        };
+        if timed_on == Some(Ns::ZERO) && self.off_mean.is_zero() {
+            return Err(
+                "traffic: a timed on-period of 0 (mean_ns / duration_ns) needs a nonzero off_mean_ns"
+                    .to_string(),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -631,6 +650,29 @@ mod tests {
         p.reset_one_shot(100, Ns::from_secs(5));
         assert!(p.may_send_new(Ns::from_secs(5)), "respawned in place");
         assert_eq!(p.on_started(), Some(Ns::from_secs(5)));
+    }
+
+    #[test]
+    fn zero_on_and_zero_off_is_rejected_by_key() {
+        let zero_on = [
+            OnSpec::ByTime { mean: Ns::ZERO },
+            OnSpec::ByTimeFixed { duration: Ns::ZERO },
+        ];
+        for on in zero_on {
+            let mut spec = TrafficSpec {
+                on,
+                off_mean: Ns::ZERO,
+                start_on: true,
+            };
+            let err = TrafficSpec::from_json_value(&spec.to_json_value()).unwrap_err();
+            assert!(err.contains("off_mean_ns"), "{err}");
+            spec.off_mean = Ns(1);
+            assert!(
+                spec.validate().is_ok(),
+                "time advances through the off draw"
+            );
+        }
+        assert!(TrafficSpec::saturating().validate().is_ok());
     }
 
     #[test]

@@ -104,8 +104,6 @@ pub struct Transport {
     min_rtt: Ns,
     /// Armed RTO deadline; `None` when nothing is outstanding.
     rto_deadline: Option<Ns>,
-    /// Generation counter: stale scheduled timers are ignored.
-    rto_generation: u64,
 
     // --- pacing ---
     last_send: Option<Ns>,
@@ -150,7 +148,6 @@ impl Transport {
             rto: Ns::SECOND,
             min_rtt: Ns::MAX,
             rto_deadline: None,
-            rto_generation: 0,
             last_send: None,
             stats: TransportStats::default(),
         }
@@ -177,13 +174,8 @@ impl Transport {
         &*self.cc
     }
 
-    /// Mutable access to the congestion controller.
-    pub fn cc_mut(&mut self) -> &mut dyn CongestionControl {
-        &mut *self.cc
-    }
-
-    /// Consume the transport, returning the congestion controller (used by
-    /// Remy's optimizer to collect whisker-usage statistics post-run).
+    /// Consume the transport, returning the congestion controller (Remy's
+    /// evaluator drains a recording RemyCC's whisker usage from it).
     pub fn into_cc(self) -> Box<dyn CongestionControl> {
         self.cc
     }
@@ -216,19 +208,13 @@ impl Transport {
         self.min_rtt
     }
 
-    /// The armed RTO deadline and its generation, for the event loop.
-    pub fn rto_deadline(&self) -> Option<(Ns, u64)> {
-        self.rto_deadline.map(|d| (d, self.rto_generation))
+    /// The armed RTO deadline, for the event loop.
+    pub fn rto_deadline(&self) -> Option<Ns> {
+        self.rto_deadline
     }
 
     fn arm_rto(&mut self, now: Ns) {
         self.rto_deadline = Some(now + self.rto);
-        self.rto_generation += 1;
-    }
-
-    fn disarm_rto(&mut self) {
-        self.rto_deadline = None;
-        self.rto_generation += 1;
     }
 
     /// The next hole to retransmit during fast recovery, if any.
@@ -311,7 +297,6 @@ impl Transport {
             self.recovery_quota = (self.recovery_quota - 1.0).max(0.0);
         }
         self.last_send = Some(now);
-        self.cc.on_packet_sent(now, seq, self.in_flight());
         if self.rto_deadline.is_none() {
             self.arm_rto(now);
         }
@@ -383,7 +368,7 @@ impl Transport {
                 self.rtx_sent.clear();
             }
             if self.all_acked() {
-                self.disarm_rto();
+                self.rto_deadline = None;
             } else {
                 self.arm_rto(now);
             }
@@ -419,18 +404,18 @@ impl Transport {
         out
     }
 
-    /// An RTO timer scheduled with `generation` fired at `now`. Returns
-    /// `true` if a timeout was actually taken (stale or disarmed timers
-    /// return `false`).
-    pub fn on_rto_fire(&mut self, now: Ns, generation: u64) -> bool {
+    /// An RTO timer fired at `now`. Returns `true` if a timeout was
+    /// actually taken (a disarmed transport, or a timer ahead of the live
+    /// deadline, returns `false`).
+    pub fn on_rto_fire(&mut self, now: Ns) -> bool {
         let Some(deadline) = self.rto_deadline else {
             return false;
         };
-        if generation != self.rto_generation || now < deadline {
-            return false; // stale timer
+        if now < deadline {
+            return false; // the deadline moved out since this timer was set
         }
         if self.all_acked() {
-            self.disarm_rto();
+            self.rto_deadline = None;
             return false;
         }
         // Timeout: collapse to go-back-N. Rewinding next_seq to the
@@ -649,8 +634,8 @@ mod tests {
         for i in 0..4 {
             t.on_sent(Ns(i), i, false);
         }
-        let (deadline, generation) = t.rto_deadline().expect("armed");
-        let fired = t.on_rto_fire(deadline, generation);
+        let deadline = t.rto_deadline().expect("armed");
+        let fired = t.on_rto_fire(deadline);
         assert!(fired);
         assert_eq!(t.stats.timeouts, 1);
         assert_eq!(t.in_flight(), 0, "pipe collapsed for go-back-N");
@@ -669,8 +654,8 @@ mod tests {
         // Receiver got 1 and 3 (dup ACKs); 0, 2, 4 lost; RTO fires.
         t.on_ack(Ns::from_millis(10), &ack(0, 1, Ns(1)));
         t.on_ack(Ns::from_millis(11), &ack(0, 3, Ns(3)));
-        let (deadline, generation) = t.rto_deadline().unwrap();
-        assert!(t.on_rto_fire(deadline + Ns::SECOND, generation));
+        let deadline = t.rto_deadline().unwrap();
+        assert!(t.on_rto_fire(deadline + Ns::SECOND));
         let mut resent = Vec::new();
         while let SendPoll::Send { seq, retransmit } =
             t.poll_send(deadline + Ns::SECOND + Ns(resent.len() as u64 + 1), false)
@@ -688,8 +673,8 @@ mod tests {
         for i in 0..5 {
             t.on_sent(Ns(i), i, false);
         }
-        let (deadline, generation) = t.rto_deadline().unwrap();
-        assert!(t.on_rto_fire(deadline, generation));
+        let deadline = t.rto_deadline().unwrap();
+        assert!(t.on_rto_fire(deadline));
         let mut resent = Vec::new();
         for k in 0..5 {
             match t.poll_send(deadline + Ns(k + 1), false) {
@@ -713,14 +698,14 @@ mod tests {
         // timer to the RFC 6298 estimate.
         let mut t = transport(4.0);
         t.on_sent(Ns::ZERO, 0, false);
-        let (d0, g0) = t.rto_deadline().expect("armed on first send");
+        let d0 = t.rto_deadline().expect("armed on first send");
         assert_eq!(d0, Ns::SECOND, "initial RTO is 1 s before any sample");
 
         // Each episode: the timer fires, the engine's try_send resends the
         // rewound packet (which is then lost again), and the next deadline
         // must sit one doubled RTO after the fire.
-        let fire_and_resend = |t: &mut Transport, deadline: Ns, generation: u64| -> Ns {
-            assert!(t.on_rto_fire(deadline, generation), "timeout taken");
+        let fire_and_resend = |t: &mut Transport, deadline: Ns| -> Ns {
+            assert!(t.on_rto_fire(deadline), "timeout taken");
             match t.poll_send(deadline + Ns(1), false) {
                 SendPoll::Send {
                     seq: 0,
@@ -728,32 +713,27 @@ mod tests {
                 } => t.on_sent(deadline + Ns(1), 0, true),
                 other => panic!("expected go-back-N resend, got {other:?}"),
             }
-            let (d, _) = t.rto_deadline().expect("re-armed");
-            d
+            t.rto_deadline().expect("re-armed")
         };
 
         // Three consecutive timeouts: deadlines at +2 s, +4 s, +8 s.
-        let d1 = fire_and_resend(&mut t, d0, g0);
+        let d1 = fire_and_resend(&mut t, d0);
         assert_eq!(d1 - d0, Ns::from_secs(2), "first backoff doubles to 2 s");
-        let g1 = t.rto_deadline().unwrap().1;
-        let d2 = fire_and_resend(&mut t, d1, g1);
+        let d2 = fire_and_resend(&mut t, d1);
         assert_eq!(d2 - d1, Ns::from_secs(4), "second backoff doubles to 4 s");
-        let g2 = t.rto_deadline().unwrap().1;
-        let d3 = fire_and_resend(&mut t, d2, g2);
+        let d3 = fire_and_resend(&mut t, d2);
         assert_eq!(d3 - d2, Ns::from_secs(8), "third backoff doubles to 8 s");
         assert_eq!(t.stats.timeouts, 3);
 
         // Keep timing out: the armed gap saturates at MAX_RTO, never past.
         let mut prev = d3;
         for _ in 0..6 {
-            let gen = t.rto_deadline().unwrap().1;
-            let d = fire_and_resend(&mut t, prev, gen);
+            let d = fire_and_resend(&mut t, prev);
             assert!(d - prev <= MAX_RTO, "RTO capped at MAX_RTO");
             prev = d;
         }
         let before_cap = prev;
-        let gen = t.rto_deadline().unwrap().1;
-        let d = fire_and_resend(&mut t, prev, gen);
+        let d = fire_and_resend(&mut t, prev);
         assert_eq!(d - before_cap, MAX_RTO, "backoff pinned at the cap");
 
         // Recovery: the last resend (sent at before_cap + 1 ns) finally
@@ -764,7 +744,7 @@ mod tests {
         let ack_at = resend_at + Ns::from_millis(100);
         t.on_ack(ack_at, &ack(1, 0, resend_at));
         t.on_sent(ack_at + Ns(1), 1, false);
-        let (d_new, _) = t.rto_deadline().expect("armed for new data");
+        let d_new = t.rto_deadline().expect("armed for new data");
         assert_eq!(
             d_new - (ack_at + Ns(1)),
             Ns::from_millis(300),
@@ -773,16 +753,14 @@ mod tests {
     }
 
     #[test]
-    fn stale_rto_generation_is_ignored() {
+    fn a_timer_before_the_live_deadline_is_refused() {
         let mut t = transport(4.0);
         t.on_sent(Ns::ZERO, 0, false);
-        let (deadline, generation) = t.rto_deadline().expect("armed");
-        // ACK advances the frontier and disarms; new send re-arms with a
-        // fresh generation.
-        t.on_ack(Ns::from_millis(50), &ack(1, 0, Ns::ZERO));
-        t.on_sent(Ns::from_millis(51), 1, false);
-        assert!(!t.on_rto_fire(deadline + Ns::SECOND, generation));
+        let deadline = t.rto_deadline().expect("armed");
+        assert!(!t.on_rto_fire(deadline - Ns(1)));
         assert_eq!(t.stats.timeouts, 0);
+        assert!(t.on_rto_fire(deadline), "the live deadline takes it");
+        assert_eq!(t.stats.timeouts, 1);
     }
 
     #[test]

@@ -213,12 +213,12 @@ proptest! {
             if do_spawn || live.is_empty() {
                 let s = stamp;
                 let id = match table.respawn(|hot, cold| {
-                    hot.next_seq = s;
+                    hot.spawned_at = Ns(s);
                     cold.traffic.reset_one_shot(s, Ns::ZERO);
                 }) {
                     Some(id) => id,
                     None => table.insert(
-                        FlowHot { next_seq: s, ..FlowHot::default() },
+                        FlowHot { spawned_at: Ns(s), ..FlowHot::default() },
                         cold_flow(s),
                     ),
                 };
@@ -233,7 +233,7 @@ proptest! {
             for (id, s) in &live {
                 prop_assert!(table.contains(*id));
                 let i = table.index_of(*id).expect("live handle resolves");
-                prop_assert_eq!(table.hot(i).next_seq, *s, "live handle reads its own flow");
+                prop_assert_eq!(table.hot(i).spawned_at, Ns(*s), "live handle reads its own flow");
             }
             for id in &dead {
                 prop_assert!(!table.contains(*id), "freed handle stays dead forever");

@@ -219,6 +219,29 @@ mod tests {
     }
 
     #[test]
+    fn a_run_path_remycc_records_no_usage() {
+        let mut cc = Contender::remy("r", Arc::new(WhiskerTree::single_rule())).build_cc();
+        cc.on_flow_start(Ns::ZERO);
+        for k in 1..=3 {
+            cc.on_ack(&netsim::cc::AckInfo {
+                now: Ns::from_millis(100 + k),
+                rtt_sample: Ns::from_millis(100),
+                min_rtt: Ns::from_millis(100),
+                srtt: Ns::from_millis(100),
+                echo_ts: Ns::from_millis(k),
+                seq: k,
+                newly_acked: 1,
+                in_flight: 1,
+                in_recovery: false,
+                ecn_echo: false,
+                xcp_feedback: None,
+            });
+        }
+        assert!(cc.cwnd() > 2.0, "the ACKs were acted on");
+        assert!(cc.take_usage().is_none(), "only the evaluator records");
+    }
+
+    #[test]
     fn xcp_contender_gets_its_router() {
         let c = Contender::baseline(Scheme::Xcp);
         assert!(c.router(&LinkSpec::constant(15.0), 1500).is_some());

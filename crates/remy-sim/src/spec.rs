@@ -870,6 +870,10 @@ impl WorkloadSpec {
         if self.senders.is_empty() {
             return Err("workload has no senders".to_string());
         }
+        // A sweep may have rewritten `off_mean` since the spec was parsed.
+        for s in &self.senders {
+            s.traffic.validate()?;
+        }
         let (link, queue, topology) = match &self.topology {
             None => (self.link.resolve()?, queue, None),
             Some(t) => {
