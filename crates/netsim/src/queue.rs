@@ -762,6 +762,25 @@ impl QueueSpec {
         }
     }
 
+    /// Reject a queue that can hold no packet. A zero capacity is not a
+    /// degenerate queue but a different one per discipline (DropTail drops
+    /// everything, sfqCoDel still forwards), so every bounded discipline
+    /// needs at least one packet; [`QueueSpec::Unlimited`] always passes.
+    pub fn validate(&self) -> Result<(), String> {
+        let capacity = match *self {
+            QueueSpec::Unlimited => return Ok(()),
+            QueueSpec::DropTail { capacity }
+            | QueueSpec::Ecn { capacity, .. }
+            | QueueSpec::Codel { capacity }
+            | QueueSpec::SfqCodel { capacity, .. }
+            | QueueSpec::LossyDropTail { capacity, .. } => capacity,
+        };
+        if capacity == 0 {
+            return Err("queue_capacity must be at least 1 packet, got 0".to_string());
+        }
+        Ok(())
+    }
+
     /// Instantiate the discipline.
     pub fn build(&self) -> Box<dyn Queue> {
         match *self {

@@ -7,23 +7,51 @@
 //!
 //! * [`SchedulerKind::Heap`] — the classic `BinaryHeap` priority queue
 //!   (`O(log n)` per operation, the original engine);
-//! * [`SchedulerKind::Wheel`] — a hierarchical timing wheel: 7 levels of
-//!   256 slots whose granules grow by 256× per level, covering the entire
-//!   `u64` nanosecond range from a 4.096 µs finest granule. Insertion
-//!   hashes on time bits (`O(1)` amortized, events cascade down at most
-//!   once per level), and the slot being drained is kept sorted so pops
-//!   still come out in exact `(time, id)` order.
+//! * [`SchedulerKind::Wheel`] — a hierarchical timing wheel beside a few
+//!   FIFO lanes. The wheel has 7 levels of 256 slots whose granules grow
+//!   by 256× per level, covering the entire `u64` nanosecond range from a
+//!   4.096 µs finest granule. Insertion hashes on time bits (events
+//!   cascade down at most once per level), and the slot being drained is
+//!   kept sorted so pops still come out in exact `(time, id)` order.
+//!
+//! ## Lanes
+//!
+//! Most of a simulation's events are "now + a constant": a link finishing
+//! a packet (`now + service`), a packet reaching its receiver (`now +
+//! service + forward delay`), an ACK reaching its sender (`now + return
+//! delay`). Events pushed with the same delay at a non-decreasing `now` arrive
+//! already sorted, so a FIFO keeps them in order for free — the
+//! constant-interval case of Varghese & Lauck's timing wheels (SOSP 1987).
+//! [`EventQueue::push_lane`] takes such an event with its *class* (the
+//! simulator passes the delay) and appends it to one of eight FIFOs
+//! keyed by class, instead of filing it into a wheel level, cascading it
+//! and sorting it one granule at a time. A class with no lane (more live
+//! classes than lanes), or an entry earlier than its lane's tail, goes
+//! into the wheel as a plain push: a caller that is not monotone costs
+//! speed, never order.
+//!
+//! Why the pop order is unchanged: a lane push takes the next insertion
+//! id exactly as [`EventQueue::push`] does, so every entry carries the
+//! same `(time, id)` key under either backend. Each lane only accepts an
+//! entry not earlier than its tail, and ids only grow, so each lane is
+//! sorted by `(time, id)` by construction. `pop` returns the minimum over
+//! the wheel's head and every lane's head, which is the global minimum.
+//! The wheel still obeys its own invariant — every entry in a level lies
+//! in a granule after the drain cursor's — because an entry at or before
+//! the cursor's granule goes to the sorted `ready` set; the cursor may
+//! run ahead of lane pops (the wheel's next granule is drained as soon as
+//! `ready` empties), and later pushes into that gap land in `ready`.
 //!
 //! Both produce bit-identical pop sequences for any insert/pop interleaving
 //! that never schedules into the past (the simulator's invariant; pinned by
 //! the property suite in `tests/` and the dual-scheduler equivalence
-//! suite). The wheel is what simulators run on; the heap is the reference
-//! those suites compare it against, picked explicitly with
-//! [`crate::sim::Simulator::with_scheduler`].
+//! suite). The heap treats a lane push as a plain push. The wheel is what
+//! simulators run on; the heap is the reference those suites compare it
+//! against, picked explicitly with [`crate::sim::Simulator::with_scheduler`].
 
 use crate::time::Ns;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Which pending-event structure a simulator uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -125,6 +153,21 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// [`EventQueue::push`] for an event of a recurring `class` (the
+    /// simulator passes its delay from now): the same id, the same pop
+    /// order, but the wheel appends it to the class's FIFO lane when `at`
+    /// is not earlier than that lane's tail (see the module docs).
+    pub fn push_lane(&mut self, class: u64, at: Ns, ev: T) {
+        let id = self.next_id;
+        self.next_id += 1;
+        #[cfg(feature = "strict-invariants")]
+        self.strict.on_push(at, id);
+        match &mut self.inner {
+            Inner::Heap(h) => h.push(HeapEntry { at, id, ev }),
+            Inner::Wheel(w) => w.push_lane(class, at, id, ev),
+        }
+    }
+
     /// Pop the earliest entry (ties broken by insertion id).
     pub fn pop(&mut self) -> Option<(Ns, u64, T)> {
         let popped = match &mut self.inner {
@@ -141,7 +184,7 @@ impl<T> EventQueue<T> {
     pub fn len(&self) -> usize {
         match &self.inner {
             Inner::Heap(h) => h.len(),
-            Inner::Wheel(w) => w.len,
+            Inner::Wheel(w) => w.len(),
         }
     }
 
@@ -223,13 +266,97 @@ const G0_BITS: u32 = 12;
 /// the full `u64` nanosecond range — no overflow list needed.
 const LEVELS: usize = 7;
 
+/// FIFO lanes beside the wheel. A dumbbell uses one service class plus a
+/// forward and a return class per distinct RTT. Eight, because
+/// `Lanes::pop_min`'s tournament is written for eight.
+const LANES: usize = 8;
+
+/// A `(time, id)` key packed into one integer, so a lane head compares
+/// in one instruction pair and an empty lane is simply the maximum.
+#[inline]
+fn key(at: Ns, id: u64) -> u128 {
+    (u128::from(at.0) << 64) | u128::from(id)
+}
+
+/// The head key of an empty lane: greater than every real key (ids never
+/// reach `u64::MAX`).
+const EMPTY: u128 = u128::MAX;
+
+/// The wheel's FIFO lanes. The per-pop selection reads only `heads` and
+/// the cached `min`; the FIFOs are touched only by the lane that pops.
+struct Lanes<T> {
+    /// Packed key of each lane's head, [`EMPTY`] when the lane is empty.
+    heads: [u128; LANES],
+    /// Index of the smallest entry of `heads`.
+    min: usize,
+    /// The class each lane was last claimed by; an empty lane may be
+    /// reclaimed by any class.
+    classes: [u64; LANES],
+    fifos: [VecDeque<(Ns, u64, T)>; LANES],
+}
+
+impl<T> Lanes<T> {
+    fn new() -> Lanes<T> {
+        Lanes {
+            heads: [EMPTY; LANES],
+            min: 0,
+            classes: [u64::MAX; LANES],
+            fifos: std::array::from_fn(|_| VecDeque::new()),
+        }
+    }
+
+    /// Append to `class`'s lane (claiming an empty one if the class has
+    /// none), or hand the entry back when no lane can take it in order.
+    #[inline]
+    fn push(&mut self, class: u64, at: Ns, id: u64, ev: T) -> Result<(), T> {
+        let lane = match self.classes.iter().position(|&c| c == class) {
+            Some(l) if self.fifos[l].back().is_none_or(|t| at >= t.0) => l,
+            Some(_) => return Err(ev),
+            None => {
+                let Some(l) = self.heads.iter().position(|&h| h == EMPTY) else {
+                    return Err(ev);
+                };
+                self.classes[l] = class;
+                l
+            }
+        };
+        if self.heads[lane] == EMPTY {
+            let k = key(at, id);
+            self.heads[lane] = k;
+            if k < self.heads[self.min] {
+                self.min = lane;
+            }
+        }
+        self.fifos[lane].push_back((at, id, ev));
+        Ok(())
+    }
+
+    /// Pop the head of the lane holding the smallest head key.
+    #[inline]
+    fn pop_min(&mut self) -> Option<(Ns, u64, T)> {
+        let lane = self.min;
+        let e = self.fifos[lane].pop_front()?;
+        self.heads[lane] = self.fifos[lane].front().map_or(EMPTY, |h| key(h.0, h.1));
+        // A pairwise tournament: three dependent compares instead of the
+        // seven a left-to-right scan chains together.
+        let h = &self.heads;
+        let min = |a: usize, b: usize| if h[b] < h[a] { b } else { a };
+        let (a, b, c, d) = (min(0, 1), min(2, 3), min(4, 5), min(6, 7));
+        self.min = min(min(a, b), min(c, d));
+        Some(e)
+    }
+}
+
 struct TimingWheel<T> {
-    /// Events of the granule currently being drained, sorted by
-    /// `(time, id)` *descending* so pops are `Vec::pop` from the tail.
+    /// Events of the granule currently being drained (and any pushed
+    /// since at or before it), sorted by `(time, id)` *descending* so pops
+    /// are `Vec::pop` from the tail.
     ready: Vec<(Ns, u64, T)>,
-    /// Granule index (`time >> G0_BITS`) of the `ready` set. All events
-    /// stored in the wheel proper belong to strictly later granules.
+    /// Granule index (`time >> G0_BITS`) of the drain cursor. `ready`
+    /// holds every wheel entry at or before it; the levels hold only
+    /// entries of strictly later granules.
     cur_g: u64,
+    lanes: Lanes<T>,
     /// `LEVELS × SLOTS` buckets, flattened. Buffers are recycled (swapped
     /// with `ready`/`scratch`) rather than dropped, so steady-state
     /// operation allocates nothing.
@@ -238,7 +365,8 @@ struct TimingWheel<T> {
     occupied: [[u64; OCC_WORDS]; LEVELS],
     /// Reused staging buffer for cascading an upper-level slot down.
     scratch: Vec<(Ns, u64, T)>,
-    len: usize,
+    /// Entries in `ready` and the levels (not the lanes).
+    wheel_len: usize,
 }
 
 impl<T> TimingWheel<T> {
@@ -246,31 +374,42 @@ impl<T> TimingWheel<T> {
         TimingWheel {
             ready: Vec::new(),
             cur_g: 0,
+            lanes: Lanes::new(),
             slots: std::iter::repeat_with(Vec::new)
                 .take(LEVELS * SLOTS)
                 .collect(),
             occupied: [[0; OCC_WORDS]; LEVELS],
             scratch: Vec::new(),
-            len: 0,
+            wheel_len: 0,
         }
     }
 
     #[inline]
     fn push(&mut self, at: Ns, id: u64, ev: T) {
-        self.len += 1;
+        self.wheel_len += 1;
         self.place(at, id, ev);
     }
 
-    /// File an entry into `ready` (same granule as the drain cursor) or
-    /// the level whose window contains its granule.
+    #[inline]
+    fn push_lane(&mut self, class: u64, at: Ns, id: u64, ev: T) {
+        if let Err(ev) = self.lanes.push(class, at, id, ev) {
+            self.push(at, id, ev);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.wheel_len + self.lanes.fifos.iter().map(VecDeque::len).sum::<usize>()
+    }
+
+    /// File an entry into `ready` (at or before the drain cursor's
+    /// granule) or the level whose window contains its granule.
     #[inline]
     fn place(&mut self, at: Ns, id: u64, ev: T) {
         let g = at.0 >> G0_BITS;
         if g <= self.cur_g {
-            // Same granule as the one being drained (never earlier: the
-            // engine does not schedule into the past). Keep `ready`
+            // The granule being drained, or an earlier one the cursor ran
+            // ahead of while lanes held the earliest events. Keep `ready`
             // sorted descending by (time, id).
-            debug_assert!(g == self.cur_g || self.ready.is_empty() && self.wheel_empty());
             let key = (at, id);
             let pos = self.ready.partition_point(|e| (e.0, e.1) > key);
             self.ready.insert(pos, (at, id, ev));
@@ -287,10 +426,6 @@ impl<T> TimingWheel<T> {
         self.occupied[level][word] |= 1 << (slot % 64);
     }
 
-    fn wheel_empty(&self) -> bool {
-        self.occupied.iter().flatten().all(|&o| o == 0)
-    }
-
     /// First occupied slot at `level`, if any.
     #[inline]
     fn first_occupied(&self, level: usize) -> Option<usize> {
@@ -302,17 +437,34 @@ impl<T> TimingWheel<T> {
         None
     }
 
+    /// Pop the smaller of the wheel's head and the lanes' head.
+    #[inline]
     fn pop(&mut self) -> Option<(Ns, u64, T)> {
-        loop {
-            if let Some(e) = self.ready.pop() {
-                self.len -= 1;
-                return Some(e);
+        if self.ready.is_empty() && self.wheel_len != 0 {
+            self.refill();
+        }
+        match self.ready.last() {
+            Some(w) if key(w.0, w.1) < self.lanes.heads[self.lanes.min] => {
+                self.wheel_len -= 1;
+                self.ready.pop()
             }
+            _ => self.lanes.pop_min(),
+        }
+    }
+
+    /// Refill the empty `ready` set with the wheel's next non-empty
+    /// granule, if the wheel holds anything.
+    fn refill(&mut self) {
+        while self.ready.is_empty() {
             // Advance: the lowest occupied level holds the earliest
             // events (level ℓ's window ends where level ℓ+1's slots
             // begin). Drain a level-0 slot into `ready`, or cascade an
             // upper-level slot down and retry.
-            let (level, slot) = (0..LEVELS).find_map(|l| self.first_occupied(l).map(|s| (l, s)))?;
+            let Some((level, slot)) =
+                (0..LEVELS).find_map(|l| self.first_occupied(l).map(|s| (l, s)))
+            else {
+                return;
+            };
             let word = slot / 64;
             self.occupied[level][word] &= !(1u64 << (slot % 64));
             let shift = LEVEL_BITS * level as u32;
@@ -426,6 +578,119 @@ mod tests {
         q.push(Ns::from_secs(3600), 3);
         let order: Vec<u32> = drain(&mut q).iter().map(|e| e.2).collect();
         assert_eq!(order, vec![1, 3, 2, 0]);
+    }
+
+    /// One scripted push/pop sequence: a push with a class goes through
+    /// `push_lane`, `None` pops once.
+    type Op = Option<(Option<u64>, u64, u32)>;
+
+    fn script(kind: SchedulerKind, ops: &[Op]) -> (Vec<(Ns, u64, u32)>, EventQueue<u32>) {
+        let mut q = EventQueue::new(kind);
+        let mut out = Vec::new();
+        for op in ops {
+            match *op {
+                Some((Some(class), at, v)) => q.push_lane(class, Ns(at), v),
+                Some((None, at, v)) => q.push(Ns(at), v),
+                None => out.extend(q.pop()),
+            }
+        }
+        (out, q)
+    }
+
+    /// Runs `ops` then drains, on both backends; asserts they agree and
+    /// returns the popped payloads plus how many entries sat in the wheel
+    /// proper (not its lanes) after the last op.
+    fn lanes_vs_heap(ops: &[Op]) -> (Vec<u32>, usize) {
+        let (mut heap_out, mut heap) = script(SchedulerKind::Heap, ops);
+        let (mut wheel_out, mut wheel) = script(SchedulerKind::Wheel, ops);
+        let Inner::Wheel(w) = &wheel.inner else {
+            unreachable!("built as a wheel");
+        };
+        let in_wheel = w.wheel_len;
+        heap_out.extend(drain(&mut heap));
+        wheel_out.extend(drain(&mut wheel));
+        assert_eq!(
+            heap_out, wheel_out,
+            "wheel with lanes diverged from the heap"
+        );
+        (wheel_out.iter().map(|e| e.2).collect(), in_wheel)
+    }
+
+    #[test]
+    fn a_lane_head_and_a_wheel_entry_at_one_instant_pop_by_id() {
+        let t = 3_000_000;
+        let (order, _) = lanes_vs_heap(&[
+            Some((None, t, 0)),
+            Some((Some(7), t, 1)),
+            Some((None, t, 2)),
+            Some((Some(9), t, 3)),
+            Some((Some(7), t, 4)),
+        ]);
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn an_entry_earlier_than_its_lane_tail_falls_back_to_the_wheel() {
+        let (order, in_wheel) = lanes_vs_heap(&[
+            Some((Some(5), 900, 0)),
+            Some((Some(5), 100, 1)), // earlier than the tail: wheel
+            Some((Some(5), 900, 2)), // not earlier: lane
+        ]);
+        assert_eq!(order, vec![1, 0, 2]);
+        assert_eq!(in_wheel, 1);
+    }
+
+    #[test]
+    fn more_live_classes_than_lanes_fall_back_to_the_wheel() {
+        let ops: Vec<Op> = (0..LANES as u32 + 2)
+            .map(|c| Some((Some(u64::from(c)), 1_000 * u64::from(10 - c), c)))
+            .collect();
+        let (order, in_wheel) = lanes_vs_heap(&ops);
+        assert_eq!(order, (0..10).rev().collect::<Vec<u32>>());
+        assert_eq!(in_wheel, 2);
+    }
+
+    #[test]
+    fn a_drained_lane_is_reclaimed_by_a_new_class() {
+        let mut ops: Vec<Op> = (0..LANES as u64)
+            .map(|c| Some((Some(c), 1_000 + c, c as u32)))
+            .collect();
+        ops.push(None); // lane 0 drains
+        ops.push(Some((Some(99), 2_000, 8))); // takes it over
+        let (order, in_wheel) = lanes_vs_heap(&ops);
+        assert_eq!(order, (0..9).collect::<Vec<u32>>());
+        assert_eq!(in_wheel, 0);
+    }
+
+    #[test]
+    fn the_wheel_cursor_may_run_ahead_of_lane_pops() {
+        // The far wheel entry is drained into `ready` at the first pop,
+        // while the lane still holds earlier entries; later plain pushes
+        // into that gap must still pop in order.
+        let ms = 1_000_000;
+        let (order, _) = lanes_vs_heap(&[
+            Some((None, 40 * ms, 0)),
+            Some((Some(1), ms, 1)),
+            Some((Some(1), 2 * ms, 2)),
+            None,
+            Some((None, 3 * ms, 3)),
+            Some((None, 2 * ms, 4)),
+            Some((Some(1), 3 * ms, 5)),
+        ]);
+        assert_eq!(order, vec![1, 2, 4, 3, 5, 0]);
+    }
+
+    #[test]
+    fn lanes_hold_entries_near_the_end_of_time() {
+        let (order, in_wheel) = lanes_vs_heap(&[
+            Some((Some(3), u64::MAX - 1, 0)),
+            Some((Some(3), u64::MAX, 1)),
+            Some((None, u64::MAX, 2)),
+            Some((Some(4), 0, 3)),
+            Some((Some(3), u64::MAX, 4)),
+        ]);
+        assert_eq!(order, vec![3, 0, 1, 2, 4]);
+        assert_eq!(in_wheel, 1);
     }
 
     /// Strict-lane behaviour: normal interleavings sail through the

@@ -23,12 +23,21 @@
 //! events as 8-byte generational [`PacketId`] handles (a delivered data
 //! packet's slot is even reused in place for its returning ACK). Pending
 //! events go through a [`crate::sched::EventQueue`] — a hierarchical
-//! timing wheel by default, the original binary heap on request — and
-//! per-hop transmit durations for the two wire sizes (MSS data, 40-byte
-//! ACKs) are precomputed at construction instead of being re-derived from
-//! the link rate per packet. Both schedulers obey one ordering contract
-//! (time, then insertion id), so results are bit-for-bit identical under
-//! either; the equivalence suite in `tests/` pins this.
+//! timing wheel with FIFO lanes by default, the original binary heap on
+//! request. A packet's own events (`LinkReady`, `HopArrive`, `Deliver`,
+//! `AckArrive`) fire a per-hop or per-flow constant delay after they are
+//! scheduled, so `Simulator::schedule` hands them to the lanes keyed by
+//! that delay, where they stay sorted without being filed into the wheel.
+//! Timers with varying delays (`Pacer`, `Rto`, `Toggle`, `Spawn`,
+//! `TraceSlot`, `RouterTick`, `LinkEvent`) stay in the wheel. Over 10
+//! alternating runs on a shared 2-vCPU box this took the benchmark's
+//! `fig4_dumbbell` median wall time from 3.56 s to 2.92 s (CHANGES.md has
+//! every workload's rows). Per-hop transmit durations for the two wire sizes
+//! (MSS data, 40-byte ACKs) are precomputed at construction instead of
+//! being re-derived from the link rate per packet. Both schedulers obey
+//! one ordering contract (time, then insertion id), so results are
+//! bit-for-bit identical under either; the equivalence suite in `tests/`
+//! pins this.
 //!
 //! The engine is strictly deterministic: all randomness flows from the
 //! scenario seed, and simultaneous events tie-break on insertion order.
@@ -406,8 +415,16 @@ impl Simulator {
         self
     }
 
+    /// Queue `ev` at `at`. Link completions, hop arrivals, deliveries and
+    /// ACK arrivals are "now + a per-hop or per-flow constant", so they
+    /// ride the scheduler's FIFO lanes, keyed by that delay.
     fn schedule(&mut self, at: Ns, ev: Ev) {
-        self.events.push(at, ev);
+        match ev {
+            Ev::LinkReady(_) | Ev::HopArrive(_) | Ev::Deliver(_) | Ev::AckArrive(_) => {
+                self.events.push_lane((at - self.now).0, at, ev)
+            }
+            _ => self.events.push(at, ev),
+        }
     }
 
     /// The event scheduler this simulator runs on.
@@ -1513,6 +1530,14 @@ mod tests {
     fn a_sender_that_would_spin_at_one_timestamp_panics_at_construction() {
         let mut s = saturating_scenario(1, 10.0, 100);
         s.senders[0].traffic.on = OnSpec::ByTimeFixed { duration: Ns::ZERO };
+        let _ = Simulator::new(&s, vec![Box::new(FixedWindow::new(1.0))], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "queue_capacity must be at least 1")]
+    fn a_dumbbell_queue_that_holds_no_packet_panics_at_construction() {
+        let mut s = saturating_scenario(1, 10.0, 100);
+        s.queue = QueueSpec::Codel { capacity: 0 };
         let _ = Simulator::new(&s, vec![Box::new(FixedWindow::new(1.0))], None);
     }
 

@@ -163,12 +163,16 @@ impl Topology {
     }
 
     /// Check structural invariants against a sender count: at least one
-    /// hop, one path per sender, non-empty forward paths, in-range hop
-    /// indices, and no hop repeated within a single path (loops would make
-    /// a packet's position on its path ambiguous).
+    /// hop, every hop's queue able to hold a packet, one path per sender,
+    /// non-empty forward paths, in-range hop indices, and no hop repeated
+    /// within a single path (loops would make a packet's position on its
+    /// path ambiguous).
     pub fn validate(&self, n_flows: usize) -> Result<(), String> {
         if self.hops.is_empty() {
             return Err("topology has no hops".to_string());
+        }
+        for (h, hop) in self.hops.iter().enumerate() {
+            hop.queue.validate().map_err(|e| format!("hop {h}: {e}"))?;
         }
         if self.paths.len() != n_flows {
             return Err(format!(
@@ -272,6 +276,23 @@ mod tests {
         t.paths[0].ack = vec![];
         t.hops.clear();
         assert!(t.validate(4).unwrap_err().contains("no hops"));
+    }
+
+    #[test]
+    fn a_hop_that_holds_no_packet_is_rejected_by_key() {
+        let mut t = three_hop_chain();
+        t.hops[1].queue = QueueSpec::SfqCodel {
+            capacity: 0,
+            buckets: 16,
+        };
+        let err = t.validate(4).unwrap_err();
+        assert!(
+            err.contains("hop 1") && err.contains("queue_capacity"),
+            "{err}"
+        );
+        // Unlimited has no capacity to get wrong.
+        t.hops[1].queue = QueueSpec::Unlimited;
+        assert!(t.validate(4).is_ok());
     }
 
     #[test]

@@ -125,32 +125,50 @@ proptest! {
         prop_assert_eq!(arena.live(), 0);
     }
 
-    /// The timing wheel and the binary heap dequeue any randomized event
-    /// workload in the identical (time, insertion-id) order — including
-    /// same-timestamp bursts, zero-delay self-schedules, and far-future
-    /// RTO-style deadlines — under arbitrary push/pop interleavings.
+    /// The timing wheel (with its FIFO lanes) and the binary heap dequeue
+    /// any randomized event workload in the identical (time, insertion-id)
+    /// order — including same-timestamp bursts, zero-delay self-schedules,
+    /// and far-future RTO-style deadlines — under arbitrary push/pop
+    /// interleavings. Lane pushes cover monotone runs per class, pushes
+    /// earlier than their lane's tail (which fall back to the wheel), more
+    /// classes than lanes, same-nanosecond ties with wheel entries, lanes
+    /// draining and refilling beside far-future cascades, and times near
+    /// `Ns::MAX`.
     #[test]
     fn wheel_matches_heap_on_random_workloads(
-        ops in prop::collection::vec((0u8..4, 0u32..8, any::<u64>()), 1..300),
+        ops in prop::collection::vec((0u8..9, 0u32..8, 0u64..12, any::<u64>()), 1..300),
     ) {
         let mut heap = EventQueue::new(SchedulerKind::Heap);
         let mut wheel = EventQueue::new(SchedulerKind::Wheel);
         let mut now = Ns::ZERO; // time of the last pop: pushes never precede it
         let mut payload = 0u64;
-        for (op, burst, raw) in ops {
-            if op < 3 {
+        // A class's constant delay, as the engine keys its lanes; class 0
+        // is "now", tying with same-instant wheel pushes.
+        let delay = |class: u64| class * 3_333_333;
+        for (op, burst, class, raw) in ops {
+            if op < 6 {
                 // Push a burst of events at one instant. Offsets mix the
-                // engine's regimes: same-instant (0), sub-granule jitter,
-                // typical RTT-scale delays, and far-future RTO deadlines.
-                let offset = match op {
-                    0 => 0,
-                    1 => raw % 1_000,                       // within one wheel granule
-                    _ => raw % (120 * 1_000_000_000),       // up to two minutes out
+                // engine's regimes: same-instant (0), sub-granule jitter or
+                // a lane's own delay, typical RTT-scale delays, and
+                // far-future RTO deadlines; lane pushes at their class's
+                // delay, at an arbitrary earlier point, or near the end of
+                // time.
+                let (lane, at) = match op {
+                    0 => (false, now),
+                    1 if raw % 2 == 0 => (false, now.saturating_add(Ns(raw % 1_000))),
+                    1 => (false, now.saturating_add(Ns(delay(class)))),
+                    2 => (false, now.saturating_add(Ns(raw % (120 * 1_000_000_000)))),
+                    3 => (true, now.saturating_add(Ns(delay(class)))),
+                    4 => (true, now.saturating_add(Ns(raw % (delay(class) + 1)))),
+                    _ => (true, Ns((u64::MAX - raw % 4_096).max(now.0))),
                 };
-                let at = now.saturating_add(Ns(offset));
                 for _ in 0..=burst {
                     heap.push(at, payload);
-                    wheel.push(at, payload);
+                    if lane {
+                        wheel.push_lane(class, at, payload);
+                    } else {
+                        wheel.push(at, payload);
+                    }
                     payload += 1;
                 }
             } else {

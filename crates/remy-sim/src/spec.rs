@@ -162,6 +162,15 @@ impl LinkRef {
     }
 }
 
+/// The `queue_capacity` key of a workload, hop or link. Zero is refused
+/// here, naming the key, because each discipline would read it its own
+/// way ([`QueueSpec::validate`]).
+fn queue_capacity(v: &Value) -> Result<usize, String> {
+    let capacity = v.field("queue_capacity")?.as_usize()?;
+    QueueSpec::DropTail { capacity }.validate()?;
+    Ok(capacity)
+}
+
 /// One hop of a [`TopologySpec`]: a link reference plus the hop's queue
 /// depth and outbound propagation delay. As with the single-bottleneck
 /// workload, the queue *discipline* is not part of the workload — each
@@ -194,7 +203,7 @@ impl HopRef {
         v.only_keys("topology hop", &["link", "queue_capacity", "prop_delay_ns"])?;
         Ok(HopRef {
             link: LinkRef::from_json_value(v.field("link")?)?,
-            queue_capacity: v.field("queue_capacity")?.as_usize()?,
+            queue_capacity: queue_capacity(v)?,
             prop_delay: json::ns_from(v.field("prop_delay_ns")?)?,
         })
     }
@@ -249,7 +258,7 @@ impl GraphLinkRef {
             from: v.field("from")?.as_str()?.to_string(),
             to: v.field("to")?.as_str()?.to_string(),
             link: LinkRef::from_json_value(v.field("link")?)?,
-            queue_capacity: v.field("queue_capacity")?.as_usize()?,
+            queue_capacity: queue_capacity(v)?,
             prop_delay: json::ns_from(v.field("prop_delay_ns")?)?,
             weight: v.field("weight")?.as_u64()?,
         })
@@ -449,7 +458,7 @@ impl GraphGenerator {
         let wire = || -> Result<(LinkRef, usize, Ns), String> {
             Ok((
                 LinkRef::from_json_value(v.field("link")?)?,
-                v.field("queue_capacity")?.as_usize()?,
+                queue_capacity(v)?,
                 json::ns_from(v.field("prop_delay_ns")?)?,
             ))
         };
@@ -875,7 +884,10 @@ impl WorkloadSpec {
             s.traffic.validate()?;
         }
         let (link, queue, topology) = match &self.topology {
-            None => (self.link.resolve()?, queue, None),
+            None => {
+                queue.validate()?;
+                (self.link.resolve()?, queue, None)
+            }
             Some(t) => {
                 let topo = t.resolve(&queue)?;
                 topo.validate(self.senders.len())?;
@@ -1002,7 +1014,7 @@ impl WorkloadSpec {
         }
         Ok(WorkloadSpec {
             link: LinkRef::from_json_value(v.field("link")?)?,
-            queue_capacity: v.field("queue_capacity")?.as_usize()?,
+            queue_capacity: queue_capacity(v)?,
             senders,
             record_deliveries: v.field("record_deliveries")?.as_bool()?,
             topology,
@@ -1915,6 +1927,46 @@ mod tests {
             TopologySpec::from_json_value(&json::parse(&t.to_json_value().pretty()).unwrap())
                 .unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn a_zero_queue_capacity_is_refused_by_key() {
+        // The committed Fig. 4 spec with its workload capacity zeroed.
+        let fig4 = include_str!("../../../specs/fig4.json");
+        let edited = fig4.replacen("\"queue_capacity\": 1000", "\"queue_capacity\": 0", 1);
+        assert_ne!(edited, fig4);
+        let err = ExperimentSpec::from_json(&edited).unwrap_err();
+        assert!(err.contains("queue_capacity"), "{err}");
+        // A topology hop, in the document and in code.
+        let mut spec = fig4ish_spec();
+        spec.workload.senders.truncate(2);
+        let TopologySpec::FlowHops { mut hops, paths } = two_hop_topology() else {
+            unreachable!("two_hop_topology lists hops");
+        };
+        hops[1].queue_capacity = 0;
+        spec.workload = spec
+            .workload
+            .clone()
+            .with_topology(TopologySpec::FlowHops { hops, paths });
+        let err = ExperimentSpec::from_json(&spec.to_json()).unwrap_err();
+        assert!(err.contains("queue_capacity"), "{err}");
+        let queue = QueueSpec::DropTail { capacity: 1000 };
+        let err = spec.workload.scenario(queue, Ns::SECOND, 1).unwrap_err();
+        assert!(
+            err.contains("hop 1") && err.contains("queue_capacity"),
+            "{err}"
+        );
+        // The dumbbell's discipline, when a caller builds it at zero.
+        let err = fig4ish_spec()
+            .workload
+            .scenario(QueueSpec::Codel { capacity: 0 }, Ns::SECOND, 1)
+            .unwrap_err();
+        assert!(err.contains("queue_capacity"), "{err}");
+        // Unlimited has no capacity and stays legal.
+        assert!(fig4ish_spec()
+            .workload
+            .scenario(QueueSpec::Unlimited, Ns::SECOND, 1)
+            .is_ok());
     }
 
     #[test]

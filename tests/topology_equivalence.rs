@@ -84,7 +84,12 @@ fn run_with(contender: &Contender, scenario: &Scenario, kind: SchedulerKind) -> 
     let ccs: Vec<Box<dyn CongestionControl>> =
         (0..scenario.n()).map(|_| contender.build_cc()).collect();
     let router = contender.router(&scenario.link, scenario.mss);
-    Simulator::with_scheduler(scenario, ccs, vec![router], kind).run()
+    let mut sim = Simulator::with_scheduler(scenario, ccs, vec![router], kind);
+    if scenario.churn.is_some() {
+        let contender = contender.clone();
+        sim = sim.with_churn_cc(Box::new(move |_| contender.build_cc()));
+    }
+    sim.run()
 }
 
 /// The paper's discipline × scheme matrix, as (queue, contender) cells.
@@ -163,6 +168,71 @@ fn wheel_and_heap_schedulers_agree_across_the_full_matrix() {
             "{what}: the comparison must see deliveries"
         );
         assert_results_identical(&heap, &wheel, &format!("heap vs wheel: {what}"));
+    }
+}
+
+#[test]
+fn wheel_and_heap_schedulers_agree_on_mixed_rtt_dumbbells() {
+    // The wheel's FIFO lanes are keyed by an event's delay, so the RTT mix
+    // sets how many a run needs: one service class, plus a forward and a
+    // return class per distinct RTT. A churn_100k-style 50 / 20 ms pair
+    // needs five, a lane each; six always-on senders with six RTTs (one
+    // odd, so its two halves differ) keep thirteen live, more than there
+    // are lanes, so the rest take the wheel's fallback path.
+    let churn = Scenario::dumbbell(
+        LinkSpec::constant(100.0),
+        QueueSpec::DropTail { capacity: 1000 },
+        2,
+        Ns::from_millis(50),
+        TrafficSpec::saturating(),
+        Ns::from_secs(3),
+        9_300,
+    )
+    .with_churn(ChurnSpec {
+        arrivals_per_sec: 2_000.0,
+        size: OnSpec::BoundedPareto {
+            xm: 2_000.0,
+            alpha: 1.2,
+            cap_bytes: 10_000.0,
+        },
+        rtt: Ns::from_millis(20),
+    });
+    let mut six = Scenario::dumbbell(
+        LinkSpec::constant(15.0),
+        QueueSpec::DropTail { capacity: 1000 },
+        6,
+        Ns::from_millis(150),
+        TrafficSpec::saturating(),
+        Ns::from_secs(5),
+        9_301,
+    );
+    for (s, rtt) in six.senders.iter_mut().zip([
+        Ns::from_millis(20),
+        Ns::from_millis(35),
+        Ns::from_millis(50),
+        Ns::from_millis(75),
+        Ns(101_000_001),
+        Ns::from_millis(150),
+    ]) {
+        s.rtt = rtt;
+    }
+    for (mut scenario, name) in [
+        (churn, "newreno"),
+        (six.clone(), "cubic"),
+        (six, "remy:delta1"),
+    ] {
+        let contender = ContenderSpec::new(name).build().expect("contender");
+        scenario.record_deliveries = true;
+        let what = format!("heap vs wheel: {name}, churn {}", scenario.churn.is_some());
+        let heap = run_with(&contender, &scenario, SchedulerKind::Heap);
+        let wheel = run_with(&contender, &scenario, SchedulerKind::Wheel);
+        assert!(!wheel.deliveries.is_empty(), "{what}: no deliveries");
+        assert_results_identical(&heap, &wheel, &what);
+        assert_eq!(
+            format!("{:?}", heap.population),
+            format!("{:?}", wheel.population),
+            "{what}: churn population"
+        );
     }
 }
 
