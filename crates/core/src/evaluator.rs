@@ -71,8 +71,8 @@ impl Evaluator {
     /// set; reusing a seed reproduces the same set exactly (common random
     /// numbers across candidate actions).
     pub fn specimens(&self, draw_seed: u64) -> Vec<Scenario> {
-        // lint:allow(r2-rng-underived-seed): frozen specimen-draw stream constant;
-        // changing the derivation re-randomizes every published evaluation.
+        // Frozen specimen-draw stream constant; changing the derivation
+        // re-randomizes every published evaluation.
         let mut rng = SimRng::new(draw_seed ^ 0x5EED_5EED);
         let dur = Ns::from_secs_f64(self.config.sim_secs);
         (0..self.config.specimens)

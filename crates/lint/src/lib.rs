@@ -17,10 +17,8 @@
 //! | `d3-float-partial-sort` | no `.partial_cmp` on the result path — NaN makes `sort_by(partial_cmp)` panic or reorder; use `f64::total_cmp` |
 //! | `d4-unsafe-safety-comment` | every `unsafe` must be preceded by a `// SAFETY:` comment |
 //! | `d5-shared-state-sim-path` | no `Mutex`/`RwLock`/atomics — rayon `--jobs` workers share one process, so a lock or atomic a simulation touches couples runs that must stay independent |
-//! | `d6-wallclock-serialization` | no date/timestamp-like field names in serialized results — goldens must be byte-stable across runs |
 //! | `p1`–`p3` | no `.unwrap()`/`.expect()`, panic-family macros, or subscript arithmetic — a `--jobs` worker must fail its run cleanly, not panic the batch ([`rules::p`]) |
-//! | `r1`, `r2` | every RNG consumer draws from its own derived stream ([`rules::r`]) |
-//! | `s1`–`s3` | `static mut`, `thread_local!` and interior-mutability cells each need a written concurrency justification ([`rules::s`]) |
+//! | `s3-sim-interior-mutability` | every interior-mutability cell needs a written concurrency justification ([`rules::s`]) |
 //!
 //! Every rule is a token-level check over one file, and every rule but
 //! `d4` has the same scope, [`rules::sim_crate_src`]: non-test source of
@@ -36,14 +34,13 @@
 //! ```
 //!
 //! The justification after `):` is mandatory; a bare `lint:allow` is
-//! itself a diagnostic. The scanner is a hand-rolled lexer
-//! ([`lexer`]) — no `syn`, no crates.io — plus a `fn`-and-braces item
-//! scan ([`parser`]) that says which function a token sits in.
+//! itself a diagnostic, and so is a justified one that suppresses no
+//! finding. The scanner is a hand-rolled lexer ([`lexer`]) — no `syn`,
+//! no crates.io.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod lexer;
-pub mod parser;
 pub mod rules;
 
 use lexer::{lex, Tok, TokKind};
@@ -72,9 +69,6 @@ pub struct FileCtx {
     /// `test_mask[i]` is true when `toks[i]` sits inside a
     /// `#[cfg(test)]` item (or the whole file is test code).
     pub test_mask: Vec<bool>,
-    /// Which `fn` encloses each token (what `r1` groups by, and the
-    /// name the P/R/S messages print).
-    pub fns: parser::FileFns,
 }
 
 impl FileCtx {
@@ -84,17 +78,7 @@ impl FileCtx {
         FileCtx {
             path: path.to_string(),
             test_mask: test_region_mask(&toks, path),
-            fns: parser::parse_file(&toks),
             toks,
-        }
-    }
-
-    /// Where token `ti` sits, for messages: "in `name`" inside a
-    /// function body, "at item level" outside any.
-    pub fn site(&self, ti: usize) -> String {
-        match self.fns.owner_name(ti) {
-            Some(name) => format!("in `{name}`"),
-            None => "at item level".to_string(),
         }
     }
 
@@ -125,7 +109,8 @@ pub struct Rule {
 ///
 /// Diagnostics are filtered through justified `lint:allow` directives
 /// and sorted by `(line, rule)`. An allow naming a rule id that no
-/// longer exists is itself a diagnostic (stale-allow detection).
+/// longer exists is itself a diagnostic (stale-allow detection), and so
+/// is one whose rule applies to the file but finds nothing to suppress.
 pub fn scan_source(rel_path: &str, text: &str) -> Vec<Diagnostic> {
     let ctx = FileCtx::new(rel_path, text);
     let rules = rules::all();
@@ -140,43 +125,50 @@ pub fn scan_source(rel_path: &str, text: &str) -> Vec<Diagnostic> {
         })
     };
 
-    // Malformed allow directives are diagnostics in their own right: an
-    // unjustified suppression is exactly what the gate must not accept —
-    // and a stale one (naming a rule id that no longer exists) is a
-    // suppression of nothing, hiding a dead comment.
-    for a in &allows {
-        if !a.justified {
-            push(
-                "lint-allow",
-                a.line,
-                format!(
-                    "lint:allow({}) without a justification — write \
-                     `// lint:allow({}): <why this is sound>`",
-                    a.rule, a.rule
-                ),
-            );
-        } else if !rules.iter().any(|r| r.id == a.rule) {
-            push(
-                "lint-allow",
-                a.line,
-                format!(
-                    "stale lint:allow({}): no such rule — remove the \
-                     directive or update the rule id (see --list-rules)",
-                    a.rule
-                ),
-            );
-        }
-    }
-
-    for rule in rules.iter().filter(|r| (r.applies)(&ctx.path)) {
+    let applicable: Vec<&Rule> = rules.iter().filter(|r| (r.applies)(&ctx.path)).collect();
+    let mut used = vec![false; allows.len()];
+    for rule in &applicable {
         for (line, message) in (rule.check)(&ctx) {
-            let allowed = allows
-                .iter()
-                .any(|a| a.justified && a.rule == rule.id && a.covers.contains(&line));
+            let mut allowed = false;
+            for (a, hit) in allows.iter().zip(used.iter_mut()) {
+                if a.justified && a.rule == rule.id && a.covers.contains(&line) {
+                    *hit = true;
+                    allowed = true;
+                }
+            }
             if !allowed {
                 push(rule.id, line, message);
             }
         }
+    }
+
+    // Allow directives are diagnostics in their own right: an unjustified
+    // suppression is exactly what the gate must not accept, and a stale
+    // one (naming a rule id that no longer exists) or a dead one (its rule
+    // looks at this file but finds nothing on the lines it covers) hides
+    // a comment that suppresses nothing.
+    for (a, used) in allows.iter().zip(used) {
+        let problem = if !a.justified {
+            format!(
+                "lint:allow({0}) without a justification — write \
+                 `// lint:allow({0}): <why this is sound>`",
+                a.rule
+            )
+        } else if !rules.iter().any(|r| r.id == a.rule) {
+            format!(
+                "stale lint:allow({}): no such rule — remove the \
+                 directive or update the rule id (see --list-rules)",
+                a.rule
+            )
+        } else if !used && applicable.iter().any(|r| r.id == a.rule) {
+            format!(
+                "lint:allow({}) suppresses no finding — remove the directive",
+                a.rule
+            )
+        } else {
+            continue;
+        };
+        push("lint-allow", a.line, problem);
     }
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
@@ -201,8 +193,8 @@ pub fn read_workspace_files(root: &Path) -> Result<Vec<(String, String)>, String
 }
 
 /// Walk the workspace at `root` and scan every Rust source file.
-/// Diagnostics come back sorted by `(file, line, rule)` so output — and
-/// the `--json` document — is deterministic.
+/// Diagnostics come back sorted by `(file, line, rule)` so output is
+/// deterministic.
 pub fn scan_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     Ok(read_workspace_files(root)?
         .iter()
@@ -234,33 +226,6 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<()
         }
     }
     Ok(())
-}
-
-/// Render diagnostics as the machine-readable `--json` document: an
-/// object with a `count` and a `diagnostics` array, each entry carrying
-/// `rule`, `file`, `line`, and `message`.
-pub fn to_json(diags: &[Diagnostic]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"count\": {},\n", diags.len()));
-    s.push_str("  \"diagnostics\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            json_escape(d.rule),
-            json_escape(&d.file),
-            d.line,
-            json_escape(&d.message)
-        ));
-    }
-    if !diags.is_empty() {
-        s.push('\n');
-        s.push_str("  ");
-    }
-    s.push_str("]\n}\n");
-    s
 }
 
 fn json_escape(s: &str) -> String {
@@ -302,7 +267,7 @@ pub fn render_human(diags: &[Diagnostic]) -> String {
 
 /// One `lint:allow` directive found in the tree, for the
 /// `--allow-report` inventory: the reviewable list of every panic site,
-/// seed derivation and piece of shared state the tree has signed off on.
+/// wall-clock read and piece of shared state the tree has signed off on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowEntry {
     /// The rule id the directive names.
@@ -470,22 +435,49 @@ pub fn test_region_mask(toks: &[Tok], rel_path: &str) -> Vec<bool> {
     mask
 }
 
-/// Is `code[k]` the `#` of an attribute containing `cfg ( test`?
+/// Is `code[k]` the `#` of a `#[cfg(PRED)]` whose item exists only in
+/// test builds? `cfg(not(test))` and `cfg(any(test, …))` items are live
+/// code and stay in scope.
 fn is_cfg_test_attr(toks: &[Tok], code: &[usize], k: usize) -> bool {
     if !toks[code[k]].is_punct('#') {
         return false;
     }
-    let end = skip_attr(toks, code, k);
-    let mut saw_cfg = false;
-    for &ti in &code[k..end] {
-        let t = &toks[ti];
-        if t.is_ident("cfg") {
-            saw_cfg = true;
-        } else if saw_cfg && t.is_ident("test") {
-            return true;
+    let attr: Vec<&Tok> = code[k + 1..skip_attr(toks, code, k)]
+        .iter()
+        .map(|&ti| &toks[ti])
+        .collect();
+    let body = match attr.as_slice() {
+        [bang, rest @ ..] if bang.is_punct('!') => rest,
+        rest => rest,
+    };
+    matches!(body, [l, pred @ .., r]
+        if l.is_punct('[') && r.is_punct(']')
+            && pred.first().is_some_and(|t| t.is_ident("cfg"))
+            && requires_test(pred))
+}
+
+/// Does the cfg predicate `pred` hold only when `test` does: `test`
+/// itself, or `all(…)` with such a predicate among its arguments? The
+/// attribute's own `cfg(…)` is read as an `all` of one.
+fn requires_test(pred: &[&Tok]) -> bool {
+    match pred {
+        [t] => t.is_ident("test"),
+        [f, l, args @ .., r]
+            if (f.is_ident("all") || f.is_ident("cfg")) && l.is_punct('(') && r.is_punct(')') =>
+        {
+            let mut depth = 0i32;
+            args.split(|t| {
+                if t.is_punct('(') {
+                    depth += 1;
+                } else if t.is_punct(')') {
+                    depth -= 1;
+                }
+                depth == 0 && t.is_punct(',')
+            })
+            .any(requires_test)
         }
+        _ => false,
     }
-    false
 }
 
 /// Given `code[k]` at a `#`, return the code-index just past the
@@ -690,23 +682,80 @@ use std::collections::HashMap;
 ";
         let d = scan_source("crates/netsim/src/x.rs", src);
         assert!(d.iter().any(|d| d.rule == "d1-unordered-collections"));
+        // ...and the d2 allow, covering no d2 finding, is itself reported.
+        assert_eq!(
+            d.iter()
+                .filter(|d| d.rule == "lint-allow")
+                .map(|d| d.line)
+                .collect::<Vec<_>>(),
+            vec![1],
+            "{d:?}"
+        );
+    }
+
+    #[test]
+    fn allow_that_suppresses_nothing_is_a_diagnostic() {
+        // p1 looks at this file, but the line below the allow has no
+        // `.unwrap()`, and the allowed `.expect()` sits in test code p1
+        // never reads.
+        let src = "\
+// lint:allow(p1-sim-unwrap): the queue is never empty here.
+fn live(q: &Q) -> u32 { q.len() }
+#[cfg(test)]
+mod tests {
+    fn t() {
+        // lint:allow(p1-sim-unwrap): test body.
+        let _ = maybe().expect(\"x\");
+    }
+}
+";
+        let d = scan_source("crates/netsim/src/x.rs", src);
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d.iter().all(|d| d.rule == "lint-allow"), "{d:?}");
+        assert_eq!((d[0].line, d[1].line), (1, 6));
+        assert!(d[0].message.contains("suppresses no finding"), "{d:?}");
+        // Where the named rule does not apply, the directive is not judged.
+        assert!(scan_source("crates/lint/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn only_cfgs_that_require_test_are_masked() {
+        let src = "\
+#[cfg(not(test))]
+fn a() { x.unwrap(); }
+#[cfg(any(test, feature = \"strict-invariants\"))]
+fn b() { x.unwrap(); }
+fn c() { x.unwrap(); }
+#[cfg(all(test, feature = \"strict-invariants\"))]
+fn d() { x.unwrap(); }
+#[cfg(all(feature = \"f\", all(unix, test)))]
+fn e() { x.unwrap(); }
+#[cfg_attr(test, allow(dead_code))]
+fn f() { x.unwrap(); }
+";
+        let d = scan_source("crates/netsim/src/x.rs", src);
+        let lines: Vec<u32> = d.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![2, 4, 5, 11], "{d:?}");
     }
 
     #[test]
     fn json_document_shape() {
-        let diags = vec![Diagnostic {
-            rule: "d1-unordered-collections",
+        let entries = vec![AllowEntry {
+            rule: "p1-sim-unwrap".into(),
             file: "crates/x.rs".into(),
             line: 3,
-            message: "say \"no\"".into(),
+            justification: "say \"no\"".into(),
+            justified: true,
+            known_rule: true,
         }];
-        let j = to_json(&diags);
+        let j = allow_report_json(&entries);
         assert!(j.contains("\"count\": 1"));
         assert!(j.contains("\\\"no\\\""));
         assert!(j.contains("\"line\": 3"));
-        let empty = to_json(&[]);
+        assert!(j.contains("\"known_rule\": true"));
+        let empty = allow_report_json(&[]);
         assert!(empty.contains("\"count\": 0"));
-        assert!(empty.contains("\"diagnostics\": []"));
+        assert!(empty.contains("\"allows\": []"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `remy-lint` — the workspace determinism & safety gate.
 //!
 //! ```text
-//! remy-lint [--json] [--root <dir>] [--list-rules] [--allow-report]
+//! remy-lint [--root <dir>] [--list-rules] [--allow-report [--json]]
 //! ```
 //!
 //! Walks the workspace (found by ascending from `--root` or the current
@@ -10,13 +10,14 @@
 //!
 //! `--allow-report` inventories every `lint:allow` in the workspace with
 //! its rule id and justification; it exits non-zero if any allow is
-//! unjustified or names a rule that no longer exists.
+//! unjustified or names a rule that no longer exists; `--json` prints
+//! that inventory as a machine-readable document.
 //!
 //! Exit status: `0` clean, `1` diagnostics found, `2` usage/IO error.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use remy_lint::{render_human, scan_workspace, to_json};
+use remy_lint::{render_human, scan_workspace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -38,7 +39,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: remy-lint [--json] [--root <dir>] [--list-rules] [--allow-report]"
+                    "usage: remy-lint [--root <dir>] [--list-rules] [--allow-report [--json]]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -49,6 +50,9 @@ fn main() -> ExitCode {
         }
     }
 
+    if json && !allow_report {
+        return usage("--json needs --allow-report");
+    }
     if list_rules {
         for r in remy_lint::rules::all() {
             println!("{:<28} {}", r.id, r.summary);
@@ -86,11 +90,7 @@ fn main() -> ExitCode {
         Ok(d) => d,
         Err(e) => return usage(&e),
     };
-    if json {
-        print!("{}", to_json(&diags));
-    } else {
-        print!("{}", render_human(&diags));
-    }
+    print!("{}", render_human(&diags));
     if diags.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -15,26 +15,16 @@ pub mod d2;
 pub mod d3;
 pub mod d4;
 pub mod d5;
-pub mod d6;
 pub mod p;
-pub mod r;
 pub mod s;
 
 use crate::Rule;
 
 /// Every rule, in id order.
 pub fn all() -> Vec<Rule> {
-    let mut out = vec![
-        d1::rule(),
-        d2::rule(),
-        d3::rule(),
-        d4::rule(),
-        d5::rule(),
-        d6::rule(),
-    ];
+    let mut out = vec![d1::rule(), d2::rule(), d3::rule(), d4::rule(), d5::rule()];
     out.extend(p::rules());
-    out.extend(r::rules());
-    out.extend(s::rules());
+    out.push(s::rule());
     out
 }
 
@@ -89,7 +79,7 @@ mod tests {
                 assert_ne!(r.id, other.id);
             }
         }
-        assert_eq!(rules.len(), 14);
+        assert_eq!(rules.len(), 9);
     }
 
     #[test]

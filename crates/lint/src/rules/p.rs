@@ -72,10 +72,9 @@ fn check_p1(ctx: &FileCtx) -> Vec<(u32, String)> {
         out.push((
             t.line,
             format!(
-                "`.{}()` {} — a `--jobs` worker must not panic; convert to a \
+                "`.{}()` — a `--jobs` worker must not panic; convert to a \
                  typed error or `debug_assert!`+skip, or justify with lint:allow",
-                t.text,
-                ctx.site(i)
+                t.text
             ),
         ));
     }
@@ -98,10 +97,9 @@ fn check_p2(ctx: &FileCtx) -> Vec<(u32, String)> {
         out.push((
             t.line,
             format!(
-                "`{}!` {} — a `--jobs` worker must not panic; return an error, \
+                "`{}!` — a `--jobs` worker must not panic; return an error, \
                  skip the event, or justify with lint:allow",
-                t.text,
-                ctx.site(i)
+                t.text
             ),
         ));
     }
@@ -163,10 +161,9 @@ fn check_p3(ctx: &FileCtx) -> Vec<(u32, String)> {
             out.push((
                 t.line,
                 format!(
-                    "subscript arithmetic (`{op}`) in an index expression {} — \
+                    "subscript arithmetic (`{op}`) in an index expression — \
                      off-by-one here panics a `--jobs` worker; use checked \
-                     arithmetic + `.get(..)` or justify with lint:allow",
-                    ctx.site(i)
+                     arithmetic + `.get(..)` or justify with lint:allow"
                 ),
             ));
         }
@@ -189,7 +186,6 @@ static RUNNER: fn() = runner;
 ";
         let d = scan(src);
         assert_eq!(lines_of(&d, "p1-sim-unwrap"), vec![1, 2], "{d:#?}");
-        assert!(d[1].message.contains("in `runner`"), "{d:#?}");
     }
 
     #[test]

@@ -1,99 +1,38 @@
-//! **S-family** — shared-state audit of sim-crate source.
+//! **s3-sim-interior-mutability** — shared-state audit of sim-crate
+//! source.
 //!
 //! Simulations run side by side on rayon `--jobs` workers inside one
 //! process. Any state that is not owned by exactly one simulation is
 //! there a data race, a lock, or a source of divergence between
-//! `--jobs 1` and `--jobs N`. These rules inventory that state:
+//! `--jobs 1` and `--jobs N`. This rule inventories the
+//! interior-mutability cells — `RefCell`/`Cell`/`UnsafeCell`/
+//! `OnceLock`/`OnceCell`/`LazyLock` — through which such state would be
+//! mutated (`use` imports are not flagged — the state is where the cell
+//! lives, not the import — and neither is a type of that name the file
+//! declares itself: a table's `enum Cell` is not `std::cell::Cell`).
+//! Locks and atomics are `d5`'s; `static mut` needs an `unsafe` block
+//! for every access, which `d4` makes carry a `SAFETY:` comment; and a
+//! `thread_local!` can only be mutated through a cell, a lock or an
+//! atomic.
 //!
-//! - `s1-sim-static-mut` — `static mut` items,
-//! - `s2-sim-thread-local` — `thread_local!` blocks (which runs share the
-//!   state depends on how runs land on workers, i.e. on `--jobs`),
-//! - `s3-sim-interior-mutability` — `RefCell`/`Cell`/`UnsafeCell`/
-//!   `OnceLock`/`OnceCell`/`LazyLock` in sim scope (`use` imports are
-//!   not flagged — the state is where the cell lives, not the import —
-//!   and neither is a type of that name the file declares itself: a
-//!   table's `enum Cell` is not `std::cell::Cell`).
-//!
-//! Unlike P/R, a finding here is not necessarily a bug today. The point
-//! of deny-by-default is the *justified allow*: each `lint:allow(s…)`
-//! must say why the state stays sound when simulations run concurrently
-//! (write-once cache, owned by one run by construction, …). The
-//! `--allow-report` artifact lists them for review.
+//! A finding here is not necessarily a bug today. The point of
+//! deny-by-default is the *justified allow*: each
+//! `lint:allow(s3-sim-interior-mutability)` must say why the state stays
+//! sound when simulations run concurrently (write-once cache, owned by
+//! one run by construction, …). The `--allow-report` artifact lists them
+//! for review.
 
 use crate::rules::sim_crate_src;
 use crate::{FileCtx, Rule};
 
-pub(crate) fn rules() -> Vec<Rule> {
-    vec![
-        Rule {
-            id: "s1-sim-static-mut",
-            summary: "`static mut` in sim scope — unsynchronized global state; every \
-                      access races between `--jobs` workers",
-            applies: sim_crate_src,
-            check: check_s1,
-        },
-        Rule {
-            id: "s2-sim-thread-local",
-            summary: "`thread_local!` in sim scope — which runs share it depends on \
-                      `--jobs`, so results would too",
-            applies: sim_crate_src,
-            check: check_s2,
-        },
-        Rule {
-            id: "s3-sim-interior-mutability",
-            summary: "interior-mutability cell (RefCell/Cell/OnceLock/…) in sim \
-                      scope — each needs a concurrency-soundness justification",
-            applies: sim_crate_src,
-            check: check_s3,
-        },
-    ]
-}
-
-fn check_s1(ctx: &FileCtx) -> Vec<(u32, String)> {
-    let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
-    let mut out = Vec::new();
-    for (k, &i) in code.iter().enumerate() {
-        let t = &ctx.toks[i];
-        if !t.is_ident("static") {
-            continue;
-        }
-        if !code
-            .get(k + 1)
-            .is_some_and(|&j| ctx.toks[j].is_ident("mut"))
-        {
-            continue;
-        }
-        out.push((
-            t.line,
-            "`static mut` in sim scope — unsynchronized global state races \
-             between `--jobs` workers; move it into state one run owns or \
-             justify with lint:allow"
-                .to_string(),
-        ));
+pub(crate) fn rule() -> Rule {
+    Rule {
+        id: "s3-sim-interior-mutability",
+        summary: "interior-mutability cell (RefCell/Cell/OnceLock/…) in sim \
+                  scope — each needs a concurrency-soundness justification",
+        applies: sim_crate_src,
+        check,
     }
-    out
-}
-
-fn check_s2(ctx: &FileCtx) -> Vec<(u32, String)> {
-    let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
-    let mut out = Vec::new();
-    for (k, &i) in code.iter().enumerate() {
-        let t = &ctx.toks[i];
-        if !t.is_ident("thread_local") {
-            continue;
-        }
-        if !code.get(k + 1).is_some_and(|&j| ctx.toks[j].is_punct('!')) {
-            continue;
-        }
-        out.push((
-            t.line,
-            "`thread_local!` in sim scope — which runs share per-thread state \
-             depends on `--jobs` (results would follow the worker count); make \
-             the state run-owned or justify with lint:allow"
-                .to_string(),
-        ));
-    }
-    out
 }
 
 const CELLS: [&str; 6] = [
@@ -105,7 +44,7 @@ const CELLS: [&str; 6] = [
     "LazyLock",
 ];
 
-fn check_s3(ctx: &FileCtx) -> Vec<(u32, String)> {
+fn check(ctx: &FileCtx) -> Vec<(u32, String)> {
     let code: Vec<usize> = ctx.code_tokens().map(|(i, _)| i).collect();
     // Names this file declares itself (`struct|enum|type|trait <Name>`)
     // are its own types, not the std cells they happen to share a name
@@ -143,11 +82,10 @@ fn check_s3(ctx: &FileCtx) -> Vec<(u32, String)> {
         out.push((
             t.line,
             format!(
-                "interior-mutability cell `{}` {} — shared mutation must \
+                "interior-mutability cell `{}` — shared mutation must \
                  stay sound when `--jobs` workers run simulations concurrently; \
                  each cell needs a justified lint:allow stating why it does",
-                t.text,
-                ctx.site(i)
+                t.text
             ),
         ));
     }
@@ -157,26 +95,6 @@ fn check_s3(ctx: &FileCtx) -> Vec<(u32, String)> {
 #[cfg(test)]
 mod tests {
     use crate::rules::testutil::{lines_of, scan};
-
-    #[test]
-    fn s1_flags_static_mut_at_item_level_and_in_bodies() {
-        let src = "static mut COUNTER: u64 = 0;\nfn touch() { static mut SEEN: bool = false; }\n";
-        let d = scan(src);
-        assert_eq!(lines_of(&d, "s1-sim-static-mut"), vec![1, 2], "{d:#?}");
-    }
-
-    #[test]
-    fn s1_plain_static_is_clean() {
-        let src = "static TABLE: [u8; 4] = [0; 4];\nfn touch() {}\n";
-        assert!(scan(src).is_empty());
-    }
-
-    #[test]
-    fn s2_flags_thread_local_blocks() {
-        let src = "thread_local! { static SCRATCH: Vec<u8> = Vec::new(); }\nfn touch() {}\n";
-        let d = scan(src);
-        assert_eq!(lines_of(&d, "s2-sim-thread-local"), vec![1], "{d:#?}");
-    }
 
     #[test]
     fn s3_flags_cells_but_not_their_imports() {

@@ -643,9 +643,9 @@ impl<Q: Queue> Lossy<Q> {
         Lossy {
             inner,
             drop_probability: p,
-            // lint:allow(r2-rng-underived-seed): the xor constant decouples
-            // the loss stream from the caller's seed space; changing the
-            // derivation re-randomizes every published lossy-link result.
+            // The xor constant decouples the loss stream from the caller's
+            // seed space; changing the derivation re-randomizes every
+            // published lossy-link result.
             rng: crate::rng::SimRng::new(seed ^ 0x1055_1055),
             stochastic_drops: 0,
         }

@@ -43,8 +43,6 @@ impl SimRng {
     /// sequences, and the parent advances by one draw.
     pub fn fork(&mut self, stream: u64) -> SimRng {
         let base = self.next_u64();
-        // lint:allow(r2-rng-underived-seed): this IS the sanctioned derivation
-        // primitive every other stream split goes through.
         SimRng::new(base ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))
     }
 

@@ -2000,7 +2000,6 @@ mod tests {
             r.failover_drops, 0,
             "the detour leaves from b: all salvaged"
         );
-        // lint:allow(p1-sim-unwrap): test body.
         let last = r.deliveries.last().expect("deliveries recorded").at;
         assert!(
             last > Ns::from_secs(9),

@@ -330,8 +330,8 @@ impl TrafficProcess {
                 start_on: true,
             },
             state: OnState::Off { until: Ns::ZERO },
-            // lint:allow(r2-rng-underived-seed): placeholder stream — a one-shot
-            // process never draws from its rng (the size is fixed below).
+            // Placeholder stream — a one-shot process never draws from its
+            // rng (the size is fixed below).
             rng: SimRng::new(0),
             mss,
             current_on_started: None,

@@ -89,8 +89,8 @@ impl LteModel {
     /// independent Poisson outage process multiplies the rate by
     /// `outage_factor` while active.
     pub fn generate(&self, seed: u64, duration: Ns) -> DeliverySchedule {
-        // lint:allow(r2-rng-underived-seed): frozen trace-stream constant; changing
-        // the derivation regenerates every published cellular schedule.
+        // Frozen trace-stream constant; changing the derivation regenerates
+        // every published cellular schedule.
         let mut rng = SimRng::new(seed ^ 0x17E_CE11);
         let dur_s = duration.as_secs_f64();
         let mean_pps = self.mean_mbps * 1e6 / 8.0 / self.mss as f64;

@@ -71,7 +71,7 @@ fn allow_report_lists_every_directive_with_justification() {
     // The report must cover every rule family we rely on allows for.
     // (The s3 inventory was burned down when `WhiskerTree` dropped its
     // `OnceLock` cache for an eager flat handle.)
-    for family in ["p1-", "p2-", "r2-"] {
+    for family in ["p1-", "p2-", "d2-"] {
         assert!(
             entries.iter().any(|e| e.rule.starts_with(family)),
             "no {family}* allows in the report — collector lost a family"
