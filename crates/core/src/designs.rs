@@ -221,6 +221,13 @@ mod tests {
     }
 
     #[test]
+    fn shipped_tables_carry_each_rules_pacing_gap() {
+        for d in all() {
+            crate::whisker::tests::assert_leaf_gaps_match(&d.table());
+        }
+    }
+
+    #[test]
     fn all_tables_parse_and_cover_memory_space() {
         for d in all() {
             let t = d.table();

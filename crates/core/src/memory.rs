@@ -29,6 +29,11 @@ pub struct MemoryTracker {
     mem: Memory,
     last_ack_arrival: Option<Ns>,
     last_echo: Option<Ns>,
+    /// The minimum RTT the last ratio was taken against, and
+    /// `min_rtt.as_secs_f64()`: the minimum changes on few ACKs, so the
+    /// conversion is redone only when it does.
+    min_rtt: Ns,
+    min_rtt_secs: f64,
 }
 
 impl MemoryTracker {
@@ -38,6 +43,8 @@ impl MemoryTracker {
             mem: Memory::INITIAL,
             last_ack_arrival: None,
             last_echo: None,
+            min_rtt: Ns::ZERO,
+            min_rtt_secs: 0.0,
         }
     }
 
@@ -65,7 +72,11 @@ impl MemoryTracker {
         self.last_echo = Some(echo_ts);
 
         if !min_rtt.is_zero() && min_rtt != Ns::MAX {
-            self.mem.rtt_ratio = rtt_sample.as_secs_f64() / min_rtt.as_secs_f64();
+            if min_rtt != self.min_rtt {
+                self.min_rtt = min_rtt;
+                self.min_rtt_secs = min_rtt.as_secs_f64();
+            }
+            self.mem.rtt_ratio = rtt_sample.as_secs_f64() / self.min_rtt_secs;
         }
         self.mem = self.mem.clamped();
         self.mem

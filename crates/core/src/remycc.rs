@@ -12,7 +12,7 @@
 
 use crate::action::Action;
 use crate::memory::MemoryTracker;
-use crate::whisker::{FlatTree, Usage, WhiskerTree};
+use crate::whisker::{FlatLeaf, FlatTree, Usage, WhiskerTree};
 use netsim::cc::{AckInfo, CongestionControl, LossEvent};
 use netsim::time::Ns;
 use std::sync::Arc;
@@ -29,11 +29,11 @@ pub struct RemyCc {
     /// Flattened lookup view shared by all senders running this table.
     flat: Arc<FlatTree>,
     /// Hill-climb candidate overlay: when the lookup lands on this leaf
-    /// slot, `override_action` applies instead of the stored action. This
+    /// slot, `override_rule` applies instead of the stored rule. This
     /// lets the optimizer evaluate "base table + one changed rule" without
     /// cloning the tree per candidate.
     override_slot: usize,
-    override_action: Action,
+    override_rule: FlatLeaf,
     memory: MemoryTracker,
     window: f64,
     intersend: Ns,
@@ -55,7 +55,7 @@ impl RemyCc {
             tree,
             flat,
             override_slot: NO_OVERRIDE,
-            override_action: Action::DEFAULT,
+            override_rule: FlatLeaf::new(NO_OVERRIDE, Action::DEFAULT),
             memory: MemoryTracker::new(),
             window: INITIAL_WINDOW,
             intersend: Ns::ZERO,
@@ -81,7 +81,7 @@ impl RemyCc {
     /// A `rule` id not present in the table leaves behaviour unchanged.
     pub fn with_candidate(mut self, rule: usize, action: Action) -> RemyCc {
         self.override_slot = self.flat.slot_of(rule).unwrap_or(NO_OVERRIDE);
-        self.override_action = action;
+        self.override_rule = FlatLeaf::new(rule, action);
         self
     }
 
@@ -124,16 +124,16 @@ impl CongestionControl for RemyCc {
         }
         let slot = self.flat.lookup_slot(mem);
         let leaf = self.flat.leaf(slot);
-        let action = if slot == self.override_slot {
-            &self.override_action
-        } else {
-            &leaf.action
-        };
         if let Some(usage) = &mut self.usage {
             usage.record(leaf.id, mem);
         }
-        self.window = action.apply(self.window);
-        self.intersend = action.intersend();
+        let rule = if slot == self.override_slot {
+            &self.override_rule
+        } else {
+            leaf
+        };
+        self.window = rule.action.apply(self.window);
+        self.intersend = rule.intersend;
     }
 
     fn on_loss(&mut self, _now: Ns, _event: LossEvent) {

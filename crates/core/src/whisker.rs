@@ -11,6 +11,7 @@
 use crate::action::Action;
 use crate::json::{self, Value};
 use crate::memory::{Memory, MEMORY_MAX};
+use netsim::time::Ns;
 use std::sync::Arc;
 
 /// A half-open axis-aligned box `[lo, hi)` in memory space.
@@ -499,6 +500,20 @@ pub struct FlatLeaf {
     pub id: usize,
     /// The action this rule maps to.
     pub action: Action,
+    /// `action.intersend()`, converted once when the leaf is built rather
+    /// than on every ACK that hits the rule.
+    pub intersend: Ns,
+}
+
+impl FlatLeaf {
+    /// Rule `id` mapping to `action`.
+    pub fn new(id: usize, action: Action) -> FlatLeaf {
+        FlatLeaf {
+            id,
+            action,
+            intersend: action.intersend(),
+        }
+    }
 }
 
 /// A flattened, allocation-dense view of a [`WhiskerTree`] built once per
@@ -531,10 +546,7 @@ impl FlatTree {
         match node {
             Node::Leaf(w) => {
                 let slot = self.leaves.len() as u32;
-                self.leaves.push(FlatLeaf {
-                    id: w.id,
-                    action: w.action,
-                });
+                self.leaves.push(FlatLeaf::new(w.id, w.action));
                 if self.slot_of_id.len() <= w.id {
                     self.slot_of_id.resize(w.id + 1, u32::MAX);
                 }
@@ -622,7 +634,7 @@ impl FlatTree {
 pub use netsim::cc::{Usage, MAX_SAMPLES};
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn mem(a: f64, s: f64, r: f64) -> Memory {
@@ -793,6 +805,39 @@ mod tests {
         let flat2 = t.flat();
         let slot = flat2.slot_of(ids[3]).expect("slot");
         assert_eq!(flat2.leaf(slot).action, act);
+    }
+
+    /// Every leaf of `t`'s flat view carries its action's pacing gap,
+    /// converted exactly as `Action::intersend` converts it.
+    pub(crate) fn assert_leaf_gaps_match(t: &WhiskerTree) {
+        let flat = t.flat();
+        for slot in 0..flat.len() {
+            let leaf = flat.leaf(slot);
+            assert_eq!(leaf.intersend, leaf.action.intersend(), "rule {}", leaf.id);
+        }
+    }
+
+    #[test]
+    fn flat_leaves_carry_each_actions_pacing_gap() {
+        let mut t = WhiskerTree::single_rule();
+        assert_leaf_gaps_match(&t);
+        t.split(0, mem(10.0, 10.0, 1.5));
+        assert_leaf_gaps_match(&t);
+        let ids: Vec<usize> = t.whiskers().iter().map(|w| w.id).collect();
+        for (k, &id) in ids.iter().enumerate() {
+            t.set_action(
+                id,
+                Action {
+                    intersend_ms: 0.001 + 0.37 * k as f64,
+                    ..Action::DEFAULT
+                },
+            );
+            assert_leaf_gaps_match(&t);
+        }
+        t.split(ids[3], mem(5.0, 5.0, 1.2));
+        assert_leaf_gaps_match(&t);
+        let back = WhiskerTree::from_json(&t.to_json()).expect("parse");
+        assert_leaf_gaps_match(&back);
     }
 
     #[test]

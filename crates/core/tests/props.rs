@@ -1,8 +1,9 @@
 //! Property-based tests of Remy's rule-table machinery.
 
+use netsim::time::Ns;
 use proptest::prelude::*;
 use remy::action::Action;
-use remy::memory::{Memory, MEMORY_MAX};
+use remy::memory::{Memory, MemoryTracker, EWMA_GAIN, MEMORY_MAX};
 use remy::whisker::{Usage, WhiskerTree};
 
 fn arb_memory() -> impl Strategy<Value = Memory> {
@@ -11,6 +12,47 @@ fn arb_memory() -> impl Strategy<Value = Memory> {
         send_ewma_ms: s,
         rtt_ratio: r,
     })
+}
+
+/// The §4.1 memory update written out with nothing cached: what
+/// `MemoryTracker::on_ack` must return, bit for bit.
+#[derive(Default)]
+struct DirectMemory {
+    mem: Memory,
+    last_ack: Option<Ns>,
+    last_echo: Option<Ns>,
+}
+
+impl DirectMemory {
+    fn on_ack(&mut self, now: Ns, echo_ts: Ns, rtt_sample: Ns, min_rtt: Ns) -> Memory {
+        if let Some(last) = self.last_ack {
+            let gap = now.saturating_sub(last).as_millis_f64();
+            self.mem.ack_ewma_ms += EWMA_GAIN * (gap - self.mem.ack_ewma_ms);
+        }
+        self.last_ack = Some(now);
+        if let Some(last) = self.last_echo {
+            let gap = echo_ts.saturating_sub(last).as_millis_f64();
+            self.mem.send_ewma_ms += EWMA_GAIN * (gap - self.mem.send_ewma_ms);
+        }
+        self.last_echo = Some(echo_ts);
+        if !min_rtt.is_zero() && min_rtt != Ns::MAX {
+            self.mem.rtt_ratio = rtt_sample.as_secs_f64() / min_rtt.as_secs_f64();
+        }
+        self.mem = Memory {
+            ack_ewma_ms: self.mem.ack_ewma_ms.clamp(0.0, MEMORY_MAX),
+            send_ewma_ms: self.mem.send_ewma_ms.clamp(0.0, MEMORY_MAX),
+            rtt_ratio: self.mem.rtt_ratio.clamp(0.0, MEMORY_MAX),
+        };
+        self.mem
+    }
+}
+
+fn bits(m: Memory) -> [u64; 3] {
+    [
+        m.ack_ewma_ms.to_bits(),
+        m.send_ewma_ms.to_bits(),
+        m.rtt_ratio.to_bits(),
+    ]
 }
 
 proptest! {
@@ -86,6 +128,47 @@ proptest! {
             prop_assert!((0.0..=MEMORY_MAX).contains(&m.axis(i)));
         }
         prop_assert_eq!(m.clamped(), m);
+    }
+
+    /// The tracker (which converts `min_rtt` only when it changes) equals
+    /// the direct formula bit for bit, over ACK streams whose minimum RTT
+    /// steps down, jumps, is unset (zero or `Ns::MAX`), and whose tracker
+    /// is reset mid-stream.
+    #[test]
+    fn tracker_matches_the_direct_formula(
+        acks in prop::collection::vec(
+            (0u64..20_000_000, 0u64..30_000_000, 1u64..600_000_000, 0u8..12),
+            1..300,
+        ),
+    ) {
+        let mut tracker = MemoryTracker::new();
+        let mut direct = DirectMemory::default();
+        let (mut now, mut min_rtt) = (Ns::ZERO, Ns::MAX);
+        for (dt, echo_lag, rtt, what) in acks {
+            let rtt = Ns(rtt);
+            match what {
+                0 => {
+                    tracker.reset();
+                    direct = DirectMemory::default();
+                    prop_assert_eq!(bits(tracker.memory()), bits(Memory::INITIAL));
+                    continue;
+                }
+                1 => min_rtt = Ns::ZERO,
+                2 => min_rtt = Ns::MAX,
+                3 => min_rtt = rtt,
+                // A running minimum: steps down, or holds.
+                _ if min_rtt.is_zero() => min_rtt = rtt,
+                _ => min_rtt = min_rtt.min(rtt),
+            }
+            now = Ns(now.0 + dt);
+            // Echoed timestamps lag `now` by a varying amount, so their
+            // spacing is sometimes negative (saturated to zero).
+            let echo = now.saturating_sub(Ns(echo_lag));
+            let got = tracker.on_ack(now, echo, rtt, min_rtt);
+            let want = direct.on_ack(now, echo, rtt, min_rtt);
+            prop_assert_eq!(bits(got), bits(want));
+            prop_assert_eq!(bits(tracker.memory()), bits(want));
+        }
     }
 
     /// Usage merge is order-independent on counts.

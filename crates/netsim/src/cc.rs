@@ -79,13 +79,15 @@ impl Memory {
         }
     }
 
-    /// Clamp every axis into the valid domain `[0, MEMORY_MAX]`.
-    pub fn clamped(mut self) -> Memory {
-        for i in 0..3 {
-            let v = self.axis(i);
-            *self.axis_mut(i) = v.clamp(0.0, MEMORY_MAX);
+    /// Clamp every axis into the valid domain `[0, MEMORY_MAX]`. Runs
+    /// twice per RemyCC ACK (tracker and lookup), from another crate.
+    #[inline]
+    pub fn clamped(self) -> Memory {
+        Memory {
+            ack_ewma_ms: self.ack_ewma_ms.clamp(0.0, MEMORY_MAX),
+            send_ewma_ms: self.send_ewma_ms.clamp(0.0, MEMORY_MAX),
+            rtt_ratio: self.rtt_ratio.clamp(0.0, MEMORY_MAX),
         }
-        self
     }
 }
 
@@ -121,8 +123,12 @@ impl Usage {
         if s.len() < MAX_SAMPLES {
             s.push(m);
         } else {
-            // Reservoir-style thinning keyed on the count keeps samples
-            // spread across the whole run, deterministically.
+            // Past the cap, every 7th hit overwrites slot `count % 128`.
+            // 7 and 128 are coprime, so each slot is rewritten once per
+            // 896 hits: the samples kept are the 1-in-7 hits among the
+            // last ~896, not a spread over the whole run. ROADMAP item 13
+            // ("split where §4.3 says") replaces this law with a uniform
+            // reservoir.
             let k = (self.counts[id] as usize) % MAX_SAMPLES;
             if self.counts[id].is_multiple_of(7) {
                 s[k] = m;

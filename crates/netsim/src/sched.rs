@@ -19,8 +19,9 @@
 //! Most of a simulation's events are "now + a constant": a link finishing
 //! a packet (`now + service`), a packet reaching its receiver (`now +
 //! service + forward delay`), an ACK reaching its sender (`now + return
-//! delay`). Events pushed with the same delay at a non-decreasing `now` arrive
-//! already sorted, so a FIFO keeps them in order for free — the
+//! delay`), a paced sender's next send (`now + pacing gap`). Events
+//! pushed with the same delay at a non-decreasing `now` arrive already
+//! sorted, so a FIFO keeps them in order for free — the
 //! constant-interval case of Varghese & Lauck's timing wheels (SOSP 1987).
 //! [`EventQueue::push_lane`] takes such an event with its *class* (the
 //! simulator passes the delay) and appends it to one of eight FIFOs
@@ -267,7 +268,8 @@ const G0_BITS: u32 = 12;
 const LEVELS: usize = 7;
 
 /// FIFO lanes beside the wheel. A dumbbell uses one service class plus a
-/// forward and a return class per distinct RTT. Eight, because
+/// forward and a return class per distinct RTT, and a RemyCC one class
+/// per pacing gap its senders are currently using. Eight, because
 /// `Lanes::pop_min`'s tournament is written for eight.
 const LANES: usize = 8;
 

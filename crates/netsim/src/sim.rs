@@ -28,13 +28,20 @@
 //! `AckArrive`) fire a per-hop or per-flow constant delay after they are
 //! scheduled, so `Simulator::schedule` hands them to the lanes keyed by
 //! that delay, where they stay sorted without being filed into the wheel.
-//! Timers with varying delays (`Pacer`, `Rto`, `Toggle`, `Spawn`,
-//! `TraceSlot`, `RouterTick`, `LinkEvent`) stay in the wheel. Over 10
-//! alternating runs on a shared 2-vCPU box this took the benchmark's
-//! `fig4_dumbbell` median wall time from 3.56 s to 2.92 s (CHANGES.md has
-//! every workload's rows). Per-hop transmit durations for the two wire sizes
-//! (MSS data, 40-byte ACKs) are precomputed at construction instead of
-//! being re-derived from the link rate per packet. Both schedulers obey
+//! Over 10 alternating runs on a shared 2-vCPU box this took the
+//! benchmark's `fig4_dumbbell` median wall time from 3.56 s to 2.92 s
+//! (CHANGES.md has every workload's rows). `Pacer` rides the lanes too: a
+//! pacer is armed right after a send, so its delay is the pacing gap of
+//! the rule the last ACK hit, and a RemyCC schedules 0.95 per forwarded
+//! packet (`fig4_dumbbell`'s Remy cells). Counting every pacer push of
+//! the benchmark's workloads found no lane fallback on `fig4_dumbbell`,
+//! `train_step` and `fattree_flap` (257 160 pushes per pass), and 3 of
+//! 318 731 per pass on `churn_100k`'s Remy cell; a fallback costs a
+//! wheel push, never order. Timers with varying delays (`Rto`, `Toggle`,
+//! `Spawn`, `TraceSlot`, `RouterTick`, `LinkEvent`) stay in the wheel.
+//! Per-hop transmit durations for the two wire sizes (MSS data, 40-byte
+//! ACKs) are precomputed at construction instead of being re-derived
+//! from the link rate per packet. Both schedulers obey
 //! one ordering contract (time, then insertion id), so results are
 //! bit-for-bit identical under either; the equivalence suite in `tests/`
 //! pins this.
@@ -416,13 +423,17 @@ impl Simulator {
     }
 
     /// Queue `ev` at `at`. Link completions, hop arrivals, deliveries and
-    /// ACK arrivals are "now + a per-hop or per-flow constant", so they
-    /// ride the scheduler's FIFO lanes, keyed by that delay.
+    /// ACK arrivals are "now + a per-hop or per-flow constant", and a pacer
+    /// is armed right after a send, so its delay is the current rule's
+    /// pacing gap; they all ride the scheduler's FIFO lanes, keyed by that
+    /// delay.
     fn schedule(&mut self, at: Ns, ev: Ev) {
         match ev {
-            Ev::LinkReady(_) | Ev::HopArrive(_) | Ev::Deliver(_) | Ev::AckArrive(_) => {
-                self.events.push_lane((at - self.now).0, at, ev)
-            }
+            Ev::LinkReady(_)
+            | Ev::HopArrive(_)
+            | Ev::Deliver(_)
+            | Ev::AckArrive(_)
+            | Ev::Pacer(_) => self.events.push_lane((at - self.now).0, at, ev),
             _ => self.events.push(at, ev),
         }
     }

@@ -324,9 +324,15 @@ impl Transport {
     }
 
     fn prune_below_frontier(&mut self) {
+        // On the in-order path both sets are empty; `split_off` would still
+        // build and drop a fresh set each.
         let una = self.snd_una;
-        self.scoreboard = self.scoreboard.split_off(&una);
-        self.rtx_sent = self.rtx_sent.split_off(&una);
+        if !self.scoreboard.is_empty() {
+            self.scoreboard = self.scoreboard.split_off(&una);
+        }
+        if !self.rtx_sent.is_empty() {
+            self.rtx_sent = self.rtx_sent.split_off(&una);
+        }
     }
 
     /// Process an acknowledgment.

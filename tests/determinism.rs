@@ -129,6 +129,37 @@ fn training_with_step_budget_is_reproducible() {
 }
 
 #[test]
+fn trained_table_bytes_are_pinned() {
+    // Two improve steps from the shipped δ = 1 table. Every candidate is
+    // scored as an overlay of the shared base table
+    // (`RemyCc::with_candidate`), a path none of the report digests
+    // reaches; this golden pins its output byte for byte.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let delta1 = remy::designs::by_name("delta1").unwrap();
+    let cfg = TrainConfig {
+        eval: EvalConfig {
+            specimens: 2,
+            sim_secs: 2.0,
+        },
+        wall_secs: 1e9,
+        max_steps: 2,
+        max_rules: 128,
+        seed: 2013,
+    };
+    let json = Remy::new(delta1.model.clone(), delta1.objective, cfg)
+        .design_from(WhiskerTree::clone(&delta1.table()), |_| {})
+        .to_json();
+    assert_eq!(
+        format!("{:016x}", fnv1a64(json.as_bytes())),
+        "e3605ccd929c5841"
+    );
+}
+
+#[test]
 fn training_is_thread_count_invariant() {
     // The hard constraint of the parallel evaluation engine: the trained
     // table is byte-identical at any worker count, because every parallel

@@ -17,6 +17,7 @@
 
 use netsim::sched::SchedulerKind;
 use remy_sim::prelude::*;
+use std::sync::Arc;
 
 /// Exact, bitwise comparison of two simulation results.
 fn assert_results_identical(a: &SimResults, b: &SimResults, what: &str) {
@@ -234,6 +235,75 @@ fn wheel_and_heap_schedulers_agree_on_mixed_rtt_dumbbells() {
             "{what}: churn population"
         );
     }
+}
+
+#[test]
+fn wheel_and_heap_schedulers_agree_when_pacing_gaps_outnumber_lanes() {
+    // A pacer's lane class is its delay: the pacing gap of the rule the
+    // sender's last ACK hit. Each of a 15-rule table's rules gets its own
+    // gap, and eight senders with eight RTTs hit at least 12 of them, so
+    // more classes are live than there are lanes: in the wheel run about
+    // half of the pacers take the fallback path into the wheel proper.
+    let mut tree = WhiskerTree::single_rule();
+    let at = |a, s, r| Memory {
+        ack_ewma_ms: a,
+        send_ewma_ms: s,
+        rtt_ratio: r,
+    };
+    tree.split(0, at(3.5, 3.0, 1.3));
+    let busy = tree.lookup(at(4.0, 3.5, 1.1)).id;
+    tree.split(busy, at(5.0, 4.0, 1.1));
+    let rules: Vec<(usize, f64)> = tree
+        .whiskers()
+        .iter()
+        .map(|w| (w.id, w.domain.lo.rtt_ratio))
+        .collect();
+    for (k, &(id, lo_ratio)) in rules.iter().enumerate() {
+        // Grow below the queueing split, shrink above it.
+        let (m, b) = if lo_ratio < 1.3 {
+            (1.0, 1.0)
+        } else {
+            (0.9, -1.0)
+        };
+        tree.set_action(
+            id,
+            Action {
+                window_multiple: m,
+                window_increment: b,
+                intersend_ms: 0.3 + 0.17 * k as f64,
+            },
+        );
+    }
+    let table = Arc::new(tree);
+    let mut scenario = Scenario::dumbbell(
+        LinkSpec::constant(15.0),
+        QueueSpec::DropTail { capacity: 1000 },
+        8,
+        Ns::from_millis(150),
+        TrafficSpec::saturating(),
+        Ns::from_secs(5),
+        9_400,
+    );
+    for (i, s) in scenario.senders.iter_mut().enumerate() {
+        s.rtt = Ns::from_millis(40 + 15 * i as u64);
+    }
+    scenario.record_deliveries = true;
+    let run = |kind| {
+        let ccs: Vec<Box<dyn CongestionControl>> = (0..scenario.n())
+            .map(|_| Box::new(RemyCc::recording(Arc::clone(&table))) as Box<dyn CongestionControl>)
+            .collect();
+        Simulator::with_scheduler(&scenario, ccs, vec![None], kind).run_returning_ccs()
+    };
+    let (heap, _) = run(SchedulerKind::Heap);
+    let (wheel, mut ccs) = run(SchedulerKind::Wheel);
+    assert!(!wheel.deliveries.is_empty(), "no deliveries");
+    assert_results_identical(&heap, &wheel, "heap vs wheel: 15 pacing gaps");
+    let mut usage = Usage::new(table.id_bound());
+    for cc in &mut ccs {
+        usage.merge(&cc.take_usage().expect("recording RemyCC"));
+    }
+    let gaps_hit = rules.iter().filter(|r| usage.count(r.0) > 0).count();
+    assert!(gaps_hit >= 12, "only {gaps_hit} of 15 pacing gaps fired");
 }
 
 #[test]
