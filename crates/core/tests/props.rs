@@ -1,17 +1,25 @@
-//! Property-based tests of Remy's rule-table machinery.
+//! Randomized property tests of Remy's rule-table machinery, each run on
+//! `netsim::rng::CASES` seeded cases by `netsim::rng::cases`.
 
+use netsim::rng::{cases, SimRng};
 use netsim::time::Ns;
-use proptest::prelude::*;
 use remy::action::Action;
 use remy::memory::{Memory, MemoryTracker, EWMA_GAIN, MEMORY_MAX};
 use remy::whisker::{Usage, WhiskerTree};
 
-fn arb_memory() -> impl Strategy<Value = Memory> {
-    (0.0..MEMORY_MAX, 0.0..MEMORY_MAX, 0.0..MEMORY_MAX).prop_map(|(a, s, r)| Memory {
-        ack_ewma_ms: a,
-        send_ewma_ms: s,
-        rtt_ratio: r,
-    })
+fn arb_memory(rng: &mut SimRng) -> Memory {
+    Memory {
+        ack_ewma_ms: rng.range_f64(0.0, MEMORY_MAX),
+        send_ewma_ms: rng.range_f64(0.0, MEMORY_MAX),
+        rtt_ratio: rng.range_f64(0.0, MEMORY_MAX),
+    }
+}
+
+/// `lo` to `hi` memory points.
+fn arb_memories(rng: &mut SimRng, lo: usize, hi: usize) -> Vec<Memory> {
+    (0..rng.range_usize(lo, hi))
+        .map(|_| arb_memory(rng))
+        .collect()
 }
 
 /// The §4.1 memory update written out with nothing cached: what
@@ -55,102 +63,116 @@ fn bits(m: Memory) -> [u64; 3] {
     ]
 }
 
-proptest! {
-    /// The whisker tree is a partition: after arbitrary splits, every
-    /// memory point maps to exactly one rule whose domain contains it.
-    #[test]
-    fn tree_partition_property(
-        splits in prop::collection::vec(arb_memory(), 0..12),
-        probes in prop::collection::vec(arb_memory(), 1..50),
-    ) {
+/// The whisker tree is a partition: after arbitrary splits, every
+/// memory point maps to exactly one rule whose domain contains it.
+#[test]
+fn tree_partition_property() {
+    cases("tree_partition_property", |rng| {
         let mut tree = WhiskerTree::single_rule();
-        for p in splits {
+        for p in arb_memories(rng, 0, 11) {
             let id = tree.lookup(p).id;
             let _ = tree.split(id, p);
         }
-        for m in probes {
+        for m in arb_memories(rng, 1, 49) {
             let w = tree.lookup(m);
-            prop_assert!(w.domain.contains(m.clamped()),
-                "lookup returned a rule not containing the probe");
+            assert!(
+                w.domain.contains(m.clamped()),
+                "lookup returned a rule not containing the probe"
+            );
         }
-    }
+    });
+}
 
-    /// Rule count after k successful splits is 1 + 7k (each split
-    /// replaces one leaf with eight).
-    #[test]
-    fn split_counts(splits in prop::collection::vec(arb_memory(), 0..10)) {
+/// Rule count after k successful splits is 1 + 7k (each split
+/// replaces one leaf with eight).
+#[test]
+fn split_counts() {
+    cases("split_counts", |rng| {
         let mut tree = WhiskerTree::single_rule();
         let mut ok = 0usize;
-        for p in splits {
+        for p in arb_memories(rng, 0, 9) {
             let id = tree.lookup(p).id;
-            if tree.split(id, p) { ok += 1; }
+            if tree.split(id, p) {
+                ok += 1;
+            }
         }
-        prop_assert_eq!(tree.len(), 1 + 7 * ok);
-    }
+        assert_eq!(tree.len(), 1 + 7 * ok);
+    });
+}
 
-    /// Action application always lands in the legal window range.
-    #[test]
-    fn action_apply_bounded(
-        m in -10.0f64..10.0,
-        b in -1e4f64..1e4,
-        r in -10.0f64..1e4,
-        w in 0.0f64..1e5,
-    ) {
-        let a = Action { window_multiple: m, window_increment: b, intersend_ms: r }.clamped();
-        let out = a.apply(w);
-        prop_assert!((1.0..=4096.0).contains(&out));
-        prop_assert!(a.intersend_ms > 0.0);
-    }
+/// Action application always lands in the legal window range.
+#[test]
+fn action_apply_bounded() {
+    cases("action_apply_bounded", |rng| {
+        let a = Action {
+            window_multiple: rng.range_f64(-10.0, 10.0),
+            window_increment: rng.range_f64(-1e4, 1e4),
+            intersend_ms: rng.range_f64(-10.0, 1e4),
+        }
+        .clamped();
+        let out = a.apply(rng.range_f64(0.0, 1e5));
+        assert!((1.0..=4096.0).contains(&out));
+        assert!(a.intersend_ms > 0.0);
+    });
+}
 
-    /// Candidate neighbourhoods never contain the current action and stay
-    /// clamped.
-    #[test]
-    fn neighbourhood_well_formed(
-        m in 0.0f64..2.0,
-        b in -64.0f64..256.0,
-        r in 0.001f64..100.0,
-    ) {
-        let a = Action { window_multiple: m, window_increment: b, intersend_ms: r }.clamped();
+/// Candidate neighbourhoods never contain the current action and stay
+/// clamped.
+#[test]
+fn neighbourhood_well_formed() {
+    cases("neighbourhood_well_formed", |rng| {
+        let a = Action {
+            window_multiple: rng.range_f64(0.0, 2.0),
+            window_increment: rng.range_f64(-64.0, 256.0),
+            intersend_ms: rng.range_f64(0.001, 100.0),
+        }
+        .clamped();
         let n = a.neighbourhood();
-        prop_assert!(!n.is_empty());
+        assert!(!n.is_empty());
         for c in &n {
-            prop_assert!(*c != a);
-            prop_assert!(c.window_multiple >= 0.0 && c.window_multiple <= 2.0);
-            prop_assert!(c.intersend_ms >= 0.001);
+            assert!(*c != a);
+            assert!(c.window_multiple >= 0.0 && c.window_multiple <= 2.0);
+            assert!(c.intersend_ms >= 0.001);
         }
-    }
+    });
+}
 
-    /// Memory clamping is idempotent and in-domain.
-    #[test]
-    fn memory_clamp(a in -1e9f64..1e9, s in -1e9f64..1e9, r in -1e9f64..1e9) {
-        let m = Memory { ack_ewma_ms: a, send_ewma_ms: s, rtt_ratio: r }.clamped();
+/// Memory clamping is idempotent and in-domain.
+#[test]
+fn memory_clamp() {
+    cases("memory_clamp", |rng| {
+        let m = Memory {
+            ack_ewma_ms: rng.range_f64(-1e9, 1e9),
+            send_ewma_ms: rng.range_f64(-1e9, 1e9),
+            rtt_ratio: rng.range_f64(-1e9, 1e9),
+        }
+        .clamped();
         for i in 0..3 {
-            prop_assert!((0.0..=MEMORY_MAX).contains(&m.axis(i)));
+            assert!((0.0..=MEMORY_MAX).contains(&m.axis(i)));
         }
-        prop_assert_eq!(m.clamped(), m);
-    }
+        assert_eq!(m.clamped(), m);
+    });
+}
 
-    /// The tracker (which converts `min_rtt` only when it changes) equals
-    /// the direct formula bit for bit, over ACK streams whose minimum RTT
-    /// steps down, jumps, is unset (zero or `Ns::MAX`), and whose tracker
-    /// is reset mid-stream.
-    #[test]
-    fn tracker_matches_the_direct_formula(
-        acks in prop::collection::vec(
-            (0u64..20_000_000, 0u64..30_000_000, 1u64..600_000_000, 0u8..12),
-            1..300,
-        ),
-    ) {
+/// The tracker (which converts `min_rtt` only when it changes) equals
+/// the direct formula bit for bit, over ACK streams whose minimum RTT
+/// steps down, jumps, is unset (zero or `Ns::MAX`), and whose tracker
+/// is reset mid-stream.
+#[test]
+fn tracker_matches_the_direct_formula() {
+    cases("tracker_matches_the_direct_formula", |rng| {
         let mut tracker = MemoryTracker::new();
         let mut direct = DirectMemory::default();
         let (mut now, mut min_rtt) = (Ns::ZERO, Ns::MAX);
-        for (dt, echo_lag, rtt, what) in acks {
-            let rtt = Ns(rtt);
-            match what {
+        for _ in 0..rng.range_usize(1, 299) {
+            let dt = rng.range_u64(0, 19_999_999);
+            let echo_lag = rng.range_u64(0, 29_999_999);
+            let rtt = Ns(rng.range_u64(1, 599_999_999));
+            match rng.range_u64(0, 11) {
                 0 => {
                     tracker.reset();
                     direct = DirectMemory::default();
-                    prop_assert_eq!(bits(tracker.memory()), bits(Memory::INITIAL));
+                    assert_eq!(bits(tracker.memory()), bits(Memory::INITIAL));
                     continue;
                 }
                 1 => min_rtt = Ns::ZERO,
@@ -166,45 +188,49 @@ proptest! {
             let echo = now.saturating_sub(Ns(echo_lag));
             let got = tracker.on_ack(now, echo, rtt, min_rtt);
             let want = direct.on_ack(now, echo, rtt, min_rtt);
-            prop_assert_eq!(bits(got), bits(want));
-            prop_assert_eq!(bits(tracker.memory()), bits(want));
+            assert_eq!(bits(got), bits(want));
+            assert_eq!(bits(tracker.memory()), bits(want));
         }
-    }
+    });
+}
 
-    /// Usage merge is order-independent on counts.
-    #[test]
-    fn usage_merge_commutes(
-        hits_a in prop::collection::vec(0usize..8, 0..50),
-        hits_b in prop::collection::vec(0usize..8, 0..50),
-    ) {
+/// Usage merge is order-independent on counts.
+#[test]
+fn usage_merge_commutes() {
+    cases("usage_merge_commutes", |rng| {
         let m = Memory::INITIAL;
         let mut a1 = Usage::new(8);
         let mut b1 = Usage::new(8);
-        for &h in &hits_a { a1.record(h, m); }
-        for &h in &hits_b { b1.record(h, m); }
+        for _ in 0..rng.range_usize(0, 49) {
+            a1.record(rng.range_usize(0, 7), m);
+        }
+        for _ in 0..rng.range_usize(0, 49) {
+            b1.record(rng.range_usize(0, 7), m);
+        }
         let mut ab = a1.clone();
         ab.merge(&b1);
         let mut ba = b1;
         ba.merge(&a1);
         for id in 0..8 {
-            prop_assert_eq!(ab.count(id), ba.count(id));
+            assert_eq!(ab.count(id), ba.count(id));
         }
-        prop_assert_eq!(ab.total(), ba.total());
-    }
+        assert_eq!(ab.total(), ba.total());
+    });
+}
 
-    /// JSON serialization round-trips arbitrary trees (lookup-equivalent).
-    #[test]
-    fn json_round_trip(splits in prop::collection::vec(arb_memory(), 0..6),
-                       probes in prop::collection::vec(arb_memory(), 1..20)) {
+/// JSON serialization round-trips arbitrary trees (lookup-equivalent).
+#[test]
+fn json_round_trip() {
+    cases("json_round_trip", |rng| {
         let mut tree = WhiskerTree::single_rule();
-        for p in splits {
+        for p in arb_memories(rng, 0, 5) {
             let id = tree.lookup(p).id;
             let _ = tree.split(id, p);
         }
         let back = WhiskerTree::from_json(&tree.to_json()).unwrap();
-        prop_assert_eq!(back.len(), tree.len());
-        for m in probes {
-            prop_assert_eq!(back.lookup(m).id, tree.lookup(m).id);
+        assert_eq!(back.len(), tree.len());
+        for m in arb_memories(rng, 1, 19) {
+            assert_eq!(back.lookup(m).id, tree.lookup(m).id);
         }
-    }
+    });
 }

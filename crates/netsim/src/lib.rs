@@ -25,7 +25,8 @@
 //!   and generated shapes (chain, fat-tree k=4, Waxman);
 //! * [`router`] — the hook XCP uses to run code at the bottleneck;
 //! * [`rng`] — deterministic, forkable randomness (common random numbers
-//!   are load-bearing for Remy's optimizer).
+//!   are load-bearing for Remy's optimizer), and [`rng::cases`], the
+//!   seeded driver of the workspace's randomized property tests.
 //!
 //! ## Quick example
 //!

@@ -8,6 +8,8 @@
 //!
 //! We implement xoshiro256++ seeded through splitmix64, which is the
 //! textbook combination; no external crate behaviour can change under us.
+//! The randomized property tests draw from the same generator, through
+//! [`cases`].
 
 /// A deterministic xoshiro256++ PRNG.
 #[derive(Clone, Debug)]
@@ -173,6 +175,44 @@ impl SimRng {
         debug_assert!(xm > 0.0 && alpha > 0.0 && cap > xm);
         let ratio = (xm / cap).powf(alpha);
         xm / (1.0 - self.f64() * (1.0 - ratio)).powf(1.0 / alpha)
+    }
+}
+
+/// Cases [`cases`] runs per property.
+pub const CASES: u32 = 64;
+
+/// The randomized-test driver: run `body` on [`CASES`] cases, each with
+/// its own generator. Case `k` of the test called `name` is seeded with
+/// `split_seed(fnv1a(name), k)`, so every property sees a stable,
+/// test-specific stream on every machine, and a failing case prints the
+/// seed that replays it alone (`body(&mut SimRng::new(seed))`). There is
+/// no shrinking.
+pub fn cases(name: &str, mut body: impl FnMut(&mut SimRng)) {
+    let base = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    for case in 0..CASES {
+        let seed = SimRng::split_seed(base, u64::from(case));
+        let _report = FailedCase { name, case, seed };
+        body(&mut SimRng::new(seed));
+    }
+}
+
+/// Names the case and seed of a [`cases`] body while its panic unwinds.
+struct FailedCase<'a> {
+    name: &'a str,
+    case: u32,
+    seed: u64,
+}
+
+impl Drop for FailedCase<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "{}: case {} failed; replay it with SimRng::new({:#x})",
+                self.name, self.case, self.seed
+            );
+        }
     }
 }
 
@@ -455,6 +495,25 @@ mod tests {
             (median - expect).abs() / expect < 0.02,
             "median {median} should be near {expect}"
         );
+    }
+
+    #[test]
+    fn cases_are_seeded_from_the_test_name() {
+        let firsts = |name: &str| {
+            let mut out = Vec::new();
+            cases(name, |rng| out.push(rng.next_u64()));
+            out
+        };
+        let a = firsts("a_property");
+        assert_eq!(a.len(), CASES as usize);
+        assert_eq!(a, firsts("a_property"), "same name, same cases");
+        for i in 0..a.len() {
+            for j in (i + 1)..a.len() {
+                assert_ne!(a[i], a[j], "cases {i} and {j} share a stream");
+            }
+        }
+        let b = firsts("another_property");
+        assert!(a.iter().all(|x| !b.contains(x)), "names share a stream");
     }
 
     #[test]
