@@ -40,6 +40,13 @@ pub struct Action {
     pub intersend_ms: f64,
 }
 
+netsim::record! {
+    Action {
+        window_multiple: "window_multiple", window_increment: "window_increment",
+        intersend_ms: "intersend_ms",
+    }
+}
+
 impl Action {
     /// The default action Remy initializes a single-rule table with:
     /// `m = 1, b = 1, r = 0.01` (§4.3).

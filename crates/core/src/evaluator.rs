@@ -24,7 +24,7 @@ use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Set the number of worker threads used by all parallel evaluation
-/// (`0` = automatic: `REMY_JOBS` if set, else all available cores).
+/// (`0` = automatic: all available cores).
 /// Trained tables are byte-identical at any setting — parallel results
 /// are collected positionally, never by completion order.
 pub fn set_jobs(n: usize) {

@@ -9,7 +9,7 @@
 //! actually lands.
 
 use crate::action::Action;
-use crate::json::{self, Value};
+use crate::json::{self, Codec, Plain, Reader, Value, Wire, WireError};
 use crate::memory::{Memory, MEMORY_MAX};
 use netsim::time::Ns;
 use std::sync::Arc;
@@ -73,30 +73,32 @@ pub struct Whisker {
 #[derive(Clone, Debug)]
 enum Node {
     Leaf(Whisker),
-    Branch {
-        domain: Cube,
-        /// Component-wise split point.
-        split: Memory,
-        /// Eight children indexed by the 3-bit code: bit i set ⇔
-        /// `memory.axis(i) >= split.axis(i)`.
-        children: Vec<Node>,
-    },
+    Branch(Branch),
+}
+
+/// An interior node of the octree.
+#[derive(Clone, Debug)]
+struct Branch {
+    domain: Cube,
+    /// Component-wise split point.
+    split: Memory,
+    /// Eight children indexed by the 3-bit code: bit i set ⇔
+    /// `memory.axis(i) >= split.axis(i)`.
+    children: Vec<Node>,
 }
 
 impl Node {
     fn lookup(&self, m: Memory) -> &Whisker {
         match self {
             Node::Leaf(w) => w,
-            Node::Branch {
-                split, children, ..
-            } => {
+            Node::Branch(b) => {
                 let mut idx = 0usize;
                 for i in 0..3 {
-                    if m.axis(i) >= split.axis(i) {
+                    if m.axis(i) >= b.split.axis(i) {
                         idx |= 1 << i;
                     }
                 }
-                children[idx].lookup(m)
+                b.children[idx].lookup(m)
             }
         }
     }
@@ -104,15 +106,15 @@ impl Node {
     fn find_mut(&mut self, id: usize) -> Option<&mut Whisker> {
         match self {
             Node::Leaf(w) => (w.id == id).then_some(w),
-            Node::Branch { children, .. } => children.iter_mut().find_map(|c| c.find_mut(id)),
+            Node::Branch(b) => b.children.iter_mut().find_map(|c| c.find_mut(id)),
         }
     }
 
     fn visit<'a>(&'a self, out: &mut Vec<&'a Whisker>) {
         match self {
             Node::Leaf(w) => out.push(w),
-            Node::Branch { children, .. } => {
-                for c in children {
+            Node::Branch(b) => {
+                for c in &b.children {
                     c.visit(out);
                 }
             }
@@ -122,8 +124,8 @@ impl Node {
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Whisker)) {
         match self {
             Node::Leaf(w) => f(w),
-            Node::Branch { children, .. } => {
-                for c in children {
+            Node::Branch(b) => {
+                for c in &mut b.children {
                     c.visit_mut(f);
                 }
             }
@@ -287,11 +289,11 @@ impl WhiskerTree {
         // lint:allow(p1-sim-unwrap): find_mut(id) succeeded at the top of
         // this method and nothing has removed nodes since.
         let target = self.root.find_node_mut(id).expect("leaf located above");
-        *target = Node::Branch {
+        *target = Node::Branch(Branch {
             domain,
             split,
             children,
-        };
+        });
         self.flat = Arc::new(FlatTree::build(&self.root));
         true
     }
@@ -320,149 +322,95 @@ impl WhiskerTree {
 
     /// Serialize to pretty JSON (the shipped rule-table asset format).
     pub fn to_json(&self) -> String {
-        Value::Obj(vec![
-            ("root".into(), self.root.to_value()),
-            ("next_id".into(), Value::Num(self.next_id as f64)),
-            ("provenance".into(), Value::Str(self.provenance.clone())),
-        ])
-        .pretty()
+        self.to_json_value().pretty()
     }
 
-    /// Parse a JSON rule table.
-    pub fn from_json(s: &str) -> Result<WhiskerTree, String> {
-        let err = |e: String| format!("bad whisker table: {e}");
-        let v = json::parse(s).map_err(err)?;
-        let root = Node::from_value(v.field("root").map_err(err)?).map_err(err)?;
-        let flat = Arc::new(FlatTree::build(&root));
-        Ok(WhiskerTree {
-            root,
-            next_id: v.field("next_id").and_then(Value::as_usize).map_err(err)?,
-            provenance: v
-                .field("provenance")
-                .and_then(Value::as_str)
-                .map_err(err)?
-                .to_string(),
-            flat,
-        })
-    }
-}
-
-// --- JSON mapping (mirrors the serde derive layout these types used) -------
-
-fn memory_to_value(m: &Memory) -> Value {
-    Value::Obj(vec![
-        ("ack_ewma_ms".into(), Value::Num(m.ack_ewma_ms)),
-        ("send_ewma_ms".into(), Value::Num(m.send_ewma_ms)),
-        ("rtt_ratio".into(), Value::Num(m.rtt_ratio)),
-    ])
-}
-
-fn memory_from_value(v: &Value) -> Result<Memory, String> {
-    Ok(Memory {
-        ack_ewma_ms: v.field("ack_ewma_ms")?.as_f64()?,
-        send_ewma_ms: v.field("send_ewma_ms")?.as_f64()?,
-        rtt_ratio: v.field("rtt_ratio")?.as_f64()?,
-    })
-}
-
-fn cube_to_value(c: &Cube) -> Value {
-    Value::Obj(vec![
-        ("lo".into(), memory_to_value(&c.lo)),
-        ("hi".into(), memory_to_value(&c.hi)),
-    ])
-}
-
-fn cube_from_value(v: &Value) -> Result<Cube, String> {
-    Ok(Cube {
-        lo: memory_from_value(v.field("lo")?)?,
-        hi: memory_from_value(v.field("hi")?)?,
-    })
-}
-
-fn action_to_value(a: &Action) -> Value {
-    Value::Obj(vec![
-        ("window_multiple".into(), Value::Num(a.window_multiple)),
-        ("window_increment".into(), Value::Num(a.window_increment)),
-        ("intersend_ms".into(), Value::Num(a.intersend_ms)),
-    ])
-}
-
-fn action_from_value(v: &Value) -> Result<Action, String> {
-    Ok(Action {
-        window_multiple: v.field("window_multiple")?.as_f64()?,
-        window_increment: v.field("window_increment")?.as_f64()?,
-        intersend_ms: v.field("intersend_ms")?.as_f64()?,
-    })
-}
-
-impl Whisker {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("id".into(), Value::Num(self.id as f64)),
-            ("domain".into(), cube_to_value(&self.domain)),
-            ("action".into(), action_to_value(&self.action)),
-            ("epoch".into(), Value::Num(self.epoch as f64)),
-        ])
+    /// Parse a JSON rule table. The reader is strict — a key the format
+    /// does not declare is an error — and checks the rule ids before
+    /// anything sizes a buffer by them.
+    pub fn from_json(s: &str) -> Result<WhiskerTree, WireError> {
+        WhiskerTree::from_json_value(&json::parse(s)?)
     }
 
-    fn from_value(v: &Value) -> Result<Whisker, String> {
-        Ok(Whisker {
-            id: v.field("id")?.as_usize()?,
-            domain: cube_from_value(v.field("domain")?)?,
-            action: action_from_value(v.field("action")?)?,
-            epoch: v.field("epoch")?.as_u64()?,
-        })
+    /// The id checks of a table read from JSON, then its lookup view.
+    /// Splitting issues eight ids per branch after the root's 0, so
+    /// `next_id ≤ 1 + 8 × branches`; every leaf id is distinct and below
+    /// `next_id` (a hand-edited `"next_id": 1e15` would otherwise size
+    /// usage tables in petabytes, and a repeated id would let
+    /// `set_action` / `split` edit the wrong rule).
+    fn loaded(&mut self) -> Result<(), WireError> {
+        let leaves = self.whiskers();
+        // Every branch holds eight nodes, so leaves = 1 + 7 × branches.
+        let (next_id, branches) = (self.next_id, (leaves.len() - 1) / 7);
+        let bound = 1 + 8 * branches;
+        if next_id > bound {
+            let reason = format!("{next_id} exceeds 1 + 8 × {branches} branches = {bound}");
+            return Err(WireError::new(reason).within("next_id"));
+        }
+        let mut seen = vec![false; next_id];
+        for id in leaves.iter().map(|w| w.id) {
+            let reason = match seen.get_mut(id) {
+                None => format!("leaf id {id} is not below next_id {next_id}"),
+                Some(true) => format!("leaf id {id} appears twice"),
+                Some(unseen) => {
+                    *unseen = true;
+                    continue;
+                }
+            };
+            return Err(WireError::new(reason).within("root"));
+        }
+        self.flat = Arc::new(FlatTree::build(&self.root));
+        Ok(())
     }
 }
 
-impl Node {
-    /// Externally-tagged enum encoding: `{"Leaf": {...}}` or
-    /// `{"Branch": {...}}`.
-    fn to_value(&self) -> Value {
+// --- JSON mapping (the serde derive layout these types once used) ----------
+
+netsim::record! {
+    WhiskerTree { root: "root", next_id: "next_id", provenance: "provenance" }
+    skip { flat }
+    check WhiskerTree::loaded
+}
+
+netsim::record! { Cube { lo: "lo", hi: "hi" } }
+
+netsim::record! { Whisker { id: "id", domain: "domain", action: "action", epoch: "epoch" } }
+
+netsim::record! { Branch { domain: "domain", split: "split", children: "children" as Octants } }
+
+/// A branch's `children`: exactly one per octant.
+struct Octants;
+
+impl Codec<Vec<Node>> for Octants {
+    fn read(v: &Value) -> Result<Vec<Node>, WireError> {
+        let children = Vec::<Node>::from_json_value(v)?;
+        if children.len() != 8 {
+            let reason = format!("expected 8 children, found {}", children.len());
+            return Err(WireError::new(reason));
+        }
+        Ok(children)
+    }
+}
+
+// A node is externally tagged: `{"Leaf": {...}}` or `{"Branch": {...}}`.
+const LEAF: &str = "Leaf";
+const BRANCH: &str = "Branch";
+
+impl Wire for Node {
+    fn to_json_value(&self) -> Value {
         match self {
-            Node::Leaf(w) => Value::Obj(vec![("Leaf".into(), w.to_value())]),
-            Node::Branch {
-                domain,
-                split,
-                children,
-            } => Value::Obj(vec![(
-                "Branch".into(),
-                Value::Obj(vec![
-                    ("domain".into(), cube_to_value(domain)),
-                    ("split".into(), memory_to_value(split)),
-                    (
-                        "children".into(),
-                        Value::Arr(children.iter().map(Node::to_value).collect()),
-                    ),
-                ]),
-            )]),
+            Node::Leaf(w) => Value::obj(vec![(LEAF, w.to_json_value())]),
+            Node::Branch(b) => Value::obj(vec![(BRANCH, b.to_json_value())]),
         }
     }
 
-    fn from_value(v: &Value) -> Result<Node, String> {
-        if let Some(leaf) = v.get("Leaf") {
-            return Ok(Node::Leaf(Whisker::from_value(leaf)?));
+    fn from_json_value(v: &Value) -> Result<Node, WireError> {
+        let r = Reader::new(v, &[LEAF, BRANCH])?;
+        match (r.get(LEAF), r.get(BRANCH)) {
+            (Some(_), None) => Ok(Node::Leaf(r.req::<_, Plain>(LEAF)?)),
+            (None, Some(_)) => Ok(Node::Branch(r.req::<_, Plain>(BRANCH)?)),
+            _ => Err(WireError::new("expected exactly one of Leaf, Branch")),
         }
-        if let Some(branch) = v.get("Branch") {
-            let children = branch
-                .field("children")?
-                .as_arr()?
-                .iter()
-                .map(Node::from_value)
-                .collect::<Result<Vec<Node>, String>>()?;
-            if children.len() != 8 {
-                return Err(format!(
-                    "branch must have 8 children, found {}",
-                    children.len()
-                ));
-            }
-            return Ok(Node::Branch {
-                domain: cube_from_value(branch.field("domain")?)?,
-                split: memory_from_value(branch.field("split")?)?,
-                children,
-            });
-        }
-        Err("node is neither Leaf nor Branch".to_string())
     }
 }
 
@@ -472,7 +420,7 @@ impl Node {
         match self {
             Node::Leaf(w) if w.id == id => Some(self),
             Node::Leaf(_) => None,
-            Node::Branch { children, .. } => children.iter_mut().find_map(|c| c.find_node_mut(id)),
+            Node::Branch(b) => b.children.iter_mut().find_map(|c| c.find_node_mut(id)),
         }
     }
 }
@@ -520,7 +468,7 @@ impl FlatLeaf {
 /// table: interior nodes live in one branch array, rules in one leaf
 /// array, and a lookup is a short loop over packed `u32` child refs
 /// instead of a recursive walk over boxed `Vec<Node>` octree nodes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FlatTree {
     branches: Vec<FlatBranch>,
     leaves: Vec<FlatLeaf>,
@@ -553,15 +501,14 @@ impl FlatTree {
                 self.slot_of_id[w.id] = slot;
                 slot | LEAF_BIT
             }
-            Node::Branch {
-                split, children, ..
-            } => {
+            Node::Branch(b) => {
                 let idx = self.branches.len();
+                let split = b.split;
                 self.branches.push(FlatBranch {
                     split: [split.ack_ewma_ms, split.send_ewma_ms, split.rtt_ratio],
                     children: [0; 8],
                 });
-                for (code, child) in children.iter().enumerate() {
+                for (code, child) in b.children.iter().enumerate() {
                     let packed = self.intern(child);
                     self.branches[idx].children[code] = packed;
                 }
@@ -909,5 +856,54 @@ pub(crate) mod tests {
         let m = mem(100.0, 100.0, 3.0);
         assert_eq!(back.lookup(m).action, t.lookup(m).action);
         assert!(WhiskerTree::from_json("{").is_err());
+    }
+
+    #[test]
+    fn loaded_ids_are_checked_before_anything_is_sized_by_them() {
+        let mut t = WhiskerTree::single_rule();
+        t.split(0, mem(50.0, 60.0, 2.0));
+        let text = t.to_json();
+        assert!(text.contains("\"next_id\": 9,") && text.contains("\"id\": 8,"));
+        assert!(WhiskerTree::from_json(&text).is_ok());
+        let load = |from: &str, to: &str| {
+            let edited = text.replacen(from, to, 1);
+            assert_ne!(edited, text);
+            WhiskerTree::from_json(&edited).unwrap_err().to_string()
+        };
+        // One split issues ids 1..=8: next_id is at most 1 + 8 × branches.
+        assert_eq!(
+            load("\"next_id\": 9,", "\"next_id\": 1e15,"),
+            "next_id: 1000000000000000 exceeds 1 + 8 × 1 branches = 9"
+        );
+        assert_eq!(
+            load("\"id\": 2,", "\"id\": 1,"),
+            "root: leaf id 1 appears twice"
+        );
+        assert_eq!(
+            load("\"next_id\": 9,", "\"next_id\": 8,"),
+            "root: leaf id 8 is not below next_id 8"
+        );
+        // A branch lists one child per octant.
+        let mut v = json::parse(&text).unwrap();
+        let mut node = &mut v;
+        for key in ["root", "Branch", "children"] {
+            let Value::Obj(fields) = node else {
+                panic!("{key}: object expected")
+            };
+            node = &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        }
+        let Value::Arr(children) = node else {
+            panic!("children: array expected")
+        };
+        children.pop();
+        assert_eq!(
+            WhiskerTree::from_json_value(&v).unwrap_err().to_string(),
+            "root.Branch.children: expected 8 children, found 7"
+        );
+        // A stray key is refused at its path, as in a spec.
+        assert_eq!(
+            load("\"epoch\"", "\"zz\": 0, \"epoch\""),
+            "root.Branch.children[0].Leaf.zz: unknown key (known: id, domain, action, epoch)"
+        );
     }
 }

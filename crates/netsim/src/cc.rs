@@ -43,6 +43,10 @@ pub struct Memory {
     pub rtt_ratio: f64,
 }
 
+crate::record! {
+    Memory { ack_ewma_ms: "ack_ewma_ms", send_ewma_ms: "send_ewma_ms", rtt_ratio: "rtt_ratio" }
+}
+
 impl Memory {
     /// The well-known all-zeroes initial state every flow starts in.
     pub const INITIAL: Memory = Memory {

@@ -427,6 +427,17 @@ impl FailoverPolicy {
     }
 }
 
+/// A policy is written by its [`FailoverPolicy::name`].
+impl crate::json::Wire for FailoverPolicy {
+    fn to_json_value(&self) -> crate::json::Value {
+        crate::json::Value::str(self.name())
+    }
+
+    fn from_json_value(v: &crate::json::Value) -> Result<Self, crate::json::WireError> {
+        Ok(FailoverPolicy::from_name(v.as_str()?)?)
+    }
+}
+
 /// The routing view of a built network, embedded in a
 /// [`crate::topology::Topology`] so the engine can recompute routes at
 /// runtime. Links are 1:1 with the topology's hops.

@@ -1,4 +1,5 @@
-//! A small self-contained JSON value tree, parser, and pretty-printer.
+//! A small self-contained JSON value tree, parser, and pretty-printer,
+//! plus the one codec layer both wire formats of this reproduction use.
 //!
 //! The rule-table asset format (`remy::whisker::WhiskerTree::to_json`)
 //! originally rode on `serde_json`; the build environment for this
@@ -7,16 +8,16 @@
 //! shortest-round-trip `Display`, so `f64` values survive a round trip
 //! bit-for-bit.
 //!
-//! The module also serves the declarative experiment layer: experiment
-//! specifications (`remy_sim::spec::ExperimentSpec`, the one serialized
-//! description of a simulated world) go through the same value tree,
-//! using the [`u64_value`]/[`ns_value`] helpers for fields — seeds,
-//! nanosecond clocks — whose full integer range a JSON `f64` cannot carry,
-//! and [`Value::only_keys`] so a misspelled key is an error, not a
-//! default.
+//! Typed values cross the tree through [`Wire`]: a struct declares its
+//! keys once with [`record!`](crate::record!), a `kind`-tagged enum with
+//! [`tagged!`](crate::tagged!), and the declaration generates the
+//! writer, the key list and a strict reader (an undeclared key is an
+//! error, not a default) whose [`WireError`] names the key's path from
+//! the document root (`workload.senders.traffic.on`). Seeds and nanosecond clocks keep
+//! their full integer range ([`u64_value`], [`ns_value`]).
 
 use crate::time::Ns;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,20 +49,6 @@ impl Value {
     pub fn field(&self, key: &str) -> Result<&Value, String> {
         self.get(key)
             .ok_or_else(|| format!("missing field '{key}'"))
-    }
-
-    /// Reject object keys outside `known`, naming the key and the object
-    /// it sits in (`unknown key 'sweep' in experiment spec`): a misspelled
-    /// optional key must fail the parse, not be silently ignored. Every
-    /// `from_json_value` calls this first with the keys it reads.
-    pub fn only_keys(&self, what: &str, known: &[&str]) -> Result<(), String> {
-        let Value::Obj(fields) = self else {
-            return Ok(()); // the field reads that follow report the type
-        };
-        match fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
-            Some((k, _)) => Err(format!("unknown key '{k}' in {what}")),
-            None => Ok(()),
-        }
     }
 
     /// This value as f64.
@@ -265,12 +252,366 @@ pub fn ns_value(t: Ns) -> Value {
     }
 }
 
-/// Decode a nanosecond clock written by [`ns_value`].
-pub fn ns_from(v: &Value) -> Result<Ns, String> {
-    match v {
-        Value::Null => Ok(Ns::MAX),
-        other => Ok(Ns(other.as_u64()?)),
+/// Why a value failed to decode, and where: `path` runs from the document
+/// root through object keys and `[index]` steps (`workload.senders[2].rtt_ns`;
+/// empty at the root).
+#[derive(Clone, Debug, PartialEq)]
+pub struct WireError {
+    /// Where the offending value sits.
+    pub path: String,
+    /// What is wrong with it.
+    pub reason: String,
+}
+
+impl WireError {
+    /// An error at the value being read; each enclosing reader prefixes its
+    /// step as the error travels outward, so a successful read builds no path.
+    pub fn new(reason: impl Into<String>) -> WireError {
+        WireError {
+            path: String::new(),
+            reason: reason.into(),
+        }
     }
+
+    /// This error seen from the enclosing object (`step` is the key) or
+    /// array (`step` is `[index]`).
+    pub fn within(mut self, step: &str) -> WireError {
+        let dot = if self.path.is_empty() || self.path.starts_with('[') {
+            ""
+        } else {
+            "."
+        };
+        self.path = format!("{step}{dot}{}", self.path);
+        self
+    }
+}
+
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.path.as_str() {
+            "" => f.write_str(&self.reason),
+            path => write!(f, "{path}: {}", self.reason),
+        }
+    }
+}
+
+impl From<String> for WireError {
+    fn from(reason: String) -> WireError {
+        WireError::new(reason)
+    }
+}
+
+/// A type with a JSON form. Structs get theirs from
+/// [`record!`](crate::record!) and `kind`-tagged enums from
+/// [`tagged!`](crate::tagged!); the leaves are implemented here.
+pub trait Wire: Sized {
+    /// Serialize to a JSON value.
+    fn to_json_value(&self) -> Value;
+    /// Deserialize a value written by [`Wire::to_json_value`].
+    fn from_json_value(v: &Value) -> Result<Self, WireError>;
+    /// True when an `#[omit]` field holding this value is left out.
+    fn omitted(&self) -> bool {
+        false
+    }
+}
+
+macro_rules! leaf_wire {
+    ($($t:ty: $write:expr, $read:expr;)*) => {$(
+        impl Wire for $t {
+            fn to_json_value(&self) -> Value { ($write)(self) }
+            fn from_json_value(v: &Value) -> Result<$t, WireError> { Ok(($read)(v)?) }
+        }
+    )*};
+}
+
+leaf_wire! {
+    u64: |x: &u64| u64_value(*x), Value::as_u64;
+    usize: |x: &usize| u64_value(*x as u64), Value::as_usize;
+    f64: |x: &f64| Value::Num(*x), Value::as_f64;
+    bool: |x: &bool| Value::Bool(*x), Value::as_bool;
+    String: |x: &String| Value::Str(x.clone()), |v: &Value| v.as_str().map(str::to_string);
+    // `null` is `Ns::MAX`, the simulator's "infinitely far" sentinel.
+    Ns: |x: &Ns| ns_value(*x), |v: &Value| match v {
+        Value::Null => Ok(Ns::MAX),
+        other => other.as_u64().map(Ns),
+    };
+}
+
+/// `None` is `null`.
+impl<T: Wire> Wire for Option<T> {
+    fn to_json_value(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::to_json_value)
+    }
+    fn from_json_value(v: &Value) -> Result<Option<T>, WireError> {
+        match v {
+            Value::Null => Ok(None),
+            other => T::from_json_value(other).map(Some),
+        }
+    }
+    fn omitted(&self) -> bool {
+        self.is_none()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json_value(&self) -> Value {
+        Value::Arr(self.iter().map(T::to_json_value).collect())
+    }
+    fn from_json_value(v: &Value) -> Result<Vec<T>, WireError> {
+        let item = |(i, x)| T::from_json_value(x).map_err(|e| e.within(&format!("[{i}]")));
+        v.as_arr()?.iter().enumerate().map(item).collect()
+    }
+    fn omitted(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+/// A pair is a two-item array.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn to_json_value(&self) -> Value {
+        Value::Arr(vec![self.0.to_json_value(), self.1.to_json_value()])
+    }
+    fn from_json_value(v: &Value) -> Result<(A, B), WireError> {
+        let [a, b] = v.as_arr()? else {
+            return Err(WireError::new("expected a two-item array"));
+        };
+        let a = A::from_json_value(a).map_err(|e| e.within("[0]"))?;
+        Ok((a, B::from_json_value(b).map_err(|e| e.within("[1]"))?))
+    }
+}
+
+/// How a declared field is read and written: [`Plain`] is the type's own
+/// [`Wire`] form; a field names another codec (`key as Codec`) when its key
+/// carries a check or a second shape.
+pub trait Codec<T: Wire> {
+    /// Deserialize the field (errors are relative to its key).
+    fn read(v: &Value) -> Result<T, WireError>;
+    /// Serialize the field.
+    fn write(x: &T) -> Value {
+        x.to_json_value()
+    }
+}
+
+/// The default [`Codec`]: the field type's [`Wire`] form.
+pub struct Plain;
+
+impl<T: Wire> Codec<T> for Plain {
+    fn read(v: &Value) -> Result<T, WireError> {
+        T::from_json_value(v)
+    }
+}
+
+/// The key that names a [`tagged!`](crate::tagged!) enum's variant.
+pub const TAG: &str = "kind";
+
+fn object(v: &Value) -> Result<&[(String, Value)], WireError> {
+    match v {
+        Value::Obj(fields) => Ok(fields),
+        other => Err(WireError::new(format!(
+            "expected object, found {}",
+            other.kind()
+        ))),
+    }
+}
+
+/// A strict view of one JSON object: each key in it is one the type
+/// declares, so a misspelled optional key fails the read instead of
+/// falling back to its default.
+pub struct Reader<'a>(&'a [(String, Value)]);
+
+impl<'a> Reader<'a> {
+    /// Open `v` as an object holding only `keys`.
+    pub fn new(v: &'a Value, keys: &[&str]) -> Result<Reader<'a>, WireError> {
+        Reader::open(v, keys, None)
+    }
+
+    /// Open `v` as an object holding only [`TAG`] and `keys`.
+    pub fn tagged(v: &'a Value, keys: &[&str]) -> Result<Reader<'a>, WireError> {
+        Reader::open(v, keys, Some(TAG))
+    }
+
+    fn open(v: &'a Value, keys: &[&str], tag: Option<&str>) -> Result<Reader<'a>, WireError> {
+        let fields = object(v)?;
+        let known = |k: &str| keys.contains(&k) || tag == Some(k);
+        match fields.iter().find(|(k, _)| !known(k)) {
+            Some((k, _)) => {
+                let reason = format!("unknown key (known: {})", keys.join(", "));
+                Err(WireError::new(reason).within(k))
+            }
+            None => Ok(Reader(fields)),
+        }
+    }
+
+    /// The [`TAG`] of the object `v`: which variant, so which keys, it holds.
+    pub fn kind(v: &'a Value) -> Result<&'a str, WireError> {
+        let tag = Reader(object(v)?).field(TAG)?;
+        tag.as_str().map_err(|e| WireError::new(e).within(TAG))
+    }
+
+    /// The raw value under `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&'a Value> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    fn field(&self, key: &str) -> Result<&'a Value, WireError> {
+        self.get(key)
+            .ok_or_else(|| WireError::new("missing key").within(key))
+    }
+
+    /// Read the required `key` with codec `C`.
+    pub fn req<T: Wire, C: Codec<T>>(&self, key: &str) -> Result<T, WireError> {
+        C::read(self.field(key)?).map_err(|e| e.within(key))
+    }
+
+    /// Read `key` with codec `C`, or `T::default()` when it is absent.
+    pub fn opt<T: Wire + Default, C: Codec<T>>(&self, key: &str) -> Result<T, WireError> {
+        self.get(key)
+            .map_or(Ok(T::default()), |v| C::read(v).map_err(|e| e.within(key)))
+    }
+}
+
+/// The error for a [`TAG`] naming no variant of its type.
+pub fn unknown_kind(kind: &str, known: &[&str]) -> WireError {
+    let reason = format!("unknown kind '{kind}' (known: {})", known.join(", "));
+    WireError::new(reason).within(TAG)
+}
+
+/// A struct written as one JSON object, declared with [`record!`](crate::record!).
+pub trait Record: Sized {
+    /// Every key the object may hold, in written order.
+    const KEYS: &'static [&'static str];
+    /// Append the fields to `out`, in [`Record::KEYS`] order.
+    fn write_fields(&self, out: &mut Vec<(String, Value)>);
+    /// Read the fields through a [`Reader`] opened over [`Record::KEYS`].
+    fn read_fields(r: &Reader) -> Result<Self, WireError>;
+
+    /// The record as one JSON object.
+    fn record_value(&self) -> Value {
+        let mut out = Vec::with_capacity(Self::KEYS.len());
+        self.write_fields(&mut out);
+        Value::Obj(out)
+    }
+
+    /// Read an object written by [`Record::record_value`].
+    fn from_record(v: &Value) -> Result<Self, WireError> {
+        Self::read_fields(&Reader::new(v, Self::KEYS)?)
+    }
+}
+
+/// Declare a struct's JSON object once: each field as `field: "key"`
+/// (optionally `as SomeCodec`), in written order — e.g.
+/// `record! { Hop { delay: "delay_ns", #[omit] name: "name" } }`.
+/// `#[default]` reads an absent key as the type's default; `#[omit]` also
+/// leaves the key out when the value is [`Wire::omitted`]. After the
+/// fields, `skip { .. }` names fields that are not on the wire (built by
+/// `Default`), and `check f` runs `f(&mut record)` after a read, its error
+/// at the object's path. This implements [`Record`] and — unless the
+/// declaration starts with `fields`, for a type that writes its [`Wire`]
+/// form by hand around the object — [`Wire`].
+#[macro_export]
+macro_rules! record {
+    (fields $ty:ident {
+        $($(#[$mode:ident])? $field:ident: $key:literal $(as $codec:ty)?),* $(,)?
+    } $(skip { $($skip:ident),* })? $(check $check:path)?) => {
+        impl $crate::json::Record for $ty {
+            const KEYS: &'static [&'static str] = &[$($key),*];
+            fn write_fields(&self, out: &mut Vec<(String, $crate::json::Value)>) {
+                $($crate::__wire_field!(write out, $key, &self.$field, [$($mode)?] [$($codec)?]);)*
+            }
+            fn read_fields(r: &$crate::json::Reader) -> Result<Self, $crate::json::WireError> {
+                #[allow(unused_mut)]
+                let mut record = $ty {
+                    $($field: $crate::__wire_field!(read r, $key, [$($mode)?] [$($codec)?]),)*
+                    $($($skip: Default::default(),)*)?
+                };
+                $($check(&mut record)?;)?
+                Ok(record)
+            }
+        }
+    };
+    ($ty:ident { $($body:tt)* } $($rest:tt)*) => {
+        $crate::record!(fields $ty { $($body)* } $($rest)*);
+        impl $crate::json::Wire for $ty {
+            fn to_json_value(&self) -> $crate::json::Value {
+                $crate::json::Record::record_value(self)
+            }
+            fn from_json_value(v: &$crate::json::Value) -> Result<Self, $crate::json::WireError> {
+                $crate::json::Record::from_record(v)
+            }
+        }
+    };
+}
+
+/// Declare a `kind`-tagged enum's JSON form once: each variant as
+/// `"tag" => Variant { field: "key", .. }`, fields as in
+/// [`record!`](crate::record!). The object holds [`TAG`] first, then the
+/// fields of the variant it names (and only those); the enum also gets a
+/// `kind()` naming its tag.
+#[macro_export]
+macro_rules! tagged {
+    ($ty:ident { $($tag:literal => $variant:ident {
+        $($(#[$mode:ident])? $field:ident: $key:literal $(as $codec:ty)?),* $(,)?
+    }),* $(,)? }) => {
+        impl $ty {
+            /// The tag this variant is written with.
+            pub fn kind(&self) -> &'static str {
+                match self {$($ty::$variant { .. } => $tag,)*}
+            }
+        }
+        impl $crate::json::Wire for $ty {
+            fn to_json_value(&self) -> $crate::json::Value {
+                let tag = $crate::json::Value::str(self.kind());
+                let mut out = vec![($crate::json::TAG.to_string(), tag)];
+                match self {$($ty::$variant { $($field),* } => {
+                    $($crate::__wire_field!(write out, $key, $field, [$($mode)?] [$($codec)?]);)*
+                })*}
+                $crate::json::Value::Obj(out)
+            }
+            fn from_json_value(v: &$crate::json::Value) -> Result<Self, $crate::json::WireError> {
+                match $crate::json::Reader::kind(v)? {
+                    $($tag => {
+                        let r = $crate::json::Reader::tagged(v, &[$($key),*])?;
+                        Ok($ty::$variant {
+                            $($field:
+                                $crate::__wire_field!(read r, $key, [$($mode)?] [$($codec)?]),)*
+                        })
+                    })*
+                    other => Err($crate::json::unknown_kind(other, &[$($tag),*])),
+                }
+            }
+        }
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_field {
+    (write $out:ident, $key:literal, $x:expr, [omit] [$($codec:ty)?]) => {
+        if !$crate::json::Wire::omitted($x) {
+            $crate::__wire_field!(write $out, $key, $x, [] [$($codec)?]);
+        }
+    };
+    (write $out:ident, $key:literal, $x:expr, [$(default)?] [$($codec:ty)?]) => {{
+        let value = <$crate::__wire_codec!($($codec)?) as $crate::json::Codec<_>>::write($x);
+        $out.push(($key.to_string(), value));
+    }};
+    (read $r:ident, $key:literal, [] [$($codec:ty)?]) => {
+        $r.req::<_, $crate::__wire_codec!($($codec)?)>($key)?
+    };
+    (read $r:ident, $key:literal, [$(default)? $(omit)?] [$($codec:ty)?]) => {
+        $r.opt::<_, $crate::__wire_codec!($($codec)?)>($key)?
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_codec {
+    () => {
+        $crate::json::Plain
+    };
+    ($codec:ty) => {
+        $codec
+    };
 }
 
 /// Maximum container nesting the parser accepts (matches serde_json's
@@ -281,6 +622,7 @@ const MAX_DEPTH: usize = 128;
 /// Parse a JSON document.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -295,6 +637,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -345,8 +688,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.seq(b'[', b']', Self::value).map(Value::Arr),
+            Some(b'{') => self.seq(b'{', b'}', Self::field).map(Value::Obj),
             Some(_) => self.number(),
         }
     }
@@ -355,53 +698,43 @@ impl Parser<'_> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape whole: both ends
+            // sit next to ASCII bytes, so they are character boundaries.
+            let start = self.pos;
+            while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             let Some(b) = self.peek() else {
                 return Err("unterminated string".to_string());
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let end = self.pos + 4;
-                            if end > self.bytes.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by this format;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
+            if b == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err("unterminated escape".to_string());
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self.text.get(self.pos..self.pos + 4);
+                    let code = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
+                    let code = code.ok_or("bad \\u escape")?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed by this format; map
+                    // lone surrogates to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                 }
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Multi-byte UTF-8 character: decode just its bytes
-                    // (input is &str, so validity is already guaranteed).
-                    let start = self.pos - 1;
-                    let end = (start + 4).min(self.bytes.len());
-                    let s = char_at(&self.bytes[start..end])?;
-                    out.push(s);
-                    self.pos = start + s.len_utf8();
-                }
+                other => return Err(format!("bad escape '\\{}'", other as char)),
             }
         }
     }
@@ -420,93 +753,61 @@ impl Parser<'_> {
         }
         let s = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("non-ascii number at byte {start}"))?;
-        s.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number '{s}' at byte {start}"))
+        match s.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+            // JSON has no infinity: a number past f64's range would print
+            // back as `null`, so it is refused where it stands.
+            Ok(_) => Err(format!("number '{s}' at byte {start} overflows f64")),
+            Err(_) => Err(format!("bad number '{s}' at byte {start}")),
+        }
     }
 
-    fn enter(&mut self) -> Result<(), String> {
+    /// A bracketed, comma-separated sequence (`[..]` or `{..}`), each
+    /// item read by `item`; nesting past [`MAX_DEPTH`] is refused.
+    fn seq<T>(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
             return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
         }
-        Ok(())
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.enter()?;
-        self.expect_byte(b'[')?;
+        self.expect_byte(open)?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Arr(items));
+        } else {
+            loop {
+                self.skip_ws();
+                items.push(item(self)?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => {
+                        let close = close as char;
+                        return Err(format!("expected ',' or '{close}' at byte {}", self.pos));
+                    }
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
+        self.depth -= 1;
+        Ok(items)
     }
 
-    fn object(&mut self) -> Result<Value, String> {
-        self.enter()?;
-        self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
+    fn field(&mut self) -> Result<(String, Value), String> {
+        let key = self.string()?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
+        self.expect_byte(b':')?;
+        self.skip_ws();
+        Ok((key, self.value()?))
     }
-}
-
-/// Decode the first UTF-8 character from `bytes` (guaranteed valid by the
-/// `&str` input; the slice is bounded to at most 4 bytes).
-fn char_at(bytes: &[u8]) -> Result<char, String> {
-    let s = match std::str::from_utf8(bytes) {
-        Ok(s) => s,
-        // The 4-byte window may cut the *next* character; validity holds up
-        // to the error offset, which covers the first character.
-        Err(e) if e.valid_up_to() > 0 => match std::str::from_utf8(&bytes[..e.valid_up_to()]) {
-            Ok(s) => s,
-            Err(_) => return Err("invalid UTF-8 in string".to_string()),
-        },
-        Err(_) => return Err("invalid UTF-8 in string".to_string()),
-    };
-    s.chars()
-        .next()
-        .ok_or_else(|| "empty string slice".to_string())
 }
 
 #[cfg(test)]
@@ -571,6 +872,8 @@ mod tests {
 
     #[test]
     fn multibyte_strings_round_trip() {
+        assert_eq!(parse(r#""\u00e9t\u00E9""#).unwrap(), Value::str("été"));
+        assert!(parse(r#""\u00e""#).is_err() && parse(r#""\u00eg""#).is_err());
         let v = parse("\"δ=0.1 → π≈3.14159 ✓\"").expect("parse");
         assert_eq!(v.as_str().unwrap(), "δ=0.1 → π≈3.14159 ✓");
         let back = parse(&v.pretty()).expect("reparse");
@@ -593,7 +896,10 @@ mod tests {
     fn ns_round_trips_including_max_sentinel() {
         for t in [Ns::ZERO, Ns::from_millis(150), Ns::from_secs(100), Ns::MAX] {
             let v = ns_value(t);
-            assert_eq!(ns_from(&parse(&v.pretty()).unwrap()).unwrap(), t);
+            assert_eq!(
+                Ns::from_json_value(&parse(&v.pretty()).unwrap()).unwrap(),
+                t
+            );
         }
         assert_eq!(ns_value(Ns::MAX), Value::Null);
     }
@@ -622,14 +928,93 @@ mod tests {
     }
 
     #[test]
-    fn only_keys_names_the_stray_key_and_its_object() {
+    fn readers_name_the_stray_key_by_its_path() {
         let v = parse(r#"{"n": 3, "sweep": []}"#).unwrap();
-        assert!(v.only_keys("thing", &["n", "sweep"]).is_ok());
+        let r = Reader::new(&v, &["n", "sweep"]).expect("known keys");
+        assert_eq!(r.req::<usize, Plain>("n").unwrap(), 3);
+        let err = Reader::new(&v, &["n", "sweeps"]).err().expect("stray key");
+        assert_eq!(err.path, "sweep");
+        assert_eq!(err.to_string(), "sweep: unknown key (known: n, sweeps)");
+        // Steps join outward: keys with dots, indices in brackets.
+        let err = err.within("[2]").within("axes").within("spec");
+        assert_eq!(err.path, "spec.axes[2].sweep");
         assert_eq!(
-            v.only_keys("thing", &["n", "sweeps"]).unwrap_err(),
-            "unknown key 'sweep' in thing"
+            WireError::new("x").within("[0]").within("[1]").path,
+            "[1][0]"
         );
-        // Non-objects pass: the field reads that follow name the type.
-        assert!(parse("[1]").unwrap().only_keys("thing", &[]).is_ok());
+        // A missing key and a non-object name themselves too.
+        assert_eq!(r.req::<u64, Plain>("m").unwrap_err().path, "m");
+        assert!(Reader::new(&parse("[1]").unwrap(), &[]).is_err());
+    }
+
+    #[test]
+    fn records_read_strictly_and_write_in_declared_order() {
+        #[derive(Debug, PartialEq)]
+        struct Hop {
+            delay: u64,
+            name: Option<String>,
+        }
+        crate::record! { Hop { delay: "delay_ns", #[omit] name: "name" } }
+        let v = parse(r#"{"delay_ns": 5}"#).unwrap();
+        let hop = Hop {
+            delay: 5,
+            name: None,
+        };
+        assert_eq!(Hop::from_json_value(&v).unwrap(), hop);
+        assert_eq!(hop.to_json_value(), v);
+        let err = Hop::from_json_value(&parse(r#"{"delay": 5}"#).unwrap()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "delay: unknown key (known: delay_ns, name)"
+        );
+        let err = Hop::from_json_value(&parse(r#"{"name": "x"}"#).unwrap()).unwrap_err();
+        assert_eq!(err.to_string(), "delay_ns: missing key");
+    }
+
+    #[test]
+    fn tagged_enums_and_omitted_fields() {
+        #[derive(Debug, PartialEq)]
+        enum Shape {
+            Dot { at: Ns },
+            Bar { len: f64, marks: Vec<u64> },
+        }
+        crate::tagged! {
+            Shape {
+                "dot" => Dot { at: "at_ns" },
+                "bar" => Bar { len: "len", #[omit] marks: "marks" },
+            }
+        }
+        let bar = Shape::Bar {
+            len: 2.5,
+            marks: vec![],
+        };
+        let text = r#"{"kind": "bar", "len": 2.5}"#;
+        assert_eq!(bar.to_json_value(), parse(text).unwrap());
+        assert_eq!(Shape::from_json_value(&parse(text).unwrap()).unwrap(), bar);
+        let dot = Shape::Dot { at: Ns::MAX };
+        assert_eq!(Shape::from_json_value(&dot.to_json_value()).unwrap(), dot);
+        // Keys belong to the variant the tag names.
+        let err = Shape::from_json_value(&parse(r#"{"kind": "dot", "len": 1}"#).unwrap());
+        assert_eq!(err.unwrap_err().path, "len");
+        let err = Shape::from_json_value(&parse(r#"{"kind": "box"}"#).unwrap()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "kind: unknown kind 'box' (known: dot, bar)"
+        );
+    }
+
+    #[test]
+    fn numbers_past_f64_range_are_refused_at_their_offset() {
+        // Parsed as `inf`, such a number would print back as `null`.
+        for text in ["1e999", "-1e999", "[0, 2e400]"] {
+            let err = parse(text).unwrap_err();
+            assert!(err.contains("overflows") && err.contains("byte"), "{err}");
+        }
+        assert!(parse("[0, 2e400]").unwrap_err().contains("byte 4"));
+        // The largest finite value still round-trips.
+        assert_eq!(
+            parse("1.7976931348623157e308").unwrap(),
+            Value::Num(f64::MAX)
+        );
     }
 }

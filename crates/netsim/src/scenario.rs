@@ -11,7 +11,6 @@
 //! (`remy_sim::spec`), which embeds the leaf types here ([`SenderConfig`],
 //! [`ChurnSpec`]) verbatim.
 
-use crate::json::{self, Value};
 use crate::link::LinkSpec;
 use crate::queue::QueueSpec;
 use crate::time::Ns;
@@ -27,24 +26,7 @@ pub struct SenderConfig {
     pub traffic: TrafficSpec,
 }
 
-impl SenderConfig {
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("rtt_ns", json::ns_value(self.rtt)),
-            ("traffic", self.traffic.to_json_value()),
-        ])
-    }
-
-    /// Deserialize a value written by [`SenderConfig::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<SenderConfig, String> {
-        v.only_keys("sender", &["rtt_ns", "traffic"])?;
-        Ok(SenderConfig {
-            rtt: json::ns_from(v.field("rtt_ns")?)?,
-            traffic: TrafficSpec::from_json_value(v.field("traffic")?)?,
-        })
-    }
-}
+crate::record! { SenderConfig { rtt: "rtt_ns", traffic: "traffic" } }
 
 /// A dynamic flow-churn process: flows arrive by a Poisson process, each
 /// transfers one sampled flow length through the bottleneck, and departs.
@@ -64,28 +46,12 @@ pub struct ChurnSpec {
     pub rtt: Ns,
 }
 
+crate::record! {
+    ChurnSpec { arrivals_per_sec: "arrivals_per_sec", size: "size", rtt: "rtt_ns" }
+    check ChurnSpec::validate
+}
+
 impl ChurnSpec {
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("arrivals_per_sec", Value::num(self.arrivals_per_sec)),
-            ("size", self.size.to_json_value()),
-            ("rtt_ns", json::ns_value(self.rtt)),
-        ])
-    }
-
-    /// Deserialize a value written by [`ChurnSpec::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<ChurnSpec, String> {
-        v.only_keys("churn", &["arrivals_per_sec", "size", "rtt_ns"])?;
-        let spec = ChurnSpec {
-            arrivals_per_sec: v.field("arrivals_per_sec")?.as_f64()?,
-            size: OnSpec::from_json_value(v.field("size")?)?,
-            rtt: json::ns_from(v.field("rtt_ns")?)?,
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
     /// Check the spec is runnable: positive arrival rate and RTT, and a
     /// byte-based flow-length distribution.
     pub fn validate(&self) -> Result<(), String> {
@@ -221,6 +187,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Wire;
 
     #[test]
     fn dumbbell_builder() {

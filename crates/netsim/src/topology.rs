@@ -24,7 +24,6 @@
 //! description of a world is the experiment spec (`remy_sim::spec`).
 
 use crate::graph::NetGraph;
-use crate::json::{self, Value};
 use crate::link::LinkSpec;
 use crate::queue::QueueSpec;
 use crate::time::Ns;
@@ -85,25 +84,9 @@ impl FlowPath {
         self.ack = ack;
         self
     }
-
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        let hops = |p: &[usize]| Value::Arr(p.iter().map(|&h| json::u64_value(h as u64)).collect());
-        Value::obj(vec![("fwd", hops(&self.fwd)), ("ack", hops(&self.ack))])
-    }
-
-    /// Deserialize a value written by [`FlowPath::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<FlowPath, String> {
-        v.only_keys("flow path", &["fwd", "ack"])?;
-        let hops = |v: &Value| -> Result<Vec<usize>, String> {
-            v.as_arr()?.iter().map(Value::as_usize).collect()
-        };
-        Ok(FlowPath {
-            fwd: hops(v.field("fwd")?)?,
-            ack: hops(v.field("ack")?)?,
-        })
-    }
 }
+
+crate::record! { FlowPath { fwd: "fwd", ack: "ack" } }
 
 /// A complete multi-hop topology: the hop set plus one [`FlowPath`] per
 /// sender (index-aligned with [`crate::scenario::Scenario::senders`]).

@@ -12,7 +12,6 @@
 //!   Fig. 3, which matches a shifted Pareto: `len = Pareto(Xm=147, α=0.5) −
 //!   40` bytes, plus 16 kB added "to ensure that the network is loaded".
 
-use crate::json::Value;
 use crate::rng::SimRng;
 use crate::time::Ns;
 
@@ -66,81 +65,6 @@ impl OnSpec {
         }
     }
 
-    /// Serialize to a JSON value. A `ByTime` mean of [`Ns::MAX`] (the
-    /// always-on saturating source) round-trips as `null`.
-    pub fn to_json_value(&self) -> Value {
-        use crate::json::{ns_value, u64_value};
-        match *self {
-            OnSpec::ByTime { mean } => Value::obj(vec![
-                ("kind", Value::str("by_time")),
-                ("mean_ns", ns_value(mean)),
-            ]),
-            OnSpec::ByTimeFixed { duration } => Value::obj(vec![
-                ("kind", Value::str("by_time_fixed")),
-                ("duration_ns", ns_value(duration)),
-            ]),
-            OnSpec::ByBytes { mean_bytes } => Value::obj(vec![
-                ("kind", Value::str("by_bytes")),
-                ("mean_bytes", Value::num(mean_bytes)),
-            ]),
-            OnSpec::Empirical { cap_bytes } => Value::obj(vec![
-                ("kind", Value::str("empirical")),
-                ("cap_bytes", u64_value(cap_bytes)),
-            ]),
-            OnSpec::BoundedPareto {
-                xm,
-                alpha,
-                cap_bytes,
-            } => Value::obj(vec![
-                ("kind", Value::str("bounded_pareto")),
-                ("xm", Value::num(xm)),
-                ("alpha", Value::num(alpha)),
-                ("cap_bytes", Value::num(cap_bytes)),
-            ]),
-        }
-    }
-
-    /// Deserialize a value written by [`OnSpec::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<OnSpec, String> {
-        use crate::json::ns_from;
-        let only = |keys: &[&str]| v.only_keys("on-period", keys);
-        match v.field("kind")?.as_str()? {
-            "by_time" => {
-                only(&["kind", "mean_ns"])?;
-                Ok(OnSpec::ByTime {
-                    mean: ns_from(v.field("mean_ns")?)?,
-                })
-            }
-            "by_time_fixed" => {
-                only(&["kind", "duration_ns"])?;
-                Ok(OnSpec::ByTimeFixed {
-                    duration: ns_from(v.field("duration_ns")?)?,
-                })
-            }
-            "by_bytes" => {
-                only(&["kind", "mean_bytes"])?;
-                Ok(OnSpec::ByBytes {
-                    mean_bytes: v.field("mean_bytes")?.as_f64()?,
-                })
-            }
-            "empirical" => {
-                only(&["kind", "cap_bytes"])?;
-                Ok(OnSpec::Empirical {
-                    cap_bytes: v.field("cap_bytes")?.as_u64()?,
-                })
-            }
-            "bounded_pareto" => {
-                only(&["kind", "xm", "alpha", "cap_bytes"])?;
-                Ok(OnSpec::BoundedPareto {
-                    xm: v.field("xm")?.as_f64()?,
-                    alpha: v.field("alpha")?.as_f64()?,
-                    cap_bytes: v.field("cap_bytes")?.as_f64()?,
-                })
-            }
-            other => Err(format!("unknown on-period kind '{other}'")),
-        }
-    }
-
     /// Draw one flow length, in bytes, for byte-based on-periods; `None`
     /// for the time-based variants (whose on-periods have durations, not
     /// sizes). Churn scenarios require a `Some` spec — an arriving flow
@@ -161,6 +85,18 @@ impl OnSpec {
     /// True if on-periods are sized in bytes (one flow = one transfer).
     pub fn is_byte_based(&self) -> bool {
         !matches!(self, OnSpec::ByTime { .. } | OnSpec::ByTimeFixed { .. })
+    }
+}
+
+// A `ByTime` mean of `Ns::MAX` (the always-on saturating source)
+// round-trips as `null`.
+crate::tagged! {
+    OnSpec {
+        "by_time" => ByTime { mean: "mean_ns" },
+        "by_time_fixed" => ByTimeFixed { duration: "duration_ns" },
+        "by_bytes" => ByBytes { mean_bytes: "mean_bytes" },
+        "empirical" => Empirical { cap_bytes: "cap_bytes" },
+        "bounded_pareto" => BoundedPareto { xm: "xm", alpha: "alpha", cap_bytes: "cap_bytes" },
     }
 }
 
@@ -227,27 +163,6 @@ impl TrafficSpec {
         }
     }
 
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("on", self.on.to_json_value()),
-            ("off_mean_ns", crate::json::ns_value(self.off_mean)),
-            ("start_on", Value::Bool(self.start_on)),
-        ])
-    }
-
-    /// Deserialize a value written by [`TrafficSpec::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<TrafficSpec, String> {
-        v.only_keys("traffic", &["on", "off_mean_ns", "start_on"])?;
-        let spec = TrafficSpec {
-            on: OnSpec::from_json_value(v.field("on")?)?,
-            off_mean: crate::json::ns_from(v.field("off_mean_ns")?)?,
-            start_on: v.field("start_on")?.as_bool()?,
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
     /// Check the spec is runnable: a timed on-period of length zero with
     /// a zero off-period would toggle on and off forever at one timestamp.
     pub fn validate(&self) -> Result<(), String> {
@@ -258,12 +173,17 @@ impl TrafficSpec {
         };
         if timed_on == Some(Ns::ZERO) && self.off_mean.is_zero() {
             return Err(
-                "traffic: a timed on-period of 0 (mean_ns / duration_ns) needs a nonzero off_mean_ns"
+                "a timed on-period of 0 (mean_ns / duration_ns) needs a nonzero off_mean_ns"
                     .to_string(),
             );
         }
         Ok(())
     }
+}
+
+crate::record! {
+    TrafficSpec { on: "on", off_mean: "off_mean_ns", start_on: "start_on" }
+    check TrafficSpec::validate
 }
 
 /// What a sender is currently allowed to do.
@@ -464,6 +384,7 @@ impl TrafficProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Wire;
 
     fn proc_with(on: OnSpec, off_mean: Ns, seed: u64) -> TrafficProcess {
         TrafficProcess::new(
@@ -665,7 +586,7 @@ mod tests {
                 start_on: true,
             };
             let err = TrafficSpec::from_json_value(&spec.to_json_value()).unwrap_err();
-            assert!(err.contains("off_mean_ns"), "{err}");
+            assert!(err.reason.contains("off_mean_ns"), "{err}");
             spec.off_mean = Ns(1);
             assert!(
                 spec.validate().is_ok(),

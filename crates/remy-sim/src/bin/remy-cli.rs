@@ -70,7 +70,7 @@ fn usage() -> ! {
          remy-cli compare <tableA> <tableB> [runs=8] [secs=20]\n\n\
          <table>: a registered design, judged by its own prior and objective, \
          or a JSON path, judged on the general model at delta=1\n\n\
-         options:\n  --jobs N   evaluation worker threads (default: REMY_JOBS or all cores);\n             \
+         options:\n  --jobs N   evaluation worker threads (default: all cores);\n             \
          results are identical at any thread count"
     );
     std::process::exit(2)

@@ -5,8 +5,8 @@
 //! Parallelism follows the evaluator's flattened-matrix design (see
 //! `remy::evaluator`): all simulations of all cells form one positional
 //! `par_iter`, so load balancing is per-simulation while results are
-//! collected by index — outcomes are byte-identical at any `--jobs` /
-//! `REMY_JOBS` setting.
+//! collected by index — outcomes are byte-identical at any `--jobs`
+//! setting.
 
 use crate::harness::{Contender, Outcome};
 use crate::report::{

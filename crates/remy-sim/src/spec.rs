@@ -17,7 +17,7 @@
 
 use crate::harness::Contender;
 use congestion::Scheme;
-use netsim::json::{self, Value};
+use netsim::json::{self, Codec, Plain, Reader, Record, Value, Wire, WireError};
 use netsim::link::LinkSpec;
 use netsim::queue::QueueSpec;
 use netsim::rng::SimRng;
@@ -45,31 +45,22 @@ impl Budget {
     pub fn duration(&self) -> Ns {
         Ns::from_secs(self.sim_secs)
     }
+}
 
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("runs", json::u64_value(self.runs as u64)),
-            ("sim_secs", json::u64_value(self.sim_secs)),
-        ])
-    }
+// A zero in either field is rejected: the experiment would simulate
+// nothing and still report numbers.
+netsim::record! { Budget { runs: "runs" as Positive, sim_secs: "sim_secs" as Positive } }
 
-    /// Deserialize a value written by [`Budget::to_json_value`]. A zero
-    /// in either field is rejected: the experiment would simulate nothing
-    /// and still report numbers.
-    pub fn from_json_value(v: &Value) -> Result<Budget, String> {
-        v.only_keys("budget", &["runs", "sim_secs"])?;
-        let budget = Budget {
-            runs: v.field("runs")?.as_usize()?,
-            sim_secs: v.field("sim_secs")?.as_u64()?,
-        };
-        if budget.runs == 0 {
-            return Err("budget runs must be positive".to_string());
+/// A count that must be positive.
+struct Positive;
+
+impl<T: Wire + Default + PartialEq> Codec<T> for Positive {
+    fn read(v: &Value) -> Result<T, WireError> {
+        let x = T::from_json_value(v)?;
+        if x == T::default() {
+            return Err(WireError::new("must be positive"));
         }
-        if budget.sim_secs == 0 {
-            return Err("budget sim_secs must be positive".to_string());
-        }
-        Ok(budget)
+        Ok(x)
     }
 }
 
@@ -127,48 +118,26 @@ impl LinkRef {
             }
         }
     }
+}
 
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        match self {
-            LinkRef::Constant { rate_mbps } => Value::obj(vec![
-                ("kind", Value::str("constant")),
-                ("rate_mbps", Value::num(*rate_mbps)),
-            ]),
-            LinkRef::NamedTrace { name } => Value::obj(vec![
-                ("kind", Value::str("named_trace")),
-                ("name", Value::str(name.clone())),
-            ]),
-        }
-    }
-
-    /// Deserialize a value written by [`LinkRef::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<LinkRef, String> {
-        match v.field("kind")?.as_str()? {
-            "constant" => {
-                v.only_keys("constant link", &["kind", "rate_mbps"])?;
-                Ok(LinkRef::Constant {
-                    rate_mbps: v.field("rate_mbps")?.as_f64()?,
-                })
-            }
-            "named_trace" => {
-                v.only_keys("named_trace link", &["kind", "name"])?;
-                Ok(LinkRef::NamedTrace {
-                    name: v.field("name")?.as_str()?.to_string(),
-                })
-            }
-            other => Err(format!("unknown link kind '{other}'")),
-        }
+netsim::tagged! {
+    LinkRef {
+        "constant" => Constant { rate_mbps: "rate_mbps" },
+        "named_trace" => NamedTrace { name: "name" },
     }
 }
 
 /// The `queue_capacity` key of a workload, hop or link. Zero is refused
-/// here, naming the key, because each discipline would read it its own
-/// way ([`QueueSpec::validate`]).
-fn queue_capacity(v: &Value) -> Result<usize, String> {
-    let capacity = v.field("queue_capacity")?.as_usize()?;
-    QueueSpec::DropTail { capacity }.validate()?;
-    Ok(capacity)
+/// here, at the key, because each discipline would read it its own way
+/// ([`QueueSpec::validate`]).
+struct Capacity;
+
+impl Codec<usize> for Capacity {
+    fn read(v: &Value) -> Result<usize, WireError> {
+        let capacity = usize::from_json_value(v)?;
+        QueueSpec::DropTail { capacity }.validate()?;
+        Ok(capacity)
+    }
 }
 
 /// One hop of a [`TopologySpec`]: a link reference plus the hop's queue
@@ -185,27 +154,9 @@ pub struct HopRef {
     pub prop_delay: Ns,
 }
 
-impl HopRef {
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("link", self.link.to_json_value()),
-            (
-                "queue_capacity",
-                json::u64_value(self.queue_capacity as u64),
-            ),
-            ("prop_delay_ns", json::ns_value(self.prop_delay)),
-        ])
-    }
-
-    /// Deserialize a value written by [`HopRef::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<HopRef, String> {
-        v.only_keys("topology hop", &["link", "queue_capacity", "prop_delay_ns"])?;
-        Ok(HopRef {
-            link: LinkRef::from_json_value(v.field("link")?)?,
-            queue_capacity: queue_capacity(v)?,
-            prop_delay: json::ns_from(v.field("prop_delay_ns")?)?,
-        })
+netsim::record! {
+    HopRef {
+        link: "link", queue_capacity: "queue_capacity" as Capacity, prop_delay: "prop_delay_ns",
     }
 }
 
@@ -227,41 +178,10 @@ pub struct GraphLinkRef {
     pub weight: u64,
 }
 
-impl GraphLinkRef {
-    fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("from", Value::str(self.from.clone())),
-            ("to", Value::str(self.to.clone())),
-            ("link", self.link.to_json_value()),
-            (
-                "queue_capacity",
-                json::u64_value(self.queue_capacity as u64),
-            ),
-            ("prop_delay_ns", json::ns_value(self.prop_delay)),
-            ("weight", json::u64_value(self.weight)),
-        ])
-    }
-
-    fn from_json_value(v: &Value) -> Result<GraphLinkRef, String> {
-        v.only_keys(
-            "graph link",
-            &[
-                "from",
-                "to",
-                "link",
-                "queue_capacity",
-                "prop_delay_ns",
-                "weight",
-            ],
-        )?;
-        Ok(GraphLinkRef {
-            from: v.field("from")?.as_str()?.to_string(),
-            to: v.field("to")?.as_str()?.to_string(),
-            link: LinkRef::from_json_value(v.field("link")?)?,
-            queue_capacity: queue_capacity(v)?,
-            prop_delay: json::ns_from(v.field("prop_delay_ns")?)?,
-            weight: v.field("weight")?.as_u64()?,
-        })
+netsim::record! {
+    GraphLinkRef {
+        from: "from", to: "to", link: "link", queue_capacity: "queue_capacity" as Capacity,
+        prop_delay: "prop_delay_ns", weight: "weight",
     }
 }
 
@@ -316,21 +236,12 @@ pub enum GraphGenerator {
 }
 
 impl GraphGenerator {
-    /// Short class name for listings (`explicit`, `chain`, …).
-    pub fn name(&self) -> &'static str {
-        match self {
-            GraphGenerator::Explicit { .. } => "explicit",
-            GraphGenerator::Chain { .. } => "chain",
-            GraphGenerator::FatTreeK4 { .. } => "fat_tree_k4",
-            GraphGenerator::Waxman { .. } => "waxman",
-        }
-    }
-
     /// Build the network's wiring, applying `discipline` at each link's
     /// capacity (the same rule as [`TopologySpec::resolve`] for hop
     /// lists).
     fn builder(&self, discipline: &QueueSpec) -> Result<netsim::graph::NetworkBuilder, String> {
         use netsim::graph::NetworkBuilder;
+        let queue = |capacity: &usize| discipline.clone().with_capacity(*capacity);
         match self {
             GraphGenerator::Explicit { routers, links } => {
                 let mut b = NetworkBuilder::new();
@@ -343,12 +254,11 @@ impl GraphGenerator {
                         .ok_or_else(|| format!("unknown router '{name}' in link list"))
                 };
                 for l in links {
-                    let queue = discipline.clone().with_capacity(l.queue_capacity);
                     b.add_weighted_link(
                         ids[index(&l.from)?],
                         ids[index(&l.to)?],
                         l.link.resolve()?,
-                        queue,
+                        queue(&l.queue_capacity),
                         l.prop_delay,
                         l.weight,
                     );
@@ -363,7 +273,7 @@ impl GraphGenerator {
             } => Ok(NetworkBuilder::chain(
                 *n_links,
                 &link.resolve()?,
-                &discipline.clone().with_capacity(*queue_capacity),
+                &queue(queue_capacity),
                 *prop_delay,
             )),
             GraphGenerator::FatTreeK4 {
@@ -372,7 +282,7 @@ impl GraphGenerator {
                 prop_delay,
             } => Ok(NetworkBuilder::fat_tree_k4(
                 &link.resolve()?,
-                &discipline.clone().with_capacity(*queue_capacity),
+                &queue(queue_capacity),
                 *prop_delay,
             )),
             GraphGenerator::Waxman {
@@ -389,131 +299,27 @@ impl GraphGenerator {
                 *beta,
                 *seed,
                 &link.resolve()?,
-                &discipline.clone().with_capacity(*queue_capacity),
+                &queue(queue_capacity),
                 *prop_delay,
             )),
         }
     }
+}
 
-    fn to_json_value(&self) -> Value {
-        match self {
-            GraphGenerator::Explicit { routers, links } => Value::obj(vec![
-                ("kind", Value::str("explicit")),
-                (
-                    "routers",
-                    Value::Arr(routers.iter().map(Value::str).collect()),
-                ),
-                (
-                    "links",
-                    Value::Arr(links.iter().map(GraphLinkRef::to_json_value).collect()),
-                ),
-            ]),
-            GraphGenerator::Chain {
-                n_links,
-                link,
-                queue_capacity,
-                prop_delay,
-            } => Value::obj(vec![
-                ("kind", Value::str("chain")),
-                ("n_links", json::u64_value(*n_links as u64)),
-                ("link", link.to_json_value()),
-                ("queue_capacity", json::u64_value(*queue_capacity as u64)),
-                ("prop_delay_ns", json::ns_value(*prop_delay)),
-            ]),
-            GraphGenerator::FatTreeK4 {
-                link,
-                queue_capacity,
-                prop_delay,
-            } => Value::obj(vec![
-                ("kind", Value::str("fat_tree_k4")),
-                ("link", link.to_json_value()),
-                ("queue_capacity", json::u64_value(*queue_capacity as u64)),
-                ("prop_delay_ns", json::ns_value(*prop_delay)),
-            ]),
-            GraphGenerator::Waxman {
-                n,
-                alpha,
-                beta,
-                seed,
-                link,
-                queue_capacity,
-                prop_delay,
-            } => Value::obj(vec![
-                ("kind", Value::str("waxman")),
-                ("n", json::u64_value(*n as u64)),
-                ("alpha", Value::num(*alpha)),
-                ("beta", Value::num(*beta)),
-                ("seed", json::u64_value(*seed)),
-                ("link", link.to_json_value()),
-                ("queue_capacity", json::u64_value(*queue_capacity as u64)),
-                ("prop_delay_ns", json::ns_value(*prop_delay)),
-            ]),
-        }
-    }
-
-    fn from_json_value(v: &Value) -> Result<GraphGenerator, String> {
-        // Every generated shape wires identical links.
-        const WIRE: [&str; 4] = ["kind", "link", "queue_capacity", "prop_delay_ns"];
-        let only = |extra: &[&str]| v.only_keys("graph generator", &[&WIRE[..], extra].concat());
-        let wire = || -> Result<(LinkRef, usize, Ns), String> {
-            Ok((
-                LinkRef::from_json_value(v.field("link")?)?,
-                queue_capacity(v)?,
-                json::ns_from(v.field("prop_delay_ns")?)?,
-            ))
-        };
-        match v.field("kind")?.as_str()? {
-            "explicit" => {
-                v.only_keys("explicit graph generator", &["kind", "routers", "links"])?;
-                Ok(GraphGenerator::Explicit {
-                    routers: v
-                        .field("routers")?
-                        .as_arr()?
-                        .iter()
-                        .map(|r| r.as_str().map(str::to_string))
-                        .collect::<Result<Vec<String>, String>>()?,
-                    links: v
-                        .field("links")?
-                        .as_arr()?
-                        .iter()
-                        .map(GraphLinkRef::from_json_value)
-                        .collect::<Result<Vec<GraphLinkRef>, String>>()?,
-                })
-            }
-            "chain" => {
-                only(&["n_links"])?;
-                let (link, queue_capacity, prop_delay) = wire()?;
-                Ok(GraphGenerator::Chain {
-                    n_links: v.field("n_links")?.as_usize()?,
-                    link,
-                    queue_capacity,
-                    prop_delay,
-                })
-            }
-            "fat_tree_k4" => {
-                only(&[])?;
-                let (link, queue_capacity, prop_delay) = wire()?;
-                Ok(GraphGenerator::FatTreeK4 {
-                    link,
-                    queue_capacity,
-                    prop_delay,
-                })
-            }
-            "waxman" => {
-                only(&["n", "alpha", "beta", "seed"])?;
-                let (link, queue_capacity, prop_delay) = wire()?;
-                Ok(GraphGenerator::Waxman {
-                    n: v.field("n")?.as_usize()?,
-                    alpha: v.field("alpha")?.as_f64()?,
-                    beta: v.field("beta")?.as_f64()?,
-                    seed: v.field("seed")?.as_u64()?,
-                    link,
-                    queue_capacity,
-                    prop_delay,
-                })
-            }
-            other => Err(format!("unknown graph generator '{other}'")),
-        }
+netsim::tagged! {
+    GraphGenerator {
+        "explicit" => Explicit { routers: "routers", links: "links" },
+        "chain" => Chain {
+            n_links: "n_links",
+            link: "link", queue_capacity: "queue_capacity" as Capacity, prop_delay: "prop_delay_ns",
+        },
+        "fat_tree_k4" => FatTreeK4 {
+            link: "link", queue_capacity: "queue_capacity" as Capacity, prop_delay: "prop_delay_ns",
+        },
+        "waxman" => Waxman {
+            n: "n", alpha: "alpha", beta: "beta", seed: "seed",
+            link: "link", queue_capacity: "queue_capacity" as Capacity, prop_delay: "prop_delay_ns",
+        },
     }
 }
 
@@ -530,26 +336,7 @@ pub struct LinkEventSpec {
     pub up: bool,
 }
 
-impl LinkEventSpec {
-    fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("at_ns", json::ns_value(self.at)),
-            ("from", Value::str(self.from.clone())),
-            ("to", Value::str(self.to.clone())),
-            ("up", Value::Bool(self.up)),
-        ])
-    }
-
-    fn from_json_value(v: &Value) -> Result<LinkEventSpec, String> {
-        v.only_keys("link event", &["at_ns", "from", "to", "up"])?;
-        Ok(LinkEventSpec {
-            at: json::ns_from(v.field("at_ns")?)?,
-            from: v.field("from")?.as_str()?.to_string(),
-            to: v.field("to")?.as_str()?.to_string(),
-            up: v.field("up")?.as_bool()?,
-        })
-    }
-}
+netsim::record! { LinkEventSpec { at: "at_ns", from: "from", to: "to", up: "up" } }
 
 /// A graph-form topology: a generator for routers and links, per-flow
 /// (source, destination) router names in sender order, scheduled link
@@ -568,69 +355,10 @@ pub struct GraphSpec {
     pub policy: netsim::graph::FailoverPolicy,
 }
 
-impl GraphSpec {
-    fn to_json_value(&self) -> Value {
-        let mut fields = vec![
-            ("kind", Value::str("graph")),
-            ("generator", self.generator.to_json_value()),
-            (
-                "flows",
-                Value::Arr(
-                    self.flows
-                        .iter()
-                        .map(|(s, d)| {
-                            Value::Arr(vec![Value::str(s.clone()), Value::str(d.clone())])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if !self.events.is_empty() {
-            fields.push((
-                "events",
-                Value::Arr(
-                    self.events
-                        .iter()
-                        .map(LinkEventSpec::to_json_value)
-                        .collect(),
-                ),
-            ));
-        }
-        fields.push(("policy", Value::str(self.policy.name())));
-        Value::obj(fields)
-    }
-
-    fn from_json_value(v: &Value) -> Result<GraphSpec, String> {
-        v.only_keys(
-            "graph topology",
-            &["kind", "generator", "flows", "events", "policy"],
-        )?;
-        let flows = v
-            .field("flows")?
-            .as_arr()?
-            .iter()
-            .map(|f| {
-                let pair = f.as_arr()?;
-                if pair.len() != 2 {
-                    return Err("a flow is a [src, dst] router-name pair".to_string());
-                }
-                Ok((pair[0].as_str()?.to_string(), pair[1].as_str()?.to_string()))
-            })
-            .collect::<Result<Vec<(String, String)>, String>>()?;
-        let events = match v.field("events") {
-            Ok(e) => e
-                .as_arr()?
-                .iter()
-                .map(LinkEventSpec::from_json_value)
-                .collect::<Result<Vec<LinkEventSpec>, String>>()?,
-            Err(_) => Vec::new(),
-        };
-        Ok(GraphSpec {
-            generator: GraphGenerator::from_json_value(v.field("generator")?)?,
-            flows,
-            events,
-            policy: netsim::graph::FailoverPolicy::from_name(v.field("policy")?.as_str()?)?,
-        })
+// Written inside a topology object after its `"kind": "graph"`.
+netsim::record! {
+    fields GraphSpec {
+        generator: "generator", flows: "flows", #[omit] events: "events", policy: "policy",
     }
 }
 
@@ -684,7 +412,7 @@ impl TopologySpec {
     pub fn class(&self) -> String {
         match self {
             TopologySpec::FlowHops { hops, .. } => format!("hops({})", hops.len()),
-            TopologySpec::Graph(g) => format!("graph:{}", g.generator.name()),
+            TopologySpec::Graph(g) => format!("graph:{}", g.generator.kind()),
         }
     }
 
@@ -713,29 +441,20 @@ impl TopologySpec {
             }
             TopologySpec::Graph(g) => {
                 let net = g.generator.builder(discipline)?.build()?;
+                let router = |name: &str, list: &str| {
+                    net.router(name)
+                        .ok_or_else(|| format!("unknown router '{name}' in {list} list"))
+                };
                 let flows = g
                     .flows
                     .iter()
-                    .map(|(s, d)| {
-                        let src = net
-                            .router(s)
-                            .ok_or_else(|| format!("unknown router '{s}' in flow list"))?;
-                        let dst = net
-                            .router(d)
-                            .ok_or_else(|| format!("unknown router '{d}' in flow list"))?;
-                        Ok((src, dst))
-                    })
+                    .map(|(s, d)| Ok((router(s, "flow")?, router(d, "flow")?)))
                     .collect::<Result<Vec<_>, String>>()?;
                 let events = g
                     .events
                     .iter()
                     .map(|e| {
-                        let from = net
-                            .router(&e.from)
-                            .ok_or_else(|| format!("unknown router '{}' in event list", e.from))?;
-                        let to = net
-                            .router(&e.to)
-                            .ok_or_else(|| format!("unknown router '{}' in event list", e.to))?;
+                        let (from, to) = (router(&e.from, "event")?, router(&e.to, "event")?);
                         let link = net.link_between(from, to).ok_or_else(|| {
                             format!("no link '{}' → '{}' for a scheduled event", e.from, e.to)
                         })?;
@@ -752,47 +471,43 @@ impl TopologySpec {
             }
         }
     }
+}
 
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
+/// The hop-list form's keys (it predates graphs, so it carries no `kind`).
+const HOPS: &str = "hops";
+const PATHS: &str = "paths";
+/// The graph form's `kind`.
+const GRAPH: &str = "graph";
+
+impl Wire for TopologySpec {
+    fn to_json_value(&self) -> Value {
         match self {
             TopologySpec::FlowHops { hops, paths } => Value::obj(vec![
-                (
-                    "hops",
-                    Value::Arr(hops.iter().map(HopRef::to_json_value).collect()),
-                ),
-                (
-                    "paths",
-                    Value::Arr(paths.iter().map(FlowPath::to_json_value).collect()),
-                ),
+                (HOPS, hops.to_json_value()),
+                (PATHS, paths.to_json_value()),
             ]),
-            TopologySpec::Graph(g) => g.to_json_value(),
+            TopologySpec::Graph(g) => {
+                let mut out = vec![(json::TAG.to_string(), Value::str(GRAPH))];
+                g.write_fields(&mut out);
+                Value::Obj(out)
+            }
         }
     }
 
-    /// Deserialize a value written by [`TopologySpec::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<TopologySpec, String> {
-        if let Ok(kind) = v.field("kind") {
-            return match kind.as_str()? {
-                "graph" => Ok(TopologySpec::Graph(GraphSpec::from_json_value(v)?)),
-                other => Err(format!("unknown topology kind '{other}'")),
-            };
+    fn from_json_value(v: &Value) -> Result<TopologySpec, WireError> {
+        if v.get(json::TAG).is_none() {
+            let r = Reader::new(v, &[HOPS, PATHS])?;
+            return Ok(TopologySpec::FlowHops {
+                hops: r.req::<_, Plain>(HOPS)?,
+                paths: r.req::<_, Plain>(PATHS)?,
+            });
         }
-        v.only_keys("topology", &["hops", "paths"])?;
-        Ok(TopologySpec::FlowHops {
-            hops: v
-                .field("hops")?
-                .as_arr()?
-                .iter()
-                .map(HopRef::from_json_value)
-                .collect::<Result<Vec<HopRef>, String>>()?,
-            paths: v
-                .field("paths")?
-                .as_arr()?
-                .iter()
-                .map(FlowPath::from_json_value)
-                .collect::<Result<Vec<FlowPath>, String>>()?,
-        })
+        match Reader::kind(v)? {
+            GRAPH => Ok(TopologySpec::Graph(GraphSpec::read_fields(
+                &Reader::tagged(v, GraphSpec::KEYS)?,
+            )?)),
+            other => Err(json::unknown_kind(other, &[GRAPH])),
+        }
     }
 }
 
@@ -833,12 +548,7 @@ impl WorkloadSpec {
         WorkloadSpec {
             link,
             queue_capacity,
-            senders: (0..n)
-                .map(|_| SenderConfig {
-                    rtt,
-                    traffic: traffic.clone(),
-                })
-                .collect(),
+            senders: vec![SenderConfig { rtt, traffic }; n],
             record_deliveries: false,
             topology: None,
             churn: None,
@@ -913,113 +623,69 @@ impl WorkloadSpec {
         })
     }
 
-    fn senders_uniform(&self) -> bool {
-        self.senders
-            .windows(2)
-            .all(|w| w[0].rtt == w[1].rtt && w[0].traffic == w[1].traffic)
-    }
-
-    /// Serialize to a JSON value. Identical senders compress to a
-    /// `{"n", "rtt_ns", "traffic"}` object; heterogeneous ones (the
-    /// RTT-fairness grid, Fig. 6's departing competitor) serialize as an
-    /// array. Both forms parse back.
-    pub fn to_json_value(&self) -> Value {
-        let senders = if !self.senders.is_empty() && self.senders_uniform() {
-            Value::obj(vec![
-                ("n", json::u64_value(self.senders.len() as u64)),
-                ("rtt_ns", json::ns_value(self.senders[0].rtt)),
-                ("traffic", self.senders[0].traffic.to_json_value()),
-            ])
-        } else {
-            Value::Arr(
-                self.senders
-                    .iter()
-                    .map(SenderConfig::to_json_value)
-                    .collect(),
-            )
-        };
-        let mut fields = vec![
-            ("link", self.link.to_json_value()),
-            (
-                "queue_capacity",
-                json::u64_value(self.queue_capacity as u64),
-            ),
-            ("senders", senders),
-            ("record_deliveries", Value::Bool(self.record_deliveries)),
-        ];
-        // Omitted for the legacy dumbbell so pre-topology golden specs
-        // stay byte-identical.
-        if let Some(t) = &self.topology {
-            fields.push(("topology", t.to_json_value()));
-        }
-        // Same omission rule: churn-free specs serialize exactly as they
-        // did before churn existed.
-        if let Some(c) = &self.churn {
-            fields.push(("churn", c.to_json_value()));
-        }
-        Value::obj(fields)
-    }
-
-    /// Deserialize a value written by [`WorkloadSpec::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<WorkloadSpec, String> {
-        v.only_keys(
-            "workload",
-            &[
-                "link",
-                "queue_capacity",
-                "senders",
-                "record_deliveries",
-                "topology",
-                "churn",
-            ],
-        )?;
-        let senders_v = v.field("senders")?;
-        let senders = match senders_v {
-            Value::Arr(items) => items
-                .iter()
-                .map(SenderConfig::from_json_value)
-                .collect::<Result<Vec<SenderConfig>, String>>()?,
-            obj @ Value::Obj(_) => {
-                obj.only_keys("uniform senders", &["n", "rtt_ns", "traffic"])?;
-                let n = obj.field("n")?.as_usize()?;
-                let rtt = json::ns_from(obj.field("rtt_ns")?)?;
-                let traffic = TrafficSpec::from_json_value(obj.field("traffic")?)?;
-                (0..n)
-                    .map(|_| SenderConfig {
-                        rtt,
-                        traffic: traffic.clone(),
-                    })
-                    .collect()
-            }
-            other => {
-                return Err(format!(
-                    "senders must be an array or a uniform object, found {}",
-                    other.pretty()
-                ))
-            }
-        };
-        if senders.is_empty() {
-            return Err("workload needs at least one sender".to_string());
-        }
-        let topology = match v.get("topology") {
-            None | Some(Value::Null) => None,
-            Some(t) => Some(TopologySpec::from_json_value(t)?),
-        };
-        let churn = match v.get("churn") {
-            None | Some(Value::Null) => None,
-            Some(c) => Some(ChurnSpec::from_json_value(c)?),
-        };
-        if churn.is_some() && topology.is_some() {
+    /// The checks that span keys: churn rides the dumbbell only.
+    fn check_parsed(&self) -> Result<(), String> {
+        if self.churn.is_some() && self.topology.is_some() {
             return Err("churn is not supported on a topology workload".to_string());
         }
-        Ok(WorkloadSpec {
-            link: LinkRef::from_json_value(v.field("link")?)?,
-            queue_capacity: queue_capacity(v)?,
-            senders,
-            record_deliveries: v.field("record_deliveries")?.as_bool()?,
-            topology,
-            churn,
-        })
+        Ok(())
+    }
+}
+
+// `topology` and `churn` are left out when unset, so specs that predate
+// them serialize exactly as they always did.
+netsim::record! {
+    WorkloadSpec {
+        link: "link",
+        queue_capacity: "queue_capacity" as Capacity,
+        senders: "senders" as Senders,
+        record_deliveries: "record_deliveries",
+        #[omit] topology: "topology",
+        #[omit] churn: "churn",
+    }
+    check WorkloadSpec::check_parsed
+}
+
+/// The `senders` key: identical senders compress to one [`UniformSenders`]
+/// object; heterogeneous ones (the RTT-fairness grid, Fig. 6's departing
+/// competitor) are listed. Both forms parse back; an empty population is
+/// refused.
+struct Senders;
+
+/// `n` identical senders.
+struct UniformSenders {
+    n: usize,
+    rtt: Ns,
+    traffic: TrafficSpec,
+}
+
+netsim::record! { UniformSenders { n: "n", rtt: "rtt_ns", traffic: "traffic" } }
+
+impl Codec<Vec<SenderConfig>> for Senders {
+    fn write(senders: &Vec<SenderConfig>) -> Value {
+        match senders.first() {
+            Some(first) if senders.iter().all(|s| s == first) => UniformSenders {
+                n: senders.len(),
+                rtt: first.rtt,
+                traffic: first.traffic.clone(),
+            }
+            .to_json_value(),
+            _ => senders.to_json_value(),
+        }
+    }
+
+    fn read(v: &Value) -> Result<Vec<SenderConfig>, WireError> {
+        let senders = match v {
+            Value::Obj(_) => {
+                let UniformSenders { n, rtt, traffic } = UniformSenders::from_json_value(v)?;
+                vec![SenderConfig { rtt, traffic }; n]
+            }
+            _ => Vec::<SenderConfig>::from_json_value(v)?,
+        };
+        if senders.is_empty() {
+            return Err(WireError::new("at least one sender is required"));
+        }
+        Ok(senders)
     }
 }
 
@@ -1103,36 +769,24 @@ impl ContenderSpec {
             other => Err(format!("unknown contender '{other}'")),
         }
     }
+}
 
-    /// Serialize to a JSON value: a plain string when no label override.
-    pub fn to_json_value(&self) -> Value {
+// The object form; a contender without a label override is written as
+// its bare scheme name.
+netsim::record! { fields ContenderSpec { scheme: "scheme", #[default] label: "label" } }
+
+impl Wire for ContenderSpec {
+    fn to_json_value(&self) -> Value {
         match &self.label {
-            None => Value::str(self.scheme.clone()),
-            Some(l) => Value::obj(vec![
-                ("scheme", Value::str(self.scheme.clone())),
-                ("label", Value::str(l.clone())),
-            ]),
+            None => self.scheme.to_json_value(),
+            Some(_) => self.record_value(),
         }
     }
 
-    /// Deserialize a value written by [`ContenderSpec::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<ContenderSpec, String> {
+    fn from_json_value(v: &Value) -> Result<ContenderSpec, WireError> {
         match v {
-            Value::Str(s) => Ok(ContenderSpec::new(s.clone())),
-            obj @ Value::Obj(_) => {
-                obj.only_keys("contender", &["scheme", "label"])?;
-                Ok(ContenderSpec {
-                    scheme: obj.field("scheme")?.as_str()?.to_string(),
-                    label: match obj.get("label") {
-                        None | Some(Value::Null) => None,
-                        Some(l) => Some(l.as_str()?.to_string()),
-                    },
-                })
-            }
-            other => Err(format!(
-                "contender must be a string or object: {}",
-                other.pretty()
-            )),
+            Value::Str(scheme) => Ok(ContenderSpec::new(scheme.clone())),
+            other => ContenderSpec::from_record(other),
         }
     }
 }
@@ -1233,38 +887,31 @@ impl SweepAxis {
             SweepAxis::LossRate(v) => v[i],
         }
     }
+}
 
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
+/// A sweep axis's keys: which axis, then its grid, typed by the axis.
+const AXIS: &str = "axis";
+const VALUES: &str = "values";
+
+impl Wire for SweepAxis {
+    fn to_json_value(&self) -> Value {
         let values = match self {
-            SweepAxis::LinkMbps(v) | SweepAxis::LossRate(v) => {
-                Value::Arr(v.iter().map(|&x| Value::num(x)).collect())
-            }
-            SweepAxis::RttMs(v) | SweepAxis::OffMeanMs(v) => {
-                Value::Arr(v.iter().map(|&x| json::u64_value(x)).collect())
-            }
-            SweepAxis::Senders(v) => {
-                Value::Arr(v.iter().map(|&x| json::u64_value(x as u64)).collect())
-            }
+            SweepAxis::LinkMbps(v) | SweepAxis::LossRate(v) => v.to_json_value(),
+            SweepAxis::RttMs(v) | SweepAxis::OffMeanMs(v) => v.to_json_value(),
+            SweepAxis::Senders(v) => v.to_json_value(),
         };
-        Value::obj(vec![("axis", Value::str(self.key())), ("values", values)])
+        Value::obj(vec![(AXIS, Value::str(self.key())), (VALUES, values)])
     }
 
-    /// Deserialize a value written by [`SweepAxis::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<SweepAxis, String> {
-        v.only_keys("sweep axis", &["axis", "values"])?;
-        let values = v.field("values")?.as_arr()?;
-        let f64s = || -> Result<Vec<f64>, String> { values.iter().map(Value::as_f64).collect() };
-        let u64s = || -> Result<Vec<u64>, String> { values.iter().map(Value::as_u64).collect() };
-        match v.field("axis")?.as_str()? {
-            "link_mbps" => Ok(SweepAxis::LinkMbps(f64s()?)),
-            "rtt_ms" => Ok(SweepAxis::RttMs(u64s()?)),
-            "n_senders" => Ok(SweepAxis::Senders(
-                u64s()?.into_iter().map(|x| x as usize).collect(),
-            )),
-            "off_mean_ms" => Ok(SweepAxis::OffMeanMs(u64s()?)),
-            "loss_rate" => Ok(SweepAxis::LossRate(f64s()?)),
-            other => Err(format!("unknown sweep axis '{other}'")),
+    fn from_json_value(v: &Value) -> Result<SweepAxis, WireError> {
+        let r = Reader::new(v, &[AXIS, VALUES])?;
+        match r.req::<String, Plain>(AXIS)?.as_str() {
+            "link_mbps" => Ok(SweepAxis::LinkMbps(r.req::<_, Plain>(VALUES)?)),
+            "rtt_ms" => Ok(SweepAxis::RttMs(r.req::<_, Plain>(VALUES)?)),
+            "n_senders" => Ok(SweepAxis::Senders(r.req::<_, Plain>(VALUES)?)),
+            "off_mean_ms" => Ok(SweepAxis::OffMeanMs(r.req::<_, Plain>(VALUES)?)),
+            "loss_rate" => Ok(SweepAxis::LossRate(r.req::<_, Plain>(VALUES)?)),
+            other => Err(WireError::new(format!("unknown axis '{other}'")).within(AXIS)),
         }
     }
 }
@@ -1438,83 +1085,6 @@ impl ExperimentSpec {
             .collect()
     }
 
-    /// Serialize to a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("name", Value::str(self.name.clone())),
-            ("title", Value::str(self.title.clone())),
-            ("seed", json::u64_value(self.seed)),
-            ("budget", self.budget.to_json_value()),
-            ("workload", self.workload.to_json_value()),
-            (
-                "contenders",
-                Value::Arr(
-                    self.contenders
-                        .iter()
-                        .map(ContenderSpec::to_json_value)
-                        .collect(),
-                ),
-            ),
-            (
-                "sweeps",
-                Value::Arr(self.sweeps.iter().map(SweepAxis::to_json_value).collect()),
-            ),
-            (
-                "speedup_reference",
-                match &self.speedup_reference {
-                    Some(l) => Value::str(l.clone()),
-                    None => Value::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Deserialize a value written by [`ExperimentSpec::to_json_value`].
-    /// `sweeps` and `speedup_reference` may be omitted in hand-written
-    /// specs.
-    pub fn from_json_value(v: &Value) -> Result<ExperimentSpec, String> {
-        v.only_keys(
-            "experiment spec",
-            &[
-                "name",
-                "title",
-                "seed",
-                "budget",
-                "workload",
-                "contenders",
-                "sweeps",
-                "speedup_reference",
-            ],
-        )?;
-        let sweeps = match v.get("sweeps") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(s) => s
-                .as_arr()?
-                .iter()
-                .map(SweepAxis::from_json_value)
-                .collect::<Result<Vec<SweepAxis>, String>>()?,
-        };
-        let speedup_reference = match v.get("speedup_reference") {
-            None | Some(Value::Null) => None,
-            Some(l) => Some(l.as_str()?.to_string()),
-        };
-        Ok(ExperimentSpec {
-            name: v.field("name")?.as_str()?.to_string(),
-            title: v.field("title")?.as_str()?.to_string(),
-            workload: WorkloadSpec::from_json_value(v.field("workload")?)?,
-            contenders: v
-                .field("contenders")?
-                .as_arr()?
-                .iter()
-                .map(ContenderSpec::from_json_value)
-                .collect::<Result<Vec<ContenderSpec>, String>>()?,
-            sweeps,
-            budget: Budget::from_json_value(v.field("budget")?)?,
-            seed: v.field("seed")?.as_u64()?,
-            speedup_reference,
-        })
-    }
-
     /// Serialize to pretty-printed JSON text (trailing newline included,
     /// so specs diff cleanly as checked-in files).
     pub fn to_json(&self) -> String {
@@ -1524,8 +1094,18 @@ impl ExperimentSpec {
     }
 
     /// Parse a spec from JSON text.
-    pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
+    pub fn from_json(text: &str) -> Result<ExperimentSpec, WireError> {
         ExperimentSpec::from_json_value(&json::parse(text)?)
+    }
+}
+
+// `sweeps` and `speedup_reference` may be omitted in hand-written specs;
+// an unset reference is written as `null`.
+netsim::record! {
+    ExperimentSpec {
+        name: "name", title: "title", seed: "seed", budget: "budget", workload: "workload",
+        contenders: "contenders", #[default] sweeps: "sweeps",
+        #[default] speedup_reference: "speedup_reference",
     }
 }
 
@@ -1656,7 +1236,10 @@ mod tests {
             "contenders": ["newreno"]
         }"#;
         let err = ExperimentSpec::from_json(text).expect_err("must reject");
-        assert!(err.contains("churn"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "workload: churn is not supported on a topology workload"
+        );
     }
 
     #[test]
@@ -1685,7 +1268,10 @@ mod tests {
         // An empty population simulates nothing; nothing may report on it.
         let text = fig4ish_spec().to_json().replacen("\"n\": 8", "\"n\": 0", 1);
         let err = ExperimentSpec::from_json(&text).unwrap_err();
-        assert_eq!(err, "workload needs at least one sender");
+        assert_eq!(
+            err.to_string(),
+            "workload.senders: at least one sender is required"
+        );
         let mut wl = fig4ish_spec().workload;
         wl.senders.clear();
         let err = wl.scenario(QueueSpec::Unlimited, Ns::SECOND, 1);
@@ -1911,9 +1497,10 @@ mod tests {
                     format!(r#"{{"kind": "{kind}", {own}, {wire}, "prop_delay_ns": 5{stray}}}"#);
                 GraphGenerator::from_json_value(&json::parse(&text).expect("JSON"))
             };
-            assert_eq!(parse("").expect("parses").name(), kind);
+            assert_eq!(parse("").expect("parses").kind(), kind);
             let err = parse(r#", "zz": 1"#).unwrap_err();
-            assert_eq!(err, "unknown key 'zz' in graph generator");
+            assert_eq!(err.path, "zz");
+            assert!(err.reason.starts_with("unknown key"), "{err}");
         }
     }
 
@@ -1936,7 +1523,7 @@ mod tests {
         let edited = fig4.replacen("\"queue_capacity\": 1000", "\"queue_capacity\": 0", 1);
         assert_ne!(edited, fig4);
         let err = ExperimentSpec::from_json(&edited).unwrap_err();
-        assert!(err.contains("queue_capacity"), "{err}");
+        assert_eq!(err.path, "workload.queue_capacity", "{err}");
         // A topology hop, in the document and in code.
         let mut spec = fig4ish_spec();
         spec.workload.senders.truncate(2);
@@ -1949,7 +1536,7 @@ mod tests {
             .clone()
             .with_topology(TopologySpec::FlowHops { hops, paths });
         let err = ExperimentSpec::from_json(&spec.to_json()).unwrap_err();
-        assert!(err.contains("queue_capacity"), "{err}");
+        assert_eq!(err.path, "workload.topology.hops[1].queue_capacity");
         let queue = QueueSpec::DropTail { capacity: 1000 };
         let err = spec.workload.scenario(queue, Ns::SECOND, 1).unwrap_err();
         assert!(

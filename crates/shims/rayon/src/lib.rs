@@ -10,19 +10,14 @@
 //! output is deterministic regardless of thread timing — the same
 //! guarantee the evaluator documents for the real rayon.
 //!
-//! The worker count is, in priority order: [`set_num_threads`] (when
-//! non-zero), the `REMY_JOBS` environment variable, then
+//! The worker count is [`set_num_threads`] when non-zero, else
 //! `std::thread::available_parallelism()`.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Global worker-count override; 0 means "automatic".
 static CONFIGURED_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Cached `REMY_JOBS` environment lookup (0 = unset/invalid).
-static ENV_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Set the global worker count for subsequent parallel operations
 /// (0 restores automatic selection). Mirrors configuring rayon's global
@@ -36,15 +31,6 @@ pub fn current_num_threads() -> usize {
     let configured = CONFIGURED_THREADS.load(Ordering::Relaxed);
     if configured > 0 {
         return configured;
-    }
-    let env = *ENV_THREADS.get_or_init(|| {
-        std::env::var("REMY_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0)
-    });
-    if env > 0 {
-        return env;
     }
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)

@@ -1,6 +1,8 @@
 //! Integration: the declarative experiment layer — the committed spec
 //! files that are the registry, and the `remy-cli run` entry point.
 
+use netsim::json::{Value, Wire, WireError};
+use remy::whisker::WhiskerTree;
 use remy_sim::experiments;
 use remy_sim::prelude::*;
 use std::process::Command;
@@ -328,7 +330,7 @@ fn zero_budgets_are_rejected_by_name_before_anything_runs() {
     ] {
         let v = netsim::json::parse(doc).expect("valid JSON");
         let err = Budget::from_json_value(&v).expect_err("zero budget rejected");
-        assert!(err.contains(field), "names {field}: {err}");
+        assert_eq!(err.path, field, "{err}");
     }
 
     let dir = std::env::temp_dir().join("remy_spec_zero_budget_test");
@@ -368,45 +370,63 @@ fn zero_budgets_are_rejected_by_name_before_anything_runs() {
     }
 }
 
-/// Push a stray key into the `nth` object of `v` (depth-first); `false`
-/// once `v` has fewer objects than that.
-fn add_stray_key(v: &mut netsim::json::Value, nth: &mut usize) -> bool {
-    use netsim::json::Value;
+/// Push a stray key `zz` into the `nth` object of `v` (depth-first; `v`
+/// itself sits at `path`) and return the stray key's path from the root;
+/// `None` once `v` has fewer objects than that.
+fn add_stray_key(v: &mut Value, nth: &mut usize, path: &str) -> Option<String> {
+    let join = |step: &str| match (path, step.starts_with('[')) {
+        ("", _) | (_, true) => format!("{path}{step}"),
+        _ => format!("{path}.{step}"),
+    };
     match v {
         Value::Obj(fields) if *nth == 0 => {
             fields.push(("zz".to_string(), Value::Null));
-            true
+            Some(join("zz"))
         }
         Value::Obj(fields) => {
             *nth -= 1;
             fields
                 .iter_mut()
-                .any(|(_, child)| add_stray_key(child, nth))
+                .find_map(|(key, child)| add_stray_key(child, nth, &join(key)))
         }
-        Value::Arr(items) => items.iter_mut().any(|child| add_stray_key(child, nth)),
-        _ => false,
+        Value::Arr(items) => items
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, child)| add_stray_key(child, nth, &join(&format!("[{i}]")))),
+        _ => None,
     }
+}
+
+/// Put a stray key into each object of `doc` in turn and hand `read` the
+/// edited document; `read` must reject it with an error at that key's
+/// path, i.e. naming the object the key went into. Returns the number of
+/// objects walked.
+fn reject_every_stray_key(doc: &Value, read: impl Fn(&Value) -> Result<(), WireError>) -> usize {
+    for nth in 0.. {
+        let mut bad = doc.clone();
+        let Some(path) = add_stray_key(&mut bad, &mut { nth }, "") else {
+            return nth;
+        };
+        let err = read(&bad).expect_err(&format!("object {nth} accepts a stray key at {path}"));
+        assert_eq!(err.path, path, "{err}");
+        assert!(err.reason.starts_with("unknown key"), "{err}");
+    }
+    unreachable!("the walk ends when the objects do")
 }
 
 #[test]
 fn unknown_spec_keys_are_rejected_by_name_before_anything_runs() {
     // A misspelled optional key must not fall back to its default and
     // still print numbers. Exhaustively: a stray key in any one object of
-    // any golden fails the parse, naming the key and the object. (Every
-    // object of the format occurs in the goldens except the chain and
-    // Waxman generators, which `spec.rs` tests beside their parser.)
+    // any golden fails the parse, naming the key by its path from the
+    // root. (Every object of the format occurs in the goldens except the
+    // chain and Waxman generators, which `spec.rs` tests beside their
+    // declaration.)
     for entry in experiments::all() {
         let doc = netsim::json::parse(&golden(entry.name)).expect("golden is JSON");
-        for nth in 0.. {
-            let mut bad = doc.clone();
-            if !add_stray_key(&mut bad, &mut { nth }) {
-                assert!(nth > 5, "{}: walked every object", entry.name);
-                break;
-            }
-            let err = ExperimentSpec::from_json_value(&bad)
-                .expect_err(&format!("{}: object {nth} accepts a stray key", entry.name));
-            assert!(err.starts_with("unknown key 'zz' in "), "{err}");
-        }
+        let read = |v: &Value| ExperimentSpec::from_json_value(v).map(drop);
+        let walked = reject_every_stray_key(&doc, read);
+        assert!(walked > 5, "{}: walked every object", entry.name);
     }
 
     // End to end, at the top, workload and topology levels: `remy-cli run`
@@ -414,24 +434,64 @@ fn unknown_spec_keys_are_rejected_by_name_before_anything_runs() {
     // loss grid and print a three-row table).
     let dir = std::env::temp_dir().join("remy_spec_unknown_key_test");
     std::fs::create_dir_all(&dir).unwrap();
-    for (name, key, typo, object) in [
-        ("ablation_loss", "sweeps", "sweep", "experiment spec"),
-        ("fig4", "senders", "sender", "workload"),
-        ("parking_lot3", "paths", "path", "topology"),
-        ("failover_chain", "policy", "polcy", "graph topology"),
+    for (name, key, path) in [
+        ("ablation_loss", "sweeps", "sweep"),
+        ("fig4", "senders", "workload.sender"),
+        ("parking_lot3", "paths", "workload.topology.path"),
+        ("failover_chain", "policy", "workload.topology.polcy"),
     ] {
+        let typo = path.rsplit('.').next().unwrap();
         let text = golden(name).replacen(&format!("\"{key}\""), &format!("\"{typo}\""), 1);
-        let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, text).unwrap();
+        let file = dir.join(format!("{name}.json"));
+        std::fs::write(&file, text).unwrap();
         let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
-            .args(["run", path.to_str().unwrap(), "--runs", "1", "--secs", "2"])
+            .args(["run", file.to_str().unwrap(), "--runs", "1", "--secs", "2"])
             .output()
             .expect("spawn remy-cli");
         assert_eq!(out.status.code(), Some(2), "{name}: exits as a usage error");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let message = format!("unknown key '{typo}' in {object}");
+        let message = format!("{path}: unknown key");
         assert!(stderr.contains(&message), "{name}: {stderr}");
         assert!(out.stdout.is_empty(), "{name}: no report is printed");
+    }
+}
+
+/// The rule tables the repository ships (`crates/core/assets`) and the
+/// benchmark reads (`benchmark/inputs/tables`, read only), with their text.
+fn every_table() -> Vec<(String, String)> {
+    let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+    let mut tables = Vec::new();
+    for dir in ["crates/core/assets", "benchmark/inputs/tables"] {
+        let entries = std::fs::read_dir(format!("{root}/{dir}")).expect(dir);
+        let mut paths: Vec<_> = entries.map(|e| e.expect(dir).path()).collect();
+        paths.sort();
+        for path in paths {
+            let text = std::fs::read_to_string(&path).expect("readable table");
+            let name = path.file_name().expect("file").to_string_lossy();
+            tables.push((format!("{dir}/{name}"), text));
+        }
+    }
+    assert_eq!(tables.len(), 12, "7 shipped + 5 benchmark tables");
+    tables
+}
+
+#[test]
+fn unknown_table_keys_are_rejected_by_path() {
+    // The rule-table reader is as strict as the spec reader: a stray key
+    // in any object of any table names itself from the root.
+    for (path, text) in every_table() {
+        let doc = netsim::json::parse(&text).expect("table is JSON");
+        let read = |v: &Value| WhiskerTree::from_json_value(v).map(drop);
+        let walked = reject_every_stray_key(&doc, read);
+        assert!(walked >= 7, "{path}: walked every object");
+    }
+}
+
+#[test]
+fn every_table_round_trips_byte_for_byte() {
+    for (path, text) in every_table() {
+        let table = WhiskerTree::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(table.to_json(), text, "{path}");
     }
 }
 
