@@ -9,6 +9,11 @@
 //! Common random numbers are essential: the same specimen scenarios (same
 //! seeds) are reused for every candidate action so comparisons see the
 //! same traffic randomness.
+//!
+//! Every simulation runs as one item of a [`netsim::par::map`] over
+//! [`jobs`] worker threads. Results are collected positionally and reduced
+//! in input order, so scores and trained tables are byte-identical at any
+//! worker count.
 
 use crate::action::Action;
 use crate::model::NetworkModel;
@@ -20,21 +25,11 @@ use netsim::rng::SimRng;
 use netsim::scenario::Scenario;
 use netsim::sim::Simulator;
 use netsim::time::Ns;
-use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Set the number of worker threads used by all parallel evaluation
-/// (`0` = automatic: all available cores).
-/// Trained tables are byte-identical at any setting — parallel results
-/// are collected positionally, never by completion order.
-pub fn set_jobs(n: usize) {
-    rayon::set_num_threads(n);
-}
-
-/// The worker count parallel evaluation will use right now.
-pub fn jobs() -> usize {
-    rayon::current_num_threads()
-}
+// The `--jobs` worker count (`0` = all cores), also reachable here because
+// the benchmark harness sets it as `remy::evaluator::set_jobs`.
+pub use netsim::par::{jobs, set_jobs};
 
 /// Evaluation budget knobs. The paper simulates ≥16 specimens for 100 s
 /// each on a 48-core server; the budget each shipped table was trained at
@@ -121,10 +116,7 @@ impl Evaluator {
         tree: &Arc<WhiskerTree>,
         specimens: &[Scenario],
     ) -> (Vec<f64>, Usage) {
-        let cells: Vec<(f64, Usage)> = specimens
-            .par_iter()
-            .map(|sc| self.usage_cell(tree, sc))
-            .collect();
+        let cells = netsim::par::map(specimens, |sc| self.usage_cell(tree, sc));
         let mut usage = Usage::new(tree.id_bound());
         let mut scores = Vec::with_capacity(cells.len());
         for (score, cell_usage) in cells {
@@ -166,10 +158,7 @@ impl Evaluator {
         let cells: Vec<(usize, usize)> = (0..rows)
             .flat_map(|r| (0..specimens.len()).map(move |si| (r, si)))
             .collect();
-        let scored: Vec<f64> = cells
-            .par_iter()
-            .map(|&(r, si)| cell(r, &specimens[si]))
-            .collect();
+        let scored = netsim::par::map(&cells, |&(r, si)| cell(r, &specimens[si]));
         scored
             .chunks(specimens.len())
             .map(|row| row.iter().sum())

@@ -16,7 +16,7 @@
 //! | `d2-wallclock-rng` | no `Instant`/`SystemTime`/`thread_rng`/raw `rand` — all time comes from the event loop, all randomness from `SimRng::split_seed` |
 //! | `d3-float-partial-sort` | no `.partial_cmp` on the result path — NaN makes `sort_by(partial_cmp)` panic or reorder; use `f64::total_cmp` |
 //! | `d4-unsafe-safety-comment` | every `unsafe` must be preceded by a `// SAFETY:` comment |
-//! | `d5-shared-state-sim-path` | no `Mutex`/`RwLock`/atomics — rayon `--jobs` workers share one process, so a lock or atomic a simulation touches couples runs that must stay independent |
+//! | `d5-shared-state-sim-path` | no `Mutex`/`RwLock`/atomics — `--jobs` workers share one process, so a lock or atomic a simulation touches couples runs that must stay independent |
 //! | `p1`–`p3` | no `.unwrap()`/`.expect()`, panic-family macros, or subscript arithmetic — a `--jobs` worker must fail its run cleanly, not panic the batch ([`rules::p`]) |
 //! | `s3-sim-interior-mutability` | every interior-mutability cell needs a written concurrency justification ([`rules::s`]) |
 //!
@@ -761,6 +761,6 @@ fn f() { x.unwrap(); }
     #[test]
     fn out_of_scope_paths_are_clean() {
         let src = "use std::collections::HashMap;\n";
-        assert!(scan_source("crates/shims/rayon/src/lib.rs", src).is_empty());
+        assert!(scan_source("benchmark/src/runner.rs", src).is_empty());
     }
 }

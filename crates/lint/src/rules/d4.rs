@@ -10,7 +10,7 @@
 //! enforces, available here without crates.io.
 //!
 //! Unlike the determinism rules, this one applies to **all** code in the
-//! workspace — shims, benches, and tests included — because a memory bug
+//! workspace — benches and tests included — because a memory bug
 //! in test scaffolding corrupts the evidence the suites produce.
 
 use crate::lexer::TokKind;
@@ -132,7 +132,7 @@ mod tests {
     }
 }
 ";
-        let d = crate::scan_source("crates/shims/rayon/src/lib.rs", src);
+        let d = crate::scan_source("benchmark/src/runner.rs", src);
         assert_eq!(lines_of(&d, "d4-unsafe-safety-comment"), vec![6]);
     }
 

@@ -1,7 +1,7 @@
 //! **d5-shared-state-sim-path** — no locks or atomics in per-event sim
 //! code.
 //!
-//! Simulations run side by side on rayon `--jobs` workers that share one
+//! Simulations run side by side on `--jobs` workers that share one
 //! process, and results must stay bit-identical at any worker count. A
 //! `Mutex` or atomic counter
 //! inside the per-event path is how nondeterminism (and lock contention)

@@ -3,8 +3,7 @@
 //! Every rule is a token-level check over one file. All but [`d4`]
 //! share one scope, [`sim_crate_src`]: non-test source of the five
 //! crates where determinism is load-bearing. Everything else is silent
-//! (the shims reimplement threaded libraries and own their
-//! synchronization; `benchmark/` is a timing harness). Test code —
+//! (the linter itself; `benchmark/`, a timing harness). Test code —
 //! `#[cfg(test)]` items and anything under a `tests/`, `benches/`, or
 //! `examples/` directory — is skipped because tests legitimately use
 //! shortcuts the library must not. `d4` applies everywhere, tests
@@ -92,7 +91,7 @@ mod tests {
             assert!((r.applies)(src), "{}", r.id);
             assert_eq!((r.applies)(test), r.id.starts_with("d4-"), "{}", r.id);
             assert_eq!(
-                (r.applies)("crates/shims/rayon/src/lib.rs"),
+                (r.applies)("benchmark/src/runner.rs"),
                 r.id.starts_with("d4-"),
                 "{}",
                 r.id

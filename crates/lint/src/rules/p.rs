@@ -1,6 +1,6 @@
 //! **P-family** — panic-safety in sim-crate source.
 //!
-//! Simulations run on rayon `--jobs` worker threads inside one process,
+//! Simulations run on `--jobs` worker threads inside one process,
 //! many per experiment or training step; a panic in one of them takes the
 //! whole batch down instead of failing that run cleanly.
 //! These rules flag the panic *sources* anywhere in non-test source of

@@ -1,7 +1,7 @@
 //! **s3-sim-interior-mutability** — shared-state audit of sim-crate
 //! source.
 //!
-//! Simulations run side by side on rayon `--jobs` workers inside one
+//! Simulations run side by side on `--jobs` workers inside one
 //! process. Any state that is not owned by exactly one simulation is
 //! there a data race, a lock, or a source of divergence between
 //! `--jobs 1` and `--jobs N`. This rule inventories the

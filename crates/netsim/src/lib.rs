@@ -26,7 +26,9 @@
 //! * [`router`] — the hook XCP uses to run code at the bottleneck;
 //! * [`rng`] — deterministic, forkable randomness (common random numbers
 //!   are load-bearing for Remy's optimizer), and [`rng::cases`], the
-//!   seeded driver of the workspace's randomized property tests.
+//!   seeded driver of the workspace's randomized property tests;
+//! * [`par`] — the `--jobs` worker pool: an order-preserving parallel
+//!   map over a slice, on `std::thread::scope`.
 //!
 //! ## Quick example
 //!
@@ -57,6 +59,7 @@ pub mod json;
 pub mod link;
 pub mod metrics;
 pub mod packet;
+pub mod par;
 pub mod queue;
 pub mod rng;
 pub mod router;

@@ -70,7 +70,7 @@ fn usage() -> ! {
          remy-cli compare <tableA> <tableB> [runs=8] [secs=20]\n\n\
          <table>: a registered design, judged by its own prior and objective, \
          or a JSON path, judged on the general model at delta=1\n\n\
-         options:\n  --jobs N   evaluation worker threads (default: all cores);\n             \
+         options:\n  --jobs N   worker threads for run, train, eval and compare (default: all cores);\n             \
          results are identical at any thread count"
     );
     std::process::exit(2)
@@ -179,7 +179,7 @@ fn cmd_train(
         "budget    : {budget}, {} specimens x {} s sims",
         eval.specimens, eval.sim_secs
     );
-    println!("jobs      : {}", remy::evaluator::jobs());
+    println!("jobs      : {}", netsim::par::jobs());
     if warm_start {
         println!("continuing from {path} ({} rules)", initial.len());
     }
@@ -464,7 +464,7 @@ fn main() {
         };
         if let Some(v) = flag("--jobs") {
             let n = v.parse().unwrap_or_else(|_| die("--jobs needs a number"));
-            remy::evaluator::set_jobs(n);
+            netsim::par::set_jobs(n);
         } else if let Some(v) = flag("--runs") {
             runs = Some(positive("--runs", &v));
         } else if let Some(v) = flag("--secs") {

@@ -3,9 +3,9 @@
 //! parallel engine, and return structured per-cell results.
 //!
 //! Parallelism follows the evaluator's flattened-matrix design (see
-//! `remy::evaluator`): all simulations of all cells form one positional
-//! `par_iter`, so load balancing is per-simulation while results are
-//! collected by index — outcomes are byte-identical at any `--jobs`
+//! `remy::evaluator`): all simulations of all cells form one
+//! [`netsim::par::map`], so load balancing is per-simulation while results
+//! are collected by index — outcomes are byte-identical at any `--jobs`
 //! setting.
 
 use crate::harness::{Contender, Outcome};
@@ -15,7 +15,6 @@ use crate::report::{
 use crate::spec::{ExperimentSpec, SweepPoint};
 use netsim::metrics::{FlowSummary, PopulationSummary, SimResults};
 use netsim::scenario::Scenario;
-use rayon::prelude::*;
 
 /// One expanded unit of work: a contender at a sweep point, with its
 /// fully-materialized scenarios (one per seeded run).
@@ -118,10 +117,9 @@ impl Experiment {
             .enumerate()
             .flat_map(|(ci, c)| (0..c.scenarios.len()).map(move |si| (ci, si)))
             .collect();
-        let per_run: Vec<SimResults> = jobs
-            .par_iter()
-            .map(|&(ci, si)| cells[ci].contender.simulate(&cells[ci].scenarios[si]))
-            .collect();
+        let per_run: Vec<SimResults> = netsim::par::map(&jobs, |&(ci, si)| {
+            cells[ci].contender.simulate(&cells[ci].scenarios[si])
+        });
         // Regroup positionally into cells.
         let mut results = Vec::with_capacity(cells.len());
         let mut cursor = 0;

@@ -226,3 +226,32 @@ fn evaluation_scores_are_thread_count_invariant() {
         "usage totals varied with thread count: {usages:?}"
     );
 }
+
+#[test]
+fn experiment_reports_are_thread_count_invariant() {
+    // `Experiment::run` is the path behind `remy-cli run` and every report
+    // digest: its flattened (cell × run) map must give the same CSV bytes
+    // at any worker count, for a plain spec and a swept one.
+    let _knob = JOBS_KNOB.lock().unwrap();
+    let budget = Budget {
+        runs: 2,
+        sim_secs: 2,
+    };
+    for name in ["fig4", "ablation_loss"] {
+        let spec = remy_sim::experiments::by_name(name).unwrap().spec(budget);
+        let mut csvs = Vec::new();
+        for jobs in [1usize, 2, 4] {
+            netsim::par::set_jobs(jobs);
+            let rep = Experiment::new(spec.clone()).run().unwrap().report();
+            csvs.push((jobs, rep.csv_header + "\n" + &rep.csv_rows.join("\n")));
+        }
+        netsim::par::set_jobs(0);
+        let (_, reference) = &csvs[0];
+        for (jobs, csv) in &csvs[1..] {
+            assert_eq!(
+                csv, reference,
+                "{name}: --jobs {jobs} differs from --jobs 1"
+            );
+        }
+    }
+}
