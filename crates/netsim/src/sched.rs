@@ -193,6 +193,16 @@ impl<T> EventQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Entries the wheel's slot buffers could hold without growing (0 for
+    /// the heap), for tests that bound memory by what the wheel holds.
+    #[cfg(test)]
+    pub(crate) fn slot_capacity(&self) -> usize {
+        match &self.inner {
+            Inner::Heap(_) => 0,
+            Inner::Wheel(w) => w.slots.iter().map(Vec::capacity).sum(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -359,14 +369,18 @@ struct TimingWheel<T> {
     /// entries of strictly later granules.
     cur_g: u64,
     lanes: Lanes<T>,
-    /// `LEVELS × SLOTS` buckets, flattened. Buffers are recycled (swapped
-    /// with `ready`/`scratch`) rather than dropped, so steady-state
-    /// operation allocates nothing.
+    /// `LEVELS × SLOTS` buckets, flattened. A level-0 slot trades buffers
+    /// with `ready` when it drains, so the per-granule path allocates
+    /// nothing. An upper-level slot gives its buffer up when it cascades
+    /// and regrows from empty on its next lap (once per 1.05 ms window at
+    /// level 1, not once per event), so capacity follows what the wheel
+    /// holds rather than the largest slot ever cascaded. On a
+    /// `churn_100k` simulation that is ≈ 31 KiB at level 0, ≈ 180 KiB at
+    /// level 1 and ≈ 384 KiB at level 2; recycling cascaded buffers
+    /// instead leaves ≈ 9 MiB in level 1.
     slots: Vec<Vec<(Ns, u64, T)>>,
     /// Per-level occupancy bitmaps.
     occupied: [[u64; OCC_WORDS]; LEVELS],
-    /// Reused staging buffer for cascading an upper-level slot down.
-    scratch: Vec<(Ns, u64, T)>,
     /// Entries in `ready` and the levels (not the lanes).
     wheel_len: usize,
 }
@@ -381,7 +395,6 @@ impl<T> TimingWheel<T> {
                 .take(LEVELS * SLOTS)
                 .collect(),
             occupied: [[0; OCC_WORDS]; LEVELS],
-            scratch: Vec::new(),
             wheel_len: 0,
         }
     }
@@ -499,15 +512,15 @@ impl<T> TimingWheel<T> {
                     );
                 }
             } else {
-                // Cascade the slot one or more levels down, through the
-                // reusable scratch buffer (no allocation churn).
-                let mut scratch = std::mem::take(&mut self.scratch);
+                // Cascade the slot one or more levels down. The slot
+                // restarts empty and its buffer is freed once drained:
+                // handing it on would let every lower slot inherit the
+                // largest buffer ever cascaded.
                 let flat = level * SLOTS + slot;
-                std::mem::swap(&mut scratch, &mut self.slots[flat]);
-                for (at, id, ev) in scratch.drain(..) {
+                let moved = std::mem::take(&mut self.slots[flat]);
+                for (at, id, ev) in moved {
                     self.place(at, id, ev);
                 }
-                self.scratch = scratch;
             }
         }
     }
@@ -739,6 +752,47 @@ mod tests {
             let _ = q.pop();
             q.push(Ns::from_millis(1), 1u32);
         }
+    }
+
+    #[test]
+    fn cascaded_slots_do_not_keep_the_largest_buffer_ever_seen() {
+        // Churn-shaped: an arrival every 100 µs arms one timer due
+        // 200 ms–1 s later, and the queue is driven like the simulator
+        // drives it, popping in order and never scheduling into the past.
+        // Each level-2 slot fills with ≈ 2 700 entries before it cascades
+        // through level 1; if a cascaded buffer were handed on, level 1's
+        // 256 slots would each come to hold one that size.
+        const ARRIVAL: u32 = u32::MAX;
+        let mut rng = crate::rng::SimRng::new(2013);
+        let delays: Vec<u64> = (0..100_000)
+            .map(|_| rng.range_u64(200_000_000, 1_000_000_000))
+            .collect();
+        let runs = [SchedulerKind::Heap, SchedulerKind::Wheel].map(|kind| {
+            let mut q = EventQueue::new(kind);
+            q.push(Ns::ZERO, ARRIVAL);
+            let mut timers = delays.iter().zip(0u32..);
+            let (mut popped, mut peak_len, mut peak_cap) = (Vec::new(), 0, 0);
+            while let Some((at, id, v)) = q.pop() {
+                popped.push((at, id, v));
+                if v == ARRIVAL {
+                    if let Some((&delay, i)) = timers.next() {
+                        q.push(Ns(at.0 + delay), i);
+                        q.push(Ns(at.0 + 100_000), ARRIVAL);
+                    }
+                }
+                peak_len = peak_len.max(q.len());
+                peak_cap = peak_cap.max(q.slot_capacity());
+            }
+            (popped, peak_len, peak_cap)
+        });
+        let [(heap, peak_len, _), (wheel, _, cap)] = runs;
+        assert_eq!(heap.len(), 2 * delays.len() + 1);
+        assert!(heap == wheel, "wheel diverged from the heap");
+        assert!(
+            cap <= 4 * peak_len,
+            "slot capacity {cap} must stay within a small multiple of the \
+             {peak_len} entries the wheel ever held"
+        );
     }
 
     #[test]

@@ -1690,8 +1690,44 @@ mod tests {
     }
 
     #[test]
+    fn wheel_slots_track_concurrency_not_arrivals() {
+        // The scheduler analogue of `flow_slots_are_recycled_not_grown`,
+        // at the benchmark's arrival rate. A 50 Mbps link cannot carry
+        // 10 000 transfers/s, so concurrency climbs all run; the slot
+        // buffers must follow it, not keep every level-2 slot's fill
+        // from each cascade it went through.
+        let s = churn_scenario(10_000.0, 2, 17);
+        let mut sim = churn_sim(&s, SchedulerKind::Wheel);
+        sim.drive();
+        let slot_capacity = sim.events.slot_capacity();
+        let peak_flows = sim.flows.capacity();
+        let (r, _) = sim.finish();
+        let p = r.population.expect("population stats");
+        assert!(
+            p.spawned > 19_000,
+            "a real churn run: {} spawned",
+            p.spawned
+        );
+        assert!(
+            slot_capacity < 2 * peak_flows,
+            "wheel slot capacity {slot_capacity} must track the {peak_flows} \
+             concurrent flows"
+        );
+    }
+
+    #[test]
     fn churn_runs_agree_across_schedulers_bit_for_bit() {
-        let s = churn_scenario(300.0, 5, 13);
+        churn_runs_agree(churn_scenario(300.0, 5, 13));
+    }
+
+    #[test]
+    fn churn_runs_agree_across_schedulers_bit_for_bit_at_10k_arrivals_per_sec() {
+        // Level-2 slots fill with thousands of entries before they
+        // cascade, so this covers the wheel's large-buffer cascade path.
+        churn_runs_agree(churn_scenario(10_000.0, 2, 13));
+    }
+
+    fn churn_runs_agree(s: Scenario) {
         let a = churn_sim(&s, SchedulerKind::Heap).run();
         let b = churn_sim(&s, SchedulerKind::Wheel).run();
         assert_eq!(a.queue_drops, b.queue_drops);
