@@ -16,13 +16,11 @@
 //! what lets the engine recompute routes when a [`LinkEvent`] takes a
 //! link down (or brings it back) mid-run.
 //!
-//! Generators for the standard evaluation shapes — linear chains,
-//! fat-tree *k*=4, and seeded Waxman random graphs — live here too, so
-//! spec files can name a topology class instead of enumerating links.
+//! The fat-tree *k*=4 generator lives here too, so spec files can name
+//! that topology class instead of enumerating its 64 links.
 
 use crate::link::LinkSpec;
 use crate::queue::QueueSpec;
-use crate::rng::SimRng;
 use crate::time::Ns;
 use crate::topology::{FlowPath, HopSpec, Topology};
 use std::cmp::Reverse;
@@ -172,26 +170,8 @@ impl NetworkBuilder {
         (fwd, back)
     }
 
-    /// Linear chain of `n_links` duplex segments: routers `r0 … rN`
-    /// joined by identical links.
-    pub fn chain(
-        n_links: usize,
-        link: &LinkSpec,
-        queue: &QueueSpec,
-        prop_delay: Ns,
-    ) -> NetworkBuilder {
-        let mut b = NetworkBuilder::new();
-        let ids: Vec<RouterId> = (0..=n_links)
-            .map(|i| b.add_router(&format!("r{i}")))
-            .collect();
-        for w in ids.windows(2) {
-            b.add_duplex_link(w[0], w[1], link.clone(), queue.clone(), prop_delay);
-        }
-        b
-    }
-
     /// Three-tier fat-tree with *k*=4: 4 core routers, 4 pods of 2
-    /// aggregation + 2 edge routers each (20 routers, 48 directed
+    /// aggregation + 2 edge routers each (20 routers, 64 directed
     /// links). Routers are named `core{i}`, `pod{p}_agg{j}`, and
     /// `pod{p}_edge{j}`; all links have weight 1.
     pub fn fat_tree_k4(link: &LinkSpec, queue: &QueueSpec, prop_delay: Ns) -> NetworkBuilder {
@@ -212,39 +192,6 @@ impl NetworkBuilder {
             for (&agg, pair) in aggs.iter().zip(cores.chunks(2)) {
                 for &core in pair {
                     b.add_duplex_link(agg, core, link.clone(), queue.clone(), prop_delay);
-                }
-            }
-        }
-        b
-    }
-
-    /// Seeded Waxman random graph on `n` routers (`w0 … w{n-1}`) placed
-    /// uniformly in the unit square; each unordered pair gets a duplex
-    /// link with probability `alpha · exp(−d / (beta · √2))` where `d`
-    /// is the pair's Euclidean distance. Draws are fully determined by
-    /// `seed`; disconnected draws build fine and surface later as
-    /// named no-route diagnostics.
-    pub fn waxman(
-        n: usize,
-        alpha: f64,
-        beta: f64,
-        seed: u64,
-        link: &LinkSpec,
-        queue: &QueueSpec,
-        prop_delay: Ns,
-    ) -> NetworkBuilder {
-        let mut b = NetworkBuilder::new();
-        let mut rng = SimRng::new(seed);
-        let ids: Vec<RouterId> = (0..n).map(|i| b.add_router(&format!("w{i}"))).collect();
-        let pos: Vec<(f64, f64)> = (0..n).map(|_| (rng.f64(), rng.f64())).collect();
-        let scale = beta * std::f64::consts::SQRT_2;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let (dx, dy) = (pos[i].0 - pos[j].0, pos[i].1 - pos[j].1);
-                let d = (dx * dx + dy * dy).sqrt();
-                let p = alpha * (-d / scale).exp();
-                if rng.chance(p.clamp(0.0, 1.0)) {
-                    b.add_duplex_link(ids[i], ids[j], link.clone(), queue.clone(), prop_delay);
                 }
             }
         }
@@ -400,8 +347,6 @@ pub struct LinkEvent {
 /// What happens to packets caught on a failed link's queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FailoverPolicy {
-    /// Queued packets are dropped; senders recover via timeout.
-    Drop,
     /// Queued packets re-enter the network along the recomputed route
     /// (dropped only if no route remains).
     #[default]
@@ -409,10 +354,9 @@ pub enum FailoverPolicy {
 }
 
 impl FailoverPolicy {
-    /// Stable wire name (`"drop"` / `"reroute"`).
+    /// Stable wire name (`"reroute"`).
     pub fn name(self) -> &'static str {
         match self {
-            FailoverPolicy::Drop => "drop",
             FailoverPolicy::Reroute => "reroute",
         }
     }
@@ -420,7 +364,6 @@ impl FailoverPolicy {
     /// Parse a wire name written by [`FailoverPolicy::name`].
     pub fn from_name(s: &str) -> Result<FailoverPolicy, String> {
         match s {
-            "drop" => Ok(FailoverPolicy::Drop),
             "reroute" => Ok(FailoverPolicy::Reroute),
             other => Err(format!("unknown failover policy '{other}'")),
         }
@@ -709,51 +652,16 @@ mod tests {
     }
 
     #[test]
-    fn chain_builder_matches_hand_wiring() {
-        let (l, q) = wire();
-        let net = NetworkBuilder::chain(3, &l, &q, Ns::from_millis(2))
-            .build()
-            .expect("valid network");
-        let g = net.graph();
-        assert_eq!(g.routers, vec!["r0", "r1", "r2", "r3"]);
-        assert_eq!(g.links.len(), 6);
-        assert_eq!(g.route(0, 3, &[]).unwrap(), vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn waxman_draws_are_seed_deterministic() {
-        let (l, q) = wire();
-        let a = NetworkBuilder::waxman(12, 0.9, 0.5, 42, &l, &q, Ns::from_millis(1))
-            .build()
-            .expect("valid network");
-        let b = NetworkBuilder::waxman(12, 0.9, 0.5, 42, &l, &q, Ns::from_millis(1))
-            .build()
-            .expect("valid network");
-        assert_eq!(a.graph(), b.graph());
-        let c = NetworkBuilder::waxman(12, 0.9, 0.5, 43, &l, &q, Ns::from_millis(1))
-            .build()
-            .expect("valid network");
-        assert!(
-            a.graph() != c.graph(),
-            "different seeds draw different graphs"
-        );
-    }
-
-    #[test]
-    fn disconnected_waxman_surfaces_a_named_diagnostic() {
-        let (l, q) = wire();
-        // alpha == 0 draws no links at all: every pair is unreachable.
-        let net = NetworkBuilder::waxman(4, 0.0, 0.5, 7, &l, &q, Ns::from_millis(1))
-            .build()
-            .expect("builds even when disconnected");
+    fn disconnected_routers_surface_a_named_diagnostic() {
+        // Two routers and no links: the pair is unreachable.
+        let mut b = NetworkBuilder::new();
+        let west = b.add_router("west");
+        let east = b.add_router("east");
+        let net = b.build().expect("builds even when disconnected");
         let err = net
-            .into_topology(
-                &[(RouterId(0), RouterId(3))],
-                Vec::new(),
-                FailoverPolicy::Reroute,
-            )
+            .into_topology(&[(west, east)], Vec::new(), FailoverPolicy::Reroute)
             .unwrap_err();
-        assert!(err.contains("'w0'") && err.contains("'w3'"), "{err}");
+        assert!(err.contains("'west'") && err.contains("'east'"), "{err}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   fan-in, congested ACK paths) routed through the same event loop;
 //! * [`graph`] — first-class network graphs: named routers, weighted
 //!   links, deterministic shortest-path routing, link-failure events,
-//!   and generated shapes (chain, fat-tree k=4, Waxman);
+//!   and the generated fat-tree k=4;
 //! * [`router`] — the hook XCP uses to run code at the bottleneck;
 //! * [`rng`] — deterministic, forkable randomness (common random numbers
 //!   are load-bearing for Remy's optimizer), and [`rng::cases`], the

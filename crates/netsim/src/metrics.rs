@@ -259,10 +259,8 @@ pub struct SimResults {
     /// Link up/down events applied during the run (graph topologies
     /// with scheduled failures; 0 everywhere else).
     pub link_events: u64,
-    /// Packets discarded because of a link failure: queued packets
-    /// dropped under [`crate::graph::FailoverPolicy::Drop`], plus
-    /// packets with no remaining route under either policy. Counted
-    /// separately from `queue_drops`.
+    /// Packets discarded because of a link failure: those with no
+    /// remaining route. Counted separately from `queue_drops`.
     pub failover_drops: u64,
     /// Persistent flows whose forward or ACK path changed at a link
     /// event (each flow counted once per event that moved it).

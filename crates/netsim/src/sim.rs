@@ -234,18 +234,16 @@ impl Simulator {
         ccs: Vec<Box<dyn CongestionControl>>,
         router: Option<Box<dyn RouterHook>>,
     ) -> Simulator {
-        Simulator::with_scheduler(scenario, ccs, vec![router], SchedulerKind::Wheel)
+        Simulator::with_scheduler(scenario, ccs, router, SchedulerKind::Wheel)
     }
 
-    /// Build a simulator with per-hop router hooks and an explicit event
-    /// scheduler: `routers[h]` attaches to hop `h`, hops past the end of
-    /// the list get none. (The equivalence suite runs every scenario
-    /// under both scheduler kinds and asserts bit-for-bit identical
-    /// results.)
+    /// [`Simulator::new`] with an explicit event scheduler. (The
+    /// equivalence suite runs every scenario under both scheduler kinds
+    /// and asserts bit-for-bit identical results.)
     pub fn with_scheduler(
         scenario: &Scenario,
         ccs: Vec<Box<dyn CongestionControl>>,
-        routers: Vec<Option<Box<dyn RouterHook>>>,
+        mut router: Option<Box<dyn RouterHook>>,
         scheduler: SchedulerKind,
     ) -> Simulator {
         let n = scenario.n();
@@ -265,10 +263,6 @@ impl Simulator {
         // lint:allow(p1-sim-unwrap): construction-time validation — a
         // malformed scenario must abort setup before any event runs.
         world.validate(n).expect("topology matches scenario");
-        assert!(
-            routers.len() <= world.n_hops(),
-            "more router slots than hops"
-        );
         let mut root = SimRng::new(scenario.seed);
         let mut flows = FlowTable::with_capacity(n);
         for (i, (cfg, cc)) in scenario.senders.iter().zip(ccs).enumerate() {
@@ -322,7 +316,7 @@ impl Simulator {
                 fct_reservoir: Reservoir::new(FCT_RESERVOIR_CAP),
             }
         });
-        let mut routers = routers.into_iter();
+        // The first hop takes the router hook; the rest get none.
         let hops: Vec<Hop> = world
             .hops
             .iter()
@@ -330,7 +324,7 @@ impl Simulator {
                 Hop::new(
                     LinkState::from_spec(&h.link),
                     h.queue.build(),
-                    routers.next().flatten(),
+                    router.take(),
                     h.prop_delay_out,
                     scenario.mss,
                 )
@@ -922,8 +916,8 @@ impl Simulator {
 
     /// A scheduled link failure or recovery fires: flip the link's state,
     /// bump the routing epoch, recompute every flow's shortest path over
-    /// the surviving graph, and handle the failed link's queue contents
-    /// under the topology's failover policy. Flows that become unreachable
+    /// the surviving graph, and reroute the failed link's queued packets
+    /// (a packet with no surviving route drops). Flows that become unreachable
     /// keep their old paths (their packets strand at the failure and drop;
     /// the transport backs off by RTO until recovery).
     fn on_link_event(&mut self, idx: usize) {
@@ -941,7 +935,6 @@ impl Simulator {
         // the borrow of `net` must end before we touch flows.
         let down: Vec<bool> = self.hops.iter().map(|hop| hop.down).collect();
         let tables = net.graph.forwarding(&down);
-        let policy = net.graph.policy;
         let src = net.graph.links[h].src;
         let mut new_paths: Vec<(usize, Vec<usize>, Vec<usize>)> = Vec::new();
         for fi in 0..net.graph.flows.len() {
@@ -977,33 +970,24 @@ impl Simulator {
             // the outage (entry-hop sends buffer against a down link).
             self.start_service_if_possible(h);
         } else {
-            // Failure: deal with the dead link's queue under the policy.
+            // Failure: the dead link's queue re-enters the network along
+            // the recomputed routes.
             let mut stranded = Vec::new();
             while let Some(id) = self.hops[h].queue.dequeue(now, &mut self.arena) {
                 stranded.push(id);
             }
             for id in stranded {
-                match policy {
-                    crate::graph::FailoverPolicy::Drop => {
-                        self.arena.free(id);
-                        if let Some(net) = self.net.as_mut() {
-                            net.failover_drops += 1;
-                        }
-                    }
-                    crate::graph::FailoverPolicy::Reroute => {
-                        let (flow, is_ack) = {
-                            let p = &mut self.arena[id];
-                            let wait = now.saturating_sub(p.enqueued_at);
-                            p.queue_wait += wait;
-                            (p.flow, p.ack.is_some())
-                        };
-                        let Some(fi) = self.flows.index_of(flow) else {
-                            self.arena.free(id);
-                            continue;
-                        };
-                        self.reroute_at(id, fi, is_ack, src, now, Ns::ZERO);
-                    }
-                }
+                let (flow, is_ack) = {
+                    let p = &mut self.arena[id];
+                    let wait = now.saturating_sub(p.enqueued_at);
+                    p.queue_wait += wait;
+                    (p.flow, p.ack.is_some())
+                };
+                let Some(fi) = self.flows.index_of(flow) else {
+                    self.arena.free(id);
+                    continue;
+                };
+                self.reroute_at(id, fi, is_ack, src, now, Ns::ZERO);
             }
         }
     }
@@ -1447,7 +1431,7 @@ mod tests {
             let ccs: Vec<Box<dyn CongestionControl>> = (0..s.n())
                 .map(|_| Box::new(FixedWindow::new(60.0)) as _)
                 .collect();
-            let sim = Simulator::with_scheduler(&s, ccs, Vec::new(), kind);
+            let sim = Simulator::with_scheduler(&s, ccs, None, kind);
             assert_eq!(sim.scheduler(), kind);
             sim.run()
         };
@@ -1624,7 +1608,7 @@ mod tests {
         let ccs: Vec<Box<dyn CongestionControl>> = (0..s.n())
             .map(|_| Box::new(FixedWindow::new(60.0)) as _)
             .collect();
-        Simulator::with_scheduler(s, ccs, Vec::new(), kind)
+        Simulator::with_scheduler(s, ccs, None, kind)
             .with_churn_cc(Box::new(|_| Box::new(FixedWindow::new(10.0))))
     }
 
@@ -1896,14 +1880,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more router slots than hops")]
-    fn a_router_slot_past_the_last_hop_panics() {
-        let s = saturating_scenario(1, 10.0, 100);
-        let ccs: Vec<Box<dyn CongestionControl>> = vec![Box::new(FixedWindow::new(1.0))];
-        let _ = Simulator::with_scheduler(&s, ccs, vec![None, None], SchedulerKind::Wheel);
-    }
-
-    #[test]
     fn parking_lot_cross_traffic_contends_on_the_shared_hop() {
         // Flow 0 crosses hops 0 and 1; flow 1 loads hop 1 only. They split
         // hop 1's 10 Mbps while hop 0 stays uncongested.
@@ -1993,8 +1969,8 @@ mod tests {
     /// and a heavier detour b-e-c around exactly that hop. Failing b→c
     /// mid-run forces the flow onto the detour — and because the detour
     /// leaves from b, packets stranded at the failed link can rejoin the
-    /// new path under `FailoverPolicy::Reroute`.
-    fn detour_scenario(policy: FailoverPolicy, events: Vec<LinkEvent>) -> Scenario {
+    /// new path.
+    fn detour_scenario(events: Vec<LinkEvent>) -> Scenario {
         let mut b = NetworkBuilder::new();
         let a = b.add_router("a");
         let rb = b.add_router("b");
@@ -2012,7 +1988,7 @@ mod tests {
         b.add_weighted_duplex_link(e, c, slow, q, Ns::from_millis(20), 2);
         let net = b.build().expect("valid network");
         let topo = net
-            .into_topology(&[(a, d)], events, policy)
+            .into_topology(&[(a, d)], events, FailoverPolicy::Reroute)
             .expect("routable flow");
         Scenario::dumbbell(
             LinkSpec::constant(50.0),
@@ -2031,14 +2007,11 @@ mod tests {
 
     #[test]
     fn link_failure_reroutes_mid_flight_and_the_flow_keeps_delivering() {
-        let mut s = detour_scenario(
-            FailoverPolicy::Reroute,
-            vec![LinkEvent {
-                at: Ns::from_secs(5),
-                link: BC,
-                up: false,
-            }],
-        );
+        let mut s = detour_scenario(vec![LinkEvent {
+            at: Ns::from_secs(5),
+            link: BC,
+            up: false,
+        }]);
         s.record_deliveries = true;
         let r = run_scenario(&s, &|_| Box::new(FixedWindow::new(100.0)));
         assert_eq!(r.link_events, 1);
@@ -2055,49 +2028,19 @@ mod tests {
     }
 
     #[test]
-    fn failover_policies_differ_on_the_stranded_queue() {
-        let fail = vec![LinkEvent {
-            at: Ns::from_secs(5),
-            link: BC,
-            up: false,
-        }];
-        let window = |_: usize| Box::new(FixedWindow::new(100.0)) as Box<dyn CongestionControl>;
-        let dropped = run_scenario(
-            &detour_scenario(FailoverPolicy::Drop, fail.clone()),
-            &window,
-        );
-        let rerouted = run_scenario(&detour_scenario(FailoverPolicy::Reroute, fail), &window);
-        assert!(
-            dropped.failover_drops > 0,
-            "Drop frees the standing queue at the dead link: {}",
-            dropped.failover_drops
-        );
-        assert_eq!(rerouted.failover_drops, 0);
-        assert!(
-            rerouted.flows[0].bytes >= dropped.flows[0].bytes,
-            "salvaged packets are not re-earned by retransmission: {} vs {}",
-            rerouted.flows[0].bytes,
-            dropped.flows[0].bytes
-        );
-    }
-
-    #[test]
     fn link_recovery_restores_the_primary_route() {
-        let s = detour_scenario(
-            FailoverPolicy::Reroute,
-            vec![
-                LinkEvent {
-                    at: Ns::from_secs(3),
-                    link: BC,
-                    up: false,
-                },
-                LinkEvent {
-                    at: Ns::from_secs(6),
-                    link: BC,
-                    up: true,
-                },
-            ],
-        );
+        let s = detour_scenario(vec![
+            LinkEvent {
+                at: Ns::from_secs(3),
+                link: BC,
+                up: false,
+            },
+            LinkEvent {
+                at: Ns::from_secs(6),
+                link: BC,
+                up: true,
+            },
+        ]);
         let r = run_scenario(&s, &|_| Box::new(FixedWindow::new(100.0)));
         assert_eq!(r.link_events, 2);
         assert_eq!(r.reroutes, 2, "onto the detour, then back");
@@ -2111,18 +2054,15 @@ mod tests {
 
     #[test]
     fn failover_runs_agree_across_schedulers_bit_for_bit() {
-        let mut s = detour_scenario(
-            FailoverPolicy::Reroute,
-            vec![LinkEvent {
-                at: Ns::from_secs(5),
-                link: BC,
-                up: false,
-            }],
-        );
+        let mut s = detour_scenario(vec![LinkEvent {
+            at: Ns::from_secs(5),
+            link: BC,
+            up: false,
+        }]);
         s.record_deliveries = true;
         let run = |kind: SchedulerKind| {
             let ccs: Vec<Box<dyn CongestionControl>> = vec![Box::new(FixedWindow::new(100.0)) as _];
-            Simulator::with_scheduler(&s, ccs, Vec::new(), kind).run()
+            Simulator::with_scheduler(&s, ccs, None, kind).run()
         };
         let a = run(SchedulerKind::Heap);
         let b = run(SchedulerKind::Wheel);

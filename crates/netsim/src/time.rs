@@ -25,10 +25,6 @@ impl Ns {
 
     /// One second.
     pub const SECOND: Ns = Ns(1_000_000_000);
-    /// One millisecond.
-    pub const MILLISECOND: Ns = Ns(1_000_000);
-    /// One microsecond.
-    pub const MICROSECOND: Ns = Ns(1_000);
 
     /// Construct from whole seconds.
     #[inline]

@@ -1,5 +1,5 @@
-//! `remy-cli` — run experiments and train, inspect, evaluate, and compare
-//! RemyCC rule tables.
+//! `remy-cli` — run experiments and train, inspect and evaluate RemyCC
+//! rule tables.
 //!
 //! ```text
 //! remy-cli run <name|spec.json> [--runs N] [--secs S] [--out csv]
@@ -10,7 +10,6 @@
 //! remy-cli train <name> [wall_secs] [out_dir] [--steps N] [--continue]
 //! remy-cli inspect <table>                # annotated rule dump
 //! remy-cli eval <table> [delta] [specimens] [secs]  # score on its design model
-//! remy-cli compare <tableA> <tableB> [runs] [secs]  # head-to-head on Fig. 4
 //! ```
 //!
 //! `<table>` is either a registered design (`remy-cli list`, i.e.
@@ -66,11 +65,10 @@ fn usage() -> ! {
          remy-cli list\n  \
          remy-cli train <name> [wall_secs=480] [out_dir=crates/core/assets] [--steps N] [--continue]\n  \
          remy-cli inspect <table>\n  \
-         remy-cli eval <table> [delta] [specimens=8] [secs=15]\n  \
-         remy-cli compare <tableA> <tableB> [runs=8] [secs=20]\n\n\
+         remy-cli eval <table> [delta] [specimens=8] [secs=15]\n\n\
          <table>: a registered design, judged by its own prior and objective, \
          or a JSON path, judged on the general model at delta=1\n\n\
-         options:\n  --jobs N   worker threads for run, train, eval and compare (default: all cores);\n             \
+         options:\n  --jobs N   worker threads for run, train and eval (default: all cores);\n             \
          results are identical at any thread count"
     );
     std::process::exit(2)
@@ -214,31 +212,6 @@ fn cmd_train(
         .and_then(|()| out.write_all(table.to_json().as_bytes()))
         .unwrap_or_else(|e| die(&format!("train: cannot write '{path}': {e}")));
     println!("wrote {path} ({} rules)", table.len());
-}
-
-fn cmd_compare(a_spec: &str, b_spec: &str, runs: usize, secs: u64) {
-    let fig4 =
-        experiments::by_name("fig4").unwrap_or_else(|| die("compare: fig4 is not registered"));
-    let spec = ExperimentSpec::new(
-        "compare",
-        "Fig. 4 dumbbell head-to-head",
-        fig4.committed_spec().workload,
-        [a_spec, b_spec]
-            .map(|table| ContenderSpec::labeled(format!("remy:{table}"), table))
-            .to_vec(),
-        Budget {
-            runs,
-            sim_secs: secs,
-        },
-        12,
-    );
-    let results = Experiment::new(spec)
-        .run()
-        .unwrap_or_else(|e| die(&format!("compare: {e}")));
-    println!("Fig. 4 dumbbell (15 Mbps, 150 ms, n=8), {runs} runs x {secs} s:");
-    for cell in &results.cells {
-        println!("{}", cell.outcome.row());
-    }
 }
 
 fn cmd_list_experiments(names_only: bool) {
@@ -520,13 +493,6 @@ fn main() {
             let specimens = args.get(3).map_or(8, |v| positive("specimens", v));
             let secs = args.get(4).map_or(15.0, |v| positive("secs", v));
             cmd_eval(t, delta, specimens, secs);
-        }
-        Some("compare") => {
-            let a = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            let b = args.get(2).map(String::as_str).unwrap_or_else(|| usage());
-            let runs = args.get(3).map_or(8, |v| positive("runs", v));
-            let secs = args.get(4).map_or(20, |v| positive("secs", v));
-            cmd_compare(a, b, runs, secs);
         }
         _ => usage(),
     }

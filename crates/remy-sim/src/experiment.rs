@@ -52,11 +52,9 @@ impl ExperimentSpec {
                     ));
                 }
                 if self.workload.topology.is_some() && cs.scheme == "xcp" {
-                    // The harness attaches a contender's router hook to hop
-                    // 0 only; on a multi-hop topology XCP would silently run
-                    // at the wrong hop with the wrong rate. Refuse instead
-                    // (per-hop hooks exist via `Simulator::with_scheduler` for
-                    // hand-built scenarios).
+                    // The simulator has one router slot, at hop 0; on a
+                    // multi-hop topology XCP would silently run at the
+                    // wrong hop with the wrong rate. Refuse instead.
                     return Err(format!(
                         "spec '{}': contender 'xcp' is not supported on a \
                          topology workload",
@@ -311,16 +309,16 @@ mod tests {
     #[test]
     fn sweeps_expand_and_report_with_point_column() {
         let mut spec = tiny_spec();
-        spec.sweeps = vec![SweepAxis::Senders(vec![1, 3])];
+        spec.sweeps = vec![SweepAxis::LinkMbps(vec![5.0, 30.0])];
         let r = Experiment::new(spec).run().expect("run");
         assert_eq!(r.n_points(), 2);
         assert_eq!(r.cells.len(), 4);
-        assert_eq!(r.cell(1, "NewReno").unwrap().runs[0].len(), 3);
+        assert_eq!(r.cell(1, "NewReno").unwrap().runs[0].len(), 2);
         let rep = r.report();
         assert!(rep.csv_header.starts_with("point,"));
         assert_eq!(rep.csv_rows.len(), 4);
-        assert!(rep.csv_rows[0].starts_with("n_senders=1,"));
-        assert!(rep.text.contains("[n_senders=3]"));
+        assert!(rep.csv_rows[0].starts_with("link_mbps=5,"));
+        assert!(rep.text.contains("[link_mbps=30]"));
     }
 
     #[test]

@@ -186,7 +186,7 @@ netsim::record! {
 }
 
 /// How a graph topology's routers and links come to exist: listed
-/// explicitly, or drawn by a named generator.
+/// explicitly, or built by the fat-tree generator.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GraphGenerator {
     /// Hand-listed routers and directed links.
@@ -196,36 +196,8 @@ pub enum GraphGenerator {
         /// Directed links (list both directions for duplex wiring).
         links: Vec<GraphLinkRef>,
     },
-    /// A duplex linear chain `r0 — r1 — … — rN` of `n_links` segments.
-    Chain {
-        /// Number of chain segments (routers = `n_links + 1`).
-        n_links: usize,
-        /// Every link's wire.
-        link: LinkRef,
-        /// Every link's queue depth.
-        queue_capacity: usize,
-        /// Every link's propagation delay.
-        prop_delay: Ns,
-    },
     /// The three-tier fat-tree with k=4 (20 routers, 64 directed links).
     FatTreeK4 {
-        /// Every link's wire.
-        link: LinkRef,
-        /// Every link's queue depth.
-        queue_capacity: usize,
-        /// Every link's propagation delay.
-        prop_delay: Ns,
-    },
-    /// A seeded Waxman random graph over `n` routers on the unit square.
-    Waxman {
-        /// Number of routers.
-        n: usize,
-        /// Edge-probability scale.
-        alpha: f64,
-        /// Distance-decay scale.
-        beta: f64,
-        /// Draw seed (independent of the experiment's run seeds).
-        seed: u64,
         /// Every link's wire.
         link: LinkRef,
         /// Every link's queue depth.
@@ -265,39 +237,11 @@ impl GraphGenerator {
                 }
                 Ok(b)
             }
-            GraphGenerator::Chain {
-                n_links,
-                link,
-                queue_capacity,
-                prop_delay,
-            } => Ok(NetworkBuilder::chain(
-                *n_links,
-                &link.resolve()?,
-                &queue(queue_capacity),
-                *prop_delay,
-            )),
             GraphGenerator::FatTreeK4 {
                 link,
                 queue_capacity,
                 prop_delay,
             } => Ok(NetworkBuilder::fat_tree_k4(
-                &link.resolve()?,
-                &queue(queue_capacity),
-                *prop_delay,
-            )),
-            GraphGenerator::Waxman {
-                n,
-                alpha,
-                beta,
-                seed,
-                link,
-                queue_capacity,
-                prop_delay,
-            } => Ok(NetworkBuilder::waxman(
-                *n,
-                *alpha,
-                *beta,
-                *seed,
                 &link.resolve()?,
                 &queue(queue_capacity),
                 *prop_delay,
@@ -309,15 +253,7 @@ impl GraphGenerator {
 netsim::tagged! {
     GraphGenerator {
         "explicit" => Explicit { routers: "routers", links: "links" },
-        "chain" => Chain {
-            n_links: "n_links",
-            link: "link", queue_capacity: "queue_capacity" as Capacity, prop_delay: "prop_delay_ns",
-        },
         "fat_tree_k4" => FatTreeK4 {
-            link: "link", queue_capacity: "queue_capacity" as Capacity, prop_delay: "prop_delay_ns",
-        },
-        "waxman" => Waxman {
-            n: "n", alpha: "alpha", beta: "beta", seed: "seed",
             link: "link", queue_capacity: "queue_capacity" as Capacity, prop_delay: "prop_delay_ns",
         },
     }
@@ -838,10 +774,6 @@ fn default_remy_label(path: &str) -> String {
 pub enum SweepAxis {
     /// Bottleneck link speeds, Mbps (replaces the workload link).
     LinkMbps(Vec<f64>),
-    /// Shared propagation RTTs, milliseconds (applied to every sender).
-    RttMs(Vec<u64>),
-    /// Degrees of multiplexing (senders resized by cloning the first).
-    Senders(Vec<usize>),
     /// Mean off-periods, milliseconds (duty-cycle sweep, every sender).
     OffMeanMs(Vec<u64>),
     /// Stochastic non-congestive loss rates: every contender runs over a
@@ -854,8 +786,6 @@ impl SweepAxis {
     pub fn key(&self) -> &'static str {
         match self {
             SweepAxis::LinkMbps(_) => "link_mbps",
-            SweepAxis::RttMs(_) => "rtt_ms",
-            SweepAxis::Senders(_) => "n_senders",
             SweepAxis::OffMeanMs(_) => "off_mean_ms",
             SweepAxis::LossRate(_) => "loss_rate",
         }
@@ -865,8 +795,6 @@ impl SweepAxis {
     pub fn len(&self) -> usize {
         match self {
             SweepAxis::LinkMbps(v) => v.len(),
-            SweepAxis::RttMs(v) => v.len(),
-            SweepAxis::Senders(v) => v.len(),
             SweepAxis::OffMeanMs(v) => v.len(),
             SweepAxis::LossRate(v) => v.len(),
         }
@@ -881,8 +809,6 @@ impl SweepAxis {
     fn value(&self, i: usize) -> f64 {
         match self {
             SweepAxis::LinkMbps(v) => v[i],
-            SweepAxis::RttMs(v) => v[i] as f64,
-            SweepAxis::Senders(v) => v[i] as f64,
             SweepAxis::OffMeanMs(v) => v[i] as f64,
             SweepAxis::LossRate(v) => v[i],
         }
@@ -897,8 +823,7 @@ impl Wire for SweepAxis {
     fn to_json_value(&self) -> Value {
         let values = match self {
             SweepAxis::LinkMbps(v) | SweepAxis::LossRate(v) => v.to_json_value(),
-            SweepAxis::RttMs(v) | SweepAxis::OffMeanMs(v) => v.to_json_value(),
-            SweepAxis::Senders(v) => v.to_json_value(),
+            SweepAxis::OffMeanMs(v) => v.to_json_value(),
         };
         Value::obj(vec![(AXIS, Value::str(self.key())), (VALUES, values)])
     }
@@ -907,8 +832,6 @@ impl Wire for SweepAxis {
         let r = Reader::new(v, &[AXIS, VALUES])?;
         match r.req::<String, Plain>(AXIS)?.as_str() {
             "link_mbps" => Ok(SweepAxis::LinkMbps(r.req::<_, Plain>(VALUES)?)),
-            "rtt_ms" => Ok(SweepAxis::RttMs(r.req::<_, Plain>(VALUES)?)),
-            "n_senders" => Ok(SweepAxis::Senders(r.req::<_, Plain>(VALUES)?)),
             "off_mean_ms" => Ok(SweepAxis::OffMeanMs(r.req::<_, Plain>(VALUES)?)),
             "loss_rate" => Ok(SweepAxis::LossRate(r.req::<_, Plain>(VALUES)?)),
             other => Err(WireError::new(format!("unknown axis '{other}'")).within(AXIS)),
@@ -1010,34 +933,15 @@ impl ExperimentSpec {
         let mut wl = self.workload.clone();
         let mut loss = None;
         for (key, value) in &point.coords {
-            // Axes that reshape the single bottleneck or the sender count
-            // have no meaning on an explicit topology (paths are
-            // index-aligned with senders).
-            if wl.topology.is_some() && matches!(key.as_str(), "link_mbps" | "n_senders") {
+            // The single bottleneck has no meaning on an explicit
+            // topology, whose links carry their own rates.
+            if wl.topology.is_some() && key == "link_mbps" {
                 return Err(format!(
                     "sweep axis '{key}' is not supported on a topology workload"
                 ));
             }
             match key.as_str() {
                 "link_mbps" => wl.link = LinkRef::constant(*value),
-                "rtt_ms" => {
-                    let rtt = Ns::from_millis_f64(*value);
-                    for s in &mut wl.senders {
-                        s.rtt = rtt;
-                    }
-                }
-                "n_senders" => {
-                    let n = *value as usize;
-                    if n == 0 {
-                        return Err("n_senders sweep value must be positive".to_string());
-                    }
-                    let template = wl
-                        .senders
-                        .first()
-                        .ok_or("workload needs at least one sender to resize")?
-                        .clone();
-                    wl.senders.resize(n, template);
-                }
                 "off_mean_ms" => {
                     let off = Ns::from_millis(*value as u64);
                     for s in &mut wl.senders {
@@ -1157,7 +1061,7 @@ mod tests {
     fn spec_round_trips_losslessly() {
         let mut spec = swept(vec![
             SweepAxis::LinkMbps(vec![4.7, 15.0, 47.0]),
-            SweepAxis::RttMs(vec![50, 150]),
+            SweepAxis::OffMeanMs(vec![50, 150]),
         ]);
         spec.speedup_reference = Some("RemyCC d=1".to_string());
         spec.seed = u64::MAX - 17; // full-range seeds survive
@@ -1282,29 +1186,28 @@ mod tests {
     fn cartesian_expansion_orders_last_axis_fastest() {
         let spec = swept(vec![
             SweepAxis::LinkMbps(vec![10.0, 20.0]),
-            SweepAxis::Senders(vec![2, 4, 8]),
+            SweepAxis::OffMeanMs(vec![2, 4, 8]),
         ]);
         let points = spec.points();
         assert_eq!(points.len(), 6);
         assert_eq!(points[0].get("link_mbps"), Some(10.0));
-        assert_eq!(points[0].get("n_senders"), Some(2.0));
-        assert_eq!(points[1].get("n_senders"), Some(4.0));
+        assert_eq!(points[0].get("off_mean_ms"), Some(2.0));
+        assert_eq!(points[1].get("off_mean_ms"), Some(4.0));
         assert_eq!(points[3].get("link_mbps"), Some(20.0));
-        assert_eq!(points[5].label(), "link_mbps=20, n_senders=8");
+        assert_eq!(points[5].label(), "link_mbps=20, off_mean_ms=8");
     }
 
     #[test]
     fn sweep_coordinates_reshape_the_workload() {
         let spec = swept(vec![
-            SweepAxis::Senders(vec![12]),
-            SweepAxis::RttMs(vec![50]),
+            SweepAxis::LinkMbps(vec![47.0]),
             SweepAxis::OffMeanMs(vec![10]),
             SweepAxis::LossRate(vec![0.01]),
         ]);
         let points = spec.points();
         let (wl, loss) = spec.workload_at(&points[0]).unwrap();
-        assert_eq!(wl.n(), 12);
-        assert!(wl.senders.iter().all(|s| s.rtt == Ns::from_millis(50)));
+        assert_eq!(wl.link, LinkRef::constant(47.0));
+        assert_eq!(wl.n(), 8, "the sender list is unchanged");
         assert!(wl
             .senders
             .iter()
@@ -1446,27 +1349,6 @@ mod tests {
             "diagnostic names both endpoints: {err}"
         );
 
-        // A disconnected Waxman draw (alpha = 0 draws no links at all)
-        // fails the same way.
-        let spec = TopologySpec::Graph(GraphSpec {
-            generator: GraphGenerator::Waxman {
-                n: 4,
-                alpha: 0.0,
-                beta: 0.5,
-                seed: 7,
-                link: LinkRef::constant(10.0),
-                queue_capacity: 50,
-                prop_delay: Ns::from_millis(1),
-            },
-            flows: vec![("w0".into(), "w3".into())],
-            events: vec![],
-            policy: netsim::graph::FailoverPolicy::Reroute,
-        });
-        let err = spec
-            .resolve(&QueueSpec::DropTail { capacity: 100 })
-            .unwrap_err();
-        assert!(err.contains("'w0'") && err.contains("'w3'"), "{err}");
-
         // Unknown router names in the flow list are caught before routing.
         let spec = TopologySpec::Graph(GraphSpec {
             generator: GraphGenerator::Explicit {
@@ -1481,27 +1363,6 @@ mod tests {
             .resolve(&QueueSpec::DropTail { capacity: 100 })
             .unwrap_err();
         assert!(err.contains("'nowhere'"), "{err}");
-    }
-
-    #[test]
-    fn generated_graph_shapes_reject_stray_keys() {
-        // The two generators no golden spec uses (the goldens cover every
-        // other object of the format, see `tests/experiment_spec.rs`).
-        for (kind, own) in [
-            ("chain", r#""n_links": 3"#),
-            ("waxman", r#""n": 8, "alpha": 0.9, "beta": 0.5, "seed": 7"#),
-        ] {
-            let parse = |stray: &str| {
-                let wire = r#""link": {"kind": "constant", "rate_mbps": 10}, "queue_capacity": 9"#;
-                let text =
-                    format!(r#"{{"kind": "{kind}", {own}, {wire}, "prop_delay_ns": 5{stray}}}"#);
-                GraphGenerator::from_json_value(&json::parse(&text).expect("JSON"))
-            };
-            assert_eq!(parse("").expect("parses").kind(), kind);
-            let err = parse(r#", "zz": 1"#).unwrap_err();
-            assert_eq!(err.path, "zz");
-            assert!(err.reason.starts_with("unknown key"), "{err}");
-        }
     }
 
     #[test]
@@ -1671,14 +1532,15 @@ mod tests {
         let mut spec = fig4ish_spec();
         spec.workload.senders.truncate(2);
         spec.workload = spec.workload.clone().with_topology(two_hop_topology());
-        for axis in [SweepAxis::LinkMbps(vec![5.0]), SweepAxis::Senders(vec![4])] {
-            spec.sweeps = vec![axis];
-            let err = spec.workload_at(&spec.points()[0]).unwrap_err();
-            assert!(err.contains("not supported"), "{err}");
-        }
+        spec.sweeps = vec![SweepAxis::LinkMbps(vec![5.0])];
+        let err = spec.workload_at(&spec.points()[0]).unwrap_err();
+        assert!(err.contains("'link_mbps' is not supported"), "{err}");
         // Per-sender axes remain legal.
-        spec.sweeps = vec![SweepAxis::RttMs(vec![50])];
-        let (wl, _) = spec.workload_at(&spec.points()[0]).expect("rtt sweep ok");
-        assert!(wl.senders.iter().all(|s| s.rtt == Ns::from_millis(50)));
+        spec.sweeps = vec![SweepAxis::OffMeanMs(vec![50])];
+        let (wl, _) = spec.workload_at(&spec.points()[0]).expect("off sweep ok");
+        assert!(wl
+            .senders
+            .iter()
+            .all(|s| s.traffic.off_mean == Ns::from_millis(50)));
     }
 }

@@ -10,12 +10,10 @@
 //! * [`lte::LteModel::verizon_like`] / [`lte::verizon_schedule`] — the
 //!   0–50 Mbps, high-variance downlink of Figs. 7–8;
 //! * [`lte::LteModel::att_like`] / [`lte::att_schedule`] — the slower
-//!   AT&T-like downlink of Fig. 9;
-//! * [`io`] — a text format for loading real recordings instead.
+//!   AT&T-like downlink of Fig. 9.
 
 #![warn(missing_docs)]
 
-pub mod io;
 pub mod lte;
 
 pub use lte::{att_schedule, verizon_schedule, LteModel};

@@ -139,7 +139,7 @@ fn user_authored_spec_executes_end_to_end() {
             "record_deliveries": false
         },
         "contenders": ["newreno", "remy:delta1"],
-        "sweeps": [{"axis": "n_senders", "values": [2, 4]}]
+        "sweeps": [{"axis": "link_mbps", "values": [6, 24]}]
     }"#;
     let spec = ExperimentSpec::from_json(text).expect("parse");
     let reparsed = ExperimentSpec::from_json(&spec.to_json()).expect("reparse");
@@ -419,9 +419,7 @@ fn unknown_spec_keys_are_rejected_by_name_before_anything_runs() {
     // A misspelled optional key must not fall back to its default and
     // still print numbers. Exhaustively: a stray key in any one object of
     // any golden fails the parse, naming the key by its path from the
-    // root. (Every object of the format occurs in the goldens except the
-    // chain and Waxman generators, which `spec.rs` tests beside their
-    // declaration.)
+    // root. (Every object of the format occurs in the goldens.)
     for entry in experiments::all() {
         let doc = netsim::json::parse(&golden(entry.name)).expect("golden is JSON");
         let read = |v: &Value| ExperimentSpec::from_json_value(v).map(drop);
@@ -454,6 +452,75 @@ fn unknown_spec_keys_are_rejected_by_name_before_anything_runs() {
         assert!(stderr.contains(&message), "{name}: {stderr}");
         assert!(out.stdout.is_empty(), "{name}: no report is printed");
     }
+}
+
+#[test]
+fn removed_kinds_are_refused_by_key_path() {
+    // The format has no `chain` or `waxman` generator, no `rtt_ms` or
+    // `n_senders` sweep axis and no `drop` failover policy. A document
+    // naming one fails the parse at that key, in the library and as a
+    // `remy-cli run` usage error, rather than running something else.
+    let generator = r#""kind": "fat_tree_k4""#;
+    let sweeps = r#""sweeps": []"#;
+    let dir = std::env::temp_dir().join("remy_spec_removed_kind_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, from, to, path) in [
+        (
+            "fattree_k4_crosstraffic",
+            generator,
+            r#""kind": "waxman", "n": 8, "alpha": 0.9, "beta": 0.5, "seed": 7"#,
+            "workload.topology.generator.kind",
+        ),
+        (
+            "fattree_k4_crosstraffic",
+            generator,
+            r#""kind": "chain", "n_links": 3"#,
+            "workload.topology.generator.kind",
+        ),
+        (
+            "fig4",
+            sweeps,
+            r#""sweeps": [{"axis": "rtt_ms", "values": [50, 150]}]"#,
+            "sweeps[0].axis",
+        ),
+        (
+            "fig4",
+            sweeps,
+            r#""sweeps": [{"axis": "n_senders", "values": [2, 4]}]"#,
+            "sweeps[0].axis",
+        ),
+        (
+            "failover_chain",
+            r#""policy": "reroute""#,
+            r#""policy": "drop""#,
+            "workload.topology.policy",
+        ),
+    ] {
+        let text = golden(name).replacen(from, to, 1);
+        assert!(text.contains(to), "{name}: edited");
+        let err = ExperimentSpec::from_json(&text).expect_err(to);
+        assert_eq!(err.path, path, "{to}: {err}");
+
+        let file = dir.join(format!("{name}.json"));
+        std::fs::write(&file, text).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+            .args(["run", file.to_str().unwrap(), "--runs", "1", "--secs", "2"])
+            .output()
+            .expect("spawn remy-cli");
+        assert_eq!(out.status.code(), Some(2), "{to}: exits as a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{path}: ")), "{to}: {stderr}");
+        assert!(out.stdout.is_empty(), "{to}: no report is printed");
+    }
+
+    // Nor is `compare` a command.
+    let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+        .args(["compare", "delta1", "delta01"])
+        .output()
+        .expect("spawn remy-cli");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
+    assert!(out.stdout.is_empty());
 }
 
 /// The rule tables the repository ships (`crates/core/assets`) and the

@@ -92,7 +92,7 @@ fn every_sim_crate_source_file_is_in_scope() {
         "crates/netsim/src/par.rs",
         "crates/remy-sim/src/spec.rs",
         "crates/netsim/src/json.rs",
-        "crates/traces/src/io.rs",
+        "crates/traces/src/lte.rs",
         "crates/remy-sim/src/bin/remy-cli.rs",
     ];
     const MUST_BE_OUT: [&str; 4] = ["crates/lint/", "benchmark/", "tests/", "examples/"];

@@ -85,7 +85,7 @@ fn run_with(contender: &Contender, scenario: &Scenario, kind: SchedulerKind) -> 
     let ccs: Vec<Box<dyn CongestionControl>> =
         (0..scenario.n()).map(|_| contender.build_cc()).collect();
     let router = contender.router(&scenario.link, scenario.mss);
-    let mut sim = Simulator::with_scheduler(scenario, ccs, vec![router], kind);
+    let mut sim = Simulator::with_scheduler(scenario, ccs, router, kind);
     if scenario.churn.is_some() {
         let contender = contender.clone();
         sim = sim.with_churn_cc(Box::new(move |_| contender.build_cc()));
@@ -292,7 +292,7 @@ fn wheel_and_heap_schedulers_agree_when_pacing_gaps_outnumber_lanes() {
         let ccs: Vec<Box<dyn CongestionControl>> = (0..scenario.n())
             .map(|_| Box::new(RemyCc::recording(Arc::clone(&table))) as Box<dyn CongestionControl>)
             .collect();
-        Simulator::with_scheduler(&scenario, ccs, vec![None], kind).run_returning_ccs()
+        Simulator::with_scheduler(&scenario, ccs, None, kind).run_returning_ccs()
     };
     let (heap, _) = run(SchedulerKind::Heap);
     let (wheel, mut ccs) = run(SchedulerKind::Wheel);

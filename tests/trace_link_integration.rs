@@ -88,32 +88,6 @@ fn all_schemes_survive_the_cellular_link() {
 }
 
 #[test]
-fn trace_io_round_trip_preserves_sim_results() {
-    let schedule = LteModel::att_like().generate(9, Ns::from_secs(10));
-    let text = traces::io::to_text(&schedule);
-    let reloaded = traces::io::from_text(&text).expect("parse");
-    let run_with = |s: netsim::link::DeliverySchedule| {
-        let scenario = Scenario::dumbbell(
-            LinkSpec::Trace {
-                schedule: Arc::new(s),
-                name: "t".into(),
-            },
-            QueueSpec::DropTail { capacity: 1000 },
-            1,
-            Ns::from_millis(50),
-            TrafficSpec::saturating(),
-            Ns::from_secs(8),
-            5,
-        );
-        run_scenario(&scenario, &|_| Box::new(FixedWindow::new(200.0)))
-    };
-    let a = run_with(schedule);
-    let b = run_with(reloaded);
-    assert_eq!(a.packets_forwarded, b.packets_forwarded);
-    assert_eq!(a.flows[0].bytes, b.flows[0].bytes);
-}
-
-#[test]
 fn outage_dips_show_up_as_rtt_spikes() {
     // During outages the queue drains slowly, so a greedy sender's max
     // observed RTT must far exceed its propagation RTT.
