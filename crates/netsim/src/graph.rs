@@ -9,12 +9,23 @@
 //! Dijkstra's algorithm with a stable `(cost, RouterId, LinkId)`
 //! tie-break, so equal-cost choices never depend on iteration order.
 //!
+//! Routing walks adjacency lists: a [`NetGraph`] groups its links by
+//! source and by destination router once, when it is built, so one
+//! Dijkstra pass toward a destination relaxes only the links into each
+//! popped router, and a router's next hop is chosen among its own
+//! outgoing links — not by scanning every link for every router. The
+//! tables are sparse: [`NetGraph::forwarding_to`] fills the rows toward
+//! the destinations asked for and leaves the others empty, and
+//! [`NetGraph::forwarding`] is its all-destinations case.
+//!
 //! A built network derives a [`crate::topology::Topology`] for the
 //! simulator: every link becomes one hop, and every flow's forward and
-//! ACK [`FlowPath`]s are read out of the forwarding tables. The graph
-//! itself rides along as a [`NetGraph`] inside the topology, which is
-//! what lets the engine recompute routes when a [`LinkEvent`] takes a
-//! link down (or brings it back) mid-run.
+//! ACK [`FlowPath`]s are read out of the forwarding tables toward the
+//! flows' endpoints. The graph itself rides along as a [`NetGraph`]
+//! inside the topology, shared behind an `Arc` by every clone of it and
+//! every simulator built from it, which is what lets the engine
+//! recompute routes — toward those same endpoints only — when a
+//! [`LinkEvent`] takes a link down (or brings it back) mid-run.
 //!
 //! The fat-tree *k*=4 generator lives here too, so spec files can name
 //! that topology class instead of enumerating its 64 links.
@@ -24,7 +35,8 @@ use crate::queue::QueueSpec;
 use crate::time::Ns;
 use crate::topology::{FlowPath, HopSpec, Topology};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::Arc;
 
 /// Handle to a router added to a [`NetworkBuilder`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -221,21 +233,16 @@ impl NetworkBuilder {
                 ));
             }
         }
-        let graph = NetGraph {
-            routers: self.routers,
-            links: self
-                .links
-                .iter()
-                .map(|l| GraphLink {
-                    src: l.src,
-                    dst: l.dst,
-                    weight: l.weight,
-                })
-                .collect(),
-            flows: Vec::new(),
-            events: Vec::new(),
-            policy: FailoverPolicy::default(),
-        };
+        let links = self
+            .links
+            .iter()
+            .map(|l| GraphLink {
+                src: l.src,
+                dst: l.dst,
+                weight: l.weight,
+            })
+            .collect();
+        let graph = NetGraph::new(self.routers, links);
         let hops = self
             .links
             .into_iter()
@@ -269,30 +276,35 @@ impl Network {
         self.graph.router_index(name).map(RouterId)
     }
 
+    /// Every router's id by name: one map for resolving many names.
+    pub fn router_ids(&self) -> BTreeMap<&str, RouterId> {
+        (0..)
+            .zip(&self.graph.routers)
+            .map(|(i, name)| (name.as_str(), RouterId(i)))
+            .collect()
+    }
+
     /// First link `a → b`, if one exists.
     pub fn link_between(&self, a: RouterId, b: RouterId) -> Option<LinkId> {
-        self.graph
-            .links
-            .iter()
-            .position(|l| l.src == a.0 && l.dst == b.0)
-            .map(|i| LinkId(i as u32))
+        self.graph.link_between(a.0, b.0).map(LinkId)
     }
 
     /// Derive the simulator topology for `flows` (per-flow source and
     /// destination routers, in sender order): each flow's forward path
     /// is the shortest route `src → dst`, its ACK path the shortest
     /// route `dst → src`, both read from the all-links-up forwarding
-    /// tables. The graph — with `events` and the failover `policy` —
-    /// rides along inside the topology so the engine can recompute
-    /// routes when links fail.
+    /// tables toward the flows' endpoints. The graph — with `events` and
+    /// the failover `policy` — rides along inside the topology, shared
+    /// behind an [`Arc`], so the engine can recompute routes when links
+    /// fail.
     pub fn into_topology(
         mut self,
         flows: &[(RouterId, RouterId)],
         events: Vec<LinkEvent>,
         policy: FailoverPolicy,
     ) -> Result<Topology, String> {
-        let down = vec![false; self.graph.links.len()];
-        let tables = self.graph.forwarding(&down);
+        self.graph.flows = flows.iter().map(|&(s, d)| (s.0, d.0)).collect();
+        let tables = self.graph.forwarding_to(&self.graph.flow_endpoints(), &[]);
         let mut paths = Vec::with_capacity(flows.len());
         for &(s, d) in flows {
             if s == d {
@@ -310,13 +322,12 @@ impl Network {
                 return Err(format!("link event references unknown link {}", ev.link));
             }
         }
-        self.graph.flows = flows.iter().map(|&(s, d)| (s.0, d.0)).collect();
         self.graph.events = events;
         self.graph.policy = policy;
         Ok(Topology {
             hops: self.hops,
             paths,
-            graph: Some(self.graph),
+            graph: Some(Arc::new(self.graph)),
         })
     }
 }
@@ -396,9 +407,47 @@ pub struct NetGraph {
     pub events: Vec<LinkEvent>,
     /// Policy for packets caught on a failed link.
     pub policy: FailoverPolicy,
+    /// Each router's outgoing links, in link-id order.
+    out_links: Vec<Vec<u32>>,
+    /// Each router's incoming links, in link-id order.
+    in_links: Vec<Vec<u32>>,
+}
+
+/// Each router's links grouped by `end(link)`, in link-id order.
+fn link_lists(n: usize, links: &[GraphLink], end: impl Fn(&GraphLink) -> u32) -> Vec<Vec<u32>> {
+    let mut lists = vec![Vec::new(); n];
+    for (i, l) in links.iter().enumerate() {
+        lists[end(l) as usize].push(i as u32);
+    }
+    lists
+}
+
+/// The buffers one routing pass reuses from destination to destination.
+#[derive(Default)]
+struct Dijkstra {
+    dist: Vec<u64>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+fn is_down(down: &[bool], link: u32) -> bool {
+    down.get(link as usize).copied().unwrap_or(false)
 }
 
 impl NetGraph {
+    /// A graph over `routers` and `links` with no flows and no events.
+    fn new(routers: Vec<String>, links: Vec<GraphLink>) -> NetGraph {
+        let n = routers.len();
+        NetGraph {
+            out_links: link_lists(n, &links, |l| l.src),
+            in_links: link_lists(n, &links, |l| l.dst),
+            routers,
+            links,
+            flows: Vec::new(),
+            events: Vec::new(),
+            policy: FailoverPolicy::default(),
+        }
+    }
+
     /// Router index for `name`, if present.
     pub fn router_index(&self, name: &str) -> Option<u32> {
         self.routers
@@ -407,24 +456,43 @@ impl NetGraph {
             .map(|i| i as u32)
     }
 
-    /// Shortest distance from every router *to* destination `d`,
-    /// skipping links marked in `down` (an empty slice means all up).
+    /// First link `a → b` (smallest id), if one exists.
+    pub(crate) fn link_between(&self, a: u32, b: u32) -> Option<u32> {
+        self.out_links[a as usize]
+            .iter()
+            .copied()
+            .find(|&i| self.links[i as usize].dst == b)
+    }
+
+    /// Every router some flow starts or ends at, ascending: the
+    /// destinations [`NetGraph::forwarding_to`] needs tables toward to
+    /// route every flow both ways.
+    pub(crate) fn flow_endpoints(&self) -> Vec<u32> {
+        let mut ends: Vec<u32> = self.flows.iter().flat_map(|&(s, d)| [s, d]).collect();
+        ends.sort_unstable();
+        ends.dedup();
+        ends
+    }
+
+    /// Fill `scratch.dist` with the shortest distance from every router
+    /// *to* destination `d`, skipping links marked in `down`.
     /// Unreachable routers get `u64::MAX`.
-    fn dist_to(&self, d: usize, down: &[bool]) -> Vec<u64> {
-        const INF: u64 = u64::MAX;
-        let n = self.routers.len();
-        let mut dist = vec![INF; n];
+    fn dist_to(&self, d: usize, down: &[bool], scratch: &mut Dijkstra) {
+        let Dijkstra { dist, heap } = scratch;
+        dist.clear();
+        dist.resize(self.routers.len(), u64::MAX);
         dist[d] = 0;
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        heap.clear();
         heap.push(Reverse((0, d as u32)));
         while let Some(Reverse((du, u))) = heap.pop() {
             if du > dist[u as usize] {
                 continue;
             }
-            for (i, l) in self.links.iter().enumerate() {
-                if l.dst != u || down.get(i).copied().unwrap_or(false) {
+            for &i in &self.in_links[u as usize] {
+                if is_down(down, i) {
                     continue;
                 }
+                let l = &self.links[i as usize];
                 let nd = du.saturating_add(l.weight);
                 if nd < dist[l.src as usize] {
                     dist[l.src as usize] = nd;
@@ -432,7 +500,53 @@ impl NetGraph {
                 }
             }
         }
-        dist
+    }
+
+    /// The forwarding table toward destination `d`: entry `r` is the
+    /// link router `r` forwards on, or [`NO_ROUTE`].
+    fn table_to(&self, d: usize, down: &[bool], scratch: &mut Dijkstra) -> Vec<u32> {
+        self.dist_to(d, down, scratch);
+        let dist = &scratch.dist;
+        let mut next = vec![NO_ROUTE; self.routers.len()];
+        for (r, slot) in next.iter_mut().enumerate() {
+            if r == d || dist[r] == u64::MAX {
+                continue;
+            }
+            let mut best: Option<(u64, u32, u32)> = None;
+            for &i in &self.out_links[r] {
+                let l = &self.links[i as usize];
+                let to = dist[l.dst as usize];
+                if to == u64::MAX || is_down(down, i) {
+                    continue;
+                }
+                let key = (l.weight.saturating_add(to), l.dst, i);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+            if let Some((_, _, link)) = best {
+                *slot = link;
+            }
+        }
+        next
+    }
+
+    /// Forwarding tables toward the routers in `dests` only, with the
+    /// links in `down` removed (an empty slice means all up):
+    /// `tables[d][r]` is the link index router `r` forwards on toward
+    /// `d`, or [`NO_ROUTE`]; the row of a router not in `dests` is
+    /// empty. Each filled row equals the same row of
+    /// [`NetGraph::forwarding`].
+    pub fn forwarding_to(&self, dests: &[u32], down: &[bool]) -> Vec<Vec<u32>> {
+        let mut tables = vec![Vec::new(); self.routers.len()];
+        let mut scratch = Dijkstra::default();
+        for &d in dests {
+            let d = d as usize;
+            if tables[d].is_empty() {
+                tables[d] = self.table_to(d, down, &mut scratch);
+            }
+        }
+        tables
     }
 
     /// Compute full forwarding tables with the links in `down` removed:
@@ -442,42 +556,14 @@ impl NetGraph {
     /// the result is independent of Dijkstra's visit order and — for
     /// links between distinct router pairs — of link insertion order.
     pub fn forwarding(&self, down: &[bool]) -> Vec<Vec<u32>> {
-        const INF: u64 = u64::MAX;
-        let n = self.routers.len();
-        let mut tables = Vec::with_capacity(n);
-        for d in 0..n {
-            let dist = self.dist_to(d, down);
-            let mut next = vec![NO_ROUTE; n];
-            for (r, slot) in next.iter_mut().enumerate() {
-                if r == d || dist[r] == INF {
-                    continue;
-                }
-                let mut best: Option<(u64, u32, u32)> = None;
-                for (i, l) in self.links.iter().enumerate() {
-                    if l.src != r as u32 || down.get(i).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    let to = dist[l.dst as usize];
-                    if to == INF {
-                        continue;
-                    }
-                    let key = (l.weight.saturating_add(to), l.dst, i as u32);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-                if let Some((_, _, link)) = best {
-                    *slot = link;
-                }
-            }
-            tables.push(next);
-        }
-        tables
+        let all: Vec<u32> = (0..self.routers.len() as u32).collect();
+        self.forwarding_to(&all, down)
     }
 
     /// Read the route `src → dst` (a hop-index list) out of forwarding
-    /// tables produced by [`NetGraph::forwarding`]. Fails with a
-    /// named-router diagnostic if `dst` is unreachable.
+    /// tables produced by [`NetGraph::forwarding`] (or by
+    /// [`NetGraph::forwarding_to`] with `dst` among its destinations).
+    /// Fails with a named-router diagnostic if `dst` is unreachable.
     pub fn route_via(&self, tables: &[Vec<u32>], src: u32, dst: u32) -> Result<Vec<usize>, String> {
         let mut hops = Vec::new();
         let mut at = src;
@@ -495,9 +581,9 @@ impl NetGraph {
         Ok(hops)
     }
 
-    /// Convenience: compute tables and read one route.
+    /// Convenience: compute the table toward `dst` and read one route.
     pub fn route(&self, src: u32, dst: u32, down: &[bool]) -> Result<Vec<usize>, String> {
-        self.route_via(&self.forwarding(down), src, dst)
+        self.route_via(&self.forwarding_to(&[dst], down), src, dst)
     }
 }
 
@@ -528,6 +614,178 @@ mod tests {
         b.add_weighted_duplex_link(a, e, l.clone(), q.clone(), Ns::from_millis(20), 2);
         b.add_weighted_duplex_link(e, d, l, q, Ns::from_millis(20), 2);
         b.build().expect("valid network")
+    }
+
+    /// The O(routers × links) kernel the adjacency lists replaced: a scan
+    /// of every link for each popped router and each next-hop choice,
+    /// toward every destination. The reference `forwarding` must equal.
+    fn forwarding_reference(g: &NetGraph, down: &[bool]) -> Vec<Vec<u32>> {
+        const INF: u64 = u64::MAX;
+        let n = g.routers.len();
+        let is_down = |i: usize| down.get(i).copied().unwrap_or(false);
+        let mut tables = Vec::with_capacity(n);
+        for d in 0..n {
+            let mut dist = vec![INF; n];
+            dist[d] = 0;
+            let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            heap.push(Reverse((0, d as u32)));
+            while let Some(Reverse((du, u))) = heap.pop() {
+                if du > dist[u as usize] {
+                    continue;
+                }
+                for (i, l) in g.links.iter().enumerate() {
+                    if l.dst != u || is_down(i) {
+                        continue;
+                    }
+                    let nd = du.saturating_add(l.weight);
+                    if nd < dist[l.src as usize] {
+                        dist[l.src as usize] = nd;
+                        heap.push(Reverse((nd, l.src)));
+                    }
+                }
+            }
+            let mut next = vec![NO_ROUTE; n];
+            for (r, slot) in next.iter_mut().enumerate() {
+                if r == d || dist[r] == INF {
+                    continue;
+                }
+                let mut best: Option<(u64, u32, u32)> = None;
+                for (i, l) in g.links.iter().enumerate() {
+                    if l.src != r as u32 || is_down(i) || dist[l.dst as usize] == INF {
+                        continue;
+                    }
+                    let key = (
+                        l.weight.saturating_add(dist[l.dst as usize]),
+                        l.dst,
+                        i as u32,
+                    );
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                }
+                if let Some((_, _, link)) = best {
+                    *slot = link;
+                }
+            }
+            tables.push(next);
+        }
+        tables
+    }
+
+    fn fat_tree() -> Network {
+        let (l, q) = wire();
+        NetworkBuilder::fat_tree_k4(&l, &q, Ns::from_micros(100))
+            .build()
+            .expect("valid network")
+    }
+
+    #[test]
+    fn adjacency_kernel_matches_the_reference_for_every_single_link_failure() {
+        let net = fat_tree();
+        let g = net.graph();
+        assert_eq!(g.forwarding(&[]), forwarding_reference(g, &[]));
+        for link in 0..g.links.len() {
+            let mut down = vec![false; g.links.len()];
+            down[link] = true;
+            assert_eq!(
+                g.forwarding(&down),
+                forwarding_reference(g, &down),
+                "link {link} down"
+            );
+        }
+    }
+
+    #[test]
+    fn adjacency_kernel_matches_the_reference_for_random_failure_sets() {
+        let net = fat_tree();
+        let g = net.graph();
+        let mut cut_off = 0;
+        crate::rng::cases(
+            "adjacency_kernel_matches_the_reference_for_random_failure_sets",
+            |rng| {
+                let p = rng.range_f64(0.02, 0.7);
+                let down: Vec<bool> = (0..g.links.len()).map(|_| rng.chance(p)).collect();
+                let tables = g.forwarding(&down);
+                assert_eq!(tables, forwarding_reference(g, &down), "down = {down:?}");
+                let unreachable = tables.iter().enumerate().any(|(d, row)| {
+                    row.iter()
+                        .enumerate()
+                        .any(|(r, &l)| r != d && l == NO_ROUTE)
+                });
+                cut_off += usize::from(unreachable);
+            },
+        );
+        assert!(
+            cut_off > 0 && cut_off < crate::rng::CASES as usize,
+            "the cases mix connected and partitioned graphs: {cut_off} partitioned"
+        );
+    }
+
+    #[test]
+    fn adjacency_kernel_matches_the_reference_on_the_tie_break_testbed() {
+        let net = chain_with_backup();
+        let g = net.graph();
+        let mut down = vec![false; g.links.len()];
+        assert_eq!(g.forwarding(&down), forwarding_reference(g, &down));
+        down[2] = true;
+        down[3] = true;
+        assert_eq!(g.forwarding(&down), forwarding_reference(g, &down));
+        // Reweighted so the chain (1 + 1 + 1) and the backup (2 + 1) tie
+        // at a: the smaller neighbour id (b = 1 against e = 4) wins.
+        let (l, q) = wire();
+        let mut b = NetworkBuilder::new();
+        let ids: Vec<RouterId> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|n| b.add_router(n))
+            .collect();
+        for (x, y, w) in [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 2), (4, 3, 1)] {
+            b.add_weighted_duplex_link(ids[x], ids[y], l.clone(), q.clone(), Ns::ZERO, w);
+        }
+        let tied = b.build().expect("valid network");
+        let g = tied.graph();
+        assert_eq!(g.forwarding(&[]), forwarding_reference(g, &[]));
+        assert_eq!(g.route(0, 3, &[]).unwrap(), vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn each_row_toward_a_chosen_destination_equals_the_full_tables_row() {
+        let net = fat_tree();
+        let g = net.graph();
+        let mut down = vec![false; g.links.len()];
+        down[17] = true;
+        down[40] = true;
+        let full = g.forwarding(&down);
+        let edges: Vec<u32> = (0..g.routers.len() as u32)
+            .filter(|&r| g.routers[r as usize].contains("edge"))
+            .collect();
+        for dests in [vec![], vec![3], vec![19, 0, 19], edges] {
+            let sparse = g.forwarding_to(&dests, &down);
+            assert_eq!(sparse.len(), full.len());
+            for (d, row) in sparse.iter().enumerate() {
+                if dests.contains(&(d as u32)) {
+                    assert_eq!(row, &full[d], "row {d}");
+                } else {
+                    assert!(row.is_empty(), "row {d} was not asked for");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn names_and_link_pairs_resolve_through_the_adjacency_lists() {
+        let net = fat_tree();
+        let ids = net.router_ids();
+        assert_eq!(ids.len(), 20);
+        for (name, id) in &ids {
+            assert_eq!(net.router(name), Some(*id));
+        }
+        let g = net.graph();
+        for a in 0..20 {
+            for b in 0..20 {
+                let scan = g.links.iter().position(|l| l.src == a && l.dst == b);
+                assert_eq!(g.link_between(a, b), scan.map(|i| i as u32), "{a} → {b}");
+            }
+        }
     }
 
     #[test]

@@ -433,13 +433,17 @@ impl<'a> Reader<'a> {
     fn open(v: &'a Value, keys: &[&str], tag: Option<&str>) -> Result<Reader<'a>, WireError> {
         let fields = object(v)?;
         let known = |k: &str| keys.contains(&k) || tag == Some(k);
-        match fields.iter().find(|(k, _)| !known(k)) {
-            Some((k, _)) => {
+        for (i, (k, _)) in fields.iter().enumerate() {
+            if !known(k) {
                 let reason = format!("unknown key (known: {})", keys.join(", "));
-                Err(WireError::new(reason).within(k))
+                return Err(WireError::new(reason).within(k));
             }
-            None => Ok(Reader(fields)),
+            // A second value under a key would otherwise be ignored.
+            if fields[..i].iter().any(|(seen, _)| seen == k) {
+                return Err(WireError::new("duplicate key").within(k));
+            }
         }
+        Ok(Reader(fields))
     }
 
     /// The [`TAG`] of the object `v`: which variant, so which keys, it holds.
@@ -645,13 +649,13 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+        self.pos += self.run_len(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
+    }
+
+    /// Length of the run of bytes from `pos` on that satisfy `keep`.
+    fn run_len(&self, keep: impl Fn(u8) -> bool) -> usize {
+        let rest = &self.bytes[self.pos..];
+        rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len())
     }
 
     fn peek(&self) -> Option<u8> {
@@ -695,23 +699,36 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
+        let open = self.pos;
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or escape whole: both ends
-            // sit next to ASCII bytes, so they are character boundaries.
+            // Take the run up to the next quote, escape or control byte
+            // whole: each end sits next to an ASCII byte, so both are
+            // character boundaries.
             let start = self.pos;
-            while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                self.pos += 1;
-            }
-            out.push_str(&self.text[start..self.pos]);
+            self.pos += self.run_len(|b| b != b'"' && b != b'\\' && b >= 0x20);
+            let run = &self.text[start..self.pos];
             let Some(b) = self.peek() else {
-                return Err("unterminated string".to_string());
+                return Err(format!("unterminated string opened at byte {open}"));
             };
+            if b < 0x20 {
+                return Err(format!(
+                    "unescaped control character {b:#04x} in string at byte {}",
+                    self.pos
+                ));
+            }
             self.pos += 1;
             if b == b'"' {
+                // An escape always writes to `out`, so an empty `out` means
+                // the string had none: copy it in one allocation.
+                if out.is_empty() {
+                    return Ok(run.to_owned());
+                }
+                out.push_str(run);
                 return Ok(out);
             }
+            out.push_str(run);
             let Some(esc) = self.peek() else {
                 return Err("unterminated escape".to_string());
             };
@@ -739,20 +756,53 @@ impl Parser<'_> {
         }
     }
 
+    /// Consume a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let n = self.run_len(|b| b.is_ascii_digit());
+        self.pos += n;
+        n
+    }
+
+    /// A number in JSON's grammar: `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?`. A leading `+` or `.`, a leading zero before
+    /// more digits and a bare `.` or exponent marker are refused.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
+        let bad = |p: &Self, why: &str| {
+            let s = &p.text[start..p.pos];
+            Err(format!("bad number '{s}' at byte {start}: {why}"))
+        };
+        if matches!(self.peek(), Some(b'+' | b'.')) {
+            self.pos += 1;
+            return bad(self, "a JSON number starts with '-' or a digit");
+        }
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let int_start = self.pos;
+        match self.digits() {
+            0 if self.pos == start => return Err(format!("expected value at byte {start}")),
+            0 => return bad(self, "expected a digit"),
+            1 => {}
+            _ if self.bytes[int_start] == b'0' => return bad(self, "leading zero"),
+            _ => {}
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return bad(self, "expected a digit after '.'");
             }
         }
-        if start == self.pos {
-            return Err(format!("expected value at byte {start}"));
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return bad(self, "expected a digit in the exponent");
+            }
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("non-ascii number at byte {start}"))?;
+        let s = &self.text[start..self.pos];
         match s.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Value::Num(n)),
             // JSON has no infinity: a number past f64's range would print
@@ -1001,6 +1051,70 @@ mod tests {
             err.to_string(),
             "kind: unknown kind 'box' (known: dot, bar)"
         );
+    }
+
+    #[test]
+    fn numbers_outside_the_json_grammar_are_refused_at_their_offset() {
+        for (text, at) in [
+            ("+1", 0),
+            (".5", 0),
+            ("01", 0),
+            ("1.", 0),
+            ("00.5", 0),
+            ("-01", 0),
+            ("-", 0),
+            ("-.5", 0),
+            ("1e", 0),
+            ("1e+", 0),
+            ("[1, +2]", 4),
+            (r#"{"seed": +1}"#, 9),
+            (r#"{"x": 1.}"#, 6),
+            (r#"{"x": 007}"#, 6),
+        ] {
+            let err = parse(text).expect_err(text);
+            assert!(err.contains(&format!("at byte {at}")), "{text}: {err}");
+        }
+        for (text, n) in [
+            ("0", 0.0_f64),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.25e-2", -0.0025),
+            ("1E+3", 1000.0),
+            ("2e3", 2000.0),
+        ] {
+            let x = parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(x.to_bits(), n.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_refused_at_their_offset() {
+        for (text, at) in [
+            ("\"a\nb\"", 2),
+            ("\"\tx\"", 1),
+            ("{\"k\": \"v\r\"}", 8),
+            ("\"\u{1}\"", 1),
+        ] {
+            let err = parse(text).expect_err(text);
+            assert!(
+                err.contains("control character") && err.contains(&format!("at byte {at}")),
+                "{text:?}: {err}"
+            );
+        }
+        // Escaped, the same characters are fine.
+        assert_eq!(parse(r#""a\nb\t""#).unwrap(), Value::str("a\nb\t"));
+        assert!(parse("\"open").unwrap_err().contains("byte 0"));
+    }
+
+    #[test]
+    fn a_key_given_twice_is_refused_by_name() {
+        let v = parse(r#"{"seed": 1, "n": 2, "seed": 2}"#).unwrap();
+        let err = Reader::new(&v, &["seed", "n"]).err().expect("duplicate");
+        assert_eq!(err.to_string(), "seed: duplicate key");
+        let v = parse(r#"{"kind": "a", "kind": "b"}"#).unwrap();
+        let err = Reader::tagged(&v, &[]).err().expect("duplicate tag");
+        assert_eq!(err.path, "kind");
     }
 
     #[test]

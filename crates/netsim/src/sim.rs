@@ -65,6 +65,7 @@ use crate::topology::Topology;
 use crate::traffic::TrafficProcess;
 use crate::transport::{SendPoll, Transport};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Events the engine processes. Packet-carrying events hold arena handles,
 /// not packets, and flow-timer events hold generational [`FlowId`]s, so
@@ -187,7 +188,10 @@ impl Hop {
 /// epoch packets are stamped with and the failover counters surfaced in
 /// [`SimResults`]. Which links are down is [`Hop::down`] (link = hop).
 struct NetState {
-    graph: crate::graph::NetGraph,
+    graph: Arc<crate::graph::NetGraph>,
+    /// The routers flows start or end at: the only destinations a link
+    /// event recomputes tables toward.
+    dests: Vec<u32>,
     /// Bumped on every link event; packets stamped with an older epoch
     /// re-resolve their route at the router they currently occupy.
     epoch: u32,
@@ -330,12 +334,13 @@ impl Simulator {
                 )
             })
             .collect();
-        let net = world.graph().map(|g| NetState {
+        let net = world.graph.as_ref().map(|g| NetState {
             epoch: 0,
             link_events: 0,
             failover_drops: 0,
             reroutes: 0,
-            graph: g.clone(),
+            dests: g.flow_endpoints(),
+            graph: Arc::clone(g),
         });
         let n_persistent = flows.live();
         let mut sim = Simulator {
@@ -915,8 +920,10 @@ impl Simulator {
     }
 
     /// A scheduled link failure or recovery fires: flip the link's state,
-    /// bump the routing epoch, recompute every flow's shortest path over
-    /// the surviving graph, and reroute the failed link's queued packets
+    /// bump the routing epoch, recompute the forwarding tables toward the
+    /// flows' endpoints only (not every router) over the surviving graph,
+    /// re-read every flow's shortest path from them, and reroute the
+    /// failed link's queued packets
     /// (a packet with no surviving route drops). Flows that become unreachable
     /// keep their old paths (their packets strand at the failure and drop;
     /// the transport backs off by RTO until recovery).
@@ -934,7 +941,7 @@ impl Simulator {
         // Recompute all routes over the surviving topology, then apply:
         // the borrow of `net` must end before we touch flows.
         let down: Vec<bool> = self.hops.iter().map(|hop| hop.down).collect();
-        let tables = net.graph.forwarding(&down);
+        let tables = net.graph.forwarding_to(&net.dests, &down);
         let src = net.graph.links[h].src;
         let mut new_paths: Vec<(usize, Vec<usize>, Vec<usize>)> = Vec::new();
         for fi in 0..net.graph.flows.len() {
@@ -2077,6 +2084,161 @@ mod tests {
         for (fa, fb) in a.flows.iter().zip(&b.flows) {
             assert_eq!(fa.bytes, fb.bytes);
             assert_eq!(fa.mean_rtt_ms.to_bits(), fb.mean_rtt_ms.to_bits());
+        }
+    }
+
+    /// The k=4 fat tree with six edge-to-edge flows (four cross-pod, two
+    /// intra-pod) while one core↔agg link at a time flaps every 25 ms for
+    /// `secs`: the rotation runs through pods fastest, then direction,
+    /// then aggregation switch, then core, and a link is back up before
+    /// the next goes down.
+    fn flapping_fat_tree(secs: u64) -> Scenario {
+        let link = LinkSpec::constant(50.0);
+        let q = QueueSpec::DropTail { capacity: 64 };
+        let net = NetworkBuilder::fat_tree_k4(&link, &q, Ns::from_micros(100))
+            .build()
+            .expect("valid network");
+        let id = |name: &str| net.router(name).expect("fat-tree router");
+        let flows: Vec<_> = [
+            ("pod0_edge0", "pod1_edge0"),
+            ("pod1_edge1", "pod2_edge1"),
+            ("pod2_edge0", "pod3_edge0"),
+            ("pod0_edge1", "pod3_edge1"),
+            ("pod0_edge0", "pod0_edge1"),
+            ("pod2_edge1", "pod2_edge0"),
+        ]
+        .iter()
+        .map(|(s, d)| (id(s), id(d)))
+        .collect();
+        let interval = Ns::from_millis(25);
+        let end = Ns::from_secs(secs);
+        let events = (0..)
+            .map(|k: u64| (k, Ns((k + 1) * interval.0)))
+            .take_while(|&(_, at)| at < end)
+            .map(|(k, at)| {
+                let i = (k / 2) as usize;
+                let (pod, uplink, agg) = (i % 4, (i / 4).is_multiple_of(2), (i / 8) % 2);
+                let core = id(&format!("core{}", 2 * agg + (i / 16) % 2));
+                let agg = id(&format!("pod{pod}_agg{agg}"));
+                let (from, to) = if uplink { (agg, core) } else { (core, agg) };
+                LinkEvent {
+                    at,
+                    link: net.link_between(from, to).expect("core↔agg link").index() as u32,
+                    up: k % 2 == 1,
+                }
+            })
+            .collect();
+        let topo = net
+            .into_topology(&flows, events, FailoverPolicy::Reroute)
+            .expect("routable flows");
+        Scenario::dumbbell(
+            link,
+            q,
+            6,
+            Ns::from_millis(1),
+            TrafficSpec::saturating(),
+            end,
+            2013,
+        )
+        .with_topology(topo)
+    }
+
+    #[test]
+    fn flows_follow_the_full_tables_after_every_flap() {
+        let s = flapping_fat_tree(1);
+        let ccs: Vec<Box<dyn CongestionControl>> = (0..6)
+            .map(|_| Box::new(FixedWindow::new(20.0)) as _)
+            .collect();
+        let mut sim = Simulator::new(&s, ccs, None);
+        let mut checked = 0;
+        // `drive`'s loop, with a check after each link event. (Churn,
+        // trace slots and router ticks do not occur on this scenario.)
+        while let Some((at, _id, ev)) = sim.events.pop() {
+            if at > sim.end {
+                break;
+            }
+            sim.now = at;
+            let link_event = matches!(ev, Ev::LinkEvent(_));
+            match ev {
+                Ev::Toggle(f) => sim.on_toggle(f),
+                Ev::Pacer(f) => {
+                    let i = sim.flows.index_of(f).expect("persistent flow");
+                    sim.flows.hot_mut(i).pacer_scheduled = None;
+                    sim.try_send(i);
+                }
+                Ev::LinkReady(h) => {
+                    sim.hops[h].busy = false;
+                    sim.start_service_if_possible(h);
+                }
+                Ev::HopArrive(p) => sim.on_hop_arrive(p),
+                Ev::Deliver(p) => sim.on_deliver(p),
+                Ev::AckArrive(p) => sim.on_ack_arrive(p),
+                Ev::Rto(f) => sim.on_rto(f),
+                Ev::LinkEvent(idx) => sim.on_link_event(idx),
+                Ev::TraceSlot(_) | Ev::RouterTick(_) | Ev::Spawn => {
+                    unreachable!("not scheduled on this scenario")
+                }
+            }
+            if !link_event {
+                continue;
+            }
+            checked += 1;
+            let g = Arc::clone(&sim.net.as_ref().expect("graph state").graph);
+            let down: Vec<bool> = sim.hops.iter().map(|h| h.down).collect();
+            let full = g.forwarding(&down);
+            for (fi, &(src, dst)) in g.flows.iter().enumerate() {
+                let fwd = g.route_via(&full, src, dst).expect("still connected");
+                let ack = g.route_via(&full, dst, src).expect("still connected");
+                let (hot, cold) = (sim.flows.hot(fi), sim.flows.cold(fi));
+                assert_eq!(
+                    (&cold.fwd_hops, &cold.ack_hops),
+                    (&fwd, &ack),
+                    "flow {fi} at {at:?}"
+                );
+                assert_eq!(hot.entry_hop as usize, fwd[0]);
+                assert_eq!(hot.fwd_len as usize, fwd.len());
+                assert_eq!(hot.ack_len as usize, ack.len());
+            }
+        }
+        assert_eq!(checked, 39, "every event within the second fired");
+        let r = sim.finish().0;
+        assert_eq!(r.link_events, 39);
+        assert!(r.reroutes > 0, "the flaps moved some flow");
+    }
+
+    #[test]
+    fn flapping_fat_tree_runs_agree_across_schedulers_bit_for_bit() {
+        let mut s = flapping_fat_tree(1);
+        s.record_deliveries = true;
+        let run = |kind: SchedulerKind| {
+            let ccs: Vec<Box<dyn CongestionControl>> = (0..6)
+                .map(|_| Box::new(FixedWindow::new(20.0)) as _)
+                .collect();
+            Simulator::with_scheduler(&s, ccs, None, kind).run()
+        };
+        let a = run(SchedulerKind::Heap);
+        let b = run(SchedulerKind::Wheel);
+        assert_eq!(a.link_events, 39);
+        assert!(a.reroutes > 0 && a.packets_forwarded > 0);
+        assert_eq!(
+            (a.link_events, a.reroutes, a.failover_drops),
+            (b.link_events, b.reroutes, b.failover_drops)
+        );
+        assert_eq!(
+            (a.queue_drops, a.packets_forwarded),
+            (b.queue_drops, b.packets_forwarded)
+        );
+        assert_eq!(a.deliveries.len(), b.deliveries.len());
+        for (da, db) in a.deliveries.iter().zip(&b.deliveries) {
+            assert_eq!((da.at, da.flow, da.seq), (db.at, db.flow, db.seq));
+        }
+        for (fa, fb) in a.flows.iter().zip(&b.flows) {
+            assert_eq!(fa.bytes, fb.bytes);
+            assert_eq!(fa.mean_rtt_ms.to_bits(), fb.mean_rtt_ms.to_bits());
+            assert_eq!(
+                fa.mean_queue_delay_ms.to_bits(),
+                fb.mean_queue_delay_ms.to_bits()
+            );
         }
     }
 }

@@ -27,6 +27,7 @@ use crate::graph::NetGraph;
 use crate::link::LinkSpec;
 use crate::queue::QueueSpec;
 use crate::time::Ns;
+use std::sync::Arc;
 
 /// One directed hop: a queue draining into a link. Packets entering the
 /// hop are enqueued; the link serves the queue head (constant-rate) or
@@ -110,8 +111,9 @@ pub struct Topology {
     pub paths: Vec<FlowPath>,
     /// The routing graph this topology was derived from (link failure
     /// events and the failover policy ride in it); `None` when the hops
-    /// were hand-listed.
-    pub(crate) graph: Option<NetGraph>,
+    /// were hand-listed. Clones of the topology, and the simulators built
+    /// from them, share it.
+    pub(crate) graph: Option<Arc<NetGraph>>,
 }
 
 impl Topology {
@@ -142,7 +144,7 @@ impl Topology {
 
     /// The routing graph, when the topology was derived from one.
     pub fn graph(&self) -> Option<&NetGraph> {
-        self.graph.as_ref()
+        self.graph.as_deref()
     }
 
     /// Check structural invariants against a sender count: at least one

@@ -40,6 +40,10 @@ impl ExperimentSpec {
         let points = self.points();
         let mut cells = Vec::with_capacity(points.len() * self.contenders.len());
         for (pi, point) in points.iter().enumerate() {
+            // The point is resolved (and its topology routed) once, for
+            // the first contender that gets past its own checks, and
+            // shared by the rest.
+            let mut setup = None;
             for cs in &self.contenders {
                 if self.workload.churn.is_some() && cs.scheme == "xcp" {
                     // XCP's efficiency controller is provisioned for the
@@ -62,7 +66,11 @@ impl ExperimentSpec {
                     ));
                 }
                 let contender = cs.build()?;
-                let scenarios = self.scenarios_at(pi, point, &contender)?;
+                let setup = setup.get_or_insert_with(|| self.point_setup(pi, point));
+                let scenarios = setup
+                    .as_ref()
+                    .map_err(Clone::clone)?
+                    .scenarios(&contender)?;
                 cells.push(ExperimentCell {
                     point_index: pi,
                     point: point.clone(),

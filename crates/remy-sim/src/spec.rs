@@ -27,6 +27,7 @@ use netsim::topology::{FlowPath, Topology};
 use netsim::traffic::TrafficSpec;
 use remy::designs::Design;
 use remy::whisker::WhiskerTree;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Experiment budget: how many seeded runs, how long each simulates.
@@ -208,12 +209,12 @@ pub enum GraphGenerator {
 }
 
 impl GraphGenerator {
-    /// Build the network's wiring, applying `discipline` at each link's
-    /// capacity (the same rule as [`TopologySpec::resolve`] for hop
-    /// lists).
-    fn builder(&self, discipline: &QueueSpec) -> Result<netsim::graph::NetworkBuilder, String> {
+    /// Build the network's wiring. Every link's queue is left
+    /// [`QueueSpec::Unlimited`]: the discipline is each contender's, and
+    /// [`RoutedTopology::with_discipline`] applies it at the capacities
+    /// [`GraphGenerator::capacities`] lists.
+    fn builder(&self) -> Result<netsim::graph::NetworkBuilder, String> {
         use netsim::graph::NetworkBuilder;
-        let queue = |capacity: &usize| discipline.clone().with_capacity(*capacity);
         match self {
             GraphGenerator::Explicit { routers, links } => {
                 let mut b = NetworkBuilder::new();
@@ -230,7 +231,7 @@ impl GraphGenerator {
                         ids[index(&l.from)?],
                         ids[index(&l.to)?],
                         l.link.resolve()?,
-                        queue(&l.queue_capacity),
+                        QueueSpec::Unlimited,
                         l.prop_delay,
                         l.weight,
                     );
@@ -238,14 +239,22 @@ impl GraphGenerator {
                 Ok(b)
             }
             GraphGenerator::FatTreeK4 {
-                link,
-                queue_capacity,
-                prop_delay,
+                link, prop_delay, ..
             } => Ok(NetworkBuilder::fat_tree_k4(
                 &link.resolve()?,
-                &queue(queue_capacity),
+                &QueueSpec::Unlimited,
                 *prop_delay,
             )),
+        }
+    }
+
+    /// Each of the built network's `n_links` links' queue depth.
+    fn capacities(&self, n_links: usize) -> Vec<usize> {
+        match self {
+            GraphGenerator::Explicit { links, .. } => {
+                links.iter().map(|l| l.queue_capacity).collect()
+            }
+            GraphGenerator::FatTreeK4 { queue_capacity, .. } => vec![*queue_capacity; n_links],
         }
     }
 }
@@ -353,32 +362,41 @@ impl TopologySpec {
     }
 
     /// Materialize a runnable [`Topology`], applying `discipline` (a
-    /// contender's queue spec) to every hop at that hop's capacity. A
-    /// stochastic-loss discipline gets a fork-derived seed per hop —
-    /// otherwise every hop would replay the identical drop stream and the
-    /// "independent" loss processes would be perfectly correlated. Graph
+    /// contender's queue spec) to every hop at that hop's capacity. Graph
     /// topologies resolve their named flows and events against the built
     /// network and derive every path by shortest-path routing.
     pub fn resolve(&self, discipline: &QueueSpec) -> Result<Topology, String> {
+        Ok(self.route()?.with_discipline(discipline))
+    }
+
+    /// Resolve everything but the queue discipline: every hop's link and,
+    /// for the graph form, the built network, its named flows and events
+    /// (looked up through one name → id map) and every flow's
+    /// shortest-path route.
+    fn route(&self) -> Result<RoutedTopology, String> {
         match self {
             TopologySpec::FlowHops { hops, paths } => {
-                let mut resolved = hops
+                let resolved = hops
                     .iter()
                     .map(|h| {
-                        Ok(netsim::topology::HopSpec {
-                            link: h.link.resolve()?,
-                            queue: discipline.clone().with_capacity(h.queue_capacity),
-                            prop_delay_out: h.prop_delay,
-                        })
+                        Ok(
+                            netsim::topology::HopSpec::new(h.link.resolve()?, QueueSpec::Unlimited)
+                                .with_prop_delay(h.prop_delay),
+                        )
                     })
                     .collect::<Result<Vec<netsim::topology::HopSpec>, String>>()?;
-                fork_lossy_hop_seeds(&mut resolved);
-                Ok(Topology::from_flow_hops(resolved, paths.clone()))
+                Ok(RoutedTopology {
+                    topology: Topology::from_flow_hops(resolved, paths.clone()),
+                    capacities: hops.iter().map(|h| h.queue_capacity).collect(),
+                })
             }
             TopologySpec::Graph(g) => {
-                let net = g.generator.builder(discipline)?.build()?;
+                let net = g.generator.builder()?.build()?;
+                let capacities = g.generator.capacities(net.hops().len());
+                let ids = net.router_ids();
                 let router = |name: &str, list: &str| {
-                    net.router(name)
+                    ids.get(name)
+                        .copied()
                         .ok_or_else(|| format!("unknown router '{name}' in {list} list"))
                 };
                 let flows = g
@@ -401,11 +419,39 @@ impl TopologySpec {
                         })
                     })
                     .collect::<Result<Vec<netsim::graph::LinkEvent>, String>>()?;
-                let mut topo = net.into_topology(&flows, events, g.policy)?;
-                fork_lossy_hop_seeds(&mut topo.hops);
-                Ok(topo)
+                Ok(RoutedTopology {
+                    topology: net.into_topology(&flows, events, g.policy)?,
+                    capacities,
+                })
             }
         }
+    }
+}
+
+/// A [`TopologySpec`] resolved up to the queue discipline, which each
+/// contender brings: what every contender and run at one sweep point
+/// share. The routing graph inside is shared by every topology
+/// [`RoutedTopology::with_discipline`] makes.
+struct RoutedTopology {
+    /// The topology, every hop's queue left [`QueueSpec::Unlimited`].
+    topology: Topology,
+    /// `capacities[i]` is hop `i`'s queue depth.
+    capacities: Vec<usize>,
+}
+
+impl RoutedTopology {
+    /// The runnable topology under `discipline`, applied to every hop at
+    /// that hop's capacity. A stochastic-loss discipline gets a
+    /// fork-derived seed per hop — otherwise every hop would replay the
+    /// identical drop stream and the "independent" loss processes would
+    /// be perfectly correlated.
+    fn with_discipline(&self, discipline: &QueueSpec) -> Topology {
+        let mut topo = self.topology.clone();
+        for (hop, &capacity) in topo.hops.iter_mut().zip(&self.capacities) {
+            hop.queue = discipline.clone().with_capacity(capacity);
+        }
+        fork_lossy_hop_seeds(&mut topo.hops);
+        topo
     }
 }
 
@@ -522,6 +568,13 @@ impl WorkloadSpec {
     /// workloads re-apply the discipline per hop at each hop's own
     /// capacity).
     pub fn scenario(&self, queue: QueueSpec, duration: Ns, seed: u64) -> Result<Scenario, String> {
+        let routed = self.route()?;
+        self.scenario_on(routed.as_ref(), queue, duration, seed)
+    }
+
+    /// The checks and the routing every scenario of this workload shares:
+    /// a non-empty, valid sender list, and the topology (if any) routed.
+    fn route(&self) -> Result<Option<RoutedTopology>, String> {
         if self.senders.is_empty() {
             return Err("workload has no senders".to_string());
         }
@@ -529,13 +582,25 @@ impl WorkloadSpec {
         for s in &self.senders {
             s.traffic.validate()?;
         }
-        let (link, queue, topology) = match &self.topology {
+        self.topology.as_ref().map(TopologySpec::route).transpose()
+    }
+
+    /// [`WorkloadSpec::scenario`] over the topology [`WorkloadSpec::route`]
+    /// returned.
+    fn scenario_on(
+        &self,
+        routed: Option<&RoutedTopology>,
+        queue: QueueSpec,
+        duration: Ns,
+        seed: u64,
+    ) -> Result<Scenario, String> {
+        let (link, queue, topology) = match routed {
             None => {
                 queue.validate()?;
                 (self.link.resolve()?, queue, None)
             }
             Some(t) => {
-                let topo = t.resolve(&queue)?;
+                let topo = t.with_discipline(&queue);
                 topo.validate(self.senders.len())?;
                 // link/queue mirror hop 0 (single-hop inspection code and
                 // XCP's rate configuration read them).
@@ -864,6 +929,39 @@ impl SweepPoint {
     }
 }
 
+/// One sweep point resolved for every contender that runs at it: the
+/// workload there, its loss rate and seed, and its topology routed once.
+pub(crate) struct PointSetup<'a> {
+    budget: Budget,
+    workload: Cow<'a, WorkloadSpec>,
+    loss: Option<f64>,
+    seed: u64,
+    topology: Option<RoutedTopology>,
+}
+
+impl PointSetup<'_> {
+    /// See [`ExperimentSpec::scenarios_at`].
+    pub(crate) fn scenarios(&self, contender: &Contender) -> Result<Vec<Scenario>, String> {
+        let wl = &*self.workload;
+        let duration = self.budget.duration();
+        (0..self.budget.runs)
+            .map(|k| {
+                let run_seed = SimRng::split_seed(self.seed, k as u64);
+                let queue = match self.loss {
+                    Some(p) => QueueSpec::LossyDropTail {
+                        capacity: wl.queue_capacity,
+                        drop_probability: p,
+                        // An independent stream for the loss process.
+                        seed: SimRng::split_seed(run_seed, u64::from(u32::MAX)),
+                    },
+                    None => contender.queue_spec(wl.queue_capacity),
+                };
+                wl.scenario_on(self.topology.as_ref(), queue, duration, run_seed)
+            })
+            .collect()
+    }
+}
+
 /// A complete, serializable experiment description. See the module docs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentSpec {
@@ -927,10 +1025,14 @@ impl ExperimentSpec {
         points
     }
 
-    /// The workload at one sweep point, plus the loss rate to inject (if
-    /// the grid has a `loss_rate` axis).
-    pub fn workload_at(&self, point: &SweepPoint) -> Result<(WorkloadSpec, Option<f64>), String> {
-        let mut wl = self.workload.clone();
+    /// The workload at one sweep point (borrowed when the point has no
+    /// coordinates to apply), plus the loss rate to inject (if the grid
+    /// has a `loss_rate` axis).
+    pub fn workload_at(
+        &self,
+        point: &SweepPoint,
+    ) -> Result<(Cow<'_, WorkloadSpec>, Option<f64>), String> {
+        let mut wl = Cow::Borrowed(&self.workload);
         let mut loss = None;
         for (key, value) in &point.coords {
             // The single bottleneck has no meaning on an explicit
@@ -941,10 +1043,10 @@ impl ExperimentSpec {
                 ));
             }
             match key.as_str() {
-                "link_mbps" => wl.link = LinkRef::constant(*value),
+                "link_mbps" => wl.to_mut().link = LinkRef::constant(*value),
                 "off_mean_ms" => {
                     let off = Ns::from_millis(*value as u64);
-                    for s in &mut wl.senders {
+                    for s in &mut wl.to_mut().senders {
                         s.traffic.off_mean = off;
                     }
                 }
@@ -961,6 +1063,24 @@ impl ExperimentSpec {
         SimRng::split_seed(self.seed, point_index as u64)
     }
 
+    /// Resolve sweep point `point_index` once for every contender: its
+    /// workload, loss rate and seed, and its topology routed.
+    pub(crate) fn point_setup(
+        &self,
+        point_index: usize,
+        point: &SweepPoint,
+    ) -> Result<PointSetup<'_>, String> {
+        let (workload, loss) = self.workload_at(point)?;
+        let topology = workload.route()?;
+        Ok(PointSetup {
+            budget: self.budget,
+            workload,
+            loss,
+            seed: self.point_seed(point_index),
+            topology,
+        })
+    }
+
     /// The scenarios one contender runs at one sweep point: `budget.runs`
     /// fork-derived seeds over the contender's own queue discipline (or
     /// the lossy queue when the point carries a loss rate).
@@ -970,23 +1090,7 @@ impl ExperimentSpec {
         point: &SweepPoint,
         contender: &Contender,
     ) -> Result<Vec<Scenario>, String> {
-        let (wl, loss) = self.workload_at(point)?;
-        let point_seed = self.point_seed(point_index);
-        (0..self.budget.runs)
-            .map(|k| {
-                let run_seed = SimRng::split_seed(point_seed, k as u64);
-                let queue = match loss {
-                    Some(p) => QueueSpec::LossyDropTail {
-                        capacity: wl.queue_capacity,
-                        drop_probability: p,
-                        // An independent stream for the loss process.
-                        seed: SimRng::split_seed(run_seed, u64::from(u32::MAX)),
-                    },
-                    None => contender.queue_spec(wl.queue_capacity),
-                };
-                wl.scenario(queue, self.budget.duration(), run_seed)
-            })
-            .collect()
+        self.point_setup(point_index, point)?.scenarios(contender)
     }
 
     /// Serialize to pretty-printed JSON text (trailing newline included,

@@ -523,6 +523,117 @@ fn removed_kinds_are_refused_by_key_path() {
     assert!(out.stdout.is_empty());
 }
 
+/// `text` with the first `"key": value` pair past byte `from` written
+/// twice in its object.
+fn duplicate_key_after(text: &str, from: usize, key: &str) -> String {
+    let start = from
+        + text[from..]
+            .find(&format!("\"{key}\""))
+            .expect("key after from");
+    let end = start + text[start..].find([',', '\n']).expect("pair ends");
+    let pair = &text[start..end];
+    format!("{}{pair}, {}", &text[..start], &text[start..])
+}
+
+#[test]
+fn duplicate_keys_are_rejected_by_path() {
+    // A second value under one key used to be read past silently: the
+    // first won. At the top level, as a `remy-cli run` usage error too.
+    let text = duplicate_key_after(FIG4_GOLDEN, 0, "seed");
+    assert_eq!(text.matches("\"seed\"").count(), 2, "seed written twice");
+    let err = ExperimentSpec::from_json(&text).expect_err("duplicate top-level key");
+    assert_eq!(err.to_string(), "seed: duplicate key");
+
+    let dir = std::env::temp_dir().join("remy_spec_duplicate_key_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("fig4.json");
+    std::fs::write(&file, &text).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+        .args(["run", file.to_str().unwrap(), "--runs", "1", "--secs", "2"])
+        .output()
+        .expect("spawn remy-cli");
+    assert_eq!(out.status.code(), Some(2), "exits as a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("seed: duplicate key"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no report is printed");
+
+    // Deep inside the benchmark's flapping fat tree: its fourth event.
+    let flap = format!(
+        "{}/../../benchmark/inputs/fattree_flap.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let flap = std::fs::read_to_string(&flap).unwrap_or_else(|e| panic!("{flap}: {e}"));
+    let events = flap.find("\"events\"").expect("the spec schedules events");
+    let fourth = events + flap[events..].match_indices("\"at_ns\"").nth(3).unwrap().0;
+    let text = duplicate_key_after(&flap, fourth, "from");
+    let err = ExperimentSpec::from_json(&text).expect_err("duplicate key in an event");
+    assert_eq!(err.path, "workload.topology.events[3].from", "{err}");
+    assert_eq!(err.reason, "duplicate key");
+    ExperimentSpec::from_json(&flap).expect("the committed input parses");
+}
+
+#[test]
+fn expanded_scenarios_equal_resolving_every_run_alone() {
+    // `expand` routes a graph once per sweep point and applies each
+    // contender's discipline to the routed hops; resolving each run's
+    // workload from scratch must give the same scenario, graph included.
+    // A loss point's lossy queue carries a per-run seed, forked per hop.
+    let lossy = |name: &str| {
+        let mut spec = ExperimentSpec::from_json(&golden(name)).expect("golden parses");
+        spec.sweeps = vec![SweepAxis::LossRate(vec![0.0, 0.01])];
+        spec
+    };
+    for (name, mut spec, points) in ["fattree_k4_crosstraffic", "failover_chain"]
+        .map(|name| (name, ExperimentSpec::from_json(&golden(name)).unwrap(), 1))
+        .into_iter()
+        .chain([(
+            "fattree_k4_crosstraffic + loss",
+            lossy("fattree_k4_crosstraffic"),
+            2,
+        )])
+    {
+        spec.budget.runs = 3;
+        let cells = spec.expand().expect("expands");
+        assert_eq!(cells.len(), points * spec.contenders.len(), "{name}");
+        for cell in &cells {
+            let (wl, loss) = spec.workload_at(&cell.point).expect("point");
+            let point_seed = spec.point_seed(cell.point_index);
+            assert_eq!(cell.scenarios.len(), 3);
+            for (k, expanded) in cell.scenarios.iter().enumerate() {
+                let run_seed = netsim::rng::SimRng::split_seed(point_seed, k as u64);
+                let queue = match loss {
+                    Some(p) => QueueSpec::LossyDropTail {
+                        capacity: wl.queue_capacity,
+                        drop_probability: p,
+                        seed: netsim::rng::SimRng::split_seed(run_seed, u64::from(u32::MAX)),
+                    },
+                    None => cell.contender.queue_spec(wl.queue_capacity),
+                };
+                let alone = wl
+                    .scenario(queue, spec.budget.duration(), run_seed)
+                    .expect("resolves");
+                let (a, b) = (
+                    expanded.topology.as_ref().expect("topology"),
+                    alone.topology.as_ref().expect("topology"),
+                );
+                assert_eq!(a.paths, b.paths, "{name} run {k}: paths");
+                assert_eq!(
+                    format!("{:?}", a.hops),
+                    format!("{:?}", b.hops),
+                    "{name} run {k}: hops"
+                );
+                assert!(a.graph().is_some(), "{name}: routed on a graph");
+                assert_eq!(a.graph(), b.graph(), "{name} run {k}: graph");
+                assert_eq!(
+                    format!("{expanded:?}"),
+                    format!("{alone:?}"),
+                    "{name} run {k}"
+                );
+            }
+        }
+    }
+}
+
 /// The rule tables the repository ships (`crates/core/assets`) and the
 /// benchmark reads (`benchmark/inputs/tables`, read only), with their text.
 fn every_table() -> Vec<(String, String)> {
