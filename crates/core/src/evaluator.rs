@@ -18,7 +18,7 @@
 use crate::action::Action;
 use crate::model::NetworkModel;
 use crate::objective::Objective;
-use crate::remycc::RemyCc;
+use crate::remycc::{recorded_usage, RemyCc};
 use crate::whisker::{Usage, WhiskerTree};
 use netsim::cc::CongestionControl;
 use netsim::rng::SimRng;
@@ -98,12 +98,8 @@ impl Evaluator {
     /// recording, so the run also yields its whisker-usage statistics.
     fn usage_cell(&self, tree: &Arc<WhiskerTree>, sc: &Scenario) -> (f64, Usage) {
         let ccs = senders(sc, || RemyCc::recording(Arc::clone(tree)));
-        let (results, mut ccs) = Simulator::new(sc, ccs, None).run_returning_ccs();
-        // Merge sender usages in sender order: deterministic.
-        let mut usage = Usage::new(tree.id_bound());
-        for sender_usage in ccs.iter_mut().filter_map(|cc| cc.take_usage()) {
-            usage.merge(&sender_usage);
-        }
+        let (results, ccs) = Simulator::new(sc, ccs, None).run_returning_ccs();
+        let usage = recorded_usage(ccs, tree.id_bound());
         (self.objective.score_results(&results), usage)
     }
 

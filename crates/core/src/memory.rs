@@ -15,9 +15,8 @@
 
 use netsim::time::Ns;
 
-// The `Memory` point type itself lives in `netsim::cc` so that the
-// `CongestionControl::take_usage` hook can report per-rule statistics in
-// terms of it; the tracking logic below is what makes it a RemyCC.
+// The `Memory` point type itself still lives in `netsim::cc` (see its doc
+// for why); the tracking logic below is what makes it a RemyCC.
 pub use netsim::cc::{Memory, MEMORY_MAX};
 
 /// EWMA gain for new samples.

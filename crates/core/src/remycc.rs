@@ -15,6 +15,7 @@ use crate::memory::MemoryTracker;
 use crate::whisker::{FlatLeaf, FlatTree, Usage, WhiskerTree};
 use netsim::cc::{AckInfo, CongestionControl, LossEvent};
 use netsim::time::Ns;
+use std::any::Any;
 use std::sync::Arc;
 
 /// Initial congestion window before the first ACK arrives.
@@ -66,8 +67,8 @@ impl RemyCc {
     }
 
     /// Run the given rule table and record which rule every ACK hit, at
-    /// which memory point, for [`CongestionControl::take_usage`] to hand
-    /// over (the optimizer's most-used / median-split statistics, §4.3).
+    /// which memory point, for [`RemyCc::take_usage`] to hand over (the
+    /// optimizer's most-used / median-split statistics, §4.3).
     pub fn recording(tree: Arc<WhiskerTree>) -> RemyCc {
         let usage = Usage::new(tree.id_bound());
         RemyCc {
@@ -102,6 +103,28 @@ impl RemyCc {
     pub fn tree(&self) -> &WhiskerTree {
         &self.tree
     }
+
+    /// Hand over what a [`RemyCc::recording`] instance gathered (which
+    /// ends the recording); `None` from every other instance.
+    pub fn take_usage(&mut self) -> Option<Usage> {
+        self.usage.take()
+    }
+}
+
+/// The rule usage a run's recording RemyCCs gathered, merged in sender
+/// order (deterministic), from the senders
+/// [`netsim::sim::Simulator::run_returning_ccs`] hands back. Senders of
+/// any other scheme, and RemyCCs not built by [`RemyCc::recording`], add
+/// nothing.
+pub fn recorded_usage(ccs: Vec<Box<dyn CongestionControl>>, id_bound: usize) -> Usage {
+    let mut usage = Usage::new(id_bound);
+    let remyccs = ccs
+        .into_iter()
+        .filter_map(|cc| (cc as Box<dyn Any>).downcast::<RemyCc>().ok());
+    for sender_usage in remyccs.filter_map(|mut cc| cc.take_usage()) {
+        usage.merge(&sender_usage);
+    }
+    usage
 }
 
 impl CongestionControl for RemyCc {
@@ -150,12 +173,6 @@ impl CongestionControl for RemyCc {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Hand over what a [`RemyCc::recording`] instance gathered (which
-    /// ends the recording); `None` from every other instance.
-    fn take_usage(&mut self) -> Option<Usage> {
-        self.usage.take()
     }
 }
 
@@ -257,7 +274,8 @@ mod tests {
         for k in 0..3 {
             plain.on_ack(&ack(100 + 10 * k, 100, 100));
         }
-        assert!(plain.take_usage().is_none(), "only a recorder pays");
+        let plain = recorded_usage(vec![Box::new(plain)], 1);
+        assert_eq!(plain.total(), 0, "only a recorder pays");
 
         let mut cc = RemyCc::recording(tree);
         cc.on_flow_start(Ns::ZERO);
@@ -271,10 +289,49 @@ mod tests {
             cc.on_ack(&a);
             want.record(0, tracker.on_ack(a.now, a.echo_ts, a.rtt_sample, a.min_rtt));
         }
-        let usage = cc.take_usage().expect("a recording RemyCC reports usage");
+        let usage = recorded_usage(vec![Box::new(cc)], 1);
         assert_eq!(usage.count(0), n);
         assert_eq!(usage.median_memory(0), want.median_memory(0));
-        assert!(cc.take_usage().is_none(), "take drains");
+    }
+
+    #[test]
+    fn recorded_usage_merges_only_recorders_in_sender_order() {
+        // Two recorders whose memory points differ, with more hits each
+        // than MAX_SAMPLES, so the merged samples depend on the order.
+        let tree = Arc::new(WhiskerTree::single_rule());
+        let n = 2 * crate::whisker::MAX_SAMPLES as u64;
+        let fed = |mut cc: RemyCc, rtt_ms: u64| {
+            cc.on_flow_start(Ns::ZERO);
+            for k in 0..n {
+                cc.on_ack(&ack(100 + 10 * k, rtt_ms, 100));
+            }
+            cc
+        };
+        let senders = || -> Vec<Box<dyn CongestionControl>> {
+            vec![
+                Box::new(fed(RemyCc::new(Arc::clone(&tree)), 150)),
+                Box::new(fed(RemyCc::recording(Arc::clone(&tree)), 300)),
+                Box::new(netsim::cc::FixedWindow::new(4.0)),
+                Box::new(fed(RemyCc::recording(Arc::clone(&tree)), 200)),
+            ]
+        };
+        let got = recorded_usage(senders(), 1);
+
+        let mut recorders = [300, 200].map(|rtt| fed(RemyCc::recording(Arc::clone(&tree)), rtt));
+        let [a, b] = recorders
+            .each_mut()
+            .map(|cc| cc.take_usage().expect("records"));
+        let mut want = Usage::new(1);
+        want.merge(&a);
+        want.merge(&b);
+        let mut reversed = Usage::new(1);
+        reversed.merge(&b);
+        reversed.merge(&a);
+
+        assert_eq!(got.count(0), 2 * n, "the plain RemyCC adds no hits");
+        assert_eq!(got.total(), want.total());
+        assert_eq!(got.median_memory(0), want.median_memory(0));
+        assert_ne!(got.median_memory(0), reversed.median_memory(0));
     }
 
     #[test]
@@ -311,6 +368,7 @@ mod tests {
         assert_eq!(cc.cwnd(), 2.0, "base default rule still applies elsewhere");
         // Usage is recorded against the real whisker id either way.
         assert_eq!(cc.take_usage().unwrap().count(rule), 1);
+        assert!(cc.take_usage().is_none(), "take drains");
         // The shared base table itself is untouched.
         assert_eq!(shared.lookup(high_ratio).action, Action::DEFAULT);
     }

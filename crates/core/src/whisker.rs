@@ -575,10 +575,91 @@ impl FlatTree {
 // Usage statistics
 // ---------------------------------------------------------------------------
 
-// `Usage` lives next to the `CongestionControl` trait so that its
-// `take_usage` hook can return it without a downcast; the optimizer-side
-// consumers (most-used rule selection, median split points) stay here.
-pub use netsim::cc::{Usage, MAX_SAMPLES};
+/// Maximum memory samples retained per rule for median estimation.
+pub const MAX_SAMPLES: usize = 128;
+
+/// Per-rule usage: hit counts (most-used selection) and memory samples
+/// (median split points). A [`crate::remycc::RemyCc::recording`] sender
+/// gathers it; [`crate::remycc::recorded_usage`] collects it after a run.
+#[derive(Clone, Debug, Default)]
+pub struct Usage {
+    counts: Vec<u64>,
+    samples: Vec<Vec<Memory>>,
+}
+
+impl Usage {
+    /// Table sized for rule ids `0..id_bound`.
+    pub fn new(id_bound: usize) -> Usage {
+        Usage {
+            counts: vec![0; id_bound],
+            samples: vec![Vec::new(); id_bound],
+        }
+    }
+
+    /// Record one rule hit at the given memory point.
+    pub fn record(&mut self, id: usize, m: Memory) {
+        if id >= self.counts.len() {
+            self.counts.resize(id + 1, 0);
+            self.samples.resize(id + 1, Vec::new());
+        }
+        self.counts[id] += 1;
+        let s = &mut self.samples[id];
+        if s.len() < MAX_SAMPLES {
+            s.push(m);
+        } else {
+            // Past the cap, every 7th hit overwrites slot `count % 128`.
+            // 7 and 128 are coprime, so each slot is rewritten once per
+            // 896 hits: the samples kept are the 1-in-7 hits among the
+            // last ~896, not a spread over the whole run. ROADMAP item 13
+            // ("split where §4.3 says") replaces this law with a uniform
+            // reservoir.
+            let k = (self.counts[id] as usize) % MAX_SAMPLES;
+            if self.counts[id].is_multiple_of(7) {
+                s[k] = m;
+            }
+        }
+    }
+
+    /// Hits for a rule.
+    pub fn count(&self, id: usize) -> u64 {
+        self.counts.get(id).copied().unwrap_or(0)
+    }
+
+    /// Fold another usage table into this one.
+    pub fn merge(&mut self, other: &Usage) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+            self.samples.resize(other.counts.len(), Vec::new());
+        }
+        for (i, &c) in other.counts.iter().enumerate() {
+            self.counts[i] += c;
+            let room = MAX_SAMPLES.saturating_sub(self.samples[i].len());
+            self.samples[i].extend(other.samples[i].iter().take(room).copied());
+        }
+    }
+
+    /// Component-wise median of the memory values that hit rule `id`
+    /// (the split point of §4.3 step 5). `None` if the rule was never hit.
+    pub fn median_memory(&self, id: usize) -> Option<Memory> {
+        let s = self.samples.get(id)?;
+        if s.is_empty() {
+            return None;
+        }
+        let mut m = Memory::INITIAL;
+        for i in 0..3 {
+            let mut axis: Vec<f64> = s.iter().map(|x| x.axis(i)).collect();
+            axis.sort_by(f64::total_cmp);
+            let mid = axis.len() / 2;
+            *m.axis_mut(i) = axis[mid];
+        }
+        Some(m)
+    }
+
+    /// Total hits across all rules.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+}
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -797,6 +878,36 @@ pub(crate) mod tests {
         let a = t.flat();
         let b = t.flat();
         assert!(Arc::ptr_eq(&a, &b), "cached view is reused");
+    }
+
+    #[test]
+    fn usage_records_merges_and_medians() {
+        let mut a = Usage::new(2);
+        a.record(
+            0,
+            Memory {
+                ack_ewma_ms: 1.0,
+                send_ewma_ms: 2.0,
+                rtt_ratio: 1.5,
+            },
+        );
+        a.record(
+            0,
+            Memory {
+                ack_ewma_ms: 3.0,
+                send_ewma_ms: 4.0,
+                rtt_ratio: 2.5,
+            },
+        );
+        let mut b = Usage::new(2);
+        b.record(1, Memory::INITIAL);
+        a.merge(&b);
+        assert_eq!(a.count(0), 2);
+        assert_eq!(a.count(1), 1);
+        assert_eq!(a.total(), 3);
+        let m = a.median_memory(0).expect("rule 0 was hit");
+        assert_eq!(m.ack_ewma_ms, 3.0, "upper median of two samples");
+        assert!(a.median_memory(5).is_none());
     }
 
     #[test]

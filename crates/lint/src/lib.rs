@@ -22,7 +22,7 @@
 //!
 //! Every rule is a token-level check over one file, and every rule but
 //! `d4` has the same scope, [`rules::sim_crate_src`]: non-test source of
-//! the five sim crates. `d4` applies everywhere, tests included (unsafe
+//! the four sim crates. `d4` applies everywhere, tests included (unsafe
 //! needs a SAFETY comment even in tests).
 //!
 //! A justified escape hatch exists per finding:

@@ -1,7 +1,7 @@
 //! The rule set, one module per rule (or rule family).
 //!
 //! Every rule is a token-level check over one file. All but [`d4`]
-//! share one scope, [`sim_crate_src`]: non-test source of the five
+//! share one scope, [`sim_crate_src`]: non-test source of the four
 //! crates where determinism is load-bearing. Everything else is silent
 //! (the linter itself; `benchmark/`, a timing harness). Test code —
 //! `#[cfg(test)]` items and anything under a `tests/`, `benches/`, or
@@ -36,7 +36,6 @@ pub fn sim_crate_src(rel_path: &str) -> bool {
             "crates/congestion/src/",
             "crates/core/src/",
             "crates/remy-sim/src/",
-            "crates/traces/src/",
         ]
         .iter()
         .any(|p| rel_path.starts_with(p))

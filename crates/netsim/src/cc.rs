@@ -15,9 +15,10 @@
 
 use crate::packet::XcpHeader;
 use crate::time::Ns;
+use std::any::Any;
 
 // ---------------------------------------------------------------------------
-// Table-driven-scheme signal state and usage statistics
+// Table-driven-scheme signal state
 // ---------------------------------------------------------------------------
 
 /// Upper bound of every memory axis: "any values of the three state
@@ -28,10 +29,10 @@ pub const MEMORY_MAX: f64 = 16_384.0;
 /// scheme (the RemyCC) tracks: ACK-interarrival EWMA, echoed-send-spacing
 /// EWMA, and the RTT over the connection minimum (§4.1 of the paper).
 ///
-/// It lives here, next to [`CongestionControl`], because the trait's
-/// [`CongestionControl::take_usage`] hook reports per-rule statistics in
-/// terms of these points; the tracking logic that *produces* them stays in
-/// the `remy` crate (`remy::memory::MemoryTracker`).
+/// Only the `remy` crate uses it (`remy::memory` re-exports it beside the
+/// `MemoryTracker` that produces it). It stays here because the benchmark
+/// harness, built outside the workspace, still names it at this path;
+/// ROADMAP item 12 moves it to `remy` together with that harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Memory {
     /// EWMA of ACK interarrival times, milliseconds.
@@ -95,92 +96,6 @@ impl Memory {
     }
 }
 
-/// Maximum memory samples retained per rule for median estimation.
-pub const MAX_SAMPLES: usize = 128;
-
-/// Per-rule usage: hit counts (most-used selection) and memory samples
-/// (median split points). A scheme built to record it hands it over
-/// through [`CongestionControl::take_usage`].
-#[derive(Clone, Debug, Default)]
-pub struct Usage {
-    counts: Vec<u64>,
-    samples: Vec<Vec<Memory>>,
-}
-
-impl Usage {
-    /// Table sized for rule ids `0..id_bound`.
-    pub fn new(id_bound: usize) -> Usage {
-        Usage {
-            counts: vec![0; id_bound],
-            samples: vec![Vec::new(); id_bound],
-        }
-    }
-
-    /// Record one rule hit at the given memory point.
-    pub fn record(&mut self, id: usize, m: Memory) {
-        if id >= self.counts.len() {
-            self.counts.resize(id + 1, 0);
-            self.samples.resize(id + 1, Vec::new());
-        }
-        self.counts[id] += 1;
-        let s = &mut self.samples[id];
-        if s.len() < MAX_SAMPLES {
-            s.push(m);
-        } else {
-            // Past the cap, every 7th hit overwrites slot `count % 128`.
-            // 7 and 128 are coprime, so each slot is rewritten once per
-            // 896 hits: the samples kept are the 1-in-7 hits among the
-            // last ~896, not a spread over the whole run. ROADMAP item 13
-            // ("split where §4.3 says") replaces this law with a uniform
-            // reservoir.
-            let k = (self.counts[id] as usize) % MAX_SAMPLES;
-            if self.counts[id].is_multiple_of(7) {
-                s[k] = m;
-            }
-        }
-    }
-
-    /// Hits for a rule.
-    pub fn count(&self, id: usize) -> u64 {
-        self.counts.get(id).copied().unwrap_or(0)
-    }
-
-    /// Fold another usage table into this one.
-    pub fn merge(&mut self, other: &Usage) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-            self.samples.resize(other.counts.len(), Vec::new());
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
-            let room = MAX_SAMPLES.saturating_sub(self.samples[i].len());
-            self.samples[i].extend(other.samples[i].iter().take(room).copied());
-        }
-    }
-
-    /// Component-wise median of the memory values that hit rule `id`
-    /// (the split point of §4.3 step 5). `None` if the rule was never hit.
-    pub fn median_memory(&self, id: usize) -> Option<Memory> {
-        let s = self.samples.get(id)?;
-        if s.is_empty() {
-            return None;
-        }
-        let mut m = Memory::INITIAL;
-        for i in 0..3 {
-            let mut axis: Vec<f64> = s.iter().map(|x| x.axis(i)).collect();
-            axis.sort_by(f64::total_cmp);
-            let mid = axis.len() / 2;
-            *m.axis_mut(i) = axis[mid];
-        }
-        Some(m)
-    }
-
-    /// Total hits across all rules.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 /// Everything a congestion-control module may consult when an ACK arrives.
 #[derive(Clone, Copy, Debug)]
 pub struct AckInfo {
@@ -224,7 +139,10 @@ pub enum LossEvent {
 /// Implementations must be deterministic functions of the event stream they
 /// observe; the simulator relies on this for reproducibility and Remy's
 /// design procedure relies on it for common-random-number comparisons.
-pub trait CongestionControl: Send {
+/// Through the `Any` supertrait, whoever built a sender can take its
+/// concrete type back after [`crate::sim::Simulator::run_returning_ccs`]
+/// (Remy's evaluator reads its recording RemyCCs' rule usage that way).
+pub trait CongestionControl: Any + Send {
     /// A new "on" period (connection) is starting. Reset any per-connection
     /// state. RemyCCs reset their memory to the all-zeroes initial state
     /// here (§4.1); TCP schemes return to slow start.
@@ -260,14 +178,6 @@ pub trait CongestionControl: Send {
 
     /// Human-readable scheme name for reports.
     fn name(&self) -> &str;
-
-    /// Drain the per-rule usage statistics accumulated during the run, if
-    /// this instance was built to record any (only Remy's evaluator builds
-    /// such RemyCCs, for the one pass that reads the result). Everything
-    /// else keeps the default `None`.
-    fn take_usage(&mut self) -> Option<Usage> {
-        None
-    }
 }
 
 /// A trivial fixed-window scheme, useful for tests and for measuring the
@@ -341,45 +251,6 @@ mod tests {
         assert_eq!(cc.pacing(), Ns::from_millis(2));
         assert!(cc.xcp_header().is_none());
         assert!(!cc.ecn_capable());
-    }
-
-    #[test]
-    fn default_take_usage_is_none() {
-        let mut cc = FixedWindow::new(10.0);
-        assert!(
-            cc.take_usage().is_none(),
-            "non-table schemes report no usage"
-        );
-    }
-
-    #[test]
-    fn usage_records_merges_and_medians() {
-        let mut a = Usage::new(2);
-        a.record(
-            0,
-            Memory {
-                ack_ewma_ms: 1.0,
-                send_ewma_ms: 2.0,
-                rtt_ratio: 1.5,
-            },
-        );
-        a.record(
-            0,
-            Memory {
-                ack_ewma_ms: 3.0,
-                send_ewma_ms: 4.0,
-                rtt_ratio: 2.5,
-            },
-        );
-        let mut b = Usage::new(2);
-        b.record(1, Memory::INITIAL);
-        a.merge(&b);
-        assert_eq!(a.count(0), 2);
-        assert_eq!(a.count(1), 1);
-        assert_eq!(a.total(), 3);
-        let m = a.median_memory(0).expect("rule 0 was hit");
-        assert_eq!(m.ack_ewma_ms, 3.0, "upper median of two samples");
-        assert!(a.median_memory(5).is_none());
     }
 
     #[test]

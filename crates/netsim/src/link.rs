@@ -11,7 +11,7 @@
 //!   released to the receiver at the same time they were released in the
 //!   trace", §5.1). The schedule loops when the simulation outlasts it.
 
-use crate::time::{service_time, Ns};
+use crate::time::Ns;
 use std::sync::Arc;
 
 /// Declarative link configuration.
@@ -242,44 +242,6 @@ pub struct TraceCursor {
     valid: bool,
 }
 
-/// Runtime state of the bottleneck link inside the simulator.
-pub enum LinkState {
-    /// Fixed-rate service.
-    Constant {
-        /// Rate in megabits per second.
-        rate_mbps: f64,
-    },
-    /// Trace-driven delivery.
-    Trace {
-        /// The delivery-opportunity schedule.
-        schedule: Arc<DeliverySchedule>,
-    },
-}
-
-impl LinkState {
-    /// Instantiate runtime state from a spec.
-    pub fn from_spec(spec: &LinkSpec) -> LinkState {
-        match spec {
-            LinkSpec::Constant { rate_mbps } => LinkState::Constant {
-                rate_mbps: *rate_mbps,
-            },
-            LinkSpec::Trace { schedule, .. } => LinkState::Trace {
-                schedule: Arc::clone(schedule),
-            },
-        }
-    }
-
-    /// Service time for a packet of `bytes` bytes on a constant link;
-    /// trace links have no per-packet service time (delivery is pinned to
-    /// trace instants).
-    pub fn service_time(&self, bytes: u32) -> Option<Ns> {
-        match self {
-            LinkState::Constant { rate_mbps } => Some(service_time(bytes, *rate_mbps)),
-            LinkState::Trace { .. } => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,16 +374,5 @@ mod tests {
         );
         let l = LinkSpec::trace("test", s);
         assert!((l.average_rate_mbps(1500) - 24.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn link_state_service_time() {
-        let c = LinkState::from_spec(&LinkSpec::constant(12.0));
-        assert_eq!(c.service_time(1500), Some(Ns::from_millis(1)));
-        let t = LinkState::from_spec(&LinkSpec::trace(
-            "t",
-            DeliverySchedule::new(vec![Ns(1)], Ns(1)),
-        ));
-        assert_eq!(t.service_time(1500), None);
     }
 }

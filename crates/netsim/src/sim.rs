@@ -51,7 +51,7 @@
 
 use crate::cc::CongestionControl;
 use crate::flow::{FlowCold, FlowHot, FlowId, FlowTable, Receiver};
-use crate::link::LinkState;
+use crate::link::LinkSpec;
 use crate::metrics::{DeliveryRecord, FlowMetrics, PopulationSummary, SimResults};
 use crate::packet::{Ack, Packet, PacketArena, PacketId, ACK_BYTES};
 use crate::queue::{Enqueue, Queue};
@@ -136,7 +136,7 @@ struct ChurnState {
 /// router hook running at that hop.
 struct Hop {
     queue: Box<dyn Queue>,
-    link: LinkState,
+    link: LinkSpec,
     busy: bool,
     router: Option<Box<dyn RouterHook>>,
     /// Propagation toward the next hop on a path.
@@ -157,18 +157,18 @@ struct Hop {
 
 impl Hop {
     fn new(
-        link: LinkState,
+        link: LinkSpec,
         queue: Box<dyn Queue>,
         router: Option<Box<dyn RouterHook>>,
         prop_delay_out: Ns,
         mss: u32,
     ) -> Hop {
         let (svc_data, svc_ack) = match &link {
-            LinkState::Constant { rate_mbps } => (
+            LinkSpec::Constant { rate_mbps } => (
                 service_time(mss, *rate_mbps),
                 service_time(ACK_BYTES, *rate_mbps),
             ),
-            LinkState::Trace { .. } => (Ns::ZERO, Ns::ZERO),
+            LinkSpec::Trace { .. } => (Ns::ZERO, Ns::ZERO),
         };
         Hop {
             queue,
@@ -326,7 +326,7 @@ impl Simulator {
             .iter()
             .map(|h| {
                 Hop::new(
-                    LinkState::from_spec(&h.link),
+                    h.link.clone(),
                     h.queue.build(),
                     router.take(),
                     h.prop_delay_out,
@@ -369,7 +369,7 @@ impl Simulator {
         // …the first trace slot of every trace-driven hop…
         for h in 0..sim.hops.len() {
             let hop = &mut sim.hops[h];
-            if let LinkState::Trace { schedule } = &hop.link {
+            if let LinkSpec::Trace { schedule, .. } = &hop.link {
                 let first = schedule.next_after_cached(&mut hop.trace_cursor, Ns::ZERO);
                 sim.schedule(first, Ev::TraceSlot(h));
             }
@@ -449,8 +449,8 @@ impl Simulator {
     }
 
     /// Run to completion, returning results *and* the congestion-control
-    /// objects (Remy's evaluator drains its recording RemyCCs' whisker
-    /// usage from them).
+    /// objects (Remy's evaluator downcasts them to read its recording
+    /// RemyCCs' rule usage).
     pub fn run_returning_ccs(mut self) -> (SimResults, Vec<Box<dyn CongestionControl>>) {
         self.drive();
         self.finish()
@@ -646,7 +646,7 @@ impl Simulator {
             hop.svc_data
         } else if size == ACK_BYTES {
             hop.svc_ack
-        } else if let LinkState::Constant { rate_mbps } = hop.link {
+        } else if let LinkSpec::Constant { rate_mbps } = hop.link {
             service_time(size, rate_mbps)
         } else {
             Ns::ZERO
@@ -657,7 +657,7 @@ impl Simulator {
     /// link is idle. Trace links ignore this (deliveries happen on trace
     /// slots).
     fn start_service_if_possible(&mut self, h: usize) {
-        let LinkState::Constant { .. } = self.hops[h].link else {
+        let LinkSpec::Constant { .. } = self.hops[h].link else {
             return;
         };
         if self.hops[h].busy || self.hops[h].down {
@@ -680,7 +680,7 @@ impl Simulator {
         // (each slot asks for the one after itself), so the cursor makes
         // this O(1) instead of a binary search over the whole trace.
         let hop = &mut self.hops[h];
-        if let LinkState::Trace { schedule } = &hop.link {
+        if let LinkSpec::Trace { schedule, .. } = &hop.link {
             let next = schedule.next_after_cached(&mut hop.trace_cursor, now);
             self.schedule(next, Ev::TraceSlot(h));
         }

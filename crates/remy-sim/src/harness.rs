@@ -238,7 +238,8 @@ mod tests {
             });
         }
         assert!(cc.cwnd() > 2.0, "the ACKs were acted on");
-        assert!(cc.take_usage().is_none(), "only the evaluator records");
+        let usage = remy::remycc::recorded_usage(vec![cc], 1);
+        assert_eq!(usage.total(), 0, "only the evaluator records");
     }
 
     #[test]

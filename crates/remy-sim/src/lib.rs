@@ -1,9 +1,9 @@
 //! # remy-sim — one-stop API for the TCP ex Machina reproduction
 //!
 //! Re-exports the simulator substrate (`netsim`), the baseline schemes
-//! (`congestion`), the synthetic cellular traces (`traces`), and Remy
-//! itself (`remy`), plus the declarative experiment layer the CLI, every
-//! example, and every integration test in this repository run on:
+//! (`congestion`) and Remy itself (`remy`), plus the declarative
+//! experiment layer the CLI, every example, and every integration test in
+//! this repository run on:
 //!
 //! * [`spec`] — serializable [`spec::ExperimentSpec`] descriptions
 //!   (workload, contenders by name, sweep grids, budget);
@@ -13,7 +13,9 @@
 //!   reproduction (`experiments::by_name("fig4")`);
 //! * [`harness`] — contenders (one scenario simulated under one scheme)
 //!   and pooled outcomes;
-//! * [`report`] — tables and CSV output.
+//! * [`report`] — tables and CSV output;
+//! * [`traces`] — the synthetic Verizon/AT&T-like LTE delivery schedules
+//!   that named trace links replay.
 //!
 //! ```
 //! use remy_sim::prelude::*;
@@ -44,15 +46,16 @@
 pub use congestion;
 pub use netsim;
 pub use remy;
-pub use traces;
 
 pub mod experiment;
 pub mod experiments;
 pub mod harness;
 pub mod report;
 pub mod spec;
+pub mod traces;
 
-/// The most commonly used items across all four crates.
+/// The most commonly used items across `netsim`, `congestion`, `remy` and
+/// this crate.
 pub mod prelude {
     pub use crate::experiment::{CellResult, Experiment, ExperimentCell, ExperimentResults};
     pub use crate::harness::{Contender, Outcome};
@@ -61,8 +64,8 @@ pub mod prelude {
         Budget, ContenderSpec, ExperimentSpec, GraphGenerator, GraphLinkRef, GraphSpec, HopRef,
         LinkEventSpec, LinkRef, SweepAxis, SweepPoint, TopologySpec, WorkloadSpec,
     };
+    pub use crate::traces::{att_schedule, verizon_schedule, LteModel};
     pub use congestion::{Compound, Cubic, Dctcp, NewReno, Scheme, Vegas, Xcp, XcpRouter};
     pub use netsim::prelude::*;
     pub use remy::prelude::*;
-    pub use traces::{att_schedule, verizon_schedule, LteModel};
 }

@@ -70,7 +70,7 @@ impl<T: Wire + Default + PartialEq> Codec<T> for Positive {
 /// Unlike [`LinkSpec`], whose trace variant inlines a full delivery
 /// schedule, a spec references the repository's synthetic cellular traces
 /// by name — experiment JSON stays small and the schedule is regenerated
-/// deterministically by the `traces` crate.
+/// deterministically by [`crate::traces`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum LinkRef {
     /// Fixed-rate link.
@@ -104,8 +104,8 @@ impl LinkRef {
             }
             LinkRef::NamedTrace { name } => {
                 let schedule = match name.as_str() {
-                    "verizon-like" => traces::verizon_schedule(),
-                    "att-like" => traces::att_schedule(),
+                    "verizon-like" => crate::traces::verizon_schedule(),
+                    "att-like" => crate::traces::att_schedule(),
                     other => {
                         return Err(format!(
                             "unknown trace '{other}' (known: verizon-like, att-like)"
@@ -653,6 +653,10 @@ netsim::record! {
 /// refused.
 struct Senders;
 
+/// The most senders a uniform `senders` object may ask for: one per flow
+/// id (`FlowId` indexes its slot with a `u32`).
+const MAX_SENDERS: usize = 1 << 32;
+
 /// `n` identical senders.
 struct UniformSenders {
     n: usize,
@@ -679,6 +683,12 @@ impl Codec<Vec<SenderConfig>> for Senders {
         let senders = match v {
             Value::Obj(_) => {
                 let UniformSenders { n, rtt, traffic } = UniformSenders::from_json_value(v)?;
+                // Checked before `vec!` allocates `n` senders.
+                if n > MAX_SENDERS {
+                    let reason =
+                        format!("{n} senders exceed the {MAX_SENDERS} flow ids a simulation has");
+                    return Err(WireError::new(reason).within("n"));
+                }
                 vec![SenderConfig { rtt, traffic }; n]
             }
             _ => Vec::<SenderConfig>::from_json_value(v)?,

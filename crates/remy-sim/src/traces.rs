@@ -16,7 +16,10 @@
 //!   experiment: probing "model mismatch".
 //!
 //! Both presets are deterministic functions of a seed, so every harness
-//! regenerates byte-identical schedules.
+//! regenerates byte-identical schedules. A spec names them by
+//! [`crate::spec::LinkRef::NamedTrace`]: `verizon-like`
+//! ([`verizon_schedule`], Figs. 7–8) and `att-like` ([`att_schedule`],
+//! Fig. 9).
 
 use netsim::link::DeliverySchedule;
 use netsim::rng::SimRng;

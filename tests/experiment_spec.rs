@@ -523,6 +523,33 @@ fn removed_kinds_are_refused_by_key_path() {
     assert!(out.stdout.is_empty());
 }
 
+#[test]
+fn oversized_sender_counts_are_refused_by_key_path() {
+    // A uniform `senders.n` past what a simulation can address (a flow id
+    // holds a u32 slot index) used to abort the process on allocation,
+    // before anything checked it. It fails the parse at that key, in the
+    // library and as a `remy-cli run` usage error.
+    let dir = std::env::temp_dir().join("remy_spec_sender_count_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for n in ["1e15", "4294967297"] {
+        let text = FIG4_GOLDEN.replacen(r#""n": 8"#, &format!(r#""n": {n}"#), 1);
+        assert!(text.contains(&format!(r#""n": {n}"#)), "{n}: edited");
+        let err = ExperimentSpec::from_json(&text).expect_err(n);
+        assert_eq!(err.path, "workload.senders.n", "{n}: {err}");
+
+        let file = dir.join(format!("n_{n}.json"));
+        std::fs::write(&file, text).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+            .args(["run", file.to_str().unwrap(), "--runs", "1", "--secs", "2"])
+            .output()
+            .expect("spawn remy-cli");
+        assert_eq!(out.status.code(), Some(2), "{n}: exits as a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("workload.senders.n: "), "{n}: {stderr}");
+        assert!(out.stdout.is_empty(), "{n}: no report is printed");
+    }
+}
+
 /// `text` with the first `"key": value` pair past byte `from` written
 /// twice in its object.
 fn duplicate_key_after(text: &str, from: usize, key: &str) -> String {

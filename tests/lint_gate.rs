@@ -86,13 +86,13 @@ fn every_sim_crate_source_file_is_in_scope() {
     // however it is called — the `run_*` experiment runners behind the
     // registry's fn pointers included. Walk the real tree and hold the
     // predicate (and every rule's `applies`) to that.
-    const SIM_CRATES: [&str; 5] = ["netsim", "congestion", "core", "remy-sim", "traces"];
+    const SIM_CRATES: [&str; 4] = ["netsim", "congestion", "core", "remy-sim"];
     const MUST_BE_IN: [&str; 6] = [
         "crates/remy-sim/src/experiments.rs",
         "crates/netsim/src/par.rs",
         "crates/remy-sim/src/spec.rs",
         "crates/netsim/src/json.rs",
-        "crates/traces/src/lte.rs",
+        "crates/remy-sim/src/traces.rs",
         "crates/remy-sim/src/bin/remy-cli.rs",
     ];
     const MUST_BE_OUT: [&str; 4] = ["crates/lint/", "benchmark/", "tests/", "examples/"];

@@ -295,13 +295,10 @@ fn wheel_and_heap_schedulers_agree_when_pacing_gaps_outnumber_lanes() {
         Simulator::with_scheduler(&scenario, ccs, None, kind).run_returning_ccs()
     };
     let (heap, _) = run(SchedulerKind::Heap);
-    let (wheel, mut ccs) = run(SchedulerKind::Wheel);
+    let (wheel, ccs) = run(SchedulerKind::Wheel);
     assert!(!wheel.deliveries.is_empty(), "no deliveries");
     assert_results_identical(&heap, &wheel, "heap vs wheel: 15 pacing gaps");
-    let mut usage = Usage::new(table.id_bound());
-    for cc in &mut ccs {
-        usage.merge(&cc.take_usage().expect("recording RemyCC"));
-    }
+    let usage = remy::remycc::recorded_usage(ccs, table.id_bound());
     let gaps_hit = rules.iter().filter(|r| usage.count(r.0) > 0).count();
     assert!(gaps_hit >= 12, "only {gaps_hit} of 15 pacing gaps fired");
 }
