@@ -223,21 +223,6 @@ impl CongestionControl for FixedWindow {
     }
 }
 
-/// Factory for congestion-control instances: one simulation needs one
-/// instance per flow, and experiment harnesses need to construct many
-/// simulations, so schemes are passed around as factories.
-pub type CcFactory = Box<dyn Fn(usize) -> Box<dyn CongestionControl> + Send + Sync>;
-
-/// Convenience: build a [`CcFactory`] from a closure returning a concrete
-/// scheme.
-pub fn factory<C, F>(f: F) -> CcFactory
-where
-    C: CongestionControl + 'static,
-    F: Fn(usize) -> C + Send + Sync + 'static,
-{
-    Box::new(move |id| Box::new(f(id)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,13 +249,5 @@ mod tests {
         assert_eq!(m.ack_ewma_ms, 0.0);
         assert_eq!(m.send_ewma_ms, MEMORY_MAX);
         assert_eq!(m.rtt_ratio, 2.0);
-    }
-
-    #[test]
-    fn factory_builds_boxed_instances() {
-        let f = factory(|_id| FixedWindow::new(4.0));
-        let cc = f(0);
-        assert_eq!(cc.cwnd(), 4.0);
-        assert_eq!(cc.name(), "FixedWindow");
     }
 }

@@ -74,7 +74,7 @@ pub mod transport;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::cc::{factory, AckInfo, CcFactory, CongestionControl, FixedWindow, LossEvent};
+    pub use crate::cc::{AckInfo, CongestionControl, FixedWindow, LossEvent};
     pub use crate::flow::{FlowCold, FlowHot, FlowId, FlowTable};
     pub use crate::graph::{
         FailoverPolicy, LinkEvent, LinkId, NetGraph, Network, NetworkBuilder, RouterId,
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::packet::{Ack, Packet, PacketArena, PacketId};
     pub use crate::queue::QueueSpec;
     pub use crate::rng::SimRng;
-    pub use crate::router::{NoopRouter, RouterHook};
+    pub use crate::router::RouterHook;
     pub use crate::scenario::{ChurnSpec, Scenario, SenderConfig};
     pub use crate::sched::SchedulerKind;
     pub use crate::sim::{run_scenario, Simulator};

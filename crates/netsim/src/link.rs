@@ -108,8 +108,8 @@ impl DeliverySchedule {
     pub fn new(instants: Vec<Ns>, tail_gap: Ns) -> DeliverySchedule {
         assert!(!instants.is_empty(), "empty delivery schedule");
         // A t=0 instant would be unreachable (the engine takes the first
-        // slot strictly after time 0) and would break the opportunity
-        // count and the cached cursor's periodic unrolling.
+        // slot strictly after time 0): the opportunity count would include
+        // it, and a `TraceWalk` from the start would fire it at t = 0.
         assert!(
             instants[0] > Ns::ZERO,
             "delivery instants must be strictly positive"
@@ -163,35 +163,18 @@ impl DeliverySchedule {
         self.at(cycle, idx)
     }
 
-    /// Like [`DeliverySchedule::next_after`], but O(1) when the queries
-    /// are sequential — the common case in the simulator, where each trace
-    /// slot asks for the opportunity after itself. The cursor caches the
-    /// last answer; any non-sequential query falls back to the binary
-    /// search and re-syncs, so results are identical by construction.
-    pub fn next_after_cached(&self, cursor: &mut TraceCursor, now: Ns) -> Ns {
-        if cursor.valid && cursor.last == now {
-            let (cycle, idx) = if cursor.idx + 1 < self.instants.len() {
-                (cursor.cycle, cursor.idx + 1)
-            } else {
-                (cursor.cycle + 1, 0)
-            };
-            let at = self.at(cycle, idx);
-            *cursor = TraceCursor {
-                last: at,
-                cycle,
-                idx,
-                valid: true,
-            };
-            return at;
+    /// The opportunity `walk` stands on; `walk` moves on to the one
+    /// after it. A fresh walk stands on the first opportunity after
+    /// time 0, so stepping it from the start yields the chain
+    /// `next_after(0)`, `next_after(that)`, … in O(1) per step — the
+    /// order in which a trace link's slots fire.
+    pub fn step(&self, walk: &mut TraceWalk) -> Ns {
+        let at = self.at(walk.cycle, walk.idx);
+        walk.idx += 1;
+        if walk.idx == self.instants.len() {
+            walk.cycle += 1;
+            walk.idx = 0;
         }
-        let (cycle, idx) = self.locate_after(now);
-        let at = self.at(cycle, idx);
-        *cursor = TraceCursor {
-            last: at,
-            cycle,
-            idx,
-            valid: true,
-        };
         at
     }
 
@@ -230,16 +213,12 @@ impl DeliverySchedule {
     }
 }
 
-/// Sequential-query cache for [`DeliverySchedule::next_after_cached`]:
-/// remembers the (cycle, index) of the last answer so the chained
-/// slot-after-slot queries of the event loop cost O(1) instead of a
-/// binary search over the whole trace.
+/// A position in a [`DeliverySchedule`] unrolled over time, moved forward
+/// by [`DeliverySchedule::step`]; the default is the first opportunity.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct TraceCursor {
-    last: Ns,
+pub struct TraceWalk {
     cycle: u64,
     idx: usize,
-    valid: bool,
 }
 
 #[cfg(test)]
@@ -344,19 +323,17 @@ mod tests {
 
     #[test]
     fn cached_next_after_matches_binary_search() {
+        // Stepping a walk from the start gives the `next_after` chain from
+        // t = 0 (a binary search per query), across the wrap into each of
+        // several periods.
         let s = DeliverySchedule::new(vec![Ns(7), Ns(19), Ns(23)], Ns(4)); // period 27
-        let mut cursor = TraceCursor::default();
-        // Sequential chain (the simulator's access pattern).
+        let mut walk = TraceWalk::default();
         let mut t = Ns::ZERO;
-        for _ in 0..200 {
-            let expect = s.next_after(t);
-            assert_eq!(s.next_after_cached(&mut cursor, t), expect);
-            t = expect;
+        for _ in 0..3 * 5 {
+            t = s.next_after(t);
+            assert_eq!(s.step(&mut walk), t);
         }
-        // Non-sequential queries resync through the slow path.
-        for probe in [Ns(0), Ns(100), Ns(26), Ns(1_000_003), Ns(12)] {
-            assert_eq!(s.next_after_cached(&mut cursor, probe), s.next_after(probe));
-        }
+        assert_eq!(t, Ns(4 * 27 + 23), "five periods walked");
     }
 
     #[test]

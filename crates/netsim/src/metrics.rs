@@ -4,33 +4,26 @@
 //! receiving `s1, s2, …` bytes is `Σ si / Σ ti`. Queueing delay is the
 //! average per-packet delay in excess of the minimum (time spent waiting
 //! in the bottleneck queue). We also track the average RTT, which the
-//! objective function's delay term uses.
+//! objective function's delay term uses. Every measure is a running sum:
+//! a flow keeps no per-period or per-packet record.
 
 use crate::time::Ns;
 
-/// One "on" period of a flow.
-#[derive(Clone, Copy, Debug)]
-pub struct OnInterval {
-    /// When the sender switched on.
-    pub start: Ns,
-    /// When it switched off (or the simulation ended).
-    pub end: Option<Ns>,
-    /// New (not previously delivered) bytes the receiver got that are
-    /// attributed to this interval.
-    pub bytes: u64,
-}
-
-impl OnInterval {
-    fn duration_capped(&self, sim_end: Ns) -> Ns {
-        let end = self.end.unwrap_or(sim_end).min(sim_end);
-        end.saturating_sub(self.start)
-    }
-}
-
 /// Running measurements for a single flow.
+///
+/// The paper's throughput needs only two sums over a sender's on-periods,
+/// so those are all that is kept: closed on-time and delivered bytes, plus
+/// the start of the open period, if any.
 #[derive(Clone, Debug, Default)]
 pub struct FlowMetrics {
-    intervals: Vec<OnInterval>,
+    /// Start of the open on-period.
+    on_since: Option<Ns>,
+    /// Summed length of the closed on-periods, nanoseconds.
+    closed_on_ns: u64,
+    /// On-periods started.
+    n_intervals: usize,
+    /// New bytes delivered, over every on-period.
+    bytes: u64,
     /// Packets delivered to the receiver (new data only).
     pub packets_delivered: u64,
     /// Duplicate deliveries (spurious retransmissions observed).
@@ -44,24 +37,15 @@ pub struct FlowMetrics {
 impl FlowMetrics {
     /// A new on-interval began.
     pub fn start_interval(&mut self, now: Ns) {
-        debug_assert!(self
-            .intervals
-            .last()
-            .map(|i| i.end.is_some())
-            .unwrap_or(true));
-        self.intervals.push(OnInterval {
-            start: now,
-            end: None,
-            bytes: 0,
-        });
+        debug_assert!(self.on_since.is_none());
+        self.on_since = Some(now);
+        self.n_intervals += 1;
     }
 
     /// The current on-interval ended.
     pub fn end_interval(&mut self, now: Ns) {
-        if let Some(i) = self.intervals.last_mut() {
-            if i.end.is_none() {
-                i.end = Some(now);
-            }
+        if let Some(start) = self.on_since.take() {
+            self.closed_on_ns += now.saturating_sub(start).0;
         }
     }
 
@@ -70,27 +54,18 @@ impl FlowMetrics {
     ///
     /// The sender only transmits while on, so at least one interval must
     /// exist by the time anything is delivered; crediting into the void
-    /// would silently discard the bytes from throughput accounting.
+    /// would be a bookkeeping bug.
     pub fn credit_bytes(&mut self, bytes: u64) {
         debug_assert!(
-            !self.intervals.is_empty(),
+            self.n_intervals > 0,
             "bytes delivered before the first on-interval"
         );
-        if let Some(i) = self.intervals.last_mut() {
-            i.bytes += bytes;
-        }
+        self.bytes += bytes;
     }
 
-    /// Reset for a new flow lifetime in the same slot (churn respawn),
-    /// keeping the interval vector's allocation.
+    /// Reset for a new flow lifetime in the same slot (churn respawn).
     pub fn reset(&mut self) {
-        self.intervals.clear();
-        self.packets_delivered = 0;
-        self.duplicate_deliveries = 0;
-        self.queue_delay_sum_s = 0.0;
-        self.queue_delay_count = 0;
-        self.rtt_sum_s = 0.0;
-        self.rtt_count = 0;
+        *self = FlowMetrics::default();
     }
 
     /// Record one packet's bottleneck queueing delay.
@@ -105,30 +80,23 @@ impl FlowMetrics {
         self.rtt_count += 1;
     }
 
-    /// Total on-time, capping the final (possibly open) interval at the
-    /// simulation end.
+    /// Total on-time, capping the open interval at the simulation end.
     pub fn on_time(&self, sim_end: Ns) -> Ns {
-        Ns(self
-            .intervals
-            .iter()
-            .map(|i| i.duration_capped(sim_end).0)
-            .sum())
+        let open = self
+            .on_since
+            .map_or(0, |start| sim_end.saturating_sub(start).0);
+        Ns(self.closed_on_ns + open)
     }
 
     /// Total new bytes delivered.
     pub fn bytes(&self) -> u64 {
-        self.intervals.iter().map(|i| i.bytes).sum()
-    }
-
-    /// All recorded intervals.
-    pub fn intervals(&self) -> &[OnInterval] {
-        &self.intervals
+        self.bytes
     }
 
     /// Summarize at simulation end.
     pub fn summarize(&self, sim_end: Ns) -> FlowSummary {
         let on = self.on_time(sim_end).as_secs_f64();
-        let bytes = self.bytes();
+        let bytes = self.bytes;
         FlowSummary {
             throughput_mbps: if on > 0.0 {
                 bytes as f64 * 8.0 / on / 1e6
@@ -150,7 +118,7 @@ impl FlowMetrics {
                 0.0
             },
             rtt_samples: self.rtt_count,
-            n_intervals: self.intervals.len(),
+            n_intervals: self.n_intervals,
         }
     }
 }
@@ -206,10 +174,9 @@ pub struct DeliveryRecord {
 /// Population-level statistics for dynamically arriving (churn) flows.
 ///
 /// Individual churn flows do not get a [`FlowSummary`] each — at 100k
-/// flows per run that would be the dominant allocation — they stream into
-/// fixed-size aggregates (two [`crate::stats::StreamingSummary`]s, plus
-/// one bounded reservoir of flow-completion times, which is where
-/// quantiles are read from).
+/// flows per run that would be the dominant allocation — they only bump
+/// the counts below and offer their completion time to one bounded
+/// reservoir, which is where quantiles are read from.
 #[derive(Clone, Debug)]
 pub struct PopulationSummary {
     /// Flows that arrived during the run.
@@ -218,10 +185,6 @@ pub struct PopulationSummary {
     pub completed: u64,
     /// Churn flows still live when the horizon hit.
     pub live_at_end: u64,
-    /// Flow-completion times of completed flows, seconds.
-    pub fct_secs: crate::stats::StreamingSummary,
-    /// Delivered bytes per completed flow.
-    pub flow_bytes: crate::stats::StreamingSummary,
     /// Uniform subsample of completion times (seconds) for exact
     /// quantiles and distribution plots.
     pub fct_sample_secs: Vec<f64>,
@@ -388,7 +351,12 @@ mod tests {
             (0, 0, 0)
         );
         assert_eq!((s.mean_queue_delay_ms, s.mean_rtt_ms), (0.0, 0.0));
-        assert_eq!(m.intervals().len(), 0);
+        assert_eq!((s.on_secs, s.n_intervals, s.rtt_samples), (0.0, 0, 0));
+        assert_eq!(m.bytes(), 0);
+        // The slot's next lifetime starts from nothing.
+        m.start_interval(Ns::from_secs(2));
+        let s = m.summarize(Ns::from_secs(3));
+        assert_eq!((s.on_secs, s.n_intervals, s.bytes), (1.0, 1, 0));
     }
 
     #[test]

@@ -28,22 +28,3 @@ pub trait RouterHook: Send {
     /// Periodic control computation.
     fn on_tick(&mut self, _now: Ns, _queue_pkts: usize) {}
 }
-
-/// A router that does nothing (every end-to-end experiment).
-pub struct NoopRouter;
-
-impl RouterHook for NoopRouter {
-    fn on_arrival(&mut self, _now: Ns, _p: &mut Packet, _queue_pkts: usize) {}
-    fn on_departure(&mut self, _now: Ns, _p: &mut Packet, _queue_pkts: usize) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn noop_router_has_no_tick() {
-        let r = NoopRouter;
-        assert!(r.tick_interval().is_none());
-    }
-}

@@ -64,16 +64,6 @@ pub enum SchedulerKind {
     Heap,
 }
 
-impl SchedulerKind {
-    /// Lower-case label for reports and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::Wheel => "wheel",
-            SchedulerKind::Heap => "heap",
-        }
-    }
-}
-
 /// A pending-event queue popping entries in `(time, insertion id)` order.
 ///
 /// Ids are assigned internally in insertion order, so two queues fed the
@@ -537,8 +527,8 @@ mod tests {
     #[test]
     fn kinds_build_and_report() {
         assert_eq!(
-            EventQueue::<u32>::new(SchedulerKind::Heap).kind().label(),
-            "heap"
+            EventQueue::<u32>::new(SchedulerKind::Heap).kind(),
+            SchedulerKind::Heap
         );
         let q = EventQueue::<u32>::new(SchedulerKind::Wheel);
         assert_eq!(q.kind(), SchedulerKind::Wheel);

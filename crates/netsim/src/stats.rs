@@ -115,93 +115,12 @@ pub fn ellipse(xs: &[f64], ys: &[f64]) -> Ellipse {
     }
 }
 
-/// Streaming one-pass summary of an unbounded sample population: count,
-/// sum, mean, min and max.
-///
-/// This is the population-level replacement for keeping one record per
-/// departed flow — memory is O(1) no matter how many flows churn through.
-/// Quantiles come from a [`Reservoir`] kept beside it.
-#[derive(Clone, Debug)]
-pub struct StreamingSummary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for StreamingSummary {
-    fn default() -> StreamingSummary {
-        StreamingSummary::new()
-    }
-}
-
-impl StreamingSummary {
-    /// An empty summary.
-    pub fn new() -> StreamingSummary {
-        StreamingSummary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Feed one observation (non-finite samples are ignored).
-    pub fn observe(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of (finite) observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest observation (0.0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0.0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
 /// Fixed-capacity uniform reservoir sample (Vitter's algorithm R), driven
-/// by an explicit [`SimRng`] so results are deterministic and independent
-/// of every other random stream in a simulation.
+/// by an explicit [`crate::rng::SimRng`] so results are deterministic and
+/// independent of every other random stream in a simulation.
 ///
-/// Where [`StreamingSummary`] gives exact moments and extremes, the
-/// reservoir keeps an unbiased subsample of the raw values — for post-hoc
-/// quantiles and distribution plots.
+/// It keeps an unbiased subsample of an unbounded population's raw values
+/// in fixed memory — for post-hoc quantiles and distribution plots.
 #[derive(Clone, Debug)]
 pub struct Reservoir {
     cap: usize,
@@ -332,31 +251,6 @@ mod tests {
         let e = ellipse(&xs, &ys);
         assert_eq!(e.corr, 0.0);
         assert_eq!(e.sd_x, 0.0);
-    }
-
-    #[test]
-    fn streaming_summary_matches_exact_stats() {
-        let mut rng = SimRng::new(99);
-        let samples: Vec<f64> = (0..20_000).map(|_| rng.exponential(3.0)).collect();
-        let mut s = StreamingSummary::new();
-        for &x in &samples {
-            s.observe(x);
-        }
-        assert_eq!(s.count(), samples.len() as u64);
-        assert!((s.mean() - mean(&samples)).abs() < 1e-9);
-        let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(s.min(), lo);
-        assert_eq!(s.max(), hi);
-    }
-
-    #[test]
-    fn empty_streaming_summary_is_all_zero() {
-        let s = StreamingSummary::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
     }
 
     #[test]

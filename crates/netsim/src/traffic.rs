@@ -214,8 +214,6 @@ pub struct TrafficProcess {
     state: OnState,
     rng: SimRng,
     mss: u32,
-    /// Completed+current "on" intervals: used for interval bookkeeping.
-    current_on_started: Option<Ns>,
 }
 
 impl TrafficProcess {
@@ -232,7 +230,6 @@ impl TrafficProcess {
             state,
             rng,
             mss,
-            current_on_started: None,
         }
     }
 
@@ -254,16 +251,16 @@ impl TrafficProcess {
             // rng (the size is fixed below).
             rng: SimRng::new(0),
             mss,
-            current_on_started: None,
         };
         p.reset_one_shot(bytes, now);
         p
     }
 
     /// Re-arm this process for a new one-shot lifetime in the same slot
-    /// (churn respawn): on at `now`, transferring exactly `bytes`.
-    pub fn reset_one_shot(&mut self, bytes: u64, now: Ns) {
-        self.current_on_started = Some(now);
+    /// (churn respawn): on at `now`, transferring exactly `bytes`. When
+    /// the period began is the flow's [`crate::metrics::FlowMetrics`] to
+    /// record, so `now` is not kept here.
+    pub fn reset_one_shot(&mut self, bytes: u64, _now: Ns) {
         self.state = OnState::OnBytes {
             remaining_pkts: bytes.div_ceil(self.mss as u64).max(1),
         };
@@ -297,7 +294,6 @@ impl TrafficProcess {
     }
 
     fn begin_on(&mut self, now: Ns) {
-        self.current_on_started = Some(now);
         self.state = match self.spec.on {
             OnSpec::ByTime { mean } => {
                 let dur = if mean == Ns::MAX {
@@ -327,7 +323,6 @@ impl TrafficProcess {
     }
 
     fn begin_off(&mut self, now: Ns) {
-        self.current_on_started = None;
         let off = Ns::from_secs_f64(self.rng.exponential(self.spec.off_mean.as_secs_f64()));
         self.state = OnState::Off {
             until: now.saturating_add(off),
@@ -370,11 +365,6 @@ impl TrafficProcess {
         matches!(self.state, OnState::OnBytes { remaining_pkts: 0 })
     }
 
-    /// When the current on-period started, if on.
-    pub fn on_started(&self) -> Option<Ns> {
-        self.current_on_started
-    }
-
     /// Current state (for tests and logging).
     pub fn state(&self) -> &OnState {
         &self.state
@@ -413,7 +403,7 @@ mod tests {
         assert!(p.on_wakeup(wake));
         assert!(p.is_on());
         assert!(p.may_send_new(wake));
-        assert_eq!(p.on_started(), Some(wake));
+        assert!(matches!(p.state(), OnState::OnBytes { .. }));
     }
 
     #[test]
@@ -558,7 +548,6 @@ mod tests {
     fn one_shot_transfers_exactly_once() {
         let mut p = TrafficProcess::one_shot(4000, 1500, Ns::from_secs(2));
         assert!(p.is_on());
-        assert_eq!(p.on_started(), Some(Ns::from_secs(2)));
         assert_eq!(p.next_wakeup(), None, "one-shots complete via ACKs");
         let OnState::OnBytes { remaining_pkts } = *p.state() else {
             panic!("expected OnBytes");
@@ -570,7 +559,8 @@ mod tests {
         assert!(p.draining());
         p.reset_one_shot(100, Ns::from_secs(5));
         assert!(p.may_send_new(Ns::from_secs(5)), "respawned in place");
-        assert_eq!(p.on_started(), Some(Ns::from_secs(5)));
+        assert!(p.is_on());
+        assert_eq!(*p.state(), OnState::OnBytes { remaining_pkts: 1 });
     }
 
     #[test]

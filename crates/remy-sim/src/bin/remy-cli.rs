@@ -56,6 +56,18 @@ fn positive<T: std::str::FromStr + PartialOrd + Default>(name: &str, v: &str) ->
     }
 }
 
+/// Parse the `eval` run length in seconds. One the clock cannot hold
+/// (`inf`, say) would saturate it, and the run would never finish.
+fn eval_secs(v: &str) -> f64 {
+    match positive::<f64>("secs", v) {
+        s if Ns::from_secs_f64(s) < Ns::MAX => s,
+        s => die(&format!(
+            "secs must be within the simulation clock's range ({} s), got {s}",
+            Budget::MAX_SIM_SECS
+        )),
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  remy-cli run <name|spec.json> [--runs N] [--secs S] [--out csv]\n  \
@@ -441,7 +453,11 @@ fn main() {
         } else if let Some(v) = flag("--runs") {
             runs = Some(positive("--runs", &v));
         } else if let Some(v) = flag("--secs") {
-            secs = Some(positive("--secs", &v));
+            let n = v
+                .parse()
+                .unwrap_or_else(|_| die(&format!("--secs needs a number, got '{v}'")));
+            let checked = Budget::check_sim_secs(n);
+            secs = Some(checked.unwrap_or_else(|e| die(&format!("--secs {e}"))));
         } else if let Some(v) = flag("--steps") {
             steps = Some(positive("--steps", &v));
         } else if a == "--continue" {
@@ -491,7 +507,7 @@ fn main() {
                 d => die(&format!("delta must be finite, got {d}")),
             });
             let specimens = args.get(3).map_or(8, |v| positive("specimens", v));
-            let secs = args.get(4).map_or(15.0, |v| positive("secs", v));
+            let secs = args.get(4).map_or(15.0, |v| eval_secs(v));
             cmd_eval(t, delta, specimens, secs);
         }
         _ => usage(),

@@ -10,7 +10,8 @@
 
 use crate::harness::{Contender, Outcome};
 use crate::report::{
-    outcome_csv_row, outcomes_table, speedup_table, ExperimentReport, OUTCOMES_CSV_HEADER,
+    csv_label, outcome_csv_row, outcomes_table, speedup_table, ExperimentReport,
+    OUTCOMES_CSV_HEADER,
 };
 use crate::spec::{ExperimentSpec, SweepPoint};
 use netsim::metrics::{FlowSummary, PopulationSummary, SimResults};
@@ -250,7 +251,7 @@ impl ExperimentResults {
                 if swept {
                     csv_rows.push(format!(
                         "{},{}",
-                        point.label().replace(", ", ";").replace(',', ";"),
+                        csv_label(&point.label().replace(", ", ";")),
                         outcome_csv_row(o)
                     ));
                 } else {
@@ -398,7 +399,8 @@ mod tests {
                 let (pa, pb) = (pa.as_ref().unwrap(), pb.as_ref().unwrap());
                 assert_eq!(pa.spawned, pb.spawned);
                 assert_eq!(pa.completed, pb.completed);
-                assert_eq!(pa.fct_secs.sum().to_bits(), pb.fct_secs.sum().to_bits());
+                assert_eq!(pa.live_at_end, pb.live_at_end);
+                assert_eq!(pa.fct_sample_secs, pb.fct_sample_secs);
             }
         }
     }

@@ -10,7 +10,7 @@
 
 use crate::experiment::{CellResult, Experiment};
 use crate::harness::Contender;
-use crate::report::ExperimentReport;
+use crate::report::{csv_label, ExperimentReport};
 use crate::spec::{Budget, ExperimentSpec, LinkEventSpec, SweepAxis, TopologySpec};
 use netsim::rng::SimRng;
 use netsim::sim::Simulator;
@@ -351,7 +351,7 @@ impl Table {
             .iter()
             .zip(fields)
             .map(|(c, field)| match field {
-                Field::Label(s) => (format!("{s:<w$}", w = c.width), s),
+                Field::Label(s) => (format!("{s:<w$}", w = c.width), csv_label(&s)),
                 Field::Num(v) => (
                     format!("{v:>w$.p$}", w = c.width, p = c.prec),
                     format!("{v}"),

@@ -9,11 +9,17 @@ use std::path::PathBuf;
 /// Header of the per-contender outcomes CSV (one row per scheme).
 pub const OUTCOMES_CSV_HEADER: &str = "scheme,median_tput_mbps,median_qdelay_ms,median_rtt_ms,mean_tput,mean_qdelay,sd_tput,sd_qdelay,corr,samples";
 
+/// A label as one CSV field: each comma is written as `;`. Every report's
+/// CSV writes its labels through here.
+pub fn csv_label(label: &str) -> String {
+    label.replace(',', ";")
+}
+
 /// One outcomes-CSV row.
 pub fn outcome_csv_row(o: &Outcome) -> String {
     format!(
         "{},{},{},{},{},{},{},{},{},{}",
-        o.label.replace(',', ";"),
+        csv_label(&o.label),
         o.median_throughput_mbps,
         o.median_queue_delay_ms,
         o.median_rtt_ms,

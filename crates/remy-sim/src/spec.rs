@@ -42,15 +42,42 @@ pub struct Budget {
 }
 
 impl Budget {
+    /// The longest run the nanosecond clock can hold, in whole seconds.
+    pub const MAX_SIM_SECS: u64 = u64::MAX / 1_000_000_000;
+
     /// Per-run simulated duration.
     pub fn duration(&self) -> Ns {
         Ns::from_secs(self.sim_secs)
+    }
+
+    /// `secs` if a run can last that long. Zero would simulate nothing
+    /// and still report numbers; past [`Budget::MAX_SIM_SECS`] the
+    /// duration would wrap to a short run under a title claiming the long
+    /// one. The `budget.sim_secs` reader and `remy-cli --secs` both ask.
+    pub fn check_sim_secs(secs: u64) -> Result<u64, String> {
+        match secs {
+            0 => Err("must be positive".to_string()),
+            1..=Budget::MAX_SIM_SECS => Ok(secs),
+            _ => Err(format!(
+                "must be at most {} (the simulation clock's range in seconds), got {secs}",
+                Budget::MAX_SIM_SECS
+            )),
+        }
     }
 }
 
 // A zero in either field is rejected: the experiment would simulate
 // nothing and still report numbers.
-netsim::record! { Budget { runs: "runs" as Positive, sim_secs: "sim_secs" as Positive } }
+netsim::record! { Budget { runs: "runs" as Positive, sim_secs: "sim_secs" as SimSecs } }
+
+/// A run length [`Budget::check_sim_secs`] accepts.
+struct SimSecs;
+
+impl Codec<u64> for SimSecs {
+    fn read(v: &Value) -> Result<u64, WireError> {
+        Budget::check_sim_secs(u64::from_json_value(v)?).map_err(WireError::new)
+    }
+}
 
 /// A count that must be positive.
 struct Positive;

@@ -550,6 +550,122 @@ fn oversized_sender_counts_are_refused_by_key_path() {
     }
 }
 
+#[test]
+fn run_lengths_past_the_clock_are_refused_by_key() {
+    // 18 446 744 074 s is one second past what the nanosecond clock
+    // holds. The budget's duration used to wrap: `run fig4 --runs 1 --secs
+    // 18446744074` printed a 0.29 s simulation (3 samples per scheme)
+    // under a title claiming the long one. The largest run that fits
+    // still parses.
+    let secs = Budget::MAX_SIM_SECS + 1;
+    assert_eq!(secs, 18_446_744_074);
+    let edit =
+        |n: u64| FIG4_GOLDEN.replacen(r#""sim_secs": 30"#, &format!(r#""sim_secs": {n}"#), 1);
+    let text = edit(secs);
+    assert_ne!(text, FIG4_GOLDEN, "the golden's budget was rewritten");
+    let err = ExperimentSpec::from_json(&text).expect_err("past the clock");
+    assert_eq!(err.path, "budget.sim_secs", "{err}");
+    let fits = ExperimentSpec::from_json(&edit(Budget::MAX_SIM_SECS)).expect("fits the clock");
+    assert_eq!(fits.budget.sim_secs, Budget::MAX_SIM_SECS);
+
+    let dir = std::env::temp_dir().join("remy_spec_clock_range_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("past_the_clock.json");
+    std::fs::write(&path, text).unwrap();
+    let secs = secs.to_string();
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &[
+                "run", "fig4", "--runs", "1", "--secs", &secs, "--out", "csv",
+            ],
+            "--secs",
+        ),
+        (
+            &["run", path.to_str().unwrap(), "--out", "csv"],
+            "budget.sim_secs: ",
+        ),
+    ];
+    for (args, key) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+            .args(args)
+            .output()
+            .expect("spawn remy-cli");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} exits as a usage error"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(key), "{args:?} names {key}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no report is printed");
+    }
+}
+
+#[test]
+fn eval_run_lengths_the_clock_cannot_hold_exit_2() {
+    // `eval`'s seconds saturated the clock at its far end, so these ran
+    // on past any timeout instead of being refused. A child still running
+    // after a minute is killed and fails the test.
+    for secs in ["inf", "1e11"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+            .args(["eval", "delta1", "1", "1", secs])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn remy-cli");
+        let mut waited = 0;
+        while child.try_wait().expect("poll remy-cli").is_none() {
+            if waited == 600 {
+                child.kill().expect("kill remy-cli");
+                child.wait().expect("reap remy-cli");
+                panic!("eval with secs {secs} still running after 60 s");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            waited += 1;
+        }
+        let out = child.wait_with_output().expect("remy-cli output");
+        assert_eq!(out.status.code(), Some(2), "secs {secs} is a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("secs"), "{secs}: {stderr}");
+        assert!(out.stdout.is_empty(), "{secs}: no score is printed");
+    }
+}
+
+#[test]
+fn comma_labels_keep_a_custom_report_csv_in_shape() {
+    // A custom report wrote contender labels into its CSV verbatim, so a
+    // label with a comma gave a 4-field row under a 3-field header.
+    let text = golden("ablation_signals").replacen(
+        r#""label": "all signals""#,
+        r#""label": "RemyCC, full""#,
+        1,
+    );
+    assert!(text.contains("RemyCC, full"), "a label was rewritten");
+    let dir = std::env::temp_dir().join("remy_spec_comma_label_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("comma_label.json");
+    std::fs::write(&path, text).unwrap();
+    let csv = cli_stdout(&[
+        "run",
+        path.to_str().unwrap(),
+        "--runs",
+        "1",
+        "--secs",
+        "2",
+        "--out",
+        "csv",
+    ]);
+    let mut lines = csv.lines();
+    let fields = lines.next().expect("header").split(',').count();
+    assert_eq!(fields, 3, "{csv}");
+    let rows: Vec<&str> = lines.collect();
+    assert_eq!(rows.len(), 5, "one row per contender: {csv}");
+    for row in rows {
+        assert_eq!(row.split(',').count(), fields, "{row}");
+    }
+    assert!(csv.contains("\nRemyCC; full,"), "{csv}");
+}
+
 /// `text` with the first `"key": value` pair past byte `from` written
 /// twice in its object.
 fn duplicate_key_after(text: &str, from: usize, key: &str) -> String {
