@@ -240,7 +240,7 @@ mod tests {
                         send_ewma_ms: a / 2.0,
                         rtt_ratio: r,
                     };
-                    let w = t.lookup(m);
+                    let w = t.get(t.lookup(m).id).expect("live rule");
                     assert!(w.domain.contains(m.clamped()), "{} lookup broken", d.name);
                 }
             }

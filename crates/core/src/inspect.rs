@@ -47,11 +47,11 @@ pub fn report(tree: &WhiskerTree, usage: Option<&Usage>) -> String {
     if !tree.provenance.is_empty() {
         let _ = writeln!(out, "provenance: {}", tree.provenance);
     }
-    let mut rules: Vec<&Whisker> = tree.whiskers();
+    let mut rules: Vec<Whisker> = tree.whiskers();
     if let Some(u) = usage {
         rules.sort_by_key(|w| std::cmp::Reverse(u.count(w.id)));
     }
-    for w in rules {
+    for w in &rules {
         let _ = writeln!(out, "{}", describe_rule(w, usage.map(|u| u.count(w.id))));
     }
     // A qualitative summary of what the table does.

@@ -11,7 +11,8 @@
 //! * [`action`] — (window multiple, window increment, intersend pacing)
 //!   triples and the optimizer's candidate neighbourhood;
 //! * [`whisker`] — the octree rule table mapping memory regions to
-//!   actions, plus usage statistics;
+//!   actions, stored as the flat arrays the per-ACK lookup walks, plus
+//!   usage statistics;
 //! * [`remycc`] — the runtime that executes a rule table inside a TCP-like
 //!   sender (implements `netsim::cc::CongestionControl`);
 //! * [`objective`] — alpha-fairness scoring, `U_α(tput) − δ·U_β(delay)`;

@@ -12,7 +12,7 @@
 
 use crate::action::Action;
 use crate::memory::MemoryTracker;
-use crate::whisker::{FlatLeaf, FlatTree, Usage, WhiskerTree};
+use crate::whisker::{Leaf, Usage, WhiskerTree};
 use netsim::cc::{AckInfo, CongestionControl, LossEvent};
 use netsim::time::Ns;
 use std::any::Any;
@@ -26,15 +26,14 @@ const NO_OVERRIDE: usize = usize::MAX;
 
 /// A sender-side RemyCC executing a (typically Remy-designed) rule table.
 pub struct RemyCc {
+    /// The rule table, shared by all senders running it.
     tree: Arc<WhiskerTree>,
-    /// Flattened lookup view shared by all senders running this table.
-    flat: Arc<FlatTree>,
     /// Hill-climb candidate overlay: when the lookup lands on this leaf
     /// slot, `override_rule` applies instead of the stored rule. This
     /// lets the optimizer evaluate "base table + one changed rule" without
     /// cloning the tree per candidate.
     override_slot: usize,
-    override_rule: FlatLeaf,
+    override_rule: Leaf,
     memory: MemoryTracker,
     window: f64,
     intersend: Ns,
@@ -51,12 +50,10 @@ pub struct RemyCc {
 impl RemyCc {
     /// Run the given rule table.
     pub fn new(tree: Arc<WhiskerTree>) -> RemyCc {
-        let flat = tree.flat();
         RemyCc {
             tree,
-            flat,
             override_slot: NO_OVERRIDE,
-            override_rule: FlatLeaf::new(NO_OVERRIDE, Action::DEFAULT),
+            override_rule: Leaf::new(NO_OVERRIDE, Action::DEFAULT),
             memory: MemoryTracker::new(),
             window: INITIAL_WINDOW,
             intersend: Ns::ZERO,
@@ -81,8 +78,8 @@ impl RemyCc {
     /// action were `action`, without mutating or cloning the shared table.
     /// A `rule` id not present in the table leaves behaviour unchanged.
     pub fn with_candidate(mut self, rule: usize, action: Action) -> RemyCc {
-        self.override_slot = self.flat.slot_of(rule).unwrap_or(NO_OVERRIDE);
-        self.override_rule = FlatLeaf::new(rule, action);
+        self.override_slot = self.tree.slot_of(rule).unwrap_or(NO_OVERRIDE);
+        self.override_rule = Leaf::new(rule, action);
         self
     }
 
@@ -97,11 +94,6 @@ impl RemyCc {
     pub fn with_signal_mask(mut self, mask: [bool; 3]) -> RemyCc {
         self.signal_mask = mask;
         self
-    }
-
-    /// The rule table in use.
-    pub fn tree(&self) -> &WhiskerTree {
-        &self.tree
     }
 
     /// Hand over what a [`RemyCc::recording`] instance gathered (which
@@ -145,8 +137,8 @@ impl CongestionControl for RemyCc {
                 *mem.axis_mut(i) = 0.0;
             }
         }
-        let slot = self.flat.lookup_slot(mem);
-        let leaf = self.flat.leaf(slot);
+        let slot = self.tree.lookup_slot(mem);
+        let leaf = self.tree.leaf(slot);
         if let Some(usage) = &mut self.usage {
             usage.record(leaf.id, mem);
         }
@@ -387,6 +379,52 @@ mod tests {
         cc.on_flow_start(Ns::ZERO);
         cc.on_ack(&ack(100, 100, 100));
         assert_eq!(cc.cwnd(), 3.0, "unknown rule id leaves behaviour unchanged");
+    }
+
+    #[test]
+    fn editing_a_clone_leaves_the_running_table_alone() {
+        let mut tree = WhiskerTree::single_rule();
+        tree.split(
+            0,
+            Memory {
+                ack_ewma_ms: 10.0,
+                send_ewma_ms: 10.0,
+                rtt_ratio: 2.0,
+            },
+        );
+        let shared = Arc::new(tree);
+        let probes = [0.0, 1.5, 2.0, 4.0].map(|rtt_ratio| Memory {
+            rtt_ratio,
+            ..Memory::INITIAL
+        });
+        let before = probes.map(|m| shared.lookup(m).id);
+        let mut cc = RemyCc::new(Arc::clone(&shared));
+        cc.on_flow_start(Ns::ZERO);
+        cc.on_ack(&ack(400, 400, 100));
+        assert_eq!(cc.cwnd(), 3.0, "default rule: 2 + 1");
+
+        // The optimizer's pattern: clone the shared table, then edit it.
+        let mut edited = WhiskerTree::clone(&shared);
+        let id = edited.lookup(probes[3]).id;
+        edited.split(id, probes[3]);
+        for w in edited.whiskers() {
+            edited.set_action(
+                w.id,
+                Action {
+                    window_multiple: 0.5,
+                    window_increment: 0.0,
+                    intersend_ms: 5.0,
+                },
+            );
+        }
+        assert_eq!(probes.map(|m| shared.lookup(m).id), before);
+        assert!(probes
+            .iter()
+            .all(|&m| shared.lookup(m).action == Action::DEFAULT));
+        // The sender already running the original still applies it.
+        cc.on_ack(&ack(410, 400, 100));
+        assert_eq!(cc.cwnd(), 4.0, "default rule: 3 + 1");
+        assert_eq!(cc.pacing(), Ns::from_micros(10));
     }
 
     #[test]

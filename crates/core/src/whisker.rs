@@ -7,12 +7,16 @@
 //! it, "producing eight new rules (one per dimension of the memory-space)"
 //! — an octree over memory space whose granularity is finest where traffic
 //! actually lands.
+//!
+//! The octree is stored once, as the arrays the per-ACK lookup walks: a
+//! branch array (split point and eight packed child refs), a leaf array
+//! (rule id, action, pacing gap), and beside them the domains and epochs
+//! that only the optimizer and the JSON form read.
 
 use crate::action::Action;
-use crate::json::{self, Codec, Plain, Reader, Value, Wire, WireError};
+use crate::json::{self, Plain, Reader, Value, Wire, WireError};
 use crate::memory::{Memory, MEMORY_MAX};
 use netsim::time::Ns;
-use std::sync::Arc;
 
 /// A half-open axis-aligned box `[lo, hi)` in memory space.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -58,7 +62,7 @@ impl Cube {
 }
 
 /// One rule: a region of memory space and the action it maps to.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Whisker {
     /// Stable identifier within its tree (usage statistics key).
     pub id: usize,
@@ -70,128 +74,199 @@ pub struct Whisker {
     pub epoch: u64,
 }
 
-#[derive(Clone, Debug)]
-enum Node {
-    Leaf(Whisker),
-    Branch(Branch),
-}
+/// Child references pack "leaf or branch" into one `u32`: the high bit
+/// selects the leaf array, the low 31 bits index into it.
+const LEAF_BIT: u32 = 1 << 31;
 
-/// An interior node of the octree.
+/// An interior node of the octree, as the lookup reads it.
 #[derive(Clone, Debug)]
 struct Branch {
-    domain: Cube,
     /// Component-wise split point.
     split: Memory,
-    /// Eight children indexed by the 3-bit code: bit i set ⇔
-    /// `memory.axis(i) >= split.axis(i)`.
-    children: Vec<Node>,
+    /// Packed refs of the eight children, indexed by the 3-bit octant
+    /// code: bit i set ⇔ `memory.axis(i) >= split.axis(i)`.
+    children: [u32; 8],
 }
 
-impl Node {
-    fn lookup(&self, m: Memory) -> &Whisker {
-        match self {
-            Node::Leaf(w) => w,
-            Node::Branch(b) => {
-                let mut idx = 0usize;
-                for i in 0..3 {
-                    if m.axis(i) >= b.split.axis(i) {
-                        idx |= 1 << i;
-                    }
-                }
-                b.children[idx].lookup(m)
-            }
-        }
-    }
+/// One rule as the per-ACK lookup reads it.
+#[derive(Clone, Copy, Debug)]
+pub struct Leaf {
+    /// The whisker id (usage-statistics key).
+    pub id: usize,
+    /// The action this rule maps to.
+    pub action: Action,
+    /// `action.intersend()`, converted once when the rule is stored rather
+    /// than on every ACK that hits it.
+    pub intersend: Ns,
+}
 
-    fn find_mut(&mut self, id: usize) -> Option<&mut Whisker> {
-        match self {
-            Node::Leaf(w) => (w.id == id).then_some(w),
-            Node::Branch(b) => b.children.iter_mut().find_map(|c| c.find_mut(id)),
-        }
-    }
-
-    fn visit<'a>(&'a self, out: &mut Vec<&'a Whisker>) {
-        match self {
-            Node::Leaf(w) => out.push(w),
-            Node::Branch(b) => {
-                for c in &b.children {
-                    c.visit(out);
-                }
-            }
-        }
-    }
-
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Whisker)) {
-        match self {
-            Node::Leaf(w) => f(w),
-            Node::Branch(b) => {
-                for c in &mut b.children {
-                    c.visit_mut(f);
-                }
-            }
+impl Leaf {
+    /// Rule `id` mapping to `action`.
+    pub fn new(id: usize, action: Action) -> Leaf {
+        Leaf {
+            id,
+            action,
+            intersend: action.intersend(),
         }
     }
 }
+
+// The per-ACK lookup reads one branch record per level, then one leaf.
+const _: () = assert!(size_of::<Branch>() == 56 && size_of::<Leaf>() == 40);
 
 /// The complete rule table of one RemyCC.
 #[derive(Clone, Debug)]
 pub struct WhiskerTree {
-    root: Node,
+    /// Interior nodes, by branch index. Branch 0 is the root once the
+    /// table has split: the first split is of the root, a split appends
+    /// its branch, and the JSON reader stores branches in pre-order.
+    branches: Vec<Branch>,
+    /// The rules, by leaf slot; a table that never split is leaf slot 0.
+    leaves: Vec<Leaf>,
+    /// Each branch's domain, by branch index (the JSON form writes it).
+    branch_domains: Vec<Cube>,
+    /// Each rule's domain, by leaf slot.
+    domains: Vec<Cube>,
+    /// Each rule's epoch, by leaf slot.
+    epochs: Vec<u64>,
+    /// Whisker id → leaf slot (`u32::MAX` for split ids); `next_id` long.
+    slot_of_id: Vec<u32>,
     /// Next unassigned whisker id (ids are never reused).
     next_id: usize,
     /// Free-form provenance (design ranges, δ, training budget) recorded
     /// by the optimizer for reports.
     pub provenance: String,
-    /// Flattened lookup view, shared by every RemyCC running this table.
-    /// Rebuilt eagerly by the mutating methods (`set_action`, `split`,
-    /// `from_json`), so it is always in sync with `root` and `flat()` is
-    /// a plain read — no interior mutability, nothing to invalidate.
-    flat: Arc<FlatTree>,
 }
 
 impl WhiskerTree {
     /// The single-rule table Remy starts from: the whole memory domain
     /// mapped to the default action `(m=1, b=1, r=0.01)`.
     pub fn single_rule() -> WhiskerTree {
-        let root = Node::Leaf(Whisker {
+        let mut t = WhiskerTree::empty();
+        let whole = Whisker {
             id: 0,
             domain: Cube::whole(),
             action: Action::DEFAULT,
             epoch: 0,
-        });
-        let flat = Arc::new(FlatTree::build(&root));
+        };
+        t.put(0, whole);
+        (t.slot_of_id, t.next_id) = (vec![0], 1);
+        t
+    }
+
+    /// No rules yet: the start of [`WhiskerTree::single_rule`] and of a
+    /// table read from JSON, not a table on its own.
+    fn empty() -> WhiskerTree {
         WhiskerTree {
-            root,
-            next_id: 1,
+            branches: Vec::new(),
+            leaves: Vec::new(),
+            branch_domains: Vec::new(),
+            domains: Vec::new(),
+            epochs: Vec::new(),
+            slot_of_id: Vec::new(),
+            next_id: 0,
             provenance: String::new(),
-            flat,
         }
     }
 
     /// The rule covering the given memory point.
-    pub fn lookup(&self, m: Memory) -> &Whisker {
-        self.root.lookup(m.clamped())
+    #[inline]
+    pub fn lookup(&self, m: Memory) -> &Leaf {
+        &self.leaves[self.lookup_slot(m)]
     }
 
-    /// The flattened lookup view of this table, kept in sync with the
-    /// octree by every mutating method. All per-ACK lookups (see
-    /// [`crate::remycc::RemyCc`]) go through this view rather than
-    /// walking the boxed octree.
-    pub fn flat(&self) -> Arc<FlatTree> {
-        Arc::clone(&self.flat)
+    /// Packed ref of the root.
+    #[inline]
+    fn root(&self) -> u32 {
+        if self.branches.is_empty() {
+            LEAF_BIT
+        } else {
+            0
+        }
     }
 
-    /// All rules, in tree order.
-    pub fn whiskers(&self) -> Vec<&Whisker> {
-        let mut out = Vec::new();
-        self.root.visit(&mut out);
-        out
+    /// The leaf slot covering memory point `m`, clamped into the domain.
+    #[inline]
+    pub(crate) fn lookup_slot(&self, m: Memory) -> usize {
+        let m = m.clamped();
+        let mut r = self.root();
+        while r & LEAF_BIT == 0 {
+            let b = &self.branches[r as usize];
+            let mut code = 0usize;
+            if m.ack_ewma_ms >= b.split.ack_ewma_ms {
+                code |= 1;
+            }
+            if m.send_ewma_ms >= b.split.send_ewma_ms {
+                code |= 2;
+            }
+            if m.rtt_ratio >= b.split.rtt_ratio {
+                code |= 4;
+            }
+            r = b.children[code];
+        }
+        (r & !LEAF_BIT) as usize
+    }
+
+    /// The rule stored at a leaf slot.
+    #[inline]
+    pub(crate) fn leaf(&self, slot: usize) -> &Leaf {
+        &self.leaves[slot]
+    }
+
+    /// The leaf slot of whisker `id`, if present.
+    pub(crate) fn slot_of(&self, id: usize) -> Option<usize> {
+        match self.slot_of_id.get(id) {
+            Some(&s) if s != u32::MAX => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// The leaf slot of whisker `id`, which the caller took from this table.
+    fn slot(&self, id: usize) -> usize {
+        self.slot_of(id)
+            // lint:allow(p2-sim-panic): editing a nonexistent whisker id
+            // means the usage table and tree diverged — a logic error, and
+            // silent corruption is worse.
+            .unwrap_or_else(|| panic!("no whisker with id {id}"))
+    }
+
+    /// The table itself: the per-ACK lookup walks the same arrays every
+    /// other method edits. Kept for the benchmark's lookup probes.
+    pub fn flat(&self) -> &WhiskerTree {
+        self
+    }
+
+    fn whisker(&self, slot: usize) -> Whisker {
+        let Leaf { id, action, .. } = self.leaves[slot];
+        Whisker {
+            id,
+            domain: self.domains[slot],
+            action,
+            epoch: self.epochs[slot],
+        }
+    }
+
+    /// All rules, in tree order: depth first, children in octant order.
+    pub fn whiskers(&self) -> Vec<Whisker> {
+        let mut slots = Vec::with_capacity(self.leaves.len());
+        self.slots_under(self.root(), &mut slots);
+        slots.into_iter().map(|s| self.whisker(s)).collect()
+    }
+
+    fn slots_under(&self, r: u32, out: &mut Vec<usize>) {
+        if r & LEAF_BIT != 0 {
+            out.push((r & !LEAF_BIT) as usize);
+        } else {
+            for &child in &self.branches[r as usize].children {
+                self.slots_under(child, out);
+            }
+        }
     }
 
     /// Number of rules. (The paper's general-purpose RemyCCs contain
     /// "between 162 and 204 rules".)
     pub fn len(&self) -> usize {
-        self.whiskers().len()
+        self.leaves.len()
     }
 
     /// True if the tree is a single rule.
@@ -206,35 +281,24 @@ impl WhiskerTree {
 
     /// Replace the action of rule `id`.
     pub fn set_action(&mut self, id: usize, action: Action) {
-        let w = self
-            .root
-            .find_mut(id)
-            // lint:allow(p2-sim-panic): mutating a nonexistent whisker id
-            // is an optimizer logic bug — silent corruption is worse.
-            .unwrap_or_else(|| panic!("no whisker with id {id}"));
-        w.action = action;
-        self.flat = Arc::new(FlatTree::build(&self.root));
+        let slot = self.slot(id);
+        self.leaves[slot] = Leaf::new(id, action);
     }
 
     /// Fetch a rule by id.
-    pub fn get(&self, id: usize) -> Option<&Whisker> {
-        self.whiskers().into_iter().find(|w| w.id == id)
+    pub fn get(&self, id: usize) -> Option<Whisker> {
+        self.slot_of(id).map(|s| self.whisker(s))
     }
 
     /// Mark every rule as belonging to `epoch` (§4.3 step 1).
     pub fn set_all_epochs(&mut self, epoch: u64) {
-        self.root.visit_mut(&mut |w| w.epoch = epoch);
+        self.epochs.fill(epoch);
     }
 
     /// Advance one rule past the current epoch (§4.3 step 3 exit).
     pub fn bump_epoch(&mut self, id: usize) {
-        let w = self
-            .root
-            .find_mut(id)
-            // lint:allow(p2-sim-panic): same invariant as set_action —
-            // ids come from iterating this tree, so a miss is a logic error.
-            .unwrap_or_else(|| panic!("no whisker with id {id}"));
-        w.epoch += 1;
+        let slot = self.slot(id);
+        self.epochs[slot] += 1;
     }
 
     /// Split rule `id` at `point` into eight children inheriting the
@@ -242,15 +306,8 @@ impl WhiskerTree {
     /// inside the domain; returns `false` (tree unchanged) if the domain
     /// is too small to subdivide.
     pub fn split(&mut self, id: usize, point: Memory) -> bool {
-        // Find the leaf and compute the clamped split point first.
-        let Some(w) = self.root.find_mut(id) else {
-            // lint:allow(p2-sim-panic): splitting a nonexistent whisker
-            // id means the usage table and tree diverged — a logic error.
-            panic!("no whisker with id {id}");
-        };
-        let domain = w.domain;
-        let action = w.action;
-        let epoch = w.epoch;
+        let slot = self.slot(id);
+        let domain = self.domains[slot];
         let mut split = Memory::INITIAL;
         for i in 0..3 {
             let lo = domain.lo.axis(i);
@@ -265,9 +322,13 @@ impl WhiskerTree {
             let margin = (span * 1e-6).max(1e-9);
             *split.axis_mut(i) = point.axis(i).clamp(lo + margin, hi - margin);
         }
-        // Build children.
-        let mut children = Vec::with_capacity(8);
-        for code in 0..8usize {
+        // Child 0 takes the rule's slot and the other seven are appended;
+        // the rule's id is retired.
+        let (action, epoch) = (self.leaves[slot].action, self.epochs[slot]);
+        self.slot_of_id[id] = u32::MAX;
+        self.slot_of_id.resize(self.next_id + 8, u32::MAX);
+        let mut children = [0; 8];
+        for (code, child) in children.iter_mut().enumerate() {
             let mut lo = domain.lo;
             let mut hi = domain.hi;
             for i in 0..3 {
@@ -277,44 +338,62 @@ impl WhiskerTree {
                     *hi.axis_mut(i) = split.axis(i);
                 }
             }
-            children.push(Node::Leaf(Whisker {
+            let at = if code == 0 { slot } else { self.leaves.len() };
+            let rule = Whisker {
                 id: self.next_id + code,
                 domain: Cube { lo, hi },
                 action,
                 epoch,
-            }));
+            };
+            self.slot_of_id[rule.id] = at as u32;
+            *child = self.put(at, rule);
         }
         self.next_id += 8;
-        // Replace the leaf in place.
-        // lint:allow(p1-sim-unwrap): find_mut(id) succeeded at the top of
-        // this method and nothing has removed nodes since.
-        let target = self.root.find_node_mut(id).expect("leaf located above");
-        *target = Node::Branch(Branch {
-            domain,
-            split,
-            children,
-        });
-        self.flat = Arc::new(FlatTree::build(&self.root));
+        // The branch takes the rule's place in its parent; a rule without
+        // one was the root, and its branch, the first, becomes the root.
+        let (leaf, branch) = (children[0], self.branches.len() as u32);
+        let mut refs = self.branches.iter_mut().flat_map(|b| &mut b.children);
+        if let Some(parent) = refs.find(|r| **r == leaf) {
+            *parent = branch;
+        }
+        self.branches.push(Branch { split, children });
+        self.branch_domains.push(domain);
         true
+    }
+
+    /// Store a rule at leaf slot `at` (one past the end appends); returns
+    /// its packed ref. `slot_of_id` is the caller's to keep.
+    fn put(&mut self, at: usize, w: Whisker) -> u32 {
+        let leaf = Leaf::new(w.id, w.action);
+        if at == self.leaves.len() {
+            self.leaves.push(leaf);
+            self.domains.push(w.domain);
+            self.epochs.push(w.epoch);
+        } else {
+            self.leaves[at] = leaf;
+            self.domains[at] = w.domain;
+            self.epochs[at] = w.epoch;
+        }
+        at as u32 | LEAF_BIT
     }
 
     /// Rules belonging to `epoch`, as (id, use-count) given a usage table;
     /// used by the optimizer's "most-used rule in this epoch" step.
     pub fn most_used_in_epoch(&self, epoch: u64, usage: &Usage) -> Option<usize> {
-        self.whiskers()
-            .into_iter()
-            .filter(|w| w.epoch == epoch)
-            .map(|w| (w.id, usage.count(w.id)))
-            .filter(|&(_, c)| c > 0)
-            .max_by_key(|&(id, c)| (c, std::cmp::Reverse(id)))
-            .map(|(id, _)| id)
+        self.most_used_where(usage, |slot| self.epochs[slot] == epoch)
     }
 
     /// The most-used rule overall (splitting step).
     pub fn most_used(&self, usage: &Usage) -> Option<usize> {
-        self.whiskers()
-            .into_iter()
-            .map(|w| (w.id, usage.count(w.id)))
+        self.most_used_where(usage, |_| true)
+    }
+
+    /// The most-hit rule among the slots `keep` admits; ties go to the
+    /// lower id, so slot order does not matter.
+    fn most_used_where(&self, usage: &Usage, keep: impl Fn(usize) -> bool) -> Option<usize> {
+        (0..self.leaves.len())
+            .filter(|&slot| keep(slot))
+            .map(|slot| (self.leaves[slot].id, usage.count(self.leaves[slot].id)))
             .filter(|&(_, c)| c > 0)
             .max_by_key(|&(id, c)| (c, std::cmp::Reverse(id)))
             .map(|(id, _)| id)
@@ -332,242 +411,128 @@ impl WhiskerTree {
         WhiskerTree::from_json_value(&json::parse(s)?)
     }
 
-    /// The id checks of a table read from JSON, then its lookup view.
+    /// The id checks of a table read from JSON, then its id → slot map.
     /// Splitting issues eight ids per branch after the root's 0, so
     /// `next_id ≤ 1 + 8 × branches`; every leaf id is distinct and below
     /// `next_id` (a hand-edited `"next_id": 1e15` would otherwise size
     /// usage tables in petabytes, and a repeated id would let
     /// `set_action` / `split` edit the wrong rule).
     fn loaded(&mut self) -> Result<(), WireError> {
-        let leaves = self.whiskers();
-        // Every branch holds eight nodes, so leaves = 1 + 7 × branches.
-        let (next_id, branches) = (self.next_id, (leaves.len() - 1) / 7);
+        let (next_id, branches) = (self.next_id, self.branches.len());
         let bound = 1 + 8 * branches;
         if next_id > bound {
             let reason = format!("{next_id} exceeds 1 + 8 × {branches} branches = {bound}");
             return Err(WireError::new(reason).within("next_id"));
         }
-        let mut seen = vec![false; next_id];
-        for id in leaves.iter().map(|w| w.id) {
-            let reason = match seen.get_mut(id) {
+        let mut slot_of_id = vec![u32::MAX; next_id];
+        // Leaves were read depth first, so a repeat is reported in tree order.
+        for (slot, id) in self.leaves.iter().map(|l| l.id).enumerate() {
+            let reason = match slot_of_id.get_mut(id) {
                 None => format!("leaf id {id} is not below next_id {next_id}"),
-                Some(true) => format!("leaf id {id} appears twice"),
-                Some(unseen) => {
-                    *unseen = true;
+                Some(s) if *s != u32::MAX => format!("leaf id {id} appears twice"),
+                Some(s) => {
+                    *s = slot as u32;
                     continue;
                 }
             };
             return Err(WireError::new(reason).within("root"));
         }
-        self.flat = Arc::new(FlatTree::build(&self.root));
+        self.slot_of_id = slot_of_id;
+        // A loaded table is shared for as long as its runs last: keep the
+        // slack the reader's pushes left out of the heap (without this,
+        // churn_100k's peak RSS is ~6 % higher).
+        self.branches.shrink_to_fit();
+        self.branch_domains.shrink_to_fit();
+        self.leaves.shrink_to_fit();
+        self.domains.shrink_to_fit();
+        self.epochs.shrink_to_fit();
         Ok(())
     }
 }
 
 // --- JSON mapping (the serde derive layout these types once used) ----------
-
-netsim::record! {
-    WhiskerTree { root: "root", next_id: "next_id", provenance: "provenance" }
-    skip { flat }
-    check WhiskerTree::loaded
-}
+//
+// `{"root": node, "next_id": n, "provenance": s}`, where a node is
+// externally tagged: `{"Leaf": whisker}` or
+// `{"Branch": {"domain": cube, "split": memory, "children": [8 nodes]}}`.
 
 netsim::record! { Cube { lo: "lo", hi: "hi" } }
 
 netsim::record! { Whisker { id: "id", domain: "domain", action: "action", epoch: "epoch" } }
 
-netsim::record! { Branch { domain: "domain", split: "split", children: "children" as Octants } }
-
-/// A branch's `children`: exactly one per octant.
-struct Octants;
-
-impl Codec<Vec<Node>> for Octants {
-    fn read(v: &Value) -> Result<Vec<Node>, WireError> {
-        let children = Vec::<Node>::from_json_value(v)?;
-        if children.len() != 8 {
-            let reason = format!("expected 8 children, found {}", children.len());
-            return Err(WireError::new(reason));
-        }
-        Ok(children)
-    }
-}
-
-// A node is externally tagged: `{"Leaf": {...}}` or `{"Branch": {...}}`.
 const LEAF: &str = "Leaf";
 const BRANCH: &str = "Branch";
+const CHILDREN: &str = "children";
 
-impl Wire for Node {
-    fn to_json_value(&self) -> Value {
-        match self {
-            Node::Leaf(w) => Value::obj(vec![(LEAF, w.to_json_value())]),
-            Node::Branch(b) => Value::obj(vec![(BRANCH, b.to_json_value())]),
+impl WhiskerTree {
+    /// The node at packed ref `r`, with everything under it.
+    fn node_value(&self, r: u32) -> Value {
+        if r & LEAF_BIT != 0 {
+            let leaf = self.whisker((r & !LEAF_BIT) as usize);
+            return Value::obj(vec![(LEAF, leaf.to_json_value())]);
         }
+        let b = &self.branches[r as usize];
+        let children = b.children.iter().map(|&c| self.node_value(c)).collect();
+        let branch = Value::obj(vec![
+            ("domain", self.branch_domains[r as usize].to_json_value()),
+            ("split", b.split.to_json_value()),
+            (CHILDREN, Value::Arr(children)),
+        ]);
+        Value::obj(vec![(BRANCH, branch)])
     }
 
-    fn from_json_value(v: &Value) -> Result<Node, WireError> {
+    /// Read a node and everything under it into the arrays, depth first
+    /// (branches before their children); returns its packed ref.
+    fn read_node(&mut self, v: &Value) -> Result<u32, WireError> {
         let r = Reader::new(v, &[LEAF, BRANCH])?;
         match (r.get(LEAF), r.get(BRANCH)) {
-            (Some(_), None) => Ok(Node::Leaf(r.req::<_, Plain>(LEAF)?)),
-            (None, Some(_)) => Ok(Node::Branch(r.req::<_, Plain>(BRANCH)?)),
+            (Some(_), None) => Ok(self.put(self.leaves.len(), r.req::<_, Plain>(LEAF)?)),
+            (None, Some(b)) => self.read_branch(b).map_err(|e| e.within(BRANCH)),
             _ => Err(WireError::new("expected exactly one of Leaf, Branch")),
         }
     }
-}
 
-impl Node {
-    /// Find the *node* holding leaf `id` (for in-place replacement).
-    fn find_node_mut(&mut self, id: usize) -> Option<&mut Node> {
-        match self {
-            Node::Leaf(w) if w.id == id => Some(self),
-            Node::Leaf(_) => None,
-            Node::Branch(b) => b.children.iter_mut().find_map(|c| c.find_node_mut(id)),
+    fn read_branch(&mut self, v: &Value) -> Result<u32, WireError> {
+        let r = Reader::new(v, &["domain", "split", CHILDREN])?;
+        let domain = r.req::<Cube, Plain>("domain")?;
+        let split = r.req::<Memory, Plain>("split")?;
+        let at = self.branches.len();
+        let children = [0; 8];
+        self.branches.push(Branch { split, children });
+        self.branch_domains.push(domain);
+        let nodes = r.field(CHILDREN)?.as_arr();
+        let nodes = nodes.map_err(|e| WireError::new(e).within(CHILDREN))?;
+        let mut refs = Vec::with_capacity(8);
+        for (i, node) in nodes.iter().enumerate() {
+            let child = self.read_node(node);
+            refs.push(child.map_err(|e| e.within(&format!("[{i}]")).within(CHILDREN))?);
         }
+        self.branches[at].children = refs.try_into().map_err(|refs: Vec<u32>| {
+            let reason = format!("expected 8 children, found {}", refs.len());
+            WireError::new(reason).within(CHILDREN)
+        })?;
+        Ok(at as u32)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Flattened lookup view
-// ---------------------------------------------------------------------------
-
-/// Child references pack "leaf or branch" into one `u32`: the high bit
-/// selects the leaf array, the low 31 bits index into it.
-const LEAF_BIT: u32 = 1 << 31;
-
-#[derive(Debug)]
-struct FlatBranch {
-    /// Component-wise split point of this interior node.
-    split: [f64; 3],
-    /// Packed refs of the eight children, indexed by the 3-bit octant code.
-    children: [u32; 8],
-}
-
-/// One rule of a [`FlatTree`]: just what the per-ACK hot path needs.
-#[derive(Clone, Copy, Debug)]
-pub struct FlatLeaf {
-    /// The whisker id (usage-statistics key).
-    pub id: usize,
-    /// The action this rule maps to.
-    pub action: Action,
-    /// `action.intersend()`, converted once when the leaf is built rather
-    /// than on every ACK that hits the rule.
-    pub intersend: Ns,
-}
-
-impl FlatLeaf {
-    /// Rule `id` mapping to `action`.
-    pub fn new(id: usize, action: Action) -> FlatLeaf {
-        FlatLeaf {
-            id,
-            action,
-            intersend: action.intersend(),
-        }
-    }
-}
-
-/// A flattened, allocation-dense view of a [`WhiskerTree`] built once per
-/// table: interior nodes live in one branch array, rules in one leaf
-/// array, and a lookup is a short loop over packed `u32` child refs
-/// instead of a recursive walk over boxed `Vec<Node>` octree nodes.
-#[derive(Debug, Default)]
-pub struct FlatTree {
-    branches: Vec<FlatBranch>,
-    leaves: Vec<FlatLeaf>,
-    /// Packed ref of the root (a table can be a single leaf).
-    root: u32,
-    /// Whisker id → leaf slot (`u32::MAX` for ids not present).
-    slot_of_id: Vec<u32>,
-}
-
-impl FlatTree {
-    fn build(root: &Node) -> FlatTree {
-        let mut flat = FlatTree {
-            branches: Vec::new(),
-            leaves: Vec::new(),
-            root: 0,
-            slot_of_id: Vec::new(),
-        };
-        flat.root = flat.intern(root);
-        flat
+impl Wire for WhiskerTree {
+    fn to_json_value(&self) -> Value {
+        Value::obj(vec![
+            ("root", self.node_value(self.root())),
+            ("next_id", self.next_id.to_json_value()),
+            ("provenance", self.provenance.to_json_value()),
+        ])
     }
 
-    fn intern(&mut self, node: &Node) -> u32 {
-        match node {
-            Node::Leaf(w) => {
-                let slot = self.leaves.len() as u32;
-                self.leaves.push(FlatLeaf::new(w.id, w.action));
-                if self.slot_of_id.len() <= w.id {
-                    self.slot_of_id.resize(w.id + 1, u32::MAX);
-                }
-                self.slot_of_id[w.id] = slot;
-                slot | LEAF_BIT
-            }
-            Node::Branch(b) => {
-                let idx = self.branches.len();
-                let split = b.split;
-                self.branches.push(FlatBranch {
-                    split: [split.ack_ewma_ms, split.send_ewma_ms, split.rtt_ratio],
-                    children: [0; 8],
-                });
-                for (code, child) in b.children.iter().enumerate() {
-                    let packed = self.intern(child);
-                    self.branches[idx].children[code] = packed;
-                }
-                idx as u32
-            }
-        }
-    }
-
-    /// The leaf slot covering memory point `m` (clamped into the domain,
-    /// exactly as [`WhiskerTree::lookup`] clamps).
-    #[inline]
-    pub fn lookup_slot(&self, m: Memory) -> usize {
-        let m = m.clamped();
-        let mut r = self.root;
-        while r & LEAF_BIT == 0 {
-            let b = &self.branches[r as usize];
-            let mut code = 0usize;
-            if m.ack_ewma_ms >= b.split[0] {
-                code |= 1;
-            }
-            if m.send_ewma_ms >= b.split[1] {
-                code |= 2;
-            }
-            if m.rtt_ratio >= b.split[2] {
-                code |= 4;
-            }
-            r = b.children[code];
-        }
-        (r & !LEAF_BIT) as usize
-    }
-
-    /// The rule stored at a leaf slot.
-    #[inline]
-    pub fn leaf(&self, slot: usize) -> &FlatLeaf {
-        &self.leaves[slot]
-    }
-
-    /// The leaf covering memory point `m`.
-    #[inline]
-    pub fn lookup(&self, m: Memory) -> &FlatLeaf {
-        &self.leaves[self.lookup_slot(m)]
-    }
-
-    /// The leaf slot of whisker `id`, if present.
-    pub fn slot_of(&self, id: usize) -> Option<usize> {
-        match self.slot_of_id.get(id) {
-            Some(&s) if s != u32::MAX => Some(s as usize),
-            _ => None,
-        }
-    }
-
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.leaves.len()
-    }
-
-    /// A flat tree always holds at least one rule.
-    pub fn is_empty(&self) -> bool {
-        false
+    fn from_json_value(v: &Value) -> Result<WhiskerTree, WireError> {
+        let r = Reader::new(v, &["root", "next_id", "provenance"])?;
+        let mut t = WhiskerTree::empty();
+        t.read_node(r.field("root")?)
+            .map_err(|e| e.within("root"))?;
+        t.next_id = r.req::<_, Plain>("next_id")?;
+        t.provenance = r.req::<_, Plain>("provenance")?;
+        t.loaded()?;
+        Ok(t)
     }
 }
 
@@ -664,6 +629,7 @@ impl Usage {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use netsim::rng::{cases, SimRng};
 
     fn mem(a: f64, s: f64, r: f64) -> Memory {
         Memory {
@@ -729,7 +695,7 @@ pub(crate) mod tests {
         for &a in &[0.0, 5.0, 9.0, 11.0, 500.0, 16_000.0] {
             for &s in &[0.0, 7.0, 20.0, 12_000.0] {
                 for &r in &[0.0, 1.3, 2.0, 10.0] {
-                    let w = t.lookup(mem(a, s, r));
+                    let w = t.get(t.lookup(mem(a, s, r)).id).expect("live rule");
                     assert!(w.domain.contains(mem(a, s, r)));
                 }
             }
@@ -788,26 +754,93 @@ pub(crate) mod tests {
         assert_eq!(t.most_used_in_epoch(0, &u), None, "unused rules skipped");
     }
 
-    #[test]
-    fn flat_view_matches_octree_lookup() {
+    /// A table grown by 0–11 random splits, each of a random rule at a
+    /// point drawn inside it (now and then on its lower corner).
+    fn random_table(rng: &mut SimRng) -> WhiskerTree {
         let mut t = WhiskerTree::single_rule();
-        t.split(0, mem(10.0, 10.0, 1.5));
-        let ids: Vec<usize> = t.whiskers().iter().map(|w| w.id).collect();
-        t.split(ids[0], mem(5.0, 5.0, 1.2));
-        t.split(ids[7], mem(1000.0, 1000.0, 4.0));
-        let flat = t.flat();
-        assert_eq!(flat.len(), t.len());
-        for &a in &[0.0, 5.0, 9.0, 11.0, 500.0, 16_000.0, 1e18] {
-            for &s in &[0.0, 7.0, 20.0, 12_000.0] {
-                for &r in &[0.0, 1.3, 2.0, 10.0] {
-                    let m = mem(a, s, r);
-                    let slow = t.lookup(m);
-                    let fast = flat.lookup(m);
-                    assert_eq!(slow.id, fast.id);
-                    assert_eq!(slow.action, fast.action);
+        for _ in 0..rng.range_usize(0, 11) {
+            let ws = t.whiskers();
+            let w = ws[rng.range_usize(0, ws.len() - 1)];
+            let mut p = w.domain.lo;
+            if !rng.chance(0.1) {
+                for i in 0..3 {
+                    let hi = w.domain.hi.axis(i).min(MEMORY_MAX);
+                    *p.axis_mut(i) = rng.range_f64(w.domain.lo.axis(i), hi);
                 }
             }
+            t.split(w.id, p);
         }
+        t
+    }
+
+    #[test]
+    fn lookup_matches_the_domain_oracle() {
+        cases("lookup_matches_the_domain_oracle", |rng| {
+            let t = random_table(rng);
+            let ws = t.whiskers();
+            // Split boundaries (each rule's corners, and just below its
+            // upper one), points past MEMORY_MAX and below zero, and
+            // uniform draws.
+            let mut values = vec![-1.0, MEMORY_MAX, MEMORY_MAX + 0.5, 1e18, f64::INFINITY];
+            for w in &ws {
+                for i in 0..3 {
+                    let (lo, hi) = (w.domain.lo.axis(i), w.domain.hi.axis(i));
+                    values.extend([lo, lo.next_down(), hi, hi.next_down()]);
+                }
+            }
+            let mut probes: Vec<Memory> = (0..200)
+                .map(|_| {
+                    let mut pick = || values[rng.range_usize(0, values.len() - 1)];
+                    mem(pick(), pick(), pick())
+                })
+                .collect();
+            probes.extend((0..50).map(|_| {
+                let mut draw = || rng.range_f64(0.0, MEMORY_MAX);
+                mem(draw(), draw(), draw())
+            }));
+            for m in probes {
+                let holders: Vec<&Whisker> = ws
+                    .iter()
+                    .filter(|w| w.domain.contains(m.clamped()))
+                    .collect();
+                let [holder] = holders[..] else {
+                    panic!("{} rules hold {m:?}", holders.len())
+                };
+                let found = t.lookup(m);
+                assert_eq!(
+                    (found.id, found.action),
+                    (holder.id, holder.action),
+                    "{m:?}"
+                );
+            }
+        });
+    }
+
+    /// The ids of the `Leaf` nodes of a JSON rule table, in written order.
+    fn written_leaf_ids(v: &Value, out: &mut Vec<usize>) {
+        match v {
+            Value::Obj(fields) => {
+                for (key, x) in fields {
+                    match key.as_str() {
+                        LEAF => out.push(x.field("id").unwrap().as_usize().unwrap()),
+                        _ => written_leaf_ids(x, out),
+                    }
+                }
+            }
+            Value::Arr(xs) => xs.iter().for_each(|x| written_leaf_ids(x, out)),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn whiskers_come_in_the_order_the_json_writes_them() {
+        cases("whiskers_come_in_the_order_the_json_writes_them", |rng| {
+            let t = random_table(rng);
+            let mut written = Vec::new();
+            written_leaf_ids(&json::parse(&t.to_json()).unwrap(), &mut written);
+            let ids: Vec<usize> = t.whiskers().iter().map(|w| w.id).collect();
+            assert_eq!(ids, written);
+        });
     }
 
     #[test]
@@ -822,7 +855,7 @@ pub(crate) mod tests {
             assert_eq!(flat.leaf(slot).action, w.action);
         }
         assert!(flat.slot_of(999).is_none());
-        // Mutating an action must invalidate the cached view.
+        // An edited action is what the next lookup of its rule reads.
         let ids: Vec<usize> = t.whiskers().iter().map(|w| w.id).collect();
         let act = Action {
             window_multiple: 0.25,
@@ -835,8 +868,8 @@ pub(crate) mod tests {
         assert_eq!(flat2.leaf(slot).action, act);
     }
 
-    /// Every leaf of `t`'s flat view carries its action's pacing gap,
-    /// converted exactly as `Action::intersend` converts it.
+    /// Every leaf of `t` carries its action's pacing gap, converted
+    /// exactly as `Action::intersend` converts it.
     pub(crate) fn assert_leaf_gaps_match(t: &WhiskerTree) {
         let flat = t.flat();
         for slot in 0..flat.len() {
@@ -875,9 +908,19 @@ pub(crate) mod tests {
             t.split(0, mem(8.0, 8.0, 2.0));
             t
         };
-        let a = t.flat();
-        let b = t.flat();
-        assert!(Arc::ptr_eq(&a, &b), "cached view is reused");
+        assert!(std::ptr::eq(t.flat(), &t), "the lookup view is the table");
+        // A clone owns its arrays: editing it leaves `t` as it was.
+        let mut edited = t.clone();
+        let busy = edited.lookup(mem(9.0, 9.0, 3.0)).id;
+        edited.split(busy, mem(20.0, 20.0, 4.0));
+        let slow = Action {
+            intersend_ms: 7.0,
+            ..Action::DEFAULT
+        };
+        edited.set_action(edited.lookup(mem(9.0, 9.0, 3.0)).id, slow);
+        assert_eq!((t.len(), edited.len()), (8, 15));
+        assert_eq!(t.lookup(mem(9.0, 9.0, 3.0)).id, busy);
+        assert_eq!(t.lookup(mem(9.0, 9.0, 3.0)).action, Action::DEFAULT);
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn tree_partition_property() {
             let _ = tree.split(id, p);
         }
         for m in arb_memories(rng, 1, 49) {
-            let w = tree.lookup(m);
+            let w = tree.get(tree.lookup(m).id).expect("live rule");
             assert!(
                 w.domain.contains(m.clamped()),
                 "lookup returned a rule not containing the probe"

@@ -310,15 +310,6 @@ impl FlowTable {
         (&mut self.hot[i], &mut self.cold[i])
     }
 
-    /// Indices of all currently live slots, in slot order.
-    pub fn live_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.generation % 2 == 1)
-            .map(|(i, _)| i)
-    }
-
     /// Flows currently live.
     pub fn live(&self) -> usize {
         self.live
@@ -384,6 +375,11 @@ mod tests {
         assert_eq!(c.index(), b.index(), "LIFO slot reuse");
         assert_ne!(c.generation(), b.generation());
         assert!(t.contains(c) && !t.contains(b));
+        assert_eq!(
+            (t.id_at(0), t.id_at(1)),
+            (a, c),
+            "a live slot's current handle"
+        );
         assert_eq!(t.hot(c.index() as usize).spawned_at, Ns::from_secs(9));
         assert_eq!(t.capacity(), 2, "no growth on respawn");
         assert!(t.audit_accounting());
@@ -423,19 +419,6 @@ mod tests {
         t.free(id);
         let next = t.respawn(|_, _| ()).expect("slot");
         assert_eq!(next.generation(), id.generation() + 2);
-    }
-
-    #[test]
-    fn live_indices_skip_freed_slots() {
-        let mut t = FlowTable::new();
-        let ids: Vec<FlowId> = (0..4)
-            .map(|_| t.insert(FlowHot::default(), cold()))
-            .collect();
-        t.free(ids[1]);
-        t.free(ids[3]);
-        let live: Vec<usize> = t.live_indices().collect();
-        assert_eq!(live, vec![0, 2]);
-        assert_eq!(t.id_at(2), ids[2]);
     }
 
     #[test]

@@ -457,7 +457,9 @@ impl<'a> Reader<'a> {
         self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    fn field(&self, key: &str) -> Result<&'a Value, WireError> {
+    /// The raw value under the required `key`, for a type that reads it
+    /// by hand; a missing key is an error at `key`.
+    pub fn field(&self, key: &str) -> Result<&'a Value, WireError> {
         self.get(key)
             .ok_or_else(|| WireError::new("missing key").within(key))
     }

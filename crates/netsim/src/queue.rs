@@ -246,13 +246,12 @@ impl Queue for EcnThreshold {
 ///
 /// Implements the dequeue-side algorithm from Nichols & Jacobson,
 /// "Controlling Queue Delay" (ACM Queue 2012): track how long the sojourn
-/// time has continuously exceeded `target`; once it has for a full
-/// `interval`, enter a dropping state where packets are dropped at
-/// `interval / sqrt(count)` spacing until the sojourn falls below target.
+/// time has continuously exceeded [`CODEL_TARGET`]; once it has for a
+/// full [`CODEL_INTERVAL`], enter a dropping state where packets are
+/// dropped at `interval / sqrt(count)` spacing until the sojourn falls
+/// below target.
 #[derive(Clone, Debug)]
 struct CodelLaw {
-    target: Ns,
-    interval: Ns,
     first_above_time: Ns,
     drop_next: Ns,
     count: u64,
@@ -261,10 +260,8 @@ struct CodelLaw {
 }
 
 impl CodelLaw {
-    fn new(target: Ns, interval: Ns) -> CodelLaw {
+    fn new() -> CodelLaw {
         CodelLaw {
-            target,
-            interval,
             first_above_time: Ns::ZERO,
             drop_next: Ns::ZERO,
             count: 0,
@@ -275,19 +272,19 @@ impl CodelLaw {
 
     fn control_interval(&self, count: u64) -> Ns {
         // interval / sqrt(count)
-        Ns::from_secs_f64(self.interval.as_secs_f64() / (count.max(1) as f64).sqrt())
+        Ns::from_secs_f64(CODEL_INTERVAL.as_secs_f64() / (count.max(1) as f64).sqrt())
     }
 
     /// Decide whether the packet dequeued at `now` with the given sojourn
     /// time should be dropped, per the "ok to drop" half of the algorithm.
-    fn should_drop(&mut self, now: Ns, sojourn: Ns, queue_bytes: u64, mss: u64) -> bool {
-        if sojourn < self.target || queue_bytes <= mss {
+    fn should_drop(&mut self, now: Ns, sojourn: Ns, queue_bytes: u64) -> bool {
+        if sojourn < CODEL_TARGET || queue_bytes <= CODEL_MSS {
             // Went below target: reset the above-target clock.
             self.first_above_time = Ns::ZERO;
             return false;
         }
         if self.first_above_time.is_zero() {
-            self.first_above_time = now + self.interval;
+            self.first_above_time = now + CODEL_INTERVAL;
             false
         } else {
             now >= self.first_above_time
@@ -297,8 +294,8 @@ impl CodelLaw {
     /// Run the dequeue-side state machine. Returns `true` if the packet
     /// with the given sojourn time must be dropped (the caller then
     /// re-invokes with the next packet).
-    fn on_dequeue(&mut self, now: Ns, sojourn: Ns, queue_bytes: u64, mss: u64) -> bool {
-        let ok_to_drop = self.should_drop(now, sojourn, queue_bytes, mss);
+    fn on_dequeue(&mut self, now: Ns, sojourn: Ns, queue_bytes: u64) -> bool {
+        let ok_to_drop = self.should_drop(now, sojourn, queue_bytes);
         if self.dropping {
             if !ok_to_drop {
                 self.dropping = false;
@@ -314,7 +311,7 @@ impl CodelLaw {
             self.dropping = true;
             // If we dropped recently, resume from a higher count so the
             // drop rate re-converges quickly (the "count - 2" heuristic).
-            self.count = if self.count > 2 && now.saturating_sub(self.drop_next) < self.interval {
+            self.count = if self.count > 2 && now.saturating_sub(self.drop_next) < CODEL_INTERVAL {
                 self.count - 2
             } else {
                 1
@@ -328,10 +325,13 @@ impl CodelLaw {
     }
 }
 
-/// Default CoDel target sojourn time (5 ms).
+/// CoDel target sojourn time (5 ms).
 pub const CODEL_TARGET: Ns = Ns(5_000_000);
-/// Default CoDel interval (100 ms).
+/// CoDel interval (100 ms).
 pub const CODEL_INTERVAL: Ns = Ns(100_000_000);
+/// CoDel never drops while its backlog is at most this many bytes: one
+/// packet at the default 1500-byte MSS.
+const CODEL_MSS: u64 = 1500;
 
 /// A single-queue CoDel AQM over a FIFO with packet-count capacity.
 pub struct Codel {
@@ -340,25 +340,17 @@ pub struct Codel {
     bytes: u64,
     drops: u64,
     law: CodelLaw,
-    mss: u64,
 }
 
 impl Codel {
     /// CoDel with the standard 5 ms / 100 ms parameters.
     pub fn new(capacity: usize) -> Codel {
-        Codel::with_params(capacity, CODEL_TARGET, CODEL_INTERVAL)
-    }
-
-    /// CoDel with explicit target/interval (exposed for tests and
-    /// sensitivity studies).
-    pub fn with_params(capacity: usize, target: Ns, interval: Ns) -> Codel {
         Codel {
             q: VecDeque::new(),
             capacity,
             bytes: 0,
             drops: 0,
-            law: CodelLaw::new(target, interval),
-            mss: 1500,
+            law: CodelLaw::new(),
         }
     }
 }
@@ -383,7 +375,7 @@ impl Queue for Codel {
             let e = self.q.pop_front()?;
             self.bytes -= e.size as u64;
             let sojourn = now.saturating_sub(e.enqueued_at);
-            if self.law.on_dequeue(now, sojourn, self.bytes, self.mss) {
+            if self.law.on_dequeue(now, sojourn, self.bytes) {
                 self.drops += 1;
                 arena.free(e.id);
                 continue;
@@ -441,7 +433,6 @@ pub struct SfqCodel {
     len: usize,
     bytes: u64,
     drops: u64,
-    mss: u64,
 }
 
 impl SfqCodel {
@@ -451,9 +442,7 @@ impl SfqCodel {
         assert!(n_buckets > 0, "need at least one bucket");
         SfqCodel {
             buckets: (0..n_buckets).map(|_| VecDeque::new()).collect(),
-            laws: (0..n_buckets)
-                .map(|_| CodelLaw::new(CODEL_TARGET, CODEL_INTERVAL))
-                .collect(),
+            laws: vec![CodelLaw::new(); n_buckets],
             bucket_bytes: vec![0; n_buckets],
             bucket_lens: vec![0; n_buckets],
             occupied: vec![0; n_buckets.div_ceil(64)],
@@ -462,7 +451,6 @@ impl SfqCodel {
             len: 0,
             bytes: 0,
             drops: 0,
-            mss: 1500,
         }
     }
 
@@ -587,7 +575,7 @@ impl Queue for SfqCodel {
                 self.bucket_lens[idx] -= 1;
                 self.mark_if_empty(idx);
                 let sojourn = now.saturating_sub(e.enqueued_at);
-                if self.laws[idx].on_dequeue(now, sojourn, self.bucket_bytes[idx], self.mss) {
+                if self.laws[idx].on_dequeue(now, sojourn, self.bucket_bytes[idx]) {
                     self.drops += 1;
                     arena.free(e.id);
                     continue;
