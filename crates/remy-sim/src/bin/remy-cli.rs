@@ -31,9 +31,10 @@
 //! accept a registry name (`remy-cli list-experiments`), which stands for
 //! the committed `specs/<name>.json`, or a path to an `ExperimentSpec`
 //! JSON file — the two run the same thing. `--runs`/`--secs` override the
-//! file's `budget`, and `--out csv` prints the CSV to stdout instead of
-//! the report + CSV file. `spec <name>` prints `specs/<name>.json` byte
-//! for byte.
+//! file's `budget`. `run` prints the report and writes its CSV to
+//! `target/experiments/<name>.csv`, `<name>` being the spec's `name`;
+//! `--out csv` prints the CSV to stdout instead. `spec <name>` prints
+//! `specs/<name>.json` byte for byte.
 
 use remy_sim::experiment::Experiment;
 use remy_sim::experiments::{self, NamedExperiment};
@@ -234,18 +235,15 @@ fn cmd_list_experiments(names_only: bool) {
         }
         return;
     }
-    println!(
-        "{:<24} {:<24} {:<16} description",
-        "name", "csv", "topology"
-    );
+    println!("{:<24} {:<16} title", "name", "topology");
     for e in experiments::all() {
-        let class = e
-            .committed_spec()
+        let spec = e.committed_spec();
+        let class = spec
             .workload
             .topology
             .map(|t| t.class())
             .unwrap_or_else(|| "-".to_string());
-        println!("{:<24} {:<24} {:<16} {}", e.name, e.csv, class, e.about);
+        println!("{:<24} {:<16} {}", e.name, class, spec.title);
     }
     println!("\nrun one with:   remy-cli run <name> [--runs N] [--secs S]");
     println!("dump its spec:  remy-cli spec <name>");
@@ -424,7 +422,10 @@ fn cmd_run(spec: ExperimentSpec, entry: Option<&NamedExperiment>, out_csv: bool)
         report.print_csv();
     } else {
         report.print();
-        report.write_csv();
+        match report.write_csv(&name) {
+            Ok(path) => println!("(csv: {})", path.display()),
+            Err(e) => die(&format!("{name}: cannot write its CSV: {e}")),
+        }
     }
 }
 

@@ -10,8 +10,7 @@
 
 use crate::harness::{Contender, Outcome};
 use crate::report::{
-    csv_label, outcome_csv_row, outcomes_table, speedup_table, ExperimentReport,
-    OUTCOMES_CSV_HEADER,
+    budget_title, col, csv_label, label_col, speedup_table, ExperimentReport, Field, Table,
 };
 use crate::spec::{ExperimentSpec, SweepPoint};
 use netsim::metrics::{FlowSummary, PopulationSummary, SimResults};
@@ -187,15 +186,6 @@ impl ExperimentResults {
             .unwrap_or(0)
     }
 
-    /// The outcomes at one sweep point, in contender order.
-    pub fn point_outcomes(&self, point_index: usize) -> Vec<&Outcome> {
-        self.cells
-            .iter()
-            .filter(|c| c.point_index == point_index)
-            .map(|c| &c.outcome)
-            .collect()
-    }
-
     /// The cell of one contender label at one sweep point.
     pub fn cell(&self, point_index: usize, label: &str) -> Option<&CellResult> {
         self.cells
@@ -203,73 +193,83 @@ impl ExperimentResults {
             .find(|c| c.point_index == point_index && c.label == label)
     }
 
-    /// Render the generic report: a paper-style outcomes table per sweep
-    /// point (plus the speedup table when the spec asks for one), and the
-    /// outcomes CSV — prefixed with a `point` column when the grid has
-    /// more than one point.
+    /// Render the generic report: a paper-style throughput/delay table
+    /// per sweep point (plus the speedup table when the spec asks for
+    /// one), and one CSV of every point's rows — prefixed with a `point`
+    /// column when the grid has more than one point.
     pub fn report(&self) -> ExperimentReport {
-        let n_points = self.n_points();
-        let swept = n_points > 1;
-        let mut text = String::new();
-        let mut csv_rows = Vec::new();
-        for pi in 0..n_points {
-            let outcomes: Vec<Outcome> = self.point_outcomes(pi).into_iter().cloned().collect();
-            let point = self
-                .cells
-                .iter()
-                .find(|c| c.point_index == pi)
-                .map(|c| c.point.clone())
-                .unwrap_or_default();
+        let swept = self.n_points() > 1;
+        let mut rep = ExperimentReport::default();
+        // Cells come point by point, in contender order within a point.
+        for cells in self.cells.chunk_by(|a, b| a.point_index == b.point_index) {
+            let point = &cells[0].point;
             let title = if swept {
-                format!(
-                    "{} [{}] ({} runs x {} s)",
-                    self.spec.title,
-                    point.label(),
-                    self.spec.budget.runs,
-                    self.spec.budget.sim_secs
-                )
+                format!("{} [{}]", self.spec.title, point.label())
             } else {
-                format!(
-                    "{} ({} runs x {} s)",
-                    self.spec.title, self.spec.budget.runs, self.spec.budget.sim_secs
-                )
+                self.spec.title.clone()
             };
-            text.push_str(&outcomes_table(&title, &outcomes));
-            if let Some(reference_label) = &self.spec.speedup_reference {
-                if let Some(reference) = outcomes.iter().find(|o| &o.label == reference_label) {
-                    // The paper's table compares against the human-designed
-                    // schemes only.
-                    let baselines: Vec<Outcome> = outcomes
-                        .iter()
-                        .filter(|o| !o.label.starts_with("RemyCC"))
-                        .cloned()
-                        .collect();
-                    text.push_str(&speedup_table(reference, &baselines));
-                }
+            let mut table = Table::new(
+                &budget_title(&title, self.spec.budget),
+                vec![
+                    label_col("scheme", 16),
+                    col("tput Mbps", "median_tput_mbps", 10, 3),
+                    col("qdelay ms", "median_qdelay_ms", 12, 2),
+                    col("rtt ms", "median_rtt_ms", 10, 1),
+                    col(
+                        "1-sigma (sd_t, sd_d)",
+                        "mean_tput,mean_qdelay,sd_tput,sd_qdelay,corr,samples",
+                        22,
+                        0,
+                    ),
+                ],
+            );
+            for c in cells {
+                let (o, e) = (&c.outcome, &c.outcome.ellipse);
+                table.row(vec![
+                    Field::Label(o.label.clone()),
+                    Field::Num(o.median_throughput_mbps),
+                    Field::Num(o.median_queue_delay_ms),
+                    Field::Num(o.median_rtt_ms),
+                    Field::Pre(
+                        format!("{:>12.3} {:>9.2}", e.sd_y, e.sd_x),
+                        format!(
+                            "{},{},{},{},{},{}",
+                            e.mean_y,
+                            e.mean_x,
+                            e.sd_y,
+                            e.sd_x,
+                            e.corr,
+                            o.throughput_samples.len()
+                        ),
+                    ),
+                ]);
             }
-            for o in &outcomes {
-                if swept {
-                    csv_rows.push(format!(
-                        "{},{}",
-                        csv_label(&point.label().replace(", ", ";")),
-                        outcome_csv_row(o)
-                    ));
-                } else {
-                    csv_rows.push(outcome_csv_row(o));
-                }
+            let part = table.finish();
+            rep.text.push('\n');
+            rep.text.push_str(&part.text);
+            let outcomes = cells.iter().map(|c| &c.outcome);
+            let reference_label = self.spec.speedup_reference.as_ref();
+            if let Some(reference) = outcomes.clone().find(|o| Some(&o.label) == reference_label) {
+                // The paper's table compares against the human-designed
+                // schemes only.
+                let baselines: Vec<&Outcome> = outcomes
+                    .filter(|o| !o.label.starts_with("RemyCC"))
+                    .collect();
+                rep.text.push_str(&speedup_table(reference, &baselines));
             }
+            // The point column is CSV-only: the text names the point in
+            // the table's title.
+            let (head, prefix) = if swept {
+                let label = csv_label(&point.label().replace(", ", ";"));
+                ("point,".to_string(), format!("{label},"))
+            } else {
+                (String::new(), String::new())
+            };
+            rep.csv_header = format!("{head}{}", part.csv_header);
+            rep.csv_rows
+                .extend(part.csv_rows.iter().map(|r| format!("{prefix}{r}")));
         }
-        let csv_header = if swept {
-            format!("point,{OUTCOMES_CSV_HEADER}")
-        } else {
-            OUTCOMES_CSV_HEADER.to_string()
-        };
-        ExperimentReport {
-            csv_name: self.spec.name.clone(),
-            csv_header,
-            csv_rows,
-            text,
-        }
+        rep
     }
 }
 

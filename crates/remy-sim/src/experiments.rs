@@ -10,7 +10,7 @@
 
 use crate::experiment::{CellResult, Experiment};
 use crate::harness::Contender;
-use crate::report::{csv_label, ExperimentReport};
+use crate::report::{budget_title, col, label_col, Col, ExperimentReport, Field, Table};
 use crate::spec::{Budget, ExperimentSpec, LinkEventSpec, SweepAxis, TopologySpec};
 use netsim::rng::SimRng;
 use netsim::sim::Simulator;
@@ -30,13 +30,9 @@ type CustomRunner = fn(&ExperimentSpec) -> Result<ExperimentReport, String>;
 
 /// One registered figure/table reproduction.
 pub struct NamedExperiment {
-    /// Registry key (`remy-cli run <name>`) and stem of its spec file.
+    /// Registry key (`remy-cli run <name>`), stem of its spec file and of
+    /// the CSV it writes under `target/experiments/`.
     pub name: &'static str,
-    /// CSV file stem under `target/experiments/` (the names plotting
-    /// scripts already read).
-    pub csv: &'static str,
-    /// One-line description for `remy-cli list-experiments`.
-    pub about: &'static str,
     /// The text of `specs/<name>.json`.
     spec_json: &'static str,
     /// `None`: run the spec through [`Experiment`], render the generic report.
@@ -46,11 +42,9 @@ pub struct NamedExperiment {
 /// One registry line: the name picks the spec file, so the two cannot
 /// disagree.
 macro_rules! entry {
-    ($name:literal, $csv:literal, $about:literal, $runner:expr) => {
+    ($name:literal, $runner:expr) => {
         NamedExperiment {
             name: $name,
-            csv: $csv,
-            about: $about,
             spec_json: include_str!(concat!("../../../specs/", $name, ".json")),
             runner: $runner,
         }
@@ -111,12 +105,10 @@ impl NamedExperiment {
     /// Execute a spec (normally one produced by [`NamedExperiment::spec`],
     /// possibly with an adjusted budget) and render the report.
     pub fn run(&self, spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
-        let mut rep = match self.runner {
-            None => Experiment::new(spec.clone()).run()?.report(),
-            Some(custom) => custom(spec)?,
-        };
-        rep.csv_name = self.csv.to_string();
-        Ok(rep)
+        match self.runner {
+            None => Ok(Experiment::new(spec.clone()).run()?.report()),
+            Some(custom) => custom(spec),
+        }
     }
 }
 
@@ -142,242 +134,32 @@ pub fn run_named(name: &str, budget: Budget) -> Result<ExperimentReport, String>
 // ---------------------------------------------------------------------------
 
 static REGISTRY: [NamedExperiment; 21] = [
-    entry!(
-        "fig3",
-        "fig3_flowcdf",
-        "empirical flow-length CDF vs the shifted-Pareto fit",
-        Some(run_fig3)
-    ),
-    entry!(
-        "fig4",
-        "fig4_dumbbell8",
-        "throughput-delay, dumbbell 15 Mbps / 150 ms / n=8",
-        None
-    ),
-    entry!(
-        "fig5",
-        "fig5_dumbbell12",
-        "dumbbell n=12 with ICSI heavy-tailed flow lengths",
-        None
-    ),
-    entry!(
-        "fig6",
-        "fig6_dynamics",
-        "sequence plot: RemyCC reacting to a departing competitor (single run)",
-        Some(run_fig6)
-    ),
-    entry!(
-        "fig7",
-        "fig7_lte4",
-        "Verizon-like LTE downlink, n=4",
-        Some(run_lte_trace)
-    ),
-    entry!(
-        "fig8",
-        "fig8_lte8",
-        "Verizon-like LTE downlink, n=8",
-        Some(run_lte_trace)
-    ),
-    entry!(
-        "fig9",
-        "fig9_att4",
-        "AT&T-like LTE downlink, n=4",
-        Some(run_lte_trace)
-    ),
-    entry!(
-        "fig10",
-        "fig10_rtt_fairness",
-        "RTT fairness: normalized share at 50/100/150/200 ms",
-        Some(run_fig10)
-    ),
-    entry!(
-        "fig11",
-        "fig11_prior",
-        "value of prior knowledge: 1x/10x RemyCCs across link speeds",
-        Some(run_fig11)
-    ),
-    entry!(
-        "table1_dumbbell",
-        "table1_dumbbell",
-        "§1 headline speedups on the dumbbell",
-        None
-    ),
-    entry!(
-        "table1_cellular",
-        "table1_cellular",
-        "§1 headline speedups on the Verizon-like LTE link",
-        Some(run_lte_trace)
-    ),
-    entry!(
-        "table_competing",
-        "table_competing",
-        "§5.6 incremental deployment: RemyCC vs Compound/Cubic head-to-head",
-        Some(run_table_competing)
-    ),
-    entry!(
-        "table_datacenter",
-        "table_datacenter",
-        "§5.5 datacenter: DCTCP+ECN vs RemyCC over DropTail",
-        Some(run_table_datacenter)
-    ),
-    entry!(
-        "ablation_signals",
-        "ablation_signals",
-        "mask each RemyCC congestion signal and measure the cost",
-        Some(run_ablation_signals)
-    ),
-    entry!(
-        "ablation_loss",
-        "ablation_loss",
-        "robustness to stochastic non-congestive loss",
-        Some(run_ablation_loss)
-    ),
-    entry!(
-        "parking_lot3",
-        "parking_lot3",
-        "3-hop parking lot: end-to-end flows vs per-hop cross traffic",
-        Some(run_parking_lot3)
-    ),
-    entry!(
-        "incast16",
-        "incast16",
-        "16-to-1 datacenter incast through a shallow aggregation buffer",
-        Some(run_incast16)
-    ),
-    entry!(
-        "reverse_path",
-        "reverse_path",
-        "data and ACKs contending on opposite directions of one link",
-        Some(run_reverse_path)
-    ),
-    entry!(
-        "web_churn",
-        "web_churn",
-        "Poisson arrivals of heavy-tailed web transfers under two persistent senders",
-        Some(run_web_churn)
-    ),
-    entry!(
-        "failover_chain",
-        "failover_chain",
-        "link failure mid-run: shortest-path reroute onto a slower backup path",
-        Some(run_failover_chain)
-    ),
-    entry!(
-        "fattree_k4_crosstraffic",
-        "fattree_k4_crosstraffic",
-        "fat-tree k=4 with cross-pod and intra-pod edge-to-edge flows",
-        None
-    ),
+    entry!("fig3", Some(run_fig3)),
+    entry!("fig4", None),
+    entry!("fig5", None),
+    entry!("fig6", Some(run_fig6)),
+    entry!("fig7", Some(run_lte_trace)),
+    entry!("fig8", Some(run_lte_trace)),
+    entry!("fig9", Some(run_lte_trace)),
+    entry!("fig10", Some(run_fig10)),
+    entry!("fig11", Some(run_fig11)),
+    entry!("table1_dumbbell", None),
+    entry!("table1_cellular", Some(run_lte_trace)),
+    entry!("table_competing", Some(run_table_competing)),
+    entry!("table_datacenter", Some(run_table_datacenter)),
+    entry!("ablation_signals", Some(run_ablation_signals)),
+    entry!("ablation_loss", Some(run_ablation_loss)),
+    entry!("parking_lot3", Some(run_parking_lot3)),
+    entry!("incast16", Some(run_incast16)),
+    entry!("reverse_path", Some(run_reverse_path)),
+    entry!("web_churn", Some(run_web_churn)),
+    entry!("failover_chain", Some(run_failover_chain)),
+    entry!("fattree_k4_crosstraffic", None),
 ];
 
 // ---------------------------------------------------------------------------
-// Custom runners, and the table they declare once and render twice
+// Custom runners
 // ---------------------------------------------------------------------------
-
-/// One column of a custom table.
-struct Col {
-    /// Text header.
-    head: String,
-    /// CSV column name — or comma-separated names, when one text cell
-    /// carries several CSV fields.
-    csv: String,
-    /// Text width.
-    width: usize,
-    /// Decimals shown in text; the CSV always carries full precision.
-    prec: usize,
-}
-
-/// A column whose header is right-aligned, as numbers are.
-fn col(head: impl Into<String>, csv: impl Into<String>, width: usize, prec: usize) -> Col {
-    Col {
-        head: head.into(),
-        csv: csv.into(),
-        width,
-        prec,
-    }
-}
-
-/// The contender-label column: header and cells left-aligned (a header
-/// already as wide as its column is emitted as is).
-fn label_col(name: &str, width: usize) -> Col {
-    col(format!("{name:<width$}"), name, width, 0)
-}
-
-/// One value of a table row, under the column at the same index.
-enum Field {
-    /// A contender label: left-aligned in text, verbatim in CSV.
-    Label(String),
-    /// A number (counts included): right-aligned at the column's width
-    /// and precision in text, `Display` precision in CSV.
-    Num(f64),
-    /// Text the runner laid out itself (`m±se`, `mean (sd)`, unit
-    /// suffixes), emitted as is, and its CSV field(s).
-    Pre(String, String),
-}
-
-/// A custom report under construction.
-struct Table {
-    cols: Vec<Col>,
-    text: String,
-    csv_rows: Vec<String>,
-}
-
-/// The title every budgeted table carries.
-fn budget_title(spec: &ExperimentSpec) -> String {
-    format!(
-        "{} ({} runs x {} s)",
-        spec.title, spec.budget.runs, spec.budget.sim_secs
-    )
-}
-
-impl Table {
-    /// Start a table: the `== title ==` line and the column headers.
-    fn new(title: &str, cols: Vec<Col>) -> Table {
-        let heads: Vec<String> = cols
-            .iter()
-            .map(|c| format!("{:>w$}", c.head, w = c.width))
-            .collect();
-        Table {
-            text: format!("== {title} ==\n{}\n", heads.join(" ")),
-            cols,
-            csv_rows: Vec::new(),
-        }
-    }
-
-    /// Append one row to the text table and to the CSV.
-    fn row(&mut self, fields: Vec<Field>) {
-        let (text, csv): (Vec<String>, Vec<String>) = self
-            .cols
-            .iter()
-            .zip(fields)
-            .map(|(c, field)| match field {
-                Field::Label(s) => (format!("{s:<w$}", w = c.width), csv_label(&s)),
-                Field::Num(v) => (
-                    format!("{v:>w$.p$}", w = c.width, p = c.prec),
-                    format!("{v}"),
-                ),
-                Field::Pre(text, csv) => (text, csv),
-            })
-            .unzip();
-        self.note(&text.join(" "));
-        self.csv_rows.push(csv.join(","));
-    }
-
-    /// Append a free-text line (findings, paper quotes) to the report.
-    fn note(&mut self, line: &str) {
-        let _ = writeln!(self.text, "{line}");
-    }
-
-    fn finish(self, spec: &ExperimentSpec) -> ExperimentReport {
-        let names: Vec<&str> = self.cols.iter().map(|c| c.csv.as_str()).collect();
-        ExperimentReport {
-            csv_name: spec.name.clone(),
-            csv_header: names.join(","),
-            csv_rows: self.csv_rows,
-            text: self.text,
-        }
-    }
-}
 
 fn run_fig3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let n = spec.budget.runs;
@@ -424,7 +206,7 @@ fn run_fig3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     table.note(
         "paper: distribution \"suggest[s] that the underlying distribution does not have finite mean\"",
     );
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 fn run_fig6(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
@@ -480,7 +262,7 @@ fn run_fig6(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         "ratio: {:.2}x (paper: ~2x within about one RTT)",
         after / before.max(1.0)
     ));
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 /// Generic engine run plus a trace-utilization column for the cellular
@@ -559,7 +341,7 @@ fn run_fig10(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
             .iter()
             .map(|ms| col(format!("{ms} ms"), format!("share{ms},se{ms}"), 14, 3)),
     );
-    let mut table = Table::new(&budget_title(spec), cols);
+    let mut table = Table::new(&budget_title(&spec.title, spec.budget), cols);
     for cell in &results.cells {
         // Per-sender (= per-RTT) mean throughput and standard error.
         let prof: Vec<(f64, f64)> = (0..rtt_ms.len())
@@ -595,7 +377,7 @@ fn run_fig10(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
             ));
         }
     }
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 /// The contender × sweep-point pivot Fig. 11 and the loss ablation share:
@@ -614,7 +396,7 @@ fn pivot_report(
     if let Some(last) = cols.last_mut() {
         last.head = format!("{:>w$}{head_note}", last.head, w = last.width);
     }
-    let mut table = Table::new(&budget_title(spec), cols);
+    let mut table = Table::new(&budget_title(&spec.title, spec.budget), cols);
     // Contender labels in spec order, from the already-run cells.
     for first in results.cells.iter().filter(|c| c.point_index == 0) {
         let mut row = vec![Field::Label(first.label.clone())];
@@ -626,7 +408,7 @@ fn pivot_report(
         }
         table.row(row);
     }
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 fn run_fig11(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
@@ -702,7 +484,6 @@ fn head_to_head(
 fn run_table_competing(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let compound = spec.contenders[1].build()?;
     let cubic = spec.contenders[2].build()?;
-    let (runs, secs) = (spec.budget.runs, spec.budget.sim_secs);
     let Some(SweepAxis::OffMeanMs(off_sweep)) = spec.sweeps.first() else {
         return Err("table_competing spec needs an off_mean_ms sweep".to_string());
     };
@@ -715,8 +496,9 @@ fn run_table_competing(spec: &ExperimentSpec) -> Result<ExperimentReport, String
     };
 
     let mut table = Table::new(
-        &format!(
-            "§5.6-a — RemyCC vs Compound, empirical flows, off-time sweep ({runs} runs x {secs} s)"
+        &budget_title(
+            "§5.6-a — RemyCC vs Compound, empirical flows, off-time sweep",
+            spec.budget,
         ),
         cols("off time", "Compound"),
     );
@@ -730,8 +512,9 @@ fn run_table_competing(spec: &ExperimentSpec) -> Result<ExperimentReport, String
     }
 
     let mut part_b = Table::new(
-        &format!(
-            "§5.6-b — RemyCC vs Cubic, exponential flows, size sweep ({runs} runs x {secs} s)"
+        &budget_title(
+            "§5.6-b — RemyCC vs Cubic, exponential flows, size sweep",
+            spec.budget,
         ),
         cols("mean size", "Cubic"),
     );
@@ -749,16 +532,17 @@ fn run_table_competing(spec: &ExperimentSpec) -> Result<ExperimentReport, String
         part_b.row(vec![param, remy, rival]);
     }
     // One report: part b's text follows part a's, its rows join the CSV.
-    table.text.push('\n');
-    table.text.push_str(&part_b.text);
-    table.csv_rows.extend(part_b.csv_rows);
-    Ok(table.finish(spec))
+    let (mut rep, part_b) = (table.finish(), part_b.finish());
+    rep.text.push('\n');
+    rep.text.push_str(&part_b.text);
+    rep.csv_rows.extend(part_b.csv_rows);
+    Ok(rep)
 }
 
 fn run_table_datacenter(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
     let mut table = Table::new(
-        &budget_title(spec),
+        &budget_title(&spec.title, spec.budget),
         vec![
             label_col("scheme", 20),
             col("tput mean", "tput_mean_mbps", 12, 1),
@@ -782,13 +566,13 @@ fn run_table_datacenter(spec: &ExperimentSpec) -> Result<ExperimentReport, Strin
         ]);
     }
     table.note("\npaper shape: comparable throughput, RemyCC lower variance, higher RTT.");
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 fn run_ablation_signals(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
     let mut table = Table::new(
-        &budget_title(spec),
+        &budget_title(&spec.title, spec.budget),
         vec![
             label_col("variant", 14),
             col("tput Mbps", "median_tput", 12, 3),
@@ -802,7 +586,7 @@ fn run_ablation_signals(spec: &ExperimentSpec) -> Result<ExperimentReport, Strin
             Field::Num(cell.outcome.median_queue_delay_ms),
         ]);
     }
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 fn run_ablation_loss(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
@@ -846,7 +630,7 @@ fn run_parking_lot3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let n = spec.workload.n();
     let n_long = n - n_hops;
     let mut table = Table::new(
-        &budget_title(spec),
+        &budget_title(&spec.title, spec.budget),
         vec![
             label_col("scheme", 16),
             col("e2e tput Mbps", "e2e_median_tput_mbps", 14, 3),
@@ -872,14 +656,14 @@ fn run_parking_lot3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         "\nend-to-end flows cross {n_hops} queues and pay queueing at each; \
          proportionally-fair schemes still grant them a non-zero share"
     ));
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 fn run_incast16(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
     let n = spec.workload.n();
     let mut table = Table::new(
-        &budget_title(spec),
+        &budget_title(&spec.title, spec.budget),
         vec![
             label_col("scheme", 18),
             col("agg tput Mbps", "agg_mean_tput_mbps", 14, 2),
@@ -908,13 +692,13 @@ fn run_incast16(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         "\nthe shallow 64-packet aggregation buffer punishes synchronized \
          window bursts; ECN (DCTCP) and delay-aware control avoid collapse",
     );
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 fn run_reverse_path(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
     let mut table = Table::new(
-        &budget_title(spec),
+        &budget_title(&spec.title, spec.budget),
         vec![
             label_col("scheme", 16),
             col("east tput", "east_median_tput_mbps", 12, 3),
@@ -936,14 +720,14 @@ fn run_reverse_path(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
         "\nRTTs include ACK queueing behind the opposing direction's data — \
          the reverse-path congestion the paper's dumbbell rules out",
     );
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 fn run_web_churn(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
     let n = spec.workload.n();
     let mut table = Table::new(
-        &budget_title(spec),
+        &budget_title(&spec.title, spec.budget),
         vec![
             label_col("scheme", 16),
             col("spawned", "spawned", 9, 0),
@@ -986,7 +770,7 @@ fn run_web_churn(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
          ride on the queue the persistent senders build; delay-minimizing \
          schemes shorten the tail",
     );
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 /// The earliest scheduled link failure (the first listed, among equals).
@@ -1054,7 +838,7 @@ fn run_failover_chain(spec: &ExperimentSpec) -> Result<ExperimentReport, String>
     let full = Experiment::new(spec.clone()).run()?;
     let prefix = Experiment::new(prefix_spec).run()?;
     let mut table = Table::new(
-        &budget_title(spec),
+        &budget_title(&spec.title, spec.budget),
         vec![
             label_col("scheme", 16),
             col("pre-fail rtt ms", "pre_fail_rtt_ms", 16, 2),
@@ -1095,7 +879,7 @@ fn run_failover_chain(spec: &ExperimentSpec) -> Result<ExperimentReport, String>
         "\nthe backup path raises the propagation floor by 20 ms of RTT \
          (60 ms vs 40), so the post-failure RTT must step up if the reroute worked",
     );
-    Ok(table.finish(spec))
+    Ok(table.finish())
 }
 
 #[cfg(test)]
@@ -1346,9 +1130,11 @@ mod tests {
             },
         )
         .expect("fig6 runs");
-        assert_eq!(rep.csv_name, "fig6_dynamics");
         assert!(rep.text.contains("flow 0 delivery rate"));
         assert!(!rep.csv_rows.is_empty());
+        // The CSV takes the registry name.
+        let path = rep.write_csv(by_name("fig6").unwrap().name).unwrap();
+        assert!(path.ends_with("fig6.csv"), "{}", path.display());
     }
 
     /// The committed `failover_chain` spec with its failure moved to `at`.

@@ -59,7 +59,7 @@ pub mod traces;
 pub mod prelude {
     pub use crate::experiment::{CellResult, Experiment, ExperimentCell, ExperimentResults};
     pub use crate::harness::{Contender, Outcome};
-    pub use crate::report::{write_rows_csv, ExperimentReport};
+    pub use crate::report::ExperimentReport;
     pub use crate::spec::{
         Budget, ContenderSpec, ExperimentSpec, GraphGenerator, GraphLinkRef, GraphSpec, HopRef,
         LinkEventSpec, LinkRef, SweepAxis, SweepPoint, TopologySpec, WorkloadSpec,

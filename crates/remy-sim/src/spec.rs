@@ -779,7 +779,7 @@ impl ContenderSpec {
             "vegas" => baseline(Scheme::Vegas),
             "cubic" => baseline(Scheme::Cubic),
             "compound" => baseline(Scheme::Compound),
-            "cubic+sfqcodel" | "cubic/sfqcodel" => baseline(Scheme::CubicSfqCodel),
+            "cubic+sfqcodel" => baseline(Scheme::CubicSfqCodel),
             "xcp" => baseline(Scheme::Xcp),
             "dctcp" => baseline(Scheme::Dctcp { mark_threshold: 20 }),
             s if s.starts_with("dctcp:") => {
@@ -1421,6 +1421,14 @@ mod tests {
         assert!(err.contains(&remy::designs::names()), "{err}");
         assert!(ContenderSpec::new("remy:delta1:mask=01").build().is_err());
         assert!(ContenderSpec::labeled("cubic", "nope").build().is_err());
+    }
+
+    #[test]
+    fn each_contender_has_one_spelling() {
+        // Cubic over sfqCoDel is spelled `cubic+sfqcodel` only; any other
+        // spelling is an unknown contender.
+        let err = ContenderSpec::new("cubic/sfqcodel").build().unwrap_err();
+        assert_eq!(err, "unknown contender 'cubic/sfqcodel'");
     }
 
     #[test]

@@ -5,6 +5,7 @@ use netsim::json::{Value, Wire, WireError};
 use remy::whisker::WhiskerTree;
 use remy_sim::experiments;
 use remy_sim::prelude::*;
+use std::path::Path;
 use std::process::Command;
 
 /// The committed spec for Fig. 4 (`every_embedded_spec_is_canonical_and_named_for_its_entry`
@@ -75,7 +76,6 @@ fn a_registry_name_and_its_spec_file_run_the_same_bytes() {
         let by_file = entry.run(&from_file).expect("runs from its file");
         let by_name = experiments::run_named(entry.name, tiny).expect("runs by name");
         assert_eq!(by_file.text, by_name.text, "{}", entry.name);
-        assert_eq!(by_file.csv_name, by_name.csv_name, "{}", entry.name);
         assert_eq!(by_file.csv_header, by_name.csv_header, "{}", entry.name);
         assert_eq!(by_file.csv_rows, by_name.csv_rows, "{}", entry.name);
     }
@@ -173,6 +173,53 @@ fn remy_cli_runs_fig4_at_tiny_budget() {
 }
 
 #[test]
+fn every_registry_entry_writes_its_csv_under_its_own_name() {
+    // An experiment has one name: `remy-cli run <name>` writes
+    // `target/experiments/<name>.csv` below the directory it runs in, and
+    // nothing else there; the file holds the report's CSV.
+    let budget = Budget {
+        runs: 1,
+        sim_secs: 2,
+    };
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csv_names");
+    for entry in experiments::all() {
+        let dir = root.join(entry.name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch directory");
+        let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+            .args(["run", entry.name, "--runs", "1", "--secs", "2"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn remy-cli");
+        assert!(
+            out.status.success(),
+            "remy-cli run {}: {}",
+            entry.name,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let csv_dir = dir.join("target/experiments");
+        let written: Vec<String> = std::fs::read_dir(&csv_dir)
+            .expect("target/experiments written")
+            .map(|f| {
+                f.expect("directory entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        assert_eq!(written, [format!("{}.csv", entry.name)], "{}", entry.name);
+        let report = experiments::run_named(entry.name, budget).expect("runs by name");
+        assert_eq!(
+            std::fs::read_to_string(csv_dir.join(&written[0])).expect("CSV readable"),
+            report.csv_text(),
+            "{}",
+            entry.name
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn remy_cli_lists_experiments_and_dumps_specs() {
     let list = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
         .arg("list-experiments")
@@ -181,7 +228,16 @@ fn remy_cli_lists_experiments_and_dumps_specs() {
     assert!(list.status.success());
     let text = String::from_utf8_lossy(&list.stdout);
     for entry in experiments::all() {
-        assert!(text.contains(entry.name), "{} listed", entry.name);
+        let title = entry.committed_spec().title;
+        let line = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(entry.name))
+            .unwrap_or_else(|| panic!("{} listed: {text}", entry.name));
+        assert!(
+            line.ends_with(&title),
+            "{} described by its title: {line}",
+            entry.name
+        );
     }
 
     let spec = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
