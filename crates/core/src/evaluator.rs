@@ -161,23 +161,11 @@ impl Evaluator {
             .collect()
     }
 
-    /// Evaluate many candidate tables over the *same* specimens, returning
-    /// each candidate's score in input order (see [`Self::score_matrix`]
-    /// for the parallelism and determinism guarantees).
-    pub fn score_candidates(
-        &self,
-        candidates: &[Arc<WhiskerTree>],
-        specimens: &[Scenario],
-    ) -> Vec<f64> {
-        self.score_matrix(candidates.len(), specimens, |ci, sc| {
-            self.score_cell(&candidates[ci], None, sc)
-        })
-    }
-
     /// Score hill-climb candidates as cheap overlays of a base table:
     /// candidate `k` behaves as `base` with rule `rule`'s action replaced
-    /// by `actions[k]`, with no per-candidate tree clone. Same flattened
-    /// work matrix and determinism guarantees as [`Self::score_candidates`].
+    /// by `actions[k]`, with no per-candidate tree clone. See
+    /// [`Self::score_matrix`] for the parallelism and determinism
+    /// guarantees.
     pub fn score_overlays(
         &self,
         base: &Arc<WhiskerTree>,
@@ -269,7 +257,7 @@ mod tests {
             },
         );
         let bad = Arc::new(bad_tree);
-        let scores = e.score_candidates(&[good, bad], &specimens);
+        let scores = [e.score(&good, &specimens), e.score(&bad, &specimens)];
         assert!(
             scores[0] > scores[1],
             "default ({}) must beat crippled ({})",
@@ -298,10 +286,8 @@ mod tests {
                 Arc::new(t)
             })
             .collect();
-        assert_eq!(
-            e.score_overlays(&base, 0, &actions, &specimens),
-            e.score_candidates(&clones, &specimens)
-        );
+        let full: Vec<f64> = clones.iter().map(|t| e.score(t, &specimens)).collect();
+        assert_eq!(e.score_overlays(&base, 0, &actions, &specimens), full);
     }
 
     #[test]
@@ -320,7 +306,7 @@ mod tests {
     fn empty_specimen_sets_score_zero() {
         let e = tiny_eval();
         let t = Arc::new(WhiskerTree::single_rule());
-        assert_eq!(e.score_candidates(&[Arc::clone(&t)], &[]), vec![0.0]);
+        assert_eq!(e.score(&t, &[]), 0.0);
         assert_eq!(e.score_overlays(&t, 0, &[Action::DEFAULT], &[]), vec![0.0]);
     }
 
@@ -329,17 +315,16 @@ mod tests {
         let e = tiny_eval();
         let specimens = e.specimens(4);
         let t1 = Arc::new(WhiskerTree::single_rule());
+        let fast = Action {
+            window_multiple: 1.0,
+            window_increment: 2.0,
+            intersend_ms: 0.01,
+        };
         let mut t2m = WhiskerTree::single_rule();
-        t2m.set_action(
-            0,
-            Action {
-                window_multiple: 1.0,
-                window_increment: 2.0,
-                intersend_ms: 0.01,
-            },
-        );
+        t2m.set_action(0, fast);
         let t2 = Arc::new(t2m);
-        let par = e.score_candidates(&[Arc::clone(&t1), Arc::clone(&t2)], &specimens);
+        // Two rows of one work matrix, against each table scored alone.
+        let par = e.score_overlays(&t1, 0, &[Action::DEFAULT, fast], &specimens);
         assert_eq!(par[0], e.score(&t1, &specimens));
         assert_eq!(par[1], e.score(&t2, &specimens));
     }

@@ -1,69 +1,28 @@
 //! The flow table: struct-of-arrays per-flow state with generational ids.
 //!
-//! This is the [`crate::packet::PacketArena`] pattern applied to flows.
-//! Per-flow state is split across three parallel arrays indexed by slot:
-//! a dense hot array ([`FlowHot`]: what the engine itself owns — timer
-//! and pacer dedup guards, edge delays, the cached path shape), a cold
-//! side slab ([`FlowCold`]: the transport, sole owner of sender state,
-//! with its boxed congestion controller; traffic process, receiver,
-//! metrics, and path vectors), and a generation array that validates
-//! [`FlowId`] handles.
-//!
-//! Slot generations follow the arena convention — even = free, odd =
-//! live; creating and tearing down a flow each bump the counter once — so
-//! a handle kept past a flow's lifetime (a spurious retransmission still
-//! in flight when the flow completes) fails the generation check instead
-//! of aliasing whichever flow recycled the slot.
+//! Slot `i` of two parallel arrays describes one flow: the generational
+//! [`crate::slab::Slab`] of dense hot rows ([`FlowHot`]: what the engine
+//! itself owns — timer and pacer dedup guards, edge delays, the cached
+//! path shape), whose generations validate [`FlowId`] handles, and a cold
+//! array ([`FlowCold`]: the transport with its boxed congestion
+//! controller, traffic process, receiver, metrics, and path vectors).
 //!
 //! Under flow churn the table is allocation-free in steady state:
 //! [`FlowTable::respawn`] reuses a freed slot *in place*, keeping the
 //! cold state's heap blocks (the CC box, scoreboard nodes, interval
-//! vector) alive across flow lifetimes instead of reallocating them per
+//! vector) across flow lifetimes instead of reallocating them per
 //! arrival.
 
 use crate::metrics::FlowMetrics;
+use crate::slab::{Handle, Slab};
 use crate::time::Ns;
 use crate::traffic::TrafficProcess;
 use crate::transport::Transport;
 use std::collections::BTreeSet;
 
-/// Generational handle to one flow in a [`FlowTable`].
-///
-/// 8 bytes: slot index plus the slot's generation at creation time.
-/// Tearing a flow down bumps the slot's generation, so a stale handle can
-/// never address the flow that later recycles the slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct FlowId {
-    index: u32,
-    generation: u32,
-}
-
-impl FlowId {
-    /// The handle of slot `index`'s *first* lifetime (generation 1).
-    ///
-    /// Flows created at simulator construction (the scenario's persistent
-    /// senders) are never torn down, so their handles are always
-    /// first-lifetime; tests and packet constructors use this.
-    pub fn first(index: usize) -> FlowId {
-        FlowId {
-            // lint:allow(p1-sim-unwrap): a scenario with 4 billion
-            // persistent senders is beyond any machine this will run on.
-            index: u32::try_from(index).expect("more than u32::MAX flows"),
-            generation: 1,
-        }
-    }
-
-    /// Slot index (diagnostics and dense-array addressing; identity
-    /// requires the generation).
-    pub fn index(self) -> u32 {
-        self.index
-    }
-
-    /// Creation-time generation of the slot.
-    pub fn generation(self) -> u32 {
-        self.generation
-    }
-}
+/// Generational handle to one flow in a [`FlowTable`] (see
+/// [`crate::slab`]). Persistent sender `i` is `FlowId::first(i)`.
+pub type FlowId = Handle<FlowHot>;
 
 /// Receiver-side reassembly state for one flow.
 #[derive(Clone, Debug, Default)]
@@ -145,23 +104,12 @@ pub struct FlowCold {
     pub ack_hops: Vec<usize>,
 }
 
-struct TableSlot {
-    /// Even = free, odd = live (see module docs).
-    generation: u32,
-}
-
-/// Struct-of-arrays table of flows with generational handles.
-///
-/// `hot`, `cold`, and the generation array are parallel: slot `i` of each
-/// describes the same flow. Free slots keep their cold state's heap
-/// allocations for the next lifetime ([`FlowTable::respawn`]).
+/// Struct-of-arrays table of flows with generational handles (see the
+/// module docs).
 #[derive(Default)]
 pub struct FlowTable {
-    slots: Vec<TableSlot>,
-    hot: Vec<FlowHot>,
+    hot: Slab<FlowHot>,
     cold: Vec<FlowCold>,
-    free: Vec<u32>,
-    live: usize,
 }
 
 impl FlowTable {
@@ -173,122 +121,60 @@ impl FlowTable {
     /// An empty table with room for `capacity` flows before regrowing.
     pub fn with_capacity(capacity: usize) -> FlowTable {
         FlowTable {
-            slots: Vec::with_capacity(capacity),
-            hot: Vec::with_capacity(capacity),
+            hot: Slab::with_capacity(capacity),
             cold: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            live: 0,
         }
     }
 
-    /// Create a flow in a brand-new slot (growth path — allocates).
-    /// Steady-state churn goes through [`FlowTable::respawn`] instead.
+    /// Create a flow from fresh state, in the most recently freed slot or
+    /// a new one. Steady-state churn goes through [`FlowTable::respawn`].
     pub fn insert(&mut self, hot: FlowHot, cold: FlowCold) -> FlowId {
-        // lint:allow(p1-sim-unwrap): slot count is bounded by concurrent
-        // flows, not total arrivals; u32::MAX concurrent flows cannot fit.
-        let index = u32::try_from(self.slots.len()).expect("more than u32::MAX flows");
-        self.slots.push(TableSlot { generation: 1 });
-        self.hot.push(hot);
-        self.cold.push(cold);
-        self.live += 1;
-        FlowId {
-            index,
-            generation: 1,
+        let id = self.hot.alloc(hot);
+        match self.cold.get_mut(id.index() as usize) {
+            Some(slot) => *slot = cold,
+            None => self.cold.push(cold),
         }
+        id
     }
 
     /// Revive the most recently freed slot *in place*: `reset` receives
     /// the slot's previous-lifetime state (heap allocations intact) and
     /// must re-initialize it for the new flow. Returns `None` when no
     /// freed slot exists — the caller falls back to [`FlowTable::insert`].
-    ///
-    /// This is the allocation-free steady-state churn path.
     pub fn respawn(&mut self, reset: impl FnOnce(&mut FlowHot, &mut FlowCold)) -> Option<FlowId> {
-        let index = self.free.pop()?;
-        let slot = &mut self.slots[index as usize];
-        // Strict lane: a slot coming off the free list must be in a free
-        // (even-generation) lifetime; odd here means the free list
-        // aliased a live flow.
-        #[cfg(feature = "strict-invariants")]
-        assert_eq!(
-            slot.generation % 2,
-            0,
-            "strict-invariants: free list handed out a live flow slot {index}"
-        );
-        slot.generation = slot.generation.wrapping_add(1);
-        let generation = slot.generation;
-        self.live += 1;
-        let i = index as usize;
-        reset(&mut self.hot[i], &mut self.cold[i]);
-        Some(FlowId { index, generation })
+        let (id, hot) = self.hot.reuse()?;
+        reset(hot, &mut self.cold[id.index() as usize]);
+        Some(id)
     }
 
-    /// Tear a flow down, releasing its slot for reuse. The cold state is
-    /// *kept* (allocations and all) for the slot's next lifetime. Panics
-    /// on a stale handle: a double teardown is always an engine bug.
+    /// Tear a flow down, keeping its cold state for the slot's next
+    /// lifetime. Panics on a stale handle.
     pub fn free(&mut self, id: FlowId) {
-        // Strict lane: the handle must come from a live (odd-generation)
-        // lifetime and the accounting identity must hold on entry.
-        #[cfg(feature = "strict-invariants")]
-        {
-            assert_eq!(
-                id.generation % 2,
-                1,
-                "strict-invariants: freeing a flow handle minted in a free lifetime"
-            );
-            assert_eq!(
-                self.live + self.free.len(),
-                self.slots.len(),
-                "strict-invariants: flow table live/free accounting diverged"
-            );
-        }
-        let slot = &mut self.slots[id.index as usize];
-        assert_eq!(
-            slot.generation, id.generation,
-            "freeing a stale FlowId (double teardown?)"
-        );
-        slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(id.index);
-        self.live -= 1;
+        self.hot.free(id);
     }
 
-    /// True if the handle still addresses a live flow.
-    pub fn contains(&self, id: FlowId) -> bool {
-        self.slots
-            .get(id.index as usize)
-            .is_some_and(|s| s.generation == id.generation)
-    }
-
-    /// Resolve a handle to its slot index, or `None` if stale. This is
-    /// the tolerance primitive for packets that outlive their flow: the
-    /// engine drops them instead of touching the slot's new occupant.
+    /// Slot index of a live flow, or `None` if the handle is stale: the
+    /// engine drops packets that outlive their flow.
     #[inline]
     pub fn index_of(&self, id: FlowId) -> Option<usize> {
-        let i = id.index as usize;
-        (self.slots.get(i).map(|s| s.generation) == Some(id.generation)).then_some(i)
+        self.hot.index_of(id)
     }
 
-    /// The current handle of live slot `index`. Panics if the slot is
-    /// free (even generation).
+    /// The current handle of live slot `index`. Panics if it is free.
     pub fn id_at(&self, index: usize) -> FlowId {
-        let generation = self.slots[index].generation;
-        assert_eq!(generation % 2, 1, "slot {index} is not live");
-        FlowId {
-            index: index as u32,
-            generation,
-        }
+        self.hot.id_at(index)
     }
 
     /// Hot row of slot `i`.
     #[inline]
     pub fn hot(&self, i: usize) -> &FlowHot {
-        &self.hot[i]
+        self.hot.at(i)
     }
 
     /// Mutable hot row of slot `i`.
     #[inline]
     pub fn hot_mut(&mut self, i: usize) -> &mut FlowHot {
-        &mut self.hot[i]
+        self.hot.at_mut(i)
     }
 
     /// Cold state of slot `i`.
@@ -303,36 +189,32 @@ impl FlowTable {
         &mut self.cold[i]
     }
 
-    /// Simultaneous mutable access to slot `i`'s hot row and cold state
-    /// (they live in separate arrays, so the borrows split).
+    /// Slot `i`'s hot row and cold state at once.
     #[inline]
     pub fn pair_mut(&mut self, i: usize) -> (&mut FlowHot, &mut FlowCold) {
-        (&mut self.hot[i], &mut self.cold[i])
+        (self.hot.at_mut(i), &mut self.cold[i])
     }
 
     /// Flows currently live.
     pub fn live(&self) -> usize {
-        self.live
+        self.hot.live()
     }
 
-    /// Total slots ever created (live + reusable). Under steady-state
-    /// churn this tracks the peak *concurrent* population, not the total
-    /// number of flows that ever existed — the zero-allocation audit.
+    /// Slots ever created: under churn, the peak concurrent population.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.hot.capacity()
     }
 
-    /// Consume the table, returning the parallel cold array (slot order).
-    /// Used by result finalization to summarize persistent senders and
-    /// recover their congestion controllers.
+    /// Consume the table, returning the cold array in slot order (result
+    /// finalization summarizes persistent senders and recovers their
+    /// congestion controllers from it).
     pub fn into_cold(self) -> Vec<FlowCold> {
         self.cold
     }
 
-    /// Audit the accounting identity `live + free == slots` (cheap; the
-    /// strict-invariants lane also checks it inside free/respawn).
+    /// The slab's accounting identity `live + free == slots`.
     pub fn audit_accounting(&self) -> bool {
-        self.live + self.free.len() == self.slots.len()
+        self.hot.audit_accounting()
     }
 }
 
@@ -367,14 +249,13 @@ mod tests {
         assert_eq!(b, FlowId::first(1));
         t.free(b);
         assert_eq!(t.live(), 1);
-        assert!(!t.contains(b));
         assert_eq!(t.index_of(b), None);
         let c = t
             .respawn(|hot, _| hot.spawned_at = Ns::from_secs(9))
             .expect("freed slot available");
         assert_eq!(c.index(), b.index(), "LIFO slot reuse");
-        assert_ne!(c.generation(), b.generation());
-        assert!(t.contains(c) && !t.contains(b));
+        assert_eq!(c.generation(), b.generation() + 2);
+        assert_eq!((t.index_of(c), t.index_of(b)), (Some(1), None));
         assert_eq!(
             (t.id_at(0), t.id_at(1)),
             (a, c),
@@ -394,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stale FlowId")]
+    #[should_panic(expected = "stale handle")]
     fn free_rejects_stale_handles() {
         let mut t = FlowTable::new();
         let id = t.insert(FlowHot::default(), cold());
@@ -422,6 +303,29 @@ mod tests {
     }
 
     #[test]
+    fn respawn_keeps_the_cold_state_heap_blocks() {
+        let mut t = FlowTable::new();
+        let id = t.insert(FlowHot::default(), cold());
+        let hops = t.cold(0).fwd_hops.as_ptr();
+        t.free(id);
+        let next = t
+            .respawn(|hot, cold| {
+                hot.spawned_at = Ns::from_secs(9);
+                cold.fwd_hops[0] = 4;
+            })
+            .expect("slot");
+        assert_eq!(next.index(), id.index(), "LIFO slot reuse");
+        assert_eq!(t.cold(0).fwd_hops.as_ptr(), hops, "same heap block");
+        assert_eq!(t.cold(0).fwd_hops, [4]);
+        assert_eq!(t.hot(0).spawned_at, Ns::from_secs(9));
+        // `insert` also fills a freed slot, replacing its state outright.
+        t.free(next);
+        let fresh = t.insert(FlowHot::default(), cold());
+        assert_eq!((fresh.index(), t.capacity()), (0, 1));
+        assert_eq!(t.cold(0).fwd_hops, [0]);
+    }
+
+    #[test]
     fn receiver_reset_continues_a_sequence_space() {
         let mut r = Receiver::default();
         assert!(r.on_packet(0));
@@ -436,7 +340,8 @@ mod tests {
 
     /// LCG-driven create/teardown churn mirroring the packet arena's
     /// strict-invariants audit: generation parity, accounting identity,
-    /// and no growth while the free list feeds respawns.
+    /// and no growth while the free list feeds respawns. Every other
+    /// respawned slot is handed back unused, so `insert` must fill it.
     #[test]
     fn table_strict_invariants_hold_under_churn() {
         let mut t = FlowTable::new();
@@ -448,7 +353,13 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             if live.is_empty() || !rng.is_multiple_of(3) {
                 let id = match t.respawn(|hot, _| hot.spawned_at = Ns(round)) {
-                    Some(id) => id,
+                    Some(id) if round % 2 == 0 => id,
+                    Some(id) => {
+                        t.free(id);
+                        let fresh = t.insert(FlowHot::default(), cold());
+                        assert_eq!(fresh.index(), id.index(), "insert fills the freed slot");
+                        fresh
+                    }
                     None => t.insert(FlowHot::default(), cold()),
                 };
                 assert_eq!(id.generation() % 2, 1, "live handles have odd generations");
@@ -456,9 +367,9 @@ mod tests {
             } else {
                 let pick = (rng >> 33) as usize % live.len();
                 let id = live.swap_remove(pick);
-                assert!(t.contains(id));
+                assert!(t.index_of(id).is_some());
                 t.free(id);
-                assert!(!t.contains(id));
+                assert_eq!(t.index_of(id), None);
             }
             assert_eq!(t.live(), live.len());
             assert!(t.audit_accounting());

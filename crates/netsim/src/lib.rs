@@ -28,7 +28,9 @@
 //!   are load-bearing for Remy's optimizer), and [`rng::cases`], the
 //!   seeded driver of the workspace's randomized property tests;
 //! * [`par`] — the `--jobs` worker pool: an order-preserving parallel
-//!   map over a slice, on `std::thread::scope`.
+//!   map over a slice, on `std::thread::scope`;
+//! * [`slab`] — the generational slab behind the packet arena and the
+//!   flow table.
 //!
 //! ## Quick example
 //!
@@ -66,6 +68,7 @@ pub mod router;
 pub mod scenario;
 pub mod sched;
 pub mod sim;
+pub mod slab;
 pub mod stats;
 pub mod time;
 pub mod topology;

@@ -7,12 +7,13 @@
 //! RemyCC's `send_ewma`), an ECN echo for DCTCP, and the XCP feedback field
 //! for XCP senders.
 //!
-//! In-flight packets live in a [`PacketArena`]: a slab of reusable slots
-//! addressed by generational [`PacketId`] handles. The hot path (queues,
-//! the event loop) moves 8-byte ids instead of ~140-byte packet structs,
-//! and a freed slot's generation counter is bumped so a stale handle can
-//! never silently alias the packet that later reuses the slot.
+//! In-flight packets live in a [`PacketArena`], the generational
+//! [`crate::slab::Slab`] over packets, addressed by [`PacketId`] handles.
+//! The hot path (queues, the event loop) moves 8-byte ids instead of
+//! ~140-byte packet structs, and a stale handle can never silently alias
+//! the packet that later reuses its slot.
 
+use crate::slab::{Handle, Slab};
 use crate::time::Ns;
 
 pub use crate::flow::FlowId;
@@ -153,172 +154,12 @@ pub struct Ack {
     pub new_data: bool,
 }
 
-/// Generational handle to a packet stored in a [`PacketArena`].
-///
-/// An id is 8 bytes: the slot index plus the slot's generation at
-/// allocation time. Freeing a slot bumps its generation, so any handle
-/// kept past the packet's lifetime fails the generation check instead of
-/// reading whichever packet recycled the slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PacketId {
-    index: u32,
-    generation: u32,
-}
+/// Generational handle to a packet in the [`PacketArena`] (see
+/// [`crate::slab`]): 8 bytes where the packet struct is ~140.
+pub type PacketId = Handle<Packet>;
 
-impl PacketId {
-    /// Slot index (diagnostics only; identity requires the generation).
-    pub fn index(self) -> u32 {
-        self.index
-    }
-
-    /// Allocation-time generation of the slot.
-    pub fn generation(self) -> u32 {
-        self.generation
-    }
-}
-
-#[repr(C)]
-struct Slot {
-    /// Current generation. Even = free, odd = live: allocation and free
-    /// each bump the counter once, so a live handle's generation is odd
-    /// and can never equal the generation of any other lifetime of the
-    /// same slot. First in the slot so the generation check and the
-    /// packet's hot fields share a cache line.
-    generation: u32,
-    packet: Packet,
-}
-
-/// A slab arena of in-flight packets.
-///
-/// Allocation reuses the most recently freed slot (LIFO free list) so the
-/// working set stays compact and cache-warm under steady-state traffic.
-/// All access is checked against the handle's generation; see [`PacketId`].
-#[derive(Default)]
-pub struct PacketArena {
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl PacketArena {
-    /// An empty arena.
-    pub fn new() -> PacketArena {
-        PacketArena::default()
-    }
-
-    /// An empty arena with room for `capacity` packets before regrowing.
-    pub fn with_capacity(capacity: usize) -> PacketArena {
-        PacketArena {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
-            live: 0,
-        }
-    }
-
-    /// Store a packet, returning its handle.
-    #[inline]
-    pub fn alloc(&mut self, packet: Packet) -> PacketId {
-        self.live += 1;
-        if let Some(index) = self.free.pop() {
-            let slot = &mut self.slots[index as usize];
-            // Strict lane: a slot coming off the free list must be in a
-            // free (even-generation) lifetime; an odd generation here
-            // means the free list aliased a live packet.
-            #[cfg(feature = "strict-invariants")]
-            assert_eq!(
-                slot.generation % 2,
-                0,
-                "strict-invariants: free list handed out a live slot {index}"
-            );
-            slot.generation = slot.generation.wrapping_add(1);
-            slot.packet = packet;
-            PacketId {
-                index,
-                generation: slot.generation,
-            }
-        } else {
-            // lint:allow(p1-sim-unwrap): arena slots track packets in
-            // flight, bounded by queue capacities — far below u32::MAX.
-            let index = u32::try_from(self.slots.len()).expect("more than u32::MAX live packets");
-            self.slots.push(Slot {
-                generation: 1,
-                packet,
-            });
-            PacketId {
-                index,
-                generation: 1,
-            }
-        }
-    }
-
-    /// Release a handle's slot for reuse. Panics on a stale handle (the
-    /// slot was already freed): a double free is always an engine bug.
-    #[inline]
-    pub fn free(&mut self, id: PacketId) {
-        // Strict lane: a handle being freed must come from a live
-        // (odd-generation) lifetime, and the bookkeeping identity
-        // `live + free == slots` must hold on entry.
-        #[cfg(feature = "strict-invariants")]
-        {
-            assert_eq!(
-                id.generation % 2,
-                1,
-                "strict-invariants: freeing a handle minted in a free lifetime"
-            );
-            assert_eq!(
-                self.live + self.free.len(),
-                self.slots.len(),
-                "strict-invariants: arena live/free accounting diverged"
-            );
-        }
-        let slot = &mut self.slots[id.index as usize];
-        assert_eq!(
-            slot.generation, id.generation,
-            "freeing a stale PacketId (double free?)"
-        );
-        slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(id.index);
-        self.live -= 1;
-    }
-
-    /// True if the handle still addresses a live packet.
-    #[inline]
-    pub fn contains(&self, id: PacketId) -> bool {
-        self.slots
-            .get(id.index as usize)
-            .is_some_and(|s| s.generation == id.generation)
-    }
-
-    /// Packets currently live.
-    #[inline]
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Total slots ever allocated (live + reusable).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-impl std::ops::Index<PacketId> for PacketArena {
-    type Output = Packet;
-    #[inline]
-    fn index(&self, id: PacketId) -> &Packet {
-        let slot = &self.slots[id.index as usize];
-        assert_eq!(slot.generation, id.generation, "stale PacketId");
-        &slot.packet
-    }
-}
-
-impl std::ops::IndexMut<PacketId> for PacketArena {
-    #[inline]
-    fn index_mut(&mut self, id: PacketId) -> &mut Packet {
-        let slot = &mut self.slots[id.index as usize];
-        assert_eq!(slot.generation, id.generation, "stale PacketId");
-        &mut slot.packet
-    }
-}
+/// The slab of in-flight packets.
+pub type PacketArena = Slab<Packet>;
 
 #[cfg(test)]
 mod tests {
@@ -361,30 +202,22 @@ mod tests {
         let mut a = PacketArena::new();
         let id0 = a.alloc(Packet::data(FlowId::first(0), 0, 1500, Ns::ZERO));
         let id1 = a.alloc(Packet::data(FlowId::first(1), 1, 1500, Ns::ZERO));
+        assert_eq!((id0, id1), (PacketId::first(0), PacketId::first(1)));
         assert_eq!(a.live(), 2);
         assert_eq!(a[id0].seq, 0);
         assert_eq!(a[id1].flow, FlowId::first(1));
         a.free(id1);
         assert_eq!(a.live(), 1);
-        assert!(!a.contains(id1));
+        assert_eq!(a.index_of(id1), None);
         // The freed slot is reused, but under a fresh generation: the old
         // handle stays dead.
         let id2 = a.alloc(Packet::data(FlowId::first(2), 7, 1500, Ns::ZERO));
         assert_eq!(id2.index(), id1.index(), "LIFO slot reuse");
-        assert_ne!(id2.generation(), id1.generation());
-        assert!(a.contains(id2) && !a.contains(id1));
+        assert_eq!(id2.generation(), id1.generation() + 2);
+        assert_eq!((a.index_of(id2), a.index_of(id1)), (Some(1), None));
         assert_eq!(a[id2].seq, 7);
         assert_eq!(a.capacity(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale PacketId")]
-    fn arena_rejects_stale_reads() {
-        let mut a = PacketArena::new();
-        let id = a.alloc(Packet::data(FlowId::first(0), 0, 1500, Ns::ZERO));
-        a.free(id);
-        let _ = a.alloc(Packet::data(FlowId::first(1), 1, 1500, Ns::ZERO));
-        let _ = &a[id]; // the recycled slot must not alias through the old id
+        assert!(a.audit_accounting());
     }
 
     /// LCG-driven alloc/free churn. With `--features strict-invariants`
@@ -408,17 +241,19 @@ mod tests {
             } else {
                 let pick = (rng >> 33) as usize % live.len();
                 let id = live.swap_remove(pick);
-                assert!(a.contains(id));
+                assert!(a.index_of(id).is_some());
                 a.free(id);
-                assert!(!a.contains(id));
+                assert_eq!(a.index_of(id), None);
             }
             assert_eq!(a.live(), live.len());
             assert!(a.capacity() >= a.live());
+            assert!(a.audit_accounting());
         }
         for id in live.drain(..) {
             a.free(id);
         }
         assert_eq!(a.live(), 0);
+        assert!(a.audit_accounting());
     }
 
     #[test]

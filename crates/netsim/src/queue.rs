@@ -333,12 +333,10 @@ pub const CODEL_INTERVAL: Ns = Ns(100_000_000);
 /// packet at the default 1500-byte MSS.
 const CODEL_MSS: u64 = 1500;
 
-/// A single-queue CoDel AQM over a FIFO with packet-count capacity.
+/// A single-queue CoDel AQM: a [`DropTail`] FIFO whose dequeue runs the
+/// control law.
 pub struct Codel {
-    q: VecDeque<QEntry>,
-    capacity: usize,
-    bytes: u64,
-    drops: u64,
+    fifo: DropTail,
     law: CodelLaw,
 }
 
@@ -346,10 +344,7 @@ impl Codel {
     /// CoDel with the standard 5 ms / 100 ms parameters.
     pub fn new(capacity: usize) -> Codel {
         Codel {
-            q: VecDeque::new(),
-            capacity,
-            bytes: 0,
-            drops: 0,
+            fifo: DropTail::new(capacity),
             law: CodelLaw::new(),
         }
     }
@@ -358,25 +353,18 @@ impl Codel {
 impl Queue for Codel {
     #[inline]
     fn enqueue(&mut self, now: Ns, id: PacketId, arena: &mut PacketArena) -> Enqueue {
-        if self.q.len() >= self.capacity {
-            self.drops += 1;
-            arena.free(id);
-            return Enqueue::Dropped;
-        }
-        let e = QEntry::capture(now, id, arena);
-        self.bytes += e.size as u64;
-        self.q.push_back(e);
-        Enqueue::Queued
+        self.fifo.enqueue(now, id, arena)
     }
 
     #[inline]
     fn dequeue(&mut self, now: Ns, arena: &mut PacketArena) -> Option<PacketId> {
+        let fifo = &mut self.fifo;
         loop {
-            let e = self.q.pop_front()?;
-            self.bytes -= e.size as u64;
+            let e = fifo.q.pop_front()?;
+            fifo.bytes -= e.size as u64;
             let sojourn = now.saturating_sub(e.enqueued_at);
-            if self.law.on_dequeue(now, sojourn, self.bytes) {
-                self.drops += 1;
+            if self.law.on_dequeue(now, sojourn, fifo.bytes) {
+                fifo.drops += 1;
                 arena.free(e.id);
                 continue;
             }
@@ -386,17 +374,17 @@ impl Queue for Codel {
 
     #[inline]
     fn len(&self) -> usize {
-        self.q.len()
+        self.fifo.len()
     }
 
     #[inline]
     fn bytes(&self) -> u64 {
-        self.bytes
+        self.fifo.bytes()
     }
 
     #[inline]
     fn drops(&self) -> u64 {
-        self.drops
+        self.fifo.drops()
     }
 }
 

@@ -210,7 +210,13 @@ mod tests {
 
     fn every_traffic_spec() -> Vec<TrafficSpec> {
         vec![
-            TrafficSpec::design_default(),
+            TrafficSpec {
+                on: OnSpec::ByTime {
+                    mean: Ns::from_secs(5),
+                },
+                off_mean: Ns::from_secs(5),
+                start_on: false,
+            },
             TrafficSpec::fig4(),
             TrafficSpec::saturating(),
             TrafficSpec {

@@ -131,17 +131,6 @@ pub struct TrafficSpec {
 }
 
 impl TrafficSpec {
-    /// The paper's design-phase default: on/off by time, both mean 5 s.
-    pub fn design_default() -> TrafficSpec {
-        TrafficSpec {
-            on: OnSpec::ByTime {
-                mean: Ns::from_secs(5),
-            },
-            off_mean: Ns::from_secs(5),
-            start_on: false,
-        }
-    }
-
     /// The Fig. 4 workload: exponential 100 kB transfers, 0.5 s off.
     pub fn fig4() -> TrafficSpec {
         TrafficSpec {

@@ -40,11 +40,36 @@ use remy_sim::experiment::Experiment;
 use remy_sim::experiments::{self, NamedExperiment};
 use remy_sim::prelude::*;
 use remy_sim::spec::load_table;
+use std::io::{ErrorKind, Write};
 use std::sync::Arc;
 
 fn die(msg: &str) -> ! {
     eprintln!("remy-cli: {msg}");
     std::process::exit(2)
+}
+
+/// Write `text` to stdout: the CLI's one output path. A reader that has
+/// gone away (`remy-cli list-experiments | head -1`) is not an error: the
+/// rest of the output is dropped, and the command still finishes its work
+/// (`train` writes its table, `run` its CSV) and exits 0. Any other write
+/// error goes to [`die`].
+fn out(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if e.kind() != ErrorKind::BrokenPipe {
+            die(&format!("cannot write to stdout: {e}"));
+        }
+    }
+}
+
+/// [`out`] with `println!`'s arguments.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(&format!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 /// Parse a count or duration given on the command line. Zero is refused
@@ -116,7 +141,7 @@ fn cmd_inspect(table_spec: &str) {
     let (table, evaluator) = judge(table_spec, None, 4, 10.0);
     let specimens = evaluator.specimens(1);
     let (_, usage) = evaluator.evaluate(&table, &specimens);
-    print!("{}", remy::inspect::report(&table, Some(&usage)));
+    out(&remy::inspect::report(&table, Some(&usage)));
 }
 
 fn cmd_eval(table_spec: &str, delta: Option<f64>, specimens: usize, secs: f64) {
@@ -133,11 +158,11 @@ fn cmd_eval(table_spec: &str, delta: Option<f64>, specimens: usize, secs: f64) {
     } else {
         table_spec
     };
-    println!(
+    outln!(
         "table {table_spec}: {} rules, objective {objective_text}",
         table.len()
     );
-    println!("score over {specimens} {prior}-model specimens x {secs:.0}s: {score:.3}");
+    outln!("score over {specimens} {prior}-model specimens x {secs:.0}s: {score:.3}");
 }
 
 /// `train`: everything that can be wrong with the request is refused
@@ -170,29 +195,30 @@ fn cmd_train(
     };
     // Open the destination before the budget is spent: a missing or
     // read-only out_dir fails here, not after hours of training.
-    let mut out = std::fs::OpenOptions::new()
+    let mut file = std::fs::OpenOptions::new()
         .write(true)
         .create(true)
         .truncate(false)
         .open(&path)
         .unwrap_or_else(|e| die(&format!("train: cannot write '{path}': {e}")));
 
-    println!("== Remy design phase ==");
-    println!("table     : {name}");
-    println!("model     : {}", design.model.describe());
-    println!("objective : {}", design.objective.label());
+    outln!("== Remy design phase ==");
+    outln!("table     : {name}");
+    outln!("model     : {}", design.model.describe());
+    outln!("objective : {}", design.objective.label());
     let budget = match steps {
         Some(n) => format!("{n} improvement steps"),
         None => format!("{wall_secs:.0} s wall clock"),
     };
     let eval = design.eval;
-    println!(
+    outln!(
         "budget    : {budget}, {} specimens x {} s sims",
-        eval.specimens, eval.sim_secs
+        eval.specimens,
+        eval.sim_secs
     );
-    println!("jobs      : {}", netsim::par::jobs());
+    outln!("jobs      : {}", netsim::par::jobs());
     if warm_start {
-        println!("continuing from {path} ({} rules)", initial.len());
+        outln!("continuing from {path} ({} rules)", initial.len());
     }
 
     // lint:allow(d2-wallclock-rng): the `[ 12.3s]` prefix of the progress
@@ -217,25 +243,24 @@ fn cmd_train(
                 steps,
             } => format!("done: {rules} rules, score {score:.3}, {steps} improvement steps"),
         };
-        println!("[{:7.1}s] {line}", started.elapsed().as_secs_f64());
+        outln!("[{:7.1}s] {line}", started.elapsed().as_secs_f64());
     });
 
-    use std::io::Write;
-    out.set_len(0)
-        .and_then(|()| out.write_all(table.to_json().as_bytes()))
+    file.set_len(0)
+        .and_then(|()| file.write_all(table.to_json().as_bytes()))
         .unwrap_or_else(|e| die(&format!("train: cannot write '{path}': {e}")));
-    println!("wrote {path} ({} rules)", table.len());
+    outln!("wrote {path} ({} rules)", table.len());
 }
 
 fn cmd_list_experiments(names_only: bool) {
     if names_only {
         // Machine-readable: one registry name per line, for scripts.
         for e in experiments::all() {
-            println!("{}", e.name);
+            outln!("{}", e.name);
         }
         return;
     }
-    println!("{:<24} {:<16} title", "name", "topology");
+    outln!("{:<24} {:<16} title", "name", "topology");
     for e in experiments::all() {
         let spec = e.committed_spec();
         let class = spec
@@ -243,11 +268,11 @@ fn cmd_list_experiments(names_only: bool) {
             .topology
             .map(|t| t.class())
             .unwrap_or_else(|| "-".to_string());
-        println!("{:<24} {:<16} {}", e.name, class, spec.title);
+        outln!("{:<24} {:<16} {}", e.name, class, spec.title);
     }
-    println!("\nrun one with:   remy-cli run <name> [--runs N] [--secs S]");
-    println!("dump its spec:  remy-cli spec <name>");
-    println!("its topology:   remy-cli topo <name>");
+    outln!("\nrun one with:   remy-cli run <name> [--runs N] [--secs S]");
+    outln!("dump its spec:  remy-cli spec <name>");
+    outln!("its topology:   remy-cli topo <name>");
 }
 
 /// The experiment a `run` / `spec` / `topo` target names — a registry
@@ -408,7 +433,7 @@ fn cmd_topo(spec: &ExperimentSpec) {
             ])
         }
     };
-    println!("{}", doc.pretty());
+    outln!("{}", doc.pretty());
 }
 
 fn cmd_run(spec: ExperimentSpec, entry: Option<&NamedExperiment>, out_csv: bool) {
@@ -419,11 +444,11 @@ fn cmd_run(spec: ExperimentSpec, entry: Option<&NamedExperiment>, out_csv: bool)
     }
     .unwrap_or_else(|e| die(&format!("{name}: {e}")));
     if out_csv {
-        report.print_csv();
+        out(&report.csv_text());
     } else {
-        report.print();
+        out(&report.text);
         match report.write_csv(&name) {
-            Ok(path) => println!("(csv: {})", path.display()),
+            Ok(path) => outln!("(csv: {})", path.display()),
             Err(e) => die(&format!("{name}: cannot write its CSV: {e}")),
         }
     }
@@ -476,7 +501,7 @@ fn main() {
         Some("list") => {
             for d in remy::designs::all() {
                 let t = d.table();
-                println!("{:<12} {:>4} rules  {}", d.name, t.len(), t.provenance);
+                outln!("{:<12} {:>4} rules  {}", d.name, t.len(), t.provenance);
             }
         }
         Some("train") => {
@@ -492,7 +517,7 @@ fn main() {
             let t = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
             let (spec, entry) = resolve_target(t, runs, secs);
             match cmd {
-                "spec" => print!("{}", spec.to_json()),
+                "spec" => out(&spec.to_json()),
                 "topo" => cmd_topo(&spec),
                 _ => cmd_run(spec, entry, out_csv),
             }

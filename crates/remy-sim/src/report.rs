@@ -160,11 +160,6 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// Print the report text to stdout.
-    pub fn print(&self) {
-        print!("{}", self.text);
-    }
-
     /// The CSV: the header line, then one line per row.
     pub fn csv_text(&self) -> String {
         let mut out = format!("{}\n", self.csv_header);
@@ -173,11 +168,6 @@ impl ExperimentReport {
             out.push('\n');
         }
         out
-    }
-
-    /// Print the CSV to stdout instead of the tables.
-    pub fn print_csv(&self) {
-        print!("{}", self.csv_text());
     }
 
     /// Write the CSV to `target/experiments/<name>.csv`; returns the path.

@@ -313,6 +313,36 @@ fn remy_cli_rejects_unknown_experiment_with_candidates_on_stderr() {
 }
 
 #[test]
+fn remy_cli_exits_quietly_when_stdout_is_closed() {
+    // `remy-cli list-experiments | head -1`: the reader is gone before
+    // the output ends. Printing with `println!` panicked there ("failed
+    // printing to stdout: Broken pipe", a backtrace, exit 101). The
+    // command still finishes its work: `run` writes its CSV.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("closed_stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let commands: [&[&str]; 3] = [
+        &["list-experiments"],
+        &["spec", "fig4"],
+        &["run", "fig4", "--runs", "1", "--secs", "2"],
+    ];
+    for args in commands {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
+            .args(args)
+            .current_dir(&dir)
+            .stdout(writer)
+            .output()
+            .expect("spawn remy-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    assert!(dir.join("target/experiments/fig4.csv").is_file());
+}
+
+#[test]
 fn remy_cli_lists_bare_names_for_scripts() {
     let out = Command::new(env!("CARGO_BIN_EXE_remy-cli"))
         .args(["list-experiments", "--names"])
