@@ -105,7 +105,6 @@ const DATACENTER: NetworkModel = NetworkModel {
         start_on: false,
     },
     queue: QueueSpec::DropTail { capacity: 1000 },
-    ..GENERAL
 };
 
 /// Coexistence: RTTs well beyond the propagation delay, so a buffer-filling

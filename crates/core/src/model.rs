@@ -7,6 +7,7 @@
 //! RemyCC is stated on its [`crate::designs`] entry.
 
 use netsim::link::LinkSpec;
+use netsim::packet::MSS;
 use netsim::queue::QueueSpec;
 use netsim::rng::SimRng;
 use netsim::scenario::{Scenario, SenderConfig};
@@ -27,8 +28,6 @@ pub struct NetworkModel {
     pub traffic: TrafficSpec,
     /// Queue at design time (the paper uses "unlimited").
     pub queue: QueueSpec,
-    /// Segment size, bytes.
-    pub mss: u32,
 }
 
 impl NetworkModel {
@@ -49,7 +48,6 @@ impl NetworkModel {
                 start_on: false,
             },
             queue: QueueSpec::Unlimited,
-            mss: 1500,
         }
     }
 
@@ -69,7 +67,7 @@ impl NetworkModel {
                     traffic: self.traffic.clone(),
                 })
                 .collect(),
-            mss: self.mss,
+            mss: MSS,
             duration,
             seed,
             record_deliveries: false,

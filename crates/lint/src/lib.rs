@@ -524,6 +524,17 @@ struct Allow {
     justification: String,
 }
 
+/// A comment token's text without its one opener (`//`, `///`, `//!`,
+/// `/*`, `/**`, `/*!`) and the whitespace after it. Only the first opener
+/// goes: a doc line quoting a comment (`//! // lint:allow(…)`) is prose.
+fn comment_body(text: &str) -> &str {
+    ["///", "//!", "//", "/**", "/*!", "/*"]
+        .iter()
+        .find_map(|opener| text.strip_prefix(opener))
+        .unwrap_or(text)
+        .trim_start()
+}
+
 /// Extract `lint:allow(<rule>): <justification>` directives from
 /// comments. A directive suppresses matching diagnostics on its own line
 /// (trailing-comment form) or on the first code line following its
@@ -536,11 +547,9 @@ fn parse_allows(toks: &[Tok]) -> Vec<Allow> {
         if t.kind != TokKind::Comment {
             continue;
         }
-        // A directive must *start* the comment's content (after the
-        // `//`/`//!`/`///` marker); backticked mid-sentence mentions in
-        // prose are not directives.
-        let content = t.text.trim_start_matches(['/', '!', '*', ' ', '\t']);
-        let Some(rest) = content.strip_prefix("lint:allow(") else {
+        // A directive must *start* the comment's content; backticked
+        // mid-sentence mentions in prose are not directives.
+        let Some(rest) = comment_body(&t.text).strip_prefix("lint:allow(") else {
             continue;
         };
         let Some(close) = rest.find(')') else {
@@ -568,7 +577,7 @@ fn parse_allows(toks: &[Tok]) -> Vec<Allow> {
         // code token after the block is the guarded line.
         for n in &toks[i + 1..] {
             if n.kind == TokKind::Comment {
-                let cont = n.text.trim_start_matches(['/', '!', '*', ' ', '\t']).trim();
+                let cont = comment_body(&n.text).trim();
                 if !cont.is_empty() && !cont.starts_with("lint:allow(") {
                     if !justification.is_empty() {
                         justification.push(' ');
@@ -672,6 +681,26 @@ use std::collections::HashMap;
             d.iter().any(|d| d.rule == "d1-unordered-collections"),
             "an unjustified allow must not suppress: {d:?}"
         );
+    }
+
+    #[test]
+    fn a_doc_example_of_an_allow_is_not_a_directive() {
+        let src = "\
+//! Quoting the escape hatch in a module doc:
+//! // lint:allow(d1-unordered-collections): an example, not a directive
+use std::collections::HashMap;
+";
+        let path = "crates/netsim/src/x.rs";
+        let d = scan_source(path, src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].rule, d[0].line), ("d1-unordered-collections", 3));
+        let allows = collect_allows(&[(path.to_string(), src.to_string())]);
+        assert!(allows.is_empty(), "{allows:?}");
+        // One opener is stripped, whichever form it takes.
+        for opener in ["//", "///", "//!", "/*", "/**", "/*!"] {
+            let text = format!("{opener} lint:allow(d1-unordered-collections): sorted keys");
+            assert!(comment_body(&text).starts_with("lint:allow("), "{text}");
+        }
     }
 
     #[test]

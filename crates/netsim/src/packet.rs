@@ -1,7 +1,7 @@
 //! Packets, acknowledgments, and the packet arena.
 //!
 //! Every data segment in the simulator is one [`Packet`] of `mss` bytes
-//! (1500 by default, matching the paper's ns-2 setup). Receivers acknowledge
+//! ([`MSS`], matching the paper's ns-2 setup). Receivers acknowledge
 //! every delivered packet with an [`Ack`] carrying a cumulative
 //! acknowledgment, the echoed sender timestamp (the signal behind a
 //! RemyCC's `send_ewma`), an ECN echo for DCTCP, and the XCP feedback field
@@ -86,6 +86,10 @@ pub struct Packet {
 
 /// Wire size of an acknowledgment, bytes (TCP/IP header without payload).
 pub const ACK_BYTES: u32 = 40;
+
+/// Wire size of a data segment, bytes: the paper's ns-2 setup uses
+/// 1500-byte MTUs, and every scenario, design range and trace here does.
+pub const MSS: u32 = 1500;
 
 impl Packet {
     /// A fresh data segment with no router state attached.

@@ -23,7 +23,7 @@
 //! slot back to the arena; a handle returned by `dequeue` transfers
 //! ownership to the caller.
 
-use crate::packet::{PacketArena, PacketId};
+use crate::packet::{PacketArena, PacketId, MSS};
 use crate::time::Ns;
 use std::collections::VecDeque;
 
@@ -255,7 +255,6 @@ struct CodelLaw {
     first_above_time: Ns,
     drop_next: Ns,
     count: u64,
-    last_count: u64,
     dropping: bool,
 }
 
@@ -265,7 +264,6 @@ impl CodelLaw {
             first_above_time: Ns::ZERO,
             drop_next: Ns::ZERO,
             count: 0,
-            last_count: 0,
             dropping: false,
         }
     }
@@ -278,7 +276,8 @@ impl CodelLaw {
     /// Decide whether the packet dequeued at `now` with the given sojourn
     /// time should be dropped, per the "ok to drop" half of the algorithm.
     fn should_drop(&mut self, now: Ns, sojourn: Ns, queue_bytes: u64) -> bool {
-        if sojourn < CODEL_TARGET || queue_bytes <= CODEL_MSS {
+        // Never drop while the backlog is at most one MSS-sized packet.
+        if sojourn < CODEL_TARGET || queue_bytes <= u64::from(MSS) {
             // Went below target: reset the above-target clock.
             self.first_above_time = Ns::ZERO;
             return false;
@@ -316,7 +315,6 @@ impl CodelLaw {
             } else {
                 1
             };
-            self.last_count = self.count;
             self.drop_next = now + self.control_interval(self.count);
             true
         } else {
@@ -329,9 +327,6 @@ impl CodelLaw {
 pub const CODEL_TARGET: Ns = Ns(5_000_000);
 /// CoDel interval (100 ms).
 pub const CODEL_INTERVAL: Ns = Ns(100_000_000);
-/// CoDel never drops while its backlog is at most this many bytes: one
-/// packet at the default 1500-byte MSS.
-const CODEL_MSS: u64 = 1500;
 
 /// A single-queue CoDel AQM: a [`DropTail`] FIFO whose dequeue runs the
 /// control law.

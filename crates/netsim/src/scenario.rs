@@ -12,6 +12,7 @@
 //! [`ChurnSpec`]) verbatim.
 
 use crate::link::LinkSpec;
+use crate::packet::MSS;
 use crate::queue::QueueSpec;
 use crate::time::Ns;
 use crate::topology::Topology;
@@ -126,7 +127,7 @@ impl Scenario {
                     traffic: traffic.clone(),
                 })
                 .collect(),
-            mss: 1500,
+            mss: MSS,
             duration,
             seed,
             record_deliveries: false,

@@ -16,6 +16,18 @@
 //! ([`crate::topology::Topology::single_bottleneck`] over its `link` and
 //! `queue`), so there is one construction path and one event order.
 //!
+//! ## Per-packet rules
+//!
+//! Each rule a packet meets is written once, as a private helper that
+//! every event applying it calls: `live_flow` frees a packet whose flow
+//! tore down while it was in flight, `offer` hands a packet to a hop's
+//! router hook and queue, `launch` sends it toward the next hop on its
+//! path, and `exit_path` carries it past the last hop over the flow's
+//! edge delay — data to `Deliver`, an ACK to `AckArrive`. `stamp_epoch`
+//! marks a packet entering a graph network with the routing epoch, and
+//! `reroute_at` re-resolves a stale or stranded one at either end of a
+//! link. A counter for any of these rules has one site to live at.
+//!
 //! ## Hot-path layout
 //!
 //! The engine allocates nothing per packet on the steady-state path:
@@ -199,6 +211,16 @@ struct NetState {
     reroutes: u64,
 }
 
+/// Which end of a link a packet re-resolves its route at.
+enum LinkEnd {
+    /// The link's source router: the packet never crossed the link (it
+    /// queued at, or arrived at, a link that is down).
+    Src,
+    /// The link's destination router: the packet is crossing the link's
+    /// wire and lands there after its propagation delay.
+    Dst,
+}
+
 /// The network simulator (dumbbell by default, multi-hop with a
 /// [`crate::topology::Topology`]).
 ///
@@ -273,10 +295,10 @@ impl Simulator {
             assert!(traffic_ok.is_ok(), "sender {i}: {traffic_ok:?}");
             let path = &world.paths[i];
             let rng = root.fork(i as u64 + 1);
-            let half = Ns(cfg.rtt.0 / 2);
+            let (fwd_delay, back_delay) = split_rtt(cfg.rtt);
             let hot = FlowHot {
-                fwd_delay: half,
-                back_delay: cfg.rtt - half,
+                fwd_delay,
+                back_delay,
                 entry_hop: path.fwd[0] as u32,
                 fwd_len: path.fwd.len() as u32,
                 ack_len: path.ack.len() as u32,
@@ -586,17 +608,10 @@ impl Simulator {
                     }
                     let entry_hop = self.flows.hot(i).entry_hop as usize;
                     let id = self.arena.alloc(p);
-                    if let Some(net) = &self.net {
-                        self.arena[id].route_epoch = net.epoch;
-                    }
-                    let admitted = {
-                        let hop = &mut self.hops[entry_hop];
-                        let queue_pkts = hop.queue.len();
-                        if let Some(r) = hop.router.as_mut() {
-                            r.on_arrival(now, &mut self.arena[id], queue_pkts);
-                        }
-                        hop.queue.enqueue(now, id, &mut self.arena) == Enqueue::Queued
-                    };
+                    self.stamp_epoch(id);
+                    // The entry hop takes the send even while its link is
+                    // down: the packet buffers there until recovery.
+                    let admitted = self.offer(entry_hop, id);
                     let cold = self.flows.cold_mut(i);
                     cold.transport.on_sent(now, seq, retransmit);
                     if !retransmit {
@@ -650,19 +665,16 @@ impl Simulator {
         if self.hops[h].busy || self.hops[h].down {
             return;
         }
-        let now = self.now;
-        let Some(id) = self.hops[h].queue.dequeue(now, &mut self.arena) else {
+        let Some(id) = self.dequeue(h) else {
             return;
         };
         self.hops[h].busy = true;
-        let service = self.service_for(h, self.arena[id].size);
-        self.account_departure(h, id, now);
-        self.schedule(now + service, Ev::LinkReady(h));
-        self.forward(h, id, now + service);
+        let done = self.now + self.service_for(h, self.arena[id].size);
+        self.schedule(done, Ev::LinkReady(h));
+        self.forward(h, id, done);
     }
 
     fn on_trace_slot(&mut self, h: usize) {
-        let now = self.now;
         // Chain the next opportunity first: slots fire in schedule order,
         // so the walk's next step is the one after this slot.
         let hop = &mut self.hops[h];
@@ -673,22 +685,23 @@ impl Simulator {
         if self.hops[h].down {
             return; // a down trace link still chains slots, delivers nothing
         }
-        let Some(id) = self.hops[h].queue.dequeue(now, &mut self.arena) else {
-            return;
-        };
-        self.account_departure(h, id, now);
-        self.forward(h, id, now);
+        if let Some(id) = self.dequeue(h) {
+            self.forward(h, id, self.now);
+        }
     }
 
-    /// Shared metrics/router bookkeeping when a packet leaves a hop's
-    /// queue: accumulate its queueing wait (data packets record the
-    /// end-to-end sum once, at the final hop of their forward path — on
-    /// the dumbbell that is the only hop, so the sample is exactly
-    /// the bottleneck wait), run the router's departure hook, and count
-    /// it as forwarded when it is data completing its queue path. ACKs on
-    /// a queued return path are not data: their waits surface in the RTT
-    /// the sender measures, not in the flow's queueing-delay metric.
-    fn account_departure(&mut self, h: usize, id: PacketId, now: Ns) {
+    /// Take hop `h`'s head packet off its queue, with the departure's
+    /// metrics/router bookkeeping done: accumulate its queueing wait (data
+    /// packets record the end-to-end sum once, at the final hop of their
+    /// forward path — on the dumbbell that is the only hop, so the sample
+    /// is exactly the bottleneck wait), run the router's departure hook,
+    /// and count it as forwarded when it is data completing its queue
+    /// path. ACKs on a queued return path are not data: their waits
+    /// surface in the RTT the sender measures, not in the flow's
+    /// queueing-delay metric.
+    fn dequeue(&mut self, h: usize) -> Option<PacketId> {
+        let now = self.now;
+        let id = self.hops[h].queue.dequeue(now, &mut self.arena)?;
         let (flow, is_data, path_pos, queue_wait) = {
             let p = &mut self.arena[id];
             let wait = now.saturating_sub(p.enqueued_at);
@@ -713,6 +726,65 @@ impl Simulator {
         if let Some(r) = hop.router.as_mut() {
             r.on_departure(now, &mut self.arena[id], queue_pkts);
         }
+        Some(id)
+    }
+
+    // --- the per-packet rules, each said once ----------------------------
+
+    /// The table index of `flow`, the flow of packet `id`; `None` when the
+    /// flow tore down while the packet was in flight, and then the packet
+    /// is freed.
+    #[inline]
+    fn live_flow(&mut self, id: PacketId, flow: FlowId) -> Option<usize> {
+        let fi = self.flows.index_of(flow);
+        if fi.is_none() {
+            self.arena.free(id);
+        }
+        fi
+    }
+
+    /// Stamp a packet entering the network with the current routing epoch
+    /// (graph topologies only).
+    fn stamp_epoch(&mut self, id: PacketId) {
+        if let Some(net) = &self.net {
+            self.arena[id].route_epoch = net.epoch;
+        }
+    }
+
+    /// Offer packet `id` to hop `h`: the hop's router hook sees it, then
+    /// its queue takes or drops it. True when it was queued.
+    #[inline]
+    fn offer(&mut self, h: usize, id: PacketId) -> bool {
+        let now = self.now;
+        let hop = &mut self.hops[h];
+        let queue_pkts = hop.queue.len();
+        if let Some(r) = hop.router.as_mut() {
+            r.on_arrival(now, &mut self.arena[id], queue_pkts);
+        }
+        hop.queue.enqueue(now, id, &mut self.arena) == Enqueue::Queued
+    }
+
+    /// Launch packet `id` toward hop `next`, position `pos` of its path,
+    /// arriving at `at`.
+    fn launch(&mut self, id: PacketId, pos: usize, next: usize, at: Ns) {
+        let p = &mut self.arena[id];
+        p.path_pos = pos;
+        p.next_hop = next as u32;
+        self.schedule(at, Ev::HopArrive(id));
+    }
+
+    /// Packet `id` (of flow `fi`) leaves its path's last hop at `depart`:
+    /// the flow's edge delay carries data to its receiver and an ACK to
+    /// its sender.
+    fn exit_path(&mut self, id: PacketId, fi: usize, is_ack: bool, depart: Ns) {
+        let hot = self.flows.hot(fi);
+        if is_ack {
+            let at = depart + hot.back_delay;
+            self.schedule(at, Ev::AckArrive(id));
+        } else {
+            let at = depart + hot.fwd_delay;
+            self.schedule(at, Ev::Deliver(id));
+        }
     }
 
     /// Route a packet leaving hop `h` at time `depart`: to the next hop on
@@ -722,160 +794,94 @@ impl Simulator {
     /// path was rewritten while it was on the wire) re-resolves at the
     /// router it is arriving at instead of blindly walking the old path.
     fn forward(&mut self, h: usize, id: PacketId, depart: Ns) {
-        let (flow, is_ack, path_pos) = {
-            let p = &self.arena[id];
-            (p.flow, p.ack.is_some(), p.path_pos)
-        };
-        let Some(fi) = self.flows.index_of(flow) else {
-            // Connection closed while the packet was in flight: drop it.
-            self.arena.free(id);
+        let p = &self.arena[id];
+        let (flow, is_ack, pos, epoch) = (p.flow, p.ack.is_some(), p.path_pos + 1, p.route_epoch);
+        let Some(fi) = self.live_flow(id, flow) else {
             return;
         };
         if let Some(net) = &self.net {
-            if self.arena[id].route_epoch != net.epoch {
+            if epoch != net.epoch {
                 // The packet has already been launched across hop `h`'s
                 // wire: it lands at `h`'s downstream router, then rejoins
                 // its flow's *current* path from there.
-                let r = net.graph.links[h].dst;
-                let prop_out = self.hops[h].prop_delay_out;
-                self.reroute_at(id, fi, is_ack, r, depart, prop_out);
+                self.reroute_at(id, fi, h, LinkEnd::Dst, depart);
                 return;
             }
         }
         let hot = self.flows.hot(fi);
-        let path_len = if is_ack {
-            hot.ack_len as usize
-        } else {
-            hot.fwd_len as usize
-        };
-        if path_pos + 1 < path_len {
-            let next = {
-                let cold = self.flows.cold(fi);
-                let pos = path_pos + 1;
-                if is_ack {
-                    cold.ack_hops[pos]
-                } else {
-                    cold.fwd_hops[pos]
-                }
+        let path_len = if is_ack { hot.ack_len } else { hot.fwd_len };
+        if pos < path_len as usize {
+            let cold = self.flows.cold(fi);
+            let next = if is_ack {
+                cold.ack_hops[pos]
+            } else {
+                cold.fwd_hops[pos]
             };
-            {
-                let p = &mut self.arena[id];
-                p.path_pos += 1;
-                p.next_hop = next as u32;
-            }
             let at = depart + self.hops[h].prop_delay_out;
-            self.schedule(at, Ev::HopArrive(id));
-        } else if is_ack {
-            let at = depart + hot.back_delay;
-            self.schedule(at, Ev::AckArrive(id));
+            self.launch(id, pos, next, at);
         } else {
-            let at = depart + hot.fwd_delay;
-            self.schedule(at, Ev::Deliver(id));
+            self.exit_path(id, fi, is_ack, depart);
         }
     }
 
-    /// A packet arrives at the hop stamped into it at forward time: run
-    /// the hop's router hook, enqueue, and start service if the link is
-    /// idle. The hop index was resolved when the packet departed the
-    /// previous hop, so a path rewrite mid-propagation cannot retarget a
-    /// packet already on the wire (it re-resolves at its next router
-    /// instead, via the epoch check in [`Simulator::forward`]).
+    /// A packet arrives at the hop stamped into it at forward time. The
+    /// hop index was resolved when the packet departed the previous hop,
+    /// so a path rewrite mid-propagation cannot retarget a packet already
+    /// on the wire (it re-resolves at its next router instead, via the
+    /// epoch check in [`Simulator::forward`]).
     fn on_hop_arrive(&mut self, id: PacketId) {
-        let flow = self.arena[id].flow;
-        if self.flows.index_of(flow).is_none() {
-            self.arena.free(id);
+        let p = &self.arena[id];
+        let (flow, h) = (p.flow, p.next_hop as usize);
+        let Some(fi) = self.live_flow(id, flow) else {
             return;
-        }
-        let h = self.arena[id].next_hop as usize;
-        self.admit(h, id);
+        };
+        self.admit(h, id, fi);
     }
 
-    fn admit(&mut self, h: usize, id: PacketId) {
+    /// Packet `id` of flow `fi` arrives at hop `h`: offer it to the hop
+    /// and start service if the link is idle — or, when the link is down,
+    /// re-resolve it from the link's source router.
+    fn admit(&mut self, h: usize, id: PacketId, fi: usize) {
         if self.hops[h].down {
-            // The packet arrived at a failed link: re-resolve from the
-            // link's source router under the failover policy.
-            let (flow, is_ack) = {
-                let p = &self.arena[id];
-                (p.flow, p.ack.is_some())
-            };
-            let Some(fi) = self.flows.index_of(flow) else {
-                self.arena.free(id);
-                return;
-            };
-            let Some(net) = &self.net else {
-                // A hop can only be down with a graph topology; tolerate
-                // by dropping the packet.
-                debug_assert!(false, "down hop without graph state");
-                self.arena.free(id);
-                return;
-            };
-            let r = net.graph.links[h].src;
-            let now = self.now;
-            self.reroute_at(id, fi, is_ack, r, now, Ns::ZERO);
-            return;
-        }
-        let now = self.now;
-        let admitted = {
-            let hop = &mut self.hops[h];
-            let queue_pkts = hop.queue.len();
-            if let Some(r) = hop.router.as_mut() {
-                r.on_arrival(now, &mut self.arena[id], queue_pkts);
-            }
-            hop.queue.enqueue(now, id, &mut self.arena) == Enqueue::Queued
-        };
-        if admitted {
+            self.reroute_at(id, fi, h, LinkEnd::Src, self.now);
+        } else if self.offer(h, id) {
             self.start_service_if_possible(h);
         }
     }
 
     /// Re-join packet `id` (of flow `fi`) to its flow's current path from
-    /// router `r`: if `r` is the packet's terminal router it completes
-    /// (delivery or ACK arrival) after the flow's edge delay; if the
-    /// current path passes through `r` on an alive link, the
+    /// one end of link `link`: if that router is the packet's terminal
+    /// router it completes (delivery or ACK arrival) after the flow's edge
+    /// delay; if the current path passes through it on an alive link, the
     /// packet adopts that position and the current epoch; otherwise it is
-    /// stranded (no alive on-path link leaves `r`) and is dropped — the
-    /// transport recovers by RTO exactly as it does from a queue drop.
-    fn reroute_at(
-        &mut self,
-        id: PacketId,
-        fi: usize,
-        is_ack: bool,
-        r: u32,
-        depart: Ns,
-        prop_out: Ns,
-    ) {
+    /// stranded (no alive on-path link leaves the router) and is dropped —
+    /// the transport recovers by RTO exactly as it does from a queue drop.
+    fn reroute_at(&mut self, id: PacketId, fi: usize, link: usize, end: LinkEnd, depart: Ns) {
         let Some(net) = &self.net else {
             debug_assert!(false, "reroute without graph state");
             self.arena.free(id);
             return;
         };
-        let hot = self.flows.hot(fi);
-        let cold = self.flows.cold(fi);
+        let is_ack = self.arena[id].ack.is_some();
+        let (r, prop_out) = match end {
+            LinkEnd::Src => (net.graph.links[link].src, Ns::ZERO),
+            LinkEnd::Dst => (net.graph.links[link].dst, self.hops[link].prop_delay_out),
+        };
         // Terminal router of this packet's direction of travel (churn
         // flows never run on graph topologies, so a missing pair just
         // strands the packet below).
-        let terminal = match net.graph.flows.get(fi).copied() {
-            Some((s, d)) => {
-                if is_ack {
-                    s
-                } else {
-                    d
-                }
-            }
-            None => u32::MAX,
-        };
+        let terminal = net
+            .graph
+            .flows
+            .get(fi)
+            .map_or(u32::MAX, |&(s, d)| if is_ack { s } else { d });
         if r == terminal {
             // Mirror normal final-hop semantics: the flow's edge delay
             // substitutes for the last wire's propagation.
-            if is_ack {
-                let at = depart + hot.back_delay;
-                self.schedule(at, Ev::AckArrive(id));
-            } else {
-                let at = depart + hot.fwd_delay;
-                self.schedule(at, Ev::Deliver(id));
-            }
+            self.exit_path(id, fi, is_ack, depart);
             return;
         }
+        let cold = self.flows.cold(fi);
         let path = if is_ack {
             &cold.ack_hops
         } else {
@@ -883,24 +889,17 @@ impl Simulator {
         };
         let rejoin = path
             .iter()
-            .position(|&l| net.graph.links[l].src == r && !self.hops[l].down);
-        match rejoin {
-            Some(j) => {
-                let epoch = net.epoch;
-                let next = path[j];
-                let p = &mut self.arena[id];
-                p.path_pos = j;
-                p.route_epoch = epoch;
-                p.next_hop = next as u32;
-                let at = depart + prop_out;
-                self.schedule(at, Ev::HopArrive(id));
-            }
-            None => {
-                // Stranded: no alive on-path link leaves this router.
-                self.arena.free(id);
-                if let Some(net) = self.net.as_mut() {
-                    net.failover_drops += 1;
-                }
+            .position(|&l| net.graph.links[l].src == r && !self.hops[l].down)
+            .map(|j| (j, path[j]));
+        let epoch = net.epoch;
+        if let Some((j, next)) = rejoin {
+            self.arena[id].route_epoch = epoch;
+            self.launch(id, j, next, depart + prop_out);
+        } else {
+            // Stranded: no alive on-path link leaves this router.
+            self.arena.free(id);
+            if let Some(net) = self.net.as_mut() {
+                net.failover_drops += 1;
             }
         }
     }
@@ -928,7 +927,6 @@ impl Simulator {
         // the borrow of `net` must end before we touch flows.
         let down: Vec<bool> = self.hops.iter().map(|hop| hop.down).collect();
         let tables = net.graph.forwarding_to(&net.dests, &down);
-        let src = net.graph.links[h].src;
         let mut new_paths: Vec<(usize, Vec<usize>, Vec<usize>)> = Vec::new();
         for fi in 0..net.graph.flows.len() {
             let (s, d) = net.graph.flows[fi];
@@ -970,17 +968,12 @@ impl Simulator {
                 stranded.push(id);
             }
             for id in stranded {
-                let (flow, is_ack) = {
-                    let p = &mut self.arena[id];
-                    let wait = now.saturating_sub(p.enqueued_at);
-                    p.queue_wait += wait;
-                    (p.flow, p.ack.is_some())
-                };
-                let Some(fi) = self.flows.index_of(flow) else {
-                    self.arena.free(id);
-                    continue;
-                };
-                self.reroute_at(id, fi, is_ack, src, now, Ns::ZERO);
+                let p = &mut self.arena[id];
+                p.queue_wait += now.saturating_sub(p.enqueued_at);
+                let flow = p.flow;
+                if let Some(fi) = self.live_flow(id, flow) {
+                    self.reroute_at(id, fi, h, LinkEnd::Src, now);
+                }
             }
         }
     }
@@ -998,8 +991,7 @@ impl Simulator {
                 p.xcp.map(|h| h.feedback),
             )
         };
-        let Some(i) = self.flows.index_of(flow) else {
-            self.arena.free(id);
+        let Some(i) = self.live_flow(id, flow) else {
             return;
         };
         let (hot, cold) = self.flows.pair_mut(i);
@@ -1031,23 +1023,19 @@ impl Simulator {
             xcp_feedback,
             new_data,
         };
+        // The delivered packet's slot is recycled in place to carry the
+        // ACK home — no allocation on the ACK path.
         if hot.ack_len == 0 {
-            // Legacy pure-delay return path: never queued, never dropped.
-            // The delivered packet's slot is recycled in place to carry
-            // the ACK home — no allocation on the ACK path.
-            let at = now + hot.back_delay;
+            // Pure-delay return path: never queued, never dropped.
             self.arena[id].ack = Some(ack);
-            self.schedule(at, Ev::AckArrive(id));
+            self.exit_path(id, i, true, now);
         } else {
-            // Queued return path: the ACK becomes a 40-byte packet (in the
-            // same slot) and takes its chances in the reverse-direction
-            // hops.
+            // Queued return path: the ACK becomes a 40-byte packet and
+            // takes its chances in the reverse-direction hops.
             let entry_hop = cold.ack_hops[0];
             self.arena[id] = Packet::carrying_ack(ack, now);
-            if let Some(net) = &self.net {
-                self.arena[id].route_epoch = net.epoch;
-            }
-            self.admit(entry_hop, id);
+            self.stamp_epoch(id);
+            self.admit(entry_hop, id, i);
         }
     }
 
@@ -1199,10 +1187,10 @@ impl Simulator {
             (gap, bytes, c.spec.rtt, c.spawned)
         };
         self.schedule(now + Ns::from_secs_f64(gap), Ev::Spawn);
-        let half = Ns(rtt.0 / 2);
+        let (fwd_delay, back_delay) = split_rtt(rtt);
         let hot = FlowHot {
-            fwd_delay: half,
-            back_delay: rtt.saturating_sub(half),
+            fwd_delay,
+            back_delay,
             entry_hop: 0,
             fwd_len: 1,
             ack_len: 0,
@@ -1250,6 +1238,13 @@ impl Simulator {
         self.cover_rto_deadline(i);
         self.try_send(i);
     }
+}
+
+/// A flow's round-trip propagation split into its forward and return
+/// legs; an odd nanosecond rides the return.
+fn split_rtt(rtt: Ns) -> (Ns, Ns) {
+    let half = Ns(rtt.0 / 2);
+    (half, rtt - half)
 }
 
 /// Convenience: run `scenario` with one factory-built controller per
@@ -1537,6 +1532,22 @@ mod tests {
     }
 
     #[test]
+    fn an_odd_rtt_puts_its_extra_nanosecond_on_the_return_leg() {
+        // Data reaches the receiver the forward half after its departure;
+        // the ACK takes the rest of the RTT back.
+        let mut s = saturating_scenario(1, 10.0, 100);
+        s.senders[0].rtt = Ns(100_000_001);
+        s.duration = Ns::from_millis(150);
+        s.record_deliveries = true;
+        let ccs: Vec<Box<dyn CongestionControl>> = vec![Box::new(FixedWindow::new(1.0))];
+        let r = Simulator::new(&s, ccs, None).run();
+        let departs = service_time(s.mss, 10.0);
+        assert_eq!(r.deliveries[0].at, departs + Ns(50_000_000));
+        let rtt = departs + Ns(100_000_001);
+        assert_eq!(r.flows[0].mean_rtt_ms, rtt.as_secs_f64() * 1e3);
+    }
+
+    #[test]
     fn arena_slots_are_recycled_not_grown() {
         // A long saturating run keeps a bounded in-flight population:
         // the arena must stabilize at that population, not grow with the
@@ -1594,6 +1605,29 @@ mod tests {
             .collect();
         Simulator::with_scheduler(s, ccs, None, kind)
             .with_churn_cc(Box::new(|_| Box::new(FixedWindow::new(10.0))))
+    }
+
+    #[test]
+    fn a_packet_whose_flow_tore_down_is_freed_where_it_lands() {
+        // A retired churn flow leaves its handle stale. A departure, a hop
+        // arrival and a delivery of one of its packets each hand the
+        // packet's slot back instead of leaking it.
+        let s = churn_scenario(200.0, 1, 3);
+        let mut sim = churn_sim(&s, SchedulerKind::Wheel);
+        sim.on_spawn();
+        let flow = sim.flows.id_at(s.n());
+        sim.flows.free(flow);
+        let live = sim.arena.live();
+        let stale = |sim: &mut Simulator| sim.arena.alloc(Packet::data(flow, 0, s.mss, Ns::ZERO));
+        let id = stale(&mut sim);
+        sim.forward(0, id, Ns::ZERO);
+        assert_eq!(sim.arena.live(), live, "forward");
+        let id = stale(&mut sim);
+        sim.on_hop_arrive(id);
+        assert_eq!(sim.arena.live(), live, "hop arrival");
+        let id = stale(&mut sim);
+        sim.on_deliver(id);
+        assert_eq!(sim.arena.live(), live, "delivery");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::experiment::{CellResult, Experiment};
 use crate::harness::Contender;
 use crate::report::{budget_title, col, label_col, Col, ExperimentReport, Field, Table};
 use crate::spec::{Budget, ExperimentSpec, LinkEventSpec, SweepAxis, TopologySpec};
+use netsim::packet::MSS;
 use netsim::rng::SimRng;
 use netsim::sim::Simulator;
 use netsim::stats::{mean, median, quantile, std_dev, std_err};
@@ -276,19 +277,7 @@ fn run_lte_trace(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
     let mut rep = results.report();
     let link = spec.workload.link.resolve()?;
-    // Take the MSS from an actually-expanded scenario rather than
-    // duplicating the spec layer's default here.
     let window = spec.budget.duration();
-    let mss = spec
-        .workload
-        .scenario(
-            netsim::queue::QueueSpec::DropTail {
-                capacity: spec.workload.queue_capacity,
-            },
-            window,
-            spec.seed,
-        )?
-        .mss;
     let utils: Vec<f64> = results
         .cells
         .iter()
@@ -302,7 +291,7 @@ fn run_lte_trace(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
                         duration: window,
                         ..Default::default()
                     };
-                    r.utilization_of(&link, mss)
+                    r.utilization_of(&link, MSS)
                 })
                 .collect();
             mean(&per_run)

@@ -19,6 +19,7 @@ use crate::harness::Contender;
 use congestion::Scheme;
 use netsim::json::{self, Codec, Plain, Reader, Record, Value, Wire, WireError};
 use netsim::link::LinkSpec;
+use netsim::packet::MSS;
 use netsim::queue::QueueSpec;
 use netsim::rng::SimRng;
 use netsim::scenario::{ChurnSpec, Scenario, SenderConfig};
@@ -455,6 +456,16 @@ impl TopologySpec {
     }
 }
 
+/// A workload resolved up to the queue discipline, which each contender
+/// brings: what every contender and run at one sweep point share. A trace
+/// link's schedule is shared by every scenario built from it.
+enum Routed {
+    /// The dumbbell's bottleneck link.
+    Dumbbell(LinkSpec),
+    /// The topology, routed.
+    Topology(RoutedTopology),
+}
+
 /// A [`TopologySpec`] resolved up to the queue discipline, which each
 /// contender brings: what every contender and run at one sweep point
 /// share. The routing graph inside is shared by every topology
@@ -595,13 +606,14 @@ impl WorkloadSpec {
     /// workloads re-apply the discipline per hop at each hop's own
     /// capacity).
     pub fn scenario(&self, queue: QueueSpec, duration: Ns, seed: u64) -> Result<Scenario, String> {
-        let routed = self.route()?;
-        self.scenario_on(routed.as_ref(), queue, duration, seed)
+        self.scenario_on(&self.route()?, queue, duration, seed)
     }
 
-    /// The checks and the routing every scenario of this workload shares:
-    /// a non-empty, valid sender list, and the topology (if any) routed.
-    fn route(&self) -> Result<Option<RoutedTopology>, String> {
+    /// The checks and the resolving every scenario of this workload
+    /// shares: a non-empty, valid sender list, and the dumbbell's link
+    /// resolved (a named trace is generated here, once) or the topology
+    /// routed.
+    fn route(&self) -> Result<Routed, String> {
         if self.senders.is_empty() {
             return Err("workload has no senders".to_string());
         }
@@ -609,24 +621,27 @@ impl WorkloadSpec {
         for s in &self.senders {
             s.traffic.validate()?;
         }
-        self.topology.as_ref().map(TopologySpec::route).transpose()
+        Ok(match &self.topology {
+            None => Routed::Dumbbell(self.link.resolve()?),
+            Some(t) => Routed::Topology(t.route()?),
+        })
     }
 
-    /// [`WorkloadSpec::scenario`] over the topology [`WorkloadSpec::route`]
+    /// [`WorkloadSpec::scenario`] over what [`WorkloadSpec::route`]
     /// returned.
     fn scenario_on(
         &self,
-        routed: Option<&RoutedTopology>,
+        routed: &Routed,
         queue: QueueSpec,
         duration: Ns,
         seed: u64,
     ) -> Result<Scenario, String> {
         let (link, queue, topology) = match routed {
-            None => {
+            Routed::Dumbbell(link) => {
                 queue.validate()?;
-                (self.link.resolve()?, queue, None)
+                (link.clone(), queue, None)
             }
-            Some(t) => {
+            Routed::Topology(t) => {
                 let topo = t.with_discipline(&queue);
                 topo.validate(self.senders.len())?;
                 // link/queue mirror hop 0 (single-hop inspection code and
@@ -642,7 +657,7 @@ impl WorkloadSpec {
             link,
             queue,
             senders: self.senders.clone(),
-            mss: 1500,
+            mss: MSS,
             duration,
             seed,
             record_deliveries: self.record_deliveries,
@@ -967,13 +982,14 @@ impl SweepPoint {
 }
 
 /// One sweep point resolved for every contender that runs at it: the
-/// workload there, its loss rate and seed, and its topology routed once.
+/// workload there, its loss rate and seed, and its link or topology
+/// resolved once.
 pub(crate) struct PointSetup<'a> {
     budget: Budget,
     workload: Cow<'a, WorkloadSpec>,
     loss: Option<f64>,
     seed: u64,
-    topology: Option<RoutedTopology>,
+    routed: Routed,
 }
 
 impl PointSetup<'_> {
@@ -993,7 +1009,7 @@ impl PointSetup<'_> {
                     },
                     None => contender.queue_spec(wl.queue_capacity),
                 };
-                wl.scenario_on(self.topology.as_ref(), queue, duration, run_seed)
+                wl.scenario_on(&self.routed, queue, duration, run_seed)
             })
             .collect()
     }
@@ -1101,20 +1117,20 @@ impl ExperimentSpec {
     }
 
     /// Resolve sweep point `point_index` once for every contender: its
-    /// workload, loss rate and seed, and its topology routed.
+    /// workload, loss rate and seed, and its link or topology.
     pub(crate) fn point_setup(
         &self,
         point_index: usize,
         point: &SweepPoint,
     ) -> Result<PointSetup<'_>, String> {
         let (workload, loss) = self.workload_at(point)?;
-        let topology = workload.route()?;
+        let routed = workload.route()?;
         Ok(PointSetup {
             budget: self.budget,
             workload,
             loss,
             seed: self.point_seed(point_index),
-            topology,
+            routed,
         })
     }
 

@@ -22,6 +22,7 @@
 //! Fig. 9).
 
 use netsim::link::DeliverySchedule;
+use netsim::packet::MSS;
 use netsim::rng::SimRng;
 use netsim::time::Ns;
 
@@ -43,8 +44,6 @@ pub struct LteModel {
     /// Rate multiplier during an outage (near zero, not exactly zero, so
     /// queues drain eventually).
     pub outage_factor: f64,
-    /// Packet size the schedule is expressed in, bytes.
-    pub mss: u32,
     /// Rate-update step, seconds.
     pub dt: f64,
 }
@@ -62,7 +61,6 @@ impl LteModel {
             outage_rate: 0.05,
             outage_mean_s: 1.5,
             outage_factor: 0.02,
-            mss: 1500,
             dt: 0.02,
         }
     }
@@ -79,7 +77,6 @@ impl LteModel {
             outage_rate: 0.04,
             outage_mean_s: 2.5,
             outage_factor: 0.02,
-            mss: 1500,
             dt: 0.02,
         }
     }
@@ -96,8 +93,9 @@ impl LteModel {
         // every published cellular schedule.
         let mut rng = SimRng::new(seed ^ 0x17E_CE11);
         let dur_s = duration.as_secs_f64();
-        let mean_pps = self.mean_mbps * 1e6 / 8.0 / self.mss as f64;
-        let max_pps = self.max_mbps * 1e6 / 8.0 / self.mss as f64;
+        // The schedule is expressed in MSS-sized packets.
+        let mean_pps = self.mean_mbps * 1e6 / 8.0 / f64::from(MSS);
+        let max_pps = self.max_mbps * 1e6 / 8.0 / f64::from(MSS);
         let mu = mean_pps.ln();
 
         let mut log_rate = mu + self.volatility * rng.normal() * 0.5;
@@ -184,7 +182,7 @@ mod tests {
     #[test]
     fn verizon_mean_rate_in_ballpark() {
         let s = LteModel::verizon_like().generate(7, Ns::from_secs(60));
-        let mbps = s.len() as f64 * 1500.0 * 8.0 / 60.0 / 1e6;
+        let mbps = s.len() as f64 * f64::from(MSS) * 8.0 / 60.0 / 1e6;
         assert!(
             (6.0..25.0).contains(&mbps),
             "verizon-like long-run rate {mbps} Mbps"

@@ -7,6 +7,7 @@ use remy_sim::experiments;
 use remy_sim::prelude::*;
 use std::path::Path;
 use std::process::Command;
+use std::sync::Arc;
 
 /// The committed spec for Fig. 4 (`every_embedded_spec_is_canonical_and_named_for_its_entry`
 /// holds all 21 files to the canonical form).
@@ -807,12 +808,14 @@ fn expanded_scenarios_equal_resolving_every_run_alone() {
     // contender's discipline to the routed hops; resolving each run's
     // workload from scratch must give the same scenario, graph included.
     // A loss point's lossy queue carries a per-run seed, forked per hop.
+    // A named trace link is generated once per point too: every scenario
+    // there shares one schedule, equal to the one a lone scenario builds.
     let lossy = |name: &str| {
         let mut spec = ExperimentSpec::from_json(&golden(name)).expect("golden parses");
         spec.sweeps = vec![SweepAxis::LossRate(vec![0.0, 0.01])];
         spec
     };
-    for (name, mut spec, points) in ["fattree_k4_crosstraffic", "failover_chain"]
+    for (name, mut spec, points) in ["fattree_k4_crosstraffic", "failover_chain", "fig7"]
         .map(|name| (name, ExperimentSpec::from_json(&golden(name)).unwrap(), 1))
         .into_iter()
         .chain([(
@@ -824,6 +827,7 @@ fn expanded_scenarios_equal_resolving_every_run_alone() {
         spec.budget.runs = 3;
         let cells = spec.expand().expect("expands");
         assert_eq!(cells.len(), points * spec.contenders.len(), "{name}");
+        let mut schedules: Vec<Option<Arc<DeliverySchedule>>> = vec![None; points];
         for cell in &cells {
             let (wl, loss) = spec.workload_at(&cell.point).expect("point");
             let point_seed = spec.point_seed(cell.point_index);
@@ -841,24 +845,67 @@ fn expanded_scenarios_equal_resolving_every_run_alone() {
                 let alone = wl
                     .scenario(queue, spec.budget.duration(), run_seed)
                     .expect("resolves");
-                let (a, b) = (
-                    expanded.topology.as_ref().expect("topology"),
-                    alone.topology.as_ref().expect("topology"),
-                );
-                assert_eq!(a.paths, b.paths, "{name} run {k}: paths");
                 assert_eq!(
-                    format!("{:?}", a.hops),
-                    format!("{:?}", b.hops),
-                    "{name} run {k}: hops"
+                    expanded.topology.is_some(),
+                    name != "fig7",
+                    "{name} run {k}: topology"
                 );
-                assert!(a.graph().is_some(), "{name}: routed on a graph");
-                assert_eq!(a.graph(), b.graph(), "{name} run {k}: graph");
+                if let Some(a) = &expanded.topology {
+                    let b = alone.topology.as_ref().expect("topology");
+                    assert_eq!(a.paths, b.paths, "{name} run {k}: paths");
+                    assert_eq!(
+                        format!("{:?}", a.hops),
+                        format!("{:?}", b.hops),
+                        "{name} run {k}: hops"
+                    );
+                    assert!(a.graph().is_some(), "{name}: routed on a graph");
+                    assert_eq!(a.graph(), b.graph(), "{name} run {k}: graph");
+                }
+                match (&expanded.link, &alone.link) {
+                    (
+                        LinkSpec::Trace {
+                            schedule: a,
+                            name: trace,
+                        },
+                        LinkSpec::Trace {
+                            schedule: b,
+                            name: alone_trace,
+                        },
+                    ) => {
+                        assert_eq!(trace, alone_trace, "{name} run {k}: trace name");
+                        let shared = schedules[cell.point_index].get_or_insert_with(|| {
+                            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{name}: schedule");
+                            Arc::clone(a)
+                        });
+                        assert!(
+                            Arc::ptr_eq(shared, a),
+                            "{name} run {k}: the point's scenarios share one schedule"
+                        );
+                    }
+                    (LinkSpec::Constant { .. }, LinkSpec::Constant { .. }) => {}
+                    _ => panic!("{name} run {k}: the link kinds differ"),
+                }
+                // Everything else prints alike (a trace link, compared
+                // above, is not printed once per run).
+                let unlinked = |s: &Scenario| match s.link {
+                    LinkSpec::Trace { .. } => Scenario {
+                        link: LinkSpec::constant(1.0),
+                        ..s.clone()
+                    },
+                    LinkSpec::Constant { .. } => s.clone(),
+                };
                 assert_eq!(
-                    format!("{expanded:?}"),
-                    format!("{alone:?}"),
+                    format!("{:?}", unlinked(expanded)),
+                    format!("{:?}", unlinked(&alone)),
                     "{name} run {k}"
                 );
             }
+        }
+        if name == "fig7" {
+            assert!(
+                schedules.iter().all(Option::is_some),
+                "{name}: a trace link"
+            );
         }
     }
 }

@@ -57,19 +57,21 @@ fn allow_report_lists_every_directive_with_justification() {
         .expect("workspace root resolves");
     let entries = remy_lint::allow_report(&root).expect("allow report builds");
     // The inventory's size, worked out apart from the collector: the
-    // comment tokens that open with a directive, over the files the
-    // report scans. A collector that drops or invents entries fails here
-    // whatever the tree's count is.
+    // comment tokens that open with a directive once their one comment
+    // opener is stripped (a doc line quoting `// lint:allow(…)` is prose),
+    // over the files the report scans. A collector that drops or invents
+    // entries fails here whatever the tree's count is.
+    let opens_with_directive = |text: &str| {
+        ["///", "//!", "//", "/**", "/*!", "/*"]
+            .iter()
+            .find_map(|opener| text.strip_prefix(opener))
+            .is_some_and(|body| body.trim_start().starts_with("lint:allow("))
+    };
     let files = remy_lint::read_workspace_files(&root).expect("workspace walk succeeds");
     let directives = files
         .iter()
         .flat_map(|(_, text)| remy_lint::lexer::lex(text))
-        .filter(|t| {
-            t.kind == TokKind::Comment
-                && t.text
-                    .trim_start_matches(['/', '!', '*', ' ', '\t'])
-                    .starts_with("lint:allow(")
-        })
+        .filter(|t| t.kind == TokKind::Comment && opens_with_directive(&t.text))
         .count();
     assert_eq!(
         entries.len(),
