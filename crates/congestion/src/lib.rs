@@ -163,20 +163,21 @@ mod closed_loop_tests {
         Simulator::new(&scenario, ccs, router).run()
     }
 
+    /// Utilization of `run_scheme`'s 15 Mbps link.
+    fn util(r: &SimResults) -> f64 {
+        r.utilization(&LinkSpec::constant(15.0), 1500)
+    }
+
     #[test]
     fn newreno_fills_a_15mbps_link() {
         let r = run_scheme(Scheme::NewReno, 1, 60, 1);
-        assert!(
-            r.utilization(15.0) > 0.85,
-            "NewReno utilization {}",
-            r.utilization(15.0)
-        );
+        assert!(util(&r) > 0.85, "NewReno utilization {}", util(&r));
     }
 
     #[test]
     fn cubic_fills_the_link_and_bloats_the_queue() {
         let r = run_scheme(Scheme::Cubic, 1, 60, 1);
-        assert!(r.utilization(15.0) > 0.9, "util {}", r.utilization(15.0));
+        assert!(util(&r) > 0.9, "util {}", util(&r));
         // Cubic over a 1000-packet DropTail runs the buffer high.
         assert!(
             r.flows[0].mean_queue_delay_ms > 50.0,
@@ -188,7 +189,7 @@ mod closed_loop_tests {
     #[test]
     fn vegas_keeps_delay_low() {
         let r = run_scheme(Scheme::Vegas, 1, 60, 1);
-        assert!(r.utilization(15.0) > 0.7, "util {}", r.utilization(15.0));
+        assert!(util(&r) > 0.7, "util {}", util(&r));
         assert!(
             r.flows[0].mean_queue_delay_ms < 20.0,
             "Vegas queueing delay {} ms should stay near the α/β band",
@@ -221,13 +222,13 @@ mod closed_loop_tests {
     #[test]
     fn compound_fills_the_link() {
         let r = run_scheme(Scheme::Compound, 1, 60, 1);
-        assert!(r.utilization(15.0) > 0.85, "util {}", r.utilization(15.0));
+        assert!(util(&r) > 0.85, "util {}", util(&r));
     }
 
     #[test]
     fn dctcp_fills_link_with_shallow_queue() {
         let r = run_scheme(Scheme::Dctcp { mark_threshold: 20 }, 2, 60, 1);
-        assert!(r.utilization(15.0) > 0.8, "util {}", r.utilization(15.0));
+        assert!(util(&r) > 0.8, "util {}", util(&r));
         let d = netsim::stats::mean(
             &r.flows
                 .iter()
@@ -240,11 +241,7 @@ mod closed_loop_tests {
     #[test]
     fn xcp_reaches_high_utilization_with_modest_queue() {
         let r = run_scheme(Scheme::Xcp, 2, 60, 1);
-        assert!(
-            r.utilization(15.0) > 0.75,
-            "XCP utilization {}",
-            r.utilization(15.0)
-        );
+        assert!(util(&r) > 0.75, "XCP utilization {}", util(&r));
         let d = netsim::stats::mean(
             &r.flows
                 .iter()

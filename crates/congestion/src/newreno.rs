@@ -18,16 +18,24 @@ pub const MIN_SSTHRESH: f64 = 2.0;
 /// NewReno congestion control.
 #[derive(Clone, Debug)]
 pub struct NewReno {
-    cwnd: f64,
-    ssthresh: f64,
+    pub(crate) cwnd: f64,
+    pub(crate) ssthresh: f64,
+    /// The window slow start begins from (and a flow restart returns to).
+    initial_window: f64,
 }
 
 impl NewReno {
     /// Fresh instance in slow start.
     pub fn new() -> NewReno {
+        NewReno::starting_at(INITIAL_WINDOW)
+    }
+
+    /// Fresh instance in slow start from `initial_window` packets.
+    pub(crate) fn starting_at(initial_window: f64) -> NewReno {
         NewReno {
-            cwnd: INITIAL_WINDOW,
+            cwnd: initial_window,
             ssthresh: f64::INFINITY,
+            initial_window,
         }
     }
 
@@ -50,7 +58,7 @@ impl Default for NewReno {
 
 impl CongestionControl for NewReno {
     fn on_flow_start(&mut self, _now: Ns) {
-        self.cwnd = INITIAL_WINDOW;
+        self.cwnd = self.initial_window;
         self.ssthresh = f64::INFINITY;
     }
 

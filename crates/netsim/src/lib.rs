@@ -48,7 +48,7 @@
 //!     7,
 //! );
 //! let results = run_scenario(&scenario, &|_| Box::new(FixedWindow::new(50.0)));
-//! assert!(results.utilization(10.0) > 0.9);
+//! assert!(results.utilization(&scenario.link, scenario.mss) > 0.9);
 //! ```
 
 #![warn(missing_docs)]

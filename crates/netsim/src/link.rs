@@ -107,9 +107,9 @@ impl DeliverySchedule {
     /// reasonable choice is the mean inter-delivery gap.
     pub fn new(instants: Vec<Ns>, tail_gap: Ns) -> DeliverySchedule {
         assert!(!instants.is_empty(), "empty delivery schedule");
-        // A t=0 instant would be unreachable (the engine takes the first
-        // slot strictly after time 0): the opportunity count would include
-        // it, and a `TraceWalk` from the start would fire it at t = 0.
+        // A t=0 instant would make a fresh `TraceWalk` fire a slot at
+        // t = 0, which `opportunities_through` — counting `(0, window]` —
+        // leaves out of the utilization denominator.
         assert!(
             instants[0] > Ns::ZERO,
             "delivery instants must be strictly positive"
@@ -156,20 +156,14 @@ impl DeliverySchedule {
         full_cycles * self.instants.len() as u64 + in_tail
     }
 
-    /// The first delivery opportunity strictly after `now`, unrolling the
-    /// schedule periodically.
-    pub fn next_after(&self, now: Ns) -> Ns {
-        let (cycle, idx) = self.locate_after(now);
-        self.at(cycle, idx)
-    }
-
     /// The opportunity `walk` stands on; `walk` moves on to the one
-    /// after it. A fresh walk stands on the first opportunity after
-    /// time 0, so stepping it from the start yields the chain
-    /// `next_after(0)`, `next_after(that)`, … in O(1) per step — the
-    /// order in which a trace link's slots fire.
+    /// after it, in O(1). A fresh walk stands on the first instant of the
+    /// first period, so stepping it from the start yields every delivery
+    /// opportunity in time order, unrolling the schedule periodically —
+    /// the order in which a trace link's slots fire. The k-th step
+    /// returns the first instant `t` with `opportunities_through(t) == k`.
     pub fn step(&self, walk: &mut TraceWalk) -> Ns {
-        let at = self.at(walk.cycle, walk.idx);
+        let at = Ns(walk.cycle * self.period().0 + self.instants[walk.idx].0);
         walk.idx += 1;
         if walk.idx == self.instants.len() {
             walk.cycle += 1;
@@ -177,44 +171,11 @@ impl DeliverySchedule {
         }
         at
     }
-
-    /// Absolute time of instant `idx` in repetition `cycle`.
-    #[inline]
-    fn at(&self, cycle: u64, idx: usize) -> Ns {
-        Ns(cycle * self.period().0 + self.instants[idx].0)
-    }
-
-    /// (cycle, index) of the first opportunity strictly after `now`.
-    fn locate_after(&self, now: Ns) -> (u64, usize) {
-        let period = self.period();
-        debug_assert!(period.0 > 0);
-        let cycle = now.0 / period.0;
-        let offset = Ns(now.0 % period.0);
-        // Find the first instant strictly greater than `offset`.
-        match self.instants.binary_search_by(|t| {
-            if *t <= offset {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        }) {
-            // lint:allow(p2-sim-panic): the comparator above returns only
-            // Less or Greater, so binary_search can never yield Ok.
-            Ok(_) => unreachable!("comparator never returns Equal"),
-            Err(idx) => {
-                if idx < self.instants.len() {
-                    (cycle, idx)
-                } else {
-                    // Wrap into the next cycle.
-                    (cycle + 1, 0)
-                }
-            }
-        }
-    }
 }
 
 /// A position in a [`DeliverySchedule`] unrolled over time, moved forward
-/// by [`DeliverySchedule::step`]; the default is the first opportunity.
+/// by [`DeliverySchedule::step`] — the one way a schedule is walked; the
+/// default stands on the first opportunity.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TraceWalk {
     cycle: u64,
@@ -238,40 +199,36 @@ mod tests {
         let _ = LinkSpec::constant(0.0);
     }
 
+    /// The first `n` instants a fresh walk yields.
+    fn walk(s: &DeliverySchedule, n: usize) -> Vec<Ns> {
+        let mut w = TraceWalk::default();
+        (0..n).map(|_| s.step(&mut w)).collect()
+    }
+
     #[test]
-    fn schedule_next_after_basic() {
+    fn schedule_walk_basic() {
         let s = DeliverySchedule::new(
             vec![Ns(10), Ns(20), Ns(35)],
             Ns(5), // period = 40
         );
         assert_eq!(s.period(), Ns(40));
-        assert_eq!(s.next_after(Ns(0)), Ns(10));
-        assert_eq!(s.next_after(Ns(10)), Ns(20)); // strictly after
-        assert_eq!(s.next_after(Ns(21)), Ns(35));
-        // Wraps to next cycle: 40 + 10.
-        assert_eq!(s.next_after(Ns(35)), Ns(50));
-        assert_eq!(s.next_after(Ns(36)), Ns(50));
+        // Wraps to the next cycle after 35: 40 + 10.
+        assert_eq!(walk(&s, 5), [10, 20, 35, 50, 60].map(Ns));
     }
 
     #[test]
     fn schedule_unrolls_many_cycles() {
         let s = DeliverySchedule::new(vec![Ns(1), Ns(3)], Ns(1)); // period 4
                                                                   // Cycle k delivers at 4k+1, 4k+3.
-        assert_eq!(s.next_after(Ns(100)), Ns(101));
-        assert_eq!(s.next_after(Ns(101)), Ns(103));
-        assert_eq!(s.next_after(Ns(103)), Ns(105));
+        assert_eq!(walk(&s, 53)[50..], [101, 103, 105].map(Ns));
     }
 
     #[test]
     fn schedule_is_strictly_monotonic_generator() {
         let s = DeliverySchedule::new(vec![Ns(5), Ns(9), Ns(14)], Ns(2));
-        let mut t = Ns::ZERO;
-        let mut prev = Ns::ZERO;
-        for _ in 0..100 {
-            t = s.next_after(t);
-            assert!(t > prev);
-            prev = t;
-        }
+        let at = walk(&s, 100);
+        assert!(at[0] > Ns::ZERO);
+        assert!(at.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -283,8 +240,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly positive")]
     fn schedule_rejects_a_zero_first_instant() {
-        // A t=0 slot is unreachable (next_after is strictly-after) and
-        // would make opportunities_through over-count by one per cycle.
+        // A t=0 slot would fire at t = 0, outside the `(0, window]`
+        // that opportunities_through counts.
         let _ = DeliverySchedule::new(vec![Ns(0), Ns(10)], Ns(5));
     }
 
@@ -322,18 +279,17 @@ mod tests {
     }
 
     #[test]
-    fn cached_next_after_matches_binary_search() {
-        // Stepping a walk from the start gives the `next_after` chain from
-        // t = 0 (a binary search per query), across the wrap into each of
-        // several periods.
+    fn walk_matches_the_opportunity_count() {
+        // The k-th instant of a fresh walk is where the closed-form count
+        // reaches k: it counts the instant itself, and not one nanosecond
+        // earlier — across the wrap into each of several periods.
         let s = DeliverySchedule::new(vec![Ns(7), Ns(19), Ns(23)], Ns(4)); // period 27
-        let mut walk = TraceWalk::default();
-        let mut t = Ns::ZERO;
-        for _ in 0..3 * 5 {
-            t = s.next_after(t);
-            assert_eq!(s.step(&mut walk), t);
+        let at = walk(&s, 3 * 5);
+        for (k, t) in (1..).zip(&at) {
+            assert_eq!(s.opportunities_through(*t), k, "at {t:?}");
+            assert_eq!(s.opportunities_through(Ns(t.0 - 1)), k - 1, "before {t:?}");
         }
-        assert_eq!(t, Ns(4 * 27 + 23), "five periods walked");
+        assert_eq!(at[14], Ns(4 * 27 + 23), "five periods walked");
     }
 
     #[test]

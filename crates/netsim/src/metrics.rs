@@ -5,8 +5,12 @@
 //! average per-packet delay in excess of the minimum (time spent waiting
 //! in the bottleneck queue). We also track the average RTT, which the
 //! objective function's delay term uses. Every measure is a running sum:
-//! a flow keeps no per-period or per-packet record.
+//! a flow keeps no per-period or per-packet record. Link utilization
+//! ([`SimResults::utilization`]) is delivered bits over the capacity the
+//! link offered during the run — one formula for constant-rate and
+//! trace-driven links.
 
+use crate::link::LinkSpec;
 use crate::time::Ns;
 
 /// Running measurements for a single flow.
@@ -231,21 +235,10 @@ pub struct SimResults {
 }
 
 impl SimResults {
-    /// Aggregate link utilization: delivered payload bits / (rate × time).
-    /// Only meaningful for constant-rate links — a trace link's nominal
-    /// average rate says little about what the schedule offered during
-    /// this particular window; use [`SimResults::utilization_of`] there.
-    pub fn utilization(&self, rate_mbps: f64) -> f64 {
-        let bits: f64 = self.flows.iter().map(|f| f.bytes as f64 * 8.0).sum();
-        bits / (rate_mbps * 1e6 * self.duration.as_secs_f64())
-    }
-
-    /// Aggregate utilization against the capacity `link` actually offered
-    /// over this run's duration: for constant links identical to
-    /// [`SimResults::utilization`], for trace-driven links the delivered
-    /// bits divided by (delivery opportunities in the window × `mss`).
-    /// Returns 0 when the link offered no capacity.
-    pub fn utilization_of(&self, link: &crate::link::LinkSpec, mss: u32) -> f64 {
+    /// Aggregate utilization: delivered payload bits over the capacity
+    /// `link` offered during the run, for `mss`-byte packets
+    /// ([`LinkSpec::delivered_capacity_bits`]); 0 when it offered none.
+    pub fn utilization(&self, link: &LinkSpec, mss: u32) -> f64 {
         let capacity = link.delivered_capacity_bits(mss, self.duration);
         if capacity <= 0.0 {
             return 0.0;
@@ -381,7 +374,7 @@ mod tests {
 
     #[test]
     fn trace_utilization_uses_delivered_capacity() {
-        use crate::link::{DeliverySchedule, LinkSpec};
+        use crate::link::DeliverySchedule;
         // A bursty trace: 100 opportunities in the first half of a 10 s
         // period, none after. Nominal average rate would say the link
         // offered 1.2 Mbit over 10 s; the schedule actually offered
@@ -398,11 +391,8 @@ mod tests {
             duration: Ns::from_secs(5),
             ..SimResults::default()
         };
-        let util = r.utilization_of(&link, 1500);
+        let util = r.utilization(&link, 1500);
         assert!((util - 0.5).abs() < 1e-9, "got {util}");
-        // Constant links: identical to the nominal-rate utilization.
-        let c = LinkSpec::constant(15.0);
-        assert!((r.utilization_of(&c, 1500) - r.utilization(15.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -416,6 +406,7 @@ mod tests {
             ..SimResults::default()
         };
         // 100 Mbit over 10 s on a 15 Mbps link = 2/3 utilization.
-        assert!((r.utilization(15.0) - 0.6667).abs() < 1e-3);
+        let link = LinkSpec::constant(15.0);
+        assert!((r.utilization(&link, 1500) - 0.6667).abs() < 1e-3);
     }
 }

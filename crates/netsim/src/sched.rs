@@ -184,6 +184,23 @@ impl<T> EventQueue<T> {
         self.len() == 0
     }
 
+    /// Visit every pending event, in no particular order: the heap, or
+    /// the wheel's `ready` set, level slots and lanes. The simulator's
+    /// strict lane audits its packet arena against the events still
+    /// holding packet handles.
+    #[cfg(feature = "strict-invariants")]
+    pub(crate) fn for_each_pending(&self, mut f: impl FnMut(&T)) {
+        match &self.inner {
+            Inner::Heap(h) => h.iter().for_each(|e| f(&e.ev)),
+            Inner::Wheel(w) => w
+                .ready
+                .iter()
+                .chain(w.slots.iter().flatten())
+                .chain(w.lanes.fifos.iter().flatten())
+                .for_each(|e| f(&e.2)),
+        }
+    }
+
     /// Entries the wheel's slot buffers could hold without growing (0 for
     /// the heap), for tests that bound memory by what the wheel holds.
     #[cfg(test)]

@@ -484,7 +484,11 @@ impl Simulator {
         }
         while let Some((at, _id, ev)) = self.events.pop() {
             if at > self.end {
-                break;
+                // The event past the horizon never runs, but still holds
+                // whatever packet it carries.
+                #[cfg(feature = "strict-invariants")]
+                self.audit_packet_arena(Some(&ev));
+                return;
             }
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
@@ -514,9 +518,32 @@ impl Simulator {
         // An on-period still open at the horizon is counted up to it by
         // `FlowMetrics::summarize`: nothing needs closing here.
         #[cfg(feature = "strict-invariants")]
+        self.audit_packet_arena(None);
+    }
+
+    /// Strict lane, at the horizon: the flow table's live/free accounting
+    /// holds, and every live packet is held by a hop queue or by a pending
+    /// packet event (`unrun`: the one `drive` popped past the horizon) —
+    /// so a path that drops a handle without freeing it fails here.
+    #[cfg(feature = "strict-invariants")]
+    fn audit_packet_arena(&self, unrun: Option<&Ev>) {
         assert!(
             self.flows.audit_accounting(),
             "strict-invariants: flow table live/free accounting diverged at the horizon"
+        );
+        let holds = |ev: &Ev| {
+            usize::from(matches!(
+                ev,
+                Ev::HopArrive(_) | Ev::Deliver(_) | Ev::AckArrive(_)
+            ))
+        };
+        let mut held: usize = self.hops.iter().map(|h| h.queue.len()).sum();
+        held += unrun.map_or(0, holds);
+        self.events.for_each_pending(|ev| held += holds(ev));
+        assert_eq!(
+            self.arena.live(),
+            held,
+            "strict-invariants: live packets vs packets queued or in flight at the horizon"
         );
     }
 
@@ -1282,7 +1309,7 @@ mod tests {
         // Window large enough to cover the BDP: 10 Mbps × 100 ms ≈ 83 pkts.
         let s = saturating_scenario(1, 10.0, 100);
         let r = run_scenario(&s, &|_| Box::new(FixedWindow::new(200.0)));
-        let util = r.utilization(10.0);
+        let util = r.utilization(&s.link, s.mss);
         assert!(
             util > 0.95,
             "expected near-full utilization, got {util} ({:?})",

@@ -3,7 +3,7 @@
 
 use netsim::cc::FixedWindow;
 use netsim::flow::{FlowCold, FlowHot, FlowTable, Receiver};
-use netsim::link::DeliverySchedule;
+use netsim::link::{DeliverySchedule, TraceWalk};
 use netsim::metrics::FlowMetrics;
 use netsim::packet::{FlowId, Packet, PacketArena, PacketId};
 use netsim::queue::{Codel, DropTail, Enqueue, Queue, SfqCodel};
@@ -321,38 +321,42 @@ fn flow_table_generations_never_alias() {
     });
 }
 
-/// Delivery schedules: next_after is strictly increasing and respects
-/// the period structure.
+/// Delivery schedules: a walk is strictly increasing and respects the
+/// period structure (the opportunity `len()` steps on is one period later).
 #[test]
 fn schedule_monotonic() {
     cases("schedule_monotonic", |rng| {
         let instants = instants(rng, 49, 1_000_000);
         let s = DeliverySchedule::new(instants, Ns(rng.range_u64(1, 999_999)));
-        let mut prev = Ns(rng.range_u64(0, 9_999_999));
-        for _ in 0..20 {
-            let next = s.next_after(prev);
-            assert!(next > prev);
-            prev = next;
+        let mut walk = TraceWalk::default();
+        let at: Vec<Ns> = (0..s.len() + 20).map(|_| s.step(&mut walk)).collect();
+        assert!(at[0] > Ns::ZERO);
+        assert!(at.windows(2).all(|w| w[0] < w[1]));
+        for k in 0..20 {
+            assert_eq!(at[k + s.len()], at[k] + s.period());
         }
     });
 }
 
-/// Counting delivery opportunities matches brute-force enumeration via
-/// next_after over the same window.
+/// Counting delivery opportunities matches enumerating them with a walk
+/// over the same window: the k-th instant walked is where the count
+/// reaches k, and the instant before it is not.
 #[test]
 fn schedule_opportunity_count_matches_enumeration() {
     cases("schedule_opportunity_count_matches_enumeration", |rng| {
         let instants = instants(rng, 11, 1_000);
         let s = DeliverySchedule::new(instants, Ns(rng.range_u64(1, 999)));
         let window = Ns(rng.range_u64(0, 19_999));
+        let mut walk = TraceWalk::default();
         let mut brute = 0u64;
-        let mut at = Ns::ZERO;
         loop {
-            at = s.next_after(at);
+            let at = s.step(&mut walk);
+            assert_eq!(s.opportunities_through(Ns(at.0 - 1)), brute);
             if at > window {
                 break;
             }
             brute += 1;
+            assert_eq!(s.opportunities_through(at), brute);
         }
         assert_eq!(s.opportunities_through(window), brute);
     });

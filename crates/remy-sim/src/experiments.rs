@@ -12,6 +12,7 @@ use crate::experiment::{CellResult, Experiment};
 use crate::harness::Contender;
 use crate::report::{budget_title, col, label_col, Col, ExperimentReport, Field, Table};
 use crate::spec::{Budget, ExperimentSpec, LinkEventSpec, SweepAxis, TopologySpec};
+use netsim::metrics::{FlowSummary, SimResults};
 use netsim::packet::MSS;
 use netsim::rng::SimRng;
 use netsim::sim::Simulator;
@@ -211,11 +212,21 @@ fn run_fig3(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
 }
 
 fn run_fig6(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
+    if !spec.workload.record_deliveries {
+        return Err("the sequence plot needs workload.record_deliveries".into());
+    }
     let cells = spec.expand()?;
-    let cell = &cells[0];
-    let scenario = &cell.scenarios[0];
-    let results = cell.contender.simulate(scenario);
+    let scenario = &cells[0].scenarios[0];
+    fig6_report(spec, &cells[0].contender.simulate(scenario))
+}
 
+/// Fig. 6 from one run's delivery log, which must be whole: past its cap
+/// the series would stop growing and the departure read early.
+fn fig6_report(spec: &ExperimentSpec, results: &SimResults) -> Result<ExperimentReport, String> {
+    let dropped = results.deliveries_dropped;
+    if dropped > 0 {
+        return Err(format!("delivery log full: {dropped} deliveries unlogged"));
+    }
     // Find the instant flow 1's deliveries stop (its actual departure).
     let flow1_last = results
         .deliveries
@@ -238,7 +249,7 @@ fn run_fig6(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let mut seq = 0;
     let flow0: Vec<_> = results.deliveries.iter().filter(|d| d.flow == 0).collect();
     let mut pending = flow0.iter().peekable();
-    while t <= scenario.duration {
+    while t <= results.duration {
         while let Some(d) = pending.next_if(|d| d.at <= t) {
             seq = d.seq;
         }
@@ -277,26 +288,11 @@ fn run_lte_trace(spec: &ExperimentSpec) -> Result<ExperimentReport, String> {
     let results = Experiment::new(spec.clone()).run()?;
     let mut rep = results.report();
     let link = spec.workload.link.resolve()?;
-    let window = spec.budget.duration();
-    let utils: Vec<f64> = results
-        .cells
-        .iter()
-        .map(|cell| {
-            let per_run: Vec<f64> = cell
-                .runs
-                .iter()
-                .map(|run| {
-                    let r = netsim::metrics::SimResults {
-                        flows: run.clone(),
-                        duration: window,
-                        ..Default::default()
-                    };
-                    r.utilization_of(&link, MSS)
-                })
-                .collect();
-            mean(&per_run)
-        })
-        .collect();
+    let capacity = link.delivered_capacity_bits(MSS, spec.budget.duration());
+    let util =
+        |run: &Vec<FlowSummary>| run.iter().map(|f| f.bytes as f64 * 8.0).sum::<f64>() / capacity;
+    let per_run = |cell: &CellResult| -> Vec<f64> { cell.runs.iter().map(util).collect() };
+    let utils: Vec<f64> = results.cells.iter().map(|c| mean(&per_run(c))).collect();
     assert_eq!(rep.csv_rows.len(), utils.len(), "one CSV row per cell");
     rep.csv_header.push_str(",mean_utilization");
     for (row, u) in rep.csv_rows.iter_mut().zip(&utils) {
@@ -1124,6 +1120,39 @@ mod tests {
         // The CSV takes the registry name.
         let path = rep.write_csv(by_name("fig6").unwrap().name).unwrap();
         assert!(path.ends_with("fig6.csv"), "{}", path.display());
+    }
+
+    #[test]
+    fn fig6_without_a_delivery_log_is_an_error_naming_the_key() {
+        let entry = by_name("fig6").unwrap();
+        let mut spec = entry.committed_spec();
+        spec.workload.record_deliveries = false;
+        let err = entry.run(&spec).expect_err("no numbers are printed");
+        assert!(err.contains("workload.record_deliveries"), "{err}");
+    }
+
+    #[test]
+    fn fig6_with_a_capped_delivery_log_is_an_error_giving_the_drops() {
+        // A log that overflowed its cap stops short of the run's end: the
+        // plot would flatten and the departure read early.
+        let spec = by_name("fig6").unwrap().committed_spec();
+        let results = SimResults {
+            deliveries: vec![netsim::metrics::DeliveryRecord {
+                at: Ns::from_secs(1),
+                flow: 1,
+                seq: 7,
+            }],
+            deliveries_dropped: 123_456,
+            duration: spec.budget.duration(),
+            ..SimResults::default()
+        };
+        let err = fig6_report(&spec, &results).expect_err("no numbers are printed");
+        assert!(err.contains("123456"), "{err}");
+        let whole = SimResults {
+            deliveries_dropped: 0,
+            ..results
+        };
+        assert!(fig6_report(&spec, &whole).is_ok());
     }
 
     /// The committed `failover_chain` spec with its failure moved to `at`.

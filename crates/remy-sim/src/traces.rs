@@ -162,13 +162,15 @@ pub fn att_schedule() -> DeliverySchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::link::TraceWalk;
 
     #[test]
     fn deterministic_generation() {
         let a = LteModel::verizon_like().generate(9, Ns::from_secs(20));
         let b = LteModel::verizon_like().generate(9, Ns::from_secs(20));
         assert_eq!(a.len(), b.len());
-        assert_eq!(a.next_after(Ns::ZERO), b.next_after(Ns::ZERO));
+        let first = |s: &DeliverySchedule| s.step(&mut TraceWalk::default());
+        assert_eq!(first(&a), first(&b));
         assert_eq!(a.period(), b.period());
     }
 
@@ -201,10 +203,10 @@ mod tests {
         // Split into 1-second bins; the delivery counts must vary a lot
         // (coefficient of variation well above a constant-rate link's 0).
         let s = LteModel::verizon_like().generate(11, Ns::from_secs(60));
-        let mut t = Ns::ZERO;
+        let mut walk = TraceWalk::default();
         let mut bins = vec![0f64; 60];
         for _ in 0..s.len() {
-            t = s.next_after(t);
+            let t = s.step(&mut walk);
             if t >= Ns::from_secs(60) {
                 break;
             }
@@ -223,10 +225,10 @@ mod tests {
         // Outages: some 1-second bins should see under a quarter of the
         // mean delivery count.
         let s = LteModel::verizon_like().generate(13, Ns::from_secs(120));
-        let mut t = Ns::ZERO;
+        let mut walk = TraceWalk::default();
         let mut bins = vec![0f64; 120];
         loop {
-            t = s.next_after(t);
+            let t = s.step(&mut walk);
             if t >= Ns::from_secs(120) {
                 break;
             }

@@ -106,11 +106,8 @@ fn cubic_recovers_quickly_after_single_loss_episodes() {
         23,
     );
     let r = run_scenario(&scenario, &|_| Box::new(Cubic::new()));
-    assert!(
-        r.utilization(15.0) > 0.8,
-        "Cubic shallow-buffer utilization {}",
-        r.utilization(15.0)
-    );
+    let util = r.utilization(&scenario.link, scenario.mss);
+    assert!(util > 0.8, "Cubic shallow-buffer utilization {util}");
 }
 
 #[test]

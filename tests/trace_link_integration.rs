@@ -1,5 +1,6 @@
 //! Integration: trace-driven (cellular) links end to end.
 
+use remy_sim::netsim::link::TraceWalk;
 use remy_sim::prelude::*;
 use std::sync::Arc;
 
@@ -9,11 +10,10 @@ fn delivery_rate_never_exceeds_trace_budget() {
     // delivery slots.
     let schedule = LteModel::verizon_like().generate(3, Ns::from_secs(30));
     let slots_in_20s = {
-        let mut t = Ns::ZERO;
+        let mut walk = TraceWalk::default();
         let mut n = 0u64;
         loop {
-            t = schedule.next_after(t);
-            if t >= Ns::from_secs(20) {
+            if schedule.step(&mut walk) >= Ns::from_secs(20) {
                 break n;
             }
             n += 1;
